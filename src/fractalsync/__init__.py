@@ -13,14 +13,16 @@ from .dirichlet import (BoundaryData, EnergyReport, dirichlet_energy,
                         harmonic_extend_once, extend_harmonic_once, holder_ratio,
                         laplacian, normal_derivative, solve_dirichlet)
 from .errors import (ConstraintViolationError, DegreeClosureError,
-                     NotAnEquilibriumError, UnresolvedWindingError)
+                     EigensolverError, NotAnEquilibriumError,
+                     UnresolvedWindingError)
 from .graphs import (FractalGraph, Itinerary, Vertex, build_graph,
                      build_ring_graph, build_sg_graph, canonical_itinerary,
                      restrict)
 from .kuramoto import (EquilibriumReport, FlowConfig, KuramotoEnergyReport,
                        circle_distance, half_twisted_state, hessian_stability,
                        integrate_to_equilibrium, km_energy, km_rhs,
-                       minimize_energy, twisted_state, wrap_phases)
+                       minimize_energy, solve_equilibrium, twisted_state,
+                       wrap_phases)
 from .structures import (HarmonicStructure, generic_harmonic_map, generic_km,
                          ring_structure, sg_structure)
 from .winding import (DegreeVector, Loop, degree, lift_along_loop, loop_basis,

@@ -77,9 +77,7 @@ def _structure(fractal):
 
 
 def _flow_cfg(cfg: RunConfig, record=None) -> km.FlowConfig:
-    order = None if cfg.fractal == "ring" else max(cfg.degree.max_order, 1)
-    if cfg.fractal == "ring":
-        order = 0
+    order = 0 if cfg.fractal == "ring" else max(cfg.degree.max_order, 1)
     return km.FlowConfig(step=cfg.step, max_time=cfg.max_time, tol=cfg.tol,
                          degree_order=order, record=record)
 
@@ -146,7 +144,7 @@ def _twist_report(cfg: RunConfig, level=None, perturb_seed=None):
         rng = np.random.default_rng(perturb_seed)
         phases = km.wrap_phases(
             phases + rng.uniform(-cfg.perturb, cfg.perturb, g.n_vertices))
-    report = km.integrate_to_equilibrium(g, phases, _flow_cfg(cfg))
+    report = km.solve_equilibrium(g, phases, _flow_cfg(cfg), pin=cfg.pin)
     return g, phases, lift, report
 
 
@@ -211,7 +209,7 @@ def _verify_row(args):
     phases, lift = cov.circle_harmonic_map(g, cfg.degree)
     e_lift = lift.energy()
     j_harm = km.km_energy(g, phases).energy
-    report = km.integrate_to_equilibrium(g, phases, _flow_cfg(cfg))
+    report = km.solve_equilibrium(g, phases, _flow_cfg(cfg), pin=cfg.pin)
     d_n = float(km.circle_distance(report.field, phases).max())
     return {
         "level": n,
@@ -222,6 +220,8 @@ def _verify_row(args):
         "max_deviation": d_n,
         "hessian_min_eig": report.hessian_min_eig,
         "converged": report.converged,
+        "method": report.method,
+        "fallback": report.fallback,
     }
 
 
@@ -281,7 +281,7 @@ def cmd_sweep(cfg: RunConfig):
     seeds = cfg.seeds or (cfg.seed,)
     jobs = []
     base = {"mode": "twist", "fractal": cfg.fractal, "tol": cfg.tol,
-            "step": cfg.step, "max_time": cfg.max_time,
+            "step": cfg.step, "max_time": cfg.max_time, "pin": cfg.pin,
             "perturb": cfg.perturb, "out": cfg.out}
     for n in cfg.levels or (cfg.level,):
         for dense in degrees:

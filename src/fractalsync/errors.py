@@ -28,3 +28,17 @@ class ConstraintViolationError(ValueError):
 
 class NotAnEquilibriumError(ValueError):
     """Stability was requested for a field that is not an equilibrium."""
+
+
+class EigensolverError(RuntimeError):
+    """The sparse eigensolver did not converge on a pinned Hessian.
+
+    Raised instead of falling back to a dense solve, which would allocate
+    an N x N matrix at large levels.
+    """
+
+    def __init__(self, size, cause):
+        self.size = int(size)
+        super().__init__(
+            f"sparse eigensolver did not converge on the {self.size}-vertex "
+            f"pinned Hessian: {cause}")

@@ -16,13 +16,17 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .errors import NotAnEquilibriumError, UnresolvedWindingError
+from .errors import (EigensolverError, NotAnEquilibriumError,
+                     UnresolvedWindingError)
 from .graphs import FractalGraph
 from .winding import DegreeVector, degree
 
 TWO_PI = 2.0 * math.pi
 DENSE_EIG_LIMIT = 3000
 STABILITY_BAND = 1e-9
+NEWTON_MAX_ITERS = 50
+NEWTON_MIN_STEP = 1e-8
+ARMIJO = 1e-4
 
 
 def wrap_phases(u) -> np.ndarray:
@@ -44,6 +48,13 @@ def _check(g, u):
             f"field shape {u.shape} does not match graph with "
             f"{g.n_vertices} vertices")
     return u
+
+
+def _check_pin(g, pin):
+    if not 0 <= pin < g.n_vertices:
+        raise ValueError(
+            f"pin {pin} is not a vertex of a graph with {g.n_vertices} "
+            f"vertices")
 
 
 def _wrapped_diff(u, i, j):
@@ -113,7 +124,12 @@ class FlowConfig:
 
 @dataclass
 class EquilibriumReport:
-    """Converged (or final) state of a flow or minimisation run."""
+    """Converged (or final) state of a flow or Newton run.
+
+    For ``method == "newton"``, ``steps`` counts Newton steps,
+    ``halvings`` line-search halvings and ``step_size`` the last step
+    length, and ``time`` is 0.
+    """
 
     field: np.ndarray
     residual: float
@@ -126,6 +142,8 @@ class EquilibriumReport:
     step_size: float
     converged: bool
     halvings: int = 0
+    method: str = "flow"            # "newton" or "flow"
+    fallback: str | None = None     # why Newton handed over to the flow
 
     def to_json_dict(self):
         return {
@@ -139,17 +157,19 @@ class EquilibriumReport:
             "step_size": self.step_size,
             "converged": self.converged,
             "halvings": self.halvings,
+            "method": self.method,
+            "fallback": self.fallback,
         }
 
 
 def _finalize(g, u, residual, steps, t, h, converged, halvings, cfg,
-              pin=None) -> EquilibriumReport:
+              pin=0, method="flow") -> EquilibriumReport:
     phases = wrap_phases(u)
     energy = km_energy(g, phases).energy
     hess_eig = None
     verdict = None
     if residual < 1e-8:
-        hess_eig, verdict = hessian_stability(g, phases, pin=pin if pin is not None else 0)
+        hess_eig, verdict = hessian_stability(g, phases, pin=pin)
     order = cfg.degree_order
     if order is None:
         order = 0 if g.kind == "ring" else min(g.level, 2)
@@ -161,7 +181,7 @@ def _finalize(g, u, residual, steps, t, h, converged, halvings, cfg,
         field=phases, residual=residual, energy=energy,
         hessian_min_eig=hess_eig, stability=verdict, degree=deg,
         steps=steps, time=t, step_size=h, converged=converged,
-        halvings=halvings)
+        halvings=halvings, method=method)
 
 
 def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None) -> EquilibriumReport:
@@ -218,56 +238,94 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
     return _finalize(g, u, res, steps, t, h, res < cfg.tol, halvings, cfg)
 
 
-def minimize_energy(g: FractalGraph, u0, pin=0, cfg: FlowConfig | None = None) -> EquilibriumReport:
-    """Gradient descent with Armijo backtracking, pinned at one vertex.
+def solve_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None,
+                      pin=0) -> EquilibriumReport:
+    """Damped Newton on the energy gradient, with vertex ``pin`` held fixed.
 
-    Works on real representatives with u(pin) = 0; stops when the
-    sup-norm of the energy gradient drops below the tolerance.
+    The pinned Hessian is factored at every iterate, and the iteration
+    stops at a residual below ``cfg.tol`` only where that factor certifies
+    it positive definite, so Newton never returns a saddle.  Each step is
+    capped so that no wrapped edge difference crosses a half turn: every
+    loop winding, hence the start's degree vector, is kept.  The energy
+    line search is Armijo's, and also accepts a rise within rounding (the
+    slack the flow's energy monitor allows).  The converged field is
+    shifted back to the start's mean phase, which the flow conserves, so
+    it matches the flow's equilibrium pointwise.
+
+    If a factor is not certified, the line search falls below
+    ``NEWTON_MIN_STEP`` or ``NEWTON_MAX_ITERS`` steps pass, the result is
+    ``integrate_to_equilibrium(g, u0, cfg)`` from the original start, with
+    ``fallback`` naming the reason.
     """
     cfg = cfg or FlowConfig()
-    u = _check(g, u0).copy()
-    u -= u[pin]
+    u0 = _check(g, u0)
+    _check_pin(g, pin)
+    u = u0.copy()
     i, j = g.edges[:, 0], g.edges[:, 1]
     w = g.edge_weights
-    n = g.n_vertices
-
-    def grad(x):
-        d = x[j] - x[i]
-        d -= np.round(d)
-        s = np.sin(TWO_PI * d) * w
-        out = (np.bincount(j, s, n) - np.bincount(i, s, n)) / TWO_PI
-        out[pin] = 0.0
-        return out
-
+    free = np.delete(np.arange(g.n_vertices), pin)
     energy = _km_energy_fast(u, i, j, w)
-    # curvature bound: Hessian eigenvalues stay below 2 * 4 * conductance,
-    # so steps at or below `safe` decrease the energy even when the
-    # decrease is too small for floating point to certify
-    safe = 1.0 / (8.0 * g.conductance)
-    step = 4.0 * safe
-    iters = 0
-    max_iters = 500_000
-    gvec = grad(u)
-    gnorm = float(np.abs(gvec).max())
-    while gnorm >= cfg.tol and iters < max_iters:
-        d = -gvec
-        g2 = float(np.dot(d, d))
-        trial = min(step * 2.0, 64.0 * safe)
+    t = 0.0
+    halvings = 0
+    fallback = None
+    for iters in range(NEWTON_MAX_ITERS + 1):
+        rhs = km_rhs(g, u)
+        res = float(np.abs(rhs).max())
+        lu = _positive_definite_factor(_pinned_hessian(g, u, free))
+        if lu is None:
+            fallback = "pinned Hessian not positive definite"
+            break
+        if res < cfg.tol:
+            break
+        if iters == NEWTON_MAX_ITERS:
+            fallback = f"no convergence in {NEWTON_MAX_ITERS} Newton steps"
+            break
+        # rhs = -2 pi grad E and H is the Hessian of E
+        step = np.zeros_like(u)
+        step[free] = lu.solve(rhs[free]) / TWO_PI
+        slope = -float(np.dot(rhs, step)) / TWO_PI
+        d = _wrapped_diff(u, i, j)
+        dd = step[j] - step[i]
+        moving = dd != 0.0
+        t = 1.0
+        if moving.any():
+            t = min(t, 0.9 * float(np.min(
+                (0.5 - np.abs(d[moving])) / np.abs(dd[moving]))))
+        # Armijo, widened by the rounding slack of the flow's energy monitor:
+        # near the solution the decrease is below what the energy resolves
+        slack = 1e-13 * max(1.0, abs(energy))
         while True:
-            cand = u + trial * d
+            cand = u + t * step
             e_cand = _km_energy_fast(cand, i, j, w)
-            if e_cand <= energy - 1e-4 * trial * g2 or trial <= safe:
+            if e_cand <= energy + ARMIJO * t * slope + slack:
                 break
-            trial *= 0.5
-        u = cand
-        energy = e_cand
-        step = trial
-        gvec = grad(u)
-        gnorm = float(np.abs(gvec).max())
-        iters += 1
-    res = float(np.abs(km_rhs(g, wrap_phases(u))).max())
-    return _finalize(g, u, res, iters, 0.0, step,
-                     gnorm < cfg.tol, 0, cfg, pin=pin)
+            t *= 0.5
+            halvings += 1
+            if t < NEWTON_MIN_STEP:
+                break
+        if t < NEWTON_MIN_STEP:
+            fallback = f"line search step below {NEWTON_MIN_STEP:g}"
+            break
+        u, energy = cand, e_cand
+    if fallback is not None:
+        rep = integrate_to_equilibrium(g, u0, cfg)
+        rep.fallback = fallback
+        return rep
+    u += np.mean(u0) - np.mean(u)
+    return _finalize(g, u, res, iters, 0.0, t, True, halvings, cfg, pin=pin,
+                     method="newton")
+
+
+def minimize_energy(g: FractalGraph, u0, pin=0, cfg: FlowConfig | None = None) -> EquilibriumReport:
+    """Energy minimiser with the pinned vertex at phase 0.
+
+    :func:`solve_equilibrium`, with the field then rotated so that
+    ``field[pin] == 0.0``; the reported energy, residual and Hessian
+    eigenvalue do not depend on that rotation.
+    """
+    rep = solve_equilibrium(g, u0, cfg, pin=pin)
+    rep.field = wrap_phases(rep.field - rep.field[pin])
+    return rep
 
 
 def hessian_matrix(g: FractalGraph, u) -> sparse.csr_matrix:
@@ -282,30 +340,64 @@ def hessian_matrix(g: FractalGraph, u) -> sparse.csr_matrix:
     return sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
+def _pinned_hessian(g: FractalGraph, u, free) -> sparse.csc_matrix:
+    return hessian_matrix(g, u)[free][:, free].tocsc()
+
+
+def _positive_definite_factor(H):
+    """Sparse LU of symmetric ``H`` if it certifies ``H`` positive definite.
+
+    With diagonal pivots and one symmetric permutation (``perm_r ==
+    perm_c``) the factor is P H P^T = L U with U = D L^T, so by Sylvester's
+    law of inertia H is positive definite exactly when every pivot on U's
+    diagonal is positive.  Returns None otherwise.
+    """
+    try:
+        lu = spla.splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular
+        return None
+    if np.array_equal(lu.perm_r, lu.perm_c) and bool(np.all(lu.U.diagonal() > 0)):
+        return lu
+    return None
+
+
+def _arpack_min_eig(H, **kwargs) -> float:
+    try:
+        vals = spla.eigsh(H, k=1, return_eigenvectors=False, **kwargs)
+    except spla.ArpackNoConvergence as exc:
+        raise EigensolverError(H.shape[0], exc) from exc
+    return float(vals[0])
+
+
 def hessian_stability(g: FractalGraph, u, pin=0, band=STABILITY_BAND):
     """Smallest Hessian eigenvalue on the pinned subspace, with verdict.
 
-    Dense solve below ~3000 vertices, Lanczos iteration above.  Verdict is
+    When a sparse factor certifies the pinned Hessian positive definite,
+    shift-invert Lanczos at 0 runs on that factor.  Otherwise the solve is
+    dense up to ``DENSE_EIG_LIMIT`` free vertices and Lanczos above, where
+    non-convergence raises :class:`EigensolverError`.  Verdict is
     ``"stable"`` above the tolerance band, ``"saddle"`` below it, and
     ``"degenerate"`` inside it.
     """
     u = _check(g, u)
+    _check_pin(g, pin)
     res = float(np.abs(km_rhs(g, u)).max())
     if res >= 1e-8:
         raise NotAnEquilibriumError(
             f"residual {res:.3e} >= 1e-8; stability is defined at equilibria")
-    H = hessian_matrix(g, u)
-    keep = np.setdiff1d(np.arange(g.n_vertices), [pin])
-    Hp = H[keep][:, keep]
-    if Hp.shape[0] <= DENSE_EIG_LIMIT:
+    Hp = _pinned_hessian(g, u, np.delete(np.arange(g.n_vertices), pin))
+    n = Hp.shape[0]
+    lu = _positive_definite_factor(Hp)
+    if lu is not None and n > 1:  # ARPACK needs k = 1 < n
+        # the fixed start vector makes the eigenvalue bitwise reproducible
+        op = spla.LinearOperator(Hp.shape, matvec=lu.solve, dtype=float)
+        eig = _arpack_min_eig(Hp, sigma=0.0, which="LM", OPinv=op,
+                              v0=np.ones(n))
+    elif n <= DENSE_EIG_LIMIT:
         eig = float(np.linalg.eigvalsh(Hp.toarray())[0])
     else:
-        try:
-            vals = spla.eigsh(Hp, k=1, which="SA", tol=1e-10, maxiter=50000,
-                              return_eigenvectors=False)
-            eig = float(vals[0])
-        except spla.ArpackNoConvergence:
-            eig = float(np.linalg.eigvalsh(Hp.toarray())[0])
+        eig = _arpack_min_eig(Hp, which="SA", tol=1e-10, maxiter=50000)
     if eig > band:
         verdict = "stable"
     elif eig < -band:

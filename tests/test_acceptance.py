@@ -28,7 +28,7 @@ from fractalsync import (DegreeVector, FlowConfig, build_ring_graph,
                          integrate_to_equilibrium, km_energy, km_rhs, laplacian,
                          minimize_constrained, neumann_check, normal_derivative,
                          restrict, ring_structure, sg_structure, solve_dirichlet,
-                         twisted_state, wrap_phases)
+                         solve_equilibrium, twisted_state, wrap_phases)
 from fractalsync.structures import energy_value, extension_by_minimization
 
 BETA = math.log(5 / 3) / (2 * math.log(2))
@@ -168,7 +168,7 @@ def _equilibrium_experiment(omega, levels, order):
         g = build_sg_graph(n)
         phases, _ = circle_harmonic_map(g, omega)
         cfg = FlowConfig(degree_order=order)
-        rep = integrate_to_equilibrium(g, phases, cfg)
+        rep = solve_equilibrium(g, phases, cfg)
         d_n = float(circle_distance(rep.field, phases).max())
         rows.append((n, rep, d_n))
     return rows

@@ -95,6 +95,27 @@ def test_twist_cmd_and_determinism(tmp_path):
         assert sha256_of(out1 / name) == sha256_of(out2 / name)
 
 
+def test_twist_pin_reaches_solver_and_stability(tmp_path):
+    import fractalsync as fs
+    reps = {}
+    for pin in (0, 7):
+        out = tmp_path / f"p{pin}"
+        assert run(["twist", "--level", "4", "--degree", "1", "--pin", str(pin),
+                    "--out", str(out)]) == 0
+        reps[pin] = json.loads((out / "equilibrium.json").read_text())
+        reps[pin]["field"] = read_field_csv(out / "equilibrium.csv")
+    assert reps[7]["method"] == "newton" and reps[7]["fallback"] is None
+    assert fs.circle_distance(reps[7]["field"], reps[0]["field"]).max() < 1e-9
+    # the smallest eigenvalue is taken on the subspace with the pin held fixed
+    g = fs.build_sg_graph(4)
+    eig, _ = fs.hessian_stability(g, reps[7]["field"], pin=7)
+    assert reps[7]["hessian_min_eig"] == pytest.approx(eig, rel=1e-9)
+    assert reps[7]["hessian_min_eig"] != pytest.approx(
+        reps[0]["hessian_min_eig"], rel=1e-3)
+    assert run(["twist", "--level", "2", "--degree", "1", "--pin", "15",
+                "--out", str(tmp_path / "bad")]) == 1
+
+
 def test_twist_zero_degree(tmp_path):
     out = tmp_path / "t0"
     assert run(["twist", "--level", "2", "--degree", "0",
@@ -186,6 +207,7 @@ def test_verify_cmd_sg_gap_matches_library(tmp_path):
     from fractalsync import km_energy
     table = json.loads((out / "verify.json").read_text())
     for row in table["rows"]:
+        assert row["method"] == "newton" and row["fallback"] is None
         g = fs.build_sg_graph(row["level"])
         phases, lift = fs.circle_harmonic_map(g, fs.DegreeVector({(): 1}))
         gap = lift.energy() - km_energy(g, phases).energy

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.sparse import linalg as spla
 
-from fractalsync import (DegreeVector, FlowConfig, NotAnEquilibriumError,
-                         build_ring_graph, build_sg_graph, circle_distance,
-                         circle_harmonic_map, half_twisted_state,
-                         hessian_stability, integrate_to_equilibrium,
-                         km_energy, km_rhs, minimize_energy, twisted_state,
+from fractalsync import (DegreeVector, EigensolverError, FlowConfig,
+                         NotAnEquilibriumError, build_ring_graph,
+                         build_sg_graph, circle_distance, circle_harmonic_map,
+                         degree, half_twisted_state, hessian_stability,
+                         integrate_to_equilibrium, km_energy, km_rhs,
+                         minimize_energy, solve_equilibrium, twisted_state,
                          wrap_phases)
 from fractalsync.dirichlet import laplacian_matrix
 from fractalsync.kuramoto import hessian_matrix
@@ -157,16 +160,93 @@ def test_half_twisted_is_equilibrium_but_saddle():
     assert rep.stability == "saddle"
 
 
+# -- Newton solve (the flow is the oracle) -----------------------------------------
+
+def _report_without_method(rep):
+    d = rep.to_json_dict()
+    del d["method"], d["fallback"]
+    return d
+
+
+@pytest.mark.parametrize("omega", [DegreeVector({(): 1}),
+                                   DegreeVector({(): 1, (1,): 1, (2,): 1, (3,): 1})])
+def test_newton_matches_flow_pointwise(omega):
+    for n in (3, 4, 5, 6):
+        g = build_sg_graph(n)
+        phases, _ = circle_harmonic_map(g, omega)
+        rep = solve_equilibrium(g, phases)
+        ref = integrate_to_equilibrium(g, phases)
+        assert rep.method == "newton" and rep.fallback is None
+        assert rep.converged and rep.residual < 1e-10
+        assert rep.stability == "stable" and rep.degree == omega
+        assert circle_distance(rep.field, ref.field).max() < 1e-8
+        assert rep.hessian_min_eig == pytest.approx(ref.hessian_min_eig, rel=1e-9)
+
+
+@settings(max_examples=6, deadline=None)
+@given(n=st.sampled_from((4, 5)),
+       spec=st.sampled_from(("0", "1", "1,1,1,1", "2,0,0")),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=4, spec="2,0,0", seed=52)   # unguarded steps change this degree
+def test_newton_from_perturbed_start_keeps_degree_and_matches_flow(n, spec, seed):
+    g = build_sg_graph(n)
+    omega = DegreeVector.parse(spec, (1, 2, 3))
+    phases, _ = circle_harmonic_map(g, omega)
+    rng = np.random.default_rng(seed)
+    u0 = wrap_phases(phases + rng.uniform(-0.1, 0.1, g.n_vertices))
+    cfg = FlowConfig(degree_order=1)
+    rep = solve_equilibrium(g, u0, cfg)
+    ref = integrate_to_equilibrium(g, u0, cfg)
+    assert rep.converged and rep.stability == "stable"
+    assert rep.degree == degree(u0, g, 1)
+    assert circle_distance(rep.field, ref.field).max() < 1e-8
+
+
+def test_uncertified_start_falls_back_to_flow():
+    ring = build_ring_graph(5)
+    g = build_sg_graph(3)
+    rng = np.random.default_rng(2)
+    # saddles (Hessian indefinite) and a random start far from equilibrium
+    for graph, u0 in ((ring, half_twisted_state(ring, 0.5)),
+                      (ring, twisted_state(ring, 9)),
+                      (g, rng.random(g.n_vertices))):
+        rep = solve_equilibrium(graph, u0)
+        ref = integrate_to_equilibrium(graph, u0)
+        assert rep.method == "flow"
+        assert rep.fallback == "pinned Hessian not positive definite"
+        np.testing.assert_array_equal(rep.field, ref.field)
+        assert _report_without_method(rep) == _report_without_method(ref)
+
+
+def test_newton_keeps_stable_ring_twists():
+    g = build_ring_graph(5)
+    for q in (0, 1, 7):   # stable below the quarter turn q = 8
+        u0 = twisted_state(g, q)
+        rep = solve_equilibrium(g, u0)
+        assert rep.method == "newton" and rep.steps == 0
+        assert rep.stability == "stable"
+        assert rep.degree == DegreeVector({(): q} if q else {})
+        assert circle_distance(rep.field, u0).max() < 1e-12
+
+
+def test_solve_rejects_bad_pin():
+    g = build_sg_graph(2)
+    for pin in (-1, g.n_vertices):
+        with pytest.raises(ValueError, match="pin"):
+            solve_equilibrium(g, np.zeros(g.n_vertices), pin=pin)
+
+
 # -- minimisation ----------------------------------------------------------------
 
 def test_minimize_near_constant_reaches_zero():
     g = build_sg_graph(3)
     rng = np.random.default_rng(6)
     u0 = wrap_phases(0.01 * rng.standard_normal(g.n_vertices))
-    rep = minimize_energy(g, u0, pin=0, cfg=FlowConfig(tol=1e-10))
-    assert rep.converged
-    assert rep.energy < 1e-16
-    assert rep.field[0] == 0.0
+    for pin in (0, 5):
+        rep = minimize_energy(g, u0, pin=pin, cfg=FlowConfig(tol=1e-10))
+        assert rep.converged
+        assert rep.energy < 1e-16
+        assert rep.field[pin] == 0.0
 
 
 def test_minimize_keeps_degree_and_matches_flow():
@@ -225,3 +305,39 @@ def test_hessian_requires_equilibrium():
     rng = np.random.default_rng(5)
     with pytest.raises(NotAnEquilibriumError):
         hessian_stability(g, rng.random(g.n_vertices))
+
+
+def test_hessian_factor_path_matches_dense():
+    # level 6 has 1094 free vertices: the certified sparse path runs, and the
+    # dense solve is still affordable as the reference
+    g = build_sg_graph(6)
+    phases, _ = circle_harmonic_map(g, DegreeVector({(): 1}))
+    rep = solve_equilibrium(g, phases)
+    eig, verdict = hessian_stability(g, rep.field, pin=3)
+    H = hessian_matrix(g, rep.field).toarray()
+    keep = np.delete(np.arange(g.n_vertices), 3)
+    assert verdict == "stable"
+    assert eig == pytest.approx(np.linalg.eigvalsh(H[np.ix_(keep, keep)])[0],
+                                rel=1e-10)
+
+
+def test_hessian_min_eig_bitwise_reproducible_level7():
+    g = build_sg_graph(7)
+    phases, _ = circle_harmonic_map(g, DegreeVector({(): 1}))
+    first = solve_equilibrium(g, phases)
+    second = solve_equilibrium(g, phases)
+    assert first.stability == "stable"
+    assert first.hessian_min_eig == second.hessian_min_eig
+    assert hessian_stability(g, first.field)[0] == first.hessian_min_eig
+
+
+def test_large_eigensolver_failure_is_typed(monkeypatch):
+    # a saddle above DENSE_EIG_LIMIT: ARPACK failure must not densify
+    g = build_ring_graph(12)
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("forced", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    with pytest.raises(EigensolverError, match="4095-vertex"):
+        hessian_stability(g, half_twisted_state(g, 0.5))
