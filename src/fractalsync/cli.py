@@ -39,7 +39,6 @@ class RunConfig:
     tol: float = 1e-10
     step: float | None = None
     max_time: float = 400.0
-    pin: int = 0
     seed: int = 0
     init: str | None = None
     levels: tuple | None = None
@@ -140,11 +139,15 @@ def _twist_report(cfg: RunConfig, level=None, perturb_seed=None):
     level = cfg.level if level is None else level
     g = build_graph(cfg.fractal, level)
     phases, lift = cov.circle_harmonic_map(g, cfg.degree)
+    solve = km.solve_equilibrium
     if perturb_seed is not None and cfg.perturb > 0:
         rng = np.random.default_rng(perturb_seed)
         phases = km.wrap_phases(
             phases + rng.uniform(-cfg.perturb, cfg.perturb, g.n_vertices))
-    report = km.solve_equilibrium(g, phases, _flow_cfg(cfg), pin=cfg.pin)
+        # whether a perturbed start returns to its class is a question
+        # about the flow; Newton keeps the start's degree by construction
+        solve = km.integrate_to_equilibrium
+    report = solve(g, phases, _flow_cfg(cfg))
     return g, phases, lift, report
 
 
@@ -209,7 +212,7 @@ def _verify_row(args):
     phases, lift = cov.circle_harmonic_map(g, cfg.degree)
     e_lift = lift.energy()
     j_harm = km.km_energy(g, phases).energy
-    report = km.solve_equilibrium(g, phases, _flow_cfg(cfg), pin=cfg.pin)
+    report = km.solve_equilibrium(g, phases, _flow_cfg(cfg))
     d_n = float(km.circle_distance(report.field, phases).max())
     return {
         "level": n,
@@ -281,7 +284,7 @@ def cmd_sweep(cfg: RunConfig):
     seeds = cfg.seeds or (cfg.seed,)
     jobs = []
     base = {"mode": "twist", "fractal": cfg.fractal, "tol": cfg.tol,
-            "step": cfg.step, "max_time": cfg.max_time, "pin": cfg.pin,
+            "step": cfg.step, "max_time": cfg.max_time,
             "perturb": cfg.perturb, "out": cfg.out}
     for n in cfg.levels or (cfg.level,):
         for dense in degrees:
@@ -338,7 +341,6 @@ def _build_parser():
     sp.add_argument("--tol", type=float)
     sp.add_argument("--step", type=float)
     sp.add_argument("--max-time", type=float)
-    sp.add_argument("--pin", type=int)
     sp.add_argument("--svg", action="store_true", default=None)
 
     sp = sub.add_parser("flow", help="integrate from a given initial field")
@@ -379,7 +381,7 @@ def _config_from_args(args) -> RunConfig:
         with open(args.config) as fh:
             data.update(json.load(fh))
     for key in ("fractal", "level", "out", "seed", "method", "tol", "step",
-                "max_time", "pin", "init", "perturb", "jobs", "svg", "traj"):
+                "max_time", "init", "perturb", "jobs", "svg", "traj"):
         val = getattr(args, key, None)
         if val is not None:
             data[key] = val

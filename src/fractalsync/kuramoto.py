@@ -163,13 +163,13 @@ class EquilibriumReport:
 
 
 def _finalize(g, u, residual, steps, t, h, converged, halvings, cfg,
-              pin=0, method="flow") -> EquilibriumReport:
+              method="flow") -> EquilibriumReport:
     phases = wrap_phases(u)
     energy = km_energy(g, phases).energy
     hess_eig = None
     verdict = None
     if residual < 1e-8:
-        hess_eig, verdict = hessian_stability(g, phases, pin=pin)
+        hess_eig, verdict = hessian_stability(g, phases)
     order = cfg.degree_order
     if order is None:
         order = 0 if g.kind == "ring" else min(g.level, 2)
@@ -238,9 +238,8 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
     return _finalize(g, u, res, steps, t, h, res < cfg.tol, halvings, cfg)
 
 
-def solve_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None,
-                      pin=0) -> EquilibriumReport:
-    """Damped Newton on the energy gradient, with vertex ``pin`` held fixed.
+def solve_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None) -> EquilibriumReport:
+    """Damped Newton on the energy gradient, with vertex 0 held fixed.
 
     The pinned Hessian is factored at every iterate, and the iteration
     stops at a residual below ``cfg.tol`` only where that factor certifies
@@ -256,14 +255,17 @@ def solve_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None,
     ``NEWTON_MIN_STEP`` or ``NEWTON_MAX_ITERS`` steps pass, the result is
     ``integrate_to_equilibrium(g, u0, cfg)`` from the original start, with
     ``fallback`` naming the reason.
+
+    The step cap means Newton cannot leave the start's homotopy class, so
+    it does not answer whether the flow from ``u0`` stays in that class;
+    that question needs :func:`integrate_to_equilibrium`.
     """
     cfg = cfg or FlowConfig()
     u0 = _check(g, u0)
-    _check_pin(g, pin)
     u = u0.copy()
     i, j = g.edges[:, 0], g.edges[:, 1]
     w = g.edge_weights
-    free = np.delete(np.arange(g.n_vertices), pin)
+    free = np.arange(1, g.n_vertices)
     energy = _km_energy_fast(u, i, j, w)
     t = 0.0
     halvings = 0
@@ -312,7 +314,7 @@ def solve_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None,
         rep.fallback = fallback
         return rep
     u += np.mean(u0) - np.mean(u)
-    return _finalize(g, u, res, iters, 0.0, t, True, halvings, cfg, pin=pin,
+    return _finalize(g, u, res, iters, 0.0, t, True, halvings, cfg,
                      method="newton")
 
 
@@ -320,11 +322,15 @@ def minimize_energy(g: FractalGraph, u0, pin=0, cfg: FlowConfig | None = None) -
     """Energy minimiser with the pinned vertex at phase 0.
 
     :func:`solve_equilibrium`, with the field then rotated so that
-    ``field[pin] == 0.0``; the reported energy, residual and Hessian
-    eigenvalue do not depend on that rotation.
+    ``field[pin] == 0.0`` and the Hessian eigenvalue taken with ``pin``
+    held fixed; the energy and residual do not depend on the rotation.
     """
-    rep = solve_equilibrium(g, u0, cfg, pin=pin)
+    _check_pin(g, pin)
+    rep = solve_equilibrium(g, u0, cfg)
     rep.field = wrap_phases(rep.field - rep.field[pin])
+    if pin != 0 and rep.hessian_min_eig is not None:
+        rep.hessian_min_eig, rep.stability = hessian_stability(g, rep.field,
+                                                               pin=pin)
     return rep
 
 
@@ -362,21 +368,15 @@ def _positive_definite_factor(H):
     return None
 
 
-def _arpack_min_eig(H, **kwargs) -> float:
-    try:
-        vals = spla.eigsh(H, k=1, return_eigenvectors=False, **kwargs)
-    except spla.ArpackNoConvergence as exc:
-        raise EigensolverError(H.shape[0], exc) from exc
-    return float(vals[0])
-
-
 def hessian_stability(g: FractalGraph, u, pin=0, band=STABILITY_BAND):
     """Smallest Hessian eigenvalue on the pinned subspace, with verdict.
 
-    When a sparse factor certifies the pinned Hessian positive definite,
-    shift-invert Lanczos at 0 runs on that factor.  Otherwise the solve is
-    dense up to ``DENSE_EIG_LIMIT`` free vertices and Lanczos above, where
-    non-convergence raises :class:`EigensolverError`.  Verdict is
+    The pinned Hessian is factored here, as in :func:`solve_equilibrium`.
+    When the factor certifies it positive definite, shift-invert Lanczos
+    at 0 runs on that factor.  Otherwise, and whenever ARPACK fails, the
+    solve is dense up to ``DENSE_EIG_LIMIT`` free vertices.  Above that an
+    uncertified Hessian goes to plain Lanczos, and an ARPACK failure
+    raises :class:`EigensolverError` instead of densifying.  Verdict is
     ``"stable"`` above the tolerance band, ``"saddle"`` below it, and
     ``"degenerate"`` inside it.
     """
@@ -389,15 +389,22 @@ def hessian_stability(g: FractalGraph, u, pin=0, band=STABILITY_BAND):
     Hp = _pinned_hessian(g, u, np.delete(np.arange(g.n_vertices), pin))
     n = Hp.shape[0]
     lu = _positive_definite_factor(Hp)
-    if lu is not None and n > 1:  # ARPACK needs k = 1 < n
-        # the fixed start vector makes the eigenvalue bitwise reproducible
-        op = spla.LinearOperator(Hp.shape, matvec=lu.solve, dtype=float)
-        eig = _arpack_min_eig(Hp, sigma=0.0, which="LM", OPinv=op,
-                              v0=np.ones(n))
-    elif n <= DENSE_EIG_LIMIT:
-        eig = float(np.linalg.eigvalsh(Hp.toarray())[0])
-    else:
-        eig = _arpack_min_eig(Hp, which="SA", tol=1e-10, maxiter=50000)
+    eig = None
+    try:
+        if lu is not None and n > 1:  # ARPACK needs k = 1 < n
+            # the fixed start vector makes the eigenvalue bitwise reproducible
+            op = spla.LinearOperator(Hp.shape, matvec=lu.solve, dtype=float)
+            eig = spla.eigsh(Hp, k=1, sigma=0.0, which="LM", OPinv=op,
+                             v0=np.ones(n), return_eigenvectors=False)[0]
+        elif n > DENSE_EIG_LIMIT:
+            eig = spla.eigsh(Hp, k=1, which="SA", tol=1e-10, maxiter=50000,
+                             return_eigenvectors=False)[0]
+    except spla.ArpackError as exc:
+        if n > DENSE_EIG_LIMIT:
+            raise EigensolverError(n, exc) from exc
+    if eig is None:
+        eig = np.linalg.eigvalsh(Hp.toarray())[0]
+    eig = float(eig)
     if eig > band:
         verdict = "stable"
     elif eig < -band:

@@ -95,25 +95,32 @@ def test_twist_cmd_and_determinism(tmp_path):
         assert sha256_of(out1 / name) == sha256_of(out2 / name)
 
 
-def test_twist_pin_reaches_solver_and_stability(tmp_path):
+def test_twist_has_no_pin_option(tmp_path):
+    # Newton pins vertex 0; the stable/saddle verdict does not depend on it
+    with pytest.raises(SystemExit):
+        run(["twist", "--level", "2", "--degree", "1", "--pin", "3",
+             "--out", str(tmp_path / "p")])
+
+
+def test_sweep_perturbed_runs_flow_unperturbed_runs_newton(tmp_path):
     import fractalsync as fs
-    reps = {}
-    for pin in (0, 7):
-        out = tmp_path / f"p{pin}"
-        assert run(["twist", "--level", "4", "--degree", "1", "--pin", str(pin),
-                    "--out", str(out)]) == 0
-        reps[pin] = json.loads((out / "equilibrium.json").read_text())
-        reps[pin]["field"] = read_field_csv(out / "equilibrium.csv")
-    assert reps[7]["method"] == "newton" and reps[7]["fallback"] is None
-    assert fs.circle_distance(reps[7]["field"], reps[0]["field"]).max() < 1e-9
-    # the smallest eigenvalue is taken on the subspace with the pin held fixed
-    g = fs.build_sg_graph(4)
-    eig, _ = fs.hessian_stability(g, reps[7]["field"], pin=7)
-    assert reps[7]["hessian_min_eig"] == pytest.approx(eig, rel=1e-9)
-    assert reps[7]["hessian_min_eig"] != pytest.approx(
-        reps[0]["hessian_min_eig"], rel=1e-3)
-    assert run(["twist", "--level", "2", "--degree", "1", "--pin", "15",
-                "--out", str(tmp_path / "bad")]) == 1
+    jobs = {}
+    for perturb in ("0", "0.1"):
+        out = tmp_path / f"s{perturb}"
+        assert run(["sweep", "--levels", "3:3", "--degrees", "1", "--seeds",
+                    "4:4", "--perturb", perturb, "--out", str(out)]) == 0
+        jobs[perturb], = json.loads((out / "sweep.json").read_text())["jobs"]
+    assert jobs["0"]["method"] == "newton" and jobs["0"]["fallback"] is None
+    # a perturbed start is left to the flow, which may leave its class
+    g = fs.build_sg_graph(3)
+    phases, _ = fs.circle_harmonic_map(g, fs.DegreeVector({(): 1}))
+    rng = np.random.default_rng(4)
+    u0 = fs.wrap_phases(phases + rng.uniform(-0.1, 0.1, g.n_vertices))
+    ref = fs.integrate_to_equilibrium(g, u0, fs.FlowConfig(degree_order=1))
+    assert jobs["0.1"]["method"] == "flow" and jobs["0.1"]["fallback"] is None
+    assert jobs["0.1"]["steps"] == ref.steps
+    assert jobs["0.1"]["energy"] == ref.energy
+    assert jobs["0.1"]["hessian_min_eig"] == ref.hessian_min_eig
 
 
 def test_twist_zero_degree(tmp_path):

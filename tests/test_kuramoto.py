@@ -229,11 +229,11 @@ def test_newton_keeps_stable_ring_twists():
         assert circle_distance(rep.field, u0).max() < 1e-12
 
 
-def test_solve_rejects_bad_pin():
+def test_minimize_rejects_bad_pin():
     g = build_sg_graph(2)
     for pin in (-1, g.n_vertices):
         with pytest.raises(ValueError, match="pin"):
-            solve_equilibrium(g, np.zeros(g.n_vertices), pin=pin)
+            minimize_energy(g, np.zeros(g.n_vertices), pin=pin)
 
 
 # -- minimisation ----------------------------------------------------------------
@@ -247,6 +247,9 @@ def test_minimize_near_constant_reaches_zero():
         assert rep.converged
         assert rep.energy < 1e-16
         assert rep.field[pin] == 0.0
+        # the eigenvalue is taken on the subspace with the pin held fixed
+        assert (rep.hessian_min_eig, rep.stability) == hessian_stability(
+            g, rep.field, pin=pin)
 
 
 def test_minimize_keeps_degree_and_matches_flow():
@@ -329,6 +332,22 @@ def test_hessian_min_eig_bitwise_reproducible_level7():
     assert first.stability == "stable"
     assert first.hessian_min_eig == second.hessian_min_eig
     assert hessian_stability(g, first.field)[0] == first.hessian_min_eig
+
+
+def test_small_eigensolver_failure_falls_back_to_dense(monkeypatch):
+    # a certified Hessian below DENSE_EIG_LIMIT: ARPACK failure densifies
+    g = build_sg_graph(4)
+    phases, _ = circle_harmonic_map(g, DegreeVector({(): 1}))
+    field = solve_equilibrium(g, phases).field
+    H = hessian_matrix(g, field).toarray()[1:, 1:]
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("forced", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    eig, verdict = hessian_stability(g, field)
+    assert verdict == "stable"
+    assert eig == float(np.linalg.eigvalsh(H)[0])
 
 
 def test_large_eigensolver_failure_is_typed(monkeypatch):
