@@ -53,9 +53,8 @@ class RunConfig:
     def __post_init__(self):
         if self.fractal not in ("sg", "ring"):
             raise ValueError(f"unknown fractal {self.fractal!r}")
-        if self.mode in ("covering", "twist") and not self.degree:
-            if self.mode == "covering":
-                raise ValueError(f"mode {self.mode!r} requires a nonzero --degree")
+        if self.mode == "covering" and not self.degree:
+            raise ValueError("mode 'covering' requires a nonzero --degree")
         if self.mode == "harmonic" and self.boundary is None:
             raise ValueError("harmonic mode requires --boundary")
 
@@ -112,13 +111,7 @@ def cmd_harmonic(cfg: RunConfig):
 
 def cmd_covering(cfg: RunConfig):
     g = build_graph(cfg.fractal, cfg.level)
-    dom = cov.covering_domain(g, cfg.degree)
-    if cfg.fractal == "ring":
-        lift = cov.minimize_constrained(dom)
-    else:
-        m0 = cfg.degree.max_order + 1
-        lift = cov.extend_lift(dom, cov.minimize_constrained(dom, m=m0),
-                               cfg.level)
+    _, lift = cov.circle_harmonic_map(g, cfg.degree)
     neumann = cov.neumann_check(lift.domain, lift)
     paths = [
         ser.write_json(os.path.join(cfg.out, "domain.json"),
@@ -167,25 +160,37 @@ def cmd_twist(cfg: RunConfig):
         ser.write_json(os.path.join(cfg.out, "equilibrium.json"), d),
         ser.write_field_csv(os.path.join(cfg.out, "equilibrium.csv"),
                             report.field),
-        svgmod.render_field_svg(
-            g, report.field, os.path.join(cfg.out, "equilibrium.svg"),
-            mode="phase"),
     ]
+    if cfg.svg:
+        paths.append(svgmod.render_field_svg(
+            g, report.field, os.path.join(cfg.out, "equilibrium.svg"),
+            mode="phase"))
     return paths
 
 
 def _initial_field(cfg: RunConfig, g):
     spec = cfg.init or "random"
     if spec.startswith("twist:"):
-        return km.twisted_state(g, int(spec.split(":", 1)[1]))
-    if spec.startswith("constant:"):
-        return np.full(g.n_vertices, float(spec.split(":", 1)[1]))
-    if spec == "random":
-        rng = np.random.default_rng(cfg.seed)
-        return rng.random(g.n_vertices)
-    if os.path.exists(spec):
-        return ser.read_field_csv(spec)
-    raise ValueError(f"cannot interpret --init {spec!r}")
+        u0 = km.twisted_state(g, int(spec.split(":", 1)[1]))
+    elif spec.startswith("constant:"):
+        u0 = np.full(g.n_vertices, float(spec.split(":", 1)[1]))
+    elif spec == "random":
+        u0 = np.random.default_rng(cfg.seed).random(g.n_vertices)
+    elif os.path.exists(spec):
+        try:
+            u0 = ser.read_field_csv(spec)
+        except ValueError as exc:
+            raise ValueError(f"--init {exc}") from exc
+    else:
+        raise ValueError(f"cannot interpret --init {spec!r}")
+    if u0.shape != (g.n_vertices,):
+        raise ValueError(f"--init {spec!r} gives {u0.size} values for a "
+                         f"graph with {g.n_vertices} vertices")
+    if not np.isfinite(u0).all():
+        bad = int(np.flatnonzero(~np.isfinite(u0))[0])
+        raise ValueError(f"--init {spec!r} has the non-finite value "
+                         f"{float(u0[bad])!r} at vertex {bad}")
+    return u0
 
 
 def cmd_flow(cfg: RunConfig):

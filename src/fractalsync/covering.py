@@ -24,8 +24,10 @@ from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.sparse import linalg as spla
 
+from .dirichlet import extend_cells, weighted_laplacian
 from .errors import ConstraintViolationError
-from .graphs import FractalGraph, Itinerary, build_graph, canonical_itinerary
+from .graphs import (FractalGraph, Itinerary, build_graph, canonical_itinerary,
+                     cell_edges)
 from .winding import DegreeVector, word_str
 
 # For each candidate midpoint type of cell w, the itinerary names of the
@@ -135,8 +137,9 @@ class CoveringDomain:
     """One sheet of the covering space: the cut graph plus jump data.
 
     The plus copy of the k-th cut vertex gets id ``base.n_vertices + k``;
-    the minus copy keeps the base id.  Edges are rebuilt cell by cell with
-    the copy on each side resolved from the cell's own address.
+    the minus copy keeps the base id.  ``cell_corners`` is the base table
+    with the cut vertex replaced by its plus copy in the one cell on the
+    plus side of each cut; the edges are read off that table.
     """
 
     def __init__(self, base: FractalGraph, omega: DegreeVector):
@@ -148,34 +151,20 @@ class CoveringDomain:
         self.n_vertices = base.n_vertices + len(self.cuts)
         self.conductance = base.conductance
 
-        # the plus side of each cut is exactly one cell at any finer level;
-        # one cell can be the plus side of several cuts (distinct corners)
-        plus_cells = {}
-        for k, cut in enumerate(self.cuts):
+        # the plus side of each cut is exactly one cell at any finer level,
+        # in which the cut vertex is the corner named by the plus tail
+        corners = base.cell_corners.copy()
+        for cut in self.cuts:
             it = cut.plus_itinerary
-            cell = it.word + (it.tail,) * (base.level - len(it.word))
-            plus_cells.setdefault(cell, []).append(k)
-
-        cells = {}
-        edges = []
-        for word, corners in base.cells.items():
-            plus_here = plus_cells.get(word, ())
-            ids = []
-            for v in corners:
-                for k in plus_here:
-                    if v == self.cuts[k].cut_vertex:
-                        v = self.cuts[k].plus_id
-                        break
-                ids.append(v)
-            cells[word] = tuple(ids)
-            if len(ids) == 3:
-                edges += [(ids[0], ids[1]), (ids[1], ids[2]), (ids[2], ids[0])]
-            else:
-                edges.append((ids[0], ids[1]))
-        self.cells = cells
-        self.edges = np.array(edges, dtype=np.int64)
-        self.edge_mult = np.ones(len(edges), dtype=np.int64)
-        self.edge_weights = self.conductance * np.ones(len(edges))
+            cell = base.pack_word(it.symbols(base.level))
+            corner = base.alphabet.index(it.tail)
+            assert corners[cell, corner] == cut.cut_vertex
+            corners[cell, corner] = cut.plus_id
+        corners.setflags(write=False)
+        self.cell_corners = corners
+        self.edges = cell_edges(corners)
+        self.edge_mult = np.ones(len(self.edges), dtype=np.int64)
+        self.edge_weights = self.conductance * np.ones(len(self.edges))
         self._assert_connected()
 
     @property
@@ -194,13 +183,8 @@ class CoveringDomain:
         assert ncomp == 1, "cut graph must stay connected"
 
     def laplacian_matrix(self) -> sparse.csr_matrix:
-        i, j = self.edges[:, 0], self.edges[:, 1]
-        w = self.edge_weights
-        n = self.n_vertices
-        rows = np.concatenate([i, j, i, j])
-        cols = np.concatenate([i, j, j, i])
-        data = np.concatenate([w, w, -w, -w])
-        return sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+        return weighted_laplacian(self.edges, self.edge_weights,
+                                  self.n_vertices)
 
     def energy(self, values) -> float:
         values = np.asarray(values, dtype=float)
@@ -215,7 +199,7 @@ class CoveringDomain:
             "pinned": self.pinned,
             "degree": self.omega.to_json_dict(),
             "cuts": [c.to_json_dict() for c in self.cuts],
-            "edges": [[int(a), int(b)] for a, b in self.edges],
+            "edges": self.edges.tolist(),
         }
 
 
@@ -290,20 +274,6 @@ def minimize_constrained(dom: CoveringDomain, m=None, method="direct") -> LiftFi
     return LiftField(domain=dom, values=f)
 
 
-def _resolved_extension_rows(dom_m: CoveringDomain, dom_next: CoveringDomain):
-    """Extension table: cell corner ids at level m, midpoint ids at m+1."""
-    g_next = dom_next.base
-    rows = []
-    for word, ids in dom_m.cells.items():
-        mids = (
-            g_next.id_of(canonical_itinerary(word + (1,), 2)),
-            g_next.id_of(canonical_itinerary(word + (2,), 3)),
-            g_next.id_of(canonical_itinerary(word + (3,), 1)),
-        )
-        rows.append((ids, mids))
-    return rows
-
-
 def extend_lift(dom: CoveringDomain, f_m: LiftField, n: int) -> LiftField:
     """Harmonically extend a lift from its level up to level ``n``.
 
@@ -319,19 +289,6 @@ def extend_lift(dom: CoveringDomain, f_m: LiftField, n: int) -> LiftField:
     return cur
 
 
-def _carry_values(cur: LiftField, dom_next: CoveringDomain) -> np.ndarray:
-    """Copy values of a lift onto the next-level cut graph (no new values)."""
-    dom_m = cur.domain
-    g_next = dom_next.base
-    out = np.full(dom_next.n_vertices, np.nan)
-    inj = g_next.restriction_to(dom_m.level)
-    out[inj] = cur.values[:dom_m.base.n_vertices]
-    for k, cut in enumerate(dom_m.cuts):
-        out[dom_next.cuts[k].plus_id] = cur.values[cut.plus_id]
-        out[dom_next.cuts[k].minus_id] = cur.values[cut.minus_id]
-    return out
-
-
 def _extend_lift_once(cur: LiftField) -> LiftField:
     dom_m = cur.domain
     if dom_m.kind == "ring":
@@ -339,14 +296,9 @@ def _extend_lift_once(cur: LiftField) -> LiftField:
                          "the generic structure module")
     dom_next = covering_domain(
         build_graph(dom_m.kind, dom_m.level + 1), dom_m.omega)
-    out = _carry_values(cur, dom_next)
-    coarse = cur.values
-    for (ca, cb, cc), (mx, my, mz) in _resolved_extension_rows(dom_m, dom_next):
-        a, b, c = coarse[ca], coarse[cb], coarse[cc]
-        out[mx] = 0.4 * a + 0.4 * b + 0.2 * c
-        out[my] = 0.2 * a + 0.4 * b + 0.4 * c
-        out[mz] = 0.4 * a + 0.2 * b + 0.4 * c
-    assert not np.isnan(out).any()
+    # plus-side children of a plus-side cell keep its plus copies as corners
+    out = extend_cells(cur.values, dom_m.cell_corners, dom_next.cell_corners,
+                       dom_next.n_vertices)
     return LiftField(domain=dom_next, values=out)
 
 
@@ -395,9 +347,7 @@ def neumann_check(dom: CoveringDomain, f: LiftField):
     v1, v2, v3 = dom.base.boundary_ids
     dn2 = float(flux[v2])
     dn3 = float(flux[v3])
-    interior = [combined[x] for x in range(dom.base.n_vertices)
-                if x not in (v1, v2, v3)]
-    dn1 = -math.fsum(interior) - dn2 - dn3
+    dn1 = -math.fsum(np.delete(combined, [v1, v2, v3]).tolist()) - dn2 - dn3
     return {int(v1): dn1, int(v2): dn2, int(v3): dn3}
 
 

@@ -16,35 +16,26 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .graphs import FractalGraph, build_graph, canonical_itinerary
-
-# Rows give the midpoint values (x, y, z) from corner values (a, b, c):
-# x between a and b, y between b and c, z between c and a.
-EXTENSION_MATRIX = np.array([
-    [2.0, 2.0, 1.0],
-    [1.0, 2.0, 2.0],
-    [2.0, 1.0, 2.0],
-]) / 5.0
+from .graphs import FractalGraph, build_graph, child_tables
 
 DIRECT_SOLVE_LIMIT = 8  # levels above this use conjugate gradients
 
 
 @dataclass
 class EnergyReport:
-    """Energy of a field with its per-cell breakdown."""
+    """Energy of a field with its per-cell breakdown, in cell-word order."""
 
     level: int
     energy: float
-    per_cell: dict = field(repr=False)
+    per_cell: np.ndarray = field(repr=False)
+    graph: FractalGraph = field(repr=False)
 
     def to_json_dict(self):
         return {
             "level": self.level,
             "energy": self.energy,
-            "per_cell": {
-                "".join(str(s) for s in w): v
-                for w, v in sorted(self.per_cell.items())
-            },
+            "per_cell": dict(zip(self.graph.cell_labels(),
+                                 self.per_cell.tolist())),
         }
 
 
@@ -82,6 +73,13 @@ def _check_field(g, f):
     return f
 
 
+def _square(x):
+    # Python's float ** 2 (libm pow), not x * x: the two differ in the last
+    # bit for about one value in a thousand, and the per-cell energies
+    # written to energy.json keep the bits of the former
+    return (x.astype(object) ** 2).astype(float)
+
+
 def dirichlet_energy(g: FractalGraph, f) -> EnergyReport:
     """Weighted half-sum of squared edge differences, broken down by cell.
 
@@ -89,19 +87,17 @@ def dirichlet_energy(g: FractalGraph, f) -> EnergyReport:
     the level-1 ring edge with multiplicity 2.
     """
     f = _check_field(g, f)
-    per_cell = {}
+    vals = f[g.cell_corners].T
     c = g.conductance
-    for word, corners in g.cells.items():
-        vals = [f[i] for i in corners]
-        if len(corners) == 3:
-            a, b, cc = vals
-            e = c * ((b - a) ** 2 + (cc - b) ** 2 + (a - cc) ** 2) / 2.0
-        else:
-            a, b = vals
-            e = c * (b - a) ** 2 / 2.0
-        per_cell[word] = e
-    energy = math.fsum(per_cell.values())
-    return EnergyReport(level=g.level, energy=energy, per_cell=per_cell)
+    if len(vals) == 3:
+        a, b, cc = vals
+        per_cell = c * (_square(b - a) + _square(cc - b) + _square(a - cc)) / 2.0
+    else:
+        a, b = vals
+        per_cell = c * _square(b - a) / 2.0
+    energy = math.fsum(per_cell.tolist())
+    return EnergyReport(level=g.level, energy=energy, per_cell=per_cell,
+                        graph=g)
 
 
 def laplacian(g: FractalGraph, f) -> np.ndarray:
@@ -121,19 +117,20 @@ def harmonic_extend_once(a, b, c):
     return (x, y, z)
 
 
-def _extension_table(g_m: FractalGraph, g_next: FractalGraph):
-    """Per-cell (corner ids, midpoint ids) at level m+1 for each m-cell."""
-    corners = np.empty((len(g_m.cell_words), 3), dtype=np.int64)
-    mids = np.empty_like(corners)
-    for k, word in enumerate(sorted(g_m.cells)):
-        w = tuple(word)
-        corners[k] = [g_next.id_of(canonical_itinerary(w, i)) for i in (1, 2, 3)]
-        mids[k] = [
-            g_next.id_of(canonical_itinerary(w + (1,), 2)),
-            g_next.id_of(canonical_itinerary(w + (2,), 3)),
-            g_next.id_of(canonical_itinerary(w + (3,), 1)),
-        ]
-    return corners, mids
+def extend_cells(values, corners, fine_corners, n_fine):
+    """The 1/5-2/5 rule in every cell at once.
+
+    ``values[corners]`` are the corner values of each level-m cell, and
+    ``fine_corners`` is the level-(m+1) corner table over ``n_fine``
+    vertices.  Corners keep their values and each cell's midpoints get
+    :func:`harmonic_extend_once` of its corners.
+    """
+    vals = values[corners]
+    fine, mids = child_tables(fine_corners)
+    out = np.empty(n_fine)
+    out[fine] = vals
+    out[mids.T] = harmonic_extend_once(*vals.T)
+    return out
 
 
 def extend_harmonic_once(g_m: FractalGraph, f):
@@ -146,25 +143,22 @@ def extend_harmonic_once(g_m: FractalGraph, f):
     if g_m.kind != "sg":
         raise ValueError("harmonic extension tables are gasket-specific")
     g_next = build_graph(g_m.kind, g_m.level + 1)
-    corners, mids = _extension_table(g_m, g_next)
-    out = np.empty(g_next.n_vertices)
-    out[g_next.restriction_to(g_m.level)] = f
-    vals = out[corners]
-    out[mids[:, 0]] = 0.4 * vals[:, 0] + 0.4 * vals[:, 1] + 0.2 * vals[:, 2]
-    out[mids[:, 1]] = 0.2 * vals[:, 0] + 0.4 * vals[:, 1] + 0.4 * vals[:, 2]
-    out[mids[:, 2]] = 0.4 * vals[:, 0] + 0.2 * vals[:, 1] + 0.4 * vals[:, 2]
-    return g_next, out
+    return g_next, extend_cells(f, g_m.cell_corners, g_next.cell_corners,
+                                g_next.n_vertices)
 
 
-def laplacian_matrix(g: FractalGraph) -> sparse.csr_matrix:
-    """Weighted Laplacian c*(D - A) as a sparse matrix (positive form)."""
-    i, j = g.edges[:, 0], g.edges[:, 1]
-    w = g.edge_weights
-    n = g.n_vertices
+def weighted_laplacian(edges, w, n) -> sparse.csr_matrix:
+    """Laplacian sum_e w_e (d_e d_e^T) of an edge list, as sparse (n, n)."""
+    i, j = edges[:, 0], edges[:, 1]
     rows = np.concatenate([i, j, i, j])
     cols = np.concatenate([i, j, j, i])
     data = np.concatenate([w, w, -w, -w])
     return sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def laplacian_matrix(g: FractalGraph) -> sparse.csr_matrix:
+    """Weighted Laplacian c*(D - A) as a sparse matrix (positive form)."""
+    return weighted_laplacian(g.edges, g.edge_weights, g.n_vertices)
 
 
 def solve_dirichlet(g: FractalGraph, phi, method="extension") -> np.ndarray:

@@ -10,9 +10,16 @@ lexicographically smaller one, and vertex ids are assigned by sorting
 canonical names.  Identity and ordering therefore never depend on
 floating-point coordinates.
 
+The hierarchy is held as arrays.  Cell ``k`` of level n is the word whose
+base-3 digits spell ``k``, so the children of cell ``k`` are cells
+``3k, 3k+1, 3k+2`` of level n+1.  A vertex is stored as its key: the
+first n+1 symbols of its canonical name, read as a base-3 integer.  The
+sorted key array fixes the ids, and itineraries are decoded from it on
+demand.
+
 The ring hierarchy uses the alphabet ``{0, 1}`` (two contractions of the
 unit interval with endpoints identified), vertices ``i * 2**-n`` and
-nearest-neighbour edges.
+nearest-neighbour edges; its keys are binary in the same way.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -32,6 +38,9 @@ MAX_RING_LEVEL = 20
 
 # Corners of the base triangle: v1 bottom-left, v2 top, v3 bottom-right.
 SG_CORNERS = np.array([[0.0, 0.0], [0.5, math.sqrt(3.0) / 2.0], [1.0, 0.0]])
+
+_CORNER = np.arange(3)
+_NEXT_CORNER = np.array([1, 2, 0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,6 +83,28 @@ class Vertex:
     is_boundary: bool
 
 
+def cell_edges(corners) -> np.ndarray:
+    """Edges of a corner table, cell by cell: (a, b), (b, c), (c, a) for a
+    triangle, (a, b) for an interval."""
+    if corners.shape[1] == 3:
+        return corners[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    return corners.copy()
+
+
+def child_tables(fine_corners):
+    """Corner and midpoint ids of every level-m cell, from the level-(m+1)
+    corner table.
+
+    Rows 3k, 3k+1, 3k+2 of ``fine_corners`` are the children w1, w2, w3
+    of cell k = w.  Child i keeps corner i of its parent, and the
+    midpoints x (v1-v2), y (v2-v3), z (v3-v1) of the parent are corner 2
+    of child 1, corner 3 of child 2 and corner 1 of child 3.  Returns two
+    (C, 3) arrays: corners (v1, v2, v3) and midpoints (x, y, z).
+    """
+    c3 = fine_corners.reshape(-1, 3, 3)
+    return c3[:, _CORNER, _CORNER], c3[:, _CORNER, _NEXT_CORNER]
+
+
 class FractalGraph:
     """Immutable level-n approximating graph (gasket or ring).
 
@@ -98,11 +129,13 @@ class FractalGraph:
     boundary_ids : tuple
         Ids of the boundary vertices (the three corners; vertex 0 for the
         ring).
+    keys : (N,) ndarray
+        Strictly increasing vertex keys: the first level+1 symbols of the
+        canonical itinerary as a fixed-radix integer.
     """
 
     def __init__(self, kind, level, alphabet, coords, edges, edge_mult,
-                 conductance, cell_words, cell_corners, boundary_ids,
-                 itineraries, itin_to_id):
+                 conductance, cell_words, cell_corners, boundary_ids, keys):
         self.kind = kind
         self.level = level
         self.alphabet = alphabet
@@ -113,13 +146,12 @@ class FractalGraph:
         self.cell_words = cell_words
         self.cell_corners = cell_corners
         self.boundary_ids = boundary_ids
-        self._itineraries = itineraries
-        self._itin_to_id = itin_to_id
+        self.keys = keys
         self._vertices = None
         self._cells_dict = None
         self._edge_weights = None
         self._restrictions = {}
-        for arr in (coords, edges, edge_mult, cell_words, cell_corners):
+        for arr in (coords, edges, edge_mult, cell_words, cell_corners, keys):
             arr.setflags(write=False)
 
     # -- basic queries ---------------------------------------------------
@@ -142,19 +174,36 @@ class FractalGraph:
         return self._edge_weights
 
     def itinerary(self, i) -> Itinerary:
-        return self._itineraries[i]
+        """Canonical itinerary of vertex ``i``, decoded from its key."""
+        base = len(self.alphabet)
+        key = int(self.keys[i])
+        syms = []
+        for _ in range(self.level + 1):
+            key, r = divmod(key, base)
+            syms.append(self.alphabet[r])
+        syms.reverse()
+        tail = syms[-1]
+        while syms and syms[-1] == tail:
+            syms.pop()
+        return Itinerary(tuple(syms), tail)
 
     def id_of(self, itinerary) -> int:
         """Vertex id of a canonical itinerary."""
-        try:
-            return self._itin_to_id[itinerary]
-        except KeyError:
-            raise KeyError(f"no vertex {itinerary} at level {self.level}")
+        it = itinerary
+        padded = it.symbols(self.level + 1)
+        if (len(it.word) <= self.level
+                and set(padded) <= set(self.alphabet)
+                and canonical_itinerary(it.word, it.tail) == it):
+            key = self.pack_word(padded)
+            pos = int(np.searchsorted(self.keys, key))
+            if pos < len(self.keys) and self.keys[pos] == key:
+                return pos
+        raise KeyError(f"no vertex {itinerary} at level {self.level}")
 
     def vertex(self, i) -> Vertex:
         return Vertex(
             id=int(i),
-            itinerary=self._itineraries[i],
+            itinerary=self.itinerary(i),
             coords=tuple(float(c) for c in self.coords[i]),
             is_boundary=int(i) in self.boundary_ids,
         )
@@ -168,27 +217,35 @@ class FractalGraph:
     # -- words and cells ---------------------------------------------------
 
     def pack_word(self, word) -> int:
-        """Fixed-radix integer key of a word of length == level."""
+        """Fixed-radix integer value of a word (a cell word, or a padded
+        itinerary for a vertex key)."""
         base = len(self.alphabet)
         val = 0
         for s in word:
             val = val * base + self.alphabet.index(s)
         return val
 
+    def _cell_symbols(self) -> np.ndarray:
+        """(C, level) array of the symbols spelling each cell word."""
+        base = len(self.alphabet)
+        powers = base ** np.arange(self.level - 1, -1, -1, dtype=np.int64)
+        digits = self.cell_words[:, None] // powers % base
+        return np.asarray(self.alphabet)[digits]
+
+    def cell_labels(self):
+        """Cell words as strings (``"13"``), in cell order."""
+        if self.level == 0:
+            return [""]
+        chars = (self._cell_symbols() + ord("0")).astype(np.uint8)
+        return chars.view(f"S{self.level}").ravel().astype(str).tolist()
+
     @property
     def cells(self):
         """Word-tuple -> corner-id-tuple view of the cell table."""
         if self._cells_dict is None:
-            base = len(self.alphabet)
-            out = {}
-            for val, corners in zip(self.cell_words, self.cell_corners):
-                digits = []
-                v = int(val)
-                for _ in range(self.level):
-                    digits.append(self.alphabet[v % base])
-                    v //= base
-                out[tuple(reversed(digits))] = tuple(int(c) for c in corners)
-            self._cells_dict = out
+            self._cells_dict = dict(zip(
+                map(tuple, self._cell_symbols().tolist()),
+                map(tuple, self.cell_corners.tolist())))
         return self._cells_dict
 
     def cell_vertices(self, word):
@@ -208,17 +265,20 @@ class FractalGraph:
     # -- level maps --------------------------------------------------------
 
     def restriction_to(self, m):
-        """Index array mapping level-m vertex ids into this graph's ids."""
-        if m > self.level:
-            raise ValueError(f"cannot restrict level {self.level} to finer level {m}")
+        """Index array mapping level-m vertex ids into this graph's ids.
+
+        A level-m vertex keeps its canonical name at every finer level, so
+        its key here ends in a run of ``level - m + 1`` equal symbols; key
+        order restricts to the level-m order.
+        """
+        if not 0 <= m <= self.level:
+            raise ValueError(
+                f"cannot restrict level {self.level} to level {m}")
         if m not in self._restrictions:
-            if self.kind == "ring":
-                idx = np.arange(2 ** m, dtype=np.int64) * 2 ** (self.level - m)
-            else:
-                coarse = build_sg_graph(m)
-                idx = np.array(
-                    [self._itin_to_id[it] for it in coarse._itineraries],
-                    dtype=np.int64)
+            base = len(self.alphabet)
+            span = base ** (self.level - m + 1)
+            run = (span - 1) // (base - 1)  # the digit 1 repeated
+            idx = np.flatnonzero(self.keys % span == self.keys % base * run)
             idx.setflags(write=False)
             self._restrictions[m] = idx
         return self._restrictions[m]
@@ -229,25 +289,21 @@ class FractalGraph:
         verts = [
             {
                 "id": i,
-                "itinerary": str(self._itineraries[i]),
+                "itinerary": str(self.itinerary(i)),
                 "x": float(self.coords[i, 0]),
                 "y": float(self.coords[i, 1]),
                 "boundary": i in self.boundary_ids,
             }
             for i in range(self.n_vertices)
         ]
-        cells = {
-            "".join(str(s) for s in w): list(ids)
-            for w, ids in sorted(self.cells.items())
-        }
         return {
             "kind": self.kind,
             "level": self.level,
             "conductance": self.conductance,
             "vertices": verts,
-            "edges": [[int(a), int(b)] for a, b in self.edges],
-            "multiplicity": [int(m) for m in self.edge_mult],
-            "cells": cells,
+            "edges": self.edges.tolist(),
+            "multiplicity": self.edge_mult.tolist(),
+            "cells": dict(zip(self.cell_labels(), self.cell_corners.tolist())),
         }
 
     def __repr__(self):
@@ -255,11 +311,26 @@ class FractalGraph:
                 f"|V|={self.n_vertices}, |E|={self.n_edges})")
 
 
-def _sg_coords(itin: Itinerary):
-    p = SG_CORNERS[itin.tail - 1].copy()
-    for s in reversed(itin.word):
-        p = (p + SG_CORNERS[s - 1]) / 2.0
-    return p
+def _sg_corner_keys(n):
+    """(3**n, 3) keys of the canonical names of every cell corner.
+
+    Corner i of cell w is named w~i, whose padded key is 3w + i.  Written
+    as u s i^t with s != i, the same vertex is also u i s^t (the corner of
+    the neighbouring cell); the key is the smaller of the two.
+    """
+    raw = 3 * np.arange(3 ** n, dtype=np.int64)[:, None] + _CORNER
+    tail = raw % 3
+    run = np.ones_like(raw)  # 3**t for the run of tail digits ending raw
+    rest = raw.copy()
+    in_run = np.ones(raw.shape, dtype=bool)
+    for _ in range(n + 1):
+        in_run &= rest % 3 == tail
+        run[in_run] *= 3
+        rest //= 3
+    head = raw // run  # u s
+    s = head % 3
+    other = (head - s + tail) * run + s * (run - 1) // 2
+    return np.where(s > tail, other, raw)
 
 
 @lru_cache(maxsize=None)
@@ -268,60 +339,25 @@ def build_sg_graph(n: int) -> FractalGraph:
     if not 0 <= n <= MAX_SG_LEVEL:
         raise ValueError(
             f"gasket level must be in [0, {MAX_SG_LEVEL}], got {n}")
+    keys, inverse = np.unique(_sg_corner_keys(n).ravel(), return_inverse=True)
+    cell_corners = inverse.reshape(-1, 3)
 
-    vert_keys = {}
+    # F_w(v_tail), applied innermost symbol first
+    coords = SG_CORNERS[keys % 3]
+    for p in range(1, n + 1):
+        coords = (coords + SG_CORNERS[keys // 3 ** p % 3]) / 2.0
+    boundary_ids = tuple(int(i) for i in np.searchsorted(
+        keys, _CORNER * ((3 ** (n + 1) - 1) // 2)))
 
-    def key_of(it: Itinerary) -> int:
-        val = 0
-        for s in it.symbols(n + 1):
-            val = val * 3 + (s - 1)
-        return val
-
-    cell_entries = []  # (packed word, corner itineraries)
-    for word in product(SG_ALPHABET, repeat=n):
-        corners = [canonical_itinerary(word, i) for i in SG_ALPHABET]
-        for it in corners:
-            vert_keys.setdefault(it, key_of(it))
-        cell_entries.append((word, corners))
-
-    order = sorted(vert_keys, key=vert_keys.get)
-    itin_to_id = {it: i for i, it in enumerate(order)}
-
-    coords = np.array([_sg_coords(it) for it in order])
-    boundary_ids = tuple(
-        itin_to_id[Itinerary((), i)] for i in SG_ALPHABET)
-
-    cell_words = np.empty(len(cell_entries), dtype=np.int64)
-    cell_corners = np.empty((len(cell_entries), 3), dtype=np.int64)
-    edges = np.empty((3 * len(cell_entries), 2), dtype=np.int64)
-    for k, (word, corners) in enumerate(cell_entries):
-        val = 0
-        for s in word:
-            val = val * 3 + (s - 1)
-        cell_words[k] = val
-        a, b, c = (itin_to_id[it] for it in corners)
-        cell_corners[k] = (a, b, c)
-        edges[3 * k] = (a, b)
-        edges[3 * k + 1] = (b, c)
-        edges[3 * k + 2] = (c, a)
-
+    edges = cell_edges(cell_corners)
     g = FractalGraph(
         kind="sg", level=n, alphabet=SG_ALPHABET, coords=coords,
         edges=edges, edge_mult=np.ones(len(edges), dtype=np.int64),
-        conductance=(5.0 / 3.0) ** n, cell_words=cell_words,
-        cell_corners=cell_corners, boundary_ids=boundary_ids,
-        itineraries=order, itin_to_id=itin_to_id)
+        conductance=(5.0 / 3.0) ** n,
+        cell_words=np.arange(3 ** n, dtype=np.int64),
+        cell_corners=cell_corners, boundary_ids=boundary_ids, keys=keys)
     assert g.n_vertices == (3 ** (n + 1) + 3) // 2
     return g
-
-
-def _ring_itinerary(i, n) -> Itinerary:
-    # Canonical = lexicographically smaller name = the limit-from-below
-    # binary expansion of i * 2**-n (the terminating expansion of vertex 0).
-    if i == 0:
-        return Itinerary((), 0)
-    digits = [(i - 1) >> (n - 1 - k) & 1 for k in range(n)]
-    return canonical_itinerary(tuple(digits), 1)
 
 
 @lru_cache(maxsize=None)
@@ -334,29 +370,26 @@ def build_ring_graph(n: int) -> FractalGraph:
     coords = np.zeros((nv, 2))
     coords[:, 0] = np.arange(nv) / nv
 
+    idx = np.arange(nv, dtype=np.int64)
+    cell_corners = np.stack([idx, (idx + 1) % nv], axis=1)
     if n == 1:
         # The two neighbour relations j = i +- 1 mod 2 coincide; keep one
         # stored edge with multiplicity 2 so energy sums match the model.
         edges = np.array([[0, 1]], dtype=np.int64)
         mult = np.array([2], dtype=np.int64)
     else:
-        idx = np.arange(nv, dtype=np.int64)
-        edges = np.stack([idx, (idx + 1) % nv], axis=1)
+        edges = cell_edges(cell_corners)
         mult = np.ones(nv, dtype=np.int64)
 
-    cell_words = np.arange(nv, dtype=np.int64)
-    cell_corners = np.stack(
-        [np.arange(nv, dtype=np.int64),
-         (np.arange(nv, dtype=np.int64) + 1) % nv], axis=1)
-
-    itineraries = [_ring_itinerary(i, n) for i in range(nv)]
-    itin_to_id = {it: i for i, it in enumerate(itineraries)}
+    # canonical = the limit-from-below binary expansion of i * 2**-n: ~0
+    # for vertex 0, the n digits of i - 1 then ~1 otherwise
+    keys = np.maximum(2 * idx - 1, 0)
 
     return FractalGraph(
         kind="ring", level=n, alphabet=RING_ALPHABET, coords=coords,
         edges=edges, edge_mult=mult, conductance=2.0 ** n,
-        cell_words=cell_words, cell_corners=cell_corners,
-        boundary_ids=(0,), itineraries=itineraries, itin_to_id=itin_to_id)
+        cell_words=idx, cell_corners=cell_corners,
+        boundary_ids=(0,), keys=keys)
 
 
 def build_graph(kind, n) -> FractalGraph:

@@ -16,6 +16,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
+from .dirichlet import weighted_laplacian
 from .errors import (EigensolverError, NotAnEquilibriumError,
                      UnresolvedWindingError)
 from .graphs import FractalGraph
@@ -61,16 +62,21 @@ def _wrapped_diff(u, i, j):
     # reduce to the nearest-integer representative before multiplying by
     # 2 pi: exact for dyadic phases and avoids argument-reduction noise
     d = u[j] - u[i]
-    return d - np.round(d)
+    d -= np.round(d)
+    return d
+
+
+def _edge_sine_sum(u, i, j, w, n):
+    # unchecked: the flow calls this four times per RK4 step
+    s = np.sin(TWO_PI * _wrapped_diff(u, i, j)) * w
+    return np.bincount(i, s, n) - np.bincount(j, s, n)
 
 
 def km_rhs(g: FractalGraph, u) -> np.ndarray:
     """Right-hand side: c_n * sum_j sin(2 pi (u_j - u_i)) per vertex."""
     u = _check(g, u)
-    i, j = g.edges[:, 0], g.edges[:, 1]
-    s = np.sin(TWO_PI * _wrapped_diff(u, i, j)) * g.edge_weights
-    n = g.n_vertices
-    return np.bincount(i, s, n) - np.bincount(j, s, n)
+    return _edge_sine_sum(u, g.edges[:, 0], g.edges[:, 1], g.edge_weights,
+                          g.n_vertices)
 
 
 @dataclass
@@ -96,8 +102,7 @@ def km_energy(g: FractalGraph, u, per_edge=False) -> KuramotoEnergyReport:
 
 
 def _km_energy_fast(u, i, j, w):
-    d = u[j] - u[i]
-    d -= np.round(d)
+    d = _wrapped_diff(u, i, j)
     return float(np.sum(w * (1.0 - np.cos(TWO_PI * d))) / (4.0 * math.pi ** 2))
 
 
@@ -200,10 +205,7 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
     h = cfg.step if cfg.step is not None else default_step(g)
 
     def rhs(x):
-        d = x[j] - x[i]
-        d -= np.round(d)
-        s = np.sin(TWO_PI * d) * w
-        return np.bincount(i, s, n) - np.bincount(j, s, n)
+        return _edge_sine_sum(x, i, j, w, n)
 
     t = 0.0
     steps = 0
@@ -337,13 +339,9 @@ def minimize_energy(g: FractalGraph, u0, pin=0, cfg: FlowConfig | None = None) -
 def hessian_matrix(g: FractalGraph, u) -> sparse.csr_matrix:
     """Hessian of the energy: weighted Laplacian with cosine edge weights."""
     u = _check(g, u)
-    i, j = g.edges[:, 0], g.edges[:, 1]
-    w = g.edge_weights * np.cos(TWO_PI * _wrapped_diff(u, i, j))
-    n = g.n_vertices
-    rows = np.concatenate([i, j, i, j])
-    cols = np.concatenate([i, j, j, i])
-    data = np.concatenate([w, w, -w, -w])
-    return sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    w = g.edge_weights * np.cos(TWO_PI * _wrapped_diff(u, g.edges[:, 0],
+                                                       g.edges[:, 1]))
+    return weighted_laplacian(g.edges, w, g.n_vertices)
 
 
 def _pinned_hessian(g: FractalGraph, u, free) -> sparse.csc_matrix:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -62,12 +63,25 @@ def write_field_csv(path, values, header=("id", "value")) -> str:
 
 
 def read_field_csv(path) -> np.ndarray:
+    """Read an ``id,value`` CSV back into a field.
+
+    The ids must be 0..N-1, each exactly once (in any order), and every
+    value finite; otherwise :class:`ValueError` names the offending id.
+    """
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         next(rd)  # header
         rows = [(int(i), float(v)) for i, v in rd]
     out = np.empty(len(rows))
+    seen = np.zeros(len(rows), dtype=bool)
     for i, v in rows:
+        if not 0 <= i < len(rows):
+            raise ValueError(f"{path}: id {i} outside 0..{len(rows) - 1}")
+        if seen[i]:
+            raise ValueError(f"{path}: id {i} appears twice")
+        if not math.isfinite(v):
+            raise ValueError(f"{path}: id {i} has the non-finite value {v!r}")
+        seen[i] = True
         out[i] = v
     return out
 

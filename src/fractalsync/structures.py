@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse import linalg as spla
 
 from . import covering as cov
 from . import kuramoto as km
-from .graphs import FractalGraph, build_graph, canonical_itinerary
+from .dirichlet import weighted_laplacian
+from .graphs import FractalGraph, build_graph, canonical_itinerary, child_tables
 from .winding import DegreeVector, loop_basis
 
 
@@ -156,13 +156,8 @@ def extension_by_minimization(struct: HarmonicStructure, level: int, u_coarse):
     u_coarse = np.asarray(u_coarse, dtype=float)
     inj = g_fine.restriction_to(level - 1)
     c = struct.conductance(level)
-    i, j = g_fine.edges[:, 0], g_fine.edges[:, 1]
-    w = c * g_fine.edge_mult.astype(float)
     n = g_fine.n_vertices
-    rows = np.concatenate([i, j, i, j])
-    cols = np.concatenate([i, j, j, i])
-    data = np.concatenate([w, w, -w, -w])
-    L = sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    L = weighted_laplacian(g_fine.edges, c * g_fine.edge_mult.astype(float), n)
     fixed = inj
     free = np.setdiff1d(np.arange(n), fixed)
     vals = np.zeros(n)
@@ -210,11 +205,11 @@ def _extend_lift_by_solve(cur: cov.LiftField) -> cov.LiftField:
     dom_m = cur.domain
     dom_next = cov.covering_domain(
         build_graph(dom_m.kind, dom_m.level + 1), dom_m.omega)
-    carried = cov._carry_values(cur, dom_next)
-    fixed = np.flatnonzero(~np.isnan(carried))
-    free = np.flatnonzero(np.isnan(carried))
+    corners, mids = child_tables(dom_next.cell_corners)
+    vals = np.zeros(dom_next.n_vertices)
+    vals[corners] = cur.values[dom_m.cell_corners]
+    fixed, free = np.unique(corners), np.unique(mids)
     L = dom_next.laplacian_matrix()
-    vals = np.where(np.isnan(carried), 0.0, carried)
     A = L[free][:, free].tocsc()
     rhs = -L[free][:, fixed] @ vals[fixed]
     vals[free] = spla.spsolve(A, rhs)

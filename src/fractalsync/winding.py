@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DegreeClosureError, UnresolvedWindingError
-from .graphs import FractalGraph, canonical_itinerary
+from .graphs import FractalGraph
 
 INTEGRALITY_TOL = 1e-8
 
@@ -120,19 +120,13 @@ class DegreeVector:
         return f"DegreeVector({body})"
 
 
-def _side_vertices(g, word, a, b):
-    """Ids along the side from corner ``a`` to corner ``b`` of cell ``word``,
-    excluding the endpoint at ``b``."""
-    m = g.level - len(word)
-    out = []
-    for k in range(2 ** m):
-        digits = tuple(a if (k >> (m - 1 - p)) & 1 == 0 else b for p in range(m))
-        out.append(g.id_of(canonical_itinerary(word + digits, a)))
-    return out
-
-
 def trace_loop(g: FractalGraph, word) -> Loop:
-    """Clockwise cycle of all level-n vertices on the boundary of cell ``word``."""
+    """Clockwise cycle of all level-n vertices on the boundary of cell ``word``.
+
+    The side from corner a to corner b of cell w passes, in order, through
+    corner a of the cells w d for d over {a, b}**(n - |w|), each read off
+    the corner table.
+    """
     word = tuple(word)
     if g.kind == "ring":
         if len(word) != 0:
@@ -141,12 +135,14 @@ def trace_loop(g: FractalGraph, word) -> Loop:
         return Loop(word, cyc.astype(np.int64))
     if len(word) > g.level:
         raise ValueError(f"loop word longer than graph level {g.level}")
+    m = g.level - len(word)
+    place = 3 ** np.arange(m - 1, -1, -1)
+    to_b = np.arange(2 ** m)[:, None] >> np.arange(m - 1, -1, -1) & 1
+    first = g.pack_word(word) * 3 ** m
     # clockwise corner order is v1 -> v2 -> v3; v1's image is leftmost
-    ids = (_side_vertices(g, word, 1, 2)
-           + _side_vertices(g, word, 2, 3)
-           + _side_vertices(g, word, 3, 1))
-    ids.append(ids[0])
-    return Loop(word, np.array(ids, dtype=np.int64))
+    sides = [g.cell_corners[first + np.where(to_b, b, a) @ place, a]
+             for a, b in ((0, 1), (1, 2), (2, 0))]
+    return Loop(word, np.concatenate(sides + [sides[0][:1]]))
 
 
 def loop_basis(g: FractalGraph, max_order: int):

@@ -93,6 +93,14 @@ def test_twist_cmd_and_determinism(tmp_path):
     # identical config -> byte-identical artifacts
     for name in ("equilibrium.json", "equilibrium.csv", "equilibrium.svg"):
         assert sha256_of(out1 / name) == sha256_of(out2 / name)
+    # without --svg no SVG is written, and the other artifacts are the same
+    out3 = tmp_path / "t3"
+    assert run(args[:-1] + ["--out", str(out3)]) == 0
+    assert not (out3 / "equilibrium.svg").exists()
+    listed = json.loads((out3 / "manifest.json").read_text())["artifacts"]
+    assert [a["path"] for a in listed] == ["equilibrium.csv", "equilibrium.json"]
+    for name in ("equilibrium.json", "equilibrium.csv"):
+        assert sha256_of(out1 / name) == sha256_of(out3 / name)
 
 
 def test_twist_has_no_pin_option(tmp_path):
@@ -150,6 +158,52 @@ def test_flow_cmd_from_csv(tmp_path):
                 "--init", str(init), "--out", str(out)]) == 0
     rep = json.loads((out / "equilibrium.json").read_text())
     assert rep["energy"] == 0.0
+
+
+@pytest.mark.parametrize("rows,message", [
+    ("0,0.1\n0,0.2\n", "id 0 appears twice"),
+    ("0,0.1\n2,0.2\n", "id 2 outside 0..1"),
+    ("1,0.1\n0,nan\n", "id 0 has the non-finite value nan"),
+    ("0,inf\n1,0.2\n", "id 0 has the non-finite value inf"),
+])
+def test_read_field_csv_rejects_bad_ids_and_values(tmp_path, rows, message):
+    path = tmp_path / "f.csv"
+    path.write_text("id,value\n" + rows)
+    with pytest.raises(ValueError, match=message):
+        read_field_csv(path)
+
+
+def test_read_field_csv_accepts_any_id_order(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("id,value\n2,0.3\n0,0.1\n1,0.2\n")
+    np.testing.assert_array_equal(read_field_csv(path), [0.1, 0.2, 0.3])
+
+
+def _init_csv(tmp_path, values):
+    path = tmp_path / "init.csv"
+    path.write_text("id,value\n" + "".join(
+        f"{k},{v}\n" for k, v in enumerate(values)))
+    return str(path)
+
+
+@pytest.mark.parametrize("init,message", [
+    ("constant:nan", "--init 'constant:nan' has the non-finite value nan "
+                     "at vertex 0"),
+    ("constant:-inf", "has the non-finite value -inf at vertex 0"),
+    (lambda p: _init_csv(p, [0.1, 0.2, "nan", 0.4] * 2),
+     "init.csv: id 2 has the non-finite value nan"),
+    (lambda p: _init_csv(p, [0.0] * 7),
+     "gives 7 values for a graph with 8 vertices"),
+])
+def test_flow_init_checked_where_it_enters(tmp_path, capsys, init, message):
+    if callable(init):
+        init = init(tmp_path)
+    assert run(["flow", "--fractal", "ring", "--level", "3", "--init", init,
+                "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ValueError: --init ")
+    assert message in err
+    assert "\n" not in err
 
 
 def test_verify_cmd_ring_closed_form(tmp_path):

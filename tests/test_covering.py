@@ -43,6 +43,25 @@ def test_cut_pattern_outer_plus_order1_loops():
     assert [c.cut_vertex for c in again] == [c.cut_vertex for c in cuts]
 
 
+@pytest.mark.parametrize("g,omega", [
+    (build_sg_graph(4), DegreeVector.parse("1,1,1,1")),
+    (build_sg_graph(4), DegreeVector.parse("eps:2,13:-1,222:1")),
+    (build_ring_graph(3), DegreeVector({(): 2})),
+])
+def test_cut_table_remaps_one_corner_per_cut(g, omega):
+    dom = covering_domain(g, omega)
+    changed = np.argwhere(dom.cell_corners != g.cell_corners)
+    assert len(changed) == len(dom.cuts)
+    for cut in dom.cuts:
+        it = cut.plus_itinerary
+        cell = g.pack_word(it.symbols(g.level))
+        corner = g.alphabet.index(it.tail)
+        assert [cell, corner] in changed.tolist()
+        assert g.cell_corners[cell, corner] == cut.cut_vertex
+        assert dom.cell_corners[cell, corner] == cut.plus_id
+    assert dom.n_edges == len(g.cell_words) * (3 if g.kind == "sg" else 1)
+
+
 def test_cut_level_guard():
     g = build_sg_graph(1)
     omega = DegreeVector({(1,): 1})

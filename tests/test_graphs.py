@@ -1,9 +1,13 @@
+from itertools import product
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fractalsync import (Itinerary, build_ring_graph, build_sg_graph,
-                         canonical_itinerary, restrict)
+                         canonical_itinerary, extend_harmonic_once, restrict,
+                         trace_loop)
+from fractalsync.graphs import child_tables
 from conftest import apply_word, enumerate_gasket
 
 
@@ -230,3 +234,91 @@ def test_canonical_names_same_point():
     a = canonical_itinerary((1,), 3)
     b = canonical_itinerary((3,), 1)
     assert a == b == Itinerary((1,), 3)
+
+
+# -- the array hierarchy against the scalar itinerary oracle ---------------
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_cell_corner_itineraries_match_oracle(n):
+    g = build_sg_graph(n)
+    for w, corners in g.cells.items():
+        for i, v in zip((1, 2, 3), corners):
+            assert g.itinerary(v) == canonical_itinerary(w, i)
+
+
+@pytest.mark.parametrize("build,n", [(build_sg_graph, n) for n in range(0, 7)]
+                         + [(build_ring_graph, n) for n in range(1, 7)])
+def test_keys_increase_and_ids_round_trip(build, n):
+    g = build(n)
+    assert g.keys.shape == (g.n_vertices,)
+    assert (np.diff(g.keys) > 0).all()
+    for v in range(g.n_vertices):
+        assert g.id_of(g.itinerary(v)) == v
+
+
+def test_id_of_rejects_names_that_are_not_vertices():
+    g = build_sg_graph(2)
+    for it in (Itinerary((3,), 1),         # the non-canonical name of 1~3
+               Itinerary((1, 1), 1),       # trailing tail symbol
+               Itinerary((1, 2, 1), 3),    # finer than level 2
+               Itinerary((4,), 1)):        # symbol outside the alphabet
+        with pytest.raises(KeyError):
+            g.id_of(it)
+    ring = build_ring_graph(3)
+    assert ring.id_of(Itinerary((), 0)) == 0
+    with pytest.raises(KeyError):
+        ring.id_of(Itinerary((), 1))        # vertex 0's other name
+
+
+@pytest.mark.parametrize("m", range(0, 6))
+def test_child_tables_match_itinerary_lookup(m):
+    g_m, g_next = build_sg_graph(m), build_sg_graph(m + 1)
+    corners, mids = child_tables(g_next.cell_corners)
+    assert corners.shape == mids.shape == (len(g_m.cell_words), 3)
+    for k, w in enumerate(sorted(g_m.cells)):
+        assert corners[k].tolist() == [
+            g_next.id_of(canonical_itinerary(w, i)) for i in (1, 2, 3)]
+        assert mids[k].tolist() == [
+            g_next.id_of(canonical_itinerary(w + (a,), b))
+            for a, b in ((1, 2), (2, 3), (3, 1))]
+
+
+@pytest.mark.parametrize("build,n", [(build_sg_graph, n) for n in range(0, 7)]
+                         + [(build_ring_graph, n) for n in range(1, 7)])
+def test_restriction_matches_itinerary_lookup(build, n):
+    g = build(n)
+    for m in range(0 if g.kind == "sg" else 1, n + 1):
+        g_m = build(m)
+        assert g.restriction_to(m).tolist() == [
+            g.id_of(g_m.itinerary(v)) for v in range(g_m.n_vertices)]
+
+
+def _loop_by_lookup(g, word):
+    ids = []
+    for a, b in ((1, 2), (2, 3), (3, 1)):
+        for digits in product((a, b), repeat=g.level - len(word)):
+            ids.append(g.id_of(canonical_itinerary(word + digits, a)))
+    return ids + ids[:1]
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_trace_loop_matches_itinerary_lookup(n):
+    g = build_sg_graph(n)
+    for ell in range(min(n, 2) + 1):
+        for word in product((1, 2, 3), repeat=ell):
+            assert trace_loop(g, word).vertex_cycle.tolist() == \
+                _loop_by_lookup(g, word)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_restrict_after_extend_is_identity(m, seed):
+    g = build_sg_graph(m)
+    f = np.random.default_rng(seed).standard_normal(g.n_vertices)
+    g_next, f_next = extend_harmonic_once(g, f)
+    np.testing.assert_array_equal(restrict(g_next, m, f_next), f)
+
+
+def test_restriction_rejects_negative_level():
+    with pytest.raises(ValueError):
+        build_sg_graph(2).restriction_to(-1)
