@@ -57,17 +57,29 @@ class RunConfig:
             raise ValueError("mode 'covering' requires a nonzero --degree")
         if self.mode == "harmonic" and self.boundary is None:
             raise ValueError("harmonic mode requires --boundary")
+        # "not x > 0" also rejects NaN; step None means the default step
+        for flag, value in (("--tol", self.tol), ("--step", self.step),
+                            ("--max-time", self.max_time)):
+            if value is not None and not value > 0:
+                raise ValueError(f"{flag} must be positive, got {value!r}")
+        if not self.perturb >= 0:
+            raise ValueError(f"--perturb must be non-negative, got {self.perturb!r}")
+        if self.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {self.jobs!r}")
 
 
 def _alphabet(fractal):
     return (0, 1) if fractal == "ring" else (1, 2, 3)
 
 
-def _parse_levels(text) -> tuple:
+def _parse_levels(text, flag="--levels") -> tuple:
     lo, _, hi = text.partition(":")
-    if hi:
-        return tuple(range(int(lo), int(hi) + 1))
-    return (int(lo),)
+    if not hi:
+        return (int(lo),)
+    lo, hi = int(lo), int(hi)
+    if hi < lo:
+        raise ValueError(f"{flag} {text!r} is an empty range: {hi} < {lo}")
+    return tuple(range(lo, hi + 1))
 
 
 def _structure(fractal):
@@ -413,7 +425,7 @@ def _config_from_args(args) -> RunConfig:
         data["levels"] = _parse_levels(str(spec))
     if getattr(args, "seeds", None) is not None or "seeds" in data:
         spec = getattr(args, "seeds", None) or data.get("seeds")
-        data["seeds"] = _parse_levels(str(spec))
+        data["seeds"] = _parse_levels(str(spec), "--seeds")
     if getattr(args, "degrees", None) is not None or "degrees" in data:
         spec = getattr(args, "degrees", None) or data.get("degrees")
         data["degrees"] = [s for s in str(spec).split(";") if s]

@@ -27,6 +27,7 @@ DENSE_EIG_LIMIT = 3000
 STABILITY_BAND = 1e-9
 NEWTON_MAX_ITERS = 50
 NEWTON_MIN_STEP = 1e-8
+NEWTON_HANDOFF = 1e-3
 ARMIJO = 1e-4
 
 
@@ -131,9 +132,13 @@ class FlowConfig:
 class EquilibriumReport:
     """Converged (or final) state of a flow or Newton run.
 
-    For ``method == "newton"``, ``steps`` counts Newton steps,
-    ``halvings`` line-search halvings and ``step_size`` the last step
-    length, and ``time`` is 0.
+    ``method`` says what ran: ``"flow"`` (RK4 only), ``"flow+newton"``
+    (RK4 until it settled, then the Newton finish) or ``"newton"``.
+    ``steps``, ``time``, ``halvings`` and ``step_size`` describe the RK4
+    part, and ``newton_steps`` counts Newton steps.  For ``"newton"`` no
+    flow ran: ``steps`` and ``time`` are 0, and ``halvings`` and
+    ``step_size`` are the line search's.  ``degree_error`` says why
+    ``degree`` is None when the field's winding is unresolved.
     """
 
     field: np.ndarray
@@ -147,8 +152,10 @@ class EquilibriumReport:
     step_size: float
     converged: bool
     halvings: int = 0
-    method: str = "flow"            # "newton" or "flow"
+    method: str = "flow"            # "flow", "flow+newton" or "newton"
     fallback: str | None = None     # why Newton handed over to the flow
+    newton_steps: int = 0
+    degree_error: str | None = None
 
     def to_json_dict(self):
         return {
@@ -157,6 +164,7 @@ class EquilibriumReport:
             "hessian_min_eig": self.hessian_min_eig,
             "stability": self.stability,
             "degree": None if self.degree is None else self.degree.to_json_dict(),
+            "degree_error": self.degree_error,
             "steps": self.steps,
             "time": self.time,
             "step_size": self.step_size,
@@ -164,11 +172,12 @@ class EquilibriumReport:
             "halvings": self.halvings,
             "method": self.method,
             "fallback": self.fallback,
+            "newton_steps": self.newton_steps,
         }
 
 
 def _finalize(g, u, residual, steps, t, h, converged, halvings, cfg,
-              method="flow") -> EquilibriumReport:
+              method="flow", newton_steps=0) -> EquilibriumReport:
     phases = wrap_phases(u)
     energy = km_energy(g, phases).energy
     hess_eig = None
@@ -178,24 +187,39 @@ def _finalize(g, u, residual, steps, t, h, converged, halvings, cfg,
     order = cfg.degree_order
     if order is None:
         order = 0 if g.kind == "ring" else min(g.level, 2)
+    deg = deg_error = None
     try:
         deg = degree(phases, g, order)
-    except UnresolvedWindingError:
-        deg = None
+    except UnresolvedWindingError as exc:
+        deg_error = str(exc)
     return EquilibriumReport(
         field=phases, residual=residual, energy=energy,
         hessian_min_eig=hess_eig, stability=verdict, degree=deg,
         steps=steps, time=t, step_size=h, converged=converged,
-        halvings=halvings, method=method)
+        halvings=halvings, method=method, newton_steps=newton_steps,
+        degree_error=deg_error)
 
 
 def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None) -> EquilibriumReport:
-    """Fixed-step RK4 integration of the flow until the residual is tiny.
+    """Fixed-step RK4 integration of the flow, finished by Newton.
 
     The energy is monitored in blocks; if it ever increases the block is
     rewound and the step halved, which keeps the default step safe even
     when it starts beyond the stability limit.  Non-convergence within the
     time budget is reported in the ``converged`` flag, not raised.
+
+    The flow decides where it comes to rest; Newton only polishes the
+    exponentially decaying tail.  Once an accepted block leaves the
+    residual below ``NEWTON_HANDOFF``, the damped Newton iteration of
+    :func:`solve_equilibrium` runs from the block state.  Its first factor
+    must certify the pinned Hessian positive definite, so saddle passages
+    stay on RK4, and its step cap keeps the degree the flow has reached.
+    If it fails, the flow continues from the block state and tries again
+    only once the residual is below half its value at the failed attempt.
+    A finished run reports ``method == "flow+newton"``, with ``steps``,
+    ``time`` and ``halvings`` counting the RK4 part and ``newton_steps``
+    the Newton part; a ``cfg.record`` trajectory ends at the handoff with
+    one more row for the polished point, at the handoff time.
     """
     cfg = cfg or FlowConfig()
     u = _check(g, u0).copy()
@@ -210,6 +234,7 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
     t = 0.0
     steps = 0
     halvings = 0
+    handoff_below = NEWTON_HANDOFF
     res = float(np.abs(rhs(u)).max())
     energy = _km_energy_fast(u, i, j, w)
     if cfg.record is not None:
@@ -237,53 +262,43 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
         res = float(np.abs(rhs(u)).max())
         if cfg.record is not None:
             cfg.record.append((t, energy, res))
+        if cfg.tol <= res < handoff_below:
+            out = _newton(g, u, cfg)
+            if not isinstance(out, str):
+                u, res, newton_steps, _, _ = out
+                if cfg.record is not None:
+                    cfg.record.append((t, _km_energy_fast(u, i, j, w), res))
+                return _finalize(g, u, res, steps, t, h, True, halvings, cfg,
+                                 method="flow+newton", newton_steps=newton_steps)
+            handoff_below = 0.5 * res
     return _finalize(g, u, res, steps, t, h, res < cfg.tol, halvings, cfg)
 
 
-def solve_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None) -> EquilibriumReport:
-    """Damped Newton on the energy gradient, with vertex 0 held fixed.
+def _newton(g: FractalGraph, u, cfg: FlowConfig):
+    """Damped Newton from ``u``, with vertex 0 held fixed.
 
-    The pinned Hessian is factored at every iterate, and the iteration
-    stops at a residual below ``cfg.tol`` only where that factor certifies
-    it positive definite, so Newton never returns a saddle.  Each step is
-    capped so that no wrapped edge difference crosses a half turn: every
-    loop winding, hence the start's degree vector, is kept.  The energy
-    line search is Armijo's, and also accepts a rise within rounding (the
-    slack the flow's energy monitor allows).  The converged field is
-    shifted back to the start's mean phase, which the flow conserves, so
-    it matches the flow's equilibrium pointwise.
-
-    If a factor is not certified, the line search falls below
-    ``NEWTON_MIN_STEP`` or ``NEWTON_MAX_ITERS`` steps pass, the result is
-    ``integrate_to_equilibrium(g, u0, cfg)`` from the original start, with
-    ``fallback`` naming the reason.
-
-    The step cap means Newton cannot leave the start's homotopy class, so
-    it does not answer whether the flow from ``u0`` stays in that class;
-    that question needs :func:`integrate_to_equilibrium`.
+    Returns ``(field, residual, newton_steps, step_size, halvings)`` with
+    the field shifted back to the mean phase of ``u``, or a string naming
+    why the iteration failed.  See :func:`solve_equilibrium`.
     """
-    cfg = cfg or FlowConfig()
-    u0 = _check(g, u0)
-    u = u0.copy()
+    u_start = u
+    u = u.copy()
     i, j = g.edges[:, 0], g.edges[:, 1]
     w = g.edge_weights
     free = np.arange(1, g.n_vertices)
     energy = _km_energy_fast(u, i, j, w)
     t = 0.0
     halvings = 0
-    fallback = None
     for iters in range(NEWTON_MAX_ITERS + 1):
         rhs = km_rhs(g, u)
         res = float(np.abs(rhs).max())
         lu = _positive_definite_factor(_pinned_hessian(g, u, free))
         if lu is None:
-            fallback = "pinned Hessian not positive definite"
-            break
+            return "pinned Hessian not positive definite"
         if res < cfg.tol:
             break
         if iters == NEWTON_MAX_ITERS:
-            fallback = f"no convergence in {NEWTON_MAX_ITERS} Newton steps"
-            break
+            return f"no convergence in {NEWTON_MAX_ITERS} Newton steps"
         # rhs = -2 pi grad E and H is the Hessian of E
         step = np.zeros_like(u)
         step[free] = lu.solve(rhs[free]) / TWO_PI
@@ -306,18 +321,46 @@ def solve_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None) -> Equ
             t *= 0.5
             halvings += 1
             if t < NEWTON_MIN_STEP:
-                break
-        if t < NEWTON_MIN_STEP:
-            fallback = f"line search step below {NEWTON_MIN_STEP:g}"
-            break
+                return f"line search step below {NEWTON_MIN_STEP:g}"
         u, energy = cand, e_cand
-    if fallback is not None:
+    u += np.mean(u_start) - np.mean(u)
+    return u, res, iters, t, halvings
+
+
+def solve_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None) -> EquilibriumReport:
+    """Damped Newton on the energy gradient, with vertex 0 held fixed.
+
+    The pinned Hessian is factored at every iterate, and the iteration
+    stops at a residual below ``cfg.tol`` only where that factor certifies
+    it positive definite, so Newton never returns a saddle.  Each step is
+    capped so that no wrapped edge difference crosses a half turn: every
+    loop winding, hence the start's degree vector, is kept.  The energy
+    line search is Armijo's, and also accepts a rise within rounding (the
+    slack the flow's energy monitor allows).  The converged field is
+    shifted back to the start's mean phase, which the flow conserves, so
+    it matches the flow's equilibrium pointwise.  The report has
+    ``method == "newton"`` and counts the iterations in ``newton_steps``.
+
+    If a factor is not certified, the line search falls below
+    ``NEWTON_MIN_STEP`` or ``NEWTON_MAX_ITERS`` steps pass, the result is
+    ``integrate_to_equilibrium(g, u0, cfg)`` from the original start, with
+    ``fallback`` naming the reason; that flow may itself end with the
+    same Newton iteration once it has settled (``"flow+newton"``).
+
+    The step cap means Newton cannot leave the start's homotopy class, so
+    it does not answer whether the flow from ``u0`` stays in that class;
+    that question needs :func:`integrate_to_equilibrium`.
+    """
+    cfg = cfg or FlowConfig()
+    u0 = _check(g, u0)
+    out = _newton(g, u0, cfg)
+    if isinstance(out, str):
         rep = integrate_to_equilibrium(g, u0, cfg)
-        rep.fallback = fallback
+        rep.fallback = out
         return rep
-    u += np.mean(u0) - np.mean(u)
-    return _finalize(g, u, res, iters, 0.0, t, True, halvings, cfg,
-                     method="newton")
+    u, res, newton_steps, t, halvings = out
+    return _finalize(g, u, res, 0, 0.0, t, True, halvings, cfg,
+                     method="newton", newton_steps=newton_steps)
 
 
 def minimize_energy(g: FractalGraph, u0, pin=0, cfg: FlowConfig | None = None) -> EquilibriumReport:

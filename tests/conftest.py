@@ -44,3 +44,35 @@ def enumerate_gasket(n):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20250810)
+
+
+def rk4_reference(g, u0, cfg=None):
+    """Plain fixed-step RK4 to ``cfg.tol``: the flow's loop and block energy
+    monitor with no Newton finish, the oracle for every faster solver."""
+    from fractalsync import FlowConfig, km_rhs
+    from fractalsync.kuramoto import _finalize, _km_energy_fast, default_step
+
+    cfg = cfg or FlowConfig()
+    u = np.array(u0, dtype=float)
+    i, j, w = g.edges[:, 0], g.edges[:, 1], g.edge_weights
+    h = cfg.step if cfg.step is not None else default_step(g)
+    t, steps, halvings = 0.0, 0, 0
+    res = float(np.abs(km_rhs(g, u)).max())
+    energy = _km_energy_fast(u, i, j, w)
+    while res >= cfg.tol and t < cfg.max_time:
+        block = u.copy()
+        for _ in range(cfg.check_every):
+            k1 = km_rhs(g, u)
+            k2 = km_rhs(g, u + 0.5 * h * k1)
+            k3 = km_rhs(g, u + 0.5 * h * k2)
+            k4 = km_rhs(g, u + h * k3)
+            u += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        new_energy = _km_energy_fast(u, i, j, w)
+        if new_energy > energy + 1e-13 * max(1.0, abs(energy)):
+            u, h, halvings = block, 0.5 * h, halvings + 1
+            if halvings > cfg.max_halvings:
+                break
+            continue
+        energy, steps, t = new_energy, steps + cfg.check_every, t + cfg.check_every * h
+        res = float(np.abs(km_rhs(g, u)).max())
+    return _finalize(g, u, res, steps, t, h, res < cfg.tol, halvings, cfg)

@@ -112,6 +112,7 @@ def test_twist_has_no_pin_option(tmp_path):
 
 def test_sweep_perturbed_runs_flow_unperturbed_runs_newton(tmp_path):
     import fractalsync as fs
+    from conftest import rk4_reference
     jobs = {}
     for perturb in ("0", "0.1"):
         out = tmp_path / f"s{perturb}"
@@ -119,16 +120,40 @@ def test_sweep_perturbed_runs_flow_unperturbed_runs_newton(tmp_path):
                     "4:4", "--perturb", perturb, "--out", str(out)]) == 0
         jobs[perturb], = json.loads((out / "sweep.json").read_text())["jobs"]
     assert jobs["0"]["method"] == "newton" and jobs["0"]["fallback"] is None
-    # a perturbed start is left to the flow, which may leave its class
+    assert jobs["0"]["steps"] == 0 and jobs["0"]["newton_steps"] > 0
+    # a perturbed start is left to the flow, which may leave its class;
+    # Newton only polishes the tail once the flow has settled
     g = fs.build_sg_graph(3)
     phases, _ = fs.circle_harmonic_map(g, fs.DegreeVector({(): 1}))
     rng = np.random.default_rng(4)
     u0 = fs.wrap_phases(phases + rng.uniform(-0.1, 0.1, g.n_vertices))
-    ref = fs.integrate_to_equilibrium(g, u0, fs.FlowConfig(degree_order=1))
-    assert jobs["0.1"]["method"] == "flow" and jobs["0.1"]["fallback"] is None
-    assert jobs["0.1"]["steps"] == ref.steps
-    assert jobs["0.1"]["energy"] == ref.energy
-    assert jobs["0.1"]["hessian_min_eig"] == ref.hessian_min_eig
+    cfg = fs.FlowConfig(degree_order=1)
+    rep = fs.integrate_to_equilibrium(g, u0, cfg)
+    job = jobs["0.1"]
+    assert job["method"] == "flow+newton" and job["fallback"] is None
+    assert (job["steps"], job["newton_steps"]) == (rep.steps, rep.newton_steps)
+    assert job["energy"] == rep.energy
+    assert job["hessian_min_eig"] == rep.hessian_min_eig
+    ref = rk4_reference(g, u0, cfg)
+    assert 0 < rep.newton_steps and rep.steps < ref.steps
+    assert fs.circle_distance(rep.field, ref.field).max() < 1e-8
+    assert rep.hessian_min_eig == pytest.approx(ref.hessian_min_eig, rel=1e-9)
+    assert job["degree_found"] == ref.degree.to_json_dict() == {"eps": 1}
+    assert job["stability"] == ref.stability == "stable"
+
+
+def test_flow_cmd_trajectory_ends_with_newton_finish(tmp_path):
+    out = tmp_path / "fr"
+    assert run(["flow", "--fractal", "ring", "--level", "4", "--init",
+                "random", "--seed", "2", "--traj", "--out", str(out)]) == 0
+    rep = json.loads((out / "equilibrium.json").read_text())
+    assert rep["method"] == "flow+newton" and rep["newton_steps"] > 0
+    rows = [[float(v) for v in line.split(",")] for line in
+            (out / "trajectory.csv").read_text().strip().splitlines()[1:]]
+    # one row per accepted block, then the polished point at the same time
+    assert len(rows) == rep["steps"] // 25 + 2
+    assert rows[-1][0] == rows[-2][0] == rep["time"]
+    assert rows[-2][2] < 1e-3 and rows[-1][2] == rep["residual"] < 1e-10
 
 
 def test_twist_zero_degree(tmp_path):
@@ -243,6 +268,24 @@ def test_cli_error_single_line(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ")
     assert "\n" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--seeds", "4:2"], "--seeds '4:2' is an empty range"),
+    (["verify", "--levels", "5:3"], "--levels '5:3' is an empty range"),
+    (["sweep", "--perturb", "-0.1"], "--perturb must be non-negative"),
+    (["flow", "--step", "-0.01"], "--step must be positive"),
+    (["flow", "--tol", "-1"], "--tol must be positive"),
+    (["twist", "--max-time", "0"], "--max-time must be positive"),
+    (["verify", "--jobs", "0"], "--jobs must be at least 1"),
+])
+def test_numeric_inputs_checked_where_they_enter(tmp_path, capsys, argv, message):
+    out = tmp_path / "bad"
+    assert run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ValueError: ") and message in err
+    assert "\n" not in err
+    assert not out.exists()
 
 
 def test_cli_config_file(tmp_path):

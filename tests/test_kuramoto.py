@@ -10,8 +10,10 @@ from fractalsync import (DegreeVector, EigensolverError, FlowConfig,
                          integrate_to_equilibrium, km_energy, km_rhs,
                          minimize_energy, solve_equilibrium, twisted_state,
                          wrap_phases)
+from fractalsync import kuramoto as km
 from fractalsync.dirichlet import laplacian_matrix
 from fractalsync.kuramoto import hessian_matrix
+from conftest import rk4_reference
 
 
 # -- rhs and energy -----------------------------------------------------------
@@ -160,7 +162,105 @@ def test_half_twisted_is_equilibrium_but_saddle():
     assert rep.stability == "saddle"
 
 
-# -- Newton solve (the flow is the oracle) -----------------------------------------
+def test_unresolved_degree_is_reported():
+    g = build_ring_graph(3)
+    rep = integrate_to_equilibrium(g, twisted_state(g, 4))  # half-turn steps
+    assert rep.degree is None
+    assert rep.to_json_dict()["degree_error"].startswith("unresolved winding on edge")
+    rep = integrate_to_equilibrium(g, twisted_state(g, 1))
+    assert rep.degree == DegreeVector({(): 1})
+    assert rep.to_json_dict()["degree_error"] is None
+
+
+# -- Newton finish of the flow (plain RK4 is the oracle) ---------------------------
+
+@settings(max_examples=10, deadline=None)
+@given(kind=st.sampled_from(("sg", "ring")), n=st.integers(3, 5),
+       spec=st.sampled_from(("0", "1", "1,1,1,1", "2,0,0")),
+       amp=st.floats(0.0, 0.25), seed=st.integers(0, 2 ** 32 - 1))
+@example(kind="sg", n=5, spec="2,0,0", amp=0.25, seed=1)
+@example(kind="ring", n=5, spec="0", amp=0.0, seed=1)
+def test_finished_flow_matches_rk4_reference(kind, n, spec, amp, seed):
+    # perturbed gasket starts and random ring starts: the flow picks the
+    # equilibrium, and the Newton finish lands on the one plain RK4 reaches
+    rng = np.random.default_rng(seed)
+    if kind == "ring":
+        g = build_ring_graph(n)
+        u0 = rng.random(g.n_vertices)
+    else:
+        g = build_sg_graph(n)
+        phases, _ = circle_harmonic_map(g, DegreeVector.parse(spec, (1, 2, 3)))
+        u0 = wrap_phases(phases + rng.uniform(-amp, amp, g.n_vertices))
+    cfg = FlowConfig(degree_order=0 if kind == "ring" else 1)
+    rep = integrate_to_equilibrium(g, u0, cfg)
+    ref = rk4_reference(g, u0, cfg)
+    assert circle_distance(rep.field, ref.field).max() < 1e-8
+    assert rep.degree == ref.degree
+    assert rep.stability == ref.stability
+    assert rep.converged == ref.converged
+    assert rep.method == ("flow+newton" if rep.newton_steps else "flow")
+    assert rep.steps <= ref.steps
+
+
+def test_flow_does_not_hand_off_at_a_saddle(monkeypatch):
+    # next to the half-twisted saddle the residual is far below the handoff
+    # threshold, but the pinned Hessian is indefinite: the flow stays on RK4
+    attempts = []
+    newton = km._newton
+
+    def counted(g, u, cfg):
+        out = newton(g, u, cfg)
+        attempts.append(out)
+        return out
+
+    monkeypatch.setattr(km, "_newton", counted)
+    rng = np.random.default_rng(7)
+    for n in (3, 4, 5):
+        g = build_ring_graph(n)
+        u0 = wrap_phases(half_twisted_state(g, 0.5)
+                         + 1e-9 * rng.standard_normal(g.n_vertices))
+        cfg = FlowConfig(max_time=0.05)
+        attempts.clear()
+        rep = integrate_to_equilibrium(g, u0, cfg)
+        ref = rk4_reference(g, u0, cfg)
+        assert attempts
+        assert all(a == "pinned Hessian not positive definite" for a in attempts)
+        assert rep.method == "flow" and rep.newton_steps == 0
+        np.testing.assert_array_equal(rep.field, ref.field)
+        assert rep.to_json_dict() == ref.to_json_dict()
+
+
+def test_failed_handoff_keeps_flowing_until_the_residual_halves(monkeypatch):
+    residuals = []
+    newton = km._newton
+
+    def first_fails(g, u, cfg):
+        residuals.append(float(np.abs(km_rhs(g, u)).max()))
+        return "forced" if len(residuals) == 1 else newton(g, u, cfg)
+
+    monkeypatch.setattr(km, "_newton", first_fails)
+    g = build_sg_graph(4)
+    phases, _ = circle_harmonic_map(g, DegreeVector({(): 1}))
+    u0 = wrap_phases(phases + np.random.default_rng(3).uniform(-0.1, 0.1, g.n_vertices))
+    record = []
+    rep = integrate_to_equilibrium(g, u0, FlowConfig(record=record))
+    flow_rows = [r for _, _, r in record[:-1]]
+    # the first block below the threshold hands off, the first below half
+    # of the failed attempt's residual retries
+    assert residuals[0] == next(r for r in flow_rows if r < km.NEWTON_HANDOFF)
+    assert residuals[1] == next(r for r in flow_rows if r < 0.5 * residuals[0])
+    assert len(residuals) == 2 and flow_rows[-1] == residuals[1]
+    assert rep.method == "flow+newton" and rep.newton_steps > 0
+    assert rep.steps == 25 * (len(flow_rows) - 1)
+    # the record ends with the polished point, at the handoff time
+    assert record[-1][0] == record[-2][0]
+    assert record[-1][2] == rep.residual < 1e-10
+    ref = rk4_reference(g, u0)
+    assert circle_distance(rep.field, ref.field).max() < 1e-8
+    assert rep.degree == ref.degree == DegreeVector({(): 1})
+
+
+# -- Newton solve (plain RK4 is the oracle) ----------------------------------------
 
 def _report_without_method(rep):
     d = rep.to_json_dict()
@@ -175,7 +275,7 @@ def test_newton_matches_flow_pointwise(omega):
         g = build_sg_graph(n)
         phases, _ = circle_harmonic_map(g, omega)
         rep = solve_equilibrium(g, phases)
-        ref = integrate_to_equilibrium(g, phases)
+        ref = rk4_reference(g, phases)
         assert rep.method == "newton" and rep.fallback is None
         assert rep.converged and rep.residual < 1e-10
         assert rep.stability == "stable" and rep.degree == omega
@@ -196,7 +296,7 @@ def test_newton_from_perturbed_start_keeps_degree_and_matches_flow(n, spec, seed
     u0 = wrap_phases(phases + rng.uniform(-0.1, 0.1, g.n_vertices))
     cfg = FlowConfig(degree_order=1)
     rep = solve_equilibrium(g, u0, cfg)
-    ref = integrate_to_equilibrium(g, u0, cfg)
+    ref = rk4_reference(g, u0, cfg)
     assert rep.converged and rep.stability == "stable"
     assert rep.degree == degree(u0, g, 1)
     assert circle_distance(rep.field, ref.field).max() < 1e-8
@@ -212,7 +312,7 @@ def test_uncertified_start_falls_back_to_flow():
                       (g, rng.random(g.n_vertices))):
         rep = solve_equilibrium(graph, u0)
         ref = integrate_to_equilibrium(graph, u0)
-        assert rep.method == "flow"
+        assert rep.method == ref.method
         assert rep.fallback == "pinned Hessian not positive definite"
         np.testing.assert_array_equal(rep.field, ref.field)
         assert _report_without_method(rep) == _report_without_method(ref)
@@ -223,7 +323,7 @@ def test_newton_keeps_stable_ring_twists():
     for q in (0, 1, 7):   # stable below the quarter turn q = 8
         u0 = twisted_state(g, q)
         rep = solve_equilibrium(g, u0)
-        assert rep.method == "newton" and rep.steps == 0
+        assert rep.method == "newton" and rep.steps == rep.newton_steps == 0
         assert rep.stability == "stable"
         assert rep.degree == DegreeVector({(): q} if q else {})
         assert circle_distance(rep.field, u0).max() < 1e-12
@@ -257,7 +357,7 @@ def test_minimize_keeps_degree_and_matches_flow():
     g = build_sg_graph(4)
     phases, _ = circle_harmonic_map(g, omega)
     rep_min = minimize_energy(g, phases, pin=0, cfg=FlowConfig(tol=1e-9))
-    rep_flow = integrate_to_equilibrium(g, phases)
+    rep_flow = rk4_reference(g, phases)
     assert rep_min.degree == omega
     assert rep_min.stability == "stable"
     assert circle_distance(rep_min.field, rep_flow.field).max() < 1e-6
