@@ -27,14 +27,14 @@ print("first words:", [lp.word for lp in loops[:6]])
 
 phases, _ = circle_harmonic_map(g, DegreeVector({(): 1}))
 print("\ndegree of the unit-winding harmonic map:",
-      degree(phases, g, 2).to_dense(2))
+      degree(phases, g).to_dense(2))
 
 mixed = DegreeVector({(): 1, (1,): 1, (2,): 1, (3,): 1})
 g4 = build_sg_graph(4)
 ph4, _ = circle_harmonic_map(g4, mixed)
-print("degree with all order-1 loops twisted:", degree(ph4, g4, 1).to_dense(1))
+print("degree with all order-1 loops twisted:", degree(ph4, g4).to_dense(1))
 
 # robustness: noise well below half an edge-step cannot change any winding
 rng = np.random.default_rng(0)
 noisy = wrap_phases(ph4 + rng.uniform(-0.08, 0.08, g4.n_vertices))
-print("degree after +-0.08 noise:   ", degree(noisy, g4, 1).to_dense(1))
+print("degree after +-0.08 noise:   ", degree(noisy, g4).to_dense(1))

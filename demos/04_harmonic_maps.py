@@ -33,7 +33,7 @@ lift5 = extend_lift(dom5, minimize_constrained(dom5, m=1), 5)
 print("\nlevel-5 extension energy:", lift5.energy())
 
 phases = project_to_circle(lift5)
-print("degree of the projected field:", degree(phases, g5, 1).to_dense(1))
+print("degree of the projected field:", degree(phases, g5).to_dense(1))
 
 flux = neumann_check(dom5, lift5)
 print("boundary flux after projection:",
@@ -46,4 +46,4 @@ dom4 = covering_domain(g4, mixed)
 print(f"\ndegree {mixed!r}: {len(dom4.cuts)} cuts at vertices",
       [c.cut_vertex for c in dom4.cuts])
 ph = project_to_circle(extend_lift(dom4, minimize_constrained(dom4, m=2), 4))
-print("achieved degree:", degree(ph, g4, 1).to_dense(1))
+print("achieved degree:", degree(ph, g4).to_dense(1))

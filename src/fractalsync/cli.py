@@ -87,9 +87,8 @@ def _structure(fractal):
 
 
 def _flow_cfg(cfg: RunConfig, record=None) -> km.FlowConfig:
-    order = 0 if cfg.fractal == "ring" else max(cfg.degree.max_order, 1)
     return km.FlowConfig(step=cfg.step, max_time=cfg.max_time, tol=cfg.tol,
-                         degree_order=order, record=record)
+                         record=record)
 
 
 # -- subcommand bodies ----------------------------------------------------
@@ -383,7 +382,7 @@ def _build_parser():
     sp.add_argument("--degrees",
                     help="semicolon-separated degree specs (default 1)")
     sp.add_argument("--levels")
-    sp.add_argument("--seeds", help="range lo:hi or single (default 0)")
+    sp.add_argument("--seeds", help="range lo:hi or single (default --seed)")
     sp.add_argument("--perturb", type=float)
     sp.add_argument("--jobs", type=int)
     sp.add_argument("--tol", type=float)
@@ -392,49 +391,41 @@ def _build_parser():
     return p
 
 
+def _degree_value(spec, alphabet) -> DegreeVector:
+    if isinstance(spec, dict):  # {"eps": 1, "13": 2} from a --config file
+        spec = ",".join(f"{word}:{v}" for word, v in spec.items())
+    return DegreeVector.parse(str(spec), alphabet)
+
+
+# values that arrive as flag text or as --config JSON, parsed the same way
+_PARSERS = {
+    "degree": _degree_value,
+    "boundary": lambda spec, _: [float(v) for v in (
+        spec.split(",") if isinstance(spec, str) else spec)],
+    "levels": lambda spec, _: _parse_levels(str(spec)),
+    "seeds": lambda spec, _: _parse_levels(str(spec), "--seeds"),
+    "degrees": lambda spec, _: [s for s in str(spec).split(";") if s],
+}
+
+
+_MODE_DEFAULTS = {
+    "verify": {"levels": "3:6"},
+    "sweep": {"levels": "3:4", "degrees": "1"},
+}
+
+
 def _config_from_args(args) -> RunConfig:
-    data = {}
-    if getattr(args, "config", None):
+    data = dict(_MODE_DEFAULTS.get(args.mode, {}))
+    if args.config:
         with open(args.config) as fh:
             data.update(json.load(fh))
-    for key in ("fractal", "level", "out", "seed", "method", "tol", "step",
-                "max_time", "init", "perturb", "jobs", "svg", "traj"):
-        val = getattr(args, key, None)
-        if val is not None:
-            data[key] = val
-    data["mode"] = args.mode
+    # a flag that was given beats the --config file
+    data.update({key: val for key, val in vars(args).items()
+                 if val is not None and key != "config"})
     alphabet = _alphabet(data.get("fractal", "sg"))
-    if getattr(args, "degree", None) is not None or "degree" in data:
-        spec = getattr(args, "degree", None)
-        if spec is None:
-            spec = data.get("degree", "")
-        if isinstance(spec, dict):
-            data["degree"] = DegreeVector(
-                {tuple(int(c) for c in (() if k == "eps" else k)): v
-                 for k, v in spec.items()})
-        else:
-            data["degree"] = DegreeVector.parse(str(spec), alphabet)
-    if getattr(args, "boundary", None) is not None or "boundary" in data:
-        spec = getattr(args, "boundary", None) or data.get("boundary")
-        if isinstance(spec, str):
-            data["boundary"] = [float(v) for v in spec.split(",")]
-        else:
-            data["boundary"] = [float(v) for v in spec]
-    if getattr(args, "levels", None) is not None or "levels" in data:
-        spec = getattr(args, "levels", None) or data.get("levels")
-        data["levels"] = _parse_levels(str(spec))
-    if getattr(args, "seeds", None) is not None or "seeds" in data:
-        spec = getattr(args, "seeds", None) or data.get("seeds")
-        data["seeds"] = _parse_levels(str(spec), "--seeds")
-    if getattr(args, "degrees", None) is not None or "degrees" in data:
-        spec = getattr(args, "degrees", None) or data.get("degrees")
-        data["degrees"] = [s for s in str(spec).split(";") if s]
-    if args.mode == "verify" and "levels" not in data:
-        data["levels"] = _parse_levels("3:6")
-    if args.mode == "sweep":
-        data.setdefault("levels", _parse_levels("3:4"))
-        data.setdefault("seeds", (0,))
-        data.setdefault("degrees", ["1"])
+    for key, parse in _PARSERS.items():
+        if key in data:
+            data[key] = parse(data[key], alphabet)
     return RunConfig(**data)
 
 

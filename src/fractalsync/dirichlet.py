@@ -64,15 +64,6 @@ def as_boundary_data(g: FractalGraph, phi) -> BoundaryData:
     return BoundaryData(values)
 
 
-def _check_field(g, f):
-    f = np.asarray(f, dtype=float)
-    if f.shape != (g.n_vertices,):
-        raise ValueError(
-            f"field shape {f.shape} does not match graph with "
-            f"{g.n_vertices} vertices at level {g.level}")
-    return f
-
-
 def _square(x):
     # Python's float ** 2 (libm pow), not x * x: the two differ in the last
     # bit for about one value in a thousand, and the per-cell energies
@@ -86,7 +77,7 @@ def dirichlet_energy(g: FractalGraph, f) -> EnergyReport:
     Each cell contributes its own edges, so the total automatically counts
     the level-1 ring edge with multiplicity 2.
     """
-    f = _check_field(g, f)
+    f = g.check_field(f)
     vals = f[g.cell_corners].T
     c = g.conductance
     if len(vals) == 3:
@@ -102,7 +93,7 @@ def dirichlet_energy(g: FractalGraph, f) -> EnergyReport:
 
 def laplacian(g: FractalGraph, f) -> np.ndarray:
     """Graph Laplacian (5/3)**m * sum_j (f_j - f_i), at every vertex."""
-    f = _check_field(g, f)
+    f = g.check_field(f)
     i, j = g.edges[:, 0], g.edges[:, 1]
     d = (f[j] - f[i]) * g.edge_weights
     n = g.n_vertices
@@ -139,7 +130,7 @@ def extend_harmonic_once(g_m: FractalGraph, f):
     Returns ``(g_next, f_next)``; existing vertices keep their values, new
     midpoints get the energy-minimising combination of their cell corners.
     """
-    f = _check_field(g_m, f)
+    f = g_m.check_field(f)
     if g_m.kind != "sg":
         raise ValueError("harmonic extension tables are gasket-specific")
     g_next = build_graph(g_m.kind, g_m.level + 1)
@@ -206,7 +197,7 @@ def solve_dirichlet(g: FractalGraph, phi, method="extension") -> np.ndarray:
 
 def normal_derivative(g: FractalGraph, f, v) -> float:
     """Renormalised boundary flux (5/3)**m * sum_{y ~ v} (f(y) - f(v))."""
-    f = _check_field(g, f)
+    f = g.check_field(f)
     v = int(v)
     if v not in g.boundary_ids:
         raise ValueError(f"vertex {v} is not a boundary vertex")
@@ -225,7 +216,7 @@ def holder_ratio(g: FractalGraph, f, beta=None, block=512) -> float:
     Used as an empirical check that harmonic fields obey a uniform Holder
     bound with beta = log(5/3) / (2 log 2).
     """
-    f = _check_field(g, f)
+    f = g.check_field(f)
     if beta is None:
         beta = math.log(5.0 / 3.0) / (2.0 * math.log(2.0))
     pts = g.coords

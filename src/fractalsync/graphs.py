@@ -164,6 +164,15 @@ class FractalGraph:
     def n_edges(self):
         return self.edges.shape[0]
 
+    def check_field(self, f) -> np.ndarray:
+        """``f`` as a float array of one value per vertex, or ValueError."""
+        f = np.asarray(f, dtype=float)
+        if f.shape != (self.n_vertices,):
+            raise ValueError(
+                f"field shape {f.shape} does not match graph with "
+                f"{self.n_vertices} vertices at level {self.level}")
+        return f
+
     @property
     def edge_weights(self):
         """Conductance times multiplicity, per stored edge."""
@@ -225,18 +234,19 @@ class FractalGraph:
             val = val * base + self.alphabet.index(s)
         return val
 
-    def _cell_symbols(self) -> np.ndarray:
-        """(C, level) array of the symbols spelling each cell word."""
+    def word_symbols(self, k, m=None) -> np.ndarray:
+        """(len(k), m) array of the symbols spelling the level-m cells
+        numbered ``k`` (m defaults to the graph level)."""
         base = len(self.alphabet)
-        powers = base ** np.arange(self.level - 1, -1, -1, dtype=np.int64)
-        digits = self.cell_words[:, None] // powers % base
-        return np.asarray(self.alphabet)[digits]
+        m = self.level if m is None else m
+        powers = base ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        return np.asarray(self.alphabet)[np.asarray(k)[:, None] // powers % base]
 
     def cell_labels(self):
         """Cell words as strings (``"13"``), in cell order."""
         if self.level == 0:
             return [""]
-        chars = (self._cell_symbols() + ord("0")).astype(np.uint8)
+        chars = (self.word_symbols(self.cell_words) + ord("0")).astype(np.uint8)
         return chars.view(f"S{self.level}").ravel().astype(str).tolist()
 
     @property
@@ -244,7 +254,7 @@ class FractalGraph:
         """Word-tuple -> corner-id-tuple view of the cell table."""
         if self._cells_dict is None:
             self._cells_dict = dict(zip(
-                map(tuple, self._cell_symbols().tolist()),
+                map(tuple, self.word_symbols(self.cell_words).tolist()),
                 map(tuple, self.cell_corners.tolist())))
         return self._cells_dict
 

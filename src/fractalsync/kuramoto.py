@@ -20,7 +20,7 @@ from .dirichlet import weighted_laplacian
 from .errors import (EigensolverError, NotAnEquilibriumError,
                      UnresolvedWindingError)
 from .graphs import FractalGraph
-from .winding import DegreeVector, degree
+from .winding import DegreeVector, _wrapped_diff, degree
 
 TWO_PI = 2.0 * math.pi
 DENSE_EIG_LIMIT = 3000
@@ -43,28 +43,11 @@ def circle_distance(a, b) -> np.ndarray:
     return np.minimum(d, 1.0 - d)
 
 
-def _check(g, u):
-    u = np.asarray(u, dtype=float)
-    if u.shape != (g.n_vertices,):
-        raise ValueError(
-            f"field shape {u.shape} does not match graph with "
-            f"{g.n_vertices} vertices")
-    return u
-
-
 def _check_pin(g, pin):
     if not 0 <= pin < g.n_vertices:
         raise ValueError(
             f"pin {pin} is not a vertex of a graph with {g.n_vertices} "
             f"vertices")
-
-
-def _wrapped_diff(u, i, j):
-    # reduce to the nearest-integer representative before multiplying by
-    # 2 pi: exact for dyadic phases and avoids argument-reduction noise
-    d = u[j] - u[i]
-    d -= np.round(d)
-    return d
 
 
 def _edge_sine_sum(u, i, j, w, n):
@@ -75,7 +58,7 @@ def _edge_sine_sum(u, i, j, w, n):
 
 def km_rhs(g: FractalGraph, u) -> np.ndarray:
     """Right-hand side: c_n * sum_j sin(2 pi (u_j - u_i)) per vertex."""
-    u = _check(g, u)
+    u = g.check_field(u)
     return _edge_sine_sum(u, g.edges[:, 0], g.edges[:, 1], g.edge_weights,
                           g.n_vertices)
 
@@ -84,22 +67,19 @@ def km_rhs(g: FractalGraph, u) -> np.ndarray:
 class KuramotoEnergyReport:
     energy: float
     grad_inf_norm: float
-    per_edge: np.ndarray | None = None
 
     def to_json_dict(self):
         return {"energy": self.energy, "grad_inf_norm": self.grad_inf_norm}
 
 
-def km_energy(g: FractalGraph, u, per_edge=False) -> KuramotoEnergyReport:
+def km_energy(g: FractalGraph, u) -> KuramotoEnergyReport:
     """Cosine coupling energy, each undirected edge counted once."""
-    u = _check(g, u)
+    u = g.check_field(u)
     i, j = g.edges[:, 0], g.edges[:, 1]
     terms = g.edge_weights * (1.0 - np.cos(TWO_PI * _wrapped_diff(u, i, j))) / (4.0 * math.pi ** 2)
-    energy = math.fsum(terms.tolist())
-    grad_inf = float(np.abs(km_rhs(g, u)).max()) / TWO_PI
     return KuramotoEnergyReport(
-        energy=energy, grad_inf_norm=grad_inf,
-        per_edge=terms if per_edge else None)
+        energy=math.fsum(terms.tolist()),
+        grad_inf_norm=float(np.abs(km_rhs(g, u)).max()) / TWO_PI)
 
 
 def _km_energy_fast(u, i, j, w):
@@ -117,14 +97,13 @@ def default_step(g: FractalGraph) -> float:
 
 @dataclass
 class FlowConfig:
-    """Settings for gradient-flow integration and energy minimisation."""
+    """Flow and Newton settings; reports always read the full-order degree."""
 
     step: float | None = None
     max_time: float = 400.0
     tol: float = 1e-10
     check_every: int = 25
     max_halvings: int = 45
-    degree_order: int | None = None
     record: list | None = None  # collects (time, energy, residual) rows
 
 
@@ -137,8 +116,8 @@ class EquilibriumReport:
     ``steps``, ``time``, ``halvings`` and ``step_size`` describe the RK4
     part, and ``newton_steps`` counts Newton steps.  For ``"newton"`` no
     flow ran: ``steps`` and ``time`` are 0, and ``halvings`` and
-    ``step_size`` are the line search's.  ``degree_error`` says why
-    ``degree`` is None when the field's winding is unresolved.
+    ``step_size`` are the line search's.  ``degree`` is the full-order
+    degree vector of ``field``, or None with ``degree_error`` saying why.
     """
 
     field: np.ndarray
@@ -176,7 +155,7 @@ class EquilibriumReport:
         }
 
 
-def _finalize(g, u, residual, steps, t, h, converged, halvings, cfg,
+def _finalize(g, u, residual, steps, t, h, converged, halvings,
               method="flow", newton_steps=0) -> EquilibriumReport:
     phases = wrap_phases(u)
     energy = km_energy(g, phases).energy
@@ -184,12 +163,9 @@ def _finalize(g, u, residual, steps, t, h, converged, halvings, cfg,
     verdict = None
     if residual < 1e-8:
         hess_eig, verdict = hessian_stability(g, phases)
-    order = cfg.degree_order
-    if order is None:
-        order = 0 if g.kind == "ring" else min(g.level, 2)
     deg = deg_error = None
     try:
-        deg = degree(phases, g, order)
+        deg = degree(phases, g)
     except UnresolvedWindingError as exc:
         deg_error = str(exc)
     return EquilibriumReport(
@@ -222,7 +198,7 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
     one more row for the polished point, at the handoff time.
     """
     cfg = cfg or FlowConfig()
-    u = _check(g, u0).copy()
+    u = g.check_field(u0).copy()
     i, j = g.edges[:, 0], g.edges[:, 1]
     w = g.edge_weights
     n = g.n_vertices
@@ -268,10 +244,10 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
                 u, res, newton_steps, _, _ = out
                 if cfg.record is not None:
                     cfg.record.append((t, _km_energy_fast(u, i, j, w), res))
-                return _finalize(g, u, res, steps, t, h, True, halvings, cfg,
+                return _finalize(g, u, res, steps, t, h, True, halvings,
                                  method="flow+newton", newton_steps=newton_steps)
             handoff_below = 0.5 * res
-    return _finalize(g, u, res, steps, t, h, res < cfg.tol, halvings, cfg)
+    return _finalize(g, u, res, steps, t, h, res < cfg.tol, halvings)
 
 
 def _newton(g: FractalGraph, u, cfg: FlowConfig):
@@ -352,14 +328,14 @@ def solve_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None) -> Equ
     that question needs :func:`integrate_to_equilibrium`.
     """
     cfg = cfg or FlowConfig()
-    u0 = _check(g, u0)
+    u0 = g.check_field(u0)
     out = _newton(g, u0, cfg)
     if isinstance(out, str):
         rep = integrate_to_equilibrium(g, u0, cfg)
         rep.fallback = out
         return rep
     u, res, newton_steps, t, halvings = out
-    return _finalize(g, u, res, 0, 0.0, t, True, halvings, cfg,
+    return _finalize(g, u, res, 0, 0.0, t, True, halvings,
                      method="newton", newton_steps=newton_steps)
 
 
@@ -381,7 +357,7 @@ def minimize_energy(g: FractalGraph, u0, pin=0, cfg: FlowConfig | None = None) -
 
 def hessian_matrix(g: FractalGraph, u) -> sparse.csr_matrix:
     """Hessian of the energy: weighted Laplacian with cosine edge weights."""
-    u = _check(g, u)
+    u = g.check_field(u)
     w = g.edge_weights * np.cos(TWO_PI * _wrapped_diff(u, g.edges[:, 0],
                                                        g.edges[:, 1]))
     return weighted_laplacian(g.edges, w, g.n_vertices)
@@ -421,7 +397,7 @@ def hessian_stability(g: FractalGraph, u, pin=0, band=STABILITY_BAND):
     ``"stable"`` above the tolerance band, ``"saddle"`` below it, and
     ``"degenerate"`` inside it.
     """
-    u = _check(g, u)
+    u = g.check_field(u)
     _check_pin(g, pin)
     res = float(np.abs(km_rhs(g, u)).max())
     if res >= 1e-8:

@@ -2,8 +2,8 @@
 
 A harmonic structure consists of the contraction system, per-map
 renormalisation weights r_i in (0, 1), a conductance rule producing the
-per-level edge weights, the boundary set, and a cycle-basis rule with cut
-vertices.  Two identities characterise it:
+per-level edge weights, and the boundary set.  Two identities
+characterise it:
 
 * self-similarity: E_n(u) = sum_i r_i**-1 E_{n-1}(u o F_i);
 * compatibility: E_{n-1}(u) equals the minimum of E_n over all
@@ -27,7 +27,7 @@ from . import covering as cov
 from . import kuramoto as km
 from .dirichlet import weighted_laplacian
 from .graphs import FractalGraph, build_graph, canonical_itinerary, child_tables
-from .winding import DegreeVector, loop_basis
+from .winding import DegreeVector
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,6 @@ class HarmonicStructure:
     weights: tuple  # r_i, uniform for the instances built here
     boundary_size: int
     build_graph: Callable[[int], FractalGraph]
-    cycle_basis: Callable[[FractalGraph, int], list]
-    cut_rule: Callable[[FractalGraph, DegreeVector], list]
 
     def conductance(self, level: int) -> float:
         """Per-edge weight at a level, recomputed from the r_i."""
@@ -70,9 +68,7 @@ def sg_structure() -> HarmonicStructure:
         contraction_ratios=(0.5, 0.5, 0.5),
         weights=(0.6, 0.6, 0.6),
         boundary_size=3,
-        build_graph=lambda n: build_graph("sg", n),
-        cycle_basis=loop_basis,
-        cut_rule=cov.select_cut_vertices)
+        build_graph=lambda n: build_graph("sg", n))
 
 
 def ring_structure() -> HarmonicStructure:
@@ -82,9 +78,7 @@ def ring_structure() -> HarmonicStructure:
         contraction_ratios=(0.5, 0.5),
         weights=(0.5, 0.5),
         boundary_size=1,
-        build_graph=lambda n: build_graph("ring", n),
-        cycle_basis=lambda g, m: loop_basis(g, 0),
-        cut_rule=cov.select_cut_vertices)
+        build_graph=lambda n: build_graph("ring", n))
 
 
 def pullback_index(struct: HarmonicStructure, level: int, i: int) -> np.ndarray:
@@ -222,7 +216,4 @@ def generic_km(struct: HarmonicStructure, level: int, omega: DegreeVector,
     extend, project, flow to equilibrium, classify."""
     g = struct.build_graph(level)
     phases, _ = generic_harmonic_map(struct, level, omega)
-    cfg = cfg or km.FlowConfig()
-    if cfg.degree_order is None:
-        cfg.degree_order = 0 if struct.name == "ring" else max(omega.max_order, 0)
     return km.integrate_to_equilibrium(g, phases, cfg)

@@ -5,7 +5,8 @@ along which winding numbers are recorded.  A loop is traced clockwise
 starting from its leftmost vertex, visiting every graph vertex on its
 three sides.  Lifting a phase field along the loop picks, for each step,
 the unique real increment within a half turn; the total increment around
-the loop is the winding number.
+the loop is the winding number.  :func:`degree` reads all loops at once
+off the corner table; tracing loop by loop is its test oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DegreeClosureError, UnresolvedWindingError
-from .graphs import FractalGraph
+from .graphs import _CORNER, _NEXT_CORNER, FractalGraph
 
 INTEGRALITY_TOL = 1e-8
 
@@ -160,6 +161,36 @@ def loop_basis(g: FractalGraph, max_order: int):
     return loops
 
 
+def _wrapped_diff(u, i, j):
+    # reduce to the nearest-integer representative before multiplying by
+    # 2 pi: exact for dyadic phases and avoids argument-reduction noise
+    d = u[j] - u[i]
+    d -= np.round(d)
+    return d
+
+
+def _steps(f, i, j):
+    """Wrapped steps f[j] - f[i]; a half turn or more is ambiguous at this
+    resolution and raises :class:`UnresolvedWindingError`."""
+    r = _wrapped_diff(f, i, j)
+    bad = np.abs(r) >= 0.5
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise UnresolvedWindingError((int(i.flat[k]), int(j.flat[k])),
+                                     abs(r.flat[k]))
+    return r
+
+
+def _closed(w, word) -> int:
+    """The integer a loop lift ``w`` closes at, within ``INTEGRALITY_TOL``."""
+    k = round(w)
+    if abs(w - k) > INTEGRALITY_TOL:
+        raise DegreeClosureError(
+            f"lift around loop {word_str(word)} closes at {w!r}, "
+            f"not an integer within {INTEGRALITY_TOL}")
+    return int(k)
+
+
 def lift_along_loop(f, loop: Loop) -> np.ndarray:
     """Real lift of the phase field along the loop.
 
@@ -169,40 +200,45 @@ def lift_along_loop(f, loop: Loop) -> np.ndarray:
     """
     f = np.asarray(f, dtype=float)
     cyc = loop.vertex_cycle
-    vals = f[cyc]
-    d = np.diff(vals)
-    r = d - np.round(d)
-    r[r == -0.5] = 0.5
-    bad = np.abs(r) >= 0.5
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise UnresolvedWindingError((int(cyc[k]), int(cyc[k + 1])), abs(r[k]))
+    r = _steps(f, cyc[:-1], cyc[1:])
     lift = np.empty(len(cyc))
-    lift[0] = vals[0]
+    lift[0] = f[cyc[0]]
     np.cumsum(r, out=lift[1:])
-    lift[1:] += vals[0]
+    lift[1:] += lift[0]
     return lift
 
 
 def loop_winding(f, loop: Loop) -> int:
     lift = lift_along_loop(f, loop)
-    w = lift[-1] - lift[0]
-    k = round(w)
-    if abs(w - k) > INTEGRALITY_TOL:
-        raise DegreeClosureError(
-            f"lift around loop {word_str(loop.word)} closes at {w!r}, "
-            f"not an integer within {INTEGRALITY_TOL}")
-    return int(k)
+    return _closed(lift[-1] - lift[0], loop.word)
 
 
-def degree(f, g: FractalGraph, max_order: int) -> DegreeVector:
-    """Winding numbers of ``f`` along every basis loop up to ``max_order``."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (g.n_vertices,):
-        raise ValueError(
-            f"field shape {f.shape} does not match graph with "
-            f"{g.n_vertices} vertices")
+def degree(f, g: FractalGraph) -> DegreeVector:
+    """Nonzero winding numbers of ``f`` along the loops of every order.
+
+    The wrapped step along side a -> b of each level-n cell follows the
+    rules of :func:`lift_along_loop`.  Side a -> b of cell w is side
+    a -> b of child wa then of child wb (the path :func:`trace_loop`
+    takes), so sides are summed one level up at a time; a cell winds by
+    the sum of its three sides, the ring by the sum over its cells.
+    """
+    f = g.check_field(f)
+    corners = g.cell_corners
+    if g.kind == "ring":
+        lifts = [_steps(f, corners[:, 0], corners[:, 1]).sum(keepdims=True)]
+    else:
+        sides = _steps(f, corners, corners[:, _NEXT_CORNER])  # (3**n, 3)
+        lifts = [sides.sum(axis=1)]
+        for _ in range(g.level):
+            kids = sides.reshape(-1, 3, 3)
+            sides = kids[:, _CORNER, _CORNER] + kids[:, _NEXT_CORNER, _CORNER]
+            lifts.insert(0, sides.sum(axis=1))
     entries = {}
-    for loop in loop_basis(g, max_order):
-        entries[loop.word] = loop_winding(f, loop)
+    for m, lift in enumerate(lifts):
+        wind = np.round(lift)
+        nz = np.flatnonzero((wind != 0)
+                            | ~(np.abs(lift - wind) <= INTEGRALITY_TOL))
+        words = map(tuple, g.word_symbols(nz, m).tolist())
+        for word, w in zip(words, lift[nz].tolist()):
+            entries[word] = _closed(w, word)
     return DegreeVector(entries)

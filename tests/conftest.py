@@ -75,4 +75,4 @@ def rk4_reference(g, u0, cfg=None):
             continue
         energy, steps, t = new_energy, steps + cfg.check_every, t + cfg.check_every * h
         res = float(np.abs(km_rhs(g, u)).max())
-    return _finalize(g, u, res, steps, t, h, res < cfg.tol, halvings, cfg)
+    return _finalize(g, u, res, steps, t, h, res < cfg.tol, halvings)

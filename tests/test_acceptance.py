@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fractalsync import (DegreeVector, FlowConfig, build_ring_graph,
+from fractalsync import (DegreeVector, build_ring_graph,
                          build_sg_graph, circle_distance, circle_harmonic_map,
                          covering_domain, dirichlet_energy, extend_harmonic_once,
                          generic_harmonic_map, generic_km, half_twisted_state,
@@ -162,13 +162,12 @@ def test_criterion_06_ring_exactness():
                    f"half-twisted states saddle for n=3..6")
 
 
-def _equilibrium_experiment(omega, levels, order):
+def _equilibrium_experiment(omega, levels):
     rows = []
     for n in levels:
         g = build_sg_graph(n)
         phases, _ = circle_harmonic_map(g, omega)
-        cfg = FlowConfig(degree_order=order)
-        rep = solve_equilibrium(g, phases, cfg)
+        rep = solve_equilibrium(g, phases)
         d_n = float(circle_distance(rep.field, phases).max())
         rows.append((n, rep, d_n))
     return rows
@@ -181,7 +180,7 @@ def test_criterion_07_equilibria_converge_to_harmonic_maps():
     for omega, levels in ((DegreeVector({(): 1}), range(3, 8)),
                           (DegreeVector({(): 1, (1,): 1, (2,): 1, (3,): 1}),
                            range(4, 8))):
-        rows = _equilibrium_experiment(omega, levels, order=2)
+        rows = _equilibrium_experiment(omega, levels)
         ds = [d for _, _, d in rows]
         for n, rep, d_n in rows:
             ok &= rep.converged and rep.residual < 1e-10
@@ -239,7 +238,7 @@ def test_criterion_09_degree_round_trip():
         n = max(omega.max_order, 0) + 3
         g = build_sg_graph(n)
         phases, _ = circle_harmonic_map(g, omega)
-        got = degree(phases, g, max(omega.max_order, 0))
+        got = degree(phases, g)
         ok &= got == omega
         details.append(f"{omega.to_dense()}->{got.to_dense()}")
     _report(9, ok, "; ".join(details))
@@ -279,8 +278,7 @@ def test_criterion_10_generic_structure_specialisation():
         rep_gen = generic_km(sg, n, omega)
         g = build_sg_graph(n)
         phases, _ = circle_harmonic_map(g, omega)
-        rep_spec = integrate_to_equilibrium(
-            g, phases, FlowConfig(degree_order=max(omega.max_order, 0)))
+        rep_spec = integrate_to_equilibrium(g, phases)
         worst = max(worst, float(circle_distance(rep_gen.field, rep_spec.field).max()))
         cases += 1
     for q, n in ((1, 4), (2, 4), (3, 5), (-2, 5), (1, 6), (2, 6)):

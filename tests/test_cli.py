@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from fractalsync.cli import main
+from fractalsync import DegreeVector
+from fractalsync.cli import _build_parser, _config_from_args, main
 from fractalsync.serialize import (dumps_json, read_field_csv, sha256_of,
                                    write_field_csv)
 
@@ -127,7 +128,7 @@ def test_sweep_perturbed_runs_flow_unperturbed_runs_newton(tmp_path):
     phases, _ = fs.circle_harmonic_map(g, fs.DegreeVector({(): 1}))
     rng = np.random.default_rng(4)
     u0 = fs.wrap_phases(phases + rng.uniform(-0.1, 0.1, g.n_vertices))
-    cfg = fs.FlowConfig(degree_order=1)
+    cfg = fs.FlowConfig()
     rep = fs.integrate_to_equilibrium(g, u0, cfg)
     job = jobs["0.1"]
     assert job["method"] == "flow+newton" and job["fallback"] is None
@@ -295,6 +296,37 @@ def test_cli_config_file(tmp_path):
     assert run(["twist", "--config", str(cfgfile)]) == 0
     rep = json.loads((tmp_path / "o" / "equilibrium.json").read_text())
     assert rep["degree"] == {"eps": 1}
+
+
+@pytest.mark.parametrize("mode, key, in_file, flag, from_file, from_flag", [
+    ("twist", "degree", {"eps": 2}, ["--degree", "0,1,0,0"],
+     DegreeVector({(): 2}), DegreeVector({(1,): 1})),
+    ("twist", "degree", "1", ["--degree", ""], DegreeVector({(): 1}),
+     DegreeVector()),
+    ("harmonic", "boundary", [0, 0, 1], ["--boundary", "1,2.5,3"],
+     [0.0, 0.0, 1.0], [1.0, 2.5, 3.0]),
+    ("verify", "levels", "3:5", ["--levels", "2:3"], (3, 4, 5), (2, 3)),
+    ("sweep", "seeds", "0:2", ["--seeds", "7"], (0, 1, 2), (7,)),
+    ("sweep", "degrees", "1;2,0,0", ["--degrees", "1,1,1,1"],
+     ["1", "2,0,0"], ["1,1,1,1"]),
+    ("sweep", "degrees", "1;2,0,0", ["--degrees", ""], ["1", "2,0,0"], []),
+])
+def test_config_flag_beats_file(tmp_path, mode, key, in_file, flag,
+                                from_file, from_flag):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({key: in_file}))
+    parser = _build_parser()
+    base = [mode, "--config", str(path)]
+    assert getattr(_config_from_args(parser.parse_args(base)), key) == from_file
+    assert getattr(_config_from_args(parser.parse_args(base + flag)),
+                   key) == from_flag
+
+
+def test_sweep_without_seeds_runs_seed(tmp_path):
+    out = tmp_path / "s"
+    assert run(["sweep", "--levels", "3:3", "--seed", "3", "--out", str(out)]) == 0
+    jobs = json.loads((out / "sweep.json").read_text())["jobs"]
+    assert [job["seed"] for job in jobs] == [3]
 
 
 def test_cli_unresolved_winding_errors(tmp_path):

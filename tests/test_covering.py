@@ -209,7 +209,7 @@ def test_degree_roundtrip_various():
         n = max(omega.max_order, 0) + 2
         g = build_sg_graph(n)
         phases, _ = circle_harmonic_map(g, omega)
-        assert degree(phases, g, omega.max_order) == omega
+        assert degree(phases, g) == omega
 
 
 # -- natural boundary conditions ------------------------------------------------
@@ -253,4 +253,4 @@ def test_ring_covering_reproduces_twist():
     np.testing.assert_allclose(lift.values[:-1], 3 * np.arange(16) / 16,
                                atol=1e-12)
     assert lift.values[-1] == pytest.approx(3.0, abs=1e-12)
-    assert degree(phases, g, 0) == DegreeVector({(): 3})
+    assert degree(phases, g) == DegreeVector({(): 3})

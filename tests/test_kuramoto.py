@@ -191,7 +191,7 @@ def test_finished_flow_matches_rk4_reference(kind, n, spec, amp, seed):
         g = build_sg_graph(n)
         phases, _ = circle_harmonic_map(g, DegreeVector.parse(spec, (1, 2, 3)))
         u0 = wrap_phases(phases + rng.uniform(-amp, amp, g.n_vertices))
-    cfg = FlowConfig(degree_order=0 if kind == "ring" else 1)
+    cfg = FlowConfig()
     rep = integrate_to_equilibrium(g, u0, cfg)
     ref = rk4_reference(g, u0, cfg)
     assert circle_distance(rep.field, ref.field).max() < 1e-8
@@ -294,11 +294,11 @@ def test_newton_from_perturbed_start_keeps_degree_and_matches_flow(n, spec, seed
     phases, _ = circle_harmonic_map(g, omega)
     rng = np.random.default_rng(seed)
     u0 = wrap_phases(phases + rng.uniform(-0.1, 0.1, g.n_vertices))
-    cfg = FlowConfig(degree_order=1)
+    cfg = FlowConfig()
     rep = solve_equilibrium(g, u0, cfg)
     ref = rk4_reference(g, u0, cfg)
     assert rep.converged and rep.stability == "stable"
-    assert rep.degree == degree(u0, g, 1)
+    assert rep.degree == degree(u0, g)
     assert circle_distance(rep.field, ref.field).max() < 1e-8
 
 

@@ -1,11 +1,13 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractalsync import (DegreeVector, UnresolvedWindingError, build_ring_graph,
-                         build_sg_graph, circle_harmonic_map, degree,
-                         lift_along_loop, loop_basis, restrict, trace_loop,
-                         twisted_state, wrap_phases)
+from fractalsync import (DegreeVector, UnresolvedWindingError, build_graph,
+                         build_ring_graph, build_sg_graph, circle_harmonic_map,
+                         degree, lift_along_loop, loop_basis, restrict,
+                         trace_loop, twisted_state, wrap_phases)
 from fractalsync.winding import loop_winding
 
 
@@ -105,7 +107,7 @@ def test_unresolved_winding_names_edge():
 
 def test_degree_constant_zero_vector():
     g = build_sg_graph(2)
-    d = degree(np.zeros(g.n_vertices), g, 2)
+    d = degree(np.zeros(g.n_vertices), g)
     assert d == DegreeVector()
     assert not d
     assert d.max_order == -1
@@ -114,17 +116,76 @@ def test_degree_constant_zero_vector():
 def test_degree_of_unit_and_mixed_twists():
     g = build_sg_graph(4)
     ph_a, _ = circle_harmonic_map(g, DegreeVector({(): 1}))
-    assert degree(ph_a, g, 2) == DegreeVector({(): 1})
+    assert degree(ph_a, g) == DegreeVector({(): 1})
     ph_b, _ = circle_harmonic_map(
         g, DegreeVector({(): 1, (1,): 1, (2,): 1, (3,): 1}))
-    assert degree(ph_b, g, 2) == DegreeVector(
+    assert degree(ph_b, g) == DegreeVector(
         {(): 1, (1,): 1, (2,): 1, (3,): 1})
+
+
+def _traced_degree(f, g):
+    """Full-order degree loop by loop: the trace_loop/loop_winding oracle."""
+    loops = loop_basis(g, g.level if g.kind == "sg" else 0)
+    return DegreeVector({lp.word: loop_winding(f, lp) for lp in loops})
+
+
+@pytest.mark.parametrize("kind, levels", [("sg", range(0, 6)),
+                                          ("ring", range(1, 7))])
+def test_degree_equals_traced_loops(kind, levels):
+    rng = np.random.default_rng(6)
+    unresolved = 0
+    finest = -1
+    for n in levels:
+        g = build_graph(kind, n)
+        edges = {frozenset(e) for e in g.edges.tolist()}
+        for t in range(40):
+            if t % 4 == 3:  # dyadic phases: some steps are exact half turns
+                q = int(rng.choice([2, 4, 8]))
+                f = rng.integers(0, q, g.n_vertices) / q
+            elif t % 4 == 2 and kind == "ring":
+                f = twisted_state(g, int(rng.integers(-g.n_vertices, g.n_vertices)))
+            elif t % 2:
+                f = rng.random(g.n_vertices)
+            else:
+                f = wrap_phases(np.cumsum(rng.uniform(-0.3, 0.3, g.n_vertices)))
+            try:
+                want = _traced_degree(f, g)
+            except UnresolvedWindingError:
+                unresolved += 1
+                with pytest.raises(UnresolvedWindingError) as exc:
+                    degree(f, g)
+                a, b = exc.value.edge
+                assert frozenset((a, b)) in edges
+                step = f[b] - f[a]
+                assert abs(step - np.round(step)) >= 0.5
+                continue
+            got = degree(f, g)
+            assert got == want
+            assert all(got.entries.values())
+            finest = max(finest, got.max_order)
+    assert unresolved > 0
+    assert finest == (max(levels) if kind == "sg" else 0)
+
+
+_ORDER_2_LOOPS = [w for ell in range(3) for w in product((1, 2, 3), repeat=ell)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(entries=st.dictionaries(st.sampled_from(_ORDER_2_LOOPS),
+                               st.sampled_from([-2, -1, 1, 2]), max_size=4))
+def test_degree_round_trip_through_harmonic_map(entries):
+    # three levels below the finest twisted loop resolve the map; two do
+    # not always (finer loops then really wind)
+    omega = DegreeVector(entries)
+    g = build_sg_graph(max(omega.max_order, 0) + 3)
+    phases, _ = circle_harmonic_map(g, omega)
+    assert degree(phases, g) == omega
 
 
 def test_degree_mismatched_field_rejected():
     g = build_sg_graph(2)
     with pytest.raises(ValueError):
-        degree(np.zeros(4), g, 0)
+        degree(np.zeros(4), g)
 
 
 def test_loop_reversal_negates_winding():
@@ -141,7 +202,7 @@ def test_degree_invariant_under_global_phase_shift(shift):
     g = build_sg_graph(3)
     phases, _ = circle_harmonic_map(g, DegreeVector({(): 1}))
     shifted = wrap_phases(phases + shift)
-    assert degree(shifted, g, 1) == degree(phases, g, 1)
+    assert degree(shifted, g) == degree(phases, g)
 
 
 def test_degree_robust_under_small_perturbations():
@@ -154,10 +215,10 @@ def test_degree_robust_under_small_perturbations():
         worst = max(worst, steps.max())
     assert 0.5 - worst > 0.25
     rng = np.random.default_rng(99)
-    base = degree(phases, g, 1)
+    base = degree(phases, g)
     for _ in range(10):
         noisy = wrap_phases(phases + rng.uniform(-0.1, 0.1, g.n_vertices))
-        assert degree(noisy, g, 1) == base
+        assert degree(noisy, g) == base
 
 
 # -- degree vector plumbing ---------------------------------------------------
