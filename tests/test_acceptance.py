@@ -216,6 +216,21 @@ def test_criterion_08a_sg_gap_decay_exponent():
                       f"{['%.4f' % r for r in ratios]} <= {GAP_RATIO_BOUND}")
 
 
+def test_criterion_08c_sg_gap_ratio_at_level_11():
+    # at levels 11-12 the gap is resolved only by the cancellation-free
+    # 2 sin^2 form of the edge energy
+    omega = DegreeVector({(): 1})
+    gaps = []
+    for n in (10, 11):
+        g = build_sg_graph(n)
+        phases, lift = circle_harmonic_map(g, omega)
+        gaps.append(lift.energy() - km_energy(g, phases).energy)
+    ratio = gaps[1] / gaps[0]
+    ok = abs(ratio - float(GAP_RATIO)) <= 1e-4
+    _report("8c", ok, f"level 11/10 gap ratio {ratio:.7f} vs "
+                      f"{float(GAP_RATIO):.4f} +- 1e-4")
+
+
 def test_criterion_08b_ring_gap_closed_form():
     worst = 0.0
     for n in range(3, 11):

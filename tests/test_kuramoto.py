@@ -30,6 +30,38 @@ def test_rhs_ring_twist_exactly_zero():
             assert np.abs(km_rhs(g, twisted_state(g, q))).max() == 0.0
 
 
+def test_newton_step_energy_difference_matches_mpmath():
+    # a Newton step from the level-9 harmonic map lowers the energy by
+    # ~1.6e-10; written as 1 - cos(2 pi d), each edge term's rounding
+    # summed to a 7.6e-4 relative error on that decrease
+    import mpmath
+
+    g = build_sg_graph(9)
+    u, _ = circle_harmonic_map(g, DegreeVector({(): 1}))
+    i, j, w = g.edges[:, 0], g.edges[:, 1], g.edge_weights
+    free = np.arange(1, g.n_vertices)
+    step = np.zeros_like(u)
+    lu = km._positive_definite_factor(km._pinned_hessian(g, u, free))
+    step[free] = lu.solve(km_rhs(g, u)[free]) / km.TWO_PI
+    cand = u + step
+
+    def exact(x):
+        two_pi = 2 * mpmath.pi
+        terms = []
+        for c, a, b in zip(w.tolist(), x[i].tolist(), x[j].tolist()):
+            d = mpmath.mpf(b) - mpmath.mpf(a)
+            terms.append(c * (1 - mpmath.cos(two_pi * (d - mpmath.nint(d)))))
+        return mpmath.fsum(terms) / two_pi ** 2
+
+    with mpmath.workdps(30):
+        want = float(exact(cand) - exact(u))
+    assert want < 0
+    fast = km._km_energy_fast(cand, i, j, w) - km._km_energy_fast(u, i, j, w)
+    assert fast == pytest.approx(want, rel=1e-5, abs=0)
+    fsum = km_energy(g, cand).energy - km_energy(g, u).energy
+    assert fsum == pytest.approx(want, rel=1e-5, abs=0)
+
+
 def test_rhs_is_minus_2pi_grad_energy():
     rng = np.random.default_rng(0)
     for n in (3, 4):
