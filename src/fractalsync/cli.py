@@ -131,7 +131,7 @@ def cmd_covering(cfg: RunConfig):
         ser.write_json(os.path.join(cfg.out, "lift.json"), {
             "level": lift.level,
             "energy": lift.energy(),
-            "values": [float(v) for v in lift.values],
+            "values": lift.values,
         }),
         ser.write_json(os.path.join(cfg.out, "neumann.json"),
                        {str(k): v for k, v in neumann.items()}),

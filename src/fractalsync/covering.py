@@ -199,7 +199,7 @@ class CoveringDomain:
             "pinned": self.pinned,
             "degree": self.omega.to_json_dict(),
             "cuts": [c.to_json_dict() for c in self.cuts],
-            "edges": self.edges.tolist(),
+            "edges": self.edges,
         }
 
 

@@ -18,9 +18,6 @@ from scipy.sparse import linalg as spla
 
 from .graphs import FractalGraph, build_graph, child_tables
 
-DIRECT_SOLVE_LIMIT = 8  # levels above this use conjugate gradients
-
-
 @dataclass
 class EnergyReport:
     """Energy of a field with its per-cell breakdown, in cell-word order."""
@@ -157,8 +154,10 @@ def solve_dirichlet(g: FractalGraph, phi, method="extension") -> np.ndarray:
 
     ``method="extension"`` builds the solution level by level with the
     1/5-2/5 rule; ``method="linear-solve"`` pins the boundary and solves
-    the interior Laplace system (direct factorisation up to level 8, then
-    conjugate gradients).  Both agree to 1e-10 in the sup norm.
+    the interior Laplace system with one sparse LU factor (minimum-degree
+    ordering of A + A^T) and one step of iterative refinement with the
+    same factor, at every level.  Both agree to 1e-10 in the sup norm;
+    without the refinement step the solve is 1.6e-10 off at level 12.
     """
     bd = as_boundary_data(g, phi)
     if method == "extension":
@@ -185,13 +184,9 @@ def solve_dirichlet(g: FractalGraph, phi, method="extension") -> np.ndarray:
         return f
     A = L[interior][:, interior].tocsc()
     rhs = -L[interior][:, boundary] @ f[boundary]
-    if g.level <= DIRECT_SOLVE_LIMIT:
-        sol = spla.spsolve(A, rhs)
-    else:
-        sol, info = spla.cg(A, rhs, rtol=1e-12, atol=0.0, maxiter=20 * n)
-        if info != 0:
-            raise RuntimeError(f"conjugate gradient did not converge (info={info})")
-    f[interior] = sol
+    lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+    sol = lu.solve(rhs)
+    f[interior] = sol + lu.solve(rhs - A @ sol)
     return f
 
 

@@ -2,47 +2,135 @@
 
 All numeric output is printed with 17 significant digits so that files
 round-trip exactly through float64; keys are sorted so identical runs
-produce identical bytes.
+produce identical bytes.  The JSON emitter reproduces the text of
+``json.dumps(obj, sort_keys=True, indent=2)`` with that float format,
+and formats a whole list, array or dict of plain floats or ints (or of
+equal-length rows of them) with one %-template instead of value by value.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 import os
+from itertools import chain, filterfalse
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+_INDENT = "  "
+
+
+def _finite(values):
+    """``values`` unchanged, or ValueError naming the first non-finite one."""
+    for bad in filterfalse(math.isfinite, values):
+        raise ValueError(f"non-finite value {bad!r} in output")
+    return values
+
 
 def _float17(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError(f"non-finite value {x!r} in output")
+    _finite((x,))
     return format(x, ".17g")
 
 
-class _Encoder(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        return super().default(o)
+def _default(o):
+    """Plain Python stand-in for a numpy scalar or array."""
+    if isinstance(o, np.integer):
+        return int(o)
+    if isinstance(o, np.floating):
+        return float(o)
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
-    def iterencode(self, o, _one_shot=False):
-        # route floats through the fixed 17-significant-digit format
-        markers = {} if self.check_circular else None
-        return json.encoder._make_iterencode(
-            markers, self.default, json.encoder.encode_basestring_ascii,
-            self.indent, _float17, self.key_separator, self.item_separator,
-            self.sort_keys, self.skipkeys, _one_shot)(o, 0)
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float17(k)
+    if k is True or k is False or k is None:
+        return _encode(k)
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {k.__class__.__name__}")
+
+
+def _wrap(open_, texts, close, level):
+    """Non-empty container items laid out as ``indent=2`` lays them out."""
+    inner = "\n" + _INDENT * (level + 1)
+    return f"{open_}{inner}{(',' + inner).join(texts)}\n{_INDENT * level}{close}"
+
+
+def _scalar_code(values):
+    """The %-code for a sequence of plain floats or of plain ints, else None."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        _finite(values)
+        return "%.17g"
+    return "%d" if kinds == {int} else None
+
+
+def _uniform(values, level):
+    """``(template, flat, width)`` when one %-template at ``level`` formats
+    every element of ``values`` from ``width`` consecutive entries of
+    ``flat``: plain scalars (width 1) or equal-length rows of them."""
+    code = _scalar_code(values)
+    if code:
+        return code, values, 1
+    if set(map(type, values)) <= {list, tuple} and len(set(map(len, values))) == 1:
+        width = len(values[0])
+        flat = list(chain.from_iterable(values))
+        code = width and _scalar_code(flat)
+        if code:
+            return _wrap("[", [code] * width, "]", level), flat, width
+    return None
+
+
+def _encode(o, level=0) -> str:
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float17(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        uniform = _uniform(o, level + 1)
+        if uniform:
+            template, flat, _ = uniform
+            return _wrap("[", [template] * len(o), "]", level) % tuple(flat)
+        return _wrap("[", [_encode(v, level + 1) for v in o], "]", level)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        keys = sorted(o)
+        values = list(map(o.__getitem__, keys))
+        keys = list(map(encode_basestring_ascii, map(_key, keys)))
+        uniform = _uniform(values, level + 1)
+        if uniform:
+            template, flat, width = uniform
+            args = chain.from_iterable(zip(keys, *[iter(flat)] * width))
+            return _wrap("{", ["%s: " + template] * len(o), "}", level) % tuple(args)
+        texts = [f"{k}: {_encode(v, level + 1)}" for k, v in zip(keys, values)]
+        return _wrap("{", texts, "}", level)
+    return _encode(_default(o), level)
 
 
 def dumps_json(obj) -> str:
-    return json.dumps(obj, cls=_Encoder, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2)`` with 17-digit floats,
+    numpy scalars and arrays as their Python values, and ValueError on a
+    non-finite float."""
+    return _encode(obj) + "\n"
 
 
 def write_json(path, obj) -> str:
@@ -53,12 +141,11 @@ def write_json(path, obj) -> str:
 
 
 def write_field_csv(path, values, header=("id", "value")) -> str:
-    values = np.asarray(values, dtype=float)
+    values = _finite(np.asarray(values, dtype=float).tolist())
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        for k, v in enumerate(values):
-            wr.writerow([k, _float17(float(v))])
+        csv.writer(fh).writerow(header)
+        fh.write(("%d,%.17g\r\n" * len(values))
+                 % tuple(chain.from_iterable(enumerate(values))))
     return path
 
 
@@ -96,7 +183,7 @@ def write_rows_csv(path, header, rows) -> str:
 
 
 def field_to_json_dict(values):
-    return {"values": [float(v) for v in np.asarray(values, dtype=float)]}
+    return {"values": np.asarray(values, dtype=float)}
 
 
 def sha256_of(path) -> str:

@@ -6,7 +6,7 @@ blue-to-red gradient.  Ring graphs are laid out on a circle.
 
 from __future__ import annotations
 
-import colorsys
+from itertools import repeat
 
 import numpy as np
 
@@ -23,44 +23,63 @@ def _layout(g: FractalGraph) -> np.ndarray:
     return 0.05 + 0.9 * (pts - pts.min(axis=0)) / span
 
 
-def _phase_color(t):
-    r, g, b = colorsys.hsv_to_rgb(t % 1.0, 1.0, 1.0)
-    return f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"
+# colorsys.hsv_to_rgb(h, 1, 1) returns, in sector int(6h) % 6, these
+# columns of (1, 0, q, t) with f = 6h - int(6h), q = 1 - f, t = 1 - (1 - f)
+_HSV_SECTORS = np.array([[0, 3, 1], [2, 0, 1], [1, 0, 3],
+                         [1, 2, 0], [3, 1, 0], [0, 1, 2]])
+_BLUE = np.array([33, 102, 172])
+_RED = np.array([178, 24, 43])
 
 
-def _real_color(t):
-    lo = np.array([33, 102, 172])  # blue
-    hi = np.array([178, 24, 43])   # red
-    c = (lo + (hi - lo) * min(max(t, 0.0), 1.0)).astype(int)
-    return f"#{c[0]:02x}{c[1]:02x}{c[2]:02x}"
+def _packed_rgb(rgb):
+    """(N, 3) channel values in 0..255 as ints whose ``%06x`` is ``rrggbb``."""
+    return (rgb[:, 0] << 16 | rgb[:, 1] << 8 | rgb[:, 2]).tolist()
+
+
+def _phase_colors(values):
+    """Full-saturation hue of ``value % 1``, as ``colorsys`` computes it."""
+    h6 = np.mod(values, 1.0) * 6.0
+    i = h6.astype(int)
+    f = h6 - i
+    cols = np.stack([np.ones_like(f), np.zeros_like(f), 1.0 - f, 1.0 - (1.0 - f)],
+                    axis=1)
+    rgb = np.take_along_axis(cols, _HSV_SECTORS[i % 6], axis=1)
+    return _packed_rgb((rgb * 255).astype(int))
+
+
+def _real_colors(values):
+    """Blue-to-red gradient over the range of ``values``."""
+    lo, hi = float(values.min()), float(values.max())
+    scale = hi - lo if hi > lo else 1.0
+    t = np.clip((values - lo) / scale, 0.0, 1.0)
+    return _packed_rgb((_BLUE + (_RED - _BLUE) * t[:, None]).astype(int))
+
+
+def _texts(values, spec):
+    """Each value formatted with ``spec``, as an object array of str."""
+    return np.array(list(map(format, values.tolist(), repeat(spec))), dtype=object)
 
 
 def render_field_svg(g: FractalGraph, values, path, mode="phase", size=640) -> str:
-    """Write an SVG with edges in grey and vertices coloured by value."""
-    values = np.asarray(values, dtype=float)
+    """Write an SVG with edges in grey and vertices coloured by value.
+
+    Coordinates are formatted once per vertex and the lines are streamed
+    to the file, so the whole text is never held in memory.
+    """
+    values = g.check_field(values)
     pts = _layout(g) * size
     radius = max(1.5, 0.35 * size / (2 ** g.level + 1))
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
-    for a, b in g.edges:
-        lines.append(
-            f'<line x1="{pts[a, 0]:.2f}" y1="{pts[a, 1]:.2f}" '
-            f'x2="{pts[b, 0]:.2f}" y2="{pts[b, 1]:.2f}" '
-            f'stroke="#cccccc" stroke-width="0.6"/>')
-    if mode == "phase":
-        colors = [_phase_color(v) for v in values]
-    else:
-        lo, hi = float(values.min()), float(values.max())
-        scale = hi - lo if hi > lo else 1.0
-        colors = [_real_color((v - lo) / scale) for v in values]
-    for k in range(g.n_vertices):
-        lines.append(
-            f'<circle cx="{pts[k, 0]:.2f}" cy="{pts[k, 1]:.2f}" '
-            f'r="{radius:.2f}" fill="{colors[k]}"/>')
-    lines.append("</svg>")
+    x, y = _texts(pts[:, 0], ".2f"), _texts(pts[:, 1], ".2f")
+    a, b = g.edges[:, 0], g.edges[:, 1]
+    colors = _phase_colors(values) if mode == "phase" else _real_colors(values)
+    line = ('<line x1="%s" y1="%s" x2="%s" y2="%s" '
+            'stroke="#cccccc" stroke-width="0.6"/>\n')
+    circle = f'<circle cx="%s" cy="%s" r="{radius:.2f}" fill="#%06x"/>\n'
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+                 f'height="{size}" viewBox="0 0 {size} {size}">\n'
+                 f'<rect width="{size}" height="{size}" fill="white"/>\n')
+        fh.writelines(map(line.__mod__, zip(x[a], y[a], x[b], y[b])))
+        fh.writelines(map(circle.__mod__, zip(x, y, colors)))
+        fh.write("</svg>\n")
     return path

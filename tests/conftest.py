@@ -1,3 +1,7 @@
+import colorsys
+import csv
+import json
+
 import numpy as np
 import pytest
 
@@ -76,3 +80,91 @@ def rk4_reference(g, u0, cfg=None):
         energy, steps, t = new_energy, steps + cfg.check_every, t + cfg.check_every * h
         res = float(np.abs(km_rhs(g, u)).max())
     return _finalize(g, u, res, steps, t, h, res < cfg.tol, halvings)
+
+
+# -- the writers the whole-array ones replaced, kept as byte oracles ----------
+
+
+def _float17_reference(x):
+    if x != x or x in (float("inf"), float("-inf")):
+        raise ValueError(f"non-finite value {x!r} in output")
+    return format(x, ".17g")
+
+
+class _ReferenceEncoder(json.JSONEncoder):
+    def default(self, o):
+        if isinstance(o, (np.integer,)):
+            return int(o)
+        if isinstance(o, (np.floating,)):
+            return float(o)
+        if isinstance(o, np.ndarray):
+            return o.tolist()
+        return super().default(o)
+
+    def iterencode(self, o, _one_shot=False):
+        # route floats through the fixed 17-significant-digit format
+        markers = {} if self.check_circular else None
+        return json.encoder._make_iterencode(
+            markers, self.default, json.encoder.encode_basestring_ascii,
+            self.indent, _float17_reference, self.key_separator,
+            self.item_separator, self.sort_keys, self.skipkeys, _one_shot)(o, 0)
+
+
+def reference_dumps_json(obj):
+    """json's pure-Python encoder with 17-digit floats, value by value."""
+    return json.dumps(obj, cls=_ReferenceEncoder, sort_keys=True, indent=2) + "\n"
+
+
+def reference_write_field_csv(path, values, header=("id", "value")):
+    values = np.asarray(values, dtype=float)
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        for k, v in enumerate(values):
+            wr.writerow([k, _float17_reference(float(v))])
+    return path
+
+
+def _phase_color(t):
+    r, g, b = colorsys.hsv_to_rgb(t % 1.0, 1.0, 1.0)
+    return f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"
+
+
+def _real_color(t):
+    lo = np.array([33, 102, 172])  # blue
+    hi = np.array([178, 24, 43])   # red
+    c = (lo + (hi - lo) * min(max(t, 0.0), 1.0)).astype(int)
+    return f"#{c[0]:02x}{c[1]:02x}{c[2]:02x}"
+
+
+def reference_render_field_svg(g, values, path, mode="phase", size=640):
+    """The SVG writer vertex by vertex and edge by edge, joined in memory."""
+    from fractalsync.svg import _layout
+
+    values = np.asarray(values, dtype=float)
+    pts = _layout(g) * size
+    radius = max(1.5, 0.35 * size / (2 ** g.level + 1))
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+        f'height="{size}" viewBox="0 0 {size} {size}">',
+        f'<rect width="{size}" height="{size}" fill="white"/>',
+    ]
+    for a, b in g.edges:
+        lines.append(
+            f'<line x1="{pts[a, 0]:.2f}" y1="{pts[a, 1]:.2f}" '
+            f'x2="{pts[b, 0]:.2f}" y2="{pts[b, 1]:.2f}" '
+            f'stroke="#cccccc" stroke-width="0.6"/>')
+    if mode == "phase":
+        colors = [_phase_color(v) for v in values]
+    else:
+        lo, hi = float(values.min()), float(values.max())
+        scale = hi - lo if hi > lo else 1.0
+        colors = [_real_color((v - lo) / scale) for v in values]
+    for k in range(g.n_vertices):
+        lines.append(
+            f'<circle cx="{pts[k, 0]:.2f}" cy="{pts[k, 1]:.2f}" '
+            f'r="{radius:.2f}" fill="{colors[k]}"/>')
+    lines.append("</svg>")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path

@@ -134,7 +134,7 @@ def test_solve_constant_boundary():
 
 def test_solve_methods_agree():
     rng = np.random.default_rng(11)
-    for n in (1, 3, 5):
+    for n in (1, 3, 5, 10):
         g = build_sg_graph(n)
         phi = rng.standard_normal(3)
         fe = solve_dirichlet(g, phi, method="extension")
