@@ -42,6 +42,6 @@ print("\nring, degree (1): gap against the closed form")
 for n in (3, 5, 7, 9):
     g = build_ring_graph(n)
     j = km_energy(g, twisted_state(g, 1)).energy
-    closed = 2.0 ** (2 * n) * (1 - np.cos(2 * np.pi * 2.0 ** -n)) / (4 * np.pi ** 2)
+    closed = 2.0 ** (2 * n) * 2.0 * np.sin(np.pi * 2.0 ** -n) ** 2 / (4 * np.pi ** 2)
     print(f" n={n}: 1/2 - J = {0.5 - j:.6e}, defect vs closed form "
           f"{abs(j - closed):.1e}")

@@ -13,8 +13,8 @@ from .dirichlet import (BoundaryData, EnergyReport, dirichlet_energy,
                         harmonic_extend_once, extend_harmonic_once, holder_ratio,
                         laplacian, normal_derivative, solve_dirichlet)
 from .errors import (ConstraintViolationError, DegreeClosureError,
-                     EigensolverError, NotAnEquilibriumError,
-                     UnresolvedWindingError)
+                     DegreeMismatchError, EigensolverError,
+                     NotAnEquilibriumError, UnresolvedWindingError)
 from .graphs import (FractalGraph, Itinerary, Vertex, build_graph,
                      build_ring_graph, build_sg_graph, canonical_itinerary,
                      restrict)

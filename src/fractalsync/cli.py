@@ -21,6 +21,7 @@ from . import dirichlet as dr
 from . import kuramoto as km
 from . import serialize as ser
 from . import svg as svgmod
+from .errors import DegreeMismatchError
 from .graphs import build_graph
 from .structures import ring_structure, sg_structure
 from .winding import DegreeVector
@@ -158,6 +159,7 @@ def _twist_report(cfg: RunConfig, level=None, perturb_seed=None):
 def cmd_twist(cfg: RunConfig):
     g, phases, lift, report = _twist_report(cfg)
     d = report.to_json_dict()
+    d["degree_requested"] = cfg.degree.to_json_dict()
     d["lift_energy"] = lift.energy()
     d["max_circle_distance_to_harmonic_map"] = float(
         km.circle_distance(report.field, phases).max())
@@ -176,6 +178,12 @@ def cmd_twist(cfg: RunConfig):
         paths.append(svgmod.render_field_svg(
             g, report.field, os.path.join(cfg.out, "equilibrium.svg"),
             mode="phase"))
+    if report.degree != cfg.degree:
+        # the artifacts show where the solve went; the run still fails
+        ser.write_manifest(cfg.out, cfg.mode, paths)
+        raise DegreeMismatchError(
+            f"the level-{cfg.level} equilibrium ({report.method})",
+            cfg.degree, report.degree)
     return paths
 
 

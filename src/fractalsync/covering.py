@@ -25,10 +25,10 @@ from scipy.sparse import csgraph
 from scipy.sparse import linalg as spla
 
 from .dirichlet import extend_cells, weighted_laplacian
-from .errors import ConstraintViolationError
+from .errors import ConstraintViolationError, DegreeMismatchError
 from .graphs import (FractalGraph, Itinerary, build_graph, canonical_itinerary,
                      cell_edges)
-from .winding import DegreeVector, word_str
+from .winding import DegreeVector, degree, word_str
 
 # For each candidate midpoint type of cell w, the itinerary names of the
 # two copies: the "+" side is the cell entered last by a clockwise
@@ -356,7 +356,11 @@ def circle_harmonic_map(g: FractalGraph, omega: DegreeVector):
 
     Minimises the constrained energy at the coarsest admissible level,
     extends harmonically to the graph level, and projects mod 1.  Returns
-    ``(phases, lift)``.
+    ``(phases, lift)``.  The projection keeps the requested degree when
+    every step of the lift is shorter than a half turn, which a coarse
+    graph need not give, so its full-order :func:`degree` is read back; a
+    map of another class (``eps:1,13:2`` at level 3 reads ``eps:1,133:1``)
+    raises :class:`DegreeMismatchError`.
     """
     dom = covering_domain(g, omega)
     if not omega:
@@ -364,8 +368,12 @@ def circle_harmonic_map(g: FractalGraph, omega: DegreeVector):
         return np.zeros(g.n_vertices), lift
     if g.kind == "ring":
         lift = minimize_constrained(dom)
-        return project_to_circle(lift), lift
-    m0 = omega.max_order + 1
-    lift0 = minimize_constrained(dom, m=m0)
-    lift = extend_lift(dom, lift0, g.level)
-    return project_to_circle(lift), lift
+    else:
+        lift0 = minimize_constrained(dom, m=omega.max_order + 1)
+        lift = extend_lift(dom, lift0, g.level)
+    phases = project_to_circle(lift)
+    found = degree(phases, g)
+    if found != omega:
+        raise DegreeMismatchError(
+            f"the harmonic map on the level-{g.level} {g.kind} graph", omega, found)
+    return phases, lift

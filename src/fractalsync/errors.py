@@ -18,6 +18,20 @@ class UnresolvedWindingError(ValueError):
         )
 
 
+class DegreeMismatchError(ValueError):
+    """A field's full-order degree is not the one requested.
+
+    ``found`` is None when the field's degree could not be read.
+    """
+
+    def __init__(self, what, requested, found):
+        self.requested = requested
+        self.found = found
+        found = "unresolved" if found is None else found
+        super().__init__(
+            f"{what} has degree {found}, not the requested {requested}")
+
+
 class DegreeClosureError(RuntimeError):
     """A loop lift failed to close to an integer within tolerance."""
 

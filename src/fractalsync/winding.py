@@ -114,11 +114,13 @@ class DegreeVector:
     def __bool__(self):
         return bool(self.entries)
 
+    def __str__(self):
+        """The sparse form :meth:`parse` reads, such as ``eps:1,13:2``."""
+        return ",".join(f"{word_str(w)}:{v}"
+                        for w, v in sorted(self.entries.items())) or "0"
+
     def __repr__(self):
-        if not self.entries:
-            return "DegreeVector(0)"
-        body = ", ".join(f"{word_str(w)}:{v}" for w, v in sorted(self.entries.items()))
-        return f"DegreeVector({body})"
+        return f"DegreeVector({self})"
 
 
 def trace_loop(g: FractalGraph, word) -> Loop:

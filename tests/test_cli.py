@@ -82,6 +82,33 @@ def test_covering_cmd(tmp_path):
     assert dom["cuts"][0]["jump"] == 1
 
 
+def test_covering_of_another_class_fails(tmp_path, capsys):
+    # at level 3 the map for eps:1,13:2 winds once on loop 133 instead
+    assert run(["covering", "--level", "3", "--degree", "eps:1,13:2",
+                "--out", str(tmp_path / "c")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == ("error: DegreeMismatchError: the harmonic map on the "
+                   "level-3 sg graph has degree eps:1,133:1, not the "
+                   "requested eps:1,13:2")
+
+
+def test_twist_that_leaves_its_class_fails(tmp_path, capsys):
+    # Newton refuses the level-4 map (of the right class) and the flow
+    # settles in the class 1:-1; the artifacts are written, the run fails
+    out = tmp_path / "t"
+    assert run(["twist", "--level", "4", "--degree", "eps:1,13:2",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == ("error: DegreeMismatchError: the level-4 equilibrium "
+                   "(flow+newton) has degree 1:-1, not the requested eps:1,13:2")
+    rep = json.loads((out / "equilibrium.json").read_text())
+    assert rep["degree_requested"] == {"eps": 1, "13": 2}
+    assert rep["degree"] == {"1": -1}
+    assert rep["stability"] == "stable"
+    listed = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert [a["path"] for a in listed] == ["equilibrium.csv", "equilibrium.json"]
+
+
 def test_twist_cmd_and_determinism(tmp_path):
     out1, out2 = tmp_path / "t1", tmp_path / "t2"
     args = ["twist", "--level", "3", "--degree", "1", "--svg"]
@@ -90,7 +117,7 @@ def test_twist_cmd_and_determinism(tmp_path):
     rep = json.loads((out1 / "equilibrium.json").read_text())
     assert rep["converged"] is True
     assert rep["stability"] == "stable"
-    assert rep["degree"] == {"eps": 1}
+    assert rep["degree"] == rep["degree_requested"] == {"eps": 1}
     # identical config -> byte-identical artifacts
     for name in ("equilibrium.json", "equilibrium.csv", "equilibrium.svg"):
         assert sha256_of(out1 / name) == sha256_of(out2 / name)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fractalsync import (ConstraintViolationError, DegreeVector, LiftField,
+from fractalsync import (ConstraintViolationError, DegreeMismatchError,
+                         DegreeVector, LiftField, build_graph,
                          build_ring_graph, build_sg_graph, circle_harmonic_map,
                          covering_domain, degree, extend_lift,
                          minimize_constrained, neumann_check, project_to_circle,
@@ -254,3 +255,20 @@ def test_ring_covering_reproduces_twist():
                                atol=1e-12)
     assert lift.values[-1] == pytest.approx(3.0, abs=1e-12)
     assert degree(phases, g) == DegreeVector({(): 3})
+
+
+@pytest.mark.parametrize("fractal, level, spec, found", [
+    ("sg", 3, "eps:1,13:2", "eps:1,133:1"),
+    ("sg", 1, "2,0,0", "eps:2,1:1,2:1,3:1"),
+    ("sg", 2, "eps:1,1:-1,3:2", "eps:1,1:-1,3:2,31:1,32:1,33:1"),
+    ("ring", 2, "3", "eps:-1"),
+])
+def test_harmonic_map_of_another_class_raises(fractal, level, spec, found):
+    # the lift's steps reach a half turn, so its projection winds otherwise
+    omega = DegreeVector.parse(spec)
+    with pytest.raises(DegreeMismatchError) as info:
+        circle_harmonic_map(build_graph(fractal, level), omega)
+    assert info.value.requested == omega
+    assert info.value.found == DegreeVector.parse(found)
+    assert f"degree {found}, not the requested {omega}" in str(info.value)
+

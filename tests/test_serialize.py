@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import (reference_dumps_json, reference_render_field_svg,
-                      reference_write_field_csv)
+from conftest import (_phase_color, _real_color, reference_dumps_json,
+                      reference_render_field_svg, reference_write_field_csv)
 from fractalsync import build_graph, circle_harmonic_map, solve_dirichlet
 from fractalsync.serialize import dumps_json, write_field_csv, write_json
-from fractalsync.svg import render_field_svg
+from fractalsync.svg import _phase_colors, _real_colors, render_field_svg
 from fractalsync.winding import DegreeVector
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -110,3 +110,14 @@ def test_render_field_svg_matches_reference(tmp_path, rng, fractal, mode):
         new = render_field_svg(g, f, tmp_path / "new.svg", mode=mode)
         old = reference_render_field_svg(g, f, tmp_path / "old.svg", mode=mode)
         assert open(new, "rb").read() == open(old, "rb").read()
+
+
+def test_colors_match_reference(rng):
+    # steps of 1/255 within each hue sector, where 1 - (1 - f) and f can
+    # truncate to different channel values
+    t = np.concatenate([((np.arange(6)[:, None] + np.arange(256) / 255) / 6).ravel(),
+                        rng.uniform(-4.0, 4.0, 2000), [-0.0, -2.0 ** -60, 1 - 2.0 ** -53]])
+    assert _phase_colors(t) == [int(_phase_color(v)[1:], 16) for v in t]
+    lo, hi = float(t.min()), float(t.max())
+    assert _real_colors(t) == [int(_real_color((v - lo) / (hi - lo))[1:], 16)
+                               for v in t]
