@@ -48,14 +48,9 @@ def _default(o):
 def _key(k) -> str:
     if isinstance(k, str):
         return k
-    if isinstance(k, float):
-        return _float17(k)
-    if k is True or k is False or k is None:
-        return _encode(k)
-    if isinstance(k, int):
-        return int.__repr__(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {k.__class__.__name__}")
+    if type(k) is int:
+        return repr(k)
+    raise TypeError(f"keys must be str or int, not {k.__class__.__name__}")
 
 
 def _wrap(open_, texts, close, level):
@@ -127,9 +122,8 @@ def _encode(o, level=0) -> str:
 
 
 def dumps_json(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` with 17-digit floats,
-    numpy scalars and arrays as their Python values, and ValueError on a
-    non-finite float."""
+    """Numpy scalars and arrays are written as their Python values; a
+    non-finite float raises ValueError."""
     return _encode(obj) + "\n"
 
 
