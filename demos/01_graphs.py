@@ -17,7 +17,7 @@ for n in range(0, 5):
           f"conductance {g.conductance:.4f}")
 
 g = build_sg_graph(2)
-print("\nvertex 0:", g.vertex(0))
+print("\nvertex 0:", repr(g.itinerary(0)), "at", tuple(g.coords[0].tolist()))
 print("cell (3, 2) corners:", g.cell_vertices((3, 2)))
 print("boundary ids:", g.boundary_ids)
 

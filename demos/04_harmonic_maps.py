@@ -28,14 +28,13 @@ print("energy:", lift1.energy(), "= 5/12")
 # extension never changes the energy, and the restriction of a finer
 # minimiser is the coarser one
 g5 = build_sg_graph(5)
-dom5 = covering_domain(g5, omega)
-lift5 = extend_lift(dom5, minimize_constrained(dom5, m=1), 5)
+lift5 = extend_lift(lift1, 5)
 print("\nlevel-5 extension energy:", lift5.energy())
 
 phases = project_to_circle(lift5)
 print("degree of the projected field:", degree(phases, g5).to_dense(1))
 
-flux = neumann_check(dom5, lift5)
+flux = neumann_check(lift5.domain, lift5)
 print("boundary flux after projection:",
       {k: f"{v:.2e}" for k, v in flux.items()})
 
@@ -45,5 +44,6 @@ g4 = build_sg_graph(4)
 dom4 = covering_domain(g4, mixed)
 print(f"\ndegree {mixed!r}: {len(dom4.cuts)} cuts at vertices",
       [c.cut_vertex for c in dom4.cuts])
-ph = project_to_circle(extend_lift(dom4, minimize_constrained(dom4, m=2), 4))
+seed = minimize_constrained(covering_domain(build_sg_graph(2), mixed))
+ph = project_to_circle(extend_lift(seed, 4))
 print("achieved degree:", degree(ph, g4).to_dense(1))

@@ -252,14 +252,18 @@ def _verify_row(args):
     }
 
 
-def _verify_table(cfg: RunConfig):
-    jobs = [(cfg, n) for n in cfg.levels]
-    if cfg.jobs > 1:
+def _map_jobs(fn, jobs, n_jobs):
+    """``[fn(j) for j in jobs]``, in order, on ``n_jobs`` worker processes
+    when that is more than one."""
+    if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as ex:
-            rows = list(ex.map(_verify_row, jobs))  # ordered by level
-    else:
-        rows = [_verify_row(j) for j in jobs]
+        with ProcessPoolExecutor(max_workers=n_jobs) as ex:
+            return list(ex.map(fn, jobs))
+    return [fn(j) for j in jobs]
+
+
+def _verify_table(cfg: RunConfig):
+    rows = _map_jobs(_verify_row, [(cfg, n) for n in cfg.levels], cfg.jobs)
     gaps = [r["gap"] for r in rows]
     ns = [r["level"] for r in rows]
     exponent = None
@@ -314,12 +318,7 @@ def cmd_sweep(cfg: RunConfig):
         for dense in degrees:
             for seed in seeds:
                 jobs.append((dict(base), n, dense, seed))
-    if cfg.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as ex:
-            results = list(ex.map(_sweep_job, jobs))
-    else:
-        results = [_sweep_job(j) for j in jobs]
+    results = _map_jobs(_sweep_job, jobs, cfg.jobs)
     results.sort(key=lambda kv: (kv[0][0], kv[0][1], kv[0][2]))
     summary = [d for _, d in results]
     return [ser.write_json(os.path.join(cfg.out, "sweep.json"),

@@ -7,11 +7,14 @@ corner, then harmonically extending and reducing mod 1, produces a phase
 field whose winding along each basis loop is exactly the prescribed
 degree.
 
-A cut vertex for the loop around cell ``w`` is a midpoint of the next
-subdivision lying on that loop but on no coarser loop.  Its two incident
-cells sit inside the cell ``w``; a clockwise traversal of the loop passes
-through the "+" copy just before the cut and continues from the "-" copy,
-so the lift jumps up by the prescribed winding across the pair.
+The cut for the loop around cell ``w`` is the midpoint of the side of
+``w`` opposite its last symbol; for the outer loop it is the midpoint of
+side v3-v1.  The other two sides of ``w`` run along sides of its parent,
+so this is the one side on no coarser loop.  Clockwise, side a -> b of
+``w`` runs through the children ``wa`` and then ``wb``: the "+" copy of
+the cut is corner b of the graph-level cell ``w a b...b``, the "-" copy
+corner a of ``w b a...a``, and the lift jumps up by the prescribed
+winding across the pair.
 """
 
 from __future__ import annotations
@@ -26,33 +29,25 @@ from scipy.sparse import linalg as spla
 
 from .dirichlet import extend_cells, weighted_laplacian
 from .errors import ConstraintViolationError, DegreeMismatchError
-from .graphs import (FractalGraph, Itinerary, build_graph, canonical_itinerary,
-                     cell_edges)
+from .graphs import FractalGraph, build_graph, cell_edges
 from .winding import DegreeVector, degree, word_str
-
-# For each candidate midpoint type of cell w, the itinerary names of the
-# two copies: the "+" side is the cell entered last by a clockwise
-# traversal before reaching the cut.  For the outer loop cut at z this
-# gives z+ = v_{3~1}, z- = v_{1~3}.
-_CUT_SIDES = {
-    "z": ((3, 1), (1, 3)),  # (plus: word+3 tail 1, minus: word+1 tail 3)
-    "x": ((1, 2), (2, 1)),
-    "y": ((2, 3), (3, 2)),
-}
-_CANDIDATE_ORDER = ("z", "x", "y")
 
 
 @dataclass(frozen=True)
 class CutSpec:
-    """One cut: the loop it serves, the vertex split, and the jump."""
+    """One cut: the loop it serves, the vertex split, and the jump.
+
+    The plus copy replaces the cut vertex as corner ``plus_corner`` of
+    the graph-level cell ``plus_cell``.
+    """
 
     word: tuple[int, ...]
     cut_vertex: int
     minus_id: int
     plus_id: int
     jump: int
-    plus_itinerary: Itinerary
-    minus_itinerary: Itinerary
+    plus_cell: int
+    plus_corner: int
 
     def to_json_dict(self):
         return {
@@ -64,72 +59,37 @@ class CutSpec:
         }
 
 
-def _on_loop(name: Itinerary, prefix_len: int) -> bool:
-    """Does the vertex named ``name`` lie on the boundary of the cell given
-    by the first ``prefix_len`` symbols of its own address?"""
-    rest = set(name.word[prefix_len:]) | {name.tail}
-    return len(rest) <= 2
-
-
-def _lies_on_coarser_loop(names, order) -> bool:
-    """True if the vertex lies on the boundary of any cell of order < order.
-
-    Only prefixes of the vertex's own addresses can contain it, so it is
-    enough to scan those.
-    """
-    for name in names:
-        for ell in range(order):
-            if _on_loop(name, ell):
-                return True
-    return False
-
-
 def select_cut_vertices(g: FractalGraph, omega: DegreeVector):
-    """Choose one cut per nonzero degree entry, deterministically.
-
-    Candidates on the loop of cell ``w`` are tested in the fixed order
-    (F_w(z), F_w(x), F_w(y)); the first one on no coarser loop wins.
-    """
+    """One cut per nonzero degree entry, in (order, word) order, read off
+    the corner table by the rule in the module docstring."""
     if not omega:
         return []
     if g.kind == "ring":
         if omega.max_order != 0:
             raise ValueError("ring degrees live on the single full cycle")
-        q = omega.entries[()]
+        # the cycle closes at vertex 0, which is corner 1 of the last cell
         return [CutSpec(word=(), cut_vertex=0, minus_id=0,
-                        plus_id=g.n_vertices, jump=q,
-                        plus_itinerary=Itinerary((), 1),
-                        minus_itinerary=Itinerary((), 0))]
+                        plus_id=g.n_vertices, jump=omega.entries[()],
+                        plus_cell=len(g.cell_words) - 1, plus_corner=1)]
     if g.level < omega.max_order + 1:
         raise ValueError(
             f"graph level {g.level} too coarse for degree of order "
             f"{omega.max_order}; cuts live one level deeper than their loop")
     cuts = []
-    used = set()
     for word, jump in sorted(omega.entries.items(), key=lambda t: (len(t[0]), t[0])):
-        chosen = None
-        for kind in _CANDIDATE_ORDER:
-            (ps, pt), (ms, mt) = _CUT_SIDES[kind]
-            # keep the raw (side-specific) names: canonicalising would merge
-            # them and lose which cell sits on which side of the cut
-            plus_name = Itinerary(word + (ps,), pt)
-            minus_name = Itinerary(word + (ms,), mt)
-            if _lies_on_coarser_loop((plus_name, minus_name), len(word)):
-                continue
-            chosen = (plus_name, minus_name)
-            break
-        if chosen is None:
-            raise RuntimeError(
-                f"no admissible cut vertex on loop {word_str(word)}")
-        plus_name, minus_name = chosen
-        vid = g.id_of(canonical_itinerary(plus_name.word, plus_name.tail))
-        assert g.id_of(canonical_itinerary(minus_name.word, minus_name.tail)) == vid
-        assert vid not in used, "cut vertices must be pairwise distinct"
-        used.add(vid)
+        # corner indices: side a -> b is opposite the last symbol's corner
+        a = (g.alphabet.index(word[-1]) + 1) % 3 if word else 2
+        b = (a + 1) % 3
+        pad = g.level - len(word) - 1
+        sym_a, sym_b = g.alphabet[a], g.alphabet[b]
+        plus_cell = g.pack_word(word + (sym_a,) + (sym_b,) * pad)
+        minus_cell = g.pack_word(word + (sym_b,) + (sym_a,) * pad)
+        vid = int(g.cell_corners[plus_cell, b])
+        assert g.cell_corners[minus_cell, a] == vid
         cuts.append(CutSpec(
             word=word, cut_vertex=vid, minus_id=vid,
             plus_id=g.n_vertices + len(cuts), jump=jump,
-            plus_itinerary=plus_name, minus_itinerary=minus_name))
+            plus_cell=plus_cell, plus_corner=b))
     return cuts
 
 
@@ -151,15 +111,10 @@ class CoveringDomain:
         self.n_vertices = base.n_vertices + len(self.cuts)
         self.conductance = base.conductance
 
-        # the plus side of each cut is exactly one cell at any finer level,
-        # in which the cut vertex is the corner named by the plus tail
         corners = base.cell_corners.copy()
         for cut in self.cuts:
-            it = cut.plus_itinerary
-            cell = base.pack_word(it.symbols(base.level))
-            corner = base.alphabet.index(it.tail)
-            assert corners[cell, corner] == cut.cut_vertex
-            corners[cell, corner] = cut.plus_id
+            assert corners[cut.plus_cell, cut.plus_corner] == cut.cut_vertex
+            corners[cut.plus_cell, cut.plus_corner] = cut.plus_id
         corners.setflags(write=False)
         self.cell_corners = corners
         self.edges = cell_edges(corners)
@@ -207,6 +162,14 @@ def covering_domain(g: FractalGraph, omega: DegreeVector) -> CoveringDomain:
     return CoveringDomain(g, omega)
 
 
+def seed_domain(g: FractalGraph, omega: DegreeVector) -> CoveringDomain:
+    """Cut domain of a nonzero ``omega`` at level ``max_order + 1``, the
+    coarsest that holds its cuts, for a map on ``g``."""
+    # a graph coarser than that fails the level check of select_cut_vertices
+    m = min(g.level, omega.max_order + 1)
+    return covering_domain(build_graph(g.kind, m), omega)
+
+
 @dataclass
 class LiftField:
     """Real values on a cut graph satisfying pin and jump constraints."""
@@ -226,74 +189,58 @@ def _substitution(dom: CoveringDomain):
     """Selection matrix P and offset b with f = P g + b encoding the
     constraints f(pin) = 0 and f(plus) = f(minus) + jump exactly."""
     n = dom.n_vertices
-    eliminated = {dom.pinned} | {c.plus_id for c in dom.cuts}
-    free = [v for v in range(n) if v not in eliminated]
-    col = {v: k for k, v in enumerate(free)}
-    rows, cols, data = [], [], []
+    plus = np.array([c.plus_id for c in dom.cuts], dtype=np.int64)
+    free = np.ones(n, dtype=bool)
+    free[dom.pinned] = False
+    free[plus] = False
+    n_free = np.count_nonzero(free)
+    col = np.full(n, -1)
+    col[free] = np.arange(n_free)
+    # each vertex takes the value of its free representative, if it has one
+    rep = np.arange(n)
+    rep[plus] = [c.minus_id for c in dom.cuts]
+    rows = np.flatnonzero(col[rep] >= 0)
+    P = sparse.csr_matrix((np.ones(len(rows)), (rows, col[rep[rows]])),
+                          shape=(n, n_free))
     b = np.zeros(n)
-    for v in free:
-        rows.append(v)
-        cols.append(col[v])
-        data.append(1.0)
-    for c in dom.cuts:
-        b[c.plus_id] = float(c.jump)
-        if c.minus_id != dom.pinned:
-            rows.append(c.plus_id)
-            cols.append(col[c.minus_id])
-            data.append(1.0)
-    P = sparse.coo_matrix((data, (rows, cols)), shape=(n, len(free))).tocsr()
-    return P, b, free
+    b[plus] = [float(c.jump) for c in dom.cuts]
+    return P, b
 
 
-def minimize_constrained(dom: CoveringDomain, m=None, method="direct") -> LiftField:
+def minimize_constrained(dom: CoveringDomain) -> LiftField:
     """Unique minimiser of the cut-graph energy under pin and jumps.
 
     Constraints are eliminated by substitution, leaving a positive
-    definite system solved directly (``method="direct"``) or by conjugate
-    gradients at 1e-12 residual (``method="cg"``, kept as an independent
-    cross-check path).
+    definite system solved directly.
     """
-    if m is not None and m != dom.level:
-        if m > dom.level:
-            raise ValueError(f"domain built at level {dom.level} < requested {m}")
-        dom = covering_domain(build_graph(dom.kind, m), dom.omega)
     L = dom.laplacian_matrix()
-    P, b, _ = _substitution(dom)
+    P, b = _substitution(dom)
     A = (P.T @ L @ P).tocsc()
-    rhs = -P.T @ (L @ b)
-    if method == "direct":
-        g = spla.spsolve(A, rhs)
-    elif method == "cg":
-        g, info = spla.cg(A, rhs, rtol=1e-12, atol=0.0, maxiter=50 * A.shape[0])
-        if info != 0:
-            raise RuntimeError(f"conjugate gradient did not converge (info={info})")
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    f = P @ g + b
+    f = P @ spla.spsolve(A, -P.T @ (L @ b)) + b
     f[dom.pinned] = 0.0
     return LiftField(domain=dom, values=f)
 
 
-def extend_lift(dom: CoveringDomain, f_m: LiftField, n: int) -> LiftField:
+def extend_lift(lift: LiftField, n: int) -> LiftField:
     """Harmonically extend a lift from its level up to level ``n``.
 
-    Each step applies the 1/5-2/5 rule inside every cell, with cut copies
-    used as the corner values on their own side; the energy is unchanged
-    at every step.
+    Each step builds the next level's cut domain and applies the 1/5-2/5
+    rule inside every cell, with cut copies used as the corner values on
+    their own side; the energy is unchanged at every step.
     """
-    if n > dom.level:
-        raise ValueError(f"target level {n} exceeds domain level {dom.level}")
-    cur = f_m
-    while cur.level < n:
-        cur = _extend_lift_once(cur)
-    return cur
+    if n < lift.level:
+        raise ValueError(
+            f"cannot extend a level-{lift.level} lift to level {n}")
+    while lift.level < n:
+        lift = _extend_lift_once(lift)
+    return lift
 
 
 def _extend_lift_once(cur: LiftField) -> LiftField:
     dom_m = cur.domain
     if dom_m.kind == "ring":
-        raise ValueError("ring lifts are extended by the midpoint rule in "
-                         "the generic structure module")
+        raise ValueError("the 1/5-2/5 rule is gasket-specific; ring lifts "
+                         "are minimised at the graph level")
     dom_next = covering_domain(
         build_graph(dom_m.kind, dom_m.level + 1), dom_m.omega)
     # plus-side children of a plus-side cell keep its plus copies as corners
@@ -354,23 +301,23 @@ def neumann_check(dom: CoveringDomain, f: LiftField):
 def circle_harmonic_map(g: FractalGraph, omega: DegreeVector):
     """Build the degree-``omega`` harmonic map on ``g``.
 
-    Minimises the constrained energy at the coarsest admissible level,
-    extends harmonically to the graph level, and projects mod 1.  Returns
-    ``(phases, lift)``.  The projection keeps the requested degree when
-    every step of the lift is shorter than a half turn, which a coarse
-    graph need not give, so its full-order :func:`degree` is read back; a
-    map of another class (``eps:1,13:2`` at level 3 reads ``eps:1,133:1``)
-    raises :class:`DegreeMismatchError`.
+    Minimises the constrained energy on :func:`seed_domain`, extends
+    harmonically to the graph level (the ring is minimised at the graph
+    level), and projects mod 1.  Returns ``(phases, lift)``.  The
+    projection keeps the requested degree when every step of the lift is
+    shorter than a half turn, which a coarse graph need not give, so its
+    full-order :func:`degree` is read back; a map of another class
+    (``eps:1,13:2`` at level 3 reads ``eps:1,133:1``) raises
+    :class:`DegreeMismatchError`.
     """
-    dom = covering_domain(g, omega)
     if not omega:
+        dom = covering_domain(g, omega)
         lift = LiftField(domain=dom, values=np.zeros(dom.n_vertices))
         return np.zeros(g.n_vertices), lift
     if g.kind == "ring":
-        lift = minimize_constrained(dom)
+        lift = minimize_constrained(covering_domain(g, omega))
     else:
-        lift0 = minimize_constrained(dom, m=omega.max_order + 1)
-        lift = extend_lift(dom, lift0, g.level)
+        lift = extend_lift(minimize_constrained(seed_domain(g, omega)), g.level)
     phases = project_to_circle(lift)
     found = degree(phases, g)
     if found != omega:

@@ -36,18 +36,10 @@ class EnergyReport:
         }
 
 
-@dataclass
-class BoundaryData:
-    """Prescribed values on the boundary vertex set V0."""
-
-    values: dict
-
-
-def as_boundary_data(g: FractalGraph, phi) -> BoundaryData:
-    """Normalise boundary input (sequence or mapping) against ``g``."""
-    if isinstance(phi, BoundaryData):
-        values = dict(phi.values)
-    elif isinstance(phi, dict):
+def as_boundary_data(g: FractalGraph, phi) -> dict:
+    """Boundary values ``{id: value}`` on V0, from a sequence or mapping
+    checked against ``g``."""
+    if isinstance(phi, dict):
         values = {int(k): float(v) for k, v in phi.items()}
     else:
         seq = [float(v) for v in phi]
@@ -58,7 +50,7 @@ def as_boundary_data(g: FractalGraph, phi) -> BoundaryData:
     if set(values) != set(g.boundary_ids):
         raise ValueError(
             f"boundary keys {sorted(values)} != V0 {sorted(g.boundary_ids)}")
-    return BoundaryData(values)
+    return values
 
 
 def _square(x):
@@ -163,11 +155,11 @@ def solve_dirichlet(g: FractalGraph, phi, method="extension") -> np.ndarray:
     if method == "extension":
         if g.kind == "ring":
             # single boundary vertex: the only harmonic fields are constants
-            return np.full(g.n_vertices, bd.values[g.boundary_ids[0]])
+            return np.full(g.n_vertices, bd[g.boundary_ids[0]])
         cur_g = build_graph(g.kind, 0)
         # boundary ids are identified across levels by itinerary, and the
         # corner order (v1, v2, v3) is the level-0 vertex order
-        cur = np.array([bd.values[b] for b in g.boundary_ids])
+        cur = np.array([bd[b] for b in g.boundary_ids])
         for _ in range(g.level):
             cur_g, cur = extend_harmonic_once(cur_g, cur)
         return cur
@@ -176,10 +168,10 @@ def solve_dirichlet(g: FractalGraph, phi, method="extension") -> np.ndarray:
 
     n = g.n_vertices
     L = laplacian_matrix(g)
-    boundary = np.array(sorted(bd.values), dtype=np.int64)
+    boundary = np.array(sorted(bd), dtype=np.int64)
     interior = np.setdiff1d(np.arange(n), boundary)
     f = np.zeros(n)
-    f[boundary] = [bd.values[int(b)] for b in boundary]
+    f[boundary] = [bd[int(b)] for b in boundary]
     if interior.size == 0:
         return f
     A = L[interior][:, interior].tocsc()

@@ -75,14 +75,6 @@ def canonical_itinerary(word, tail) -> Itinerary:
     return Itinerary(tuple(w), tail)
 
 
-@dataclass(frozen=True, slots=True)
-class Vertex:
-    id: int
-    itinerary: Itinerary
-    coords: tuple[float, ...]
-    is_boundary: bool
-
-
 def cell_edges(corners) -> np.ndarray:
     """Edges of a corner table, cell by cell: (a, b), (b, c), (c, a) for a
     triangle, (a, b) for an interval."""
@@ -95,14 +87,18 @@ def child_tables(fine_corners):
     """Corner and midpoint ids of every level-m cell, from the level-(m+1)
     corner table.
 
-    Rows 3k, 3k+1, 3k+2 of ``fine_corners`` are the children w1, w2, w3
-    of cell k = w.  Child i keeps corner i of its parent, and the
-    midpoints x (v1-v2), y (v2-v3), z (v3-v1) of the parent are corner 2
-    of child 1, corner 3 of child 2 and corner 1 of child 3.  Returns two
-    (C, 3) arrays: corners (v1, v2, v3) and midpoints (x, y, z).
+    With k corners per cell, rows k*c, ..., k*c + k - 1 of
+    ``fine_corners`` are the children of cell c, and child i keeps corner
+    i of its parent; its corner i + 1 (mod k) is a midpoint.  On the
+    gasket these are x (v1-v2), y (v2-v3) and z (v3-v1): corner 2 of
+    child 1, corner 3 of child 2 and corner 1 of child 3.  On the ring
+    both children name the one midpoint.  Returns two (C, k) arrays: the
+    corners (v1, v2, v3) and the midpoints (x, y, z).
     """
-    c3 = fine_corners.reshape(-1, 3, 3)
-    return c3[:, _CORNER, _CORNER], c3[:, _CORNER, _NEXT_CORNER]
+    k = fine_corners.shape[1]
+    i = np.arange(k)
+    kids = fine_corners.reshape(-1, k, k)
+    return kids[:, i, i], kids[:, i, (i + 1) % k]
 
 
 class FractalGraph:
@@ -147,7 +143,6 @@ class FractalGraph:
         self.cell_corners = cell_corners
         self.boundary_ids = boundary_ids
         self.keys = keys
-        self._vertices = None
         self._cells_dict = None
         self._edge_weights = None
         self._restrictions = {}
@@ -208,20 +203,6 @@ class FractalGraph:
             if pos < len(self.keys) and self.keys[pos] == key:
                 return pos
         raise KeyError(f"no vertex {itinerary} at level {self.level}")
-
-    def vertex(self, i) -> Vertex:
-        return Vertex(
-            id=int(i),
-            itinerary=self.itinerary(i),
-            coords=tuple(float(c) for c in self.coords[i]),
-            is_boundary=int(i) in self.boundary_ids,
-        )
-
-    @property
-    def vertices(self):
-        if self._vertices is None:
-            self._vertices = [self.vertex(i) for i in range(self.n_vertices)]
-        return self._vertices
 
     # -- words and cells ---------------------------------------------------
 

@@ -26,7 +26,7 @@ from scipy.sparse import linalg as spla
 from . import covering as cov
 from . import kuramoto as km
 from .dirichlet import weighted_laplacian
-from .graphs import FractalGraph, build_graph, canonical_itinerary, child_tables
+from .graphs import FractalGraph, build_graph, cell_edges, child_tables
 from .winding import DegreeVector
 
 
@@ -81,62 +81,32 @@ def ring_structure() -> HarmonicStructure:
         build_graph=lambda n: build_graph("ring", n))
 
 
-def pullback_index(struct: HarmonicStructure, level: int, i: int) -> np.ndarray:
-    """Ids in the level-n graph of F_i applied to the level-(n-1) vertices.
-
-    Used to evaluate u o F_i: (u o F_i)(v) = u(F_i v).
-    """
-    g_coarse = struct.build_graph(level - 1)
-    g_fine = struct.build_graph(level)
-    sym = g_fine.alphabet[i]
-    out = np.empty(g_coarse.n_vertices, dtype=np.int64)
-    for vid in range(g_coarse.n_vertices):
-        it = g_coarse.itinerary(vid)
-        out[vid] = g_fine.id_of(canonical_itinerary((sym,) + it.word, it.tail))
-    return out
+def _edge_energy(c, edges, u, mult=1) -> float:
+    d = u[edges[:, 1]] - u[edges[:, 0]]
+    return math.fsum((c * mult * d * d / 2.0).tolist())
 
 
 def energy_value(struct: HarmonicStructure, level: int, u) -> float:
     """Quadratic energy with conductances recomputed from the weights."""
     g = struct.build_graph(level)
-    u = np.asarray(u, dtype=float)
-    d = u[g.edges[:, 1]] - u[g.edges[:, 0]]
-    c = struct.conductance(level)
-    terms = c * g.edge_mult * d * d / 2.0
-    return math.fsum(terms.tolist())
-
-
-def pullback_values(struct: HarmonicStructure, level: int, i: int, u):
-    """Values of u o F_i on the level-(n-1) piece.
-
-    The ring is the interval with endpoints identified, so its pieces are
-    sampled as interval paths (2**(n-1) + 1 points, the last one wrapping
-    to vertex 0 of the quotient).
-    """
-    u = np.asarray(u, dtype=float)
-    if struct.name == "ring":
-        npts = 2 ** (level - 1)
-        idx = (i * npts + np.arange(npts + 1)) % (2 ** level)
-        return u[idx]
-    return u[pullback_index(struct, level, i)]
-
-
-def _piece_energy(struct: HarmonicStructure, level: int, vals) -> float:
-    if struct.name == "ring":
-        c = struct.conductance(level)
-        d = np.diff(np.asarray(vals, dtype=float))
-        return math.fsum((c * d * d / 2.0).tolist())
-    return energy_value(struct, level, vals)
+    return _edge_energy(struct.conductance(level), g.edges,
+                        np.asarray(u, dtype=float), g.edge_mult)
 
 
 def self_similarity_residual(struct: HarmonicStructure, level: int, u) -> float:
-    """|E_n(u) - sum_i r_i**-1 E_{n-1}(u o F_i)|."""
-    total = energy_value(struct, level, u)
-    parts = []
-    for i in range(struct.num_maps):
-        vals = pullback_values(struct, level, i, u)
-        parts.append(_piece_energy(struct, level - 1, vals) / struct.weights[i])
-    return abs(total - math.fsum(parts))
+    """|E_n(u) - sum_i r_i**-1 E_{n-1}(u o F_i)|.
+
+    Cell ``i w`` of level n is F_i of cell ``w`` of level n-1, so the
+    level-n cells of piece F_i are the i-th block of the corner table, in
+    the order of the level-(n-1) cells, and each contributes its own edges.
+    """
+    u = np.asarray(u, dtype=float)
+    g = struct.build_graph(level)
+    c = struct.conductance(level - 1)
+    parts = [_edge_energy(c, cell_edges(piece), u) / r
+             for r, piece in zip(struct.weights,
+                                 np.split(g.cell_corners, struct.num_maps))]
+    return abs(energy_value(struct, level, u) - math.fsum(parts))
 
 
 def extension_by_minimization(struct: HarmonicStructure, level: int, u_coarse):
@@ -175,20 +145,16 @@ def generic_harmonic_map(struct: HarmonicStructure, level: int,
                          omega: DegreeVector):
     """Covering-space harmonic map built through the generic machinery.
 
-    The constrained minimum is solved at the coarsest admissible level and
+    The constrained minimum is solved on :func:`covering.seed_domain` and
     extended by repeated constrained minimisation (not the closed-form
     rule), then projected mod 1.  Returns ``(phases, lift)``.
     """
     g = struct.build_graph(level)
-    dom = cov.covering_domain(g, omega)
     if not omega:
+        dom = cov.covering_domain(g, omega)
         lift = cov.LiftField(domain=dom, values=np.zeros(dom.n_vertices))
         return np.zeros(g.n_vertices), lift
-    if struct.name == "ring":
-        lift = cov.minimize_constrained(dom)
-        return cov.project_to_circle(lift), lift
-    m0 = omega.max_order + 1
-    cur = cov.minimize_constrained(dom, m=m0)
+    cur = cov.minimize_constrained(cov.seed_domain(g, omega))
     while cur.level < level:
         cur = _extend_lift_by_solve(cur)
     return cov.project_to_circle(cur), cur

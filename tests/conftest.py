@@ -82,6 +82,69 @@ def rk4_reference(g, u0, cfg=None):
     return _finalize(g, u, res, steps, t, h, res < cfg.tol, halvings)
 
 
+# -- the itinerary scan the corner-table cut rule replaced --------------------
+
+# For each candidate midpoint of cell w, the names of its two copies: the
+# "+" side is the cell entered last by a clockwise traversal before the cut.
+_CUT_SIDES = {
+    "z": ((3, 1), (1, 3)),  # (plus: word+3 tail 1, minus: word+1 tail 3)
+    "x": ((1, 2), (2, 1)),
+    "y": ((2, 3), (3, 2)),
+}
+
+
+def _lies_on_coarser_loop(names, order):
+    """Does a vertex with these names lie on the boundary of a cell of
+    order < ``order``?  Only prefixes of its own names can contain it."""
+    return any(len(set(name.word[ell:]) | {name.tail}) <= 2
+               for name in names for ell in range(order))
+
+
+def reference_cut_vertices(g, omega):
+    """Gasket cuts found by scanning symbolic itineraries: the candidates
+    F_w(z), F_w(x), F_w(y) in that order, the first on no coarser loop.
+
+    Returns ``(word, cut_vertex, plus_cell, plus_corner)`` per cut, in
+    (order, word) order.
+    """
+    from fractalsync import Itinerary, canonical_itinerary
+
+    out = []
+    for word in sorted(omega.entries, key=lambda w: (len(w), w)):
+        for kind in ("z", "x", "y"):
+            (ps, pt), (ms, mt) = _CUT_SIDES[kind]
+            plus = Itinerary(word + (ps,), pt)
+            minus = Itinerary(word + (ms,), mt)
+            if not _lies_on_coarser_loop((plus, minus), len(word)):
+                break
+        else:
+            raise AssertionError(f"no admissible cut vertex on loop {word}")
+        vid = g.id_of(canonical_itinerary(plus.word, plus.tail))
+        assert g.id_of(canonical_itinerary(minus.word, minus.tail)) == vid
+        out.append((word, vid, g.pack_word(plus.symbols(g.level)),
+                    g.alphabet.index(plus.tail)))
+    return out
+
+
+def cg_reference(dom):
+    """The constrained minimiser by conjugate gradients to a 1e-12
+    residual, the oracle for ``minimize_constrained``'s direct solve."""
+    from scipy.sparse import linalg as spla
+
+    from fractalsync import LiftField
+    from fractalsync.covering import _substitution
+
+    L = dom.laplacian_matrix()
+    P, b = _substitution(dom)
+    A = (P.T @ L @ P).tocsc()
+    sol, info = spla.cg(A, -P.T @ (L @ b), rtol=1e-12, atol=0.0,
+                        maxiter=50 * A.shape[0])
+    assert info == 0, f"conjugate gradient did not converge (info={info})"
+    f = P @ sol + b
+    f[dom.pinned] = 0.0
+    return LiftField(domain=dom, values=f)
+
+
 # -- the writers the whole-array ones replaced, kept as byte oracles ----------
 
 

@@ -1,6 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
+from conftest import cg_reference, reference_cut_vertices
 from fractalsync import (ConstraintViolationError, DegreeMismatchError,
                          DegreeVector, LiftField, build_graph,
                          build_ring_graph, build_sg_graph, circle_harmonic_map,
@@ -18,8 +21,9 @@ def test_outer_cut_is_bottom_midpoint():
     (cut,) = select_cut_vertices(g, OMEGA1)
     # z = K_3 cap K_1 = midpoint of v1 v3, names v(1~3) / v(3~1)
     np.testing.assert_allclose(g.coords[cut.cut_vertex], [0.5, 0.0], atol=1e-15)
-    assert cut.plus_itinerary.word == (3,) and cut.plus_itinerary.tail == 1
-    assert cut.minus_itinerary.word == (1,) and cut.minus_itinerary.tail == 3
+    # the plus copy is corner v1 of cell 3 (3~1), the minus copy keeps 1~3
+    assert (cut.plus_cell, cut.plus_corner) == (2, 0)
+    assert cut.cut_vertex == g.cell_corners[0, 2]
     assert cut.jump == 1
 
 
@@ -54,13 +58,34 @@ def test_cut_table_remaps_one_corner_per_cut(g, omega):
     changed = np.argwhere(dom.cell_corners != g.cell_corners)
     assert len(changed) == len(dom.cuts)
     for cut in dom.cuts:
-        it = cut.plus_itinerary
-        cell = g.pack_word(it.symbols(g.level))
-        corner = g.alphabet.index(it.tail)
+        cell, corner = cut.plus_cell, cut.plus_corner
         assert [cell, corner] in changed.tolist()
         assert g.cell_corners[cell, corner] == cut.cut_vertex
         assert dom.cell_corners[cell, corner] == cut.plus_id
     assert dom.n_edges == len(g.cell_words) * (3 if g.kind == "sg" else 1)
+
+
+def _single_loops(n):
+    for ell in range(n):
+        for word in product((1, 2, 3), repeat=ell):
+            yield DegreeVector({word: 1})
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cut_rule_matches_itinerary_scan(n):
+    g = build_sg_graph(n)
+    omegas = list(_single_loops(n))
+    if n == 4:
+        omegas += [DegreeVector.parse("1,1,1,1"),
+                   DegreeVector.parse("eps:2,13:-1,222:1")]
+    for omega in omegas:
+        cuts = select_cut_vertices(g, omega)
+        assert [(c.word, c.cut_vertex, c.plus_cell, c.plus_corner)
+                for c in cuts] == reference_cut_vertices(g, omega)
+        assert [c.jump for c in cuts] == [
+            omega.entries[c.word] for c in cuts]
+        assert [c.plus_id for c in cuts] == list(
+            range(g.n_vertices, g.n_vertices + len(cuts)))
 
 
 def test_cut_level_guard():
@@ -68,6 +93,8 @@ def test_cut_level_guard():
     omega = DegreeVector({(1,): 1})
     with pytest.raises(ValueError):
         select_cut_vertices(g, omega)
+    with pytest.raises(ValueError, match="graph level 1 too coarse"):
+        circle_harmonic_map(g, omega)
 
 
 def test_cut_graph_shape():
@@ -112,8 +139,8 @@ def test_minimizer_solver_paths_agree():
     g = build_sg_graph(4)
     omega = DegreeVector({(): 1, (2,): -1})
     dom = covering_domain(g, omega)
-    fd = minimize_constrained(dom, method="direct")
-    fc = minimize_constrained(dom, method="cg")
+    fd = minimize_constrained(dom)
+    fc = cg_reference(dom)
     assert np.abs(fd.values - fc.values).max() < 1e-10
 
 
@@ -145,14 +172,14 @@ def test_jump_and_pin_exact():
 
 def test_extension_preserves_energy_and_nests():
     g5 = build_sg_graph(5)
-    dom5 = covering_domain(g5, OMEGA1)
-    lift1 = minimize_constrained(dom5, m=1)
+    lift1 = minimize_constrained(covering_domain(build_sg_graph(1), OMEGA1))
     e1 = lift1.energy()
-    lift5 = extend_lift(dom5, lift1, 5)
+    lift5 = extend_lift(lift1, 5)
+    assert lift5.level == 5
     assert lift5.energy() == pytest.approx(e1, rel=1e-12)
     # nesting: restriction of the level-5 extension to V_2 equals the
     # level-2 extension
-    lift2 = extend_lift(dom5, lift1, 2)
+    lift2 = extend_lift(lift1, 2)
     base5 = lift5.values[:g5.n_vertices]
     np.testing.assert_allclose(
         restrict(g5, 2, base5),
@@ -161,18 +188,19 @@ def test_extension_preserves_energy_and_nests():
 
 def test_extension_agrees_with_direct_minimization():
     g = build_sg_graph(4)
-    dom = covering_domain(g, OMEGA1)
-    via_ext = extend_lift(dom, minimize_constrained(dom, m=1), 4)
-    direct = minimize_constrained(dom)
+    seed = minimize_constrained(covering_domain(build_sg_graph(1), OMEGA1))
+    via_ext = extend_lift(seed, 4)
+    direct = minimize_constrained(covering_domain(g, OMEGA1))
     assert np.abs(via_ext.values - direct.values).max() < 1e-10
+    with pytest.raises(ValueError, match="cannot extend a level-4 lift"):
+        extend_lift(via_ext, 3)
 
 
 def test_extension_constant_for_zero_degree():
-    g = build_sg_graph(3)
-    dom = covering_domain(g, DegreeVector())
     lift = LiftField(domain=covering_domain(build_sg_graph(1), DegreeVector()),
                      values=np.full(6, 0.0))
-    out = extend_lift(dom, lift, 3)
+    out = extend_lift(lift, 3)
+    assert out.domain.n_vertices == build_sg_graph(3).n_vertices
     np.testing.assert_allclose(out.values, 0.0)
 
 
@@ -255,6 +283,8 @@ def test_ring_covering_reproduces_twist():
                                atol=1e-12)
     assert lift.values[-1] == pytest.approx(3.0, abs=1e-12)
     assert degree(phases, g) == DegreeVector({(): 3})
+    with pytest.raises(ValueError, match="ring lifts are minimised"):
+        extend_lift(lift, 5)
 
 
 @pytest.mark.parametrize("fractal, level, spec, found", [

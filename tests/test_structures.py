@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractalsync import (DegreeVector, build_ring_graph, build_sg_graph,
                          circle_distance, circle_harmonic_map, dirichlet_energy,
@@ -94,6 +95,32 @@ def test_generic_harmonic_map_matches_covering_pipeline():
     gen_phases, gen_lift = generic_harmonic_map(sg_structure(), 4, omega)
     assert np.abs(gen_lift.values - spec_lift.values).max() < 1e-10
     assert circle_distance(gen_phases, spec_phases).max() < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.sampled_from([(), (1,), (2,), (3,)]),
+                       st.sampled_from([-2, -1, 1, 2]), max_size=3))
+def test_generic_and_fast_routes_agree_sg(entries):
+    omega = DegreeVector(entries)
+    n = omega.max_order + 3
+    _, fast = circle_harmonic_map(build_sg_graph(n), omega)
+    _, generic = generic_harmonic_map(sg_structure(), n, omega)
+    assert generic.domain.n_vertices == fast.domain.n_vertices
+    assert np.abs(generic.values - fast.values).max() < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(-(2 ** n // 4) + 1, 2 ** n // 4 - 1))))
+def test_generic_and_fast_routes_agree_ring(case):
+    # the generic route extends from level 1 by constrained minimisation,
+    # the fast one minimises at the graph level
+    n, q = case
+    omega = DegreeVector({(): q} if q else {})
+    _, fast = circle_harmonic_map(build_ring_graph(n), omega)
+    _, generic = generic_harmonic_map(ring_structure(), n, omega)
+    assert generic.domain.n_vertices == fast.domain.n_vertices
+    assert np.abs(generic.values - fast.values).max() < 1e-10
 
 
 def test_generic_km_ring_recovers_twist():
