@@ -34,7 +34,7 @@ print("\nlevel-5 extension energy:", lift5.energy())
 phases = project_to_circle(lift5)
 print("degree of the projected field:", degree(phases, g5).to_dense(1))
 
-flux = neumann_check(lift5.domain, lift5)
+flux = neumann_check(lift5)
 print("boundary flux after projection:",
       {k: f"{v:.2e}" for k, v in flux.items()})
 

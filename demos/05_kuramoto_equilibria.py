@@ -43,4 +43,4 @@ ht = half_twisted_state(build_ring_graph(4), 0.5)
 eig, verdict = hessian_stability(build_ring_graph(4), ht)
 print(f"\nhalf-twisted state (r=1/2, n=4): equilibrium with {verdict} "
       f"Hessian (min eig {eig:+.3f})")
-print("its energy:", km_energy(build_ring_graph(4), ht).energy)
+print("its energy:", km_energy(build_ring_graph(4), ht))

@@ -20,7 +20,7 @@ gaps, ds, ns = [], [], []
 for n in range(2, 7):
     g = build_sg_graph(n)
     phases, lift = circle_harmonic_map(g, omega)
-    e, j = lift.energy(), km_energy(g, phases).energy
+    e, j = lift.energy(), km_energy(g, phases)
     rep = integrate_to_equilibrium(g, phases)
     d = float(circle_distance(rep.field, phases).max())
     print(f" {n}   {e:.12f}   {j:.12f}   {e - j:.3e}   {d:.3e}")
@@ -41,7 +41,7 @@ print("Holder-based bound only guarantees ratio <= 3/5 = 0.6.")
 print("\nring, degree (1): gap against the closed form")
 for n in (3, 5, 7, 9):
     g = build_ring_graph(n)
-    j = km_energy(g, twisted_state(g, 1)).energy
+    j = km_energy(g, twisted_state(g, 1))
     closed = 2.0 ** (2 * n) * 2.0 * np.sin(np.pi * 2.0 ** -n) ** 2 / (4 * np.pi ** 2)
     print(f" n={n}: 1/2 - J = {0.5 - j:.6e}, defect vs closed form "
           f"{abs(j - closed):.1e}")

@@ -9,16 +9,17 @@ verify that stable Kuramoto equilibria converge to those maps.
 from .covering import (CoveringDomain, CutSpec, LiftField, circle_harmonic_map,
                        covering_domain, extend_lift, minimize_constrained,
                        neumann_check, project_to_circle, select_cut_vertices)
-from .dirichlet import (EnergyReport, dirichlet_energy, harmonic_extend_once,
-                        extend_harmonic_once, holder_ratio, laplacian,
-                        normal_derivative, solve_dirichlet)
+from .dirichlet import (EnergyReport, dirichlet_energy, extend_corners,
+                        extend_harmonic_once, harmonic_extend_once,
+                        holder_ratio, laplacian, normal_derivative,
+                        solve_dirichlet)
 from .errors import (ConstraintViolationError, DegreeClosureError,
                      DegreeMismatchError, EigensolverError,
                      NotAnEquilibriumError, UnresolvedWindingError)
 from .graphs import (FractalGraph, Itinerary, build_graph, build_ring_graph,
                      build_sg_graph, canonical_itinerary, restrict)
-from .kuramoto import (EquilibriumReport, FlowConfig, KuramotoEnergyReport,
-                       circle_distance, half_twisted_state, hessian_stability,
+from .kuramoto import (EquilibriumReport, FlowConfig, circle_distance,
+                       half_twisted_state, hessian_stability,
                        integrate_to_equilibrium, km_energy, km_rhs,
                        minimize_energy, solve_equilibrium, twisted_state,
                        wrap_phases)

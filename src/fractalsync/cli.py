@@ -124,7 +124,7 @@ def cmd_harmonic(cfg: RunConfig):
 def cmd_covering(cfg: RunConfig):
     g = build_graph(cfg.fractal, cfg.level)
     _, lift = cov.circle_harmonic_map(g, cfg.degree)
-    neumann = cov.neumann_check(lift.domain, lift)
+    neumann = cov.neumann_check(lift)
     paths = [
         ser.write_json(os.path.join(cfg.out, "domain.json"),
                        lift.domain.to_json_dict()),
@@ -235,7 +235,7 @@ def _verify_row(args):
     g = build_graph(cfg.fractal, n)
     phases, lift = cov.circle_harmonic_map(g, cfg.degree)
     e_lift = lift.energy()
-    j_harm = km.km_energy(g, phases).energy
+    j_harm = km.km_energy(g, phases)
     report = km.solve_equilibrium(g, phases, _flow_cfg(cfg))
     d_n = float(km.circle_distance(report.field, phases).max())
     return {
@@ -343,7 +343,6 @@ def _build_parser():
             sp.add_argument("--level", type=int)
         sp.add_argument("--config", help="JSON run file; flags override it")
         sp.add_argument("--out")
-        sp.add_argument("--seed", type=int)
 
     sp = sub.add_parser("build-graph", help="write the graph as JSON")
     common(sp)
@@ -369,6 +368,7 @@ def _build_parser():
     sp = sub.add_parser("flow", help="integrate from a given initial field")
     common(sp)
     sp.add_argument("--init", help="csv path | twist:q | constant:c | random")
+    sp.add_argument("--seed", type=int, help="seed of --init random")
     sp.add_argument("--tol", type=float)
     sp.add_argument("--step", type=float)
     sp.add_argument("--max-time", type=float)
@@ -390,6 +390,7 @@ def _build_parser():
                     help="semicolon-separated degree specs (default 1)")
     sp.add_argument("--levels")
     sp.add_argument("--seeds", help="range lo:hi or single (default --seed)")
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--perturb", type=float)
     sp.add_argument("--jobs", type=int)
     sp.add_argument("--tol", type=float)

@@ -5,7 +5,8 @@ two and an integer jump is imposed across the pair.  Minimising the
 Dirichlet energy over fields satisfying the jumps and a pin at the first
 corner, then harmonically extending and reducing mod 1, produces a phase
 field whose winding along each basis loop is exactly the prescribed
-degree.
+degree.  The extension runs on corner values, gasket and ring alike, and
+builds only the cut domain of the level it ends at.
 
 The cut for the loop around cell ``w`` is the midpoint of the side of
 ``w`` opposite its last symbol; for the outer loop it is the midpoint of
@@ -27,7 +28,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.sparse import linalg as spla
 
-from .dirichlet import extend_cells, weighted_laplacian
+from .dirichlet import extend_corners, weighted_laplacian
 from .errors import ConstraintViolationError, DegreeMismatchError
 from .graphs import FractalGraph, build_graph, cell_edges
 from .winding import DegreeVector, degree, word_str
@@ -224,29 +225,21 @@ def minimize_constrained(dom: CoveringDomain) -> LiftField:
 def extend_lift(lift: LiftField, n: int) -> LiftField:
     """Harmonically extend a lift from its level up to level ``n``.
 
-    Each step builds the next level's cut domain and applies the 1/5-2/5
-    rule inside every cell, with cut copies used as the corner values on
-    their own side; the energy is unchanged at every step.
+    Corner values (a cut copy is the corner on its own side) are extended
+    by :func:`dirichlet.extend_corners` and written once into the level-n
+    cut domain, whose plus copies sit in the plus-side children of
+    plus-side cells; the energy is unchanged.
     """
     if n < lift.level:
         raise ValueError(
             f"cannot extend a level-{lift.level} lift to level {n}")
-    while lift.level < n:
-        lift = _extend_lift_once(lift)
-    return lift
-
-
-def _extend_lift_once(cur: LiftField) -> LiftField:
-    dom_m = cur.domain
-    if dom_m.kind == "ring":
-        raise ValueError("the 1/5-2/5 rule is gasket-specific; ring lifts "
-                         "are minimised at the graph level")
-    dom_next = covering_domain(
-        build_graph(dom_m.kind, dom_m.level + 1), dom_m.omega)
-    # plus-side children of a plus-side cell keep its plus copies as corners
-    out = extend_cells(cur.values, dom_m.cell_corners, dom_next.cell_corners,
-                       dom_next.n_vertices)
-    return LiftField(domain=dom_next, values=out)
+    vals = lift.values[lift.domain.cell_corners]
+    for _ in range(n - lift.level):
+        vals = extend_corners(vals)
+    dom = covering_domain(build_graph(lift.domain.kind, n), lift.domain.omega)
+    values = np.empty(dom.n_vertices)
+    values[dom.cell_corners] = vals
+    return LiftField(domain=dom, values=values)
 
 
 def project_to_circle(f: LiftField) -> np.ndarray:
@@ -269,15 +262,15 @@ def project_to_circle(f: LiftField) -> np.ndarray:
     return phases
 
 
-def neumann_check(dom: CoveringDomain, f: LiftField):
-    """Normal derivatives at the three corners of a harmonic lift.
+def neumann_check(lift: LiftField):
+    """Normal derivatives at the corners of a harmonic lift on its domain.
 
     The corners v2 and v3 use the boundary flux directly; v1 (the pinned
     corner) is recovered through the discrete divergence identity, summing
     the combined Laplacian over all interior vertices.  All three vanish
-    for the constrained minimiser.
+    for the constrained minimiser; the ring's one value is at vertex 0.
     """
-    vals = f.values
+    dom, vals = lift.domain, lift.values
     i, j = dom.edges[:, 0], dom.edges[:, 1]
     d = (vals[j] - vals[i]) * dom.edge_weights
     n = dom.n_vertices
@@ -302,8 +295,8 @@ def circle_harmonic_map(g: FractalGraph, omega: DegreeVector):
     """Build the degree-``omega`` harmonic map on ``g``.
 
     Minimises the constrained energy on :func:`seed_domain`, extends
-    harmonically to the graph level (the ring is minimised at the graph
-    level), and projects mod 1.  Returns ``(phases, lift)``.  The
+    harmonically to the graph level (on the ring this is q*i/2**n exactly)
+    and projects mod 1.  Returns ``(phases, lift)``.  The
     projection keeps the requested degree when every step of the lift is
     shorter than a half turn, which a coarse graph need not give, so its
     full-order :func:`degree` is read back; a map of another class
@@ -314,10 +307,7 @@ def circle_harmonic_map(g: FractalGraph, omega: DegreeVector):
         dom = covering_domain(g, omega)
         lift = LiftField(domain=dom, values=np.zeros(dom.n_vertices))
         return np.zeros(g.n_vertices), lift
-    if g.kind == "ring":
-        lift = minimize_constrained(covering_domain(g, omega))
-    else:
-        lift = extend_lift(minimize_constrained(seed_domain(g, omega)), g.level)
+    lift = extend_lift(minimize_constrained(seed_domain(g, omega)), g.level)
     phases = project_to_circle(lift)
     found = degree(phases, g)
     if found != omega:

@@ -4,7 +4,8 @@ The level-m energy is the weighted half-sum of squared edge differences,
 with the weight (5/3)**m chosen so that the minimal-energy extension of a
 field to the next level keeps the energy constant.  That extension is the
 1/5-2/5 rule: midpoint values of a cell are a fixed affine combination of
-the corner values.
+the corner values (on the ring, the mean of the two).  Fields extend as
+corner values, cell by cell, and are written to vertices once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .graphs import FractalGraph, build_graph, child_tables
+from .graphs import FractalGraph, build_graph
 
 @dataclass
 class EnergyReport:
@@ -97,34 +98,38 @@ def harmonic_extend_once(a, b, c):
     return (x, y, z)
 
 
-def extend_cells(values, corners, fine_corners, n_fine):
-    """The 1/5-2/5 rule in every cell at once.
+# corners of child i (which keeps corner i) among the parent's corners and
+# then midpoints: x (v1-v2), y (v2-v3), z (v3-v1), or the ring's one
+_CHILD_CORNERS = {
+    3: np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2]]),
+    2: np.array([[0, 2], [2, 1]]),
+}
 
-    ``values[corners]`` are the corner values of each level-m cell, and
-    ``fine_corners`` is the level-(m+1) corner table over ``n_fine``
-    vertices.  Corners keep their values and each cell's midpoints get
-    :func:`harmonic_extend_once` of its corners.
-    """
-    vals = values[corners]
-    fine, mids = child_tables(fine_corners)
-    out = np.empty(n_fine)
-    out[fine] = vals
-    out[mids.T] = harmonic_extend_once(*vals.T)
-    return out
+
+def extend_corners(vals) -> np.ndarray:
+    """(C, k) corner values of C cells -> (kC, k) corner values of their
+    children in cell order, by :func:`harmonic_extend_once` on the gasket
+    and the mean of the two corners on the ring."""
+    k = vals.shape[1]
+    if k == 3:
+        mids = np.stack(harmonic_extend_once(*vals.T), axis=1)
+    else:
+        mids = 0.5 * (vals[:, :1] + vals[:, 1:])
+    nodes = np.concatenate([vals, mids], axis=1)
+    return nodes[:, _CHILD_CORNERS[k]].reshape(-1, k)
 
 
 def extend_harmonic_once(g_m: FractalGraph, f):
-    """Extend a field one level by the 1/5-2/5 rule.
+    """Extend a field one level by the 1/5-2/5 (ring: midpoint) rule.
 
     Returns ``(g_next, f_next)``; existing vertices keep their values, new
     midpoints get the energy-minimising combination of their cell corners.
     """
     f = g_m.check_field(f)
-    if g_m.kind != "sg":
-        raise ValueError("harmonic extension tables are gasket-specific")
     g_next = build_graph(g_m.kind, g_m.level + 1)
-    return g_next, extend_cells(f, g_m.cell_corners, g_next.cell_corners,
-                                g_next.n_vertices)
+    f_next = np.empty(g_next.n_vertices)
+    f_next[g_next.cell_corners] = extend_corners(f[g_m.cell_corners])
+    return g_next, f_next
 
 
 def weighted_laplacian(edges, w, n) -> sparse.csr_matrix:
@@ -144,8 +149,8 @@ def laplacian_matrix(g: FractalGraph) -> sparse.csr_matrix:
 def solve_dirichlet(g: FractalGraph, phi, method="extension") -> np.ndarray:
     """Solve the discrete Dirichlet problem: harmonic with f|V0 = phi.
 
-    ``method="extension"`` builds the solution level by level with the
-    1/5-2/5 rule; ``method="linear-solve"`` pins the boundary and solves
+    ``method="extension"`` extends the level-0 cell's corner values level
+    by level; ``method="linear-solve"`` pins the boundary and solves
     the interior Laplace system with one sparse LU factor (minimum-degree
     ordering of A + A^T) and one step of iterative refinement with the
     same factor, at every level.  Both agree to 1e-10 in the sup norm;
@@ -153,16 +158,15 @@ def solve_dirichlet(g: FractalGraph, phi, method="extension") -> np.ndarray:
     """
     bd = as_boundary_data(g, phi)
     if method == "extension":
-        if g.kind == "ring":
-            # single boundary vertex: the only harmonic fields are constants
-            return np.full(g.n_vertices, bd[g.boundary_ids[0]])
-        cur_g = build_graph(g.kind, 0)
-        # boundary ids are identified across levels by itinerary, and the
-        # corner order (v1, v2, v3) is the level-0 vertex order
-        cur = np.array([bd[b] for b in g.boundary_ids])
+        # the level-0 cell's corners are V0 in boundary order; the ring's
+        # one cell starts and ends at its one boundary vertex
+        vals = np.resize([bd[b] for b in g.boundary_ids],
+                         (1, g.cell_corners.shape[1]))
         for _ in range(g.level):
-            cur_g, cur = extend_harmonic_once(cur_g, cur)
-        return cur
+            vals = extend_corners(vals)
+        f = np.empty(g.n_vertices)
+        f[g.cell_corners] = vals
+        return f
     if method != "linear-solve":
         raise ValueError(f"unknown method {method!r}")
 

@@ -25,6 +25,8 @@ from .winding import DegreeVector, _wrapped_diff, degree
 TWO_PI = 2.0 * math.pi
 DENSE_EIG_LIMIT = 3000
 STABILITY_BAND = 1e-9
+CHECK_EVERY = 25     # RK4 steps per block of the flow's energy monitor
+MAX_HALVINGS = 45    # step halvings before the flow gives up
 NEWTON_MAX_ITERS = 50
 NEWTON_MIN_STEP = 1e-8
 NEWTON_HANDOFF = 1e-3
@@ -63,22 +65,11 @@ def km_rhs(g: FractalGraph, u) -> np.ndarray:
                           g.n_vertices)
 
 
-@dataclass
-class KuramotoEnergyReport:
-    energy: float
-    grad_inf_norm: float
-
-    def to_json_dict(self):
-        return {"energy": self.energy, "grad_inf_norm": self.grad_inf_norm}
-
-
-def km_energy(g: FractalGraph, u) -> KuramotoEnergyReport:
+def km_energy(g: FractalGraph, u) -> float:
     """Cosine coupling energy, each undirected edge counted once."""
     u = g.check_field(u)
     terms = _edge_energies(u, g.edges[:, 0], g.edges[:, 1], g.edge_weights)
-    return KuramotoEnergyReport(
-        energy=math.fsum(terms.tolist()),
-        grad_inf_norm=float(np.abs(km_rhs(g, u)).max()) / TWO_PI)
+    return math.fsum(terms.tolist())
 
 
 def _edge_energies(u, i, j, w):
@@ -106,8 +97,6 @@ class FlowConfig:
     step: float | None = None
     max_time: float = 400.0
     tol: float = 1e-10
-    check_every: int = 25
-    max_halvings: int = 45
     record: list | None = None  # collects (time, energy, residual) rows
 
 
@@ -162,7 +151,7 @@ class EquilibriumReport:
 def _finalize(g, u, residual, steps, t, h, converged, halvings,
               method="flow", newton_steps=0) -> EquilibriumReport:
     phases = wrap_phases(u)
-    energy = km_energy(g, phases).energy
+    energy = km_energy(g, phases)
     hess_eig = None
     verdict = None
     if residual < 1e-8:
@@ -221,7 +210,7 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
         cfg.record.append((t, energy, res))
     while res >= cfg.tol and t < cfg.max_time:
         u_block = u.copy()
-        for _ in range(cfg.check_every):
+        for _ in range(CHECK_EVERY):
             k1 = rhs(u)
             k2 = rhs(u + 0.5 * h * k1)
             k3 = rhs(u + 0.5 * h * k2)
@@ -233,12 +222,12 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
             u = u_block
             h *= 0.5
             halvings += 1
-            if halvings > cfg.max_halvings:
+            if halvings > MAX_HALVINGS:
                 break
             continue
         energy = new_energy
-        steps += cfg.check_every
-        t += cfg.check_every * h
+        steps += CHECK_EVERY
+        t += CHECK_EVERY * h
         res = float(np.abs(rhs(u)).max())
         if cfg.record is not None:
             cfg.record.append((t, energy, res))
@@ -389,7 +378,7 @@ def _positive_definite_factor(H):
     return None
 
 
-def hessian_stability(g: FractalGraph, u, pin=0, band=STABILITY_BAND):
+def hessian_stability(g: FractalGraph, u, pin=0):
     """Smallest Hessian eigenvalue on the pinned subspace, with verdict.
 
     The pinned Hessian is factored here, as in :func:`solve_equilibrium`.
@@ -398,8 +387,8 @@ def hessian_stability(g: FractalGraph, u, pin=0, band=STABILITY_BAND):
     solve is dense up to ``DENSE_EIG_LIMIT`` free vertices.  Above that an
     uncertified Hessian goes to plain Lanczos, and an ARPACK failure
     raises :class:`EigensolverError` instead of densifying.  Verdict is
-    ``"stable"`` above the tolerance band, ``"saddle"`` below it, and
-    ``"degenerate"`` inside it.
+    ``"stable"`` above the band of half-width ``STABILITY_BAND`` about 0,
+    ``"saddle"`` below it, and ``"degenerate"`` inside it.
     """
     u = g.check_field(u)
     _check_pin(g, pin)
@@ -426,9 +415,9 @@ def hessian_stability(g: FractalGraph, u, pin=0, band=STABILITY_BAND):
     if eig is None:
         eig = np.linalg.eigvalsh(Hp.toarray())[0]
     eig = float(eig)
-    if eig > band:
+    if eig > STABILITY_BAND:
         verdict = "stable"
-    elif eig < -band:
+    elif eig < -STABILITY_BAND:
         verdict = "saddle"
     else:
         verdict = "degenerate"

@@ -54,7 +54,8 @@ def rk4_reference(g, u0, cfg=None):
     """Plain fixed-step RK4 to ``cfg.tol``: the flow's loop and block energy
     monitor with no Newton finish, the oracle for every faster solver."""
     from fractalsync import FlowConfig, km_rhs
-    from fractalsync.kuramoto import _finalize, _km_energy_fast, default_step
+    from fractalsync.kuramoto import (CHECK_EVERY, MAX_HALVINGS, _finalize,
+                                      _km_energy_fast, default_step)
 
     cfg = cfg or FlowConfig()
     u = np.array(u0, dtype=float)
@@ -65,7 +66,7 @@ def rk4_reference(g, u0, cfg=None):
     energy = _km_energy_fast(u, i, j, w)
     while res >= cfg.tol and t < cfg.max_time:
         block = u.copy()
-        for _ in range(cfg.check_every):
+        for _ in range(CHECK_EVERY):
             k1 = km_rhs(g, u)
             k2 = km_rhs(g, u + 0.5 * h * k1)
             k3 = km_rhs(g, u + 0.5 * h * k2)
@@ -74,12 +75,58 @@ def rk4_reference(g, u0, cfg=None):
         new_energy = _km_energy_fast(u, i, j, w)
         if new_energy > energy + 1e-13 * max(1.0, abs(energy)):
             u, h, halvings = block, 0.5 * h, halvings + 1
-            if halvings > cfg.max_halvings:
+            if halvings > MAX_HALVINGS:
                 break
             continue
-        energy, steps, t = new_energy, steps + cfg.check_every, t + cfg.check_every * h
+        energy, steps, t = new_energy, steps + CHECK_EVERY, t + CHECK_EVERY * h
         res = float(np.abs(km_rhs(g, u)).max())
     return _finalize(g, u, res, steps, t, h, res < cfg.tol, halvings)
+
+
+# -- the vertex-form extension the corner-value kernel replaced ---------------
+
+
+def reference_extend_cells(values, corners, fine_corners, n_fine):
+    """The 1/5-2/5 rule in every cell at once, written to the level-(m+1)
+    vertices: ``values[corners]`` are the corner values of each level-m
+    cell, and each cell's midpoints get ``harmonic_extend_once`` of them."""
+    from fractalsync import harmonic_extend_once
+    from fractalsync.graphs import child_tables
+
+    vals = values[corners]
+    fine, mids = child_tables(fine_corners)
+    out = np.empty(n_fine)
+    out[fine] = vals
+    out[mids.T] = harmonic_extend_once(*vals.T)
+    return out
+
+
+def reference_solve_dirichlet(g, phi):
+    """Gasket Dirichlet solution by extension, one vertex field per level
+    from the level-0 graph."""
+    from fractalsync import build_graph
+
+    cur_g = build_graph(g.kind, 0)
+    cur = np.array(phi, dtype=float)
+    for m in range(g.level):
+        nxt = build_graph(g.kind, m + 1)
+        cur = reference_extend_cells(cur, cur_g.cell_corners,
+                                     nxt.cell_corners, nxt.n_vertices)
+        cur_g = nxt
+    return cur
+
+
+def reference_extend_lift(lift, n):
+    """A gasket lift extended one level at a time, through the cut domain
+    of every level in between."""
+    from fractalsync import LiftField, build_graph, covering_domain
+
+    while lift.level < n:
+        dom = lift.domain
+        nxt = covering_domain(build_graph(dom.kind, dom.level + 1), dom.omega)
+        lift = LiftField(domain=nxt, values=reference_extend_cells(
+            lift.values, dom.cell_corners, nxt.cell_corners, nxt.n_vertices))
+    return lift
 
 
 # -- the itinerary scan the corner-table cut rule replaced --------------------

@@ -349,6 +349,15 @@ def test_config_flag_beats_file(tmp_path, mode, key, in_file, flag,
                    key) == from_flag
 
 
+@pytest.mark.parametrize("mode", ["build-graph", "harmonic", "covering",
+                                  "twist", "verify"])
+def test_seed_rejected_where_nothing_reads_it(mode):
+    # only flow (--init random) and sweep (default --seeds) draw numbers
+    with pytest.raises(SystemExit) as info:
+        _build_parser().parse_args([mode, "--seed", "1"])
+    assert info.value.code == 2
+
+
 def test_sweep_without_seeds_runs_seed(tmp_path):
     out = tmp_path / "s"
     assert run(["sweep", "--levels", "3:3", "--seed", "3", "--out", str(out)]) == 0
@@ -373,7 +382,7 @@ def test_verify_cmd_sg_gap_matches_library(tmp_path):
         assert row["method"] == "newton" and row["fallback"] is None
         g = fs.build_sg_graph(row["level"])
         phases, lift = fs.circle_harmonic_map(g, fs.DegreeVector({(): 1}))
-        gap = lift.energy() - km_energy(g, phases).energy
+        gap = lift.energy() - km_energy(g, phases)
         assert abs(row["gap"] - gap) < 1e-14
     # fitted exponent reported and consistent with the rows
     gaps = [row["gap"] for row in table["rows"]]

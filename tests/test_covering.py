@@ -2,14 +2,16 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import cg_reference, reference_cut_vertices
+from conftest import cg_reference, reference_cut_vertices, reference_extend_lift
 from fractalsync import (ConstraintViolationError, DegreeMismatchError,
                          DegreeVector, LiftField, build_graph,
                          build_ring_graph, build_sg_graph, circle_harmonic_map,
                          covering_domain, degree, extend_lift,
                          minimize_constrained, neumann_check, project_to_circle,
-                         restrict, select_cut_vertices)
+                         restrict, select_cut_vertices, solve_equilibrium)
+from fractalsync.covering import seed_domain
 
 OMEGA1 = DegreeVector({(): 1})
 
@@ -196,6 +198,21 @@ def test_extension_agrees_with_direct_minimization():
         extend_lift(via_ext, 3)
 
 
+@settings(max_examples=30, deadline=None)
+@given(entries=st.dictionaries(st.sampled_from([(), (1,), (2,), (3,)]),
+                               st.sampled_from((-2, -1, 1, 2)),
+                               min_size=1, max_size=3),
+       extra=st.integers(0, 6))
+def test_extend_lift_matches_per_level_oracle(entries, extra):
+    omega = DegreeVector(entries)
+    seed = minimize_constrained(seed_domain(build_sg_graph(7), omega))
+    n = min(seed.level + extra, 7)
+    got, want = extend_lift(seed, n), reference_extend_lift(seed, n)
+    np.testing.assert_array_equal(got.domain.cell_corners,
+                                  want.domain.cell_corners)
+    assert got.values.tobytes() == want.values.tobytes()
+
+
 def test_extension_constant_for_zero_degree():
     lift = LiftField(domain=covering_domain(build_sg_graph(1), DegreeVector()),
                      values=np.full(6, 0.0))
@@ -247,7 +264,7 @@ def test_neumann_zero_degree():
     g = build_sg_graph(2)
     dom = covering_domain(g, DegreeVector())
     lift = minimize_constrained(dom)
-    for v, val in neumann_check(dom, lift).items():
+    for v, val in neumann_check(lift).items():
         assert abs(val) < 1e-12
 
 
@@ -256,7 +273,7 @@ def test_neumann_vanishing_across_levels():
         g = build_sg_graph(m)
         dom = covering_domain(g, OMEGA1)
         lift = minimize_constrained(dom)
-        vals = neumann_check(dom, lift)
+        vals = neumann_check(lift)
         v1, v2, v3 = g.boundary_ids
         assert abs(vals[v2]) < 1e-10  # stationarity at free corners
         assert abs(vals[v3]) < 1e-10
@@ -271,7 +288,7 @@ def test_neumann_direct_flux_at_pin_matches():
     d = (lift.values[j] - lift.values[i]) * dom.edge_weights
     flux = np.bincount(i, d, dom.n_vertices) - np.bincount(j, d, dom.n_vertices)
     assert abs(flux[dom.pinned]) < 1e-10
-    assert abs(neumann_check(dom, lift)[dom.pinned]) < 1e-9
+    assert abs(neumann_check(lift)[dom.pinned]) < 1e-9
 
 
 # -- ring covering -----------------------------------------------------------
@@ -279,12 +296,23 @@ def test_neumann_direct_flux_at_pin_matches():
 def test_ring_covering_reproduces_twist():
     g = build_ring_graph(4)
     phases, lift = circle_harmonic_map(g, DegreeVector({(): 3}))
-    np.testing.assert_allclose(lift.values[:-1], 3 * np.arange(16) / 16,
-                               atol=1e-12)
-    assert lift.values[-1] == pytest.approx(3.0, abs=1e-12)
+    np.testing.assert_array_equal(lift.values[:-1], 3 * np.arange(16) / 16)
+    assert lift.values[-1] == 3.0
     assert degree(phases, g) == DegreeVector({(): 3})
-    with pytest.raises(ValueError, match="ring lifts are minimised"):
-        extend_lift(lift, 5)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_ring_lift_is_exact_twisted_state(n):
+    # the midpoint rule from the level-1 minimiser keeps every value dyadic
+    N = 2 ** n
+    g = build_ring_graph(n)
+    for q in sorted({1, N // 4 - 1, -1, 1 - N // 4}):
+        phases, lift = circle_harmonic_map(g, DegreeVector({(): q}))
+        assert lift.values.tobytes() == (q * np.arange(N + 1) / 2 ** n).tobytes()
+        assert neumann_check(lift) == {0: 0.0}
+        rep = solve_equilibrium(g, phases)
+        assert rep.residual == 0.0
+        assert rep.stability == "stable"
 
 
 @pytest.mark.parametrize("fractal, level, spec, found", [

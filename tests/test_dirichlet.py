@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import reference_solve_dirichlet
 from fractalsync import (build_ring_graph, build_sg_graph, dirichlet_energy,
                          extend_harmonic_once, harmonic_extend_once,
                          holder_ratio, laplacian, normal_derivative, restrict,
@@ -115,6 +117,26 @@ def test_extension_contracts_quartic_edge_sum_by_99_625():
         x, y, z = harmonic_extend_once(a, b, c)
         children = quartic(a, x, z) + quartic(x, b, y) + quartic(z, y, c)
         assert children / quartic(a, b, c) == pytest.approx(99 / 625, rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(0, 7),
+       phi=st.tuples(*[st.floats(-1e3, 1e3, allow_nan=False)] * 3))
+def test_extension_solve_matches_vertex_form_oracle(m, phi):
+    g = build_sg_graph(m)
+    got = solve_dirichlet(g, phi)
+    assert got.tobytes() == reference_solve_dirichlet(g, phi).tobytes()
+
+
+def test_ring_extension_is_midpoint_rule():
+    g = build_ring_graph(3)
+    f = np.random.default_rng(5).standard_normal(g.n_vertices)
+    g_next, f_next = extend_harmonic_once(g, f)
+    assert g_next.level == 4
+    np.testing.assert_array_equal(f_next[::2], f)
+    np.testing.assert_array_equal(f_next[1::2], 0.5 * (f + np.roll(f, -1)))
+    assert dirichlet_energy(g_next, f_next).energy == pytest.approx(
+        dirichlet_energy(g, f).energy, rel=1e-12)
 
 
 # -- dirichlet solve --------------------------------------------------------
