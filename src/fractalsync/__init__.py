@@ -21,8 +21,7 @@ from .graphs import (FractalGraph, Itinerary, build_graph, build_ring_graph,
 from .kuramoto import (EquilibriumReport, FlowConfig, circle_distance,
                        half_twisted_state, hessian_stability,
                        integrate_to_equilibrium, km_energy, km_rhs,
-                       minimize_energy, solve_equilibrium, twisted_state,
-                       wrap_phases)
+                       solve_equilibrium, twisted_state, wrap_phases)
 from .structures import (HarmonicStructure, generic_harmonic_map, generic_km,
                          ring_structure, sg_structure)
 from .winding import (DegreeVector, Loop, degree, lift_along_loop, loop_basis,

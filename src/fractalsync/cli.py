@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,9 +87,8 @@ def _structure(fractal):
     return ring_structure() if fractal == "ring" else sg_structure()
 
 
-def _flow_cfg(cfg: RunConfig, record=None) -> km.FlowConfig:
-    return km.FlowConfig(step=cfg.step, max_time=cfg.max_time, tol=cfg.tol,
-                         record=record)
+def _flow_cfg(cfg: RunConfig) -> km.FlowConfig:
+    return km.FlowConfig(step=cfg.step, max_time=cfg.max_time, tol=cfg.tol)
 
 
 # -- subcommand bodies ----------------------------------------------------
@@ -215,8 +214,7 @@ def _initial_field(cfg: RunConfig, g):
 def cmd_flow(cfg: RunConfig):
     g = build_graph(cfg.fractal, cfg.level)
     u0 = _initial_field(cfg, g)
-    record = [] if cfg.traj else None
-    report = km.integrate_to_equilibrium(g, u0, _flow_cfg(cfg, record=record))
+    report = km.integrate_to_equilibrium(g, u0, _flow_cfg(cfg))
     paths = [
         ser.write_json(os.path.join(cfg.out, "equilibrium.json"),
                        report.to_json_dict()),
@@ -226,7 +224,7 @@ def cmd_flow(cfg: RunConfig):
     if cfg.traj:
         paths.append(ser.write_rows_csv(
             os.path.join(cfg.out, "trajectory.csv"),
-            ("time", "energy", "residual"), record))
+            ("time", "energy", "residual"), report.trajectory))
     return paths
 
 
@@ -294,9 +292,8 @@ def cmd_verify(cfg: RunConfig):
 
 
 def _sweep_job(args):
-    cfg_dict, n, dense, seed = args
-    cfg = RunConfig(**cfg_dict)
-    cfg.degree = DegreeVector.parse(dense, _alphabet(cfg.fractal))
+    cfg, n, dense, seed = args
+    cfg = replace(cfg, degree=DegreeVector.parse(dense, _alphabet(cfg.fractal)))
     _, _, _, report = _twist_report(cfg, level=n, perturb_seed=seed)
     d = report.to_json_dict()
     d.update({"level": n, "degree_requested": cfg.degree.to_json_dict(),
@@ -310,14 +307,8 @@ def _sweep_job(args):
 def cmd_sweep(cfg: RunConfig):
     degrees = cfg.degrees or [",".join(str(v) for v in cfg.degree.to_dense())]
     seeds = cfg.seeds or (cfg.seed,)
-    jobs = []
-    base = {"mode": "twist", "fractal": cfg.fractal, "tol": cfg.tol,
-            "step": cfg.step, "max_time": cfg.max_time,
-            "perturb": cfg.perturb, "out": cfg.out}
-    for n in cfg.levels or (cfg.level,):
-        for dense in degrees:
-            for seed in seeds:
-                jobs.append((dict(base), n, dense, seed))
+    jobs = [(cfg, n, dense, seed) for n in cfg.levels or (cfg.level,)
+            for dense in degrees for seed in seeds]
     results = _map_jobs(_sweep_job, jobs, cfg.jobs)
     results.sort(key=lambda kv: (kv[0][0], kv[0][1], kv[0][2]))
     summary = [d for _, d in results]

@@ -31,6 +31,7 @@ NEWTON_MAX_ITERS = 50
 NEWTON_MIN_STEP = 1e-8
 NEWTON_HANDOFF = 1e-3
 ARMIJO = 1e-4
+EQUILIBRIUM_TOL = 1e-8  # residual below which a field is classified
 
 
 def wrap_phases(u) -> np.ndarray:
@@ -43,13 +44,6 @@ def wrap_phases(u) -> np.ndarray:
 def circle_distance(a, b) -> np.ndarray:
     d = np.abs(np.mod(np.asarray(a) - np.asarray(b), 1.0))
     return np.minimum(d, 1.0 - d)
-
-
-def _check_pin(g, pin):
-    if not 0 <= pin < g.n_vertices:
-        raise ValueError(
-            f"pin {pin} is not a vertex of a graph with {g.n_vertices} "
-            f"vertices")
 
 
 def _edge_sine_sum(u, i, j, w, n):
@@ -97,7 +91,6 @@ class FlowConfig:
     step: float | None = None
     max_time: float = 400.0
     tol: float = 1e-10
-    record: list | None = None  # collects (time, energy, residual) rows
 
 
 @dataclass
@@ -111,6 +104,11 @@ class EquilibriumReport:
     flow ran: ``steps`` and ``time`` are 0, and ``halvings`` and
     ``step_size`` are the line search's.  ``degree`` is the full-order
     degree vector of ``field``, or None with ``degree_error`` saying why.
+    ``hessian_min_eig`` and ``stability`` are set when the residual is
+    below ``EQUILIBRIUM_TOL``; a Newton end takes them from the factor
+    that certified its last iterate.  ``trajectory`` holds the flow's
+    ``(time, energy, residual)`` rows, one per accepted block (None when
+    no flow ran); it is not part of :meth:`to_json_dict`.
     """
 
     field: np.ndarray
@@ -128,6 +126,7 @@ class EquilibriumReport:
     fallback: str | None = None     # why Newton handed over to the flow
     newton_steps: int = 0
     degree_error: str | None = None
+    trajectory: list | None = None
 
     def to_json_dict(self):
         return {
@@ -149,13 +148,15 @@ class EquilibriumReport:
 
 
 def _finalize(g, u, residual, steps, t, h, converged, halvings,
-              method="flow", newton_steps=0) -> EquilibriumReport:
+              factor=None, **extra) -> EquilibriumReport:
+    # factor: Newton's (pinned Hessian, certified LU) at wrap_phases(u)
     phases = wrap_phases(u)
     energy = km_energy(g, phases)
     hess_eig = None
     verdict = None
-    if residual < 1e-8:
-        hess_eig, verdict = hessian_stability(g, phases)
+    if residual < EQUILIBRIUM_TOL:
+        hess_eig, verdict = (hessian_stability(g, phases) if factor is None
+                             else _classify(*factor))
     deg = deg_error = None
     try:
         deg = degree(phases, g)
@@ -165,8 +166,7 @@ def _finalize(g, u, residual, steps, t, h, converged, halvings,
         field=phases, residual=residual, energy=energy,
         hessian_min_eig=hess_eig, stability=verdict, degree=deg,
         steps=steps, time=t, step_size=h, converged=converged,
-        halvings=halvings, method=method, newton_steps=newton_steps,
-        degree_error=deg_error)
+        halvings=halvings, degree_error=deg_error, **extra)
 
 
 def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None) -> EquilibriumReport:
@@ -187,8 +187,9 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
     only once the residual is below half its value at the failed attempt.
     A finished run reports ``method == "flow+newton"``, with ``steps``,
     ``time`` and ``halvings`` counting the RK4 part and ``newton_steps``
-    the Newton part; a ``cfg.record`` trajectory ends at the handoff with
-    one more row for the polished point, at the handoff time.
+    the Newton part, and is classified with Newton's last factor.  Its
+    ``trajectory`` ends at the handoff with one more row for the polished
+    point, at the handoff time.
     """
     cfg = cfg or FlowConfig()
     u = g.check_field(u0).copy()
@@ -206,8 +207,7 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
     handoff_below = NEWTON_HANDOFF
     res = float(np.abs(rhs(u)).max())
     energy = _km_energy_fast(u, i, j, w)
-    if cfg.record is not None:
-        cfg.record.append((t, energy, res))
+    rows = [(t, energy, res)]
     while res >= cfg.tol and t < cfg.max_time:
         u_block = u.copy()
         for _ in range(CHECK_EVERY):
@@ -229,48 +229,50 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
         steps += CHECK_EVERY
         t += CHECK_EVERY * h
         res = float(np.abs(rhs(u)).max())
-        if cfg.record is not None:
-            cfg.record.append((t, energy, res))
+        rows.append((t, energy, res))
         if cfg.tol <= res < handoff_below:
             out = _newton(g, u, cfg)
             if not isinstance(out, str):
-                u, res, newton_steps, _, _ = out
-                if cfg.record is not None:
-                    cfg.record.append((t, _km_energy_fast(u, i, j, w), res))
+                u, res, newton_steps, _, _, factor = out
+                rows.append((t, _km_energy_fast(u, i, j, w), res))
                 return _finalize(g, u, res, steps, t, h, True, halvings,
-                                 method="flow+newton", newton_steps=newton_steps)
+                                 factor, method="flow+newton",
+                                 newton_steps=newton_steps, trajectory=rows)
             handoff_below = 0.5 * res
-    return _finalize(g, u, res, steps, t, h, res < cfg.tol, halvings)
+    return _finalize(g, u, res, steps, t, h, res < cfg.tol, halvings,
+                     trajectory=rows)
 
 
 def _newton(g: FractalGraph, u, cfg: FlowConfig):
     """Damped Newton from ``u``, with vertex 0 held fixed.
 
-    Returns ``(field, residual, newton_steps, step_size, halvings)`` with
-    the field shifted back to the mean phase of ``u``, or a string naming
-    why the iteration failed.  See :func:`solve_equilibrium`.
+    Returns ``(field, residual, newton_steps, step_size, halvings,
+    factor)``, with the field shifted back to the mean phase of ``u`` and
+    ``factor = (Hp, lu)``: the pinned Hessian at that field, wrapped, and
+    the LU that certifies it positive definite, which is exactly what the
+    report classifies.  Or a string naming why the iteration failed.  See
+    :func:`solve_equilibrium`.
     """
     u_start = u
     u = u.copy()
     i, j = g.edges[:, 0], g.edges[:, 1]
     w = g.edge_weights
-    free = np.arange(1, g.n_vertices)
     energy = _km_energy_fast(u, i, j, w)
     t = 0.0
     halvings = 0
     for iters in range(NEWTON_MAX_ITERS + 1):
         rhs = km_rhs(g, u)
         res = float(np.abs(rhs).max())
-        lu = _positive_definite_factor(_pinned_hessian(g, u, free))
-        if lu is None:
-            return "pinned Hessian not positive definite"
         if res < cfg.tol:
             break
         if iters == NEWTON_MAX_ITERS:
             return f"no convergence in {NEWTON_MAX_ITERS} Newton steps"
+        lu = _positive_definite_factor(_pinned_hessian(g, u))
+        if lu is None:
+            return "pinned Hessian not positive definite"
         # rhs = -2 pi grad E and H is the Hessian of E
         step = np.zeros_like(u)
-        step[free] = lu.solve(rhs[free]) / TWO_PI
+        step[1:] = lu.solve(rhs[1:]) / TWO_PI
         slope = -float(np.dot(rhs, step)) / TWO_PI
         d = _wrapped_diff(u, i, j)
         dd = step[j] - step[i]
@@ -293,22 +295,29 @@ def _newton(g: FractalGraph, u, cfg: FlowConfig):
                 return f"line search step below {NEWTON_MIN_STEP:g}"
         u, energy = cand, e_cand
     u += np.mean(u_start) - np.mean(u)
-    return u, res, iters, t, halvings
+    Hp = _pinned_hessian(g, wrap_phases(u))
+    lu = _positive_definite_factor(Hp)
+    if lu is None:
+        return "pinned Hessian not positive definite"
+    return u, res, iters, t, halvings, (Hp, lu)
 
 
 def solve_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None) -> EquilibriumReport:
     """Damped Newton on the energy gradient, with vertex 0 held fixed.
 
-    The pinned Hessian is factored at every iterate, and the iteration
-    stops at a residual below ``cfg.tol`` only where that factor certifies
-    it positive definite, so Newton never returns a saddle.  Each step is
+    The pinned Hessian is factored at every iterate.  Once the residual is
+    below ``cfg.tol``, the field is shifted back to the start's mean
+    phase and wrapped, and the pinned Hessian there is factored once more:
+    Newton ends only where that factor certifies it positive definite, so
+    it never returns a saddle, and the same factor classifies the result
+    (``newton_steps + 1`` factorisations in all).  Each step is
     capped so that no wrapped edge difference crosses a half turn: every
     loop winding, hence the start's degree vector, is kept.  The energy
     line search is Armijo's, and also accepts a rise within rounding (the
-    slack the flow's energy monitor allows).  The converged field is
-    shifted back to the start's mean phase, which the flow conserves, so
-    it matches the flow's equilibrium pointwise.  The report has
-    ``method == "newton"`` and counts the iterations in ``newton_steps``.
+    slack the flow's energy monitor allows).  The flow conserves the mean
+    phase, so the shifted field matches the flow's equilibrium pointwise.
+    The report has ``method == "newton"`` and counts the iterations in
+    ``newton_steps``.
 
     If a factor is not certified, the line search falls below
     ``NEWTON_MIN_STEP`` or ``NEWTON_MAX_ITERS`` steps pass, the result is
@@ -327,25 +336,9 @@ def solve_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None) -> Equ
         rep = integrate_to_equilibrium(g, u0, cfg)
         rep.fallback = out
         return rep
-    u, res, newton_steps, t, halvings = out
-    return _finalize(g, u, res, 0, 0.0, t, True, halvings,
+    u, res, newton_steps, t, halvings, factor = out
+    return _finalize(g, u, res, 0, 0.0, t, True, halvings, factor,
                      method="newton", newton_steps=newton_steps)
-
-
-def minimize_energy(g: FractalGraph, u0, pin=0, cfg: FlowConfig | None = None) -> EquilibriumReport:
-    """Energy minimiser with the pinned vertex at phase 0.
-
-    :func:`solve_equilibrium`, with the field then rotated so that
-    ``field[pin] == 0.0`` and the Hessian eigenvalue taken with ``pin``
-    held fixed; the energy and residual do not depend on the rotation.
-    """
-    _check_pin(g, pin)
-    rep = solve_equilibrium(g, u0, cfg)
-    rep.field = wrap_phases(rep.field - rep.field[pin])
-    if pin != 0 and rep.hessian_min_eig is not None:
-        rep.hessian_min_eig, rep.stability = hessian_stability(g, rep.field,
-                                                               pin=pin)
-    return rep
 
 
 def hessian_matrix(g: FractalGraph, u) -> sparse.csr_matrix:
@@ -356,8 +349,8 @@ def hessian_matrix(g: FractalGraph, u) -> sparse.csr_matrix:
     return weighted_laplacian(g.edges, w, g.n_vertices)
 
 
-def _pinned_hessian(g: FractalGraph, u, free) -> sparse.csc_matrix:
-    return hessian_matrix(g, u)[free][:, free].tocsc()
+def _pinned_hessian(g: FractalGraph, u) -> sparse.csc_matrix:
+    return hessian_matrix(g, u)[1:, 1:].tocsc()
 
 
 def _positive_definite_factor(H):
@@ -378,27 +371,38 @@ def _positive_definite_factor(H):
     return None
 
 
-def hessian_stability(g: FractalGraph, u, pin=0):
-    """Smallest Hessian eigenvalue on the pinned subspace, with verdict.
+def hessian_stability(g: FractalGraph, u):
+    """Smallest Hessian eigenvalue with vertex 0 held fixed, with verdict.
 
-    The pinned Hessian is factored here, as in :func:`solve_equilibrium`.
-    When the factor certifies it positive definite, shift-invert Lanczos
-    at 0 runs on that factor.  Otherwise, and whenever ARPACK fails, the
-    solve is dense up to ``DENSE_EIG_LIMIT`` free vertices.  Above that an
-    uncertified Hessian goes to plain Lanczos, and an ARPACK failure
-    raises :class:`EigensolverError` instead of densifying.  Verdict is
+    For a field that no Newton run has factored (a flow-only end, or any
+    given equilibrium): the residual must be below ``EQUILIBRIUM_TOL``,
+    and the pinned Hessian is factored here as in :func:`solve_equilibrium`
+    and classified the same way.  A Newton-ended report already carries
+    this eigenvalue, bit for bit, from Newton's last factor.
+    """
+    u = g.check_field(u)
+    res = float(np.abs(km_rhs(g, u)).max())
+    if res >= EQUILIBRIUM_TOL:
+        raise NotAnEquilibriumError(
+            f"residual {res:.3e} >= {EQUILIBRIUM_TOL:g}; stability is "
+            f"defined at equilibria")
+    Hp = _pinned_hessian(g, u)
+    return _classify(Hp, _positive_definite_factor(Hp))
+
+
+def _classify(Hp, lu):
+    """Smallest eigenvalue of the pinned Hessian ``Hp``, with verdict.
+
+    ``lu`` is the factor of ``Hp`` that certifies it positive definite,
+    or None.  With a certificate, shift-invert Lanczos at 0 runs on that
+    factor.  Otherwise, and whenever ARPACK fails, the solve is dense up
+    to ``DENSE_EIG_LIMIT`` free vertices.  Above that an uncertified
+    Hessian goes to plain Lanczos, and an ARPACK failure raises
+    :class:`EigensolverError` instead of densifying.  Verdict is
     ``"stable"`` above the band of half-width ``STABILITY_BAND`` about 0,
     ``"saddle"`` below it, and ``"degenerate"`` inside it.
     """
-    u = g.check_field(u)
-    _check_pin(g, pin)
-    res = float(np.abs(km_rhs(g, u)).max())
-    if res >= 1e-8:
-        raise NotAnEquilibriumError(
-            f"residual {res:.3e} >= 1e-8; stability is defined at equilibria")
-    Hp = _pinned_hessian(g, u, np.delete(np.arange(g.n_vertices), pin))
     n = Hp.shape[0]
-    lu = _positive_definite_factor(Hp)
     eig = None
     try:
         if lu is not None and n > 1:  # ARPACK needs k = 1 < n

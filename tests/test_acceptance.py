@@ -29,6 +29,7 @@ from fractalsync import (DegreeVector, build_ring_graph,
                          minimize_constrained, neumann_check, normal_derivative,
                          restrict, ring_structure, sg_structure, solve_dirichlet,
                          solve_equilibrium, twisted_state, wrap_phases)
+from fractalsync.kuramoto import _edge_energies
 from fractalsync.structures import energy_value, extension_by_minimization
 
 BETA = math.log(5 / 3) / (2 * math.log(2))
@@ -108,25 +109,50 @@ def test_criterion_04_normal_derivative_constancy():
                    f"covering Neumann residual {worst_neu:.2e} < 1e-9")
 
 
+def _central_differences(g, u, eps):
+    """(E(u + eps e_v) - E(u - eps e_v)) / (2 eps) for every vertex v at
+    once, from the edge energies of v's incident edges: no other term of
+    the energy changes."""
+    i, j, w = g.edges[:, 0], g.edges[:, 1], g.edge_weights
+    m = len(w)
+    tail, head = np.arange(m), np.arange(m, 2 * m)
+
+    def edge_energies(a, b):
+        return _edge_energies(np.concatenate([a, b]), tail, head, w)
+
+    a, b = u[i], u[j]
+    d_tail = edge_energies(a + eps, b) - edge_energies(a - eps, b)
+    d_head = edge_energies(a, b + eps) - edge_energies(a, b - eps)
+    n = g.n_vertices
+    return (np.bincount(i, d_tail, n) + np.bincount(j, d_head, n)) / (2 * eps)
+
+
 def test_criterion_05_gradient_identity():
     rng = np.random.default_rng(5)
     eps = 1e-6
     worst = 0.0
+    cross = 0.0
     for n in (3, 4, 5):
         g = build_sg_graph(n)
-        for _ in range(100):
+        for k in range(100):
             u = rng.random(g.n_vertices)
             rhs = km_rhs(g, u)
             scale = max(1.0, float(np.abs(rhs).max()))
-            for i in range(g.n_vertices):
-                up, um = u.copy(), u.copy()
-                up[i] += eps
-                um[i] -= eps
-                fd = (km_energy(g, up) - km_energy(g, um)) / (2 * eps)
-                worst = max(worst, abs(rhs[i] + 2 * math.pi * fd) / scale)
-    ok = worst < 1e-5
+            fd = _central_differences(g, u, eps)
+            worst = max(worst, float(np.abs(rhs + 2 * math.pi * fd).max()) / scale)
+            if k == 0:
+                # cross-check: the full energy, one vertex at a time
+                for v in range(g.n_vertices):
+                    up, um = u.copy(), u.copy()
+                    up[v] += eps
+                    um[v] -= eps
+                    fd_v = (km_energy(g, up) - km_energy(g, um)) / (2 * eps)
+                    worst = max(worst, abs(rhs[v] + 2 * math.pi * fd_v) / scale)
+                    cross = max(cross, 2 * math.pi * abs(fd_v - fd[v]) / scale)
+    ok = worst < 1e-5 and cross < 1e-5
     _report(5, ok, f"max relative defect {worst:.2e} < 1e-5 "
-                   f"(100 random fields at n=3,4,5)")
+                   f"(100 random fields at n=3,4,5); edge-local and full-energy "
+                   f"differences agree to {cross:.2e}")
 
 
 def test_criterion_06_ring_exactness():

@@ -8,8 +8,7 @@ from fractalsync import (DegreeVector, EigensolverError, FlowConfig,
                          build_sg_graph, circle_distance, circle_harmonic_map,
                          degree, half_twisted_state, hessian_stability,
                          integrate_to_equilibrium, km_energy, km_rhs,
-                         minimize_energy, solve_equilibrium, twisted_state,
-                         wrap_phases)
+                         solve_equilibrium, twisted_state, wrap_phases)
 from fractalsync import kuramoto as km
 from fractalsync.dirichlet import laplacian_matrix
 from fractalsync.kuramoto import hessian_matrix
@@ -39,10 +38,9 @@ def test_newton_step_energy_difference_matches_mpmath():
     g = build_sg_graph(9)
     u, _ = circle_harmonic_map(g, DegreeVector({(): 1}))
     i, j, w = g.edges[:, 0], g.edges[:, 1], g.edge_weights
-    free = np.arange(1, g.n_vertices)
     step = np.zeros_like(u)
-    lu = km._positive_definite_factor(km._pinned_hessian(g, u, free))
-    step[free] = lu.solve(km_rhs(g, u)[free]) / km.TWO_PI
+    lu = km._positive_definite_factor(km._pinned_hessian(g, u))
+    step[1:] = lu.solve(km_rhs(g, u)[1:]) / km.TWO_PI
     cand = u + step
 
     def exact(x):
@@ -157,11 +155,10 @@ def test_flow_from_harmonic_map_reaches_stable_equilibrium():
 def test_flow_energy_decays_along_trajectory():
     g = build_sg_graph(3)
     rng = np.random.default_rng(8)
-    record = []
     u0 = wrap_phases(0.02 * rng.standard_normal(g.n_vertices))
-    rep = integrate_to_equilibrium(g, u0, FlowConfig(record=record))
+    rep = integrate_to_equilibrium(g, u0)
     assert rep.converged
-    energies = [e for _, e, _ in record]
+    energies = [e for _, e, _ in rep.trajectory]
     assert all(b <= a + 1e-13 for a, b in zip(energies, energies[1:]))
 
 
@@ -274,8 +271,8 @@ def test_failed_handoff_keeps_flowing_until_the_residual_halves(monkeypatch):
     g = build_sg_graph(4)
     phases, _ = circle_harmonic_map(g, DegreeVector({(): 1}))
     u0 = wrap_phases(phases + np.random.default_rng(3).uniform(-0.1, 0.1, g.n_vertices))
-    record = []
-    rep = integrate_to_equilibrium(g, u0, FlowConfig(record=record))
+    rep = integrate_to_equilibrium(g, u0)
+    record = rep.trajectory
     flow_rows = [r for _, _, r in record[:-1]]
     # the first block below the threshold hands off, the first below half
     # of the failed attempt's residual retries
@@ -361,38 +358,19 @@ def test_newton_keeps_stable_ring_twists():
         assert circle_distance(rep.field, u0).max() < 1e-12
 
 
-def test_minimize_rejects_bad_pin():
-    g = build_sg_graph(2)
-    for pin in (-1, g.n_vertices):
-        with pytest.raises(ValueError, match="pin"):
-            minimize_energy(g, np.zeros(g.n_vertices), pin=pin)
-
-
 # -- minimisation ----------------------------------------------------------------
 
 def test_minimize_near_constant_reaches_zero():
     g = build_sg_graph(3)
     rng = np.random.default_rng(6)
     u0 = wrap_phases(0.01 * rng.standard_normal(g.n_vertices))
-    for pin in (0, 5):
-        rep = minimize_energy(g, u0, pin=pin, cfg=FlowConfig(tol=1e-10))
-        assert rep.converged
-        assert rep.energy < 1e-16
-        assert rep.field[pin] == 0.0
-        # the eigenvalue is taken on the subspace with the pin held fixed
-        assert (rep.hessian_min_eig, rep.stability) == hessian_stability(
-            g, rep.field, pin=pin)
-
-
-def test_minimize_keeps_degree_and_matches_flow():
-    omega = DegreeVector({(): 1})
-    g = build_sg_graph(4)
-    phases, _ = circle_harmonic_map(g, omega)
-    rep_min = minimize_energy(g, phases, pin=0, cfg=FlowConfig(tol=1e-9))
-    rep_flow = rk4_reference(g, phases)
-    assert rep_min.degree == omega
-    assert rep_min.stability == "stable"
-    assert circle_distance(rep_min.field, rep_flow.field).max() < 1e-6
+    rep = solve_equilibrium(g, u0, FlowConfig(tol=1e-10))
+    assert rep.method == "newton" and rep.converged
+    assert rep.energy < 1e-16
+    assert rep.stability == "stable"
+    # the eigenvalue is taken on the subspace with vertex 0 held fixed
+    assert (rep.hessian_min_eig, rep.stability) == hessian_stability(
+        g, rep.field)
 
 
 # -- stability ---------------------------------------------------------------------
@@ -400,7 +378,7 @@ def test_minimize_keeps_degree_and_matches_flow():
 def test_hessian_constant_equals_pinned_laplacian():
     g = build_sg_graph(3)
     u = np.full(g.n_vertices, 0.1)
-    eig, verdict = hessian_stability(g, u, pin=0)
+    eig, verdict = hessian_stability(g, u)
     L = laplacian_matrix(g).toarray()[1:, 1:]
     assert verdict == "stable"
     assert eig == pytest.approx(np.linalg.eigvalsh(L)[0], rel=1e-9)
@@ -448,12 +426,44 @@ def test_hessian_factor_path_matches_dense():
     g = build_sg_graph(6)
     phases, _ = circle_harmonic_map(g, DegreeVector({(): 1}))
     rep = solve_equilibrium(g, phases)
-    eig, verdict = hessian_stability(g, rep.field, pin=3)
-    H = hessian_matrix(g, rep.field).toarray()
-    keep = np.delete(np.arange(g.n_vertices), 3)
-    assert verdict == "stable"
-    assert eig == pytest.approx(np.linalg.eigvalsh(H[np.ix_(keep, keep)])[0],
-                                rel=1e-10)
+    H = hessian_matrix(g, rep.field).toarray()[1:, 1:]
+    assert rep.method == "newton" and rep.stability == "stable"
+    assert rep.hessian_min_eig == pytest.approx(np.linalg.eigvalsh(H)[0],
+                                                rel=1e-10)
+
+
+def _newton_ends():
+    """Newton from the map at gasket levels 3-7 (degrees 1 and 1,1,1,1),
+    and a ring flow whose first handoff finishes: (graph, solve) pairs."""
+    for spec in ("1", "1,1,1,1"):
+        for n in range(3, 8):
+            g = build_sg_graph(n)
+            phases, _ = circle_harmonic_map(g, DegreeVector.parse(spec, (1, 2, 3)))
+            yield g, lambda g=g, phases=phases: solve_equilibrium(g, phases)
+    ring = build_ring_graph(6)
+    u0 = wrap_phases(twisted_state(ring, 3)
+                     + np.random.default_rng(4).uniform(-0.1, 0.1, ring.n_vertices))
+    yield ring, lambda: integrate_to_equilibrium(ring, u0)
+
+
+def test_newton_end_factors_once_per_step(monkeypatch):
+    # each Newton step factors its iterate, and one more factor certifies
+    # and classifies the reported field: no second factor of the same Hessian
+    calls = []
+    factor = km._positive_definite_factor
+
+    def counted(H):
+        calls.append(H.shape)
+        return factor(H)
+
+    monkeypatch.setattr(km, "_positive_definite_factor", counted)
+    for g, solve in _newton_ends():
+        calls.clear()
+        rep = solve()
+        assert rep.method == ("flow+newton" if g.kind == "ring" else "newton")
+        assert rep.fallback is None
+        assert rep.stability == "stable"
+        assert len(calls) == rep.newton_steps + 1, (g.kind, g.level)
 
 
 def test_hessian_min_eig_bitwise_reproducible_level7():
@@ -463,7 +473,11 @@ def test_hessian_min_eig_bitwise_reproducible_level7():
     second = solve_equilibrium(g, phases)
     assert first.stability == "stable"
     assert first.hessian_min_eig == second.hessian_min_eig
-    assert hessian_stability(g, first.field)[0] == first.hessian_min_eig
+    # Newton's last factor classifies exactly what hessian_stability does
+    for g, solve in _newton_ends():
+        rep = solve()
+        assert hessian_stability(g, rep.field) == (rep.hessian_min_eig,
+                                                   rep.stability)
 
 
 def test_small_eigensolver_failure_falls_back_to_dense(monkeypatch):
