@@ -84,6 +84,48 @@ def default_step(g: FractalGraph) -> float:
     return 0.2 * (3.0 / 5.0) ** g.level
 
 
+def _cell_cycles(g: FractalGraph) -> np.ndarray:
+    # stored edges run cell by cell from each corner to the next, so the
+    # gasket's level-n cells and the whole ring are cycles traversed
+    # forwards, one row each, and together they hold every edge once (the
+    # level-1 ring's one stored edge is a row alone, bounded by its term)
+    return np.arange(g.n_edges).reshape(-1, 3 if g.kind == "sg" else g.n_edges)
+
+
+def cell_wall_energy(g: FractalGraph, u) -> float:
+    """``E_wall``: below this energy the flow from ``u`` stays in its cell.
+
+    If every wrapped edge difference d_e of ``u`` is under a quarter turn,
+    its cell is Omega_k = {|u_j - u_i - k_e| < 1/4} in the lift, with
+    k_e = u_j - u_i - d_e; otherwise the result is -inf.  Along a cycle C
+    of L edges the signed differences sum to the winding q_C, the same at
+    every point of the closed cell.  On the wall |d_e| = 1/4 of an edge of
+    C that edge's term w_e sin^2(pi d_e) / (2 pi^2) is w_e / (4 pi^2), and
+    the other L - 1 differences, each at most 1/4, sum to q_C -+ 1/4, at
+    least s = ||q_C| - 1/4| in size.  sin^2(pi x) is convex and grows with
+    |x| on |x| <= 1/4, so by Jensen their terms add up to at least
+    (L - 1) w_C sin^2(pi s / (L - 1)) / (2 pi^2), w_C the least weight on
+    C.  The gasket's level-n cells (L = 3, q_C = 0) and the whole ring
+    hold every edge, so the least of these bounds over them is below the
+    energy on every wall of Omega_k.  It is never below min(w) / (4 pi^2),
+    the bound that one edge term alone gives.
+
+    The bound is lowered by 1e-9 relative as a rounding margin: the energy
+    is a sum of nonnegative terms, so its relative rounding error is of
+    order n_edges * 2**-52, under 1e-9 up to ~4M edges (level 12 of the
+    gasket has 1.6M).
+    """
+    d = _wrapped_diff(u, g.edges[:, 0], g.edges[:, 1])
+    if not np.abs(d).max() < 0.25:
+        return -math.inf
+    cycles = _cell_cycles(g)
+    rest = cycles.shape[1] - 1
+    s = np.abs(np.abs(np.round(d[cycles].sum(axis=1))) - 0.25)
+    terms = 0.5 + rest * np.sin(math.pi * s / max(rest, 1)) ** 2
+    bound = g.edge_weights[cycles].min(axis=1) * terms / (2.0 * math.pi ** 2)
+    return (1.0 - 1e-9) * float(bound.min())
+
+
 @dataclass
 class FlowConfig:
     """Flow and Newton settings; reports always read the full-order degree."""
@@ -104,9 +146,10 @@ class EquilibriumReport:
     flow ran: ``steps`` and ``time`` are 0, and ``halvings`` and
     ``step_size`` are the line search's.  ``degree`` is the full-order
     degree vector of ``field``, or None with ``degree_error`` saying why.
-    ``hessian_min_eig`` and ``stability`` are set when the residual is
-    below ``EQUILIBRIUM_TOL``; a Newton end takes them from the factor
-    that certified its last iterate.  ``trajectory`` holds the flow's
+    ``hessian_min_eig`` and ``stability`` are set for every Newton end,
+    from the factor that certified the reported field (also when
+    ``cfg.tol`` is above ``EQUILIBRIUM_TOL``), and for any other end whose
+    residual is below ``EQUILIBRIUM_TOL``.  ``trajectory`` holds the flow's
     ``(time, energy, residual)`` rows, one per accepted block (None when
     no flow ran); it is not part of :meth:`to_json_dict`.
     """
@@ -124,6 +167,7 @@ class EquilibriumReport:
     halvings: int = 0
     method: str = "flow"            # "flow", "flow+newton" or "newton"
     fallback: str | None = None     # why Newton handed over to the flow
+    handoff: str | None = None      # "energy" or "residual" for "flow+newton"
     newton_steps: int = 0
     degree_error: str | None = None
     trajectory: list | None = None
@@ -143,6 +187,7 @@ class EquilibriumReport:
             "halvings": self.halvings,
             "method": self.method,
             "fallback": self.fallback,
+            "handoff": self.handoff,
             "newton_steps": self.newton_steps,
         }
 
@@ -154,9 +199,10 @@ def _finalize(g, u, residual, steps, t, h, converged, halvings,
     energy = km_energy(g, phases)
     hess_eig = None
     verdict = None
-    if residual < EQUILIBRIUM_TOL:
-        hess_eig, verdict = (hessian_stability(g, phases) if factor is None
-                             else _classify(*factor))
+    if factor is not None:
+        hess_eig, verdict = _classify(*factor)
+    elif residual < EQUILIBRIUM_TOL:
+        hess_eig, verdict = hessian_stability(g, phases)
     deg = deg_error = None
     try:
         deg = degree(phases, g)
@@ -177,19 +223,40 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
     when it starts beyond the stability limit.  Non-convergence within the
     time budget is reported in the ``converged`` flag, not raised.
 
-    The flow decides where it comes to rest; Newton only polishes the
-    exponentially decaying tail.  Once an accepted block leaves the
-    residual below ``NEWTON_HANDOFF``, the damped Newton iteration of
-    :func:`solve_equilibrium` runs from the block state.  Its first factor
-    must certify the pinned Hessian positive definite, so saddle passages
-    stay on RK4, and its step cap keeps the degree the flow has reached.
-    If it fails, the flow continues from the block state and tries again
-    only once the residual is below half its value at the failed attempt.
-    A finished run reports ``method == "flow+newton"``, with ``steps``,
-    ``time`` and ``halvings`` counting the RK4 part and ``newton_steps``
-    the Newton part, and is classified with Newton's last factor.  Its
-    ``trajectory`` ends at the handoff with one more row for the polished
-    point, at the handoff time.
+    The flow decides where it comes to rest; Newton only finishes the
+    approach.  After an accepted block, the damped Newton iteration of
+    :func:`solve_equilibrium` runs from the block state under either of two
+    rules, and ``handoff`` names the one that accepted its end:
+
+    - ``"energy"``: the block's energy is below ``E_wall =``
+      :func:`cell_wall_energy` of the block state, whatever the residual,
+      and the block ends inside ``cfg.max_time``.  The end is accepted
+      only if it lies in the block state's cell.  The rule gets one
+      attempt.
+    - ``"residual"``: the block's residual is below ``NEWTON_HANDOFF``.  If
+      Newton fails, the flow continues from the block state and tries
+      again only once the residual is below half its value at the failed
+      attempt.
+
+    The energy rule keeps the flow's answer.  ``E_wall`` is finite only
+    when every wrapped difference is under a quarter turn, and then bounds
+    the energy from below on the walls of the cell
+    Omega_k = {|u_j - u_i - k_e| < 1/4} of the lift.  The gradient flow
+    that RK4 follows never raises E, so it never reaches a wall and stays
+    in Omega_k.  On Omega_k the Hessian is a Laplacian with positive
+    weights w cos 2 pi d, so E is strictly convex there modulo rotation,
+    and the flow's limit is the only critical point in Omega_k with the
+    start's mean phase.  Newton's end has that mean phase and is checked
+    to lie in Omega_k, so it is that same point.  The rule stands in for
+    the rest of the flow, so a block past the time budget does not use it.
+
+    Newton's first factor must certify the pinned Hessian positive
+    definite, so saddle passages stay on RK4, and its step cap keeps the
+    degree the flow has reached.  A finished run reports ``method ==
+    "flow+newton"``, with ``steps``, ``time`` and ``halvings`` counting the
+    RK4 part and ``newton_steps`` the Newton part, and is classified with
+    Newton's last factor.  Its ``trajectory`` ends at the handoff with one
+    more row for the polished point, at the handoff time.
     """
     cfg = cfg or FlowConfig()
     u = g.check_field(u0).copy()
@@ -205,6 +272,7 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
     steps = 0
     halvings = 0
     handoff_below = NEWTON_HANDOFF
+    energy_rule = True  # the energy rule gets one attempt
     res = float(np.abs(rhs(u)).max())
     energy = _km_energy_fast(u, i, j, w)
     rows = [(t, energy, res)]
@@ -230,15 +298,25 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
         t += CHECK_EVERY * h
         res = float(np.abs(rhs(u)).max())
         rows.append((t, energy, res))
-        if cfg.tol <= res < handoff_below:
+        by_energy = (energy_rule and t < cfg.max_time
+                     and energy < cell_wall_energy(g, u))
+        if cfg.tol <= res and (by_energy or res < handoff_below):
             out = _newton(g, u, cfg)
             if not isinstance(out, str):
-                u, res, newton_steps, _, _, factor = out
-                rows.append((t, _km_energy_fast(u, i, j, w), res))
-                return _finalize(g, u, res, steps, t, h, True, halvings,
-                                 factor, method="flow+newton",
-                                 newton_steps=newton_steps, trajectory=rows)
-            handoff_below = 0.5 * res
+                u_end, res_end, newton_steps, _, _, factor = out
+                # the end's lift differences, offset as u's, in the open cell
+                d_end = _wrapped_diff(u, i, j) + (u_end[j] - u_end[i]) - (u[j] - u[i])
+                handoff = ("energy" if by_energy and np.abs(d_end).max() < 0.25
+                           else "residual" if res < handoff_below else None)
+                if handoff:
+                    rows.append((t, _km_energy_fast(u_end, i, j, w), res_end))
+                    return _finalize(g, u_end, res_end, steps, t, h, True,
+                                     halvings, factor, method="flow+newton",
+                                     handoff=handoff, newton_steps=newton_steps,
+                                     trajectory=rows)
+            energy_rule = energy_rule and not by_energy
+            if res < handoff_below:
+                handoff_below = 0.5 * res
     return _finalize(g, u, res, steps, t, h, res < cfg.tol, halvings,
                      trajectory=rows)
 

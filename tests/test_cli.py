@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from fractalsync import DegreeVector
+from fractalsync import DegreeVector, build_ring_graph
+from fractalsync import kuramoto as km
 from fractalsync.cli import _build_parser, _config_from_args, main
 from fractalsync.serialize import (dumps_json, read_field_csv, sha256_of,
                                    write_field_csv)
@@ -148,6 +149,7 @@ def test_sweep_perturbed_runs_flow_unperturbed_runs_newton(tmp_path):
                     "4:4", "--perturb", perturb, "--out", str(out)]) == 0
         jobs[perturb], = json.loads((out / "sweep.json").read_text())["jobs"]
     assert jobs["0"]["method"] == "newton" and jobs["0"]["fallback"] is None
+    assert jobs["0"]["handoff"] is None
     assert jobs["0"]["steps"] == 0 and jobs["0"]["newton_steps"] > 0
     # a perturbed start is left to the flow, which may leave its class;
     # Newton only polishes the tail once the flow has settled
@@ -159,6 +161,7 @@ def test_sweep_perturbed_runs_flow_unperturbed_runs_newton(tmp_path):
     rep = fs.integrate_to_equilibrium(g, u0, cfg)
     job = jobs["0.1"]
     assert job["method"] == "flow+newton" and job["fallback"] is None
+    assert job["handoff"] == rep.handoff
     assert (job["steps"], job["newton_steps"]) == (rep.steps, rep.newton_steps)
     assert job["energy"] == rep.energy
     assert job["hessian_min_eig"] == rep.hessian_min_eig
@@ -170,7 +173,11 @@ def test_sweep_perturbed_runs_flow_unperturbed_runs_newton(tmp_path):
     assert job["stability"] == ref.stability == "stable"
 
 
-def test_flow_cmd_trajectory_ends_with_newton_finish(tmp_path):
+def test_flow_cmd_trajectory_ends_with_newton_finish(tmp_path, monkeypatch):
+    walls = []   # E_wall of each block state the energy rule looks at
+    wall = km.cell_wall_energy
+    monkeypatch.setattr(km, "cell_wall_energy",
+                        lambda g, u: walls.append(wall(g, u)) or walls[-1])
     out = tmp_path / "fr"
     assert run(["flow", "--fractal", "ring", "--level", "4", "--init",
                 "random", "--seed", "2", "--traj", "--out", str(out)]) == 0
@@ -181,7 +188,31 @@ def test_flow_cmd_trajectory_ends_with_newton_finish(tmp_path):
     # one row per accepted block, then the polished point at the same time
     assert len(rows) == rep["steps"] // 25 + 2
     assert rows[-1][0] == rows[-2][0] == rep["time"]
-    assert rows[-2][2] < 1e-3 and rows[-1][2] == rep["residual"] < 1e-10
+    # the first block below its cell's wall energy hands off, whatever its
+    # residual (here above NEWTON_HANDOFF), and Newton only lowers the energy
+    assert rep["handoff"] == "energy"
+    assert len(walls) == len(rows) - 2
+    assert all(e >= b for (_, e, _), b in zip(rows[1:-2], walls))
+    assert rows[-1][1] <= rows[-2][1] < walls[-1]
+    assert rows[-2][2] >= km.NEWTON_HANDOFF
+    assert rows[-1][2] == rep["residual"] < 1e-10
+
+
+def test_twist_above_equilibrium_tol_classifies_the_certified_end(tmp_path):
+    # Newton stops once the residual is below --tol and certifies the
+    # field it reports; that factor classifies it, as at the default tol
+    reps = []
+    for tol in ("1e-5", "1e-10"):
+        out = tmp_path / tol
+        assert run(["twist", "--level", "6", "--degree", "1", "--tol", tol,
+                    "--out", str(out)]) == 0
+        reps.append(json.loads((out / "equilibrium.json").read_text()))
+    loose, tight = reps
+    assert loose["method"] == "newton" and loose["handoff"] is None
+    assert km.EQUILIBRIUM_TOL <= loose["residual"] < 1e-5
+    assert loose["stability"] == tight["stability"] == "stable"
+    assert loose["hessian_min_eig"] == pytest.approx(tight["hessian_min_eig"],
+                                                     rel=1e-6)
 
 
 def test_twist_zero_degree(tmp_path):

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.sparse import linalg as spla
 
 from fractalsync import (DegreeVector, EigensolverError, FlowConfig,
@@ -203,15 +205,33 @@ def test_unresolved_degree_is_reported():
 
 # -- Newton finish of the flow (plain RK4 is the oracle) ---------------------------
 
+def _spy_walls(mp):
+    """Record E_wall of each block state the flow's energy rule looks at."""
+    walls = []
+    wall = km.cell_wall_energy
+
+    def spy(g, u):
+        walls.append(wall(g, u))
+        return walls[-1]
+
+    mp.setattr(km, "cell_wall_energy", spy)
+    return walls
+
+
 @settings(max_examples=10, deadline=None)
 @given(kind=st.sampled_from(("sg", "ring")), n=st.integers(3, 5),
        spec=st.sampled_from(("0", "1", "1,1,1,1", "2,0,0")),
-       amp=st.floats(0.0, 0.25), seed=st.integers(0, 2 ** 32 - 1))
-@example(kind="sg", n=5, spec="2,0,0", amp=0.25, seed=1)
-@example(kind="ring", n=5, spec="0", amp=0.0, seed=1)
-def test_finished_flow_matches_rk4_reference(kind, n, spec, amp, seed):
+       amp=st.floats(0.0, 0.25), seed=st.integers(0, 2 ** 32 - 1),
+       handoff=st.just(None))
+@example(kind="sg", n=5, spec="2,0,0", amp=0.25, seed=1, handoff="residual")
+@example(kind="ring", n=5, spec="0", amp=0.0, seed=1, handoff="energy")
+@example(kind="ring", n=5, spec="0", amp=0.0, seed=0, handoff="energy")
+@example(kind="sg", n=5, spec="0", amp=0.25, seed=1, handoff="energy")
+def test_finished_flow_matches_rk4_reference(kind, n, spec, amp, seed, handoff):
     # perturbed gasket starts and random ring starts: the flow picks the
-    # equilibrium, and the Newton finish lands on the one plain RK4 reaches
+    # equilibrium, and the Newton finish lands on the one plain RK4 reaches;
+    # ``handoff`` is the rule an example is known to finish under (ring-5
+    # seed 0 ends twisted, q = -2, above the single-edge bound w / (4 pi^2))
     rng = np.random.default_rng(seed)
     if kind == "ring":
         g = build_ring_graph(n)
@@ -221,7 +241,9 @@ def test_finished_flow_matches_rk4_reference(kind, n, spec, amp, seed):
         phases, _ = circle_harmonic_map(g, DegreeVector.parse(spec, (1, 2, 3)))
         u0 = wrap_phases(phases + rng.uniform(-amp, amp, g.n_vertices))
     cfg = FlowConfig()
-    rep = integrate_to_equilibrium(g, u0, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        walls = _spy_walls(mp)
+        rep = integrate_to_equilibrium(g, u0, cfg)
     ref = rk4_reference(g, u0, cfg)
     assert circle_distance(rep.field, ref.field).max() < 1e-8
     assert rep.degree == ref.degree
@@ -229,6 +251,22 @@ def test_finished_flow_matches_rk4_reference(kind, n, spec, amp, seed):
     assert rep.converged == ref.converged
     assert rep.method == ("flow+newton" if rep.newton_steps else "flow")
     assert rep.steps <= ref.steps
+    # each rule's own condition held at the handoff block and its end
+    assert (rep.handoff is None) == (rep.method == "flow")
+    if rep.handoff is not None:
+        (_, e_block, r_block), (_, e_end, _) = rep.trajectory[-2:]
+        if rep.handoff == "energy":
+            # the first block below its wall energy; the end in its cell
+            energies = [e for _, e, _ in rep.trajectory[1:-1]]
+            assert len(walls) == len(energies)
+            assert all(e >= b for e, b in zip(energies[:-1], walls))
+            assert e_end <= e_block < walls[-1]
+            d_end = km._wrapped_diff(rep.field, g.edges[:, 0], g.edges[:, 1])
+            assert np.abs(d_end).max() < 0.25
+        else:
+            assert r_block < km.NEWTON_HANDOFF
+    if handoff is not None:
+        assert rep.handoff == handoff
 
 
 def test_flow_does_not_hand_off_at_a_saddle(monkeypatch):
@@ -287,6 +325,116 @@ def test_failed_handoff_keeps_flowing_until_the_residual_halves(monkeypatch):
     ref = rk4_reference(g, u0)
     assert circle_distance(rep.field, ref.field).max() < 1e-8
     assert rep.degree == ref.degree == DegreeVector({(): 1})
+
+
+@pytest.mark.parametrize("first", ["fails", "ends outside the cell"])
+def test_energy_handoff_has_one_attempt(monkeypatch, first):
+    # after a spoiled energy-rule attempt, Newton runs again only where the
+    # residual rule allows it, not at every block below the wall energy
+    calls = []
+    newton = km._newton
+    g = build_ring_graph(5)
+    i, j, w = g.edges[:, 0], g.edges[:, 1], g.edge_weights
+
+    def first_spoiled(g, u, cfg):
+        calls.append((km._km_energy_fast(u, i, j, w),
+                      float(np.abs(km_rhs(g, u)).max())))
+        out = newton(g, u, cfg)
+        if len(calls) > 1:
+            return out
+        if first == "fails":
+            return "forced"
+        # Newton's end with every other vertex turned by 0.3: each edge is
+        # then past a quarter turn, outside the block state's cell
+        return (out[0] + 0.3 * (np.arange(g.n_vertices) % 2),) + out[1:]
+
+    monkeypatch.setattr(km, "_newton", first_spoiled)
+    walls = _spy_walls(monkeypatch)
+    u0 = np.random.default_rng(1).random(g.n_vertices)
+    rep = integrate_to_equilibrium(g, u0)
+    rows = [(e, r) for _, e, r in rep.trajectory[1:-1]]
+    first_below = next(k for k, (e, _) in enumerate(rows) if e < walls[k])
+    assert len(walls) == first_below + 1
+    assert calls[0] == rows[first_below]
+    assert calls[0][1] >= km.NEWTON_HANDOFF
+    assert calls[1] == next(row for row in rows if row[1] < km.NEWTON_HANDOFF)
+    assert len(calls) == 2 and rows[-1] == calls[1]
+    assert rep.method == "flow+newton" and rep.handoff == "residual"
+    ref = rk4_reference(g, u0)
+    assert circle_distance(rep.field, ref.field).max() < 1e-8
+    assert rep.degree == ref.degree and rep.stability == ref.stability
+
+
+def test_energy_rule_waits_for_the_time_budget():
+    # one block overruns max_time and ends below its wall energy: the rule
+    # stands in for the rest of the flow, which the budget does not allow
+    g = build_sg_graph(3)
+    u0 = wrap_phases(0.1 * np.random.default_rng(3).standard_normal(g.n_vertices))
+    rep = integrate_to_equilibrium(g, u0, FlowConfig(max_time=1e-4))
+    (_, e_start, _), (t, e_block, _) = rep.trajectory
+    assert km.cell_wall_energy(g, u0) == -math.inf
+    assert t > 1e-4 and e_block < km.cell_wall_energy(g, rep.field)
+    assert rep.method == "flow" and rep.handoff is None and not rep.converged
+    rep = integrate_to_equilibrium(g, u0)
+    assert rep.handoff == "energy" and rep.steps == 25
+
+
+# -- the wall energy behind the flow's energy handoff ------------------------------
+
+def _lemma_graph(kind, n):
+    return build_ring_graph(n) if kind == "ring" else build_sg_graph(n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(("sg", "ring")), n=st.integers(3, 5),
+       q=st.integers(-3, 3), amp=st.floats(0.0, 0.2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cell_wall_energy_bounds_the_energy_on_the_walls(kind, n, q, amp, seed):
+    # from a field u inside its cell, go straight along a random direction
+    # v: the lift differences d + s (v_j - v_i) first reach a quarter turn
+    # at s*, on a wall of u's cell, and the energy there is at least E_wall
+    g = _lemma_graph(kind, n)
+    rng = np.random.default_rng(seed)
+    if kind == "ring":
+        base = twisted_state(g, q)
+    else:
+        base, _ = circle_harmonic_map(g, DegreeVector({(): q} if q else {}))
+    u = base + rng.uniform(-amp, amp, g.n_vertices)
+    i, j, w = g.edges[:, 0], g.edges[:, 1], g.edge_weights
+    d = km._wrapped_diff(u, i, j)
+    assume(np.abs(d).max() < 0.25)
+    wall = km.cell_wall_energy(g, u)
+    # never below the bound of one edge term alone
+    assert wall >= (1.0 - 1e-9) * w.min() / (4.0 * math.pi ** 2)
+    v = rng.standard_normal(g.n_vertices)
+    dv = v[j] - v[i]
+    moving = dv != 0.0
+    s = np.min((0.25 * np.sign(dv[moving]) - d[moving]) / dv[moving])
+    at_wall = d + s * dv
+    assert np.abs(np.abs(at_wall).max() - 0.25) < 1e-12
+    assert km._km_energy_fast(u + s * v, i, j, w) >= wall
+    # inside the quarter-turn cell the pinned Hessian is a Laplacian with
+    # positive weights, and the factor certifies it
+    assert km._positive_definite_factor(km._pinned_hessian(g, u)) is not None
+
+
+def test_ring_wall_energy_certifies_every_quarter_turn_twist_not_saddles():
+    # a critical point below its wall energy is the minimum of its convex
+    # cell: the half-twisted saddles never are, while every twisted state
+    # with edges under a quarter turn (|q| < N / 4) is
+    for n in (3, 4, 5):
+        g = build_ring_graph(n)
+        for r in np.arange(0.5, g.n_vertices / 2, 1.0):
+            u = half_twisted_state(g, r)
+            if hessian_stability(g, u)[1] == "saddle":
+                assert km_energy(g, u) >= km.cell_wall_energy(g, u), (n, r)
+        assert hessian_stability(g, half_twisted_state(g, 0.5))[1] == "saddle"
+        for q in range(-g.n_vertices // 2, g.n_vertices // 2 + 1):
+            u = twisted_state(g, q)
+            wall = km.cell_wall_energy(g, u)
+            assert (km_energy(g, u) < wall) == (4 * abs(q) < g.n_vertices), (n, q)
+            if km_energy(g, u) < wall:
+                assert hessian_stability(g, u)[1] == "stable", (n, q)
 
 
 # -- Newton solve (plain RK4 is the oracle) ----------------------------------------
