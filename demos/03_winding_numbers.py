@@ -3,27 +3,28 @@
 Each cell boundary is a loop; lifting a phase field step by step around
 it (always taking the short way around the circle) ends an integer away
 from where it started.  Those integers, collected over all loops, are a
-complete homotopy invariant and survive small perturbations.
+complete homotopy invariant and survive small perturbations.  ``degree``
+reads every loop at once off the corner table.
 """
 
 import numpy as np
 
 from fractalsync import (DegreeVector, build_ring_graph, build_sg_graph,
-                         circle_harmonic_map, degree, lift_along_loop,
-                         loop_basis, twisted_state, wrap_phases)
+                         circle_harmonic_map, degree, twisted_state,
+                         wrap_phases)
 
-# ring: the q-twisted state winds q times
+# ring: the q-twisted state winds q times around the one loop
 ring = build_ring_graph(5)
-(loop,) = loop_basis(ring, 0)
 for q in (1, -3, 7):
-    lift = lift_along_loop(twisted_state(ring, q), loop)
-    print(f"ring twist q={q:+d}: lift runs {lift[0]:.3f} -> {lift[-1]:.3f}")
+    print(f"ring twist q={q:+d}: degree", degree(twisted_state(ring, q), ring))
 
-# gasket: loops of every order
+# gasket: one loop per cell of every order up to the graph level; the
+# order-m loop words are the level-m cell words
 g = build_sg_graph(3)
-loops = loop_basis(g, 2)
-print(f"\ngasket level 3 loop basis up to order 2: {len(loops)} loops")
-print("first words:", [lp.word for lp in loops[:6]])
+words = [tuple(w) for m in range(3)
+         for w in g.word_symbols(np.arange(3 ** m), m).tolist()]
+print(f"\ngasket level 3 loop basis up to order 2: {len(words)} loops")
+print("first words:", words[:6])
 
 phases, _ = circle_harmonic_map(g, DegreeVector({(): 1}))
 print("\ndegree of the unit-winding harmonic map:",

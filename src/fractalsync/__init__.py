@@ -16,15 +16,14 @@ from .dirichlet import (EnergyReport, dirichlet_energy, extend_corners,
 from .errors import (ConstraintViolationError, DegreeClosureError,
                      DegreeMismatchError, EigensolverError,
                      NotAnEquilibriumError, UnresolvedWindingError)
-from .graphs import (FractalGraph, Itinerary, build_graph, build_ring_graph,
-                     build_sg_graph, canonical_itinerary, restrict)
+from .graphs import (FractalGraph, build_graph, build_ring_graph,
+                     build_sg_graph, restrict)
 from .kuramoto import (EquilibriumReport, FlowConfig, circle_distance,
                        half_twisted_state, hessian_stability,
                        integrate_to_equilibrium, km_energy, km_rhs,
                        solve_equilibrium, twisted_state, wrap_phases)
 from .structures import (HarmonicStructure, generic_harmonic_map, generic_km,
                          ring_structure, sg_structure)
-from .winding import (DegreeVector, Loop, degree, lift_along_loop, loop_basis,
-                      trace_loop)
+from .winding import DegreeVector, degree
 
 __version__ = "0.1.0"

@@ -230,11 +230,9 @@ def cmd_flow(cfg: RunConfig):
 
 def _verify_row(args):
     cfg, n = args
-    g = build_graph(cfg.fractal, n)
-    phases, lift = cov.circle_harmonic_map(g, cfg.degree)
+    g, phases, lift, report = _twist_report(cfg, level=n)
     e_lift = lift.energy()
     j_harm = km.km_energy(g, phases)
-    report = km.solve_equilibrium(g, phases, _flow_cfg(cfg))
     d_n = float(km.circle_distance(report.field, phases).max())
     return {
         "level": n,
@@ -417,7 +415,13 @@ def _config_from_args(args) -> RunConfig:
     data = dict(_MODE_DEFAULTS.get(args.mode, {}))
     if args.config:
         with open(args.config) as fh:
-            data.update(json.load(fh))
+            given = json.load(fh)
+        # a key that is no flag of this subcommand would go unread
+        unread = sorted(set(given) - (set(vars(args)) - {"mode", "config"}))
+        if unread:
+            raise ValueError(f"--config {args.config}: {args.mode} does not "
+                             f"read {', '.join(unread)}")
+        data.update(given)
     # a flag that was given beats the --config file
     data.update({key: val for key, val in vars(args).items()
                  if val is not None and key != "config"})

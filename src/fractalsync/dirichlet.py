@@ -201,7 +201,7 @@ def normal_derivative(g: FractalGraph, f, v) -> float:
     return total
 
 
-def holder_ratio(g: FractalGraph, f, beta=None, block=512) -> float:
+def holder_ratio(g: FractalGraph, f, beta=None) -> float:
     """Max over vertex pairs of |f(x)-f(y)| / |x-y|**beta.
 
     Used as an empirical check that harmonic fields obey a uniform Holder
@@ -212,6 +212,7 @@ def holder_ratio(g: FractalGraph, f, beta=None, block=512) -> float:
         beta = math.log(5.0 / 3.0) / (2.0 * math.log(2.0))
     pts = g.coords
     n = g.n_vertices
+    block = 512  # rows of the pairwise distance matrix held at once
     best = 0.0
     for s in range(0, n, block):
         sl = slice(s, min(s + block, n))

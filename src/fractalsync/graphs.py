@@ -2,20 +2,19 @@
 
 The level-n gasket graph is the union of the images of the base triangle
 under all length-n compositions of the three corner contractions
-``F_i(x) = (x - v_i)/2 + v_i``.  Vertices are addressed symbolically by
-itineraries: a finite word over the alphabet ``{1, 2, 3}`` followed by an
-infinitely repeated tail symbol.  An interior vertex carries exactly two
-such names (it is shared by two cells); the canonical name is the
-lexicographically smaller one, and vertex ids are assigned by sorting
-canonical names.  Identity and ordering therefore never depend on
-floating-point coordinates.
+``F_i(x) = (x - v_i)/2 + v_i``.  A vertex is the point of an itinerary: a
+finite word over the alphabet ``{1, 2, 3}`` followed by an infinitely
+repeated tail symbol.  An interior vertex carries exactly two such names
+(it is shared by two cells); the canonical name is the lexicographically
+smaller one.
 
 The hierarchy is held as arrays.  Cell ``k`` of level n is the word whose
 base-3 digits spell ``k``, so the children of cell ``k`` are cells
-``3k, 3k+1, 3k+2`` of level n+1.  A vertex is stored as its key: the
-first n+1 symbols of its canonical name, read as a base-3 integer.  The
-sorted key array fixes the ids, and itineraries are decoded from it on
-demand.
+``3k, 3k+1, 3k+2`` of level n+1, and ``cell_corners`` is the one cell
+index.  A vertex is stored as its key: the first n+1 symbols of its
+canonical name, read as a base-3 integer.  The sorted key array fixes the
+ids, so identity and ordering never depend on floating-point coordinates;
+the graph JSON spells the names out from the keys.
 
 The ring hierarchy uses the alphabet ``{0, 1}`` (two contractions of the
 unit interval with endpoints identified), vertices ``i * 2**-n`` and
@@ -25,7 +24,6 @@ nearest-neighbour edges; its keys are binary in the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,38 +39,6 @@ SG_CORNERS = np.array([[0.0, 0.0], [0.5, math.sqrt(3.0) / 2.0], [1.0, 0.0]])
 
 _CORNER = np.arange(3)
 _NEXT_CORNER = np.array([1, 2, 0])
-
-
-@dataclass(frozen=True, slots=True)
-class Itinerary:
-    """Symbolic vertex address: finite word plus repeated tail symbol."""
-
-    word: tuple[int, ...]
-    tail: int
-
-    def __str__(self):
-        return "".join(str(s) for s in self.word) + "~" + str(self.tail)
-
-    def symbols(self, length):
-        """First ``length`` symbols of the infinite address string."""
-        pad = length - len(self.word)
-        return self.word + (self.tail,) * pad
-
-
-def canonical_itinerary(word, tail) -> Itinerary:
-    """Reduce an address to canonical form.
-
-    Trailing tail symbols are absorbed into the tail; of the two names of
-    a shared vertex (which differ by swapping the last word symbol with
-    the tail) the lexicographically smaller is kept, so a canonical word
-    is either empty or ends in a symbol strictly below the tail.
-    """
-    w = list(word)
-    while w and w[-1] == tail:
-        w.pop()
-    if w and w[-1] > tail:
-        w[-1], tail = tail, w[-1]
-    return Itinerary(tuple(w), tail)
 
 
 def cell_edges(corners) -> np.ndarray:
@@ -127,7 +93,7 @@ class FractalGraph:
         ring).
     keys : (N,) ndarray
         Strictly increasing vertex keys: the first level+1 symbols of the
-        canonical itinerary as a fixed-radix integer.
+        canonical name as a fixed-radix integer.
     """
 
     def __init__(self, kind, level, alphabet, coords, edges, edge_mult,
@@ -143,7 +109,6 @@ class FractalGraph:
         self.cell_corners = cell_corners
         self.boundary_ids = boundary_ids
         self.keys = keys
-        self._cells_dict = None
         self._edge_weights = None
         self._restrictions = {}
         for arr in (coords, edges, edge_mult, cell_words, cell_corners, keys):
@@ -177,38 +142,11 @@ class FractalGraph:
             self._edge_weights = w
         return self._edge_weights
 
-    def itinerary(self, i) -> Itinerary:
-        """Canonical itinerary of vertex ``i``, decoded from its key."""
-        base = len(self.alphabet)
-        key = int(self.keys[i])
-        syms = []
-        for _ in range(self.level + 1):
-            key, r = divmod(key, base)
-            syms.append(self.alphabet[r])
-        syms.reverse()
-        tail = syms[-1]
-        while syms and syms[-1] == tail:
-            syms.pop()
-        return Itinerary(tuple(syms), tail)
-
-    def id_of(self, itinerary) -> int:
-        """Vertex id of a canonical itinerary."""
-        it = itinerary
-        padded = it.symbols(self.level + 1)
-        if (len(it.word) <= self.level
-                and set(padded) <= set(self.alphabet)
-                and canonical_itinerary(it.word, it.tail) == it):
-            key = self.pack_word(padded)
-            pos = int(np.searchsorted(self.keys, key))
-            if pos < len(self.keys) and self.keys[pos] == key:
-                return pos
-        raise KeyError(f"no vertex {itinerary} at level {self.level}")
-
     # -- words and cells ---------------------------------------------------
 
     def pack_word(self, word) -> int:
-        """Fixed-radix integer value of a word (a cell word, or a padded
-        itinerary for a vertex key)."""
+        """Fixed-radix integer value of a word (a cell word, or the first
+        level+1 symbols of a vertex's canonical name for its key)."""
         base = len(self.alphabet)
         val = 0
         for s in word:
@@ -229,29 +167,6 @@ class FractalGraph:
             return [""]
         chars = (self.word_symbols(self.cell_words) + ord("0")).astype(np.uint8)
         return chars.view(f"S{self.level}").ravel().astype(str).tolist()
-
-    @property
-    def cells(self):
-        """Word-tuple -> corner-id-tuple view of the cell table."""
-        if self._cells_dict is None:
-            self._cells_dict = dict(zip(
-                map(tuple, self.word_symbols(self.cell_words).tolist()),
-                map(tuple, self.cell_corners.tolist())))
-        return self._cells_dict
-
-    def cell_vertices(self, word):
-        """Corner ids of cell ``word``, in the order (F_w(v1), F_w(v2), F_w(v3))."""
-        word = tuple(word)
-        if len(word) != self.level:
-            raise ValueError(
-                f"cell word length {len(word)} != graph level {self.level}")
-        if any(s not in self.alphabet for s in word):
-            raise ValueError(f"word {word} uses symbols outside {self.alphabet}")
-        val = self.pack_word(word)
-        pos = int(np.searchsorted(self.cell_words, val))
-        if pos >= len(self.cell_words) or self.cell_words[pos] != val:
-            raise KeyError(f"unknown cell word {word}")
-        return tuple(int(c) for c in self.cell_corners[pos])
 
     # -- level maps --------------------------------------------------------
 
@@ -277,15 +192,20 @@ class FractalGraph:
     # -- export ------------------------------------------------------------
 
     def to_json_dict(self):
+        # each key spelled as its canonical name: the trailing run of the
+        # tail symbol is dropped from the word and written after "~"
+        syms = self.word_symbols(self.keys, self.level + 1)
+        tail = syms[:, -1:]
+        run = np.logical_and.accumulate(syms[:, ::-1] == tail, axis=1)
+        chars = (syms + ord("0")).astype(np.uint8)
+        chars[run[:, ::-1]] = 0
+        words = chars.view(f"S{self.level + 1}").ravel().astype(str)
+        boundary = np.isin(np.arange(self.n_vertices), self.boundary_ids)
         verts = [
-            {
-                "id": i,
-                "itinerary": str(self.itinerary(i)),
-                "x": float(self.coords[i, 0]),
-                "y": float(self.coords[i, 1]),
-                "boundary": i in self.boundary_ids,
-            }
-            for i in range(self.n_vertices)
+            {"id": i, "itinerary": f"{w}~{t}", "x": x, "y": y, "boundary": b}
+            for i, (w, t, x, y, b) in enumerate(zip(
+                words.tolist(), tail.ravel().tolist(), *self.coords.T.tolist(),
+                boundary.tolist()))
         ]
         return {
             "kind": self.kind,
@@ -394,7 +314,7 @@ def build_graph(kind, n) -> FractalGraph:
 def restrict(g_fine: FractalGraph, m: int, f):
     """Restrict a vertex field from ``g_fine`` to the level-m vertex set.
 
-    Vertices are identified by itinerary, so the returned field is ordered
+    Vertices are identified by key, so the returned field is ordered
     exactly as the level-m graph orders its vertices.
     """
     f = np.asarray(f)

@@ -134,10 +134,11 @@ def write_json(path, obj) -> str:
     return path
 
 
-def write_field_csv(path, values, header=("id", "value")) -> str:
+def write_field_csv(path, values) -> str:
+    """One ``id,value`` row per vertex under that header, CRLF line ends."""
     values = _finite(np.asarray(values, dtype=float).tolist())
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
+        fh.write("id,value\r\n")
         fh.write(("%d,%.17g\r\n" * len(values))
                  % tuple(chain.from_iterable(enumerate(values))))
     return path
@@ -146,13 +147,25 @@ def write_field_csv(path, values, header=("id", "value")) -> str:
 def read_field_csv(path) -> np.ndarray:
     """Read an ``id,value`` CSV back into a field.
 
-    The ids must be 0..N-1, each exactly once (in any order), and every
-    value finite; otherwise :class:`ValueError` names the offending id.
+    The first line is a header, whatever it says.  Every later line must
+    be one integer id and one float value, else :class:`ValueError` names
+    the line.  The ids must be 0..N-1, each exactly once (in any order),
+    and every value finite; otherwise :class:`ValueError` names the
+    offending id.
     """
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        next(rd)  # header
-        rows = [(int(i), float(v)) for i, v in rd]
+        if next(rd, None) is None:
+            raise ValueError(f"{path}: line 1: empty file, expected a header")
+        rows = []
+        for row in rd:
+            try:
+                i, v = row
+                rows.append((int(i), float(v)))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {rd.line_num}: expected id,value, got "
+                    f"{','.join(row)!r}") from None
     out = np.empty(len(rows))
     seen = np.zeros(len(rows), dtype=bool)
     for i, v in rows:

@@ -1,17 +1,15 @@
-"""Triangular loop basis, lifts of circle-valued fields, and winding numbers.
+"""Winding numbers of circle-valued fields along the cell loops.
 
-Every cell boundary is a loop; the loops of all orders form the basis
-along which winding numbers are recorded.  A loop is traced clockwise
-starting from its leftmost vertex, visiting every graph vertex on its
-three sides.  Lifting a phase field along the loop picks, for each step,
-the unique real increment within a half turn; the total increment around
-the loop is the winding number.  :func:`degree` reads all loops at once
-off the corner table; tracing loop by loop is its test oracle.
+Every cell boundary is a loop, traced clockwise through the corners v1,
+v2, v3 of its cell; the loops of all orders form the basis along which
+winding numbers are recorded.  A field's step along an edge is the unique
+real increment within a half turn, and the total increment around a loop
+is its winding number.  :func:`degree` reads every loop at once off the
+corner table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -20,20 +18,6 @@ from .errors import DegreeClosureError, UnresolvedWindingError
 from .graphs import _CORNER, _NEXT_CORNER, FractalGraph
 
 INTEGRALITY_TOL = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class Loop:
-    """Closed vertex cycle tracing one cell boundary clockwise."""
-
-    word: tuple[int, ...]
-    vertex_cycle: np.ndarray  # first id == last id
-
-    def __post_init__(self):
-        self.vertex_cycle.setflags(write=False)
-
-    def reversed(self) -> "Loop":
-        return Loop(self.word, self.vertex_cycle[::-1].copy())
 
 
 def word_str(word) -> str:
@@ -123,46 +107,6 @@ class DegreeVector:
         return f"DegreeVector({self})"
 
 
-def trace_loop(g: FractalGraph, word) -> Loop:
-    """Clockwise cycle of all level-n vertices on the boundary of cell ``word``.
-
-    The side from corner a to corner b of cell w passes, in order, through
-    corner a of the cells w d for d over {a, b}**(n - |w|), each read off
-    the corner table.
-    """
-    word = tuple(word)
-    if g.kind == "ring":
-        if len(word) != 0:
-            raise ValueError("the ring has a single basis loop (the full cycle)")
-        cyc = np.concatenate([np.arange(g.n_vertices), [0]])
-        return Loop(word, cyc.astype(np.int64))
-    if len(word) > g.level:
-        raise ValueError(f"loop word longer than graph level {g.level}")
-    m = g.level - len(word)
-    place = 3 ** np.arange(m - 1, -1, -1)
-    to_b = np.arange(2 ** m)[:, None] >> np.arange(m - 1, -1, -1) & 1
-    first = g.pack_word(word) * 3 ** m
-    # clockwise corner order is v1 -> v2 -> v3; v1's image is leftmost
-    sides = [g.cell_corners[first + np.where(to_b, b, a) @ place, a]
-             for a, b in ((0, 1), (1, 2), (2, 0))]
-    return Loop(word, np.concatenate(sides + [sides[0][:1]]))
-
-
-def loop_basis(g: FractalGraph, max_order: int):
-    """Loops for every word of length <= max_order, ordered by (length, word)."""
-    if max_order > g.level:
-        raise ValueError(f"max_order {max_order} exceeds graph level {g.level}")
-    if g.kind == "ring":
-        if max_order != 0:
-            raise ValueError("ring loop basis has only order 0")
-        return [trace_loop(g, ())]
-    loops = []
-    for ell in range(max_order + 1):
-        for w in product(g.alphabet, repeat=ell):
-            loops.append(trace_loop(g, w))
-    return loops
-
-
 def _wrapped_diff(u, i, j):
     # reduce to the nearest-integer representative before multiplying by
     # 2 pi: exact for dyadic phases and avoids argument-reduction noise
@@ -172,8 +116,9 @@ def _wrapped_diff(u, i, j):
 
 
 def _steps(f, i, j):
-    """Wrapped steps f[j] - f[i]; a half turn or more is ambiguous at this
-    resolution and raises :class:`UnresolvedWindingError`."""
+    """Wrapped steps f[j] - f[i], each the representative of the phase
+    difference in (-1/2, 1/2); a step of circle distance >= 1/2 is
+    ambiguous at this resolution and raises :class:`UnresolvedWindingError`."""
     r = _wrapped_diff(f, i, j)
     bad = np.abs(r) >= 0.5
     if bad.any():
@@ -193,36 +138,15 @@ def _closed(w, word) -> int:
     return int(k)
 
 
-def lift_along_loop(f, loop: Loop) -> np.ndarray:
-    """Real lift of the phase field along the loop.
-
-    Each step takes the unique representative of the phase difference in
-    (-1/2, 1/2]; a step of circle distance >= 1/2 is ambiguous at this
-    resolution and raises :class:`UnresolvedWindingError`.
-    """
-    f = np.asarray(f, dtype=float)
-    cyc = loop.vertex_cycle
-    r = _steps(f, cyc[:-1], cyc[1:])
-    lift = np.empty(len(cyc))
-    lift[0] = f[cyc[0]]
-    np.cumsum(r, out=lift[1:])
-    lift[1:] += lift[0]
-    return lift
-
-
-def loop_winding(f, loop: Loop) -> int:
-    lift = lift_along_loop(f, loop)
-    return _closed(lift[-1] - lift[0], loop.word)
-
-
 def degree(f, g: FractalGraph) -> DegreeVector:
     """Nonzero winding numbers of ``f`` along the loops of every order.
 
-    The wrapped step along side a -> b of each level-n cell follows the
-    rules of :func:`lift_along_loop`.  Side a -> b of cell w is side
-    a -> b of child wa then of child wb (the path :func:`trace_loop`
-    takes), so sides are summed one level up at a time; a cell winds by
-    the sum of its three sides, the ring by the sum over its cells.
+    Each side a -> b of each level-n cell is one wrapped step (see
+    :func:`_steps`).  The loop of cell w runs clockwise along its sides
+    v1 -> v2 -> v3 -> v1, and side a -> b of cell w is side a -> b of
+    child wa followed by side a -> b of child wb, so sides are summed one
+    level up at a time; a cell winds by the sum of its three sides, the
+    ring by the sum over its cells.
     """
     f = g.check_field(f)
     corners = g.cell_corners

@@ -1,6 +1,8 @@
 import colorsys
 import csv
 import json
+from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 import pytest
@@ -24,8 +26,6 @@ def apply_word(word, p):
 def enumerate_gasket(n):
     """Brute-force oracle: cells, vertices (deduplicated by coordinates at
     1e-12) and edges of the level-n graph, with no itinerary machinery."""
-    from itertools import product
-
     points = {}
 
     def pid(p):
@@ -129,6 +129,157 @@ def reference_extend_lift(lift, n):
     return lift
 
 
+# -- the itinerary objects, the word-keyed cell view and the traced loops ----
+# -- that the vertex keys, the corner table and winding.degree replaced ------
+
+
+@dataclass(frozen=True, slots=True)
+class Itinerary:
+    """Symbolic vertex address: finite word plus repeated tail symbol."""
+
+    word: tuple[int, ...]
+    tail: int
+
+    def __str__(self):
+        return "".join(str(s) for s in self.word) + "~" + str(self.tail)
+
+    def symbols(self, length):
+        """First ``length`` symbols of the infinite address string."""
+        pad = length - len(self.word)
+        return self.word + (self.tail,) * pad
+
+
+def canonical_itinerary(word, tail) -> Itinerary:
+    """Reduce an address to canonical form.
+
+    Trailing tail symbols are absorbed into the tail; of the two names of
+    a shared vertex (which differ by swapping the last word symbol with
+    the tail) the lexicographically smaller is kept, so a canonical word
+    is either empty or ends in a symbol strictly below the tail.
+    """
+    w = list(word)
+    while w and w[-1] == tail:
+        w.pop()
+    if w and w[-1] > tail:
+        w[-1], tail = tail, w[-1]
+    return Itinerary(tuple(w), tail)
+
+
+def reference_itinerary(g, i) -> Itinerary:
+    """Canonical itinerary of vertex ``i``, decoded from its key."""
+    base = len(g.alphabet)
+    key = int(g.keys[i])
+    syms = []
+    for _ in range(g.level + 1):
+        key, r = divmod(key, base)
+        syms.append(g.alphabet[r])
+    syms.reverse()
+    tail = syms[-1]
+    while syms and syms[-1] == tail:
+        syms.pop()
+    return Itinerary(tuple(syms), tail)
+
+
+def reference_id_of(g, itinerary) -> int:
+    """Vertex id of a canonical itinerary."""
+    it = itinerary
+    padded = it.symbols(g.level + 1)
+    if (len(it.word) <= g.level
+            and set(padded) <= set(g.alphabet)
+            and canonical_itinerary(it.word, it.tail) == it):
+        key = g.pack_word(padded)
+        pos = int(np.searchsorted(g.keys, key))
+        if pos < len(g.keys) and g.keys[pos] == key:
+            return pos
+    raise KeyError(f"no vertex {itinerary} at level {g.level}")
+
+
+def reference_cells(g):
+    """Word-tuple -> corner-id-tuple view of the cell table."""
+    return dict(zip(map(tuple, g.word_symbols(g.cell_words).tolist()),
+                    map(tuple, g.cell_corners.tolist())))
+
+
+@dataclass(frozen=True, eq=False)
+class Loop:
+    """Closed vertex cycle tracing one cell boundary clockwise."""
+
+    word: tuple[int, ...]
+    vertex_cycle: np.ndarray  # first id == last id
+
+    def __post_init__(self):
+        self.vertex_cycle.setflags(write=False)
+
+    def reversed(self) -> "Loop":
+        return Loop(self.word, self.vertex_cycle[::-1].copy())
+
+
+def trace_loop(g, word) -> Loop:
+    """Clockwise cycle of all level-n vertices on the boundary of cell ``word``.
+
+    The side from corner a to corner b of cell w passes, in order, through
+    corner a of the cells w d for d over {a, b}**(n - |w|), each read off
+    the corner table.
+    """
+    word = tuple(word)
+    if g.kind == "ring":
+        if len(word) != 0:
+            raise ValueError("the ring has a single basis loop (the full cycle)")
+        cyc = np.concatenate([np.arange(g.n_vertices), [0]])
+        return Loop(word, cyc.astype(np.int64))
+    if len(word) > g.level:
+        raise ValueError(f"loop word longer than graph level {g.level}")
+    m = g.level - len(word)
+    place = 3 ** np.arange(m - 1, -1, -1)
+    to_b = np.arange(2 ** m)[:, None] >> np.arange(m - 1, -1, -1) & 1
+    first = g.pack_word(word) * 3 ** m
+    # clockwise corner order is v1 -> v2 -> v3; v1's image is leftmost
+    sides = [g.cell_corners[first + np.where(to_b, b, a) @ place, a]
+             for a, b in ((0, 1), (1, 2), (2, 0))]
+    return Loop(word, np.concatenate(sides + [sides[0][:1]]))
+
+
+def loop_basis(g, max_order: int):
+    """Loops for every word of length <= max_order, ordered by (length, word)."""
+    if max_order > g.level:
+        raise ValueError(f"max_order {max_order} exceeds graph level {g.level}")
+    if g.kind == "ring":
+        if max_order != 0:
+            raise ValueError("ring loop basis has only order 0")
+        return [trace_loop(g, ())]
+    loops = []
+    for ell in range(max_order + 1):
+        for w in product(g.alphabet, repeat=ell):
+            loops.append(trace_loop(g, w))
+    return loops
+
+
+def lift_along_loop(f, loop: Loop) -> np.ndarray:
+    """Real lift of the phase field along the loop.
+
+    Each step takes the unique representative of the phase difference in
+    (-1/2, 1/2]; a step of circle distance >= 1/2 is ambiguous at this
+    resolution and raises :class:`UnresolvedWindingError`.
+    """
+    from fractalsync.winding import _steps
+
+    f = np.asarray(f, dtype=float)
+    cyc = loop.vertex_cycle
+    r = _steps(f, cyc[:-1], cyc[1:])
+    lift = np.empty(len(cyc))
+    lift[0] = f[cyc[0]]
+    np.cumsum(r, out=lift[1:])
+    lift[1:] += lift[0]
+    return lift
+
+
+def loop_winding(f, loop: Loop) -> int:
+    from fractalsync.winding import _closed
+
+    lift = lift_along_loop(f, loop)
+    return _closed(lift[-1] - lift[0], loop.word)
+
+
 # -- the itinerary scan the corner-table cut rule replaced --------------------
 
 # For each candidate midpoint of cell w, the names of its two copies: the
@@ -154,8 +305,6 @@ def reference_cut_vertices(g, omega):
     Returns ``(word, cut_vertex, plus_cell, plus_corner)`` per cut, in
     (order, word) order.
     """
-    from fractalsync import Itinerary, canonical_itinerary
-
     out = []
     for word in sorted(omega.entries, key=lambda w: (len(w), w)):
         for kind in ("z", "x", "y"):
@@ -166,8 +315,9 @@ def reference_cut_vertices(g, omega):
                 break
         else:
             raise AssertionError(f"no admissible cut vertex on loop {word}")
-        vid = g.id_of(canonical_itinerary(plus.word, plus.tail))
-        assert g.id_of(canonical_itinerary(minus.word, minus.tail)) == vid
+        vid = reference_id_of(g, canonical_itinerary(plus.word, plus.tail))
+        assert reference_id_of(
+            g, canonical_itinerary(minus.word, minus.tail)) == vid
         out.append((word, vid, g.pack_word(plus.symbols(g.level)),
                     g.alphabet.index(plus.tail)))
     return out

@@ -270,6 +270,12 @@ def _init_csv(tmp_path, values):
     return str(path)
 
 
+def _raw_csv(tmp_path, text):
+    path = tmp_path / "init.csv"
+    path.write_text(text)
+    return str(path)
+
+
 @pytest.mark.parametrize("init,message", [
     ("constant:nan", "--init 'constant:nan' has the non-finite value nan "
                      "at vertex 0"),
@@ -278,6 +284,12 @@ def _init_csv(tmp_path, values):
      "init.csv: id 2 has the non-finite value nan"),
     (lambda p: _init_csv(p, [0.0] * 7),
      "gives 7 values for a graph with 8 vertices"),
+    (lambda p: _raw_csv(p, ""),
+     "init.csv: line 1: empty file, expected a header"),
+    (lambda p: _raw_csv(p, "id,value\n0\n"),
+     "init.csv: line 2: expected id,value, got '0'"),
+    (lambda p: _raw_csv(p, "id,value\n0,0.1\n0,1,2\n"),
+     "init.csv: line 3: expected id,value, got '0,1,2'"),
 ])
 def test_flow_init_checked_where_it_enters(tmp_path, capsys, init, message):
     if callable(init):
@@ -354,6 +366,24 @@ def test_cli_config_file(tmp_path):
     assert run(["twist", "--config", str(cfgfile)]) == 0
     rep = json.loads((tmp_path / "o" / "equilibrium.json").read_text())
     assert rep["degree"] == {"eps": 1}
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["twist", "--level", "3", "--degree", "1"], "seed"),
+    (["twist", "--level", "3", "--degree", "1"], "perturb"),
+    (["verify", "--degree", "1", "--levels", "2:2"], "init"),
+    (["harmonic", "--level", "2", "--boundary", "0,0,1"], "degree"),
+])
+def test_config_key_the_subcommand_does_not_read_rejected(tmp_path, capsys,
+                                                          argv, key):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({key: 1, "fractal": "sg"}))
+    out = tmp_path / "o"
+    assert run(argv + ["--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == (f"error: ValueError: --config {path}: {argv[0]} does not "
+                   f"read {key}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode, key, in_file, flag, from_file, from_flag", [

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractalsync import (Itinerary, build_ring_graph, build_sg_graph,
-                         canonical_itinerary, extend_harmonic_once, restrict,
-                         trace_loop)
+from fractalsync import (build_ring_graph, build_sg_graph, extend_harmonic_once,
+                         restrict)
 from fractalsync.graphs import child_tables
-from conftest import apply_word, enumerate_gasket
+from conftest import (Itinerary, apply_word, canonical_itinerary,
+                      enumerate_gasket, reference_cells, reference_id_of,
+                      reference_itinerary, trace_loop)
 
 
 def test_level0_is_complete_triangle():
     g = build_sg_graph(0)
     assert g.n_vertices == 3
     assert g.n_edges == 3
-    assert len(g.cells) == 1
+    assert len(reference_cells(g)) == 1
     assert set(g.boundary_ids) == {0, 1, 2}
 
 
@@ -26,7 +27,7 @@ def test_small_levels_match_enumeration_oracle(n, nv, ne, nc):
     g = build_sg_graph(n)
     assert g.n_vertices == nv
     assert g.n_edges == ne
-    assert len(g.cells) == nc
+    assert len(reference_cells(g)) == nc
 
 
 @pytest.mark.parametrize("n", range(0, 9))
@@ -41,7 +42,7 @@ def test_vertex_count_matches_independent_enumeration(n):
 def test_vertex_order_level1():
     # lexicographic itinerary order: v1, x=v(1~2), z=v(1~3), v2, y=v(2~3), v3
     g = build_sg_graph(1)
-    assert [str(g.itinerary(i)) for i in range(6)] == [
+    assert [str(reference_itinerary(g, i)) for i in range(6)] == [
         "~1", "1~2", "1~3", "~2", "2~3", "~3"]
     np.testing.assert_allclose(
         g.coords,
@@ -94,7 +95,7 @@ def test_edges_unique_and_irreflexive():
 def test_every_edge_in_exactly_one_cell():
     g = build_sg_graph(3)
     cover = {}
-    for w, (a, b, c) in g.cells.items():
+    for w, (a, b, c) in reference_cells(g).items():
         for e in ((a, b), (b, c), (c, a)):
             cover.setdefault(frozenset(e), []).append(w)
     assert all(len(ws) == 1 for ws in cover.values())
@@ -102,9 +103,9 @@ def test_every_edge_in_exactly_one_cell():
 
 def test_cell_vertices_level0_and_level1():
     g0 = build_sg_graph(0)
-    assert g0.cell_vertices(()) == (0, 1, 2)
+    assert reference_cells(g0)[()] == (0, 1, 2)
     g1 = build_sg_graph(1)
-    ids = g1.cell_vertices((1,))
+    ids = reference_cells(g1)[(1,)]
     expected = [apply_word((1,), corner) for corner in
                 [[0, 0], [0.5, np.sqrt(3) / 2], [1, 0]]]
     np.testing.assert_allclose(g1.coords[list(ids)], expected, atol=1e-15)
@@ -112,18 +113,10 @@ def test_cell_vertices_level0_and_level1():
 
 def test_cell_vertices_composed_homothety():
     g = build_sg_graph(2)
-    ids = g.cell_vertices((3, 2))
+    ids = reference_cells(g)[(3, 2)]
     expected = [apply_word((3, 2), corner) for corner in
                 [[0, 0], [0.5, np.sqrt(3) / 2], [1, 0]]]
     np.testing.assert_allclose(g.coords[list(ids)], expected, atol=1e-15)
-
-
-def test_cell_vertices_errors():
-    g = build_sg_graph(2)
-    with pytest.raises(ValueError):
-        g.cell_vertices((1,))
-    with pytest.raises(ValueError):
-        g.cell_vertices((1, 7))
 
 
 def test_level_guard():
@@ -241,9 +234,17 @@ def test_canonical_names_same_point():
 @pytest.mark.parametrize("n", range(0, 7))
 def test_cell_corner_itineraries_match_oracle(n):
     g = build_sg_graph(n)
-    for w, corners in g.cells.items():
+    for w, corners in reference_cells(g).items():
         for i, v in zip((1, 2, 3), corners):
-            assert g.itinerary(v) == canonical_itinerary(w, i)
+            assert reference_itinerary(g, v) == canonical_itinerary(w, i)
+
+
+@pytest.mark.parametrize("build,n", [(build_sg_graph, n) for n in range(0, 10)]
+                         + [(build_ring_graph, n) for n in range(1, 13)])
+def test_json_itineraries_match_key_decode_oracle(build, n):
+    g = build(n)
+    assert [v["itinerary"] for v in g.to_json_dict()["vertices"]] == [
+        str(reference_itinerary(g, v)) for v in range(g.n_vertices)]
 
 
 @pytest.mark.parametrize("build,n", [(build_sg_graph, n) for n in range(0, 7)]
@@ -253,7 +254,7 @@ def test_keys_increase_and_ids_round_trip(build, n):
     assert g.keys.shape == (g.n_vertices,)
     assert (np.diff(g.keys) > 0).all()
     for v in range(g.n_vertices):
-        assert g.id_of(g.itinerary(v)) == v
+        assert reference_id_of(g, reference_itinerary(g, v)) == v
 
 
 def test_id_of_rejects_names_that_are_not_vertices():
@@ -263,11 +264,11 @@ def test_id_of_rejects_names_that_are_not_vertices():
                Itinerary((1, 2, 1), 3),    # finer than level 2
                Itinerary((4,), 1)):        # symbol outside the alphabet
         with pytest.raises(KeyError):
-            g.id_of(it)
+            reference_id_of(g, it)
     ring = build_ring_graph(3)
-    assert ring.id_of(Itinerary((), 0)) == 0
+    assert reference_id_of(ring, Itinerary((), 0)) == 0
     with pytest.raises(KeyError):
-        ring.id_of(Itinerary((), 1))        # vertex 0's other name
+        reference_id_of(ring, Itinerary((), 1))  # vertex 0's other name
 
 
 @pytest.mark.parametrize("m", range(0, 6))
@@ -275,11 +276,12 @@ def test_child_tables_match_itinerary_lookup(m):
     g_m, g_next = build_sg_graph(m), build_sg_graph(m + 1)
     corners, mids = child_tables(g_next.cell_corners)
     assert corners.shape == mids.shape == (len(g_m.cell_words), 3)
-    for k, w in enumerate(sorted(g_m.cells)):
+    for k, w in enumerate(sorted(reference_cells(g_m))):
         assert corners[k].tolist() == [
-            g_next.id_of(canonical_itinerary(w, i)) for i in (1, 2, 3)]
+            reference_id_of(g_next, canonical_itinerary(w, i))
+            for i in (1, 2, 3)]
         assert mids[k].tolist() == [
-            g_next.id_of(canonical_itinerary(w + (a,), b))
+            reference_id_of(g_next, canonical_itinerary(w + (a,), b))
             for a, b in ((1, 2), (2, 3), (3, 1))]
 
 
@@ -290,14 +292,16 @@ def test_restriction_matches_itinerary_lookup(build, n):
     for m in range(0 if g.kind == "sg" else 1, n + 1):
         g_m = build(m)
         assert g.restriction_to(m).tolist() == [
-            g.id_of(g_m.itinerary(v)) for v in range(g_m.n_vertices)]
+            reference_id_of(g, reference_itinerary(g_m, v))
+            for v in range(g_m.n_vertices)]
 
 
 def _loop_by_lookup(g, word):
     ids = []
     for a, b in ((1, 2), (2, 3), (3, 1)):
         for digits in product((a, b), repeat=g.level - len(word)):
-            ids.append(g.id_of(canonical_itinerary(word + digits, a)))
+            ids.append(reference_id_of(
+                g, canonical_itinerary(word + digits, a)))
     return ids + ids[:1]
 
 

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from fractalsync import (DegreeVector, UnresolvedWindingError, build_graph,
                          build_ring_graph, build_sg_graph, circle_harmonic_map,
-                         degree, lift_along_loop, loop_basis, restrict,
-                         trace_loop, twisted_state, wrap_phases)
-from fractalsync.winding import loop_winding
+                         degree, twisted_state, wrap_phases)
+from conftest import lift_along_loop, loop_basis, loop_winding
 
 
 # -- loop basis --------------------------------------------------------------
