@@ -14,7 +14,7 @@ from fractalsync import build_ring_graph, build_sg_graph, restrict
 for n in range(0, 5):
     g = build_sg_graph(n)
     print(f"gasket level {n}: {g.n_vertices:4d} vertices, "
-          f"{g.n_edges:4d} edges, {len(g.cell_words):3d} cells, "
+          f"{g.n_edges:4d} edges, {len(g.cell_corners):3d} cells, "
           f"conductance {g.conductance:.4f}")
 
 g = build_sg_graph(2)

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -303,10 +304,8 @@ def _sweep_job(args):
 
 
 def cmd_sweep(cfg: RunConfig):
-    degrees = cfg.degrees or [",".join(str(v) for v in cfg.degree.to_dense())]
-    seeds = cfg.seeds or (cfg.seed,)
-    jobs = [(cfg, n, dense, seed) for n in cfg.levels or (cfg.level,)
-            for dense in degrees for seed in seeds]
+    jobs = [(cfg, n, dense, seed) for n in cfg.levels
+            for dense in cfg.degrees for seed in cfg.seeds]
     results = _map_jobs(_sweep_job, jobs, cfg.jobs)
     results.sort(key=lambda kv: (kv[0][0], kv[0][1], kv[0][2]))
     summary = [d for _, d in results]
@@ -323,6 +322,8 @@ def _build_parser():
         description="Kuramoto equilibria and harmonic maps on the "
                     "Sierpinski gasket and the ring")
     sub = p.add_subparsers(dest="mode", required=True)
+    # no flag by its prefix: sweep's --seeds must not answer to --seed
+    add = partial(sub.add_parser, allow_abbrev=False)
 
     def common(sp, *, level=True):
         # defaults live in RunConfig so that a --config file is only
@@ -333,20 +334,20 @@ def _build_parser():
         sp.add_argument("--config", help="JSON run file; flags override it")
         sp.add_argument("--out")
 
-    sp = sub.add_parser("build-graph", help="write the graph as JSON")
+    sp = add("build-graph", help="write the graph as JSON")
     common(sp)
 
-    sp = sub.add_parser("harmonic", help="solve the Dirichlet problem")
+    sp = add("harmonic", help="solve the Dirichlet problem")
     common(sp)
     sp.add_argument("--boundary", help="comma-separated corner values")
     sp.add_argument("--method", choices=("extension", "linear-solve"))
     sp.add_argument("--svg", action="store_true", default=None)
 
-    sp = sub.add_parser("covering", help="constrained lift for a degree")
+    sp = add("covering", help="constrained lift for a degree")
     common(sp)
     sp.add_argument("--degree")
 
-    sp = sub.add_parser("twist", help="harmonic map, flow, verify")
+    sp = add("twist", help="harmonic map, flow, verify")
     common(sp)
     sp.add_argument("--degree")
     sp.add_argument("--tol", type=float)
@@ -354,7 +355,7 @@ def _build_parser():
     sp.add_argument("--max-time", type=float)
     sp.add_argument("--svg", action="store_true", default=None)
 
-    sp = sub.add_parser("flow", help="integrate from a given initial field")
+    sp = add("flow", help="integrate from a given initial field")
     common(sp)
     sp.add_argument("--init", help="csv path | twist:q | constant:c | random")
     sp.add_argument("--seed", type=int, help="seed of --init random")
@@ -364,7 +365,7 @@ def _build_parser():
     sp.add_argument("--traj", action="store_true", default=None,
                     help="append time, energy, residual snapshots to CSV")
 
-    sp = sub.add_parser("verify", help="energy-gap table across levels")
+    sp = add("verify", help="energy-gap table across levels")
     common(sp, level=False)
     sp.add_argument("--degree")
     sp.add_argument("--levels", help="range lo:hi (default 3:6)")
@@ -373,13 +374,12 @@ def _build_parser():
     sp.add_argument("--step", type=float)
     sp.add_argument("--max-time", type=float)
 
-    sp = sub.add_parser("sweep", help="twist runs over levels/degrees/seeds")
+    sp = add("sweep", help="twist runs over levels/degrees/seeds")
     common(sp, level=False)
     sp.add_argument("--degrees",
                     help="semicolon-separated degree specs (default 1)")
     sp.add_argument("--levels")
-    sp.add_argument("--seeds", help="range lo:hi or single (default --seed)")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seeds", help="range lo:hi or single (default 0)")
     sp.add_argument("--perturb", type=float)
     sp.add_argument("--jobs", type=int)
     sp.add_argument("--tol", type=float)
@@ -394,6 +394,13 @@ def _degree_value(spec, alphabet) -> DegreeVector:
     return DegreeVector.parse(str(spec), alphabet)
 
 
+def _degree_list(text) -> list:
+    specs = [s for s in text.split(";") if s]
+    if not specs:
+        raise ValueError(f"--degrees {text!r} names no degree")
+    return specs
+
+
 # values that arrive as flag text or as --config JSON, parsed the same way
 _PARSERS = {
     "degree": _degree_value,
@@ -401,13 +408,13 @@ _PARSERS = {
         spec.split(",") if isinstance(spec, str) else spec)],
     "levels": lambda spec, _: _parse_levels(str(spec)),
     "seeds": lambda spec, _: _parse_levels(str(spec), "--seeds"),
-    "degrees": lambda spec, _: [s for s in str(spec).split(";") if s],
+    "degrees": lambda spec, _: _degree_list(str(spec)),
 }
 
 
 _MODE_DEFAULTS = {
     "verify": {"levels": "3:6"},
-    "sweep": {"levels": "3:4", "degrees": "1"},
+    "sweep": {"levels": "3:4", "degrees": "1", "seeds": "0"},
 }
 
 

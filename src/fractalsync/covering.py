@@ -28,7 +28,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.sparse import linalg as spla
 
-from .dirichlet import extend_corners, weighted_laplacian
+from .dirichlet import extend_corners, laplacian, laplacian_matrix
 from .errors import ConstraintViolationError, DegreeMismatchError
 from .graphs import FractalGraph, build_graph, cell_edges
 from .winding import DegreeVector, degree, word_str
@@ -71,7 +71,7 @@ def select_cut_vertices(g: FractalGraph, omega: DegreeVector):
         # the cycle closes at vertex 0, which is corner 1 of the last cell
         return [CutSpec(word=(), cut_vertex=0, minus_id=0,
                         plus_id=g.n_vertices, jump=omega.entries[()],
-                        plus_cell=len(g.cell_words) - 1, plus_corner=1)]
+                        plus_cell=len(g.cell_corners) - 1, plus_corner=1)]
     if g.level < omega.max_order + 1:
         raise ValueError(
             f"graph level {g.level} too coarse for degree of order "
@@ -119,9 +119,9 @@ class CoveringDomain:
         corners.setflags(write=False)
         self.cell_corners = corners
         self.edges = cell_edges(corners)
-        self.edge_mult = np.ones(len(self.edges), dtype=np.int64)
-        self.edge_weights = self.conductance * np.ones(len(self.edges))
         self._assert_connected()
+
+    check_field = FractalGraph.check_field
 
     @property
     def kind(self):
@@ -138,14 +138,10 @@ class CoveringDomain:
         ncomp = csgraph.connected_components(A, directed=False, return_labels=False)
         assert ncomp == 1, "cut graph must stay connected"
 
-    def laplacian_matrix(self) -> sparse.csr_matrix:
-        return weighted_laplacian(self.edges, self.edge_weights,
-                                  self.n_vertices)
-
     def energy(self, values) -> float:
         values = np.asarray(values, dtype=float)
         d = values[self.edges[:, 1]] - values[self.edges[:, 0]]
-        return math.fsum((self.edge_weights * d * d / 2.0).tolist())
+        return math.fsum((self.conductance * d * d / 2.0).tolist())
 
     def to_json_dict(self):
         return {
@@ -214,7 +210,7 @@ def minimize_constrained(dom: CoveringDomain) -> LiftField:
     Constraints are eliminated by substitution, leaving a positive
     definite system solved directly.
     """
-    L = dom.laplacian_matrix()
+    L = laplacian_matrix(dom)
     P, b = _substitution(dom)
     A = (P.T @ L @ P).tocsc()
     f = P @ spla.spsolve(A, -P.T @ (L @ b)) + b
@@ -270,11 +266,8 @@ def neumann_check(lift: LiftField):
     the combined Laplacian over all interior vertices.  All three vanish
     for the constrained minimiser; the ring's one value is at vertex 0.
     """
-    dom, vals = lift.domain, lift.values
-    i, j = dom.edges[:, 0], dom.edges[:, 1]
-    d = (vals[j] - vals[i]) * dom.edge_weights
-    n = dom.n_vertices
-    flux = np.bincount(i, d, n) - np.bincount(j, d, n)
+    dom = lift.domain
+    flux = laplacian(dom, lift.values)
 
     # combine the two copies of each cut vertex
     combined = flux[:dom.base.n_vertices].copy()

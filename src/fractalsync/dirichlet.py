@@ -51,6 +51,10 @@ def as_boundary_data(g: FractalGraph, phi) -> dict:
     if set(values) != set(g.boundary_ids):
         raise ValueError(
             f"boundary keys {sorted(values)} != V0 {sorted(g.boundary_ids)}")
+    for v, x in values.items():
+        if not math.isfinite(x):
+            raise ValueError(
+                f"boundary value {x!r} at vertex {v} is not finite")
     return values
 
 
@@ -64,28 +68,23 @@ def _square(x):
 def dirichlet_energy(g: FractalGraph, f) -> EnergyReport:
     """Weighted half-sum of squared edge differences, broken down by cell.
 
-    Each cell contributes its own edges, so the total automatically counts
-    the level-1 ring edge with multiplicity 2.
+    Each cell contributes its own sides, at the level's one conductance.
     """
     f = g.check_field(f)
-    vals = f[g.cell_corners].T
-    c = g.conductance
-    if len(vals) == 3:
-        a, b, cc = vals
-        per_cell = c * (_square(b - a) + _square(cc - b) + _square(a - cc)) / 2.0
-    else:
-        a, b = vals
-        per_cell = c * _square(b - a) / 2.0
+    d = f[g.edges[:, 1]] - f[g.edges[:, 0]]
+    sides = _square(d).reshape(len(g.cell_corners), -1)  # a row per cell
+    per_cell = g.conductance * sides.sum(axis=1) / 2.0
     energy = math.fsum(per_cell.tolist())
     return EnergyReport(level=g.level, energy=energy, per_cell=per_cell,
                         graph=g)
 
 
-def laplacian(g: FractalGraph, f) -> np.ndarray:
-    """Graph Laplacian (5/3)**m * sum_j (f_j - f_i), at every vertex."""
+def laplacian(g, f) -> np.ndarray:
+    """Graph Laplacian c * sum_j (f_j - f_i), at every vertex of a graph or
+    a cut domain."""
     f = g.check_field(f)
     i, j = g.edges[:, 0], g.edges[:, 1]
-    d = (f[j] - f[i]) * g.edge_weights
+    d = (f[j] - f[i]) * g.conductance
     n = g.n_vertices
     return np.bincount(i, d, n) - np.bincount(j, d, n)
 
@@ -141,9 +140,12 @@ def weighted_laplacian(edges, w, n) -> sparse.csr_matrix:
     return sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def laplacian_matrix(g: FractalGraph) -> sparse.csr_matrix:
-    """Weighted Laplacian c*(D - A) as a sparse matrix (positive form)."""
-    return weighted_laplacian(g.edges, g.edge_weights, g.n_vertices)
+def laplacian_matrix(g) -> sparse.csr_matrix:
+    """Laplacian c*(D - A) as a sparse matrix (positive form), for a graph
+    or a cut domain: anything with ``edges``, ``conductance`` and
+    ``n_vertices``."""
+    return weighted_laplacian(g.edges, np.full(len(g.edges), g.conductance),
+                              g.n_vertices)
 
 
 def solve_dirichlet(g: FractalGraph, phi, method="extension") -> np.ndarray:
@@ -193,12 +195,9 @@ def normal_derivative(g: FractalGraph, f, v) -> float:
     if v not in g.boundary_ids:
         raise ValueError(f"vertex {v} is not a boundary vertex")
     i, j = g.edges[:, 0], g.edges[:, 1]
-    w = g.edge_weights
-    mask_i = i == v
-    mask_j = j == v
-    total = math.fsum(((f[j[mask_i]] - f[v]) * w[mask_i]).tolist()
-                      + ((f[i[mask_j]] - f[v]) * w[mask_j]).tolist())
-    return total
+    c = g.conductance
+    return math.fsum(((f[j[i == v]] - f[v]) * c).tolist()
+                     + ((f[i[j == v]] - f[v]) * c).tolist())
 
 
 def holder_ratio(g: FractalGraph, f, beta=None) -> float:

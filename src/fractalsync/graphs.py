@@ -77,17 +77,16 @@ class FractalGraph:
     level : int
     coords : (N, 2) ndarray
         Planar coordinates (ring vertices sit on the x axis).
-    edges : (E, 2) ndarray
-        Each undirected edge stored once.
-    edge_mult : (E,) ndarray
-        Edge multiplicity in energy sums (2 only for the level-1 ring).
-    conductance : float
-        Per-edge weight at this level: (5/3)**n for the gasket, 2**n for
-        the ring.
-    cell_words : (C,) ndarray
-        Cells as fixed-radix integers (lexicographic == numeric order).
     cell_corners : (C, k) ndarray
-        Vertex ids of each cell, k = 3 (gasket) or 2 (ring).
+        Vertex ids of each cell, k = 3 (gasket) or 2 (ring); row c is the
+        cell whose word spells c in fixed radix.
+    edges : (E, 2) ndarray
+        ``cell_edges(cell_corners)``: each cell's sides, cell by cell.  The
+        level-1 ring's two cells give its two parallel edges (0, 1) and
+        (1, 0).
+    conductance : float
+        The one weight of every edge at this level: (5/3)**n for the
+        gasket, 2**n for the ring.
     boundary_ids : tuple
         Ids of the boundary vertices (the three corners; vertex 0 for the
         ring).
@@ -96,22 +95,19 @@ class FractalGraph:
         canonical name as a fixed-radix integer.
     """
 
-    def __init__(self, kind, level, alphabet, coords, edges, edge_mult,
-                 conductance, cell_words, cell_corners, boundary_ids, keys):
+    def __init__(self, kind, level, alphabet, coords, conductance,
+                 cell_corners, boundary_ids, keys):
         self.kind = kind
         self.level = level
         self.alphabet = alphabet
         self.coords = coords
-        self.edges = edges
-        self.edge_mult = edge_mult
+        self.edges = cell_edges(cell_corners)
         self.conductance = conductance
-        self.cell_words = cell_words
         self.cell_corners = cell_corners
         self.boundary_ids = boundary_ids
         self.keys = keys
-        self._edge_weights = None
         self._restrictions = {}
-        for arr in (coords, edges, edge_mult, cell_words, cell_corners, keys):
+        for arr in (coords, self.edges, cell_corners, keys):
             arr.setflags(write=False)
 
     # -- basic queries ---------------------------------------------------
@@ -132,15 +128,6 @@ class FractalGraph:
                 f"field shape {f.shape} does not match graph with "
                 f"{self.n_vertices} vertices at level {self.level}")
         return f
-
-    @property
-    def edge_weights(self):
-        """Conductance times multiplicity, per stored edge."""
-        if self._edge_weights is None:
-            w = self.conductance * self.edge_mult.astype(float)
-            w.setflags(write=False)
-            self._edge_weights = w
-        return self._edge_weights
 
     # -- words and cells ---------------------------------------------------
 
@@ -165,7 +152,8 @@ class FractalGraph:
         """Cell words as strings (``"13"``), in cell order."""
         if self.level == 0:
             return [""]
-        chars = (self.word_symbols(self.cell_words) + ord("0")).astype(np.uint8)
+        cells = np.arange(len(self.cell_corners))
+        chars = (self.word_symbols(cells) + ord("0")).astype(np.uint8)
         return chars.view(f"S{self.level}").ravel().astype(str).tolist()
 
     # -- level maps --------------------------------------------------------
@@ -213,7 +201,6 @@ class FractalGraph:
             "conductance": self.conductance,
             "vertices": verts,
             "edges": self.edges.tolist(),
-            "multiplicity": self.edge_mult.tolist(),
             "cells": dict(zip(self.cell_labels(), self.cell_corners.tolist())),
         }
 
@@ -260,13 +247,10 @@ def build_sg_graph(n: int) -> FractalGraph:
     boundary_ids = tuple(int(i) for i in np.searchsorted(
         keys, _CORNER * ((3 ** (n + 1) - 1) // 2)))
 
-    edges = cell_edges(cell_corners)
     g = FractalGraph(
         kind="sg", level=n, alphabet=SG_ALPHABET, coords=coords,
-        edges=edges, edge_mult=np.ones(len(edges), dtype=np.int64),
-        conductance=(5.0 / 3.0) ** n,
-        cell_words=np.arange(3 ** n, dtype=np.int64),
-        cell_corners=cell_corners, boundary_ids=boundary_ids, keys=keys)
+        conductance=(5.0 / 3.0) ** n, cell_corners=cell_corners,
+        boundary_ids=boundary_ids, keys=keys)
     assert g.n_vertices == (3 ** (n + 1) + 3) // 2
     return g
 
@@ -283,14 +267,6 @@ def build_ring_graph(n: int) -> FractalGraph:
 
     idx = np.arange(nv, dtype=np.int64)
     cell_corners = np.stack([idx, (idx + 1) % nv], axis=1)
-    if n == 1:
-        # The two neighbour relations j = i +- 1 mod 2 coincide; keep one
-        # stored edge with multiplicity 2 so energy sums match the model.
-        edges = np.array([[0, 1]], dtype=np.int64)
-        mult = np.array([2], dtype=np.int64)
-    else:
-        edges = cell_edges(cell_corners)
-        mult = np.ones(nv, dtype=np.int64)
 
     # canonical = the limit-from-below binary expansion of i * 2**-n: ~0
     # for vertex 0, the n digits of i - 1 then ~1 otherwise
@@ -298,8 +274,7 @@ def build_ring_graph(n: int) -> FractalGraph:
 
     return FractalGraph(
         kind="ring", level=n, alphabet=RING_ALPHABET, coords=coords,
-        edges=edges, edge_mult=mult, conductance=2.0 ** n,
-        cell_words=idx, cell_corners=cell_corners,
+        conductance=2.0 ** n, cell_corners=cell_corners,
         boundary_ids=(0,), keys=keys)
 
 

@@ -46,34 +46,34 @@ def circle_distance(a, b) -> np.ndarray:
     return np.minimum(d, 1.0 - d)
 
 
-def _edge_sine_sum(u, i, j, w, n):
+def _edge_sine_sum(u, i, j, c, n):
     # unchecked: the flow calls this four times per RK4 step
-    s = np.sin(TWO_PI * _wrapped_diff(u, i, j)) * w
+    s = np.sin(TWO_PI * _wrapped_diff(u, i, j)) * c
     return np.bincount(i, s, n) - np.bincount(j, s, n)
 
 
 def km_rhs(g: FractalGraph, u) -> np.ndarray:
     """Right-hand side: c_n * sum_j sin(2 pi (u_j - u_i)) per vertex."""
     u = g.check_field(u)
-    return _edge_sine_sum(u, g.edges[:, 0], g.edges[:, 1], g.edge_weights,
+    return _edge_sine_sum(u, g.edges[:, 0], g.edges[:, 1], g.conductance,
                           g.n_vertices)
 
 
 def km_energy(g: FractalGraph, u) -> float:
-    """Cosine coupling energy, each undirected edge counted once."""
+    """Cosine coupling energy, a sum over the cells' sides."""
     u = g.check_field(u)
-    terms = _edge_energies(u, g.edges[:, 0], g.edges[:, 1], g.edge_weights)
+    terms = _edge_energies(u, g.edges[:, 0], g.edges[:, 1], g.conductance)
     return math.fsum(terms.tolist())
 
 
-def _edge_energies(u, i, j, w):
-    # w (1 - cos 2 pi d) / (4 pi^2) as 2 sin^2: the cosine form cancels at
+def _edge_energies(u, i, j, c):
+    # c (1 - cos 2 pi d) / (4 pi^2) as 2 sin^2: the cosine form cancels at
     # small d, and from level 11 on hides the decrease Newton needs
-    return w * np.sin(math.pi * _wrapped_diff(u, i, j)) ** 2 / (2.0 * math.pi ** 2)
+    return c * np.sin(math.pi * _wrapped_diff(u, i, j)) ** 2 / (2.0 * math.pi ** 2)
 
 
-def _km_energy_fast(u, i, j, w):
-    return float(np.sum(_edge_energies(u, i, j, w)))
+def _km_energy_fast(u, i, j, c):
+    return float(np.sum(_edge_energies(u, i, j, c)))
 
 
 def default_step(g: FractalGraph) -> float:
@@ -84,14 +84,6 @@ def default_step(g: FractalGraph) -> float:
     return 0.2 * (3.0 / 5.0) ** g.level
 
 
-def _cell_cycles(g: FractalGraph) -> np.ndarray:
-    # stored edges run cell by cell from each corner to the next, so the
-    # gasket's level-n cells and the whole ring are cycles traversed
-    # forwards, one row each, and together they hold every edge once (the
-    # level-1 ring's one stored edge is a row alone, bounded by its term)
-    return np.arange(g.n_edges).reshape(-1, 3 if g.kind == "sg" else g.n_edges)
-
-
 def cell_wall_energy(g: FractalGraph, u) -> float:
     """``E_wall``: below this energy the flow from ``u`` stays in its cell.
 
@@ -100,14 +92,14 @@ def cell_wall_energy(g: FractalGraph, u) -> float:
     k_e = u_j - u_i - d_e; otherwise the result is -inf.  Along a cycle C
     of L edges the signed differences sum to the winding q_C, the same at
     every point of the closed cell.  On the wall |d_e| = 1/4 of an edge of
-    C that edge's term w_e sin^2(pi d_e) / (2 pi^2) is w_e / (4 pi^2), and
-    the other L - 1 differences, each at most 1/4, sum to q_C -+ 1/4, at
-    least s = ||q_C| - 1/4| in size.  sin^2(pi x) is convex and grows with
-    |x| on |x| <= 1/4, so by Jensen their terms add up to at least
-    (L - 1) w_C sin^2(pi s / (L - 1)) / (2 pi^2), w_C the least weight on
-    C.  The gasket's level-n cells (L = 3, q_C = 0) and the whole ring
-    hold every edge, so the least of these bounds over them is below the
-    energy on every wall of Omega_k.  It is never below min(w) / (4 pi^2),
+    C that edge's term c sin^2(pi d_e) / (2 pi^2) is c / (4 pi^2), c the
+    level's conductance, and the other L - 1 differences, each at most
+    1/4, sum to q_C -+ 1/4, at least s = ||q_C| - 1/4| in size.
+    sin^2(pi x) is convex and grows with |x| on |x| <= 1/4, so by Jensen
+    their terms add up to at least (L - 1) c sin^2(pi s / (L - 1)) /
+    (2 pi^2).  The gasket's level-n cells (L = 3, q_C = 0) and the whole
+    ring hold every edge, so the least of these bounds over them is below
+    the energy on every wall of Omega_k.  It is never below c / (4 pi^2),
     the bound that one edge term alone gives.
 
     The bound is lowered by 1e-9 relative as a rounding margin: the energy
@@ -118,11 +110,14 @@ def cell_wall_energy(g: FractalGraph, u) -> float:
     d = _wrapped_diff(u, g.edges[:, 0], g.edges[:, 1])
     if not np.abs(d).max() < 0.25:
         return -math.inf
-    cycles = _cell_cycles(g)
+    # edges run cell by cell from each corner to the next, so the gasket's
+    # level-n cells and the whole ring are cycles traversed forwards, one
+    # row each, and together they hold every edge once
+    cycles = d.reshape(-1, 3 if g.kind == "sg" else g.n_edges)
     rest = cycles.shape[1] - 1
-    s = np.abs(np.abs(np.round(d[cycles].sum(axis=1))) - 0.25)
-    terms = 0.5 + rest * np.sin(math.pi * s / max(rest, 1)) ** 2
-    bound = g.edge_weights[cycles].min(axis=1) * terms / (2.0 * math.pi ** 2)
+    s = np.abs(np.abs(np.round(cycles.sum(axis=1))) - 0.25)
+    terms = 0.5 + rest * np.sin(math.pi * s / rest) ** 2
+    bound = g.conductance * terms / (2.0 * math.pi ** 2)
     return (1.0 - 1e-9) * float(bound.min())
 
 
@@ -244,7 +239,7 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
     Omega_k = {|u_j - u_i - k_e| < 1/4} of the lift.  The gradient flow
     that RK4 follows never raises E, so it never reaches a wall and stays
     in Omega_k.  On Omega_k the Hessian is a Laplacian with positive
-    weights w cos 2 pi d, so E is strictly convex there modulo rotation,
+    weights c cos 2 pi d, so E is strictly convex there modulo rotation,
     and the flow's limit is the only critical point in Omega_k with the
     start's mean phase.  Newton's end has that mean phase and is checked
     to lie in Omega_k, so it is that same point.  The rule stands in for
@@ -261,12 +256,12 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
     cfg = cfg or FlowConfig()
     u = g.check_field(u0).copy()
     i, j = g.edges[:, 0], g.edges[:, 1]
-    w = g.edge_weights
+    c = g.conductance
     n = g.n_vertices
     h = cfg.step if cfg.step is not None else default_step(g)
 
     def rhs(x):
-        return _edge_sine_sum(x, i, j, w, n)
+        return _edge_sine_sum(x, i, j, c, n)
 
     t = 0.0
     steps = 0
@@ -274,7 +269,7 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
     handoff_below = NEWTON_HANDOFF
     energy_rule = True  # the energy rule gets one attempt
     res = float(np.abs(rhs(u)).max())
-    energy = _km_energy_fast(u, i, j, w)
+    energy = _km_energy_fast(u, i, j, c)
     rows = [(t, energy, res)]
     while res >= cfg.tol and t < cfg.max_time:
         u_block = u.copy()
@@ -284,7 +279,7 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
             k3 = rhs(u + 0.5 * h * k2)
             k4 = rhs(u + h * k3)
             u += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        new_energy = _km_energy_fast(u, i, j, w)
+        new_energy = _km_energy_fast(u, i, j, c)
         if new_energy > energy + 1e-13 * max(1.0, abs(energy)):
             # reject the block: the step is too large for stability
             u = u_block
@@ -309,7 +304,7 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
                 handoff = ("energy" if by_energy and np.abs(d_end).max() < 0.25
                            else "residual" if res < handoff_below else None)
                 if handoff:
-                    rows.append((t, _km_energy_fast(u_end, i, j, w), res_end))
+                    rows.append((t, _km_energy_fast(u_end, i, j, c), res_end))
                     return _finalize(g, u_end, res_end, steps, t, h, True,
                                      halvings, factor, method="flow+newton",
                                      handoff=handoff, newton_steps=newton_steps,
@@ -334,8 +329,8 @@ def _newton(g: FractalGraph, u, cfg: FlowConfig):
     u_start = u
     u = u.copy()
     i, j = g.edges[:, 0], g.edges[:, 1]
-    w = g.edge_weights
-    energy = _km_energy_fast(u, i, j, w)
+    c = g.conductance
+    energy = _km_energy_fast(u, i, j, c)
     t = 0.0
     halvings = 0
     for iters in range(NEWTON_MAX_ITERS + 1):
@@ -364,7 +359,7 @@ def _newton(g: FractalGraph, u, cfg: FlowConfig):
         slack = 1e-13 * max(1.0, abs(energy))
         while True:
             cand = u + t * step
-            e_cand = _km_energy_fast(cand, i, j, w)
+            e_cand = _km_energy_fast(cand, i, j, c)
             if e_cand <= energy + ARMIJO * t * slope + slack:
                 break
             t *= 0.5
@@ -422,8 +417,8 @@ def solve_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None) -> Equ
 def hessian_matrix(g: FractalGraph, u) -> sparse.csr_matrix:
     """Hessian of the energy: weighted Laplacian with cosine edge weights."""
     u = g.check_field(u)
-    w = g.edge_weights * np.cos(TWO_PI * _wrapped_diff(u, g.edges[:, 0],
-                                                       g.edges[:, 1]))
+    w = g.conductance * np.cos(TWO_PI * _wrapped_diff(u, g.edges[:, 0],
+                                                      g.edges[:, 1]))
     return weighted_laplacian(g.edges, w, g.n_vertices)
 
 

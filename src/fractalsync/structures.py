@@ -25,7 +25,7 @@ from scipy.sparse import linalg as spla
 
 from . import covering as cov
 from . import kuramoto as km
-from .dirichlet import weighted_laplacian
+from .dirichlet import laplacian_matrix, weighted_laplacian
 from .graphs import FractalGraph, build_graph, cell_edges, child_tables
 from .winding import DegreeVector
 
@@ -81,16 +81,16 @@ def ring_structure() -> HarmonicStructure:
         build_graph=lambda n: build_graph("ring", n))
 
 
-def _edge_energy(c, edges, u, mult=1) -> float:
+def _edge_energy(c, edges, u) -> float:
     d = u[edges[:, 1]] - u[edges[:, 0]]
-    return math.fsum((c * mult * d * d / 2.0).tolist())
+    return math.fsum((c * d * d / 2.0).tolist())
 
 
 def energy_value(struct: HarmonicStructure, level: int, u) -> float:
     """Quadratic energy with conductances recomputed from the weights."""
     g = struct.build_graph(level)
     return _edge_energy(struct.conductance(level), g.edges,
-                        np.asarray(u, dtype=float), g.edge_mult)
+                        np.asarray(u, dtype=float))
 
 
 def self_similarity_residual(struct: HarmonicStructure, level: int, u) -> float:
@@ -121,7 +121,7 @@ def extension_by_minimization(struct: HarmonicStructure, level: int, u_coarse):
     inj = g_fine.restriction_to(level - 1)
     c = struct.conductance(level)
     n = g_fine.n_vertices
-    L = weighted_laplacian(g_fine.edges, c * g_fine.edge_mult.astype(float), n)
+    L = weighted_laplacian(g_fine.edges, np.full(g_fine.n_edges, c), n)
     fixed = inj
     free = np.setdiff1d(np.arange(n), fixed)
     vals = np.zeros(n)
@@ -169,7 +169,7 @@ def _extend_lift_by_solve(cur: cov.LiftField) -> cov.LiftField:
     vals = np.zeros(dom_next.n_vertices)
     vals[corners] = cur.values[dom_m.cell_corners]
     fixed, free = np.unique(corners), np.unique(mids)
-    L = dom_next.laplacian_matrix()
+    L = laplacian_matrix(dom_next)
     A = L[free][:, free].tocsc()
     rhs = -L[free][:, fixed] @ vals[fixed]
     vals[free] = spla.spsolve(A, rhs)

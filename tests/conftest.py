@@ -1,6 +1,7 @@
 import colorsys
 import csv
 import json
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -59,11 +60,11 @@ def rk4_reference(g, u0, cfg=None):
 
     cfg = cfg or FlowConfig()
     u = np.array(u0, dtype=float)
-    i, j, w = g.edges[:, 0], g.edges[:, 1], g.edge_weights
+    i, j, c = g.edges[:, 0], g.edges[:, 1], g.conductance
     h = cfg.step if cfg.step is not None else default_step(g)
     t, steps, halvings = 0.0, 0, 0
     res = float(np.abs(km_rhs(g, u)).max())
-    energy = _km_energy_fast(u, i, j, w)
+    energy = _km_energy_fast(u, i, j, c)
     while res >= cfg.tol and t < cfg.max_time:
         block = u.copy()
         for _ in range(CHECK_EVERY):
@@ -72,7 +73,7 @@ def rk4_reference(g, u0, cfg=None):
             k3 = km_rhs(g, u + 0.5 * h * k2)
             k4 = km_rhs(g, u + h * k3)
             u += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        new_energy = _km_energy_fast(u, i, j, w)
+        new_energy = _km_energy_fast(u, i, j, c)
         if new_energy > energy + 1e-13 * max(1.0, abs(energy)):
             u, h, halvings = block, 0.5 * h, halvings + 1
             if halvings > MAX_HALVINGS:
@@ -196,7 +197,7 @@ def reference_id_of(g, itinerary) -> int:
 
 def reference_cells(g):
     """Word-tuple -> corner-id-tuple view of the cell table."""
-    return dict(zip(map(tuple, g.word_symbols(g.cell_words).tolist()),
+    return dict(zip(map(tuple, g.word_symbols(np.arange(len(g.cell_corners))).tolist()),
                     map(tuple, g.cell_corners.tolist())))
 
 
@@ -330,8 +331,9 @@ def cg_reference(dom):
 
     from fractalsync import LiftField
     from fractalsync.covering import _substitution
+    from fractalsync.dirichlet import laplacian_matrix
 
-    L = dom.laplacian_matrix()
+    L = laplacian_matrix(dom)
     P, b = _substitution(dom)
     A = (P.T @ L @ P).tocsc()
     sol, info = spla.cg(A, -P.T @ (L @ b), rtol=1e-12, atol=0.0,
@@ -340,6 +342,33 @@ def cg_reference(dom):
     f = P @ sol + b
     f[dom.pinned] = 0.0
     return LiftField(domain=dom, values=f)
+
+
+# -- the level-1 ring as first stored, kept as an oracle -----------------------
+
+def ring1_one_edge(u, c):
+    """The level-1 ring's quantities at ``u`` from its first store, where
+    i + 1 and i - 1 mod 2 coincide in the one edge (0, 1) of weight 2c,
+    keyed by the package function each must match."""
+    from fractalsync.dirichlet import weighted_laplacian
+    from fractalsync.kuramoto import TWO_PI, _edge_energies, _edge_sine_sum
+    from fractalsync.winding import _wrapped_diff
+
+    u = np.asarray(u, dtype=float)
+    edges = np.array([[0, 1]])
+    i, j = edges[:, 0], edges[:, 1]
+    w = np.array([2.0 * c])
+    d = (u[j] - u[i]) * w
+    cos_w = w * np.cos(TWO_PI * _wrapped_diff(u, i, j))
+    return {
+        "km_energy": math.fsum(_edge_energies(u, i, j, w).tolist()),
+        "km_rhs": _edge_sine_sum(u, i, j, w, 2),
+        "hessian_matrix": weighted_laplacian(edges, cos_w, 2).toarray(),
+        "laplacian_matrix": weighted_laplacian(edges, w, 2).toarray(),
+        "laplacian": np.bincount(i, d, 2) - np.bincount(j, d, 2),
+        "dirichlet_energy": 2.0 * c * float(u[1] - u[0]) ** 2 / 2.0,
+        "normal_derivative": math.fsum(d.tolist()),
+    }
 
 
 # -- the writers the whole-array ones replaced, kept as byte oracles ----------

@@ -18,17 +18,16 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from fractalsync import (DegreeVector, build_ring_graph,
-                         build_sg_graph, circle_distance, circle_harmonic_map,
-                         covering_domain, dirichlet_energy, extend_harmonic_once,
-                         generic_harmonic_map, generic_km, half_twisted_state,
-                         harmonic_extend_once, hessian_stability, holder_ratio,
+from fractalsync import (DegreeVector, build_ring_graph, build_sg_graph,
+                         circle_distance, circle_harmonic_map, covering_domain,
+                         dirichlet_energy, extend_harmonic_once, generic_km,
+                         half_twisted_state, harmonic_extend_once,
+                         hessian_stability, holder_ratio,
                          integrate_to_equilibrium, km_energy, km_rhs, laplacian,
                          minimize_constrained, neumann_check, normal_derivative,
-                         restrict, ring_structure, sg_structure, solve_dirichlet,
-                         solve_equilibrium, twisted_state, wrap_phases)
+                         ring_structure, sg_structure, solve_dirichlet,
+                         solve_equilibrium, twisted_state)
 from fractalsync.kuramoto import _edge_energies
 from fractalsync.structures import energy_value, extension_by_minimization
 
@@ -113,12 +112,12 @@ def _central_differences(g, u, eps):
     """(E(u + eps e_v) - E(u - eps e_v)) / (2 eps) for every vertex v at
     once, from the edge energies of v's incident edges: no other term of
     the energy changes."""
-    i, j, w = g.edges[:, 0], g.edges[:, 1], g.edge_weights
-    m = len(w)
+    i, j, c = g.edges[:, 0], g.edges[:, 1], g.conductance
+    m = len(i)
     tail, head = np.arange(m), np.arange(m, 2 * m)
 
     def edge_energies(a, b):
-        return _edge_energies(np.concatenate([a, b]), tail, head, w)
+        return _edge_energies(np.concatenate([a, b]), tail, head, c)
 
     a, b = u[i], u[j]
     d_tail = edge_energies(a + eps, b) - edge_energies(a - eps, b)

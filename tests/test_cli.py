@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fractalsync import DegreeVector, build_ring_graph
+from fractalsync import DegreeVector, build_sg_graph
 from fractalsync import kuramoto as km
 from fractalsync.cli import _build_parser, _config_from_args, main
 from fractalsync.serialize import (dumps_json, read_field_csv, sha256_of,
@@ -349,6 +349,8 @@ def test_cli_error_single_line(tmp_path, capsys):
     (["flow", "--tol", "-1"], "--tol must be positive"),
     (["twist", "--max-time", "0"], "--max-time must be positive"),
     (["verify", "--jobs", "0"], "--jobs must be at least 1"),
+    (["sweep", "--degrees", ";"], "--degrees ';' names no degree"),
+    (["sweep", "--degrees", ""], "--degrees '' names no degree"),
 ])
 def test_numeric_inputs_checked_where_they_enter(tmp_path, capsys, argv, message):
     out = tmp_path / "bad"
@@ -357,6 +359,15 @@ def test_numeric_inputs_checked_where_they_enter(tmp_path, capsys, argv, message
     assert err.startswith("error: ValueError: ") and message in err
     assert "\n" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_boundary_checked_where_it_enters(tmp_path, capsys, value):
+    assert run(["harmonic", "--level", "3", "--boundary", f"0,0,{value}",
+                "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == (f"error: ValueError: boundary value {float(value)!r} at "
+                   f"vertex {build_sg_graph(3).boundary_ids[2]} is not finite")
 
 
 def test_cli_config_file(tmp_path):
@@ -397,7 +408,8 @@ def test_config_key_the_subcommand_does_not_read_rejected(tmp_path, capsys,
     ("sweep", "seeds", "0:2", ["--seeds", "7"], (0, 1, 2), (7,)),
     ("sweep", "degrees", "1;2,0,0", ["--degrees", "1,1,1,1"],
      ["1", "2,0,0"], ["1,1,1,1"]),
-    ("sweep", "degrees", "1;2,0,0", ["--degrees", ""], ["1", "2,0,0"], []),
+    ("sweep", "degrees", "1;2,0,0", ["--degrees", "1;"], ["1", "2,0,0"],
+     ["1"]),
 ])
 def test_config_flag_beats_file(tmp_path, mode, key, in_file, flag,
                                 from_file, from_flag):
@@ -411,19 +423,20 @@ def test_config_flag_beats_file(tmp_path, mode, key, in_file, flag,
 
 
 @pytest.mark.parametrize("mode", ["build-graph", "harmonic", "covering",
-                                  "twist", "verify"])
+                                  "twist", "verify", "sweep"])
 def test_seed_rejected_where_nothing_reads_it(mode):
-    # only flow (--init random) and sweep (default --seeds) draw numbers
+    # only flow (--init random) reads --seed; sweep takes --seeds
     with pytest.raises(SystemExit) as info:
         _build_parser().parse_args([mode, "--seed", "1"])
     assert info.value.code == 2
 
 
 def test_sweep_without_seeds_runs_seed(tmp_path):
-    out = tmp_path / "s"
-    assert run(["sweep", "--levels", "3:3", "--seed", "3", "--out", str(out)]) == 0
-    jobs = json.loads((out / "sweep.json").read_text())["jobs"]
-    assert [job["seed"] for job in jobs] == [3]
+    for seeds, expected in (([], [0]), (["--seeds", "3"], [3])):
+        out = tmp_path / str(expected[0])
+        assert run(["sweep", "--levels", "3:3", "--out", str(out)] + seeds) == 0
+        jobs = json.loads((out / "sweep.json").read_text())["jobs"]
+        assert [job["seed"] for job in jobs] == expected
 
 
 def test_cli_unresolved_winding_errors(tmp_path):

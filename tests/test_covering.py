@@ -64,7 +64,7 @@ def test_cut_table_remaps_one_corner_per_cut(g, omega):
         assert [cell, corner] in changed.tolist()
         assert g.cell_corners[cell, corner] == cut.cut_vertex
         assert dom.cell_corners[cell, corner] == cut.plus_id
-    assert dom.n_edges == len(g.cell_words) * (3 if g.kind == "sg" else 1)
+    assert dom.n_edges == len(g.cell_corners) * (3 if g.kind == "sg" else 1)
 
 
 def _single_loops(n):
@@ -151,7 +151,7 @@ def test_minimizer_interior_laplace_equation():
     dom = covering_domain(g, OMEGA1)
     lift = minimize_constrained(dom)
     i, j = dom.edges[:, 0], dom.edges[:, 1]
-    d = (lift.values[j] - lift.values[i]) * dom.edge_weights
+    d = (lift.values[j] - lift.values[i]) * dom.conductance
     flux = np.bincount(i, d, dom.n_vertices) - np.bincount(j, d, dom.n_vertices)
     skip = {dom.pinned, dom.cuts[0].minus_id, dom.cuts[0].plus_id}
     interior = [v for v in range(dom.n_vertices) if v not in skip]
@@ -285,7 +285,7 @@ def test_neumann_direct_flux_at_pin_matches():
     dom = covering_domain(g, OMEGA1)
     lift = minimize_constrained(dom)
     i, j = dom.edges[:, 0], dom.edges[:, 1]
-    d = (lift.values[j] - lift.values[i]) * dom.edge_weights
+    d = (lift.values[j] - lift.values[i]) * dom.conductance
     flux = np.bincount(i, d, dom.n_vertices) - np.bincount(j, d, dom.n_vertices)
     assert abs(flux[dom.pinned]) < 1e-10
     assert abs(neumann_check(lift)[dom.pinned]) < 1e-9

@@ -196,6 +196,19 @@ def test_bad_boundary_rejected():
         solve_dirichlet(g, {0: 1.0, 1: 2.0, 2: 3.0})  # 1, 2 are interior
 
 
+@pytest.mark.parametrize("method", ["extension", "linear-solve"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_boundary_rejected(method, value):
+    g = build_sg_graph(3)
+    v = g.boundary_ids[2]
+    with pytest.raises(ValueError, match=f"boundary value {value!r} at "
+                                         f"vertex {v} is not finite"):
+        solve_dirichlet(g, [0, 0, value], method=method)
+    ring = build_ring_graph(3)
+    with pytest.raises(ValueError, match="at vertex 0 is not finite"):
+        solve_dirichlet(ring, {0: value}, method=method)
+
+
 def test_minimality_against_random_perturbations():
     g = build_sg_graph(4)
     f = solve_dirichlet(g, [0, 0, 1])

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractalsync import (build_ring_graph, build_sg_graph, extend_harmonic_once,
-                         restrict)
-from fractalsync.graphs import child_tables
+from fractalsync import (build_graph, build_ring_graph, build_sg_graph,
+                         dirichlet_energy, extend_harmonic_once, km_energy,
+                         km_rhs, laplacian, normal_derivative, restrict)
+from fractalsync.dirichlet import laplacian_matrix
+from fractalsync.graphs import cell_edges, child_tables
+from fractalsync.kuramoto import hessian_matrix
 from conftest import (Itinerary, apply_word, canonical_itinerary,
                       enumerate_gasket, reference_cells, reference_id_of,
-                      reference_itinerary, trace_loop)
+                      reference_itinerary, ring1_one_edge, trace_loop)
 
 
 def test_level0_is_complete_triangle():
@@ -173,10 +176,7 @@ def test_ring_basics():
     g = build_ring_graph(3)
     assert g.n_vertices == 8
     assert g.n_edges == 8
-    deg = np.zeros(8, dtype=int)
-    for (a, b), m in zip(g.edges, g.edge_mult):
-        deg[a] += m
-        deg[b] += m
+    deg = np.bincount(g.edges.ravel(), minlength=8)
     assert (deg == 2).all()
     g2 = build_ring_graph(2)
     np.testing.assert_array_equal(g2.coords[:, 0], [0, 0.25, 0.5, 0.75])
@@ -184,10 +184,49 @@ def test_ring_basics():
 
 
 def test_ring_level1_multiplicity():
+    # i + 1 and i - 1 mod 2 coincide: the two cells give two parallel
+    # edges, each vertex of degree 2 as at every other level
     g = build_ring_graph(1)
     assert g.n_vertices == 2
-    assert g.edges.tolist() == [[0, 1]]
-    assert g.edge_mult.tolist() == [2]
+    assert g.cell_corners.tolist() == [[0, 1], [1, 0]]
+    assert g.edges.tolist() == [[0, 1], [1, 0]]
+    assert np.bincount(g.edges.ravel()).tolist() == [2, 2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2))
+def test_ring_level1_matches_one_edge_oracle(u):
+    # the parallel edges give the old one edge of weight 2c bit for bit,
+    # except where an energy term is subnormal: there c x + c x and 2c x
+    # can round apart
+    g = build_ring_graph(1)
+    want = ring1_one_edge(u, g.conductance)
+    got = {
+        "km_energy": km_energy(g, u),
+        "km_rhs": km_rhs(g, u),
+        "hessian_matrix": hessian_matrix(g, u).toarray(),
+        "laplacian_matrix": laplacian_matrix(g).toarray(),
+        "laplacian": laplacian(g, u),
+        "dirichlet_energy": dirichlet_energy(g, u).energy,
+        "normal_derivative": normal_derivative(g, u, 0),
+    }
+    assert got.keys() == want.keys()
+    subnormal = 0.0 < abs(u[1] - u[0]) < 1e-150
+    for name, value in got.items():
+        if subnormal:
+            np.testing.assert_allclose(value, want[name], rtol=1e-15,
+                                       atol=1e-300, err_msg=name)
+        else:
+            assert (np.asarray(value).tobytes()
+                    == np.asarray(want[name]).tobytes()), name
+
+
+@pytest.mark.parametrize("kind,levels", [("sg", range(9)),
+                                         ("ring", range(1, 13))])
+def test_edges_are_cell_sides(kind, levels):
+    for n in levels:
+        g = build_graph(kind, n)
+        np.testing.assert_array_equal(g.edges, cell_edges(g.cell_corners))
 
 
 def test_ring_restrict():
@@ -275,7 +314,7 @@ def test_id_of_rejects_names_that_are_not_vertices():
 def test_child_tables_match_itinerary_lookup(m):
     g_m, g_next = build_sg_graph(m), build_sg_graph(m + 1)
     corners, mids = child_tables(g_next.cell_corners)
-    assert corners.shape == mids.shape == (len(g_m.cell_words), 3)
+    assert corners.shape == mids.shape == (len(g_m.cell_corners), 3)
     for k, w in enumerate(sorted(reference_cells(g_m))):
         assert corners[k].tolist() == [
             reference_id_of(g_next, canonical_itinerary(w, i))

@@ -39,7 +39,7 @@ def test_newton_step_energy_difference_matches_mpmath():
 
     g = build_sg_graph(9)
     u, _ = circle_harmonic_map(g, DegreeVector({(): 1}))
-    i, j, w = g.edges[:, 0], g.edges[:, 1], g.edge_weights
+    i, j, c = g.edges[:, 0], g.edges[:, 1], g.conductance
     step = np.zeros_like(u)
     lu = km._positive_definite_factor(km._pinned_hessian(g, u))
     step[1:] = lu.solve(km_rhs(g, u)[1:]) / km.TWO_PI
@@ -48,7 +48,7 @@ def test_newton_step_energy_difference_matches_mpmath():
     def exact(x):
         two_pi = 2 * mpmath.pi
         terms = []
-        for c, a, b in zip(w.tolist(), x[i].tolist(), x[j].tolist()):
+        for a, b in zip(x[i].tolist(), x[j].tolist()):
             d = mpmath.mpf(b) - mpmath.mpf(a)
             terms.append(c * (1 - mpmath.cos(two_pi * (d - mpmath.nint(d)))))
         return mpmath.fsum(terms) / two_pi ** 2
@@ -56,7 +56,7 @@ def test_newton_step_energy_difference_matches_mpmath():
     with mpmath.workdps(30):
         want = float(exact(cand) - exact(u))
     assert want < 0
-    fast = km._km_energy_fast(cand, i, j, w) - km._km_energy_fast(u, i, j, w)
+    fast = km._km_energy_fast(cand, i, j, c) - km._km_energy_fast(u, i, j, c)
     assert fast == pytest.approx(want, rel=1e-5, abs=0)
     fsum = km_energy(g, cand) - km_energy(g, u)
     assert fsum == pytest.approx(want, rel=1e-5, abs=0)
@@ -231,7 +231,7 @@ def test_finished_flow_matches_rk4_reference(kind, n, spec, amp, seed, handoff):
     # perturbed gasket starts and random ring starts: the flow picks the
     # equilibrium, and the Newton finish lands on the one plain RK4 reaches;
     # ``handoff`` is the rule an example is known to finish under (ring-5
-    # seed 0 ends twisted, q = -2, above the single-edge bound w / (4 pi^2))
+    # seed 0 ends twisted, q = -2, above the single-edge bound c / (4 pi^2))
     rng = np.random.default_rng(seed)
     if kind == "ring":
         g = build_ring_graph(n)
@@ -334,10 +334,10 @@ def test_energy_handoff_has_one_attempt(monkeypatch, first):
     calls = []
     newton = km._newton
     g = build_ring_graph(5)
-    i, j, w = g.edges[:, 0], g.edges[:, 1], g.edge_weights
+    i, j, c = g.edges[:, 0], g.edges[:, 1], g.conductance
 
     def first_spoiled(g, u, cfg):
-        calls.append((km._km_energy_fast(u, i, j, w),
+        calls.append((km._km_energy_fast(u, i, j, c),
                       float(np.abs(km_rhs(g, u)).max())))
         out = newton(g, u, cfg)
         if len(calls) > 1:
@@ -386,6 +386,23 @@ def _lemma_graph(kind, n):
 
 
 @settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(("sg", "ring")), n=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_scalar_conductance_matches_array_weights(kind, n, seed):
+    # the kernels take the level's one conductance; an array of it per
+    # edge gives the same bits
+    g = _lemma_graph(kind, n)
+    u = np.random.default_rng(seed).uniform(-2.0, 2.0, g.n_vertices)
+    i, j, c = g.edges[:, 0], g.edges[:, 1], g.conductance
+    w = np.full(g.n_edges, c)
+    nv = g.n_vertices
+    assert (km._edge_sine_sum(u, i, j, c, nv).tobytes()
+            == km._edge_sine_sum(u, i, j, w, nv).tobytes())
+    assert (km._edge_energies(u, i, j, c).tobytes()
+            == km._edge_energies(u, i, j, w).tobytes())
+
+
+@settings(max_examples=30, deadline=None)
 @given(kind=st.sampled_from(("sg", "ring")), n=st.integers(3, 5),
        q=st.integers(-3, 3), amp=st.floats(0.0, 0.2),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -400,19 +417,19 @@ def test_cell_wall_energy_bounds_the_energy_on_the_walls(kind, n, q, amp, seed):
     else:
         base, _ = circle_harmonic_map(g, DegreeVector({(): q} if q else {}))
     u = base + rng.uniform(-amp, amp, g.n_vertices)
-    i, j, w = g.edges[:, 0], g.edges[:, 1], g.edge_weights
+    i, j, c = g.edges[:, 0], g.edges[:, 1], g.conductance
     d = km._wrapped_diff(u, i, j)
     assume(np.abs(d).max() < 0.25)
     wall = km.cell_wall_energy(g, u)
     # never below the bound of one edge term alone
-    assert wall >= (1.0 - 1e-9) * w.min() / (4.0 * math.pi ** 2)
+    assert wall >= (1.0 - 1e-9) * c / (4.0 * math.pi ** 2)
     v = rng.standard_normal(g.n_vertices)
     dv = v[j] - v[i]
     moving = dv != 0.0
     s = np.min((0.25 * np.sign(dv[moving]) - d[moving]) / dv[moving])
     at_wall = d + s * dv
     assert np.abs(np.abs(at_wall).max() - 0.25) < 1e-12
-    assert km._km_energy_fast(u + s * v, i, j, w) >= wall
+    assert km._km_energy_fast(u + s * v, i, j, c) >= wall
     # inside the quarter-turn cell the pinned Hessian is a Laplacian with
     # positive weights, and the factor certifies it
     assert km._positive_definite_factor(km._pinned_hessian(g, u)) is not None
