@@ -21,9 +21,9 @@ from .graphs import (FractalGraph, build_graph, build_ring_graph,
 from .kuramoto import (EquilibriumReport, FlowConfig, circle_distance,
                        half_twisted_state, hessian_stability,
                        integrate_to_equilibrium, km_energy, km_rhs,
-                       solve_equilibrium, twisted_state, wrap_phases)
+                       solve_equilibrium, twisted_state)
 from .structures import (HarmonicStructure, generic_harmonic_map, generic_km,
                          ring_structure, sg_structure)
-from .winding import DegreeVector, degree
+from .winding import DegreeVector, degree, wrap_phases
 
 __version__ = "0.1.0"

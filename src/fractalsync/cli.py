@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from . import kuramoto as km
 from . import serialize as ser
 from . import svg as svgmod
 from .errors import DegreeMismatchError
-from .graphs import build_graph
+from .graphs import RING_ALPHABET, SG_ALPHABET, build_graph
 from .structures import ring_structure, sg_structure
 from .winding import DegreeVector
 
@@ -42,7 +41,7 @@ class RunConfig:
     step: float | None = None
     max_time: float = 400.0
     seed: int = 0
-    init: str | None = None
+    init: str = "random"
     levels: tuple | None = None
     degrees: list | None = None
     seeds: tuple | None = None
@@ -71,7 +70,7 @@ class RunConfig:
 
 
 def _alphabet(fractal):
-    return (0, 1) if fractal == "ring" else (1, 2, 3)
+    return RING_ALPHABET if fractal == "ring" else SG_ALPHABET
 
 
 def _parse_levels(text, flag="--levels") -> tuple:
@@ -84,12 +83,15 @@ def _parse_levels(text, flag="--levels") -> tuple:
     return tuple(range(lo, hi + 1))
 
 
-def _structure(fractal):
-    return ring_structure() if fractal == "ring" else sg_structure()
-
-
 def _flow_cfg(cfg: RunConfig) -> km.FlowConfig:
     return km.FlowConfig(step=cfg.step, max_time=cfg.max_time, tol=cfg.tol)
+
+
+def _path(cfg: RunConfig, name) -> str:
+    """``name`` under ``--out``, which is made at the first artifact
+    written, so a run that fails before writing leaves no directory."""
+    os.makedirs(cfg.out, exist_ok=True)
+    return os.path.join(cfg.out, name)
 
 
 # -- subcommand bodies ----------------------------------------------------
@@ -97,11 +99,12 @@ def _flow_cfg(cfg: RunConfig) -> km.FlowConfig:
 
 def cmd_build_graph(cfg: RunConfig):
     g = build_graph(cfg.fractal, cfg.level)
-    path = os.path.join(cfg.out, f"graph_{cfg.fractal}_{cfg.level}.json")
-    ser.write_json(path, g.to_json_dict())
-    meta = os.path.join(cfg.out, "structure.json")
-    ser.write_json(meta, _structure(cfg.fractal).to_json_dict())
-    return [path, meta]
+    structure = ring_structure() if cfg.fractal == "ring" else sg_structure()
+    return [
+        ser.write_json(_path(cfg, f"graph_{cfg.fractal}_{cfg.level}.json"),
+                       g.to_json_dict()),
+        ser.write_json(_path(cfg, "structure.json"), structure.to_json_dict()),
+    ]
 
 
 def cmd_harmonic(cfg: RunConfig):
@@ -109,15 +112,14 @@ def cmd_harmonic(cfg: RunConfig):
     f = dr.solve_dirichlet(g, cfg.boundary, method=cfg.method)
     report = dr.dirichlet_energy(g, f)
     paths = [
-        ser.write_field_csv(os.path.join(cfg.out, "solution.csv"), f),
-        ser.write_json(os.path.join(cfg.out, "solution.json"),
+        ser.write_field_csv(_path(cfg, "solution.csv"), f),
+        ser.write_json(_path(cfg, "solution.json"),
                        ser.field_to_json_dict(f)),
-        ser.write_json(os.path.join(cfg.out, "energy.json"),
-                       report.to_json_dict()),
+        ser.write_json(_path(cfg, "energy.json"), report.to_json_dict()),
     ]
     if cfg.svg:
         paths.append(svgmod.render_field_svg(
-            g, f, os.path.join(cfg.out, "solution.svg"), mode="real"))
+            g, f, _path(cfg, "solution.svg"), mode="real"))
     return paths
 
 
@@ -125,19 +127,17 @@ def cmd_covering(cfg: RunConfig):
     g = build_graph(cfg.fractal, cfg.level)
     _, lift = cov.circle_harmonic_map(g, cfg.degree)
     neumann = cov.neumann_check(lift)
-    paths = [
-        ser.write_json(os.path.join(cfg.out, "domain.json"),
-                       lift.domain.to_json_dict()),
-        ser.write_field_csv(os.path.join(cfg.out, "lift.csv"), lift.values),
-        ser.write_json(os.path.join(cfg.out, "lift.json"), {
+    return [
+        ser.write_json(_path(cfg, "domain.json"), lift.domain.to_json_dict()),
+        ser.write_field_csv(_path(cfg, "lift.csv"), lift.values),
+        ser.write_json(_path(cfg, "lift.json"), {
             "level": lift.level,
             "energy": lift.energy(),
             "values": lift.values,
         }),
-        ser.write_json(os.path.join(cfg.out, "neumann.json"),
+        ser.write_json(_path(cfg, "neumann.json"),
                        {str(k): v for k, v in neumann.items()}),
     ]
-    return paths
 
 
 def _twist_report(cfg: RunConfig, level=None, perturb_seed=None):
@@ -170,14 +170,12 @@ def cmd_twist(cfg: RunConfig):
         d["degree_dense"] = dense
         print("degree:", ",".join(str(v) for v in dense))
     paths = [
-        ser.write_json(os.path.join(cfg.out, "equilibrium.json"), d),
-        ser.write_field_csv(os.path.join(cfg.out, "equilibrium.csv"),
-                            report.field),
+        ser.write_json(_path(cfg, "equilibrium.json"), d),
+        ser.write_field_csv(_path(cfg, "equilibrium.csv"), report.field),
     ]
     if cfg.svg:
         paths.append(svgmod.render_field_svg(
-            g, report.field, os.path.join(cfg.out, "equilibrium.svg"),
-            mode="phase"))
+            g, report.field, _path(cfg, "equilibrium.svg"), mode="phase"))
     if report.degree != cfg.degree:
         # the artifacts show where the solve went; the run still fails
         ser.write_manifest(cfg.out, cfg.mode, paths)
@@ -188,7 +186,7 @@ def cmd_twist(cfg: RunConfig):
 
 
 def _initial_field(cfg: RunConfig, g):
-    spec = cfg.init or "random"
+    spec = cfg.init
     if spec.startswith("twist:"):
         u0 = km.twisted_state(g, int(spec.split(":", 1)[1]))
     elif spec.startswith("constant:"):
@@ -217,14 +215,13 @@ def cmd_flow(cfg: RunConfig):
     u0 = _initial_field(cfg, g)
     report = km.integrate_to_equilibrium(g, u0, _flow_cfg(cfg))
     paths = [
-        ser.write_json(os.path.join(cfg.out, "equilibrium.json"),
+        ser.write_json(_path(cfg, "equilibrium.json"),
                        report.to_json_dict()),
-        ser.write_field_csv(os.path.join(cfg.out, "equilibrium.csv"),
-                            report.field),
+        ser.write_field_csv(_path(cfg, "equilibrium.csv"), report.field),
     ]
     if cfg.traj:
         paths.append(ser.write_rows_csv(
-            os.path.join(cfg.out, "trajectory.csv"),
+            _path(cfg, "trajectory.csv"),
             ("time", "energy", "residual"), report.trajectory))
     return paths
 
@@ -259,35 +256,28 @@ def _map_jobs(fn, jobs, n_jobs):
     return [fn(j) for j in jobs]
 
 
-def _verify_table(cfg: RunConfig):
+def cmd_verify(cfg: RunConfig):
     rows = _map_jobs(_verify_row, [(cfg, n) for n in cfg.levels], cfg.jobs)
     gaps = [r["gap"] for r in rows]
-    ns = [r["level"] for r in rows]
     exponent = None
     if len(rows) >= 2 and all(gp > 0 for gp in gaps):
-        exponent = float(np.polyfit(ns, np.log(gaps), 1)[0])
-    return rows, exponent
-
-
-def cmd_verify(cfg: RunConfig):
-    rows, exponent = _verify_table(cfg)
+        exponent = float(np.polyfit(cfg.levels, np.log(gaps), 1)[0])
     table = {
         "fractal": cfg.fractal,
         "degree": cfg.degree.to_json_dict(),
         "rows": rows,
         "gap_decay_exponent": exponent,
     }
-    paths = [
-        ser.write_json(os.path.join(cfg.out, "verify.json"), table),
+    return [
+        ser.write_json(_path(cfg, "verify.json"), table),
         ser.write_rows_csv(
-            os.path.join(cfg.out, "verify.csv"),
+            _path(cfg, "verify.csv"),
             ("level", "lift_energy", "km_energy_harmonic_map",
              "km_energy_equilibrium", "gap", "max_deviation"),
             [(r["level"], r["lift_energy"], r["km_energy_harmonic_map"],
               r["km_energy_equilibrium"], r["gap"], r["max_deviation"])
              for r in rows]),
     ]
-    return paths
 
 
 def _sweep_job(args):
@@ -309,83 +299,21 @@ def cmd_sweep(cfg: RunConfig):
     results = _map_jobs(_sweep_job, jobs, cfg.jobs)
     results.sort(key=lambda kv: (kv[0][0], kv[0][1], kv[0][2]))
     summary = [d for _, d in results]
-    return [ser.write_json(os.path.join(cfg.out, "sweep.json"),
-                           {"jobs": summary})]
+    return [ser.write_json(_path(cfg, "sweep.json"), {"jobs": summary})]
 
 
 # -- argument handling ----------------------------------------------------
 
 
-def _build_parser():
-    p = argparse.ArgumentParser(
-        prog="fractalsync",
-        description="Kuramoto equilibria and harmonic maps on the "
-                    "Sierpinski gasket and the ring")
-    sub = p.add_subparsers(dest="mode", required=True)
-    # no flag by its prefix: sweep's --seeds must not answer to --seed
-    add = partial(sub.add_parser, allow_abbrev=False)
-
-    def common(sp, *, level=True):
-        # defaults live in RunConfig so that a --config file is only
-        # overridden by flags the user actually passed
-        sp.add_argument("--fractal", choices=("sg", "ring"))
-        if level:
-            sp.add_argument("--level", type=int)
-        sp.add_argument("--config", help="JSON run file; flags override it")
-        sp.add_argument("--out")
-
-    sp = add("build-graph", help="write the graph as JSON")
-    common(sp)
-
-    sp = add("harmonic", help="solve the Dirichlet problem")
-    common(sp)
-    sp.add_argument("--boundary", help="comma-separated corner values")
-    sp.add_argument("--method", choices=("extension", "linear-solve"))
-    sp.add_argument("--svg", action="store_true", default=None)
-
-    sp = add("covering", help="constrained lift for a degree")
-    common(sp)
-    sp.add_argument("--degree")
-
-    sp = add("twist", help="harmonic map, flow, verify")
-    common(sp)
-    sp.add_argument("--degree")
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--step", type=float)
-    sp.add_argument("--max-time", type=float)
-    sp.add_argument("--svg", action="store_true", default=None)
-
-    sp = add("flow", help="integrate from a given initial field")
-    common(sp)
-    sp.add_argument("--init", help="csv path | twist:q | constant:c | random")
-    sp.add_argument("--seed", type=int, help="seed of --init random")
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--step", type=float)
-    sp.add_argument("--max-time", type=float)
-    sp.add_argument("--traj", action="store_true", default=None,
-                    help="append time, energy, residual snapshots to CSV")
-
-    sp = add("verify", help="energy-gap table across levels")
-    common(sp, level=False)
-    sp.add_argument("--degree")
-    sp.add_argument("--levels", help="range lo:hi (default 3:6)")
-    sp.add_argument("--jobs", type=int)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--step", type=float)
-    sp.add_argument("--max-time", type=float)
-
-    sp = add("sweep", help="twist runs over levels/degrees/seeds")
-    common(sp, level=False)
-    sp.add_argument("--degrees",
-                    help="semicolon-separated degree specs (default 1)")
-    sp.add_argument("--levels")
-    sp.add_argument("--seeds", help="range lo:hi or single (default 0)")
-    sp.add_argument("--perturb", type=float)
-    sp.add_argument("--jobs", type=int)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--step", type=float)
-    sp.add_argument("--max-time", type=float)
-    return p
+_COMMANDS = {
+    "build-graph": (cmd_build_graph, "write the graph as JSON"),
+    "harmonic": (cmd_harmonic, "solve the Dirichlet problem"),
+    "covering": (cmd_covering, "constrained lift for a degree"),
+    "twist": (cmd_twist, "harmonic map, flow, verify"),
+    "flow": (cmd_flow, "integrate from a given initial field"),
+    "verify": (cmd_verify, "energy-gap table across levels"),
+    "sweep": (cmd_sweep, "twist runs over levels/degrees/seeds"),
+}
 
 
 def _degree_value(spec, alphabet) -> DegreeVector:
@@ -394,22 +322,70 @@ def _degree_value(spec, alphabet) -> DegreeVector:
     return DegreeVector.parse(str(spec), alphabet)
 
 
-def _degree_list(text) -> list:
-    specs = [s for s in text.split(";") if s]
+def _degree_list(spec, _) -> list:
+    specs = [s for s in str(spec).split(";") if s]
     if not specs:
-        raise ValueError(f"--degrees {text!r} names no degree")
+        raise ValueError(f"--degrees {spec!r} names no degree")
     return specs
 
 
-# values that arrive as flag text or as --config JSON, parsed the same way
-_PARSERS = {
-    "degree": _degree_value,
-    "boundary": lambda spec, _: [float(v) for v in (
+def _flag(commands, parse=None, **argparse_kw):
+    return commands, argparse_kw, parse
+
+
+_ALL = tuple(_COMMANDS)
+_FLOWS = ("twist", "flow", "verify", "sweep")
+
+# One row per flag, keyed by its RunConfig field (--max-time is max_time):
+# the subcommands that take it, its argparse keywords, and the parser of a
+# value that arrives as flag text or as --config JSON alike.  Every flag
+# defaults to None: defaults live in RunConfig, so that a --config file is
+# only overridden by flags the user actually passed.
+_FLAGS = {
+    "fractal": _flag(_ALL, choices=("sg", "ring")),
+    "level": _flag(("build-graph", "harmonic", "covering", "twist", "flow"),
+                   type=int),
+    "config": _flag(_ALL, help="JSON run file; flags override it"),
+    "out": _flag(_ALL),
+    "boundary": _flag(("harmonic",), lambda spec, _: [float(v) for v in (
         spec.split(",") if isinstance(spec, str) else spec)],
-    "levels": lambda spec, _: _parse_levels(str(spec)),
-    "seeds": lambda spec, _: _parse_levels(str(spec), "--seeds"),
-    "degrees": lambda spec, _: _degree_list(str(spec)),
+        help="comma-separated corner values"),
+    "method": _flag(("harmonic",), choices=("extension", "linear-solve")),
+    "degree": _flag(("covering", "twist", "verify"), _degree_value),
+    "degrees": _flag(("sweep",), _degree_list,
+                     help="semicolon-separated degree specs (default 1)"),
+    "init": _flag(("flow",), help="csv path | twist:q | constant:c | random"),
+    "seed": _flag(("flow",), type=int, help="seed of --init random"),
+    "levels": _flag(("verify", "sweep"),
+                    lambda spec, _: _parse_levels(str(spec)),
+                    help="range lo:hi"),
+    "seeds": _flag(("sweep",),
+                   lambda spec, _: _parse_levels(str(spec), "--seeds"),
+                   help="range lo:hi or single (default 0)"),
+    "perturb": _flag(("sweep",), type=float),
+    "jobs": _flag(("verify", "sweep"), type=int),
+    "tol": _flag(_FLOWS, type=float),
+    "step": _flag(_FLOWS, type=float),
+    "max_time": _flag(_FLOWS, type=float),
+    "svg": _flag(("harmonic", "twist"), action="store_true", default=None),
+    "traj": _flag(("flow",), action="store_true", default=None,
+                  help="append time, energy, residual snapshots to CSV"),
 }
+
+
+def _build_parser():
+    p = argparse.ArgumentParser(
+        prog="fractalsync",
+        description="Kuramoto equilibria and harmonic maps on the "
+                    "Sierpinski gasket and the ring")
+    sub = p.add_subparsers(dest="mode", required=True)
+    for mode, (_, help_) in _COMMANDS.items():
+        # no flag by its prefix: sweep's --seeds must not answer to --seed
+        sp = sub.add_parser(mode, help=help_, allow_abbrev=False)
+        for key, (modes, argparse_kw, _) in _FLAGS.items():
+            if mode in modes:
+                sp.add_argument("--" + key.replace("_", "-"), **argparse_kw)
+    return p
 
 
 _MODE_DEFAULTS = {
@@ -432,22 +408,15 @@ def _config_from_args(args) -> RunConfig:
     # a flag that was given beats the --config file
     data.update({key: val for key, val in vars(args).items()
                  if val is not None and key != "config"})
+    init = data.get("init", RunConfig.init)
+    if "seed" in data and init != "random":
+        raise ValueError(f"--seed is read only by --init random, "
+                         f"not by --init {init!r}")
     alphabet = _alphabet(data.get("fractal", "sg"))
-    for key, parse in _PARSERS.items():
-        if key in data:
+    for key, (_, _, parse) in _FLAGS.items():
+        if parse and key in data:
             data[key] = parse(data[key], alphabet)
     return RunConfig(**data)
-
-
-_COMMANDS = {
-    "build-graph": cmd_build_graph,
-    "harmonic": cmd_harmonic,
-    "covering": cmd_covering,
-    "twist": cmd_twist,
-    "flow": cmd_flow,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
-}
 
 
 def main(argv=None) -> int:
@@ -455,10 +424,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        os.makedirs(cfg.out, exist_ok=True)
-        paths = _COMMANDS[args.mode](cfg)
-        manifest = ser.write_manifest(
-            cfg.out, args.mode, paths)
+        paths = _COMMANDS[args.mode][0](cfg)
+        manifest = ser.write_manifest(cfg.out, args.mode, paths)
         for pth in paths + [manifest]:
             print(pth)
         return 0

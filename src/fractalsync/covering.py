@@ -31,7 +31,7 @@ from scipy.sparse import linalg as spla
 from .dirichlet import extend_corners, laplacian, laplacian_matrix
 from .errors import ConstraintViolationError, DegreeMismatchError
 from .graphs import FractalGraph, build_graph, cell_edges
-from .winding import DegreeVector, degree, word_str
+from .winding import DegreeVector, degree, word_str, wrap_phases
 
 
 @dataclass(frozen=True)
@@ -253,9 +253,7 @@ def project_to_circle(f: LiftField) -> np.ndarray:
             raise ConstraintViolationError(
                 f"cut pair at vertex {c.cut_vertex} disagrees by {gap:.3e} "
                 f"after removing the integer jump {c.jump}")
-    phases = np.mod(vals[:dom.base.n_vertices], 1.0)
-    phases[phases >= 1.0] -= 1.0
-    return phases
+    return wrap_phases(vals[:dom.base.n_vertices])
 
 
 def neumann_check(lift: LiftField):

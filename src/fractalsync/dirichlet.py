@@ -62,7 +62,7 @@ def _square(x):
     # Python's float ** 2 (libm pow), not x * x: the two differ in the last
     # bit for about one value in a thousand, and the per-cell energies
     # written to energy.json keep the bits of the former
-    return (x.astype(object) ** 2).astype(float)
+    return np.float_power(x, 2.0)
 
 
 def dirichlet_energy(g: FractalGraph, f) -> EnergyReport:

@@ -20,7 +20,7 @@ from .dirichlet import weighted_laplacian
 from .errors import (EigensolverError, NotAnEquilibriumError,
                      UnresolvedWindingError)
 from .graphs import FractalGraph
-from .winding import DegreeVector, _wrapped_diff, degree
+from .winding import DegreeVector, _wrapped_diff, degree, wrap_phases
 
 TWO_PI = 2.0 * math.pi
 DENSE_EIG_LIMIT = 3000
@@ -32,13 +32,6 @@ NEWTON_MIN_STEP = 1e-8
 NEWTON_HANDOFF = 1e-3
 ARMIJO = 1e-4
 EQUILIBRIUM_TOL = 1e-8  # residual below which a field is classified
-
-
-def wrap_phases(u) -> np.ndarray:
-    """Reduce real representatives to circle values in [0, 1)."""
-    out = np.mod(np.asarray(u, dtype=float), 1.0)
-    out[out >= 1.0] -= 1.0
-    return out
 
 
 def circle_distance(a, b) -> np.ndarray:

@@ -12,6 +12,11 @@ import numpy as np
 
 from .graphs import FractalGraph
 
+SVG_SIZE = 640  # width and height of the picture, in pixels
+_HEADER = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+           f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n'
+           f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>\n')
+
 
 def _layout(g: FractalGraph) -> np.ndarray:
     if g.kind == "ring":
@@ -60,15 +65,15 @@ def _texts(values, spec):
     return np.array(list(map(format, values.tolist(), repeat(spec))), dtype=object)
 
 
-def render_field_svg(g: FractalGraph, values, path, mode="phase", size=640) -> str:
+def render_field_svg(g: FractalGraph, values, path, mode="phase") -> str:
     """Write an SVG with edges in grey and vertices coloured by value.
 
     Coordinates are formatted once per vertex and the lines are streamed
     to the file, so the whole text is never held in memory.
     """
     values = g.check_field(values)
-    pts = _layout(g) * size
-    radius = max(1.5, 0.35 * size / (2 ** g.level + 1))
+    pts = _layout(g) * SVG_SIZE
+    radius = max(1.5, 0.35 * SVG_SIZE / (2 ** g.level + 1))
     x, y = _texts(pts[:, 0], ".2f"), _texts(pts[:, 1], ".2f")
     a, b = g.edges[:, 0], g.edges[:, 1]
     colors = _phase_colors(values) if mode == "phase" else _real_colors(values)
@@ -76,9 +81,7 @@ def render_field_svg(g: FractalGraph, values, path, mode="phase", size=640) -> s
             'stroke="#cccccc" stroke-width="0.6"/>\n')
     circle = f'<circle cx="%s" cy="%s" r="{radius:.2f}" fill="#%06x"/>\n'
     with open(path, "w") as fh:
-        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-                 f'height="{size}" viewBox="0 0 {size} {size}">\n'
-                 f'<rect width="{size}" height="{size}" fill="white"/>\n')
+        fh.write(_HEADER)
         fh.writelines(map(line.__mod__, zip(x[a], y[a], x[b], y[b])))
         fh.writelines(map(circle.__mod__, zip(x, y, colors)))
         fh.write("</svg>\n")

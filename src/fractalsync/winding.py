@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DegreeClosureError, UnresolvedWindingError
-from .graphs import _CORNER, _NEXT_CORNER, FractalGraph
+from .graphs import _CORNER, _NEXT_CORNER, SG_ALPHABET, FractalGraph
 
 INTEGRALITY_TOL = 1e-8
 
@@ -24,7 +24,7 @@ def word_str(word) -> str:
     return "eps" if len(word) == 0 else "".join(str(s) for s in word)
 
 
-def parse_word(s: str, alphabet=(1, 2, 3)) -> tuple[int, ...]:
+def parse_word(s: str, alphabet=SG_ALPHABET) -> tuple[int, ...]:
     s = s.strip()
     if s in ("", "eps"):
         return ()
@@ -47,7 +47,7 @@ class DegreeVector:
         self.entries = ent
 
     @classmethod
-    def from_dense(cls, values, alphabet=(1, 2, 3)):
+    def from_dense(cls, values, alphabet=SG_ALPHABET):
         """Build from the dense by-order listing eps, (1), (2), (3), (1,1), ..."""
         words = []
         order = 0
@@ -57,7 +57,7 @@ class DegreeVector:
         return cls(dict(zip(words, values)))
 
     @classmethod
-    def parse(cls, text, alphabet=(1, 2, 3)):
+    def parse(cls, text, alphabet=SG_ALPHABET):
         """Parse CLI form: dense "1,0,0" or sparse "eps:1,13:2"."""
         text = text.strip()
         if not text:
@@ -75,7 +75,7 @@ class DegreeVector:
         """Largest word length carrying a nonzero entry (-1 if none)."""
         return max((len(w) for w in self.entries), default=-1)
 
-    def to_dense(self, order=None, alphabet=(1, 2, 3)):
+    def to_dense(self, order=None, alphabet=SG_ALPHABET):
         if order is None:
             order = max(self.max_order, 0)
         out = []
@@ -113,6 +113,13 @@ def _wrapped_diff(u, i, j):
     d = u[j] - u[i]
     d -= np.round(d)
     return d
+
+
+def wrap_phases(u) -> np.ndarray:
+    """Reduce real representatives to circle values in [0, 1)."""
+    out = np.mod(np.asarray(u, dtype=float), 1.0)
+    out[out >= 1.0] -= 1.0
+    return out
 
 
 def _steps(f, i, j):

@@ -371,6 +371,12 @@ def ring1_one_edge(u, c):
     }
 
 
+def reference_square(x):
+    """Python's float ** 2 (libm pow) of each value, through Python objects:
+    the bits ``dirichlet_energy`` keeps in ``energy.json``."""
+    return (np.asarray(x, dtype=float).astype(object) ** 2).astype(float)
+
+
 # -- the writers the whole-array ones replaced, kept as byte oracles ----------
 
 

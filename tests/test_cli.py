@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -351,6 +352,9 @@ def test_cli_error_single_line(tmp_path, capsys):
     (["verify", "--jobs", "0"], "--jobs must be at least 1"),
     (["sweep", "--degrees", ";"], "--degrees ';' names no degree"),
     (["sweep", "--degrees", ""], "--degrees '' names no degree"),
+    (["flow", "--fractal", "ring", "--level", "3", "--init", "twist:1",
+      "--seed", "5"], "--seed is read only by --init random, not by "
+                      "--init 'twist:1'"),
 ])
 def test_numeric_inputs_checked_where_they_enter(tmp_path, capsys, argv, message):
     out = tmp_path / "bad"
@@ -363,11 +367,14 @@ def test_numeric_inputs_checked_where_they_enter(tmp_path, capsys, argv, message
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_boundary_checked_where_it_enters(tmp_path, capsys, value):
+    out = tmp_path / "o"
     assert run(["harmonic", "--level", "3", "--boundary", f"0,0,{value}",
-                "--out", str(tmp_path / "o")]) == 1
+                "--out", str(out)]) == 1
     err = capsys.readouterr().err.strip()
     assert err == (f"error: ValueError: boundary value {float(value)!r} at "
                    f"vertex {build_sg_graph(3).boundary_ids[2]} is not finite")
+    # the error is raised before any artifact, so --out is never made
+    assert not out.exists()
 
 
 def test_cli_config_file(tmp_path):
@@ -429,6 +436,74 @@ def test_seed_rejected_where_nothing_reads_it(mode):
     with pytest.raises(SystemExit) as info:
         _build_parser().parse_args([mode, "--seed", "1"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("in_file, flags", [
+    ({"init": "constant:0.5", "seed": 5}, []),
+    ({"seed": 5}, ["--init", "constant:0.5"]),
+    ({"init": "constant:0.5"}, ["--seed", "5"]),
+])
+def test_seed_without_init_random_rejected(tmp_path, capsys, in_file, flags):
+    # --seed seeds only --init random; with any other init it would be
+    # parsed and then ignored, wherever either of the two comes from
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(in_file))
+    out = tmp_path / "o"
+    assert run(["flow", "--fractal", "ring", "--level", "3", "--config",
+                str(path), "--out", str(out)] + flags) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == ("error: ValueError: --seed is read only by --init random, "
+                   "not by --init 'constant:0.5'")
+    assert not out.exists()
+
+
+def test_seed_with_init_random_accepted():
+    parser = _build_parser()
+    for argv in (["flow", "--seed", "5"],
+                 ["flow", "--seed", "5", "--init", "random"]):
+        cfg = _config_from_args(parser.parse_args(argv))
+        assert (cfg.init, cfg.seed) == ("random", 5)
+
+
+# every flag each subcommand offers; a --config file may use exactly these
+# keys (``max_time`` for ``--max-time``)
+CLI_SURFACE = {
+    "build-graph": "--config --fractal --level --out",
+    "harmonic": "--boundary --config --fractal --level --method --out --svg",
+    "covering": "--config --degree --fractal --level --out",
+    "twist": "--config --degree --fractal --level --max-time --out --step "
+             "--svg --tol",
+    "flow": "--config --fractal --init --level --max-time --out --seed "
+            "--step --tol --traj",
+    "verify": "--config --degree --fractal --jobs --levels --max-time --out "
+              "--step --tol",
+    "sweep": "--config --degrees --fractal --jobs --levels --max-time --out "
+             "--perturb --seeds --step --tol",
+}
+
+
+def _config_key(flag):
+    return flag[2:].replace("-", "_")
+
+
+@pytest.mark.parametrize("mode", sorted(CLI_SURFACE))
+def test_cli_surface_is_pinned(tmp_path, mode):
+    parser = _build_parser()
+    sub, = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(CLI_SURFACE)
+    offered = {o for a in sub.choices[mode]._actions for o in a.option_strings}
+    assert offered - {"-h", "--help"} == set(CLI_SURFACE[mode].split())
+    # every key that is no flag of this subcommand is refused in --config
+    keys = {_config_key(f) for flags in CLI_SURFACE.values()
+            for f in flags.split()}
+    outside = keys - {_config_key(f) for f in CLI_SURFACE[mode].split()}
+    path = tmp_path / "run.json"
+    for key in sorted(outside | {"mode", "config", "max-time", "bogus"}):
+        path.write_text(json.dumps({key: 1}))
+        args = parser.parse_args([mode, "--config", str(path)])
+        with pytest.raises(ValueError, match=f"{mode} does not read {key}$"):
+            _config_from_args(args)
 
 
 def test_sweep_without_seeds_runs_seed(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_solve_dirichlet
+from conftest import reference_solve_dirichlet, reference_square
 from fractalsync import (build_ring_graph, build_sg_graph, dirichlet_energy,
                          extend_harmonic_once, harmonic_extend_once,
                          holder_ratio, laplacian, normal_derivative, restrict,
@@ -41,6 +41,32 @@ def test_energy_per_cell_sums_to_total():
     assert rep.per_cell.tolist() == expected
     k = g.pack_word((3, 1, 2, 2, 1, 1, 3))
     assert rep.to_json_dict()["per_cell"]["3122113"] == expected[k]
+
+
+# squared differences stay finite below 1e150; the subnormal band and
+# signed zeros are where a squaring shortcut would slip
+_special_values = st.one_of(
+    st.floats(-1e150, 1e150), st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), ring=st.booleans(),
+       special=st.lists(_special_values, max_size=30))
+def test_energy_squares_keep_python_pow_bits(seed, ring, special):
+    # random mantissas from 1e-320 to 1e140: d * d and pow differ in the
+    # last bit on about one square in a thousand, so every draw tells
+    g = build_ring_graph(11) if ring else build_sg_graph(5)
+    rng = np.random.default_rng(seed)
+    f = (rng.standard_normal(g.n_vertices)
+         * 10.0 ** rng.integers(-320, 140, g.n_vertices))
+    f[rng.choice(g.n_vertices, len(special), replace=False)] = special
+    d = f[g.edges[:, 1]] - f[g.edges[:, 0]]
+    sides = reference_square(d).reshape(len(g.cell_corners), -1)
+    expected = g.conductance * sides.sum(axis=1) / 2.0
+    rep = dirichlet_energy(g, f)
+    assert rep.per_cell.tobytes() == expected.tobytes()
+    assert rep.energy == math.fsum(expected.tolist())
 
 
 def test_ring_twisted_lift_energy():
