@@ -365,7 +365,9 @@ _FLAGS = {
     "perturb": _flag(("sweep",), type=float),
     "jobs": _flag(("verify", "sweep"), type=int),
     "tol": _flag(_FLOWS, type=float),
-    "step": _flag(_FLOWS, type=float),
+    "step": _flag(_FLOWS, type=float,
+                  help="RK4 step (default: kuramoto.default_step, read off "
+                       "the cell table and the field each block starts from)"),
     "max_time": _flag(_FLOWS, type=float),
     "svg": _flag(("harmonic", "twist"), action="store_true", default=None),
     "traj": _flag(("flow",), action="store_true", default=None,
@@ -394,6 +396,25 @@ _MODE_DEFAULTS = {
 }
 
 
+def _config_value(path, key, value):
+    """``key``'s value in the --config file ``path``, read as its flag
+    reads text: a switch takes only a JSON boolean, and a flag with an
+    argparse ``type`` converts the value's text with it."""
+    argparse_kw = _FLAGS[key][1]
+    if argparse_kw.get("action") == "store_true":
+        if isinstance(value, bool):
+            return value
+        kind = "boolean (true or false)"
+    elif "type" in argparse_kw:
+        try:
+            return argparse_kw["type"](str(value))
+        except ValueError:
+            kind = argparse_kw["type"].__name__
+    else:
+        return value
+    raise ValueError(f"--config {path}: {key} {value!r} is not a valid {kind}")
+
+
 def _config_from_args(args) -> RunConfig:
     data = dict(_MODE_DEFAULTS.get(args.mode, {}))
     if args.config:
@@ -404,7 +425,9 @@ def _config_from_args(args) -> RunConfig:
         if unread:
             raise ValueError(f"--config {args.config}: {args.mode} does not "
                              f"read {', '.join(unread)}")
-        data.update(given)
+        # null stands for the default, as if the key were left out
+        data.update({key: _config_value(args.config, key, val)
+                     for key, val in given.items() if val is not None})
     # a flag that was given beats the --config file
     data.update({key: val for key, val in vars(args).items()
                  if val is not None and key != "config"})

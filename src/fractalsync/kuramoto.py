@@ -26,6 +26,8 @@ TWO_PI = 2.0 * math.pi
 DENSE_EIG_LIMIT = 3000
 STABILITY_BAND = 1e-9
 CHECK_EVERY = 25     # RK4 steps per block of the flow's energy monitor
+RK4_REACH = 2.5      # h times the flow's stiffest rate, inside a cell
+SLIP_REACH = 0.5     # the same while an edge is at a quarter turn or more
 MAX_HALVINGS = 45    # step halvings before the flow gives up
 NEWTON_MAX_ITERS = 50
 NEWTON_MIN_STEP = 1e-8
@@ -69,12 +71,35 @@ def _km_energy_fast(u, i, j, c):
     return float(np.sum(_edge_energies(u, i, j, c)))
 
 
-def default_step(g: FractalGraph) -> float:
-    # explicit-integration stability shrinks with the conductance scaling;
-    # the energy monitor halves this further if needed
-    if g.kind == "ring":
-        return 0.2 * 4.0 ** (-g.level)
-    return 0.2 * (3.0 / 5.0) ** g.level
+def laplacian_bound(g: FractalGraph) -> float:
+    """``k * (most cells at one vertex)``: at least the top eigenvalue of
+    the unit Laplacian, the sum of the cells' K_k Laplacians (each of top
+    eigenvalue k).  6 on the gasket and 4 on the ring, equal to it at
+    every level but gasket level 1."""
+    k = g.cell_corners.shape[1]
+    return float(k * np.bincount(g.cell_corners.ravel()).max())
+
+
+def default_step(g: FractalGraph, u) -> float:
+    """The flow's RK4 step from ``u``: ``reach / (2 pi c laplacian_bound(g))``.
+
+    The flow's Jacobian is -2 pi c L_w with weights w = cos 2 pi d <= 1, so
+    x^T L_w x <= x^T L x and no eigenvalue is below -2 pi c
+    ``laplacian_bound(g)``.  Reach ``RK4_REACH`` puts that one at -2.5,
+    inside RK4's real stability interval [-2.785, 0], where |R(-2.5)| =
+    0.65 still damps it.  That bounds stability, not accuracy, so it is
+    the reach only inside a cell Omega_k (every wrapped difference of
+    ``u`` under a quarter turn, see :func:`cell_wall_energy`): there every
+    weight is positive, two flows there do not move apart, and the class
+    cannot change.  Outside every cell some weight is not positive, the flow
+    can slip an edge past a half turn, and RK4's error can decide whether
+    it does; there the reach is ``SLIP_REACH``, where RK4's factor per step
+    is within 2.4e-4 of e^z on every mode.
+    """
+    reach = RK4_REACH
+    if not np.abs(_wrapped_diff(u, g.edges[:, 0], g.edges[:, 1])).max() < 0.25:
+        reach = SLIP_REACH
+    return reach / (TWO_PI * g.conductance * laplacian_bound(g))
 
 
 def cell_wall_energy(g: FractalGraph, u) -> float:
@@ -204,12 +229,15 @@ def _finalize(g, u, residual, steps, t, h, converged, halvings,
 
 
 def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None) -> EquilibriumReport:
-    """Fixed-step RK4 integration of the flow, finished by Newton.
+    """RK4 integration of the flow in fixed-step blocks, finished by Newton.
 
-    The energy is monitored in blocks; if it ever increases the block is
-    rewound and the step halved, which keeps the default step safe even
-    when it starts beyond the stability limit.  Non-convergence within the
-    time budget is reported in the ``converged`` flag, not raised.
+    The step is ``cfg.step``, or else :func:`default_step` at the state
+    each block starts from: RK4's stability bound inside a cell, a fifth
+    of it while an edge is at a quarter turn or more.  The energy is
+    monitored in blocks; if it ever increases the block is rewound and the
+    step halved, which keeps a given step that is too large safe.
+    Non-convergence within the time budget is reported in the
+    ``converged`` flag, not raised.
 
     The flow decides where it comes to rest; Newton only finishes the
     approach.  After an accepted block, the damped Newton iteration of
@@ -251,7 +279,7 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
     i, j = g.edges[:, 0], g.edges[:, 1]
     c = g.conductance
     n = g.n_vertices
-    h = cfg.step if cfg.step is not None else default_step(g)
+    h = cfg.step if cfg.step is not None else default_step(g, u)
 
     def rhs(x):
         return _edge_sine_sum(x, i, j, c, n)
@@ -266,6 +294,8 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
     rows = [(t, energy, res)]
     while res >= cfg.tol and t < cfg.max_time:
         u_block = u.copy()
+        if cfg.step is None:
+            h = default_step(g, u) * 0.5 ** halvings
         for _ in range(CHECK_EVERY):
             k1 = rhs(u)
             k2 = rhs(u + 0.5 * h * k1)

@@ -52,8 +52,9 @@ def rng():
 
 
 def rk4_reference(g, u0, cfg=None):
-    """Plain fixed-step RK4 to ``cfg.tol``: the flow's loop and block energy
-    monitor with no Newton finish, the oracle for every faster solver."""
+    """Plain RK4 to ``cfg.tol``: the flow's loop, block steps and block
+    energy monitor with no Newton finish, the oracle for every faster
+    solver."""
     from fractalsync import FlowConfig, km_rhs
     from fractalsync.kuramoto import (CHECK_EVERY, MAX_HALVINGS, _finalize,
                                       _km_energy_fast, default_step)
@@ -61,12 +62,14 @@ def rk4_reference(g, u0, cfg=None):
     cfg = cfg or FlowConfig()
     u = np.array(u0, dtype=float)
     i, j, c = g.edges[:, 0], g.edges[:, 1], g.conductance
-    h = cfg.step if cfg.step is not None else default_step(g)
+    h = cfg.step if cfg.step is not None else default_step(g, u)
     t, steps, halvings = 0.0, 0, 0
     res = float(np.abs(km_rhs(g, u)).max())
     energy = _km_energy_fast(u, i, j, c)
     while res >= cfg.tol and t < cfg.max_time:
         block = u.copy()
+        if cfg.step is None:
+            h = default_step(g, u) * 0.5 ** halvings
         for _ in range(CHECK_EVERY):
             k1 = km_rhs(g, u)
             k2 = km_rhs(g, u + 0.5 * h * k1)

@@ -404,6 +404,51 @@ def test_config_key_the_subcommand_does_not_read_rejected(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("given, problem", [
+    ({"level": "three"}, "level 'three' is not a valid int"),
+    ({"level": 3.5}, "level 3.5 is not a valid int"),
+    ({"tol": True}, "tol True is not a valid float"),
+    ({"svg": "no"}, "svg 'no' is not a valid boolean (true or false)"),
+    ({"svg": 1}, "svg 1 is not a valid boolean (true or false)"),
+])
+def test_config_value_checked_as_its_flag(tmp_path, capsys, given, problem):
+    # a --config value passes the checks its flag's text would: a string
+    # level used to fail later on with a TypeError naming no key, and a
+    # non-empty string turned --svg on
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"degree": "1", **given}))
+    out = tmp_path / "o"
+    assert run(["twist", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: ValueError: --config {path}: {problem}"
+    assert not out.exists()
+
+
+def test_config_value_converted_as_its_flag(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"level": "3", "tol": "1e-5", "step": 0.01,
+                                "max_time": 5, "svg": True}))
+    cfg = _config_from_args(_build_parser().parse_args(
+        ["twist", "--config", str(path)]))
+    assert (cfg.level, cfg.tol, cfg.step, cfg.max_time, cfg.svg) == (
+        3, 1e-5, 0.01, 5.0, True)
+    assert type(cfg.level) is int and type(cfg.max_time) is float
+
+
+@pytest.mark.parametrize("mode", ["twist", "verify"])
+def test_config_null_means_the_default(tmp_path, mode):
+    # a null value is read as if its key were left out, for a typed flag, a
+    # switch and an untyped flag alike
+    path = tmp_path / "run.json"
+    keys = {"twist": ("level", "step", "svg", "out"),
+            "verify": ("levels", "step", "out")}[mode]
+    path.write_text(json.dumps(dict.fromkeys(keys)))
+    parser = _build_parser()
+    cfg = _config_from_args(parser.parse_args([mode, "--config", str(path)]))
+    assert cfg == _config_from_args(parser.parse_args([mode]))
+    assert cfg.step is None and cfg.out == "out"
+
+
 @pytest.mark.parametrize("mode, key, in_file, flag, from_file, from_flag", [
     ("twist", "degree", {"eps": 2}, ["--degree", "0,1,0,0"],
      DegreeVector({(): 2}), DegreeVector({(1,): 1})),

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.sparse import linalg as spla
 
 from fractalsync import (DegreeVector, EigensolverError, FlowConfig,
-                         NotAnEquilibriumError, build_ring_graph,
+                         NotAnEquilibriumError, build_graph, build_ring_graph,
                          build_sg_graph, circle_distance, circle_harmonic_map,
                          degree, half_twisted_state, hessian_stability,
                          integrate_to_equilibrium, km_energy, km_rhs,
@@ -175,6 +175,134 @@ def test_flow_halves_unstable_step():
     assert rep.converged
 
 
+# -- the default step, read off the cell table --------------------------------
+
+def _dense_top_eig(m):
+    return float(np.linalg.eigvalsh(m.toarray())[-1])
+
+
+@pytest.mark.parametrize("kind, n", [("sg", n) for n in range(6)]
+                         + [("ring", n) for n in range(1, 8)])
+def test_laplacian_bound_is_the_top_eigenvalue(kind, n):
+    # k * (most cells at one vertex) bounds the unit Laplacian's spectrum,
+    # and is its top eigenvalue except on the level-1 gasket (6 > 5.303)
+    g = build_graph(kind, n)
+    bound = km.laplacian_bound(g)
+    top = _dense_top_eig(laplacian_matrix(g) / g.conductance)
+    assert top <= bound * (1 + 1e-12)
+    if (kind, n) == ("sg", 1):
+        assert top == pytest.approx(5.302775637731995, rel=1e-12)
+    else:
+        assert top == pytest.approx(bound, rel=1e-12, abs=0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(graph=st.sampled_from([("sg", n) for n in range(5)]
+                             + [("ring", n) for n in range(1, 7)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_hessian_spectrum_below_laplacian_bound(graph, seed):
+    # the Hessian's weights c cos 2 pi d are at most c, so at any field its
+    # top eigenvalue is at most c times the bound: the flow's Jacobian
+    # -2 pi H has no eigenvalue below -2 pi c * laplacian_bound(g)
+    g = build_graph(*graph)
+    u = np.random.default_rng(seed).uniform(-2.0, 2.0, g.n_vertices)
+    top = _dense_top_eig(hessian_matrix(g, u) / g.conductance)
+    assert top <= km.laplacian_bound(g) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("kind, n", [("sg", 0), ("sg", 3), ("sg", 7),
+                                     ("ring", 1), ("ring", 6), ("ring", 10)])
+def test_default_step_is_inside_rk4_stability(kind, n):
+    g = build_graph(kind, n)
+    rate = 2 * math.pi * g.conductance * km.laplacian_bound(g)
+    inside = np.zeros(g.n_vertices)
+    z = -km.default_step(g, inside) * rate
+    assert z == pytest.approx(-km.RK4_REACH, rel=1e-15)
+    # RK4's amplification at the stiffest rate: damped, inside [-2.785, 0]
+    assert abs(_rk4_factor(z)) == pytest.approx(0.648, abs=1e-3)
+    # an edge at a quarter turn leaves every cell: the step is then held to
+    # where RK4's factor follows e^z on every mode
+    outside = inside.copy()
+    outside[g.edges[0, 1]] = 0.25
+    z = -km.default_step(g, outside) * rate
+    assert z == pytest.approx(-km.SLIP_REACH, rel=1e-15)
+    assert all(abs(_rk4_factor(x) - math.exp(x)) < 2.5e-4
+               for x in np.linspace(z, 0.0, 51))
+
+
+def _rk4_factor(z):
+    return 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+
+
+def test_flow_steps_each_block_from_its_start_state():
+    # a random ring start has edges past a quarter turn: the flow's first
+    # block runs at the slip step, and it ends at the stability step
+    g = build_ring_graph(6)
+    u0 = np.random.default_rng(0).random(g.n_vertices)
+    rep = integrate_to_equilibrium(g, u0)
+    inside = km.default_step(g, rep.field)
+    slip = inside * km.SLIP_REACH / km.RK4_REACH
+    assert km.default_step(g, u0) == slip
+    assert rep.trajectory[1][0] == km.CHECK_EVERY * slip
+    assert rep.step_size == inside
+    assert rep.halvings == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_default_step_flow_matches_old_step_reference(n, seed):
+    # the old step 0.2 * 4**-n sat ~0.55 * 2**n times below the ring's
+    # stability limit; from these starts the derived step ends in the same
+    # place
+    g = build_ring_graph(n)
+    u0 = np.random.default_rng(seed).random(g.n_vertices)
+    _assert_flow_matches_old_step(g, u0, 0.2 * 4.0 ** -n)
+
+
+@pytest.mark.parametrize("n, seed, q", [(4, 155, 1), (4, 184, 1), (5, 78, 0),
+                                        (6, 907796, -2)])
+def test_default_step_keeps_basin_boundary_starts(n, seed, q):
+    # near a basin boundary the stability step alone sends these ring starts
+    # to another twist (at ring 6, --init random --seed 907796 reached -1);
+    # the slip step outside every cell keeps the old step's twist
+    g = build_ring_graph(n)
+    u0 = np.random.default_rng(seed).random(g.n_vertices)
+    old = 0.2 * 4.0 ** -n
+    inside = km.default_step(g, np.zeros(g.n_vertices))
+    inside_only = rk4_reference(g, u0, FlowConfig(step=inside))
+    assert inside_only.degree != DegreeVector({(): q})
+    rep = integrate_to_equilibrium(g, u0)
+    ref = integrate_to_equilibrium(g, u0, FlowConfig(step=old))
+    assert rep.degree == ref.degree == DegreeVector({(): q})
+    assert rep.stability == ref.stability == "stable"
+    assert rep.halvings == 0
+    assert circle_distance(rep.field, ref.field).max() < 1e-8
+
+
+def test_default_step_gasket_flow_matches_old_step_reference():
+    # the old gasket step 0.2 * (3/5)**n was past the stability limit, so
+    # its reference halves twice; the derived step halves never
+    g = build_sg_graph(4)
+    phases, _ = circle_harmonic_map(g, DegreeVector.parse("1,1,1,1", (1, 2, 3)))
+    rng = np.random.default_rng(5)
+    u0 = wrap_phases(phases + rng.uniform(-0.1, 0.1, g.n_vertices))
+    _, ref = _assert_flow_matches_old_step(g, u0, 0.2 * (3.0 / 5.0) ** 4)
+    assert ref.halvings == 2
+
+
+def _assert_flow_matches_old_step(g, u0, old_step):
+    rep = integrate_to_equilibrium(g, u0)
+    ref = rk4_reference(g, u0, FlowConfig(step=old_step))
+    inside = km.default_step(g, rep.field)
+    assert rep.halvings == 0
+    assert rep.step_size in (inside, inside * km.SLIP_REACH / km.RK4_REACH)
+    assert rep.converged and ref.converged
+    assert rep.degree == ref.degree
+    assert rep.stability == ref.stability
+    assert circle_distance(rep.field, ref.field).max() < 1e-8
+    return rep, ref
+
+
 def test_flow_nonconvergence_reported_not_raised():
     g = build_sg_graph(3)
     rng = np.random.default_rng(3)
@@ -271,7 +399,9 @@ def test_finished_flow_matches_rk4_reference(kind, n, spec, amp, seed, handoff):
 
 def test_flow_does_not_hand_off_at_a_saddle(monkeypatch):
     # next to the half-twisted saddle the residual is far below the handoff
-    # threshold, but the pinned Hessian is indefinite: the flow stays on RK4
+    # threshold, but the pinned Hessian is indefinite: the flow stays on RK4.
+    # The step is pinned below the default so that the first block ends
+    # before the saddle's unstable mode grows past the threshold
     attempts = []
     newton = km._newton
 
@@ -286,7 +416,7 @@ def test_flow_does_not_hand_off_at_a_saddle(monkeypatch):
         g = build_ring_graph(n)
         u0 = wrap_phases(half_twisted_state(g, 0.5)
                          + 1e-9 * rng.standard_normal(g.n_vertices))
-        cfg = FlowConfig(max_time=0.05)
+        cfg = FlowConfig(step=0.2 * 4.0 ** -n, max_time=0.05)
         attempts.clear()
         rep = integrate_to_equilibrium(g, u0, cfg)
         ref = rk4_reference(g, u0, cfg)
