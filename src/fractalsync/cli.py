@@ -94,6 +94,14 @@ def _path(cfg: RunConfig, name) -> str:
     return os.path.join(cfg.out, name)
 
 
+def _field_artifacts(cfg: RunConfig, stem, values, **extra):
+    """``stem``.csv and ``stem``.json (``extra`` plus the values) of a
+    field, both written from one %.17g pass over it."""
+    text = ser.field_text(values)
+    return [ser.write_field_csv(_path(cfg, f"{stem}.csv"), text),
+            ser.write_json(_path(cfg, f"{stem}.json"), {**extra, "values": text})]
+
+
 # -- subcommand bodies ----------------------------------------------------
 
 
@@ -112,9 +120,7 @@ def cmd_harmonic(cfg: RunConfig):
     f = dr.solve_dirichlet(g, cfg.boundary, method=cfg.method)
     report = dr.dirichlet_energy(g, f)
     paths = [
-        ser.write_field_csv(_path(cfg, "solution.csv"), f),
-        ser.write_json(_path(cfg, "solution.json"),
-                       ser.field_to_json_dict(f)),
+        *_field_artifacts(cfg, "solution", f),
         ser.write_json(_path(cfg, "energy.json"), report.to_json_dict()),
     ]
     if cfg.svg:
@@ -129,12 +135,8 @@ def cmd_covering(cfg: RunConfig):
     neumann = cov.neumann_check(lift)
     return [
         ser.write_json(_path(cfg, "domain.json"), lift.domain.to_json_dict()),
-        ser.write_field_csv(_path(cfg, "lift.csv"), lift.values),
-        ser.write_json(_path(cfg, "lift.json"), {
-            "level": lift.level,
-            "energy": lift.energy(),
-            "values": lift.values,
-        }),
+        *_field_artifacts(cfg, "lift", lift.values,
+                          level=lift.level, energy=lift.energy()),
         ser.write_json(_path(cfg, "neumann.json"),
                        {str(k): v for k, v in neumann.items()}),
     ]

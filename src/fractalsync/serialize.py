@@ -3,9 +3,16 @@
 All numeric output is printed with 17 significant digits so that files
 round-trip exactly through float64; keys are sorted so identical runs
 produce identical bytes.  The JSON emitter reproduces the text of
-``json.dumps(obj, sort_keys=True, indent=2)`` with that float format,
-and formats a whole list, array or dict of plain floats or ints (or of
-equal-length rows of them) with one %-template instead of value by value.
+``json.dumps(obj, sort_keys=True, indent=2)`` with that float format.
+
+Numbers are formatted straight from the array, by dtype: a float or int
+ndarray of one or two dimensions is checked for non-finite values in one
+``np.isfinite`` pass and written with one ``%.17g``/``%d`` %-template
+(the row template for two dimensions) over its flat ``tolist()``.  Lists
+and dicts of plain floats or ints (or of equal-length rows of them) take
+one %-template too; anything else is written value by value.  A field
+that goes into both a CSV and a JSON file is formatted once, by
+:func:`field_text`, and both writers build their text from that one.
 """
 
 from __future__ import annotations
@@ -29,9 +36,37 @@ def _finite(values):
     return values
 
 
+def _finite_array(a):
+    """Float array ``a`` unchanged, or the ValueError of :func:`_finite`
+    naming its first non-finite entry."""
+    if not np.isfinite(a).all():
+        _finite(a.ravel().tolist())
+    return a
+
+
 def _float17(x: float) -> str:
     _finite((x,))
     return format(x, ".17g")
+
+
+class FieldText:
+    """A float field formatted once, as one string: value ``i`` in
+    ``%.17g`` on line ``i``.  :func:`write_field_csv` and
+    :func:`write_json` both take it in place of the values."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
+
+
+def field_text(values) -> FieldText:
+    """``values`` as float64, finite-checked and formatted in one pass; a
+    :class:`FieldText` is returned as it is."""
+    if isinstance(values, FieldText):
+        return values
+    values = _finite_array(np.asarray(values, dtype=float))
+    return FieldText(("%.17g\n" * len(values) % tuple(values.tolist()))[:-1])
 
 
 def _default(o):
@@ -84,6 +119,18 @@ def _uniform(values, level):
     return None
 
 
+def _array_text(a, level):
+    """A non-empty 1-D or 2-D float or int array, from one %-template."""
+    if a.dtype.kind == "f":
+        _finite_array(a)
+        code = "%.17g"
+    else:
+        code = "%d"
+    if a.ndim == 2:
+        code = _wrap("[", [code] * a.shape[1], "]", level + 1)
+    return _wrap("[", [code] * len(a), "]", level) % tuple(a.ravel().tolist())
+
+
 def _encode(o, level=0) -> str:
     if isinstance(o, str):
         return encode_basestring_ascii(o)
@@ -110,7 +157,9 @@ def _encode(o, level=0) -> str:
             return "{}"
         keys = sorted(o)
         values = list(map(o.__getitem__, keys))
-        keys = list(map(encode_basestring_ascii, map(_key, keys)))
+        if set(map(type, keys)) != {str}:
+            keys = map(_key, keys)
+        keys = list(map(encode_basestring_ascii, keys))
         uniform = _uniform(values, level + 1)
         if uniform:
             template, flat, width = uniform
@@ -118,12 +167,21 @@ def _encode(o, level=0) -> str:
             return _wrap("{", ["%s: " + template] * len(o), "}", level) % tuple(args)
         texts = [f"{k}: {_encode(v, level + 1)}" for k, v in zip(keys, values)]
         return _wrap("{", texts, "}", level)
+    if isinstance(o, FieldText):
+        if not o.text:
+            return "[]"
+        return _wrap("[", [o.text.replace("\n", ",\n" + _INDENT * (level + 1))],
+                     "]", level)
+    if (type(o) is np.ndarray and o.ndim in (1, 2) and o.size
+            and o.dtype.kind in "fiu"):
+        return _array_text(o, level)
     return _encode(_default(o), level)
 
 
 def dumps_json(obj) -> str:
-    """Numpy scalars and arrays are written as their Python values; a
-    non-finite float raises ValueError."""
+    """Numpy scalars and arrays are written as their Python values, and a
+    :class:`FieldText` as the list of its values; a non-finite float
+    raises ValueError."""
     return _encode(obj) + "\n"
 
 
@@ -135,12 +193,16 @@ def write_json(path, obj) -> str:
 
 
 def write_field_csv(path, values) -> str:
-    """One ``id,value`` row per vertex under that header, CRLF line ends."""
-    values = _finite(np.asarray(values, dtype=float).tolist())
+    """One ``id,value`` row per vertex under that header, CRLF line ends.
+    ``values`` may be a :class:`FieldText` already formatted."""
+    text = field_text(values).text
     with open(path, "w", newline="") as fh:
         fh.write("id,value\r\n")
-        fh.write(("%d,%.17g\r\n" * len(values))
-                 % tuple(chain.from_iterable(enumerate(values))))
+        if text:
+            # the %.17g texts hold no "%": the field's text is the template
+            # of its rows, and only the ids are formatted here
+            fh.write(("%d," + text.replace("\n", "\r\n%d,") + "\r\n")
+                     % tuple(range(text.count("\n") + 1)))
     return path
 
 
@@ -187,10 +249,6 @@ def write_rows_csv(path, header, rows) -> str:
         for row in rows:
             wr.writerow([_float17(v) if isinstance(v, float) else v for v in row])
     return path
-
-
-def field_to_json_dict(values):
-    return {"values": np.asarray(values, dtype=float)}
 
 
 def sha256_of(path) -> str:

@@ -1,18 +1,20 @@
 """Minimal SVG rendering of vertex fields, no plotting dependency.
 
 Phase fields map to hue (full-saturation HSV); real fields to a fixed
-blue-to-red gradient.  Ring graphs are laid out on a circle.
+blue-to-red gradient.  Ring graphs are laid out on a circle.  Each
+distinct coordinate is formatted once, and the lines and circles are
+written in bounded chunks of ``_CHUNK`` elements, one %-template per
+chunk, so the file is streamed and its whole text is never in memory.
 """
 
 from __future__ import annotations
-
-from itertools import repeat
 
 import numpy as np
 
 from .graphs import FractalGraph
 
 SVG_SIZE = 640  # width and height of the picture, in pixels
+_CHUNK = 4096  # lines or circles formatted by one %-template and written at once
 _HEADER = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
            f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n'
            f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>\n')
@@ -60,29 +62,44 @@ def _real_colors(values):
     return _packed_rgb((_BLUE + (_RED - _BLUE) * t[:, None]).astype(int))
 
 
-def _texts(values, spec):
-    """Each value formatted with ``spec``, as an object array of str."""
-    return np.array(list(map(format, values.tolist(), repeat(spec))), dtype=object)
+def _texts(values):
+    """``%.2f`` of each value, as an object array of str.  One template
+    formats each distinct value once: a level-n gasket has only 2^(n+1) + 1
+    distinct x and 2^n + 1 distinct y.  (The layout is positive, so
+    ``np.unique`` merging -0.0 with 0.0 cannot change a text.)"""
+    distinct, index = np.unique(values, return_inverse=True)
+    texts = ("%.2f\n" * len(distinct) % tuple(distinct.tolist())).split("\n")[:-1]
+    return np.array(texts, dtype=object)[index]
+
+
+def _write_rows(fh, template, table, index):
+    """``template`` filled from each row of ``table[index]``, written one
+    chunk of ``_CHUNK`` rows (one %-template) at a time.  Only a chunk's
+    rows are gathered, so no edge-sized array is built."""
+    for i in range(0, len(index), _CHUNK):
+        chunk = table[index[i:i + _CHUNK]]
+        fh.write(template * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def render_field_svg(g: FractalGraph, values, path, mode="phase") -> str:
     """Write an SVG with edges in grey and vertices coloured by value.
 
-    Coordinates are formatted once per vertex and the lines are streamed
-    to the file, so the whole text is never held in memory.
+    Coordinates are formatted once per distinct value, and the lines and
+    circles are streamed to the file in chunks, so the whole text is
+    never held in memory.
     """
     values = g.check_field(values)
     pts = _layout(g) * SVG_SIZE
     radius = max(1.5, 0.35 * SVG_SIZE / (2 ** g.level + 1))
-    x, y = _texts(pts[:, 0], ".2f"), _texts(pts[:, 1], ".2f")
-    a, b = g.edges[:, 0], g.edges[:, 1]
+    xy = np.stack([_texts(pts[:, 0]), _texts(pts[:, 1])], axis=1)
     colors = _phase_colors(values) if mode == "phase" else _real_colors(values)
     line = ('<line x1="%s" y1="%s" x2="%s" y2="%s" '
             'stroke="#cccccc" stroke-width="0.6"/>\n')
     circle = f'<circle cx="%s" cy="%s" r="{radius:.2f}" fill="#%06x"/>\n'
     with open(path, "w") as fh:
         fh.write(_HEADER)
-        fh.writelines(map(line.__mod__, zip(x[a], y[a], x[b], y[b])))
-        fh.writelines(map(circle.__mod__, zip(x, y, colors)))
+        _write_rows(fh, line, xy, g.edges)
+        _write_rows(fh, circle, np.column_stack([xy, colors]),
+                    np.arange(g.n_vertices))
         fh.write("</svg>\n")
     return path

@@ -4,7 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from fractalsync import DegreeVector, build_sg_graph
+from conftest import (reference_dumps_json, reference_render_field_svg,
+                      reference_write_field_csv)
+from fractalsync import (DegreeVector, build_graph, build_sg_graph,
+                         circle_harmonic_map, dirichlet_energy, neumann_check,
+                         ring_structure, sg_structure, solve_dirichlet,
+                         solve_equilibrium)
 from fractalsync import kuramoto as km
 from fractalsync.cli import _build_parser, _config_from_args, main
 from fractalsync.serialize import (dumps_json, read_field_csv, sha256_of,
@@ -592,3 +597,93 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert run(args + ["--jobs", "1", "--out", str(out1)]) == 0
     assert run(args + ["--jobs", "2", "--out", str(out2)]) == 0
     assert (out1 / "sweep.json").read_bytes() == (out2 / "sweep.json").read_bytes()
+
+
+# -- every artifact of a command against the byte oracles ---------------------
+
+
+def _assert_artifacts(out, mode, oracles, tmp_path):
+    """Each artifact of a ``mode`` run under ``out`` (manifest included)
+    against its oracle: the text ``reference_dumps_json`` gives for an
+    object, or a file that a conftest reference writer wrote."""
+    names = {e["path"] for e in json.loads((out / "manifest.json").read_text())[
+        "artifacts"]}
+    assert names == set(oracles)
+    for name, oracle in oracles.items():
+        if callable(oracle):
+            oracle = oracle(tmp_path / f"oracle_{name}").read_bytes()
+        else:
+            oracle = oracle.encode()
+        assert (out / name).read_bytes() == oracle, name
+    manifest = {"command": mode, "artifacts": [
+        {"path": name, "sha256": sha256_of(out / name)} for name in sorted(names)]}
+    assert (out / "manifest.json").read_text() == reference_dumps_json(manifest)
+
+
+@pytest.mark.parametrize("method", ["extension", "linear-solve"])
+def test_harmonic_cmd_artifacts_match_oracles(tmp_path, method):
+    out = tmp_path / "out"
+    assert run(["harmonic", "--level", "4", "--boundary", "0,0.25,1",
+                "--method", method, "--svg", "--out", str(out)]) == 0
+    g = build_graph("sg", 4)
+    f = solve_dirichlet(g, [0.0, 0.25, 1.0], method=method)
+    _assert_artifacts(out, "harmonic", {
+        "solution.csv": lambda p: reference_write_field_csv(p, f),
+        "solution.json": reference_dumps_json({"values": f}),
+        "energy.json": reference_dumps_json(dirichlet_energy(g, f).to_json_dict()),
+        "solution.svg": lambda p: reference_render_field_svg(g, f, p, mode="real"),
+    }, tmp_path)
+
+
+def test_covering_cmd_artifacts_match_oracles(tmp_path):
+    out = tmp_path / "out"
+    assert run(["covering", "--level", "4", "--degree", "1,1,1,1",
+                "--out", str(out)]) == 0
+    g = build_graph("sg", 4)
+    _, lift = circle_harmonic_map(g, DegreeVector.parse("1,1,1,1", g.alphabet))
+    _assert_artifacts(out, "covering", {
+        "domain.json": reference_dumps_json(lift.domain.to_json_dict()),
+        "lift.csv": lambda p: reference_write_field_csv(p, lift.values),
+        "lift.json": reference_dumps_json({"level": 4, "energy": lift.energy(),
+                                           "values": lift.values}),
+        "neumann.json": reference_dumps_json(
+            {str(k): v for k, v in neumann_check(lift).items()}),
+    }, tmp_path)
+
+
+@pytest.mark.parametrize("fractal, level, degree", [("sg", 3, "1,1,1,1"),
+                                                    ("ring", 5, "2")])
+def test_twist_cmd_artifacts_match_oracles(tmp_path, fractal, level, degree):
+    out = tmp_path / "out"
+    assert run(["twist", "--fractal", fractal, "--level", str(level),
+                "--degree", degree, "--svg", "--out", str(out)]) == 0
+    g = build_graph(fractal, level)
+    omega = DegreeVector.parse(degree, g.alphabet)
+    phases, lift = circle_harmonic_map(g, omega)
+    report = solve_equilibrium(g, phases, km.FlowConfig())
+    assert report.degree == omega
+    equilibrium = dict(
+        report.to_json_dict(), degree_requested=omega.to_json_dict(),
+        lift_energy=lift.energy(),
+        max_circle_distance_to_harmonic_map=float(
+            km.circle_distance(report.field, phases).max()),
+        degree_dense=omega.to_dense(omega.max_order, g.alphabet))
+    _assert_artifacts(out, "twist", {
+        "equilibrium.json": reference_dumps_json(equilibrium),
+        "equilibrium.csv": lambda p: reference_write_field_csv(p, report.field),
+        "equilibrium.svg": lambda p: reference_render_field_svg(
+            g, report.field, p, mode="phase"),
+    }, tmp_path)
+
+
+@pytest.mark.parametrize("fractal", ["sg", "ring"])
+def test_build_graph_cmd_artifacts_match_oracles(tmp_path, fractal):
+    out = tmp_path / "out"
+    assert run(["build-graph", "--fractal", fractal, "--level", "3",
+                "--out", str(out)]) == 0
+    structure = ring_structure() if fractal == "ring" else sg_structure()
+    _assert_artifacts(out, "build-graph", {
+        f"graph_{fractal}_3.json": reference_dumps_json(
+            build_graph(fractal, 3).to_json_dict()),
+        "structure.json": reference_dumps_json(structure.to_json_dict()),
+    }, tmp_path)

@@ -12,8 +12,10 @@ from hypothesis.extra import numpy as hnp
 from conftest import (_phase_color, _real_color, reference_dumps_json,
                       reference_render_field_svg, reference_write_field_csv)
 from fractalsync import build_graph, circle_harmonic_map, solve_dirichlet
-from fractalsync.serialize import dumps_json, write_field_csv, write_json
-from fractalsync.svg import _phase_colors, _real_colors, render_field_svg
+from fractalsync.serialize import (dumps_json, field_text, write_field_csv,
+                                   write_json)
+from fractalsync.svg import (_CHUNK, _phase_colors, _real_colors,
+                             render_field_svg)
 from fractalsync.winding import DegreeVector
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -25,11 +27,14 @@ numpy_scalars = st.one_of(
     finite.map(np.float64),
     st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
 )
+# 1-D and 2-D float and int arrays take the by-dtype path; 3-D, empty and
+# 0-column shapes and bool arrays take the value-by-value one
+shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
 arrays = st.one_of(
-    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
-                                            max_side=4), elements=finite),
-    hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
-                                          max_side=4)),
+    hnp.arrays(np.float64, shapes, elements=finite),
+    hnp.arrays(np.float32, shapes, elements=st.floats(
+        width=32, allow_nan=False, allow_infinity=False)),
+    *(hnp.arrays(dtype, shapes) for dtype in (np.int64, np.uint8, np.bool_)),
 )
 
 
@@ -89,6 +94,38 @@ def test_write_field_csv_rejects_non_finite(tmp_path, bad):
         write_field_csv(tmp_path / "x.csv", [0.25, bad, 1.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_field_text_names_first_non_finite_before_writing(tmp_path, bad, dtype):
+    # the one %.17g pass the CSV and the JSON of a field share
+    other = float("inf") if bad != bad else float("nan")
+    values = np.array([0.25, bad, other, 1.0], dtype=dtype)
+    message = f"non-finite value {bad!r} in output"
+    with pytest.raises(ValueError) as exc:
+        field_text(values)
+    assert str(exc.value) == message
+    csv_path, json_path = tmp_path / "x.csv", tmp_path / "x.json"
+    for write, path, obj in ((write_field_csv, csv_path, values),
+                             (write_json, json_path, {"values": values}),
+                             (write_json, json_path, {"rows": values.reshape(2, 2)})):
+        with pytest.raises(ValueError) as exc:
+            write(path, obj)
+        assert str(exc.value) == message
+        assert not path.exists()
+
+
+def test_field_text_feeds_csv_and_json_alike(tmp_path, rng):
+    values = rng.normal(size=50) * 10.0 ** rng.integers(-300, 300, 50)
+    text = field_text(values)
+    assert field_text(text) is text
+    new = write_field_csv(tmp_path / "new.csv", text)
+    old = reference_write_field_csv(tmp_path / "old.csv", values)
+    assert open(new, "rb").read() == open(old, "rb").read()
+    assert dumps_json({"values": text}) == reference_dumps_json({"values": values})
+    assert dumps_json({"a": [text, field_text([])]}) == reference_dumps_json(
+        {"a": [values, []]})
+
+
 def test_write_field_csv_matches_reference(tmp_path, rng):
     values = np.concatenate([rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, 200),
                              [0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3]])
@@ -107,6 +144,20 @@ def test_render_field_svg_matches_reference(tmp_path, rng, fractal, mode):
     if fractal == "sg":
         fields.append(solve_dirichlet(g, [0.0, 0.0, 1.0]))
     for f in fields:
+        new = render_field_svg(g, f, tmp_path / "new.svg", mode=mode)
+        old = reference_render_field_svg(g, f, tmp_path / "old.svg", mode=mode)
+        assert open(new, "rb").read() == open(old, "rb").read()
+
+
+@pytest.mark.parametrize("fractal, level", [("sg", 8), ("ring", 13)])
+def test_render_field_svg_matches_reference_across_chunks(tmp_path, rng,
+                                                           fractal, level):
+    # more edges than one chunk of _CHUNK rows: the gasket's lines and
+    # circles end in a partial chunk, the ring's fill their chunks exactly
+    g = build_graph(fractal, level)
+    assert g.n_edges > _CHUNK
+    f = rng.uniform(-3.0, 3.0, g.n_vertices)
+    for mode in ("phase", "real"):
         new = render_field_svg(g, f, tmp_path / "new.svg", mode=mode)
         old = reference_render_field_svg(g, f, tmp_path / "old.svg", mode=mode)
         assert open(new, "rb").read() == open(old, "rb").read()
