@@ -102,41 +102,74 @@ def default_step(g: FractalGraph, u) -> float:
     return reach / (TWO_PI * g.conductance * laplacian_bound(g))
 
 
-def cell_wall_energy(g: FractalGraph, u) -> float:
-    """``E_wall``: below this energy the flow from ``u`` stays in its cell.
+def _bregman_floor(y) -> np.ndarray:
+    """``q(y) = (sin t - t cos t) / t^2`` at ``t = 2 pi (1/4 - |y|)``.
 
-    If every wrapped edge difference d_e of ``u`` is under a quarter turn,
-    its cell is Omega_k = {|u_j - u_i - k_e| < 1/4} in the lift, with
-    k_e = u_j - u_i - d_e; otherwise the result is -inf.  Along a cycle C
-    of L edges the signed differences sum to the winding q_C, the same at
-    every point of the closed cell.  On the wall |d_e| = 1/4 of an edge of
-    C that edge's term c sin^2(pi d_e) / (2 pi^2) is c / (4 pi^2), c the
-    level's conductance, and the other L - 1 differences, each at most
-    1/4, sum to q_C -+ 1/4, at least s = ||q_C| - 1/4| in size.
-    sin^2(pi x) is convex and grows with |x| on |x| <= 1/4, so by Jensen
-    their terms add up to at least (L - 1) c sin^2(pi s / (L - 1)) /
-    (2 pi^2).  The gasket's level-n cells (L = 3, q_C = 0) and the whole
-    ring hold every edge, so the least of these bounds over them is below
-    the energy on every wall of Omega_k.  It is never below c / (4 pi^2),
-    the bound that one edge term alone gives.
-
-    The bound is lowered by 1e-9 relative as a rounding margin: the energy
-    is a sum of nonnegative terms, so its relative rounding error is of
-    order n_edges * 2**-52, under 1e-9 up to ~4M edges (level 12 of the
-    gasket has 1.6M).
+    With f(x) = sin^2(pi x) / (2 pi^2), one edge's energy per unit
+    conductance, f(x) - f(y) - f'(y) (x - y) >= q(y) (x - y)^2 for x, y
+    in [-1/4, 1/4]: the left side is the integral of f'' = cos 2 pi s
+    against (x - s) ds from y to x, f'' is even and falls with |s|, so the
+    least ratio is at the far wall x = sign(y) / 4, where it is q(y).
+    Below t = 0.1 the closed form cancels; there q is its Taylor series
+    t/3 - t^3/30 + t^5/840 - t^7/45360, cut after a negative term of an
+    alternating series with falling terms, so still a lower bound.
     """
-    d = _wrapped_diff(u, g.edges[:, 0], g.edges[:, 1])
+    t = TWO_PI * (0.25 - np.abs(y))
+    t2 = t * t
+    series = t * (1.0 / 3.0 - t2 * (1.0 / 30.0 - t2 * (1.0 / 840.0 - t2 / 45360.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closed = (np.sin(t) - t * np.cos(t)) / t2
+    return np.where(t < 0.1, series, closed)
+
+
+def cell_wall_energy(g: FractalGraph, u) -> float:
+    """``W``: the least energy on the walls of the cell of a critical ``u``.
+
+    ``u`` is meant to be Newton's end.  If every wrapped edge difference
+    d*_e of ``u`` is under a quarter turn, its cell is Omega_k =
+    {|u_j - u_i - k_e| < 1/4} in the lift, with k_e = u_j - u_i - d*_e;
+    otherwise the result is -inf.  A point of the closed cell has lift
+    differences d = d* + delta, delta_e = v_j - v_i for v the difference
+    of the two lifts, so with :func:`_bregman_floor` q_e = q(d*_e),
+
+      E(u + v) - E(u) >= <grad E(u), v> + c sum_e q_e delta_e^2.
+
+    On the wall |d_e| = 1/4 of edge e, |delta_e| >= a_e = 1/4 - |d*_e|.
+    Each of the gasket's level-n cells and the whole ring is a cycle
+    (edges run cell by cell from each corner to the next, so they are the
+    rows of the edge list, traversed forwards), and delta sums to 0 along
+    it; by Cauchy-Schwarz the other edges e' of e's row then add at least
+    delta_e^2 / sum 1 / q_e'.  So the quadratic term is at least
+    c a_e^2 C_e, with C_e = q_e + (sum_e' 1 / q_e')^-1.  The linear term
+    is -<rhs(u), v> / (2 pi), and rhs sums to 0, so v may be taken with
+    v_0 = 0; every vertex is at most 2**level edges from vertex 0 on the
+    gasket and the ring, and each |delta_e| <= 1/2, so |v| <= 2**(level
+    - 1) and the linear term is at least -||rhs(u)||_1 2**(level - 1) /
+    (2 pi).  Hence every wall point has energy at least
+
+      W = E(u) + c min_e a_e^2 C_e - ||rhs(u)||_1 2**(level - 1) / (2 pi),
+
+    lowered by 1e-9 relative as a rounding margin: the energy is a sum of
+    nonnegative terms, so its relative rounding error is of order
+    n_edges * 2**-52, under 1e-9 up to ~4M edges (level 12 of the gasket
+    has 1.6M).
+    """
+    i, j, c = g.edges[:, 0], g.edges[:, 1], g.conductance
+    d = _wrapped_diff(u, i, j)
     if not np.abs(d).max() < 0.25:
         return -math.inf
-    # edges run cell by cell from each corner to the next, so the gasket's
-    # level-n cells and the whole ring are cycles traversed forwards, one
-    # row each, and together they hold every edge once
-    cycles = d.reshape(-1, 3 if g.kind == "sg" else g.n_edges)
-    rest = cycles.shape[1] - 1
-    s = np.abs(np.abs(np.round(cycles.sum(axis=1))) - 0.25)
-    terms = 0.5 + rest * np.sin(math.pi * s / rest) ** 2
-    bound = g.conductance * terms / (2.0 * math.pi ** 2)
-    return (1.0 - 1e-9) * float(bound.min())
+    q = _bregman_floor(d)   # > 0 in the open cell
+    inv = 1.0 / q.reshape(-1, 3 if g.kind == "sg" else g.n_edges)
+    # sum of 1/q over the rest of each edge's row, with no cancellation
+    rest = np.zeros_like(inv)
+    rest[:, 1:] += np.cumsum(inv[:, :-1], axis=1)
+    rest[:, :-1] += np.cumsum(inv[:, :0:-1], axis=1)[:, ::-1]
+    a = 0.25 - np.abs(d)
+    rise = float(np.min(a * a * (q + 1.0 / rest.ravel())))
+    slack = math.fsum(np.abs(_edge_sine_sum(u, i, j, c, g.n_vertices)).tolist())
+    bound = (_km_energy_fast(u, i, j, c) + c * rise
+             - slack * 2.0 ** (g.level - 1) / TWO_PI)
+    return (1.0 - 1e-9) * bound
 
 
 @dataclass
@@ -244,35 +277,38 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
     :func:`solve_equilibrium` runs from the block state under either of two
     rules, and ``handoff`` names the one that accepted its end:
 
-    - ``"energy"``: the block's energy is below ``E_wall =``
-      :func:`cell_wall_energy` of the block state, whatever the residual,
-      and the block ends inside ``cfg.max_time``.  The end is accepted
-      only if it lies in the block state's cell.  The rule gets one
-      attempt.
+    - ``"energy"``: at the first accepted block whose state lies in a cell
+      Omega_k = {|u_j - u_i - k_e| < 1/4} of the lift (every wrapped
+      difference under a quarter turn), Newton runs once.  If its end u*
+      lies in the same cell, the cell's offsets k and ``W =``
+      :func:`cell_wall_energy` of u* are kept, and this block or any later
+      one in the same cell hands off with u* as the end as soon as its
+      energy is below ``W``, whatever its residual, with no further Newton
+      run.  A block in another cell runs Newton once for that cell.  The
+      block must end inside ``cfg.max_time``.
     - ``"residual"``: the block's residual is below ``NEWTON_HANDOFF``.  If
       Newton fails, the flow continues from the block state and tries
       again only once the residual is below half its value at the failed
       attempt.
 
-    The energy rule keeps the flow's answer.  ``E_wall`` is finite only
-    when every wrapped difference is under a quarter turn, and then bounds
-    the energy from below on the walls of the cell
-    Omega_k = {|u_j - u_i - k_e| < 1/4} of the lift.  The gradient flow
-    that RK4 follows never raises E, so it never reaches a wall and stays
-    in Omega_k.  On Omega_k the Hessian is a Laplacian with positive
-    weights c cos 2 pi d, so E is strictly convex there modulo rotation,
-    and the flow's limit is the only critical point in Omega_k with the
-    start's mean phase.  Newton's end has that mean phase and is checked
-    to lie in Omega_k, so it is that same point.  The rule stands in for
+    The energy rule keeps the flow's answer.  ``W`` bounds the energy from
+    below on the walls of Omega_k.  The block state lies in Omega_k with
+    energy below ``W``, and the gradient flow that RK4 follows never raises
+    E, so it never reaches a wall and stays in Omega_k.  There the Hessian
+    is a Laplacian with positive weights c cos 2 pi d, so E is strictly
+    convex modulo rotation, and the flow's limit is the only critical point
+    in Omega_k with the block state's mean phase: u*, which has that mean
+    phase (the flow keeps it) and lies in Omega_k.  The rule stands in for
     the rest of the flow, so a block past the time budget does not use it.
 
     Newton's first factor must certify the pinned Hessian positive
     definite, so saddle passages stay on RK4, and its step cap keeps the
     degree the flow has reached.  A finished run reports ``method ==
     "flow+newton"``, with ``steps``, ``time`` and ``halvings`` counting the
-    RK4 part and ``newton_steps`` the Newton part, and is classified with
-    Newton's last factor.  Its ``trajectory`` ends at the handoff with one
-    more row for the polished point, at the handoff time.
+    RK4 part up to the handoff block and ``newton_steps`` the Newton run
+    that gave its end, and is classified with Newton's last factor.  Its
+    ``trajectory`` ends at the handoff with one more row for the polished
+    point, at the handoff time.
     """
     cfg = cfg or FlowConfig()
     u = g.check_field(u0).copy()
@@ -288,7 +324,7 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
     steps = 0
     halvings = 0
     handoff_below = NEWTON_HANDOFF
-    energy_rule = True  # the energy rule gets one attempt
+    cell = None   # (k, W, Newton's end) of the last cell Newton ran in
     res = float(np.abs(rhs(u)).max())
     energy = _km_energy_fast(u, i, j, c)
     rows = [(t, energy, res)]
@@ -316,25 +352,35 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
         t += CHECK_EVERY * h
         res = float(np.abs(rhs(u)).max())
         rows.append((t, energy, res))
-        by_energy = (energy_rule and t < cfg.max_time
-                     and energy < cell_wall_energy(g, u))
-        if cfg.tol <= res and (by_energy or res < handoff_below):
-            out = _newton(g, u, cfg)
-            if not isinstance(out, str):
-                u_end, res_end, newton_steps, _, _, factor = out
-                # the end's lift differences, offset as u's, in the open cell
-                d_end = _wrapped_diff(u, i, j) + (u_end[j] - u_end[i]) - (u[j] - u[i])
-                handoff = ("energy" if by_energy and np.abs(d_end).max() < 0.25
-                           else "residual" if res < handoff_below else None)
-                if handoff:
-                    rows.append((t, _km_energy_fast(u_end, i, j, c), res_end))
-                    return _finalize(g, u_end, res_end, steps, t, h, True,
-                                     halvings, factor, method="flow+newton",
-                                     handoff=handoff, newton_steps=newton_steps,
-                                     trajectory=rows)
-            energy_rule = energy_rule and not by_energy
-            if res < handoff_below:
+        if res < cfg.tol:
+            break
+        out = None
+        handoff = None
+        lift = u[j] - u[i]
+        k = np.round(lift)
+        if t < cfg.max_time and np.abs(lift - k).max() < 0.25:
+            if cell is None or not np.array_equal(k, cell[0]):
+                out = _newton(g, u, cfg)
+                wall = -math.inf
+                if (not isinstance(out, str)
+                        and np.abs(out[0][j] - out[0][i] - k).max() < 0.25):
+                    wall = cell_wall_energy(g, out[0])
+                cell = (k, wall, out)
+            if energy < cell[1]:
+                out, handoff = cell[2], "energy"
+        if handoff is None and res < handoff_below:
+            if out is None:
+                out = _newton(g, u, cfg)
+            if isinstance(out, str):
                 handoff_below = 0.5 * res
+            else:
+                handoff = "residual"
+        if handoff:
+            u_end, res_end, newton_steps, _, _, factor = out
+            rows.append((t, _km_energy_fast(u_end, i, j, c), res_end))
+            return _finalize(g, u_end, res_end, steps, t, h, True, halvings,
+                             factor, method="flow+newton", handoff=handoff,
+                             newton_steps=newton_steps, trajectory=rows)
     return _finalize(g, u, res, steps, t, h, res < cfg.tol, halvings,
                      trajectory=rows)
 

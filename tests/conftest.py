@@ -87,6 +87,57 @@ def rk4_reference(g, u0, cfg=None):
     return _finalize(g, u, res, steps, t, h, res < cfg.tol, halvings)
 
 
+def spy_handoff(mp):
+    """Record the flow's Newton runs and wall energies, in call order.
+
+    Wraps whatever ``kuramoto._newton`` is when called, so a test may
+    spoil Newton first.  Each run appends ``("newton", (energy, residual)
+    of its start, its start's cell offsets or None, result)``, each
+    :func:`cell_wall_energy` call ``("wall", W)``."""
+    from fractalsync import kuramoto as km
+
+    events = []
+    newton, wall = km._newton, km.cell_wall_energy
+
+    def spy_newton(g, u, cfg):
+        i, j = g.edges[:, 0], g.edges[:, 1]
+        start = (km._km_energy_fast(u, i, j, g.conductance),
+                 float(np.abs(km.km_rhs(g, u)).max()))
+        k = np.round(u[j] - u[i])
+        out = newton(g, u, cfg)
+        events.append(("newton", start,
+                       k if np.abs(u[j] - u[i] - k).max() < 0.25 else None, out))
+        return out
+
+    def spy_wall(g, u):
+        events.append(("wall", wall(g, u)))
+        return events[-1][1]
+
+    mp.setattr(km, "_newton", spy_newton)
+    mp.setattr(km, "cell_wall_energy", spy_wall)
+    return events
+
+
+def check_energy_handoff(rep, events):
+    """An ``"energy"`` handoff ends at the Newton run that set the last
+    wall energy W, and its block is the first at or after that run's block
+    below W; returns that run's event."""
+    from fractalsync import wrap_phases
+
+    at = max(k for k, ev in enumerate(events) if ev[0] == "wall")
+    wall = events[at][1]
+    anchor = events[at - 1]
+    assert anchor[0] == "newton" and anchor[2] is not None
+    rows = [(e, r) for _, e, r in rep.trajectory[:-1]]
+    first = rows.index(anchor[1])
+    e_end = rep.trajectory[-1][1]
+    assert e_end <= rows[-1][0] < wall
+    assert all(e >= wall for e, _ in rows[first:-1])
+    np.testing.assert_array_equal(rep.field, wrap_phases(anchor[3][0]))
+    assert rep.newton_steps == anchor[3][2]
+    return anchor
+
+
 # -- the vertex-form extension the corner-value kernel replaced ---------------
 
 

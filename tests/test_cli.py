@@ -180,10 +180,8 @@ def test_sweep_perturbed_runs_flow_unperturbed_runs_newton(tmp_path):
 
 
 def test_flow_cmd_trajectory_ends_with_newton_finish(tmp_path, monkeypatch):
-    walls = []   # E_wall of each block state the energy rule looks at
-    wall = km.cell_wall_energy
-    monkeypatch.setattr(km, "cell_wall_energy",
-                        lambda g, u: walls.append(wall(g, u)) or walls[-1])
+    from conftest import spy_handoff
+    events = spy_handoff(monkeypatch)
     out = tmp_path / "fr"
     assert run(["flow", "--fractal", "ring", "--level", "4", "--init",
                 "random", "--seed", "2", "--traj", "--out", str(out)]) == 0
@@ -194,12 +192,16 @@ def test_flow_cmd_trajectory_ends_with_newton_finish(tmp_path, monkeypatch):
     # one row per accepted block, then the polished point at the same time
     assert len(rows) == rep["steps"] // 25 + 2
     assert rows[-1][0] == rows[-2][0] == rep["time"]
-    # the first block below its cell's wall energy hands off, whatever its
-    # residual (here above NEWTON_HANDOFF), and Newton only lowers the energy
+    # Newton runs once, at the first block in a cell; the first block below
+    # the wall energy of its end hands off, whatever its residual (here
+    # above NEWTON_HANDOFF), and Newton only lowers the energy
     assert rep["handoff"] == "energy"
-    assert len(walls) == len(rows) - 2
-    assert all(e >= b for (_, e, _), b in zip(rows[1:-2], walls))
-    assert rows[-1][1] <= rows[-2][1] < walls[-1]
+    assert [ev[0] for ev in events] == ["newton", "wall"]
+    (_, start, cell, newton_end), (_, wall) = events
+    assert cell is not None and newton_end[2] == rep["newton_steps"]
+    first = [tuple(r[1:]) for r in rows].index(start)
+    assert all(e >= wall for _, e, _ in rows[first:-2])
+    assert rows[-1][1] <= rows[-2][1] < wall
     assert rows[-2][2] >= km.NEWTON_HANDOFF
     assert rows[-1][2] == rep["residual"] < 1e-10
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy import sparse
 from scipy.sparse import linalg as spla
 
 from fractalsync import (DegreeVector, EigensolverError, FlowConfig,
@@ -14,7 +15,7 @@ from fractalsync import (DegreeVector, EigensolverError, FlowConfig,
 from fractalsync import kuramoto as km
 from fractalsync.dirichlet import laplacian_matrix
 from fractalsync.kuramoto import hessian_matrix
-from conftest import rk4_reference
+from conftest import check_energy_handoff, rk4_reference, spy_handoff
 
 
 # -- rhs and energy -----------------------------------------------------------
@@ -333,25 +334,13 @@ def test_unresolved_degree_is_reported():
 
 # -- Newton finish of the flow (plain RK4 is the oracle) ---------------------------
 
-def _spy_walls(mp):
-    """Record E_wall of each block state the flow's energy rule looks at."""
-    walls = []
-    wall = km.cell_wall_energy
-
-    def spy(g, u):
-        walls.append(wall(g, u))
-        return walls[-1]
-
-    mp.setattr(km, "cell_wall_energy", spy)
-    return walls
-
-
 @settings(max_examples=10, deadline=None)
 @given(kind=st.sampled_from(("sg", "ring")), n=st.integers(3, 5),
        spec=st.sampled_from(("0", "1", "1,1,1,1", "2,0,0")),
        amp=st.floats(0.0, 0.25), seed=st.integers(0, 2 ** 32 - 1),
        handoff=st.just(None))
-@example(kind="sg", n=5, spec="2,0,0", amp=0.25, seed=1, handoff="residual")
+@example(kind="sg", n=5, spec="2,0,0", amp=0.25, seed=1, handoff="energy")
+@example(kind="sg", n=3, spec="1,1,1,1", amp=0.25, seed=16, handoff="residual")
 @example(kind="ring", n=5, spec="0", amp=0.0, seed=1, handoff="energy")
 @example(kind="ring", n=5, spec="0", amp=0.0, seed=0, handoff="energy")
 @example(kind="sg", n=5, spec="0", amp=0.25, seed=1, handoff="energy")
@@ -359,7 +348,8 @@ def test_finished_flow_matches_rk4_reference(kind, n, spec, amp, seed, handoff):
     # perturbed gasket starts and random ring starts: the flow picks the
     # equilibrium, and the Newton finish lands on the one plain RK4 reaches;
     # ``handoff`` is the rule an example is known to finish under (ring-5
-    # seed 0 ends twisted, q = -2, above the single-edge bound c / (4 pi^2))
+    # seed 0 ends twisted, q = -2; the gasket-3 ``1,1,1,1`` equilibrium
+    # lies 1.1e-7 below its wall energy, so its flow waits for the residual)
     rng = np.random.default_rng(seed)
     if kind == "ring":
         g = build_ring_graph(n)
@@ -370,7 +360,7 @@ def test_finished_flow_matches_rk4_reference(kind, n, spec, amp, seed, handoff):
         u0 = wrap_phases(phases + rng.uniform(-amp, amp, g.n_vertices))
     cfg = FlowConfig()
     with pytest.MonkeyPatch.context() as mp:
-        walls = _spy_walls(mp)
+        events = spy_handoff(mp)
         rep = integrate_to_equilibrium(g, u0, cfg)
     ref = rk4_reference(g, u0, cfg)
     assert circle_distance(rep.field, ref.field).max() < 1e-8
@@ -382,17 +372,14 @@ def test_finished_flow_matches_rk4_reference(kind, n, spec, amp, seed, handoff):
     # each rule's own condition held at the handoff block and its end
     assert (rep.handoff is None) == (rep.method == "flow")
     if rep.handoff is not None:
-        (_, e_block, r_block), (_, e_end, _) = rep.trajectory[-2:]
         if rep.handoff == "energy":
-            # the first block below its wall energy; the end in its cell
-            energies = [e for _, e, _ in rep.trajectory[1:-1]]
-            assert len(walls) == len(energies)
-            assert all(e >= b for e, b in zip(energies[:-1], walls))
-            assert e_end <= e_block < walls[-1]
+            # the first block below the wall energy of its cell's Newton
+            # end, which is the reported end, in that cell
+            check_energy_handoff(rep, events)
             d_end = km._wrapped_diff(rep.field, g.edges[:, 0], g.edges[:, 1])
             assert np.abs(d_end).max() < 0.25
         else:
-            assert r_block < km.NEWTON_HANDOFF
+            assert rep.trajectory[-2][2] < km.NEWTON_HANDOFF
     if handoff is not None:
         assert rep.handoff == handoff
 
@@ -428,26 +415,33 @@ def test_flow_does_not_hand_off_at_a_saddle(monkeypatch):
 
 
 def test_failed_handoff_keeps_flowing_until_the_residual_halves(monkeypatch):
-    residuals = []
+    # the first two Newton runs fail: the energy rule's, at the first block
+    # in a cell, and the residual rule's, at the first block below
+    # NEWTON_HANDOFF; the next runs once the residual is below half of that
+    runs = []
     newton = km._newton
 
-    def first_fails(g, u, cfg):
-        residuals.append(float(np.abs(km_rhs(g, u)).max()))
-        return "forced" if len(residuals) == 1 else newton(g, u, cfg)
+    def two_fail(g, u, cfg):
+        runs.append(u)
+        return "forced" if len(runs) <= 2 else newton(g, u, cfg)
 
-    monkeypatch.setattr(km, "_newton", first_fails)
+    monkeypatch.setattr(km, "_newton", two_fail)
+    events = spy_handoff(monkeypatch)
     g = build_sg_graph(4)
     phases, _ = circle_harmonic_map(g, DegreeVector({(): 1}))
     u0 = wrap_phases(phases + np.random.default_rng(3).uniform(-0.1, 0.1, g.n_vertices))
     rep = integrate_to_equilibrium(g, u0)
     record = rep.trajectory
     flow_rows = [r for _, _, r in record[:-1]]
-    # the first block below the threshold hands off, the first below half
-    # of the failed attempt's residual retries
-    assert residuals[0] == next(r for r in flow_rows if r < km.NEWTON_HANDOFF)
-    assert residuals[1] == next(r for r in flow_rows if r < 0.5 * residuals[0])
-    assert len(residuals) == 2 and flow_rows[-1] == residuals[1]
-    assert rep.method == "flow+newton" and rep.newton_steps > 0
+    assert [ev[0] for ev in events] == ["newton"] * 3
+    (_, (_, r0), cell0, _), (_, (_, r1), cell1, _), (_, (_, r2), _, _) = events
+    assert cell0 is not None and r0 >= km.NEWTON_HANDOFF
+    np.testing.assert_array_equal(cell1, cell0)
+    assert r1 == next(r for r in flow_rows if r < km.NEWTON_HANDOFF)
+    assert r2 == next(r for r in flow_rows if r < 0.5 * r1)
+    assert flow_rows[-1] == r2
+    assert rep.method == "flow+newton" and rep.handoff == "residual"
+    assert rep.newton_steps > 0
     assert rep.steps == 25 * (len(flow_rows) - 1)
     # the record ends with the polished point, at the handoff time
     assert record[-1][0] == record[-2][0]
@@ -459,54 +453,85 @@ def test_failed_handoff_keeps_flowing_until_the_residual_halves(monkeypatch):
 
 @pytest.mark.parametrize("first", ["fails", "ends outside the cell"])
 def test_energy_handoff_has_one_attempt(monkeypatch, first):
-    # after a spoiled energy-rule attempt, Newton runs again only where the
-    # residual rule allows it, not at every block below the wall energy
-    calls = []
+    # after a spoiled energy-rule run, Newton runs again in that cell only
+    # where the residual rule allows it, not at every later block there
     newton = km._newton
-    g = build_ring_graph(5)
-    i, j, c = g.edges[:, 0], g.edges[:, 1], g.conductance
+    runs = []
 
     def first_spoiled(g, u, cfg):
-        calls.append((km._km_energy_fast(u, i, j, c),
-                      float(np.abs(km_rhs(g, u)).max())))
         out = newton(g, u, cfg)
-        if len(calls) > 1:
+        runs.append(out)
+        if len(runs) > 1:
             return out
         if first == "fails":
             return "forced"
-        # Newton's end with every other vertex turned by 0.3: each edge is
-        # then past a quarter turn, outside the block state's cell
-        return (out[0] + 0.3 * (np.arange(g.n_vertices) % 2),) + out[1:]
+        return (twist,) + out[1:]
 
+    # the q = 1 twisted state in place of Newton's end: a critical point
+    # in a cell of its own, below its own wall energy, but outside the
+    # block state's cell
+    g = build_ring_graph(5)
+    twist = np.arange(g.n_vertices) / g.n_vertices
+    assert km.cell_wall_energy(g, twist) > km_energy(g, twist)
     monkeypatch.setattr(km, "_newton", first_spoiled)
-    walls = _spy_walls(monkeypatch)
+    events = spy_handoff(monkeypatch)
     u0 = np.random.default_rng(1).random(g.n_vertices)
     rep = integrate_to_equilibrium(g, u0)
     rows = [(e, r) for _, e, r in rep.trajectory[1:-1]]
-    first_below = next(k for k, (e, _) in enumerate(rows) if e < walls[k])
-    assert len(walls) == first_below + 1
-    assert calls[0] == rows[first_below]
-    assert calls[0][1] >= km.NEWTON_HANDOFF
-    assert calls[1] == next(row for row in rows if row[1] < km.NEWTON_HANDOFF)
-    assert len(calls) == 2 and rows[-1] == calls[1]
+    # the spoiled run sets no wall energy, so the energy rule never fires
+    assert [ev[0] for ev in events] == ["newton", "newton"]
+    (_, start0, cell0, _), (_, start1, cell1, _) = events
+    assert cell0 is not None and start0[1] >= km.NEWTON_HANDOFF
+    np.testing.assert_array_equal(cell1, cell0)
+    assert start1 == next(row for row in rows if row[1] < km.NEWTON_HANDOFF)
+    assert rows[-1] == start1
     assert rep.method == "flow+newton" and rep.handoff == "residual"
     ref = rk4_reference(g, u0)
     assert circle_distance(rep.field, ref.field).max() < 1e-8
     assert rep.degree == ref.degree and rep.stability == ref.stability
 
 
-def test_energy_rule_waits_for_the_time_budget():
-    # one block overruns max_time and ends below its wall energy: the rule
-    # stands in for the rest of the flow, which the budget does not allow
+def test_energy_rule_waits_for_the_time_budget(monkeypatch):
+    # one block overruns max_time and ends in a cell below its wall energy:
+    # the rule stands in for the rest of the flow, which the budget does
+    # not allow, so Newton does not run
+    events = spy_handoff(monkeypatch)
     g = build_sg_graph(3)
     u0 = wrap_phases(0.1 * np.random.default_rng(3).standard_normal(g.n_vertices))
     rep = integrate_to_equilibrium(g, u0, FlowConfig(max_time=1e-4))
     (_, e_start, _), (t, e_block, _) = rep.trajectory
-    assert km.cell_wall_energy(g, u0) == -math.inf
-    assert t > 1e-4 and e_block < km.cell_wall_energy(g, rep.field)
+    assert not events
     assert rep.method == "flow" and rep.handoff is None and not rep.converged
+    assert np.abs(km._wrapped_diff(u0, g.edges[:, 0], g.edges[:, 1])).max() >= 0.25
+    star = solve_equilibrium(g, rep.field).field
+    assert t > 1e-4 and e_block < km.cell_wall_energy(g, star)
+    # with the default budget the same block hands off, on one Newton run
+    events.clear()
     rep = integrate_to_equilibrium(g, u0)
     assert rep.handoff == "energy" and rep.steps == 25
+    assert [ev[0] for ev in events] == ["newton", "wall"]
+    assert check_energy_handoff(rep, events) is events[0]
+
+
+@pytest.mark.parametrize("n, spec", [(n, spec) for n in (4, 5, 6)
+                                     for spec in ("2,0,0", "1,1,1,1", "0,1,1,1")])
+def test_every_gasket_class_hands_off_by_energy_at_its_first_cell(monkeypatch, n, spec):
+    # the wall energy is anchored at Newton's end, so classes whose
+    # equilibrium energy is far above one edge's c / (4 pi^2) still hand
+    # off at their first block in a cell, on one Newton run
+    g = build_sg_graph(n)
+    omega = DegreeVector.parse(spec, (1, 2, 3))
+    phases, _ = circle_harmonic_map(g, omega)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        u0 = wrap_phases(phases + rng.uniform(-0.1, 0.1, g.n_vertices))
+        with pytest.MonkeyPatch.context() as mp:
+            events = spy_handoff(mp)
+            rep = integrate_to_equilibrium(g, u0)
+        assert rep.handoff == "energy" and rep.steps <= 50, (n, spec, seed)
+        assert [ev[0] for ev in events] == ["newton", "wall"]
+        check_energy_handoff(rep, events)
+        assert rep.degree == omega and rep.stability == "stable"
 
 
 # -- the wall energy behind the flow's energy handoff ------------------------------
@@ -532,30 +557,78 @@ def test_scalar_conductance_matches_array_weights(kind, n, seed):
             == km._edge_energies(u, i, j, w).tobytes())
 
 
+def _f_mp(x):
+    import mpmath
+    return mpmath.sin(mpmath.pi * x) ** 2 / (2 * mpmath.pi ** 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(-0.25, 0.25), y=st.floats(-0.25, 0.25))
+@example(x=0.25, y=0.25 - 2.0 ** -55)
+@example(x=-0.25, y=-0.25 + 1e-12)
+@example(x=0.25, y=0.25 - 0.1 / (2 * math.pi))     # t = 0.1, where the forms meet
+@example(x=-0.25, y=0.0)
+@example(x=0.25, y=0.25)
+def test_bregman_floor_bounds_each_edge_energy(x, y):
+    # f(x) - f(y) - f'(y)(x - y) >= q(y)(x - y)^2 on the closed cell, in
+    # 100-digit arithmetic (both sides cancel to ~1e-48 at y next to 1/4);
+    # the float q is that q to 1e-12 relative, and never negative, also
+    # where its closed form would cancel
+    import mpmath
+    q = float(km._bregman_floor(np.array([y]))[0])
+    with mpmath.workdps(100):
+        X, Y = mpmath.mpf(x), mpmath.mpf(y)
+        breg = _f_mp(X) - _f_mp(Y) - mpmath.sin(2 * mpmath.pi * Y) / (2 * mpmath.pi) * (X - Y)
+        t = 2 * mpmath.pi * (mpmath.mpf(1) / 4 - abs(Y))
+        q_exact = (mpmath.sin(t) - t * mpmath.cos(t)) / t ** 2 if t else mpmath.mpf(0)
+        assert q_exact * (X - Y) ** 2 <= breg + mpmath.mpf(10) ** -90
+        assert abs(q - q_exact) <= 1e-12 * q_exact
+    assert q >= 0.0
+
+
+_WALL_CLASSES = {"sg": ("0", "1", "-1", "2", "2,0,0", "1,1,1,1"),
+                 "ring": ("0", "1", "-1", "2", "-3")}
+
+
+def _cell_equilibrium(g, spec):
+    """The equilibrium of ``spec``'s class, from its harmonic map."""
+    if g.kind == "ring":
+        return solve_equilibrium(g, twisted_state(g, int(spec))).field
+    omega = DegreeVector.parse(spec, (1, 2, 3))
+    return solve_equilibrium(g, circle_harmonic_map(g, omega)[0]).field
+
+
 @settings(max_examples=30, deadline=None)
 @given(kind=st.sampled_from(("sg", "ring")), n=st.integers(3, 5),
-       q=st.integers(-3, 3), amp=st.floats(0.0, 0.2),
+       pick=st.integers(0, 5), amp=st.floats(0.0, 0.2),
+       anchor_amp=st.sampled_from((0.0, 1e-6, 1e-3)), descent=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_cell_wall_energy_bounds_the_energy_on_the_walls(kind, n, q, amp, seed):
-    # from a field u inside its cell, go straight along a random direction
-    # v: the lift differences d + s (v_j - v_i) first reach a quarter turn
-    # at s*, on a wall of u's cell, and the energy there is at least E_wall
+def test_cell_wall_energy_bounds_the_energy_on_the_walls(kind, n, pick, amp, anchor_amp,
+                                                         descent, seed):
+    # from a point u of the cell of the class's equilibrium u*, go straight
+    # along a random direction v, or down the gradient: the lift
+    # differences d + s (v_j - v_i) first reach a quarter turn at s*, on a
+    # wall of the cell, and the energy there is at least W(a), for a = u*
+    # or a point near it (the residual term covers a non-critical anchor)
     g = _lemma_graph(kind, n)
-    rng = np.random.default_rng(seed)
-    if kind == "ring":
-        base = twisted_state(g, q)
-    else:
-        base, _ = circle_harmonic_map(g, DegreeVector({(): q} if q else {}))
-    u = base + rng.uniform(-amp, amp, g.n_vertices)
+    classes = _WALL_CLASSES[kind]
+    star = _cell_equilibrium(g, classes[pick % len(classes)])
     i, j, c = g.edges[:, 0], g.edges[:, 1], g.conductance
-    d = km._wrapped_diff(u, i, j)
+    assume(km.cell_wall_energy(g, star) > -math.inf)
+    # the equilibrium lies below the walls of its own cell
+    assert km._km_energy_fast(star, i, j, c) < km.cell_wall_energy(g, star)
+    rng = np.random.default_rng(seed)
+    anchor = star + rng.uniform(-anchor_amp, anchor_amp, g.n_vertices)
+    wall = km.cell_wall_energy(g, anchor)
+    u = star + rng.uniform(-amp, amp, g.n_vertices)
+    lift = star[j] - star[i]
+    d = u[j] - u[i] - np.round(lift)
     assume(np.abs(d).max() < 0.25)
-    wall = km.cell_wall_energy(g, u)
-    # never below the bound of one edge term alone
-    assert wall >= (1.0 - 1e-9) * c / (4.0 * math.pi ** 2)
-    v = rng.standard_normal(g.n_vertices)
+    assume(np.abs(anchor[j] - anchor[i] - np.round(lift)).max() < 0.25)
+    v = km_rhs(g, u) if descent else rng.standard_normal(g.n_vertices)
     dv = v[j] - v[i]
     moving = dv != 0.0
+    assume(moving.any())   # no descent from a critical point
     s = np.min((0.25 * np.sign(dv[moving]) - d[moving]) / dv[moving])
     at_wall = d + s * dv
     assert np.abs(np.abs(at_wall).max() - 0.25) < 1e-12
@@ -563,6 +636,99 @@ def test_cell_wall_energy_bounds_the_energy_on_the_walls(kind, n, q, amp, seed):
     # inside the quarter-turn cell the pinned Hessian is a Laplacian with
     # positive weights, and the factor certifies it
     assert km._positive_definite_factor(km._pinned_hessian(g, u)) is not None
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(("sg", "ring")), n=st.integers(2, 4),
+       pick=st.integers(0, 5), amp=st.floats(0.0, 0.05),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cell_wall_energy_matches_its_formula_edge_by_edge(kind, n, pick, amp, seed):
+    # W = E(u) + c min_e a_e^2 (q_e + 1 / sum_{e' != e} 1 / q_e')
+    #     - ||rhs(u)||_1 2**(n - 1) / (2 pi), lowered by 1e-9 relative,
+    # with the row sums taken edge by edge
+    g = _lemma_graph(kind, n)
+    classes = _WALL_CLASSES[kind]
+    star = _cell_equilibrium(g, classes[pick % len(classes)])
+    u = star + np.random.default_rng(seed).uniform(-amp, amp, g.n_vertices)
+    i, j, c = g.edges[:, 0], g.edges[:, 1], g.conductance
+    d = km._wrapped_diff(u, i, j)
+    assume(np.abs(d).max() < 0.25)
+    q = [float(km._bregman_floor(np.array([x]))[0]) for x in d]
+    width = 3 if kind == "sg" else g.n_edges
+    rise = math.inf
+    for e in range(g.n_edges):
+        row = range(e - e % width, e - e % width + width)
+        path = 1.0 / sum(1.0 / q[f] for f in row if f != e)
+        rise = min(rise, (0.25 - abs(d[e])) ** 2 * (q[e] + path))
+    slack = float(np.abs(km_rhs(g, u)).sum()) * 2.0 ** (n - 1) / km.TWO_PI
+    want = (1.0 - 1e-9) * (km_energy(g, u) + c * rise - slack)
+    assert km.cell_wall_energy(g, u) == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+def test_every_vertex_is_within_two_to_the_level_edges_of_vertex_0():
+    # the bound on |v - v_0| behind the residual term of cell_wall_energy
+    from scipy.sparse.csgraph import shortest_path
+
+    for kind, levels in (("sg", range(0, 8)), ("ring", range(1, 11))):
+        for n in levels:
+            g = _lemma_graph(kind, n)
+            adj = sparse.coo_matrix((np.ones(g.n_edges), (g.edges[:, 0], g.edges[:, 1])),
+                                    shape=(g.n_vertices,) * 2)
+            hops = shortest_path(adj, directed=False, unweighted=True, indices=0)
+            assert hops.max() <= 2 ** n, (kind, n)
+
+
+@pytest.mark.parametrize("kind, n, specs", [("sg", 2, ("1",)),
+                                            ("ring", 3, ("0", "1", "-1"))])
+def test_cell_wall_energy_below_the_least_energy_on_each_wall_face(kind, n, specs):
+    # the energy minimised numerically on the face d_e = +-1/4 of every
+    # edge e of the closed cell of each class's equilibrium, with vertex 0
+    # held fixed; E is convex there (every weight cos 2 pi d >= 0).  Some
+    # gasket faces pin a whole hole boundary at a quarter turn, so the
+    # solver must take degenerate faces (trust-constr does; SLSQP stopped
+    # up to 0.06 above the minimum on others)
+    from scipy.optimize import LinearConstraint, minimize
+
+    g = _lemma_graph(kind, n)
+    i, j, c = g.edges[:, 0], g.edges[:, 1], g.conductance
+    incidence = np.zeros((g.n_edges, g.n_vertices))
+    incidence[np.arange(g.n_edges), j] = 1.0
+    incidence[np.arange(g.n_edges), i] = -1.0
+    for spec in specs:
+        star = _cell_equilibrium(g, spec)
+        wall = km.cell_wall_energy(g, star)
+        # lift differences d = incidence[:, 1:] @ x + offset, x = star[1:] + ...
+        offset = incidence[:, 0] * star[0] - np.round(star[j] - star[i])
+
+        def full(x):
+            return np.concatenate(([star[0]], x))
+
+        least = math.inf
+        for e in range(g.n_edges):
+            for side in (-0.25, 0.25):
+                lo, hi = -0.25 - offset, 0.25 - offset
+                lo[e] = hi[e] = side - offset[e]
+                res = minimize(
+                    lambda x: km._km_energy_fast(full(x), i, j, c), star[1:],
+                    jac=lambda x: -km_rhs(g, full(x))[1:] / km.TWO_PI,
+                    hess=lambda x: hessian_matrix(g, full(x))[1:, 1:].toarray(),
+                    method="trust-constr",
+                    constraints=[LinearConstraint(incidence[:, 1:], lo, hi)],
+                    options={"gtol": 1e-8, "xtol": 1e-10})
+                assert res.success and res.constr_violation < 1e-7, (spec, e, side)
+                least = min(least, res.fun)
+        assert km._km_energy_fast(star, i, j, c) < wall <= least, spec
+
+
+def test_wall_energy_clears_each_gasket_class_at_levels_5_and_6():
+    # W(u*) - E(u*) for degrees 0, 1, 2,0,0, 1,1,1,1 and 0,1,1,1: 0.49,
+    # 0.35, 0.23, 0.19, 0.13 at level 5 and 0.41-0.81 at level 6, so a
+    # flow a little above its equilibrium already certifies it
+    for n, least in ((5, 0.12), (6, 0.4)):
+        g = build_sg_graph(n)
+        for spec in ("0", "1", "2,0,0", "1,1,1,1", "0,1,1,1"):
+            star = _cell_equilibrium(g, spec)
+            assert km.cell_wall_energy(g, star) - km_energy(g, star) > least, (n, spec)
 
 
 def test_ring_wall_energy_certifies_every_quarter_turn_twist_not_saddles():
@@ -729,21 +895,28 @@ def test_hessian_factor_path_matches_dense():
 
 def _newton_ends():
     """Newton from the map at gasket levels 3-7 (degrees 1 and 1,1,1,1),
-    and a ring flow whose first handoff finishes: (graph, solve) pairs."""
+    a ring flow and a gasket ``2,0,0`` flow, each certified at its first
+    block in a cell: (graph, solve, method) triples."""
     for spec in ("1", "1,1,1,1"):
         for n in range(3, 8):
             g = build_sg_graph(n)
             phases, _ = circle_harmonic_map(g, DegreeVector.parse(spec, (1, 2, 3)))
-            yield g, lambda g=g, phases=phases: solve_equilibrium(g, phases)
+            yield g, lambda g=g, phases=phases: solve_equilibrium(g, phases), "newton"
     ring = build_ring_graph(6)
     u0 = wrap_phases(twisted_state(ring, 3)
                      + np.random.default_rng(4).uniform(-0.1, 0.1, ring.n_vertices))
-    yield ring, lambda: integrate_to_equilibrium(ring, u0)
+    yield ring, lambda: integrate_to_equilibrium(ring, u0), "flow+newton"
+    g = build_sg_graph(5)
+    phases, _ = circle_harmonic_map(g, DegreeVector({(): 2}))
+    v0 = wrap_phases(phases + np.random.default_rng(1).uniform(-0.1, 0.1, g.n_vertices))
+    yield g, lambda: integrate_to_equilibrium(g, v0), "flow+newton"
 
 
 def test_newton_end_factors_once_per_step(monkeypatch):
     # each Newton step factors its iterate, and one more factor certifies
-    # and classifies the reported field: no second factor of the same Hessian
+    # and classifies the reported field: no second factor of the same
+    # Hessian.  A flow certified at its first block in a cell runs Newton
+    # once, so its report's newton_steps count every factor it made
     calls = []
     factor = km._positive_definite_factor
 
@@ -752,13 +925,18 @@ def test_newton_end_factors_once_per_step(monkeypatch):
         return factor(H)
 
     monkeypatch.setattr(km, "_positive_definite_factor", counted)
-    for g, solve in _newton_ends():
+    events = spy_handoff(monkeypatch)
+    for g, solve, method in _newton_ends():
         calls.clear()
+        events.clear()
         rep = solve()
-        assert rep.method == ("flow+newton" if g.kind == "ring" else "newton")
-        assert rep.fallback is None
+        assert rep.method == method and rep.fallback is None
         assert rep.stability == "stable"
         assert len(calls) == rep.newton_steps + 1, (g.kind, g.level)
+        assert len([ev for ev in events if ev[0] == "newton"]) == 1
+        if method == "flow+newton":
+            assert rep.handoff == "energy" and rep.steps == 25
+            check_energy_handoff(rep, events)
 
 
 def test_hessian_min_eig_bitwise_reproducible_level7():
@@ -769,7 +947,7 @@ def test_hessian_min_eig_bitwise_reproducible_level7():
     assert first.stability == "stable"
     assert first.hessian_min_eig == second.hessian_min_eig
     # Newton's last factor classifies exactly what hessian_stability does
-    for g, solve in _newton_ends():
+    for g, solve, _ in _newton_ends():
         rep = solve()
         assert hessian_stability(g, rep.field) == (rep.hessian_min_eig,
                                                    rep.stability)
