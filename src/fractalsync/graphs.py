@@ -107,6 +107,7 @@ class FractalGraph:
         self.boundary_ids = boundary_ids
         self.keys = keys
         self._restrictions = {}
+        self._pinned_pattern = None  # kuramoto's pinned Hessian, on first use
         for arr in (coords, self.edges, cell_corners, keys):
             arr.setflags(write=False)
 
@@ -169,13 +170,24 @@ class FractalGraph:
             raise ValueError(
                 f"cannot restrict level {self.level} to level {m}")
         if m not in self._restrictions:
-            base = len(self.alphabet)
-            span = base ** (self.level - m + 1)
-            run = (span - 1) // (base - 1)  # the digit 1 repeated
-            idx = np.flatnonzero(self.keys % span == self.keys % base * run)
+            idx = np.flatnonzero(self._in_level(m))
             idx.setflags(write=False)
             self._restrictions[m] = idx
         return self._restrictions[m]
+
+    def birth_levels(self) -> np.ndarray:
+        """(N,) int8: the level at which each vertex is born, the least m
+        with the vertex in :meth:`restriction_to` (m)."""
+        born = np.zeros(self.n_vertices, dtype=np.int8)
+        for m in range(self.level):
+            born += ~self._in_level(m)
+        return born
+
+    def _in_level(self, m):
+        base = len(self.alphabet)
+        span = base ** (self.level - m + 1)
+        run = (span - 1) // (base - 1)  # the digit 1 repeated
+        return self.keys % span == self.keys % base * run
 
     # -- export ------------------------------------------------------------
 

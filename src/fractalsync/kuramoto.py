@@ -24,6 +24,7 @@ from .winding import DegreeVector, _wrapped_diff, degree, wrap_phases
 
 TWO_PI = 2.0 * math.pi
 DENSE_EIG_LIMIT = 3000
+LANCZOS_BASIS = 9    # shift-invert Lanczos vectors, see _classify
 STABILITY_BAND = 1e-9
 CHECK_EVERY = 25     # RK4 steps per block of the flow's energy monitor
 RK4_REACH = 2.5      # h times the flow's stiffest rate, inside a cell
@@ -246,7 +247,7 @@ def _finalize(g, u, residual, steps, t, h, converged, halvings,
     hess_eig = None
     verdict = None
     if factor is not None:
-        hess_eig, verdict = _classify(*factor)
+        hess_eig, verdict = _classify(g, *factor)
     elif residual < EQUILIBRIUM_TOL:
         hess_eig, verdict = hessian_stability(g, phases)
     deg = deg_error = None
@@ -414,7 +415,7 @@ def _newton(g: FractalGraph, u, cfg: FlowConfig):
             return "pinned Hessian not positive definite"
         # rhs = -2 pi grad E and H is the Hessian of E
         step = np.zeros_like(u)
-        step[1:] = lu.solve(rhs[1:]) / TWO_PI
+        step[1:] = _pinned_solve(g, lu, rhs[1:]) / TWO_PI
         slope = -float(np.dot(rhs, step)) / TWO_PI
         d = _wrapped_diff(u, i, j)
         dd = step[j] - step[i]
@@ -447,7 +448,11 @@ def _newton(g: FractalGraph, u, cfg: FlowConfig):
 def solve_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None) -> EquilibriumReport:
     """Damped Newton on the energy gradient, with vertex 0 held fixed.
 
-    The pinned Hessian is factored at every iterate.  Once the residual is
+    The pinned Hessian is factored at every iterate.  It is filled into
+    the graph's pattern (built on first use and kept on the graph), its
+    free vertices in birth order, finest-born first, and SuperLU keeps
+    that as its elimination order; the step is solved through that
+    permutation and comes back in vertex-id order.  Once the residual is
     below ``cfg.tol``, the field is shifted back to the start's mean
     phase and wrapped, and the pinned Hessian there is factored once more:
     Newton ends only where that factor certifies it positive definite, so
@@ -483,28 +488,124 @@ def solve_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None) -> Equ
                      method="newton", newton_steps=newton_steps)
 
 
+def _hessian_weights(g, u):
+    return g.conductance * np.cos(TWO_PI * _wrapped_diff(u, g.edges[:, 0],
+                                                         g.edges[:, 1]))
+
+
 def hessian_matrix(g: FractalGraph, u) -> sparse.csr_matrix:
     """Hessian of the energy: weighted Laplacian with cosine edge weights."""
     u = g.check_field(u)
-    w = g.conductance * np.cos(TWO_PI * _wrapped_diff(u, g.edges[:, 0],
-                                                      g.edges[:, 1]))
-    return weighted_laplacian(g.edges, w, g.n_vertices)
+    return weighted_laplacian(g.edges, _hessian_weights(g, u), g.n_vertices)
+
+
+class _PinnedPattern:
+    """Sparsity of the pinned Hessian, its free vertices in birth order.
+
+    Row and column k are free vertex ``perm[k] + 1``: the vertices born at
+    the finest level come first, then those of each coarser level, each
+    level in id order.  Each level-(m+1) midpoint lies inside exactly one
+    level-m cell, so eliminating the finest-born vertices first is a nested
+    dissection that the hierarchy gives: it couples only the corners of
+    that cell, and what is left has the pattern of the level below.
+    ``indptr`` and ``indices`` are the CSC pattern, rows sorted, and
+    ``slots`` the (4, E) places in its data of each edge's entries (i, i),
+    (j, j), (i, j) and (j, i), in that order.  An entry in vertex 0's row
+    or column has a place past ``nnz``, in a column n that collects them.
+    The gasket and the ring have no two edges between one pair of free
+    vertices (the level-1 ring's two run to vertex 0).
+    """
+
+    def __init__(self, g: FractalGraph):
+        n = g.n_vertices - 1
+        born = g.birth_levels()[1:]
+        self.perm = np.argsort(-born, kind="stable").astype(np.int32)
+        pos = np.empty(n + 1, dtype=np.int32)   # the row of each vertex
+        pos[0] = n
+        pos[self.perm + 1] = np.arange(n, dtype=np.int32)
+        a, b = pos[g.edges[:, 0]], pos[g.edges[:, 1]]
+        hi = np.maximum(a, b)
+        lo = np.where(hi < n, np.minimum(a, b), n)
+        # column c: the rows lo < c of the edges with hi == c, then c, then
+        # the rows hi > c of the edges with lo == c
+        above = np.bincount(hi, minlength=n + 1)
+        below = np.bincount(lo, minlength=n + 1)
+        indptr = np.zeros(n + 2, dtype=np.int32)
+        np.cumsum(above + 1 + below, out=indptr[1:])
+        diag = indptr[:-1] + above.astype(np.int32)
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        indices[diag] = np.arange(n + 1)
+
+        def place(col, row, count, first):
+            # in (column, row) order, entry k is number k - (entries in
+            # earlier columns) of its column, counted from ``first``
+            order = np.lexsort((row, col))
+            shift = (first - np.cumsum(count) + count).astype(np.int32)
+            slot = np.empty_like(col)
+            slot[order] = np.arange(len(col), dtype=np.int32) + shift[col[order]]
+            indices[slot] = row
+            return slot
+
+        up = place(hi, lo, above, indptr[:-1])
+        dn = place(lo, hi, below, diag + 1)
+        self.slots = np.empty((4, len(a)), dtype=np.int32)
+        self.slots[0], self.slots[1] = diag[a], diag[b]
+        self.slots[2], self.slots[3] = np.where(a < b, up, dn), np.where(a < b, dn, up)
+        self.nnz = int(indptr[n])
+        self.indptr = indptr[:-1]
+        self.indices = indices[:self.nnz].copy()
+        for arr in (self.perm, self.indptr, self.indices, self.slots):
+            arr.setflags(write=False)
+
+    def hessian(self, w) -> sparse.csc_matrix:
+        # each diagonal sums its (i, i) entries, then its (j, j) ones, in
+        # edge order, as the COO assembly of weighted_laplacian does
+        data = np.bincount(self.slots.ravel(), np.concatenate((w, w, -w, -w)))
+        n = len(self.perm)
+        return sparse.csc_matrix((data[:self.nnz], self.indices, self.indptr),
+                                 shape=(n, n))
+
+
+def _pattern(g: FractalGraph) -> _PinnedPattern:
+    if g._pinned_pattern is None:
+        g._pinned_pattern = _PinnedPattern(g)
+    return g._pinned_pattern
 
 
 def _pinned_hessian(g: FractalGraph, u) -> sparse.csc_matrix:
-    return hessian_matrix(g, u)[1:, 1:].tocsc()
+    """The Hessian with vertex 0 held fixed, rows and columns in the birth
+    order of :class:`_PinnedPattern`: entry for entry, bit for bit,
+    ``hessian_matrix(g, u)[1:, 1:]`` under that permutation (each diagonal
+    sums its edges in the same order)."""
+    return _pattern(g).hessian(_hessian_weights(g, u))
+
+
+def _pinned_solve(g: FractalGraph, lu, b) -> np.ndarray:
+    """``x`` with ``H x = b`` for the pinned Hessian H factored by ``lu``
+    (from :func:`_pinned_hessian`), ``b`` and ``x`` on the free vertices in
+    id order."""
+    perm = _pattern(g).perm
+    x = np.empty_like(b)
+    x[perm] = lu.solve(b[perm])
+    return x
 
 
 def _positive_definite_factor(H):
     """Sparse LU of symmetric ``H`` if it certifies ``H`` positive definite.
 
-    With diagonal pivots and one symmetric permutation (``perm_r ==
-    perm_c``) the factor is P H P^T = L U with U = D L^T, so by Sylvester's
-    law of inertia H is positive definite exactly when every pivot on U's
-    diagonal is positive.  Returns None otherwise.
+    ``H`` comes from :func:`_pinned_hessian`, already in the birth order of
+    its pattern, the hierarchy's nested dissection, so it is factored in
+    that order (``permc_spec="NATURAL"``) rather than one SuperLU would
+    work out again on every call: 9.2-9.3 entries of L and U per free
+    vertex on the gasket at levels 5-9 (minimum degree on A + A^T: 10.1-10.7),
+    and 6 on the ring, whose path alone would take 4.  With diagonal pivots
+    and one symmetric permutation (``perm_r == perm_c``) the factor is
+    P H P^T = L U with U = D L^T, so by Sylvester's law of inertia H is
+    positive definite exactly when every pivot on U's diagonal is positive.
+    Returns None otherwise.
     """
     try:
-        lu = spla.splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = spla.splu(H, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError:  # exactly singular
         return None
@@ -518,9 +619,10 @@ def hessian_stability(g: FractalGraph, u):
 
     For a field that no Newton run has factored (a flow-only end, or any
     given equilibrium): the residual must be below ``EQUILIBRIUM_TOL``,
-    and the pinned Hessian is factored here as in :func:`solve_equilibrium`
-    and classified the same way.  A Newton-ended report already carries
-    this eigenvalue, bit for bit, from Newton's last factor.
+    and the pinned Hessian is filled into its per-graph pattern, factored
+    in birth order as in :func:`solve_equilibrium`, and classified the same
+    way.  A Newton-ended report already carries this eigenvalue, bit for
+    bit, from Newton's last factor.
     """
     u = g.check_field(u)
     res = float(np.abs(km_rhs(g, u)).max())
@@ -529,18 +631,26 @@ def hessian_stability(g: FractalGraph, u):
             f"residual {res:.3e} >= {EQUILIBRIUM_TOL:g}; stability is "
             f"defined at equilibria")
     Hp = _pinned_hessian(g, u)
-    return _classify(Hp, _positive_definite_factor(Hp))
+    return _classify(g, Hp, _positive_definite_factor(Hp))
 
 
-def _classify(Hp, lu):
+def _classify(g, Hp, lu):
     """Smallest eigenvalue of the pinned Hessian ``Hp``, with verdict.
 
-    ``lu`` is the factor of ``Hp`` that certifies it positive definite,
-    or None.  With a certificate, shift-invert Lanczos at 0 runs on that
-    factor.  Otherwise, and whenever ARPACK fails, the solve is dense up
-    to ``DENSE_EIG_LIMIT`` free vertices.  Above that an uncertified
-    Hessian goes to plain Lanczos, and an ARPACK failure raises
-    :class:`EigensolverError` instead of densifying.  Verdict is
+    ``Hp`` is :func:`_pinned_hessian` of ``g``, in birth order, and ``lu``
+    the factor of ``Hp`` that certifies it positive definite, or None.
+    With a certificate, shift-invert Lanczos at 0 runs on that factor, from
+    the fixed start vector of ones, with a basis of ``LANCZOS_BASIS``
+    vectors (at most n) in place of ARPACK's default 20.  The pinned
+    gasket Hessian has lambda_2 / lambda_1 of about 8 and the ring's about
+    4, so the Ritz value has converged to machine precision once the basis
+    is full, and ARPACK tests that only then: 10 solves instead of 21, the
+    same eigenvalue to a few ulp.  (With 8 vectors, gasket level 3 of
+    degree ``1,1,1,1``, lambda_2 / lambda_1 = 5.7, restarts and takes 13.)
+    Otherwise, and whenever ARPACK fails, the solve is dense, in vertex-id
+    order, up to ``DENSE_EIG_LIMIT`` free vertices.  Above that an
+    uncertified Hessian goes to plain Lanczos, and an ARPACK failure
+    raises :class:`EigensolverError` instead of densifying.  Verdict is
     ``"stable"`` above the band of half-width ``STABILITY_BAND`` about 0,
     ``"saddle"`` below it, and ``"degenerate"`` inside it.
     """
@@ -551,7 +661,8 @@ def _classify(Hp, lu):
             # the fixed start vector makes the eigenvalue bitwise reproducible
             op = spla.LinearOperator(Hp.shape, matvec=lu.solve, dtype=float)
             eig = spla.eigsh(Hp, k=1, sigma=0.0, which="LM", OPinv=op,
-                             v0=np.ones(n), return_eigenvectors=False)[0]
+                             v0=np.ones(n), ncv=min(n, LANCZOS_BASIS),
+                             return_eigenvectors=False)[0]
         elif n > DENSE_EIG_LIMIT:
             eig = spla.eigsh(Hp, k=1, which="SA", tol=1e-10, maxiter=50000,
                              return_eigenvectors=False)[0]
@@ -559,7 +670,10 @@ def _classify(Hp, lu):
         if n > DENSE_EIG_LIMIT:
             raise EigensolverError(n, exc) from exc
     if eig is None:
-        eig = np.linalg.eigvalsh(Hp.toarray())[0]
+        perm = _pattern(g).perm   # densified in vertex-id order
+        dense = np.empty(Hp.shape)
+        dense[np.ix_(perm, perm)] = Hp.toarray()
+        eig = np.linalg.eigvalsh(dense)[0]
     eig = float(eig)
     if eig > STABILITY_BAND:
         verdict = "stable"

@@ -43,7 +43,7 @@ def test_newton_step_energy_difference_matches_mpmath():
     i, j, c = g.edges[:, 0], g.edges[:, 1], g.conductance
     step = np.zeros_like(u)
     lu = km._positive_definite_factor(km._pinned_hessian(g, u))
-    step[1:] = lu.solve(km_rhs(g, u)[1:]) / km.TWO_PI
+    step[1:] = km._pinned_solve(g, lu, km_rhs(g, u)[1:]) / km.TWO_PI
     cand = u + step
 
     def exact(x):
@@ -979,3 +979,114 @@ def test_large_eigensolver_failure_is_typed(monkeypatch):
     monkeypatch.setattr(spla, "eigsh", no_convergence)
     with pytest.raises(EigensolverError, match="4095-vertex"):
         hessian_stability(g, half_twisted_state(g, 0.5))
+
+
+# -- the pinned Hessian's pattern, factor and Lanczos basis ------------------------
+
+_PATTERN_GRAPHS = st.one_of(st.tuples(st.just("sg"), st.integers(0, 8)),
+                            st.tuples(st.just("ring"), st.integers(1, 10)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=_PATTERN_GRAPHS, quarter=st.booleans(),
+       eps=st.sampled_from((0.0, 1e-17, 1e-12, 1e-6, 0.5)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(graph=("ring", 1), quarter=False, eps=0.5, seed=3)   # parallel edges
+@example(graph=("ring", 1), quarter=True, eps=1e-12, seed=0)
+@example(graph=("sg", 0), quarter=True, eps=0.0, seed=1)
+def test_pinned_hessian_fills_its_pattern_bit_for_bit(graph, quarter, eps, seed):
+    # the pattern-filled pinned Hessian is hessian_matrix(g, u)[1:, 1:]
+    # under the birth-order permutation, to the last bit, also where edge
+    # weights c cos 2 pi d nearly vanish and the diagonal nearly cancels:
+    # with quarter, every edge difference is a multiple of a quarter turn
+    # plus at most eps
+    g = build_graph(*graph)
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-eps, eps, g.n_vertices)
+    if quarter:
+        u += rng.integers(0, 4, g.n_vertices) / 4
+    Hp = km._pinned_hessian(g, u)
+    perm = km._pattern(g).perm
+    got = np.empty(Hp.shape)
+    got[np.ix_(perm, perm)] = Hp.toarray()
+    want = hessian_matrix(g, u)[1:, 1:].toarray()
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert Hp.has_canonical_format   # sorted rows, no duplicates
+    # the pattern is the free diagonal and both entries of each edge
+    # between free vertices, no more
+    assert Hp.nnz == g.n_vertices - 1 + 2 * int(np.sum(g.edges.min(axis=1) > 0))
+
+
+def test_pinned_pattern_orders_free_vertices_finest_born_first():
+    for g in [build_sg_graph(n) for n in range(7)] + [build_ring_graph(n) for n in range(1, 9)]:
+        born = g.birth_levels()
+        for m in range(g.level + 1):
+            np.testing.assert_array_equal(np.flatnonzero(born <= m), g.restriction_to(m))
+        perm = km._pattern(g).perm
+        np.testing.assert_array_equal(np.sort(perm), np.arange(g.n_vertices - 1))
+        # birth level falls along the order, and ids rise within a level
+        key = (g.level - born[perm + 1].astype(np.int64)) * g.n_vertices + perm
+        assert np.all(np.diff(key) > 0), (g.kind, g.level)
+
+
+class _CountedSolves:
+    def __init__(self, lu):
+        self.lu, self.calls = lu, 0
+
+    def solve(self, b):
+        self.calls += 1
+        return self.lu.solve(b)
+
+
+def _basis_cases():
+    for spec in ("1", "1,1,1,1"):
+        for n in range(3, 9):
+            g = build_sg_graph(n)
+            phases, _ = circle_harmonic_map(g, DegreeVector.parse(spec, (1, 2, 3)))
+            yield g, solve_equilibrium(g, phases).field
+    for n in range(4, 11):
+        g = build_ring_graph(n)
+        for q in sorted({0, 1, 2 ** n // 8, 2 ** n // 4 - 1}):
+            yield g, twisted_state(g, q)
+
+
+def test_gap_sized_lanczos_basis_takes_ten_solves():
+    # lambda_2 / lambda_1 is about 8 on the gasket and 4 on the ring, so a
+    # full basis of LANCZOS_BASIS vectors has converged: ARPACK's default
+    # 20 took 21 solves, and the eigenvalue is the same to 1e-12
+    for g, u in _basis_cases():
+        Hp = km._pinned_hessian(g, u)
+        lu = km._positive_definite_factor(Hp)
+        counted = _CountedSolves(lu)
+        eig, verdict = km._classify(g, Hp, counted)
+        assert verdict == "stable" and counted.calls <= 10, (g, counted.calls)
+        op = spla.LinearOperator(Hp.shape, matvec=lu.solve, dtype=float)
+        wide = spla.eigsh(Hp, k=1, sigma=0.0, which="LM", OPinv=op,
+                          v0=np.ones(Hp.shape[0]), ncv=20,
+                          return_eigenvectors=False)[0]
+        assert eig == pytest.approx(wide, rel=1e-12, abs=0)
+
+
+def test_lanczos_basis_fits_the_smallest_graphs():
+    # ncv = min(n, LANCZOS_BASIS): gasket level 0 has 2 free vertices and
+    # ring level 2 has 3, and both still classify on the certified factor
+    for g in (build_sg_graph(0), build_ring_graph(2)):
+        u = np.zeros(g.n_vertices)
+        Hp = km._pinned_hessian(g, u)
+        counted = _CountedSolves(km._positive_definite_factor(Hp))
+        eig, verdict = km._classify(g, Hp, counted)
+        assert counted.calls > 0 and verdict == "stable"
+        L = laplacian_matrix(g).toarray()[1:, 1:]
+        assert eig == pytest.approx(np.linalg.eigvalsh(L)[0], rel=1e-12)
+
+
+def test_birth_order_factor_fill():
+    # the birth order is a nested dissection: 9.2-9.3 entries of L and U
+    # per free vertex on the gasket (minimum degree gave 10.1-10.7), and 6
+    # on the ring, where the path alone would take 4
+    rng = np.random.default_rng(0)
+    for g, bound in ([(build_sg_graph(n), 9.5) for n in range(5, 10)]
+                     + [(build_ring_graph(n), 6.0) for n in range(2, 13)]):
+        u = rng.uniform(-0.05, 0.05, g.n_vertices)
+        lu = km._positive_definite_factor(km._pinned_hessian(g, u))
+        assert (lu.L.nnz + lu.U.nnz) / (g.n_vertices - 1) <= bound, (g.kind, g.level)
