@@ -208,7 +208,9 @@ def minimize_constrained(dom: CoveringDomain) -> LiftField:
     """Unique minimiser of the cut-graph energy under pin and jumps.
 
     Constraints are eliminated by substitution, leaving a positive
-    definite system solved directly.
+    definite system solved directly by ``spsolve``.  The cell-by-cell
+    factor of the pinned Hessian does not apply: a cut domain duplicates
+    each cut vertex, so a midpoint's stencil is no longer one cell's.
     """
     L = laplacian_matrix(dom)
     P, b = _substitution(dom)

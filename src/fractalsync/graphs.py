@@ -107,7 +107,6 @@ class FractalGraph:
         self.boundary_ids = boundary_ids
         self.keys = keys
         self._restrictions = {}
-        self._pinned_pattern = None  # kuramoto's pinned Hessian, on first use
         for arr in (coords, self.edges, cell_corners, keys):
             arr.setflags(write=False)
 
@@ -122,12 +121,18 @@ class FractalGraph:
         return self.edges.shape[0]
 
     def check_field(self, f) -> np.ndarray:
-        """``f`` as a float array of one value per vertex, or ValueError."""
+        """``f`` as a float array of one finite value per vertex, or
+        ValueError."""
         f = np.asarray(f, dtype=float)
         if f.shape != (self.n_vertices,):
             raise ValueError(
                 f"field shape {f.shape} does not match graph with "
                 f"{self.n_vertices} vertices at level {self.level}")
+        bad = ~np.isfinite(f)
+        if bad.any():
+            v = int(np.argmax(bad))
+            raise ValueError(
+                f"field value {float(f[v])!r} at vertex {v} is not finite")
         return f
 
     # -- words and cells ---------------------------------------------------
@@ -170,24 +175,13 @@ class FractalGraph:
             raise ValueError(
                 f"cannot restrict level {self.level} to level {m}")
         if m not in self._restrictions:
-            idx = np.flatnonzero(self._in_level(m))
+            base = len(self.alphabet)
+            span = base ** (self.level - m + 1)
+            run = (span - 1) // (base - 1)  # the digit 1 repeated
+            idx = np.flatnonzero(self.keys % span == self.keys % base * run)
             idx.setflags(write=False)
             self._restrictions[m] = idx
         return self._restrictions[m]
-
-    def birth_levels(self) -> np.ndarray:
-        """(N,) int8: the level at which each vertex is born, the least m
-        with the vertex in :meth:`restriction_to` (m)."""
-        born = np.zeros(self.n_vertices, dtype=np.int8)
-        for m in range(self.level):
-            born += ~self._in_level(m)
-        return born
-
-    def _in_level(self, m):
-        base = len(self.alphabet)
-        span = base ** (self.level - m + 1)
-        run = (span - 1) // (base - 1)  # the digit 1 repeated
-        return self.keys % span == self.keys % base * run
 
     # -- export ------------------------------------------------------------
 

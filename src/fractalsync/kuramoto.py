@@ -16,10 +16,10 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .dirichlet import weighted_laplacian
+from .dirichlet import _CHILD_CORNERS, weighted_laplacian
 from .errors import (EigensolverError, NotAnEquilibriumError,
                      UnresolvedWindingError)
-from .graphs import FractalGraph
+from .graphs import FractalGraph, cell_edges
 from .winding import DegreeVector, _wrapped_diff, degree, wrap_phases
 
 TWO_PI = 2.0 * math.pi
@@ -241,13 +241,13 @@ class EquilibriumReport:
 
 def _finalize(g, u, residual, steps, t, h, converged, halvings,
               factor=None, **extra) -> EquilibriumReport:
-    # factor: Newton's (pinned Hessian, certified LU) at wrap_phases(u)
+    # factor: Newton's certified pinned factor at wrap_phases(u)
     phases = wrap_phases(u)
     energy = km_energy(g, phases)
     hess_eig = None
     verdict = None
     if factor is not None:
-        hess_eig, verdict = _classify(g, *factor)
+        hess_eig, verdict = _classify(g, phases, factor)
     elif residual < EQUILIBRIUM_TOL:
         hess_eig, verdict = hessian_stability(g, phases)
     deg = deg_error = None
@@ -391,8 +391,8 @@ def _newton(g: FractalGraph, u, cfg: FlowConfig):
 
     Returns ``(field, residual, newton_steps, step_size, halvings,
     factor)``, with the field shifted back to the mean phase of ``u`` and
-    ``factor = (Hp, lu)``: the pinned Hessian at that field, wrapped, and
-    the LU that certifies it positive definite, which is exactly what the
+    ``factor``: :func:`_pinned_factor` at that field, wrapped, which
+    certifies its pinned Hessian positive definite and is exactly what the
     report classifies.  Or a string naming why the iteration failed.  See
     :func:`solve_equilibrium`.
     """
@@ -410,12 +410,12 @@ def _newton(g: FractalGraph, u, cfg: FlowConfig):
             break
         if iters == NEWTON_MAX_ITERS:
             return f"no convergence in {NEWTON_MAX_ITERS} Newton steps"
-        lu = _positive_definite_factor(_pinned_hessian(g, u))
-        if lu is None:
+        factor = _pinned_factor(g, u)
+        if factor is None:
             return "pinned Hessian not positive definite"
         # rhs = -2 pi grad E and H is the Hessian of E
         step = np.zeros_like(u)
-        step[1:] = _pinned_solve(g, lu, rhs[1:]) / TWO_PI
+        step[1:] = factor.solve(rhs[1:]) / TWO_PI
         slope = -float(np.dot(rhs, step)) / TWO_PI
         d = _wrapped_diff(u, i, j)
         dd = step[j] - step[i]
@@ -438,33 +438,30 @@ def _newton(g: FractalGraph, u, cfg: FlowConfig):
                 return f"line search step below {NEWTON_MIN_STEP:g}"
         u, energy = cand, e_cand
     u += np.mean(u_start) - np.mean(u)
-    Hp = _pinned_hessian(g, wrap_phases(u))
-    lu = _positive_definite_factor(Hp)
-    if lu is None:
+    factor = _pinned_factor(g, wrap_phases(u))
+    if factor is None:
         return "pinned Hessian not positive definite"
-    return u, res, iters, t, halvings, (Hp, lu)
+    return u, res, iters, t, halvings, factor
 
 
 def solve_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None) -> EquilibriumReport:
     """Damped Newton on the energy gradient, with vertex 0 held fixed.
 
-    The pinned Hessian is factored at every iterate.  It is filled into
-    the graph's pattern (built on first use and kept on the graph), its
-    free vertices in birth order, finest-born first, and SuperLU keeps
-    that as its elimination order; the step is solved through that
-    permutation and comes back in vertex-id order.  Once the residual is
-    below ``cfg.tol``, the field is shifted back to the start's mean
-    phase and wrapped, and the pinned Hessian there is factored once more:
-    Newton ends only where that factor certifies it positive definite, so
-    it never returns a saddle, and the same factor classifies the result
-    (``newton_steps + 1`` factorisations in all).  Each step is
-    capped so that no wrapped edge difference crosses a half turn: every
-    loop winding, hence the start's degree vector, is kept.  The energy
-    line search is Armijo's, and also accepts a rise within rounding (the
-    slack the flow's energy monitor allows).  The flow conserves the mean
-    phase, so the shifted field matches the flow's equilibrium pointwise.
-    The report has ``method == "newton"`` and counts the iterations in
-    ``newton_steps``.
+    The pinned Hessian is factored at every iterate by
+    :func:`_pinned_factor`, which eliminates each cell's midpoints level by
+    level, finest first, and certifies every block positive definite.
+    Once the residual is below ``cfg.tol``, the field is shifted back to
+    the start's mean phase and wrapped, and the pinned Hessian there is
+    factored once more: Newton ends only where that factor certifies it
+    positive definite, so it never returns a saddle, and the same factor
+    classifies the result (``newton_steps + 1`` factorisations in all).
+    Each step is capped so that no wrapped edge difference crosses a half
+    turn: every loop winding, hence the start's degree vector, is kept.
+    The energy line search is Armijo's, and also accepts a rise within
+    rounding (the slack the flow's energy monitor allows).  The flow
+    conserves the mean phase, so the shifted field matches the flow's
+    equilibrium pointwise.  The report has ``method == "newton"`` and
+    counts the iterations in ``newton_steps``.
 
     If a factor is not certified, the line search falls below
     ``NEWTON_MIN_STEP`` or ``NEWTON_MAX_ITERS`` steps pass, the result is
@@ -499,119 +496,91 @@ def hessian_matrix(g: FractalGraph, u) -> sparse.csr_matrix:
     return weighted_laplacian(g.edges, _hessian_weights(g, u), g.n_vertices)
 
 
-class _PinnedPattern:
-    """Sparsity of the pinned Hessian, its free vertices in birth order.
+def _laplacian_map(pairs, size) -> np.ndarray:
+    """(e, size**2): row e is the Laplacian of edge ``pairs[e]`` alone on
+    nodes 0..size-1, flattened, so ``w @`` it is the Laplacian at the
+    weights ``w`` (one graph per row of ``w``)."""
+    d = np.zeros((len(pairs), size))
+    d[np.arange(len(pairs)), pairs[:, 0]] = 1.0
+    d[np.arange(len(pairs)), pairs[:, 1]] -= 1.0
+    return (d[:, :, None] * d[:, None, :]).reshape(len(pairs), -1)
 
-    Row and column k are free vertex ``perm[k] + 1``: the vertices born at
-    the finest level come first, then those of each coarser level, each
-    level in id order.  Each level-(m+1) midpoint lies inside exactly one
-    level-m cell, so eliminating the finest-born vertices first is a nested
-    dissection that the hierarchy gives: it couples only the corners of
-    that cell, and what is left has the pattern of the level below.
-    ``indptr`` and ``indices`` are the CSC pattern, rows sorted, and
-    ``slots`` the (4, E) places in its data of each edge's entries (i, i),
-    (j, j), (i, j) and (j, i), in that order.  An entry in vertex 0's row
-    or column has a place past ``nnz``, in a column n that collects them.
-    The gasket and the ring have no two edges between one pair of free
-    vertices (the level-1 ring's two run to vertex 0).
+
+class _CellFactor:
+    """Block LDL^T of a pinned Hessian, as :func:`_pinned_factor` builds it.
+
+    ``levels`` holds, finest first, one (nodes, step) pair per eliminated
+    level, a row per parent cell: the ids of its ``k`` corners and then
+    its midpoints, and [-M^-1 B | M^-1], which maps the corners' solution
+    and the midpoints' reduced right-hand side to the midpoints' solution.
+    ``free`` are the level-0 corners other than vertex 0 and ``last`` the
+    inverse of their block.
     """
 
-    def __init__(self, g: FractalGraph):
-        n = g.n_vertices - 1
-        born = g.birth_levels()[1:]
-        self.perm = np.argsort(-born, kind="stable").astype(np.int32)
-        pos = np.empty(n + 1, dtype=np.int32)   # the row of each vertex
-        pos[0] = n
-        pos[self.perm + 1] = np.arange(n, dtype=np.int32)
-        a, b = pos[g.edges[:, 0]], pos[g.edges[:, 1]]
-        hi = np.maximum(a, b)
-        lo = np.where(hi < n, np.minimum(a, b), n)
-        # column c: the rows lo < c of the edges with hi == c, then c, then
-        # the rows hi > c of the edges with lo == c
-        above = np.bincount(hi, minlength=n + 1)
-        below = np.bincount(lo, minlength=n + 1)
-        indptr = np.zeros(n + 2, dtype=np.int32)
-        np.cumsum(above + 1 + below, out=indptr[1:])
-        diag = indptr[:-1] + above.astype(np.int32)
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        indices[diag] = np.arange(n + 1)
+    def __init__(self, k, levels, free, last):
+        self.k, self.levels, self.free, self.last = k, levels, free, last
 
-        def place(col, row, count, first):
-            # in (column, row) order, entry k is number k - (entries in
-            # earlier columns) of its column, counted from ``first``
-            order = np.lexsort((row, col))
-            shift = (first - np.cumsum(count) + count).astype(np.int32)
-            slot = np.empty_like(col)
-            slot[order] = np.arange(len(col), dtype=np.int32) + shift[col[order]]
-            indices[slot] = row
-            return slot
-
-        up = place(hi, lo, above, indptr[:-1])
-        dn = place(lo, hi, below, diag + 1)
-        self.slots = np.empty((4, len(a)), dtype=np.int32)
-        self.slots[0], self.slots[1] = diag[a], diag[b]
-        self.slots[2], self.slots[3] = np.where(a < b, up, dn), np.where(a < b, dn, up)
-        self.nnz = int(indptr[n])
-        self.indptr = indptr[:-1]
-        self.indices = indices[:self.nnz].copy()
-        for arr in (self.perm, self.indptr, self.indices, self.slots):
-            arr.setflags(write=False)
-
-    def hessian(self, w) -> sparse.csc_matrix:
-        # each diagonal sums its (i, i) entries, then its (j, j) ones, in
-        # edge order, as the COO assembly of weighted_laplacian does
-        data = np.bincount(self.slots.ravel(), np.concatenate((w, w, -w, -w)))
-        n = len(self.perm)
-        return sparse.csc_matrix((data[:self.nnz], self.indices, self.indptr),
-                                 shape=(n, n))
+    def solve(self, b) -> np.ndarray:
+        """``x`` with ``H x = b``, both on the free vertices in id order."""
+        k = self.k
+        t = np.concatenate(([0.0], b))
+        for nodes, step in self.levels:
+            # t_c -= B^T M^-1 t_m, with step[:, :, :k] = -M^-1 B
+            t += np.bincount(nodes[:, :k].ravel(), np.einsum(
+                "pmk,pm->pk", step[:, :, :k], t[nodes[:, k:]]).ravel(), len(t))
+        # in place: each midpoint keeps its reduced right-hand side until
+        # its level is solved, from corners solved before it
+        t[0] = 0.0   # vertex 0 is held fixed at 0
+        t[self.free] = self.last @ t[self.free]
+        for nodes, step in reversed(self.levels):
+            t[nodes[:, k:]] = np.einsum("pij,pj->pi", step, t[nodes])
+        return t[1:]
 
 
-def _pattern(g: FractalGraph) -> _PinnedPattern:
-    if g._pinned_pattern is None:
-        g._pinned_pattern = _PinnedPattern(g)
-    return g._pinned_pattern
+def _pinned_factor(g: FractalGraph, u) -> _CellFactor | None:
+    """The Hessian at ``u`` with vertex 0 held fixed, factored cell by cell,
+    if that certifies it positive definite; None otherwise.
 
-
-def _pinned_hessian(g: FractalGraph, u) -> sparse.csc_matrix:
-    """The Hessian with vertex 0 held fixed, rows and columns in the birth
-    order of :class:`_PinnedPattern`: entry for entry, bit for bit,
-    ``hessian_matrix(g, u)[1:, 1:]`` under that permutation (each diagonal
-    sums its edges in the same order)."""
-    return _pattern(g).hessian(_hessian_weights(g, u))
-
-
-def _pinned_solve(g: FractalGraph, lu, b) -> np.ndarray:
-    """``x`` with ``H x = b`` for the pinned Hessian H factored by ``lu``
-    (from :func:`_pinned_hessian`), ``b`` and ``x`` on the free vertices in
-    id order."""
-    perm = _pattern(g).perm
-    x = np.empty_like(b)
-    x[perm] = lu.solve(b[perm])
-    return x
-
-
-def _positive_definite_factor(H):
-    """Sparse LU of symmetric ``H`` if it certifies ``H`` positive definite.
-
-    ``H`` comes from :func:`_pinned_hessian`, already in the birth order of
-    its pattern, the hierarchy's nested dissection, so it is factored in
-    that order (``permc_spec="NATURAL"``) rather than one SuperLU would
-    work out again on every call: 9.2-9.3 entries of L and U per free
-    vertex on the gasket at levels 5-9 (minimum degree on A + A^T: 10.1-10.7),
-    and 6 on the ring, whose path alone would take 4.  With diagonal pivots
-    and one symmetric permutation (``perm_r == perm_c``) the factor is
-    P H P^T = L U with U = D L^T, so by Sylvester's law of inertia H is
-    positive definite exactly when every pivot on U's diagonal is positive.
-    Returns None otherwise.
+    Each level-m midpoint lies inside exactly one level-(m-1) cell, and the
+    edges run cell by cell, so the weights of ``_hessian_weights`` group
+    into parent cells.  From level n down to 1, each parent's Laplacian on
+    its corners and midpoints (numbered as ``dirichlet._CHILD_CORNERS``)
+    is [[C, B^T], [B, M]] with M on the midpoints; eliminating them leaves
+    the Schur complement C - B^T M^-1 B, again a Laplacian on the parent's
+    corners: Kigami's trace of the energy onto V_(m-1).  Its side weights,
+    read off the off-diagonal, go up a level, so no diagonal is ever formed
+    by cancellation.  Level 0 ends with its corners' block, vertex 0 dropped
+    (2 x 2 on the gasket, empty on the ring).  By Haynsworth's inertia
+    additivity H is positive definite exactly when every midpoint block M
+    and that last block are, which a batched Cholesky checks per level.
+    The factor keeps M^-1 and M^-1 B for :meth:`_CellFactor.solve`.
     """
+    k = g.cell_corners.shape[1]
+    local = _CHILD_CORNERS[k]
+    size = int(local.max()) + 1
+    sides = cell_edges(np.arange(k)[None])
+    parent = _laplacian_map(cell_edges(local), size)
+    corners, w = g.cell_corners, _hessian_weights(g, u)
+    levels = []
     try:
-        lu = spla.splu(H, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError:  # exactly singular
+        for _ in range(g.level):
+            nodes = np.empty((len(corners) // k, size), dtype=corners.dtype)
+            nodes[:, local] = corners.reshape(-1, k, k)
+            a = (w.reshape(len(nodes), -1) @ parent).reshape(-1, size, size)
+            b = a[:, k:, :k]
+            np.linalg.cholesky(a[:, k:, k:])   # LinAlgError unless definite
+            inv = np.linalg.inv(a[:, k:, k:])
+            x = inv @ b
+            schur = a[:, :k, :k] - np.swapaxes(b, 1, 2) @ x
+            w = -schur[:, sides[:, 0], sides[:, 1]].ravel()
+            corners = nodes[:, :k]
+            levels.append((nodes, np.concatenate((-x, inv), axis=2)))
+        free = corners[0] != 0
+        last = (w @ _laplacian_map(sides, k)).reshape(k, k)[np.ix_(free, free)]
+        np.linalg.cholesky(last)
+    except np.linalg.LinAlgError:
         return None
-    if np.array_equal(lu.perm_r, lu.perm_c) and bool(np.all(lu.U.diagonal() > 0)):
-        return lu
-    return None
+    return _CellFactor(k, levels, corners[0][free], np.linalg.inv(last))
 
 
 def hessian_stability(g: FractalGraph, u):
@@ -619,10 +588,10 @@ def hessian_stability(g: FractalGraph, u):
 
     For a field that no Newton run has factored (a flow-only end, or any
     given equilibrium): the residual must be below ``EQUILIBRIUM_TOL``,
-    and the pinned Hessian is filled into its per-graph pattern, factored
-    in birth order as in :func:`solve_equilibrium`, and classified the same
-    way.  A Newton-ended report already carries this eigenvalue, bit for
-    bit, from Newton's last factor.
+    and the pinned Hessian is factored cell by cell as in
+    :func:`solve_equilibrium` and classified the same way.  A Newton-ended
+    report already carries this eigenvalue, bit for bit, from Newton's
+    last factor.
     """
     u = g.check_field(u)
     res = float(np.abs(km_rhs(g, u)).max())
@@ -630,50 +599,48 @@ def hessian_stability(g: FractalGraph, u):
         raise NotAnEquilibriumError(
             f"residual {res:.3e} >= {EQUILIBRIUM_TOL:g}; stability is "
             f"defined at equilibria")
-    Hp = _pinned_hessian(g, u)
-    return _classify(g, Hp, _positive_definite_factor(Hp))
+    return _classify(g, u, _pinned_factor(g, u))
 
 
-def _classify(g, Hp, lu):
-    """Smallest eigenvalue of the pinned Hessian ``Hp``, with verdict.
+def _classify(g, u, factor):
+    """Smallest eigenvalue of the pinned Hessian at ``u``, with verdict.
 
-    ``Hp`` is :func:`_pinned_hessian` of ``g``, in birth order, and ``lu``
-    the factor of ``Hp`` that certifies it positive definite, or None.
-    With a certificate, shift-invert Lanczos at 0 runs on that factor, from
-    the fixed start vector of ones, with a basis of ``LANCZOS_BASIS``
-    vectors (at most n) in place of ARPACK's default 20.  The pinned
-    gasket Hessian has lambda_2 / lambda_1 of about 8 and the ring's about
-    4, so the Ritz value has converged to machine precision once the basis
-    is full, and ARPACK tests that only then: 10 solves instead of 21, the
-    same eigenvalue to a few ulp.  (With 8 vectors, gasket level 3 of
-    degree ``1,1,1,1``, lambda_2 / lambda_1 = 5.7, restarts and takes 13.)
-    Otherwise, and whenever ARPACK fails, the solve is dense, in vertex-id
-    order, up to ``DENSE_EIG_LIMIT`` free vertices.  Above that an
-    uncertified Hessian goes to plain Lanczos, and an ARPACK failure
-    raises :class:`EigensolverError` instead of densifying.  Verdict is
-    ``"stable"`` above the band of half-width ``STABILITY_BAND`` about 0,
-    ``"saddle"`` below it, and ``"degenerate"`` inside it.
+    ``factor`` is :func:`_pinned_factor` of ``u``, which certifies the
+    pinned Hessian positive definite, or None.  With a certificate,
+    shift-invert Lanczos at 0 runs on that factor (in that mode eigsh
+    applies only the inverse), from the fixed start vector of ones, with a
+    basis of ``LANCZOS_BASIS`` vectors (at most n) in place of ARPACK's
+    default 20.  The pinned gasket Hessian has lambda_2 / lambda_1 of about
+    8 and the ring's about 4, so the Ritz value has converged to machine
+    precision once the basis is full, and ARPACK tests that only then: 10
+    solves instead of 21.  (With 8 vectors, gasket level 3 of degree
+    ``1,1,1,1``, lambda_2 / lambda_1 = 5.7, restarts and takes 13.)
+    Otherwise, and whenever ARPACK fails, the solve is dense on
+    ``hessian_matrix(g, u)[1:, 1:]``, up to ``DENSE_EIG_LIMIT`` free
+    vertices.  Above that an uncertified Hessian goes to plain Lanczos,
+    and an ARPACK failure raises :class:`EigensolverError` instead of
+    densifying.  Verdict is ``"stable"`` above the band of half-width
+    ``STABILITY_BAND`` about 0, ``"saddle"`` below it, and
+    ``"degenerate"`` inside it.
     """
-    n = Hp.shape[0]
+    n = g.n_vertices - 1
     eig = None
     try:
-        if lu is not None and n > 1:  # ARPACK needs k = 1 < n
+        if factor is not None and n > 1:  # ARPACK needs k = 1 < n
             # the fixed start vector makes the eigenvalue bitwise reproducible
-            op = spla.LinearOperator(Hp.shape, matvec=lu.solve, dtype=float)
-            eig = spla.eigsh(Hp, k=1, sigma=0.0, which="LM", OPinv=op,
+            op = spla.LinearOperator((n, n), matvec=factor.solve, dtype=float)
+            eig = spla.eigsh(op, k=1, sigma=0.0, which="LM", OPinv=op,
                              v0=np.ones(n), ncv=min(n, LANCZOS_BASIS),
                              return_eigenvectors=False)[0]
         elif n > DENSE_EIG_LIMIT:
-            eig = spla.eigsh(Hp, k=1, which="SA", tol=1e-10, maxiter=50000,
+            eig = spla.eigsh(hessian_matrix(g, u)[1:, 1:], k=1, which="SA",
+                             tol=1e-10, maxiter=50000,
                              return_eigenvectors=False)[0]
     except spla.ArpackError as exc:
         if n > DENSE_EIG_LIMIT:
             raise EigensolverError(n, exc) from exc
     if eig is None:
-        perm = _pattern(g).perm   # densified in vertex-id order
-        dense = np.empty(Hp.shape)
-        dense[np.ix_(perm, perm)] = Hp.toarray()
-        eig = np.linalg.eigvalsh(dense)[0]
+        eig = np.linalg.eigvalsh(hessian_matrix(g, u)[1:, 1:].toarray())[0]
     eig = float(eig)
     if eig > STABILITY_BAND:
         verdict = "stable"
@@ -699,7 +666,7 @@ def half_twisted_state(g: FractalGraph, r: float) -> np.ndarray:
     """
     if g.kind != "ring":
         raise ValueError("half-twisted states live on the ring")
-    if float(2 * r) != int(2 * r) or int(2 * r) % 2 == 0:
+    if not math.isfinite(2 * r) or float(2 * r) != int(2 * r) or int(2 * r) % 2 == 0:
         raise ValueError("r must be a half-integer")
     n = g.n_vertices
     idx = np.arange(n, dtype=float)

@@ -87,6 +87,27 @@ def rk4_reference(g, u0, cfg=None):
     return _finalize(g, u, res, steps, t, h, res < cfg.tol, halvings)
 
 
+def positive_definite_factor(H):
+    """Sparse LU of symmetric ``H`` if it certifies ``H`` positive definite:
+    SuperLU, the oracle for the package's cell-by-cell factor.
+
+    With diagonal pivots and one symmetric permutation (``perm_r ==
+    perm_c``) the factor is P H P^T = L U with U = D L^T, so by Sylvester's
+    law of inertia H is positive definite exactly when every pivot on U's
+    diagonal is positive.  Returns None otherwise.
+    """
+    from scipy.sparse import linalg as spla
+
+    try:
+        lu = spla.splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular
+        return None
+    if np.array_equal(lu.perm_r, lu.perm_c) and bool(np.all(lu.U.diagonal() > 0)):
+        return lu
+    return None
+
+
 def spy_handoff(mp):
     """Record the flow's Newton runs and wall energies, in call order.
 

@@ -1,5 +1,6 @@
-"""Every imported name is used: an ``ast`` scan over the package, the tests
-and the demos, standing in for a linter."""
+"""Every imported name is used, and every private name the package defines
+is referenced in it: ``ast`` scans over the package, the tests and the
+demos, standing in for a linter."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,43 @@ def test_no_unused_imports():
     paths = [p for d in ("src", "tests", "demos")
              for p in sorted((ROOT / d).rglob("*.py")) if p.name != "__init__.py"]
     assert [u for p in paths for u in _unused_imports(p)] == []
+
+
+def _private_definitions(tree):
+    # module-level private functions, classes and assignments, and the
+    # private methods of module-level classes (dunders are not private)
+    names = {}
+    for node in tree.body:
+        defs = []
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs.append(node)
+        if isinstance(node, ast.ClassDef):
+            defs += [m for m in node.body if isinstance(m, ast.FunctionDef)]
+        for d in defs:
+            names[d.name] = d.lineno
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    names[t.id] = node.lineno
+    return {n: line for n, line in names.items()
+            if n.startswith("_") and not n.startswith("__")}
+
+
+def _references(tree):
+    refs = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return refs | {n.attr for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def test_no_dead_private_names():
+    # a private name is the package's own business: defined in src/ and
+    # read nowhere in src/, it is dead
+    trees = {p: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted((ROOT / "src").rglob("*.py"))}
+    used = set().union(*map(_references, trees.values()))
+    dead = [f"{p.relative_to(ROOT)}:{line}: {name}"
+            for p, tree in trees.items()
+            for name, line in _private_definitions(tree).items() if name not in used]
+    assert dead == []

@@ -9,13 +9,16 @@ from scipy.sparse import linalg as spla
 from fractalsync import (DegreeVector, EigensolverError, FlowConfig,
                          NotAnEquilibriumError, build_graph, build_ring_graph,
                          build_sg_graph, circle_distance, circle_harmonic_map,
-                         degree, half_twisted_state, hessian_stability,
-                         integrate_to_equilibrium, km_energy, km_rhs,
-                         solve_equilibrium, twisted_state, wrap_phases)
+                         degree, dirichlet_energy, half_twisted_state,
+                         hessian_stability, integrate_to_equilibrium,
+                         km_energy, km_rhs, solve_equilibrium, twisted_state,
+                         wrap_phases)
 from fractalsync import kuramoto as km
-from fractalsync.dirichlet import laplacian_matrix
+from fractalsync.dirichlet import extend_corners, laplacian_matrix
+from fractalsync.graphs import child_tables
 from fractalsync.kuramoto import hessian_matrix
-from conftest import check_energy_handoff, rk4_reference, spy_handoff
+from conftest import (check_energy_handoff, positive_definite_factor,
+                      rk4_reference, spy_handoff)
 
 
 # -- rhs and energy -----------------------------------------------------------
@@ -42,8 +45,7 @@ def test_newton_step_energy_difference_matches_mpmath():
     u, _ = circle_harmonic_map(g, DegreeVector({(): 1}))
     i, j, c = g.edges[:, 0], g.edges[:, 1], g.conductance
     step = np.zeros_like(u)
-    lu = km._positive_definite_factor(km._pinned_hessian(g, u))
-    step[1:] = km._pinned_solve(g, lu, km_rhs(g, u)[1:]) / km.TWO_PI
+    step[1:] = km._pinned_factor(g, u).solve(km_rhs(g, u)[1:]) / km.TWO_PI
     cand = u + step
 
     def exact(x):
@@ -130,6 +132,27 @@ def test_mismatch_rejected():
     g = build_sg_graph(2)
     with pytest.raises(ValueError):
         km_rhs(g, np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [
+    km_energy, km_rhs, integrate_to_equilibrium, solve_equilibrium,
+    hessian_stability, lambda g, u: degree(u, g), dirichlet_energy])
+def test_non_finite_field_rejected_naming_its_vertex(entry, bad):
+    g = build_sg_graph(2)
+    u = np.zeros(g.n_vertices)
+    u[[5, 9]] = bad
+    with pytest.raises(ValueError, match=f"field value {bad!r} at vertex 5 is not finite"):
+        entry(g, u)
+
+
+def test_half_twisted_state_needs_a_half_integer():
+    g = build_ring_graph(3)
+    for r in (0, 1, 2.0, 0.25, 1e300, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="r must be a half-integer"):
+            half_twisted_state(g, r)
+    with pytest.raises(ValueError, match="live on the ring"):
+        half_twisted_state(build_sg_graph(1), 0.5)
 
 
 # -- flow ---------------------------------------------------------------------
@@ -603,6 +626,8 @@ def _cell_equilibrium(g, spec):
        pick=st.integers(0, 5), amp=st.floats(0.0, 0.2),
        anchor_amp=st.sampled_from((0.0, 1e-6, 1e-3)), descent=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
+@example(kind="sg", n=3, pick=0, amp=5e-324, anchor_amp=0.0, descent=True,
+         seed=0)   # a subnormal descent direction from the constant field
 def test_cell_wall_energy_bounds_the_energy_on_the_walls(kind, n, pick, amp, anchor_amp,
                                                          descent, seed):
     # from a point u of the cell of the class's equilibrium u*, go straight
@@ -629,13 +654,15 @@ def test_cell_wall_energy_bounds_the_energy_on_the_walls(kind, n, pick, amp, anc
     dv = v[j] - v[i]
     moving = dv != 0.0
     assume(moving.any())   # no descent from a critical point
-    s = np.min((0.25 * np.sign(dv[moving]) - d[moving]) / dv[moving])
+    with np.errstate(over="ignore"):
+        s = np.min((0.25 * np.sign(dv[moving]) - d[moving]) / dv[moving])
+    assume(np.isfinite(s))
     at_wall = d + s * dv
     assert np.abs(np.abs(at_wall).max() - 0.25) < 1e-12
     assert km._km_energy_fast(u + s * v, i, j, c) >= wall
     # inside the quarter-turn cell the pinned Hessian is a Laplacian with
     # positive weights, and the factor certifies it
-    assert km._positive_definite_factor(km._pinned_hessian(g, u)) is not None
+    assert km._pinned_factor(g, u) is not None
 
 
 @settings(max_examples=20, deadline=None)
@@ -918,13 +945,13 @@ def test_newton_end_factors_once_per_step(monkeypatch):
     # Hessian.  A flow certified at its first block in a cell runs Newton
     # once, so its report's newton_steps count every factor it made
     calls = []
-    factor = km._positive_definite_factor
+    factor = km._pinned_factor
 
-    def counted(H):
-        calls.append(H.shape)
-        return factor(H)
+    def counted(g, u):
+        calls.append(g.level)
+        return factor(g, u)
 
-    monkeypatch.setattr(km, "_positive_definite_factor", counted)
+    monkeypatch.setattr(km, "_pinned_factor", counted)
     events = spy_handoff(monkeypatch)
     for g, solve, method in _newton_ends():
         calls.clear()
@@ -981,61 +1008,109 @@ def test_large_eigensolver_failure_is_typed(monkeypatch):
         hessian_stability(g, half_twisted_state(g, 0.5))
 
 
-# -- the pinned Hessian's pattern, factor and Lanczos basis ------------------------
+# -- the pinned Hessian's cell factor and Lanczos basis ----------------------------
 
-_PATTERN_GRAPHS = st.one_of(st.tuples(st.just("sg"), st.integers(0, 8)),
-                            st.tuples(st.just("ring"), st.integers(1, 10)))
+def test_cell_elimination_is_the_trace_onto_each_coarser_level():
+    # with uniform weights, eliminating each cell's midpoints hands every
+    # parent side the next-coarser conductance, (3/5) c on the gasket and
+    # c / 2 on the ring: each level's midpoint block is that level's
+    # conductance times the unit block (the gasket's midpoints have four
+    # sides each and form a triangle, the ring's has two), and -M^-1 B is
+    # the extension rule of extend_corners, 1/5-2/5 or the midpoint mean
+    unit = {3: 5.0 * np.eye(3) - 1.0, 2: np.array([[2.0]])}
+    for g in ([build_sg_graph(n) for n in range(8)]
+              + [build_ring_graph(n) for n in range(1, 11)]):
+        k = g.cell_corners.shape[1]
+        rule = child_tables(extend_corners(np.eye(k)))[1].T[:len(unit[k])]
+        factor = km._pinned_factor(g, np.zeros(g.n_vertices))
+        assert len(factor.levels) == g.level
+        for m, (_, step) in zip(range(g.level, 0, -1), factor.levels):
+            # step is [-M^-1 B | M^-1]
+            c = build_graph(g.kind, m).conductance
+            np.testing.assert_allclose(step[:, :, k:] * c, np.broadcast_to(
+                np.linalg.inv(unit[k]), step[:, :, k:].shape), rtol=1e-13, atol=0)
+            np.testing.assert_allclose(step[:, :, :k], np.broadcast_to(
+                rule, step[:, :, :k].shape), rtol=1e-13, atol=0)
+        # the level-0 triangle has conductance 1; the ring has no free corner
+        want = np.linalg.inv([[2.0, -1.0], [-1.0, 2.0]]) if k == 3 else np.zeros((0, 0))
+        np.testing.assert_allclose(factor.last, want, rtol=1e-13, atol=0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(graph=_PATTERN_GRAPHS, quarter=st.booleans(),
-       eps=st.sampled_from((0.0, 1e-17, 1e-12, 1e-6, 0.5)),
+_FACTOR_GRAPHS = st.one_of(st.tuples(st.just("sg"), st.integers(0, 7)),
+                           st.tuples(st.just("ring"), st.integers(1, 10)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=_FACTOR_GRAPHS, quarter=st.booleans(),
+       eps=st.sampled_from((0.0, 1e-17, 1e-12, 1e-6, 0.02, 0.1, 0.5)),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(graph=("ring", 1), quarter=False, eps=0.5, seed=3)   # parallel edges
 @example(graph=("ring", 1), quarter=True, eps=1e-12, seed=0)
 @example(graph=("sg", 0), quarter=True, eps=0.0, seed=1)
-def test_pinned_hessian_fills_its_pattern_bit_for_bit(graph, quarter, eps, seed):
-    # the pattern-filled pinned Hessian is hessian_matrix(g, u)[1:, 1:]
-    # under the birth-order permutation, to the last bit, also where edge
-    # weights c cos 2 pi d nearly vanish and the diagonal nearly cancels:
-    # with quarter, every edge difference is a multiple of a quarter turn
-    # plus at most eps
+@example(graph=("sg", 7), quarter=False, eps=0.02, seed=0)
+@example(graph=("ring", 10), quarter=False, eps=0.02, seed=0)
+@example(graph=("sg", 4), quarter=False, eps=0.5, seed=2)     # indefinite
+def test_cell_factor_certifies_as_eigvalsh_and_solves_as_superlu(graph, quarter, eps, seed):
+    # the factor exists exactly when the least eigenvalue of the pinned
+    # Hessian is positive, outside a band of rounding about 0, and then
+    # solves as SuperLU does, to within the conditioning; with quarter,
+    # every edge difference is a multiple of a quarter turn plus at most
+    # eps, so weights c cos 2 pi d nearly vanish or are -c
     g = build_graph(*graph)
     rng = np.random.default_rng(seed)
     u = rng.uniform(-eps, eps, g.n_vertices)
     if quarter:
         u += rng.integers(0, 4, g.n_vertices) / 4
-    Hp = km._pinned_hessian(g, u)
-    perm = km._pattern(g).perm
-    got = np.empty(Hp.shape)
-    got[np.ix_(perm, perm)] = Hp.toarray()
-    want = hessian_matrix(g, u)[1:, 1:].toarray()
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert Hp.has_canonical_format   # sorted rows, no duplicates
-    # the pattern is the free diagonal and both entries of each edge
-    # between free vertices, no more
-    assert Hp.nnz == g.n_vertices - 1 + 2 * int(np.sum(g.edges.min(axis=1) > 0))
+    H = hessian_matrix(g, u)[1:, 1:]
+    eigs = np.linalg.eigvalsh(H.toarray())
+    factor = km._pinned_factor(g, u)
+    band = 1e-9 * np.abs(eigs).max()
+    if abs(eigs[0]) > band:
+        assert (factor is not None) == (eigs[0] > 0), eigs[0]
+    if factor is not None and eigs[0] > band:
+        lu = positive_definite_factor(H.tocsc())
+        assert lu is not None
+        b = rng.standard_normal(len(eigs))
+        want = lu.solve(b)
+        scale = 1e-14 * eigs[-1] / eigs[0] * np.abs(want).max()
+        np.testing.assert_allclose(factor.solve(b), want, rtol=0, atol=scale)
 
 
-def test_pinned_pattern_orders_free_vertices_finest_born_first():
-    for g in [build_sg_graph(n) for n in range(7)] + [build_ring_graph(n) for n in range(1, 9)]:
-        born = g.birth_levels()
-        for m in range(g.level + 1):
-            np.testing.assert_array_equal(np.flatnonzero(born <= m), g.restriction_to(m))
-        perm = km._pattern(g).perm
-        np.testing.assert_array_equal(np.sort(perm), np.arange(g.n_vertices - 1))
-        # birth level falls along the order, and ids rise within a level
-        key = (g.level - born[perm + 1].astype(np.int64)) * g.n_vertices + perm
-        assert np.all(np.diff(key) > 0), (g.kind, g.level)
+def test_ring_twist_min_eig_matches_its_closed_form():
+    # pinned at vertex 0, the ring is a path held at both ends, with the
+    # one weight w = c cos(2 pi q / N): lambda_min = w 4 sin^2(pi / 2N)
+    for n in range(2, 15):
+        g = build_ring_graph(n)
+        N = g.n_vertices
+        for q in sorted({0, 1, N // 8, N // 4 - 1}):
+            if 4 * q >= N:
+                continue
+            eig, verdict = hessian_stability(g, twisted_state(g, q))
+            want = (g.conductance * math.cos(km.TWO_PI * q / N)
+                    * 4.0 * math.sin(math.pi / (2 * N)) ** 2)
+            assert verdict == "stable"
+            assert eig == pytest.approx(want, rel=1e-14, abs=0), (n, q)
+
+
+def test_cell_factor_stores_at_most_six_floats_per_free_vertex():
+    # M^-1 and M^-1 B per parent cell: 18 floats for the gasket's three
+    # midpoints, 3 for the ring's one, and the last 2 x 2 block
+    rng = np.random.default_rng(0)
+    for g, bound in ([(build_sg_graph(n), 6.0) for n in range(10)]
+                     + [(build_ring_graph(n), 3.0) for n in range(1, 13)]):
+        u = rng.uniform(-0.05, 0.05, g.n_vertices)
+        factor = km._pinned_factor(g, u)
+        floats = factor.last.size + sum(step.size for _, step in factor.levels)
+        assert floats / (g.n_vertices - 1) <= bound, (g.kind, g.level)
 
 
 class _CountedSolves:
-    def __init__(self, lu):
-        self.lu, self.calls = lu, 0
+    def __init__(self, factor):
+        self.factor, self.calls = factor, 0
 
     def solve(self, b):
         self.calls += 1
-        return self.lu.solve(b)
+        return self.factor.solve(b)
 
 
 def _basis_cases():
@@ -1055,15 +1130,14 @@ def test_gap_sized_lanczos_basis_takes_ten_solves():
     # full basis of LANCZOS_BASIS vectors has converged: ARPACK's default
     # 20 took 21 solves, and the eigenvalue is the same to 1e-12
     for g, u in _basis_cases():
-        Hp = km._pinned_hessian(g, u)
-        lu = km._positive_definite_factor(Hp)
-        counted = _CountedSolves(lu)
-        eig, verdict = km._classify(g, Hp, counted)
+        factor = km._pinned_factor(g, u)
+        counted = _CountedSolves(factor)
+        eig, verdict = km._classify(g, u, counted)
         assert verdict == "stable" and counted.calls <= 10, (g, counted.calls)
-        op = spla.LinearOperator(Hp.shape, matvec=lu.solve, dtype=float)
-        wide = spla.eigsh(Hp, k=1, sigma=0.0, which="LM", OPinv=op,
-                          v0=np.ones(Hp.shape[0]), ncv=20,
-                          return_eigenvectors=False)[0]
+        n = g.n_vertices - 1
+        op = spla.LinearOperator((n, n), matvec=factor.solve, dtype=float)
+        wide = spla.eigsh(op, k=1, sigma=0.0, which="LM", OPinv=op,
+                          v0=np.ones(n), ncv=20, return_eigenvectors=False)[0]
         assert eig == pytest.approx(wide, rel=1e-12, abs=0)
 
 
@@ -1072,21 +1146,8 @@ def test_lanczos_basis_fits_the_smallest_graphs():
     # ring level 2 has 3, and both still classify on the certified factor
     for g in (build_sg_graph(0), build_ring_graph(2)):
         u = np.zeros(g.n_vertices)
-        Hp = km._pinned_hessian(g, u)
-        counted = _CountedSolves(km._positive_definite_factor(Hp))
-        eig, verdict = km._classify(g, Hp, counted)
+        counted = _CountedSolves(km._pinned_factor(g, u))
+        eig, verdict = km._classify(g, u, counted)
         assert counted.calls > 0 and verdict == "stable"
         L = laplacian_matrix(g).toarray()[1:, 1:]
         assert eig == pytest.approx(np.linalg.eigvalsh(L)[0], rel=1e-12)
-
-
-def test_birth_order_factor_fill():
-    # the birth order is a nested dissection: 9.2-9.3 entries of L and U
-    # per free vertex on the gasket (minimum degree gave 10.1-10.7), and 6
-    # on the ring, where the path alone would take 4
-    rng = np.random.default_rng(0)
-    for g, bound in ([(build_sg_graph(n), 9.5) for n in range(5, 10)]
-                     + [(build_ring_graph(n), 6.0) for n in range(2, 13)]):
-        u = rng.uniform(-0.05, 0.05, g.n_vertices)
-        lu = km._positive_definite_factor(km._pinned_hessian(g, u))
-        assert (lu.L.nnz + lu.U.nnz) / (g.n_vertices - 1) <= bound, (g.kind, g.level)
