@@ -24,11 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
-from scipy.sparse import linalg as spla
 
-from .dirichlet import extend_corners, laplacian, laplacian_matrix
+from .dirichlet import _pinned_factor, dirichlet_energy, extend_corners, laplacian
 from .errors import ConstraintViolationError, DegreeMismatchError
 from .graphs import FractalGraph, build_graph, cell_edges
 from .winding import DegreeVector, degree, word_str, wrap_phases
@@ -100,7 +97,10 @@ class CoveringDomain:
     The plus copy of the k-th cut vertex gets id ``base.n_vertices + k``;
     the minus copy keeps the base id.  ``cell_corners`` is the base table
     with the cut vertex replaced by its plus copy in the one cell on the
-    plus side of each cut; the edges are read off that table.
+    plus side of each cut; the edges are read off that table.  ``rep``
+    maps each vertex to its base vertex and ``offset`` is each vertex's
+    jump (0 but at the plus copies), so a field that meets the jumps is
+    ``x[rep] + offset`` for ``x`` on the base graph.
     """
 
     def __init__(self, base: FractalGraph, omega: DegreeVector):
@@ -119,7 +119,10 @@ class CoveringDomain:
         corners.setflags(write=False)
         self.cell_corners = corners
         self.edges = cell_edges(corners)
-        self._assert_connected()
+        minus = np.array([c.minus_id for c in self.cuts], dtype=np.int64)
+        self.rep = np.concatenate((np.arange(base.n_vertices), minus))
+        self.offset = np.zeros(self.n_vertices)
+        self.offset[base.n_vertices:] = [c.jump for c in self.cuts]
 
     check_field = FractalGraph.check_field
 
@@ -130,18 +133,6 @@ class CoveringDomain:
     @property
     def n_edges(self):
         return self.edges.shape[0]
-
-    def _assert_connected(self):
-        n = self.n_vertices
-        i, j = self.edges[:, 0], self.edges[:, 1]
-        A = sparse.coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
-        ncomp = csgraph.connected_components(A, directed=False, return_labels=False)
-        assert ncomp == 1, "cut graph must stay connected"
-
-    def energy(self, values) -> float:
-        values = np.asarray(values, dtype=float)
-        d = values[self.edges[:, 1]] - values[self.edges[:, 0]]
-        return math.fsum((self.conductance * d * d / 2.0).tolist())
 
     def to_json_dict(self):
         return {
@@ -179,45 +170,26 @@ class LiftField:
         return self.domain.level
 
     def energy(self) -> float:
-        return self.domain.energy(self.values)
-
-
-def _substitution(dom: CoveringDomain):
-    """Selection matrix P and offset b with f = P g + b encoding the
-    constraints f(pin) = 0 and f(plus) = f(minus) + jump exactly."""
-    n = dom.n_vertices
-    plus = np.array([c.plus_id for c in dom.cuts], dtype=np.int64)
-    free = np.ones(n, dtype=bool)
-    free[dom.pinned] = False
-    free[plus] = False
-    n_free = np.count_nonzero(free)
-    col = np.full(n, -1)
-    col[free] = np.arange(n_free)
-    # each vertex takes the value of its free representative, if it has one
-    rep = np.arange(n)
-    rep[plus] = [c.minus_id for c in dom.cuts]
-    rows = np.flatnonzero(col[rep] >= 0)
-    P = sparse.csr_matrix((np.ones(len(rows)), (rows, col[rep[rows]])),
-                          shape=(n, n_free))
-    b = np.zeros(n)
-    b[plus] = [float(c.jump) for c in dom.cuts]
-    return P, b
+        return dirichlet_energy(self.domain, self.values).energy
 
 
 def minimize_constrained(dom: CoveringDomain) -> LiftField:
-    """Unique minimiser of the cut-graph energy under pin and jumps.
+    """Unique minimiser of the cut-domain energy under pin and jumps.
 
-    Constraints are eliminated by substitution, leaving a positive
-    definite system solved directly by ``spsolve``.  The cell-by-cell
-    factor of the pinned Hessian does not apply: a cut domain duplicates
-    each cut vertex, so a midpoint's stencil is no longer one cell's.
+    A field that meets the jumps is ``x[dom.rep] + dom.offset`` with ``x``
+    on the base graph, so its energy is the base graph's energy of ``x``
+    with each plus copy's jump as an offset on the differences along its
+    cell's edges.  With ``x`` pinned at vertex 0, the minimiser solves
+    L x = r: L is the base graph's Laplacian, factored cell by cell by
+    :func:`dirichlet._pinned_factor`, and r, minus the offset term's
+    gradient, is ``laplacian(dom, dom.offset)`` with each copy's entry
+    summed onto its base vertex.
     """
-    L = laplacian_matrix(dom)
-    P, b = _substitution(dom)
-    A = (P.T @ L @ P).tocsc()
-    f = P @ spla.spsolve(A, -P.T @ (L @ b)) + b
-    f[dom.pinned] = 0.0
-    return LiftField(domain=dom, values=f)
+    base = dom.base
+    rhs = np.bincount(dom.rep, laplacian(dom, dom.offset), base.n_vertices)
+    factor = _pinned_factor(base, np.full(base.n_edges, dom.conductance))
+    x = np.concatenate(([0.0], factor.solve(rhs[1:])))
+    return LiftField(domain=dom, values=x[dom.rep] + dom.offset)
 
 
 def extend_lift(lift: LiftField, n: int) -> LiftField:
@@ -249,13 +221,15 @@ def project_to_circle(f: LiftField) -> np.ndarray:
     """
     dom = f.domain
     vals = f.values
-    for c in dom.cuts:
-        gap = vals[c.plus_id] - vals[c.minus_id] - c.jump
-        if abs(gap) > 1e-10:
-            raise ConstraintViolationError(
-                f"cut pair at vertex {c.cut_vertex} disagrees by {gap:.3e} "
-                f"after removing the integer jump {c.jump}")
-    return wrap_phases(vals[:dom.base.n_vertices])
+    n = dom.base.n_vertices
+    gap = vals[n:] - vals[dom.rep[n:]] - dom.offset[n:]
+    bad = np.flatnonzero(np.abs(gap) > 1e-10)
+    if bad.size:
+        k = bad[0]
+        raise ConstraintViolationError(
+            f"cut pair at vertex {dom.rep[n + k]} disagrees by {gap[k]:.3e} "
+            f"after removing the integer jump {dom.offset[n + k]:g}")
+    return wrap_phases(vals[:n])
 
 
 def neumann_check(lift: LiftField):
@@ -268,11 +242,8 @@ def neumann_check(lift: LiftField):
     """
     dom = lift.domain
     flux = laplacian(dom, lift.values)
-
     # combine the two copies of each cut vertex
-    combined = flux[:dom.base.n_vertices].copy()
-    for c in dom.cuts:
-        combined[c.minus_id] += flux[c.plus_id]
+    combined = np.bincount(dom.rep, flux, dom.base.n_vertices)
 
     if dom.kind == "ring":
         return {int(dom.base.boundary_ids[0]): float(combined[dom.base.boundary_ids[0]])}

@@ -1,4 +1,5 @@
-"""Dirichlet energies, graph Laplacians, and harmonic extension.
+"""Dirichlet energies, graph Laplacians, harmonic extension, and the
+cell-by-cell factor of a pinned Laplacian.
 
 The level-m energy is the weighted half-sum of squared edge differences,
 with the weight (5/3)**m chosen so that the minimal-energy extension of a
@@ -17,7 +18,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .graphs import FractalGraph, build_graph
+from .graphs import FractalGraph, build_graph, cell_edges
 
 @dataclass
 class EnergyReport:
@@ -66,7 +67,8 @@ def _square(x):
 
 
 def dirichlet_energy(g: FractalGraph, f) -> EnergyReport:
-    """Weighted half-sum of squared edge differences, broken down by cell.
+    """Weighted half-sum of squared edge differences, broken down by cell,
+    on a graph or a cut domain.
 
     Each cell contributes its own sides, at the level's one conductance.
     """
@@ -146,6 +148,95 @@ def laplacian_matrix(g) -> sparse.csr_matrix:
     ``n_vertices``."""
     return weighted_laplacian(g.edges, np.full(len(g.edges), g.conductance),
                               g.n_vertices)
+
+
+def _laplacian_map(pairs, size) -> np.ndarray:
+    """(e, size**2): row e is the Laplacian of edge ``pairs[e]`` alone on
+    nodes 0..size-1, flattened, so ``w @`` it is the Laplacian at the
+    weights ``w`` (one graph per row of ``w``)."""
+    d = np.zeros((len(pairs), size))
+    d[np.arange(len(pairs)), pairs[:, 0]] = 1.0
+    d[np.arange(len(pairs)), pairs[:, 1]] -= 1.0
+    return (d[:, :, None] * d[:, None, :]).reshape(len(pairs), -1)
+
+
+class _CellFactor:
+    """Block LDL^T of a pinned Laplacian, as :func:`_pinned_factor` builds it.
+
+    ``levels`` holds, finest first, one (nodes, step) pair per eliminated
+    level, a row per parent cell: the ids of its ``k`` corners and then
+    its midpoints, and [-M^-1 B | M^-1], which maps the corners' solution
+    and the midpoints' reduced right-hand side to the midpoints' solution.
+    ``free`` are the level-0 corners other than vertex 0 and ``last`` the
+    inverse of their block.
+    """
+
+    def __init__(self, k, levels, free, last):
+        self.k, self.levels, self.free, self.last = k, levels, free, last
+
+    def solve(self, b) -> np.ndarray:
+        """``x`` with ``L x = b``, both on the free vertices in id order."""
+        k = self.k
+        t = np.concatenate(([0.0], b))
+        for nodes, step in self.levels:
+            # t_c -= B^T M^-1 t_m, with step[:, :, :k] = -M^-1 B
+            t += np.bincount(nodes[:, :k].ravel(), np.einsum(
+                "pmk,pm->pk", step[:, :, :k], t[nodes[:, k:]]).ravel(), len(t))
+        # in place: each midpoint keeps its reduced right-hand side until
+        # its level is solved, from corners solved before it
+        t[0] = 0.0   # vertex 0 is held fixed at 0
+        t[self.free] = self.last @ t[self.free]
+        for nodes, step in reversed(self.levels):
+            t[nodes[:, k:]] = np.einsum("pij,pj->pi", step, t[nodes])
+        return t[1:]
+
+
+def _pinned_factor(g: FractalGraph, w) -> _CellFactor | None:
+    """The Laplacian of ``g`` at edge weights ``w`` (one per row of
+    ``g.edges``) with vertex 0 held fixed, factored cell by cell, if that
+    certifies it positive definite; None otherwise.
+
+    Each level-m midpoint lies inside exactly one level-(m-1) cell, and the
+    edges run cell by cell, so the weights group into parent cells.  From
+    level n down to 1, each parent's Laplacian on its corners and midpoints
+    (numbered as ``_CHILD_CORNERS``) is [[C, B^T], [B, M]] with M on the
+    midpoints; eliminating them leaves the Schur complement
+    C - B^T M^-1 B, again a Laplacian on the parent's corners: Kigami's
+    trace of the energy onto V_(m-1).  Its side weights, read off the
+    off-diagonal, go up a level, so no diagonal is ever formed by
+    cancellation.  Level 0 ends with its corners' block, vertex 0 dropped
+    (2 x 2 on the gasket, empty on the ring).  By Haynsworth's inertia
+    additivity the pinned Laplacian is positive definite exactly when every
+    midpoint block M and that last block are, which a batched Cholesky
+    checks per level.  The factor keeps M^-1 and M^-1 B for
+    :meth:`_CellFactor.solve`.
+    """
+    k = g.cell_corners.shape[1]
+    local = _CHILD_CORNERS[k]
+    size = int(local.max()) + 1
+    sides = cell_edges(np.arange(k)[None])
+    parent = _laplacian_map(cell_edges(local), size)
+    corners = g.cell_corners
+    levels = []
+    try:
+        for _ in range(g.level):
+            nodes = np.empty((len(corners) // k, size), dtype=corners.dtype)
+            nodes[:, local] = corners.reshape(-1, k, k)
+            a = (w.reshape(len(nodes), -1) @ parent).reshape(-1, size, size)
+            b = a[:, k:, :k]
+            np.linalg.cholesky(a[:, k:, k:])   # LinAlgError unless definite
+            inv = np.linalg.inv(a[:, k:, k:])
+            x = inv @ b
+            schur = a[:, :k, :k] - np.swapaxes(b, 1, 2) @ x
+            w = -schur[:, sides[:, 0], sides[:, 1]].ravel()
+            corners = nodes[:, :k]
+            levels.append((nodes, np.concatenate((-x, inv), axis=2)))
+        free = corners[0] != 0
+        last = (w @ _laplacian_map(sides, k)).reshape(k, k)[np.ix_(free, free)]
+        np.linalg.cholesky(last)
+    except np.linalg.LinAlgError:
+        return None
+    return _CellFactor(k, levels, corners[0][free], np.linalg.inv(last))
 
 
 def solve_dirichlet(g: FractalGraph, phi, method="extension") -> np.ndarray:

@@ -16,10 +16,10 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .dirichlet import _CHILD_CORNERS, weighted_laplacian
+from .dirichlet import _pinned_factor, weighted_laplacian
 from .errors import (EigensolverError, NotAnEquilibriumError,
                      UnresolvedWindingError)
-from .graphs import FractalGraph, cell_edges
+from .graphs import FractalGraph
 from .winding import DegreeVector, _wrapped_diff, degree, wrap_phases
 
 TWO_PI = 2.0 * math.pi
@@ -391,10 +391,10 @@ def _newton(g: FractalGraph, u, cfg: FlowConfig):
 
     Returns ``(field, residual, newton_steps, step_size, halvings,
     factor)``, with the field shifted back to the mean phase of ``u`` and
-    ``factor``: :func:`_pinned_factor` at that field, wrapped, which
-    certifies its pinned Hessian positive definite and is exactly what the
-    report classifies.  Or a string naming why the iteration failed.  See
-    :func:`solve_equilibrium`.
+    ``factor``: the pinned Hessian at that field, wrapped, factored by
+    :func:`dirichlet._pinned_factor`, which certifies it positive definite
+    and is exactly what the report classifies.  Or a string naming why the
+    iteration failed.  See :func:`solve_equilibrium`.
     """
     u_start = u
     u = u.copy()
@@ -410,7 +410,7 @@ def _newton(g: FractalGraph, u, cfg: FlowConfig):
             break
         if iters == NEWTON_MAX_ITERS:
             return f"no convergence in {NEWTON_MAX_ITERS} Newton steps"
-        factor = _pinned_factor(g, u)
+        factor = _pinned_factor(g, _hessian_weights(g, u))
         if factor is None:
             return "pinned Hessian not positive definite"
         # rhs = -2 pi grad E and H is the Hessian of E
@@ -438,7 +438,7 @@ def _newton(g: FractalGraph, u, cfg: FlowConfig):
                 return f"line search step below {NEWTON_MIN_STEP:g}"
         u, energy = cand, e_cand
     u += np.mean(u_start) - np.mean(u)
-    factor = _pinned_factor(g, wrap_phases(u))
+    factor = _pinned_factor(g, _hessian_weights(g, wrap_phases(u)))
     if factor is None:
         return "pinned Hessian not positive definite"
     return u, res, iters, t, halvings, factor
@@ -448,8 +448,9 @@ def solve_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None) -> Equ
     """Damped Newton on the energy gradient, with vertex 0 held fixed.
 
     The pinned Hessian is factored at every iterate by
-    :func:`_pinned_factor`, which eliminates each cell's midpoints level by
-    level, finest first, and certifies every block positive definite.
+    :func:`dirichlet._pinned_factor`, which eliminates each cell's
+    midpoints level by level, finest first, and certifies every block
+    positive definite.
     Once the residual is below ``cfg.tol``, the field is shifted back to
     the start's mean phase and wrapped, and the pinned Hessian there is
     factored once more: Newton ends only where that factor certifies it
@@ -496,93 +497,6 @@ def hessian_matrix(g: FractalGraph, u) -> sparse.csr_matrix:
     return weighted_laplacian(g.edges, _hessian_weights(g, u), g.n_vertices)
 
 
-def _laplacian_map(pairs, size) -> np.ndarray:
-    """(e, size**2): row e is the Laplacian of edge ``pairs[e]`` alone on
-    nodes 0..size-1, flattened, so ``w @`` it is the Laplacian at the
-    weights ``w`` (one graph per row of ``w``)."""
-    d = np.zeros((len(pairs), size))
-    d[np.arange(len(pairs)), pairs[:, 0]] = 1.0
-    d[np.arange(len(pairs)), pairs[:, 1]] -= 1.0
-    return (d[:, :, None] * d[:, None, :]).reshape(len(pairs), -1)
-
-
-class _CellFactor:
-    """Block LDL^T of a pinned Hessian, as :func:`_pinned_factor` builds it.
-
-    ``levels`` holds, finest first, one (nodes, step) pair per eliminated
-    level, a row per parent cell: the ids of its ``k`` corners and then
-    its midpoints, and [-M^-1 B | M^-1], which maps the corners' solution
-    and the midpoints' reduced right-hand side to the midpoints' solution.
-    ``free`` are the level-0 corners other than vertex 0 and ``last`` the
-    inverse of their block.
-    """
-
-    def __init__(self, k, levels, free, last):
-        self.k, self.levels, self.free, self.last = k, levels, free, last
-
-    def solve(self, b) -> np.ndarray:
-        """``x`` with ``H x = b``, both on the free vertices in id order."""
-        k = self.k
-        t = np.concatenate(([0.0], b))
-        for nodes, step in self.levels:
-            # t_c -= B^T M^-1 t_m, with step[:, :, :k] = -M^-1 B
-            t += np.bincount(nodes[:, :k].ravel(), np.einsum(
-                "pmk,pm->pk", step[:, :, :k], t[nodes[:, k:]]).ravel(), len(t))
-        # in place: each midpoint keeps its reduced right-hand side until
-        # its level is solved, from corners solved before it
-        t[0] = 0.0   # vertex 0 is held fixed at 0
-        t[self.free] = self.last @ t[self.free]
-        for nodes, step in reversed(self.levels):
-            t[nodes[:, k:]] = np.einsum("pij,pj->pi", step, t[nodes])
-        return t[1:]
-
-
-def _pinned_factor(g: FractalGraph, u) -> _CellFactor | None:
-    """The Hessian at ``u`` with vertex 0 held fixed, factored cell by cell,
-    if that certifies it positive definite; None otherwise.
-
-    Each level-m midpoint lies inside exactly one level-(m-1) cell, and the
-    edges run cell by cell, so the weights of ``_hessian_weights`` group
-    into parent cells.  From level n down to 1, each parent's Laplacian on
-    its corners and midpoints (numbered as ``dirichlet._CHILD_CORNERS``)
-    is [[C, B^T], [B, M]] with M on the midpoints; eliminating them leaves
-    the Schur complement C - B^T M^-1 B, again a Laplacian on the parent's
-    corners: Kigami's trace of the energy onto V_(m-1).  Its side weights,
-    read off the off-diagonal, go up a level, so no diagonal is ever formed
-    by cancellation.  Level 0 ends with its corners' block, vertex 0 dropped
-    (2 x 2 on the gasket, empty on the ring).  By Haynsworth's inertia
-    additivity H is positive definite exactly when every midpoint block M
-    and that last block are, which a batched Cholesky checks per level.
-    The factor keeps M^-1 and M^-1 B for :meth:`_CellFactor.solve`.
-    """
-    k = g.cell_corners.shape[1]
-    local = _CHILD_CORNERS[k]
-    size = int(local.max()) + 1
-    sides = cell_edges(np.arange(k)[None])
-    parent = _laplacian_map(cell_edges(local), size)
-    corners, w = g.cell_corners, _hessian_weights(g, u)
-    levels = []
-    try:
-        for _ in range(g.level):
-            nodes = np.empty((len(corners) // k, size), dtype=corners.dtype)
-            nodes[:, local] = corners.reshape(-1, k, k)
-            a = (w.reshape(len(nodes), -1) @ parent).reshape(-1, size, size)
-            b = a[:, k:, :k]
-            np.linalg.cholesky(a[:, k:, k:])   # LinAlgError unless definite
-            inv = np.linalg.inv(a[:, k:, k:])
-            x = inv @ b
-            schur = a[:, :k, :k] - np.swapaxes(b, 1, 2) @ x
-            w = -schur[:, sides[:, 0], sides[:, 1]].ravel()
-            corners = nodes[:, :k]
-            levels.append((nodes, np.concatenate((-x, inv), axis=2)))
-        free = corners[0] != 0
-        last = (w @ _laplacian_map(sides, k)).reshape(k, k)[np.ix_(free, free)]
-        np.linalg.cholesky(last)
-    except np.linalg.LinAlgError:
-        return None
-    return _CellFactor(k, levels, corners[0][free], np.linalg.inv(last))
-
-
 def hessian_stability(g: FractalGraph, u):
     """Smallest Hessian eigenvalue with vertex 0 held fixed, with verdict.
 
@@ -599,14 +513,14 @@ def hessian_stability(g: FractalGraph, u):
         raise NotAnEquilibriumError(
             f"residual {res:.3e} >= {EQUILIBRIUM_TOL:g}; stability is "
             f"defined at equilibria")
-    return _classify(g, u, _pinned_factor(g, u))
+    return _classify(g, u, _pinned_factor(g, _hessian_weights(g, u)))
 
 
 def _classify(g, u, factor):
     """Smallest eigenvalue of the pinned Hessian at ``u``, with verdict.
 
-    ``factor`` is :func:`_pinned_factor` of ``u``, which certifies the
-    pinned Hessian positive definite, or None.  With a certificate,
+    ``factor`` is :func:`dirichlet._pinned_factor` of the Hessian at ``u``,
+    which certifies it positive definite, or None.  With a certificate,
     shift-invert Lanczos at 0 runs on that factor (in that mode eigsh
     applies only the inverse), from the fixed start vector of ones, with a
     basis of ``LANCZOS_BASIS`` vectors (at most n) in place of ARPACK's
@@ -652,9 +566,11 @@ def _classify(g, u, factor):
 
 
 def twisted_state(g: FractalGraph, q: int) -> np.ndarray:
-    """Ring state u(v_i) = q i 2**-n mod 1 of winding q."""
+    """Ring state u(v_i) = q i 2**-n mod 1 of integer winding q."""
     if g.kind != "ring":
         raise ValueError("twisted states live on the ring")
+    if not math.isfinite(q) or q != int(q):
+        raise ValueError("q must be an integer")
     return wrap_phases(q * np.arange(g.n_vertices) / g.n_vertices)
 
 
@@ -662,10 +578,13 @@ def half_twisted_state(g: FractalGraph, r: float) -> np.ndarray:
     """Ring saddle equilibrium with half-integer winding parameter ``r``.
 
     Vertex i carries r*i/(2**n - 2) for i = 1..2**n, with index 2**n
-    falling on vertex 0.
+    falling on vertex 0, so n is at least 2.
     """
     if g.kind != "ring":
         raise ValueError("half-twisted states live on the ring")
+    if g.level < 2:
+        raise ValueError(
+            f"half-twisted states need ring level 2 or more, not {g.level}")
     if not math.isfinite(2 * r) or float(2 * r) != int(2 * r) or int(2 * r) % 2 == 0:
         raise ValueError("r must be a half-integer")
     n = g.n_vertices

@@ -399,13 +399,36 @@ def reference_cut_vertices(g, omega):
     return out
 
 
+def _substitution(dom):
+    """Selection matrix P and offset b with f = P g + b encoding the
+    constraints f(pin) = 0 and f(plus) = f(minus) + jump exactly."""
+    from scipy import sparse
+
+    n = dom.n_vertices
+    plus = np.array([c.plus_id for c in dom.cuts], dtype=np.int64)
+    free = np.ones(n, dtype=bool)
+    free[dom.pinned] = False
+    free[plus] = False
+    n_free = np.count_nonzero(free)
+    col = np.full(n, -1)
+    col[free] = np.arange(n_free)
+    # each vertex takes the value of its free representative, if it has one
+    rep = np.arange(n)
+    rep[plus] = [c.minus_id for c in dom.cuts]
+    rows = np.flatnonzero(col[rep] >= 0)
+    P = sparse.csr_matrix((np.ones(len(rows)), (rows, col[rep[rows]])),
+                          shape=(n, n_free))
+    b = np.zeros(n)
+    b[plus] = [float(c.jump) for c in dom.cuts]
+    return P, b
+
+
 def cg_reference(dom):
     """The constrained minimiser by conjugate gradients to a 1e-12
     residual, the oracle for ``minimize_constrained``'s direct solve."""
     from scipy.sparse import linalg as spla
 
     from fractalsync import LiftField
-    from fractalsync.covering import _substitution
     from fractalsync.dirichlet import laplacian_matrix
 
     L = laplacian_matrix(dom)

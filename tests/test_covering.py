@@ -1,8 +1,9 @@
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import cg_reference, reference_cut_vertices, reference_extend_lift
 from fractalsync import (ConstraintViolationError, DegreeMismatchError,
@@ -144,6 +145,92 @@ def test_minimizer_solver_paths_agree():
     fd = minimize_constrained(dom)
     fc = cg_reference(dom)
     assert np.abs(fd.values - fc.values).max() < 1e-10
+
+
+_LOOPS = [w for ell in range(3) for w in product((1, 2, 3), repeat=ell)]
+
+
+@st.composite
+def _cut_domains(draw):
+    # gasket degrees of order 0-2 at every level that holds their cuts, up
+    # to 6, the zero degree down to level 0, and ring windings at 1-10
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 10))
+        return build_ring_graph(n), DegreeVector(
+            {(): draw(st.integers(-2 ** n, 2 ** n))})
+    omega = DegreeVector(draw(st.dictionaries(
+        st.sampled_from(_LOOPS), st.sampled_from((-2, -1, 1, 2)), max_size=3)))
+    return build_sg_graph(draw(st.integers(omega.max_order + 1, 6))), omega
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_cut_domains())
+@example(case=(build_sg_graph(0), DegreeVector()))
+@example(case=(build_ring_graph(1), DegreeVector({(): 3})))
+@example(case=(build_sg_graph(6), DegreeVector.parse("1,1,1,1")))
+@example(case=(build_sg_graph(5), DegreeVector.parse("13:-1,3:2,33:-2")))
+def test_minimizer_matches_conjugate_gradients(case):
+    # the oracle stops at a 1e-12 relative residual, so it is itself up
+    # to 1.3e-12 off the direct solve (at gasket 5, 13:-1,3:2,33:-2)
+    dom = covering_domain(*case)
+    got, want = minimize_constrained(dom).values, cg_reference(dom).values
+    assert got[dom.pinned] == 0.0
+    scale = max(1.0, float(np.abs(want).max()))
+    assert np.abs(got - want).max() <= 1e-11 * scale
+
+
+def _exact_minimizer(dom):
+    """The constrained minimiser in exact rationals: the normal equations
+    of the energy over the base vertices other than the pin, with each
+    plus copy replaced by its minus copy plus the jump, by Gauss-Jordan
+    elimination."""
+    n = dom.base.n_vertices
+    rep = list(range(dom.n_vertices))
+    jump = [Fraction(0)] * dom.n_vertices
+    for c in dom.cuts:
+        rep[c.plus_id], jump[c.plus_id] = c.minus_id, Fraction(c.jump)
+    A = [[Fraction(0)] * (n + 1) for _ in range(n)]   # [L | r]
+    for a, b in dom.edges.tolist():
+        i, j, d = rep[a], rep[b], jump[b] - jump[a]
+        A[i][i] += 1
+        A[j][j] += 1
+        A[i][j] -= 1
+        A[j][i] -= 1
+        A[i][n] += d
+        A[j][n] -= d
+    free = [v for v in range(n) if v != dom.pinned]
+    M = [[A[r][c] for c in free] + [A[r][n]] for r in free]
+    for col in range(len(free)):
+        piv = next(r for r in range(col, len(free)) if M[r][col] != 0)
+        M[col], M[piv] = M[piv], M[col]
+        M[col] = [x / M[col][col] for x in M[col]]
+        for r in range(len(free)):
+            if r != col and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
+    x = [Fraction(0)] * n
+    for r, v in enumerate(free):
+        x[v] = M[r][-1]
+    return [x[rep[v]] + jump[v] for v in range(dom.n_vertices)]
+
+
+@pytest.mark.parametrize("g,omega", [
+    (build_sg_graph(n), omega) for n in (1, 2, 3)
+    for omega in (OMEGA1, DegreeVector({(): -3}),
+                  DegreeVector.parse("1,1,1,1"), DegreeVector.parse("2,-1,0"))
+    if n > omega.max_order
+] + [(build_sg_graph(3), DegreeVector.parse("eps:1,13:-2,22:1")),
+     (build_ring_graph(1), DegreeVector({(): 3})),
+     (build_ring_graph(3), DegreeVector({(): -5}))])
+def test_minimizer_matches_the_exact_rational_minimizer(g, omega):
+    # within 16 units in the last place of the largest value (the direct
+    # solve it replaced was within 9.7, this one within 5)
+    dom = covering_domain(g, omega)
+    exact = _exact_minimizer(dom)
+    got = minimize_constrained(dom).values
+    ulp = np.spacing(max(abs(float(x)) for x in exact))
+    err = max(abs(Fraction(float(a)) - b) for a, b in zip(got, exact))
+    assert err <= 16 * ulp, float(err / ulp)
 
 
 def test_minimizer_interior_laplace_equation():

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import reference_solve_dirichlet, reference_square
-from fractalsync import (build_ring_graph, build_sg_graph, dirichlet_energy,
-                         extend_harmonic_once, harmonic_extend_once,
-                         holder_ratio, laplacian, normal_derivative, restrict,
-                         solve_dirichlet)
+from conftest import (positive_definite_factor, reference_solve_dirichlet,
+                      reference_square)
+from fractalsync import (build_graph, build_ring_graph, build_sg_graph,
+                         dirichlet_energy, extend_harmonic_once,
+                         harmonic_extend_once, holder_ratio, laplacian,
+                         normal_derivative, restrict, solve_dirichlet)
+from fractalsync.dirichlet import _pinned_factor, weighted_laplacian
 
 BETA = math.log(5 / 3) / (2 * math.log(2))
 
@@ -233,6 +235,36 @@ def test_non_finite_boundary_rejected(method, value):
     ring = build_ring_graph(3)
     with pytest.raises(ValueError, match="at vertex 0 is not finite"):
         solve_dirichlet(ring, {0: value}, method=method)
+
+
+# -- the pinned cell factor ---------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(graph=st.one_of(st.tuples(st.just("sg"), st.integers(0, 6)),
+                       st.tuples(st.just("ring"), st.integers(1, 10))),
+       spread=st.sampled_from((1.0, 10.0, 1e3, 1e6)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(graph=("ring", 1), spread=1e3, seed=0)   # parallel edges
+@example(graph=("sg", 0), spread=10.0, seed=1)
+@example(graph=("sg", 6), spread=1e6, seed=2)
+def test_pinned_factor_at_positive_weights_solves_as_superlu(graph, spread, seed):
+    # positive weights, log-uniform within a factor spread of the
+    # conductance, keep the pinned Laplacian of a connected graph positive
+    # definite: the factor certifies it and solves as SuperLU does, to
+    # within the conditioning
+    g = build_graph(*graph)
+    rng = np.random.default_rng(seed)
+    w = g.conductance * spread ** rng.uniform(-1.0, 1.0, g.n_edges)
+    L = weighted_laplacian(g.edges, w, g.n_vertices)[1:, 1:]
+    factor = _pinned_factor(g, w)
+    assert factor is not None
+    lu = positive_definite_factor(L.tocsc())
+    assert lu is not None
+    eigs = np.linalg.eigvalsh(L.toarray())
+    b = rng.standard_normal(len(eigs))
+    want = lu.solve(b)
+    scale = 1e-14 * eigs[-1] / eigs[0] * np.abs(want).max()
+    np.testing.assert_allclose(factor.solve(b), want, rtol=0, atol=scale)
 
 
 def test_minimality_against_random_perturbations():

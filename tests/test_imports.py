@@ -1,6 +1,7 @@
-"""Every imported name is used, and every private name the package defines
-is referenced in it: ``ast`` scans over the package, the tests and the
-demos, standing in for a linter."""
+"""Every imported name is used, every private name the package defines is
+referenced in it, and its modules import each other in layers: ``ast``
+scans over the package, the tests and the demos, standing in for a
+linter."""
 
 import ast
 from pathlib import Path
@@ -70,3 +71,43 @@ def test_no_dead_private_names():
             for p, tree in trees.items()
             for name, line in _private_definitions(tree).items() if name not in used]
     assert dead == []
+
+
+# each module imports only from the layers before its own
+LAYERS = (("graphs", "errors"), ("dirichlet", "winding"),
+          ("covering", "kuramoto"), ("structures",), ("serialize", "svg"),
+          ("cli",))
+# the modules that solve with scipy; the rest stay on numpy
+SCIPY_USERS = {"dirichlet", "kuramoto", "structures"}
+
+
+def _modules():
+    return {p.stem: ast.parse(p.read_text(), filename=str(p))
+            for p in sorted((ROOT / "src" / "fractalsync").glob("*.py"))
+            if p.name != "__init__.py"}
+
+
+def _imports(tree):
+    # (module, line) per import; the package's own modules by bare name,
+    # as in "from .graphs import ..." and "from . import covering"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+
+
+def test_package_imports_follow_the_layers():
+    layer = {m: k for k, names in enumerate(LAYERS) for m in names}
+    modules = _modules()
+    assert set(modules) == set(layer)
+    upward = [f"{m}:{line}: {imp}" for m, tree in modules.items()
+              for imp, line in _imports(tree)
+              if imp in layer and layer[imp] >= layer[m]]
+    assert upward == []
+
+
+def test_only_the_solvers_import_scipy():
+    users = {m for m, tree in _modules().items()
+             if any(imp.split(".")[0] == "scipy" for imp, _ in _imports(tree))}
+    assert users <= SCIPY_USERS, sorted(users - SCIPY_USERS)

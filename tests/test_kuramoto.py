@@ -14,7 +14,7 @@ from fractalsync import (DegreeVector, EigensolverError, FlowConfig,
                          km_energy, km_rhs, solve_equilibrium, twisted_state,
                          wrap_phases)
 from fractalsync import kuramoto as km
-from fractalsync.dirichlet import extend_corners, laplacian_matrix
+from fractalsync.dirichlet import _pinned_factor, extend_corners, laplacian_matrix
 from fractalsync.graphs import child_tables
 from fractalsync.kuramoto import hessian_matrix
 from conftest import (check_energy_handoff, positive_definite_factor,
@@ -45,7 +45,8 @@ def test_newton_step_energy_difference_matches_mpmath():
     u, _ = circle_harmonic_map(g, DegreeVector({(): 1}))
     i, j, c = g.edges[:, 0], g.edges[:, 1], g.conductance
     step = np.zeros_like(u)
-    step[1:] = km._pinned_factor(g, u).solve(km_rhs(g, u)[1:]) / km.TWO_PI
+    factor = _pinned_factor(g, km._hessian_weights(g, u))
+    step[1:] = factor.solve(km_rhs(g, u)[1:]) / km.TWO_PI
     cand = u + step
 
     def exact(x):
@@ -153,6 +154,19 @@ def test_half_twisted_state_needs_a_half_integer():
             half_twisted_state(g, r)
     with pytest.raises(ValueError, match="live on the ring"):
         half_twisted_state(build_sg_graph(1), 0.5)
+    # ring 1's two vertices: r * i / (2**n - 2) would divide by 0
+    with pytest.raises(ValueError, match="ring level 2 or more, not 1"):
+        half_twisted_state(build_ring_graph(1), 0.5)
+
+
+def test_twisted_state_needs_an_integer():
+    g = build_ring_graph(3)
+    for q in (2.5, 0.5, -1e-9, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="q must be an integer"):
+            twisted_state(g, q)
+    assert twisted_state(g, np.int64(3)).tobytes() == twisted_state(g, 3).tobytes()
+    with pytest.raises(ValueError, match="live on the ring"):
+        twisted_state(build_sg_graph(1), 1)
 
 
 # -- flow ---------------------------------------------------------------------
@@ -662,7 +676,7 @@ def test_cell_wall_energy_bounds_the_energy_on_the_walls(kind, n, pick, amp, anc
     assert km._km_energy_fast(u + s * v, i, j, c) >= wall
     # inside the quarter-turn cell the pinned Hessian is a Laplacian with
     # positive weights, and the factor certifies it
-    assert km._pinned_factor(g, u) is not None
+    assert _pinned_factor(g, km._hessian_weights(g, u)) is not None
 
 
 @settings(max_examples=20, deadline=None)
@@ -947,9 +961,9 @@ def test_newton_end_factors_once_per_step(monkeypatch):
     calls = []
     factor = km._pinned_factor
 
-    def counted(g, u):
+    def counted(g, w):
         calls.append(g.level)
-        return factor(g, u)
+        return factor(g, w)
 
     monkeypatch.setattr(km, "_pinned_factor", counted)
     events = spy_handoff(monkeypatch)
@@ -1022,7 +1036,7 @@ def test_cell_elimination_is_the_trace_onto_each_coarser_level():
               + [build_ring_graph(n) for n in range(1, 11)]):
         k = g.cell_corners.shape[1]
         rule = child_tables(extend_corners(np.eye(k)))[1].T[:len(unit[k])]
-        factor = km._pinned_factor(g, np.zeros(g.n_vertices))
+        factor = _pinned_factor(g, np.full(g.n_edges, g.conductance))
         assert len(factor.levels) == g.level
         for m, (_, step) in zip(range(g.level, 0, -1), factor.levels):
             # step is [-M^-1 B | M^-1]
@@ -1063,7 +1077,7 @@ def test_cell_factor_certifies_as_eigvalsh_and_solves_as_superlu(graph, quarter,
         u += rng.integers(0, 4, g.n_vertices) / 4
     H = hessian_matrix(g, u)[1:, 1:]
     eigs = np.linalg.eigvalsh(H.toarray())
-    factor = km._pinned_factor(g, u)
+    factor = _pinned_factor(g, km._hessian_weights(g, u))
     band = 1e-9 * np.abs(eigs).max()
     if abs(eigs[0]) > band:
         assert (factor is not None) == (eigs[0] > 0), eigs[0]
@@ -1099,7 +1113,7 @@ def test_cell_factor_stores_at_most_six_floats_per_free_vertex():
     for g, bound in ([(build_sg_graph(n), 6.0) for n in range(10)]
                      + [(build_ring_graph(n), 3.0) for n in range(1, 13)]):
         u = rng.uniform(-0.05, 0.05, g.n_vertices)
-        factor = km._pinned_factor(g, u)
+        factor = _pinned_factor(g, km._hessian_weights(g, u))
         floats = factor.last.size + sum(step.size for _, step in factor.levels)
         assert floats / (g.n_vertices - 1) <= bound, (g.kind, g.level)
 
@@ -1130,7 +1144,7 @@ def test_gap_sized_lanczos_basis_takes_ten_solves():
     # full basis of LANCZOS_BASIS vectors has converged: ARPACK's default
     # 20 took 21 solves, and the eigenvalue is the same to 1e-12
     for g, u in _basis_cases():
-        factor = km._pinned_factor(g, u)
+        factor = _pinned_factor(g, km._hessian_weights(g, u))
         counted = _CountedSolves(factor)
         eig, verdict = km._classify(g, u, counted)
         assert verdict == "stable" and counted.calls <= 10, (g, counted.calls)
@@ -1146,7 +1160,8 @@ def test_lanczos_basis_fits_the_smallest_graphs():
     # ring level 2 has 3, and both still classify on the certified factor
     for g in (build_sg_graph(0), build_ring_graph(2)):
         u = np.zeros(g.n_vertices)
-        counted = _CountedSolves(km._pinned_factor(g, u))
+        counted = _CountedSolves(
+            _pinned_factor(g, km._hessian_weights(g, u)))
         eig, verdict = km._classify(g, u, counted)
         assert counted.calls > 0 and verdict == "stable"
         L = laplacian_matrix(g).toarray()[1:, 1:]
