@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as spla
 
 from .graphs import FractalGraph, build_graph, cell_edges
 
@@ -133,8 +131,12 @@ def extend_harmonic_once(g_m: FractalGraph, f):
     return g_next, f_next
 
 
-def weighted_laplacian(edges, w, n) -> sparse.csr_matrix:
-    """Laplacian sum_e w_e (d_e d_e^T) of an edge list, as sparse (n, n)."""
+def weighted_laplacian(edges, w, n):
+    """Laplacian sum_e w_e (d_e d_e^T) of an edge list, as a scipy sparse
+    (n, n) CSR matrix; scipy loads at the first call, not with the
+    package."""
+    from scipy import sparse
+
     i, j = edges[:, 0], edges[:, 1]
     rows = np.concatenate([i, j, i, j])
     cols = np.concatenate([i, j, j, i])
@@ -142,7 +144,7 @@ def weighted_laplacian(edges, w, n) -> sparse.csr_matrix:
     return sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def laplacian_matrix(g) -> sparse.csr_matrix:
+def laplacian_matrix(g):
     """Laplacian c*(D - A) as a sparse matrix (positive form), for a graph
     or a cut domain: anything with ``edges``, ``conductance`` and
     ``n_vertices``."""
@@ -263,16 +265,19 @@ def solve_dirichlet(g: FractalGraph, phi, method="extension") -> np.ndarray:
     if method != "linear-solve":
         raise ValueError(f"unknown method {method!r}")
 
-    n = g.n_vertices
+    from scipy.sparse import linalg as spla
+
     L = laplacian_matrix(g)
     boundary = np.array(sorted(bd), dtype=np.int64)
-    interior = np.setdiff1d(np.arange(n), boundary)
-    f = np.zeros(n)
+    interior = np.ones(g.n_vertices, dtype=bool)
+    interior[boundary] = False
+    f = np.zeros(g.n_vertices)
     f[boundary] = [bd[int(b)] for b in boundary]
-    if interior.size == 0:
+    if not interior.any():
         return f
-    A = L[interior][:, interior].tocsc()
-    rhs = -L[interior][:, boundary] @ f[boundary]
+    rows = L[interior]
+    A = rows[:, interior].tocsc()
+    rhs = -rows[:, boundary] @ f[boundary]
     lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
     sol = lu.solve(rhs)
     f[interior] = sol + lu.solve(rhs - A @ sol)

@@ -45,7 +45,9 @@ class NotAnEquilibriumError(ValueError):
 
 
 class EigensolverError(RuntimeError):
-    """The sparse eigensolver did not converge on a pinned Hessian.
+    """An eigensolver did not resolve a large pinned Hessian's smallest
+    eigenvalue: the Lanczos on a certified cell factor ran out of vectors,
+    or ARPACK failed on an uncertified Hessian.
 
     Raised instead of falling back to a dense solve, which would allocate
     an N x N matrix at large levels.

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as spla
 
 from .dirichlet import _pinned_factor, weighted_laplacian
 from .errors import (EigensolverError, NotAnEquilibriumError,
@@ -24,7 +22,7 @@ from .winding import DegreeVector, _wrapped_diff, degree, wrap_phases
 
 TWO_PI = 2.0 * math.pi
 DENSE_EIG_LIMIT = 3000
-LANCZOS_BASIS = 9    # shift-invert Lanczos vectors, see _classify
+LANCZOS_BASIS = 20   # most Lanczos vectors before giving up, see _classify
 STABILITY_BAND = 1e-9
 CHECK_EVERY = 25     # RK4 steps per block of the flow's energy monitor
 RK4_REACH = 2.5      # h times the flow's stiffest rate, inside a cell
@@ -491,8 +489,9 @@ def _hessian_weights(g, u):
                                                          g.edges[:, 1]))
 
 
-def hessian_matrix(g: FractalGraph, u) -> sparse.csr_matrix:
-    """Hessian of the energy: weighted Laplacian with cosine edge weights."""
+def hessian_matrix(g: FractalGraph, u):
+    """Hessian of the energy: weighted Laplacian with cosine edge weights,
+    as a scipy sparse CSR matrix."""
     u = g.check_field(u)
     return weighted_laplacian(g.edges, _hessian_weights(g, u), g.n_vertices)
 
@@ -516,42 +515,72 @@ def hessian_stability(g: FractalGraph, u):
     return _classify(g, u, _pinned_factor(g, _hessian_weights(g, u)))
 
 
+def _lanczos_min_eig(solve, n):
+    """Smallest eigenvalue of a positive definite H from ``solve`` (H^-1),
+    or None if ``LANCZOS_BASIS`` vectors do not resolve it.
+
+    Lanczos on H^-1 (Paige, J. Inst. Math. Appl. 10, 1972), from the
+    normalised ones vector, each new vector orthogonalised twice against
+    the whole basis (classical Gram-Schmidt).  The top Ritz value theta of
+    the tridiagonal T_k has the residual bound beta_k |s_k|, with s its
+    eigenvector; once that is within a few ulps of theta, or the basis
+    spans all n dimensions, 1 / theta is the eigenvalue.
+    """
+    basis = [np.full(n, 1.0 / math.sqrt(n))]
+    alpha, beta = [], []
+    for k in range(1, min(n, LANCZOS_BASIS) + 1):
+        w = solve(basis[-1])
+        a = 0.0
+        for _ in range(2):
+            h = [float(q @ w) for q in basis]
+            for c, q in zip(h, basis):
+                w -= c * q
+            a += h[-1]
+        alpha.append(a)
+        beta.append(math.sqrt(float(w @ w)))
+        # eigh reads T_k's lower triangle only
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))
+        # 4e-16: about two ulps of theta
+        if k == n or beta[-1] * abs(s[-1, -1]) <= 4e-16 * theta[-1]:
+            return 1.0 / theta[-1]
+        basis.append(w / beta[-1])
+    return None
+
+
 def _classify(g, u, factor):
     """Smallest eigenvalue of the pinned Hessian at ``u``, with verdict.
 
     ``factor`` is :func:`dirichlet._pinned_factor` of the Hessian at ``u``,
     which certifies it positive definite, or None.  With a certificate,
-    shift-invert Lanczos at 0 runs on that factor (in that mode eigsh
-    applies only the inverse), from the fixed start vector of ones, with a
-    basis of ``LANCZOS_BASIS`` vectors (at most n) in place of ARPACK's
-    default 20.  The pinned gasket Hessian has lambda_2 / lambda_1 of about
-    8 and the ring's about 4, so the Ritz value has converged to machine
-    precision once the basis is full, and ARPACK tests that only then: 10
-    solves instead of 21.  (With 8 vectors, gasket level 3 of degree
-    ``1,1,1,1``, lambda_2 / lambda_1 = 5.7, restarts and takes 13.)
-    Otherwise, and whenever ARPACK fails, the solve is dense on
+    :func:`_lanczos_min_eig` runs on that factor's solve, from a fixed
+    start vector, so the eigenvalue is bitwise reproducible.  The pinned
+    gasket Hessian has lambda_2 / lambda_1 of about 8 and the ring's
+    about 4, so it stops after at most 9 solves; ARPACK's shift-invert
+    ``eigsh``, which the tests keep as the independent check, takes 10.
+    Without a certificate, or when the Lanczos basis reaches
+    ``LANCZOS_BASIS`` vectors unresolved, the solve is dense on
     ``hessian_matrix(g, u)[1:, 1:]``, up to ``DENSE_EIG_LIMIT`` free
-    vertices.  Above that an uncertified Hessian goes to plain Lanczos,
-    and an ARPACK failure raises :class:`EigensolverError` instead of
-    densifying.  Verdict is ``"stable"`` above the band of half-width
-    ``STABILITY_BAND`` about 0, ``"saddle"`` below it, and
-    ``"degenerate"`` inside it.
+    vertices.  Above that an uncertified Hessian goes to scipy's plain
+    Lanczos (``which="SA"``), and an unresolved certified one, or an ARPACK
+    failure, raises :class:`EigensolverError` instead of densifying.
+    Only these two fallbacks import scipy.  Verdict is ``"stable"``
+    above the band of half-width ``STABILITY_BAND`` about 0, ``"saddle"``
+    below it, and ``"degenerate"`` inside it.
     """
     n = g.n_vertices - 1
     eig = None
-    try:
-        if factor is not None and n > 1:  # ARPACK needs k = 1 < n
-            # the fixed start vector makes the eigenvalue bitwise reproducible
-            op = spla.LinearOperator((n, n), matvec=factor.solve, dtype=float)
-            eig = spla.eigsh(op, k=1, sigma=0.0, which="LM", OPinv=op,
-                             v0=np.ones(n), ncv=min(n, LANCZOS_BASIS),
-                             return_eigenvectors=False)[0]
-        elif n > DENSE_EIG_LIMIT:
+    if factor is not None:
+        eig = _lanczos_min_eig(factor.solve, n)
+        if eig is None and n > DENSE_EIG_LIMIT:
+            raise EigensolverError(
+                n, f"no Ritz value resolved in {LANCZOS_BASIS} Lanczos vectors")
+    elif n > DENSE_EIG_LIMIT:
+        from scipy.sparse import linalg as spla
+        try:
             eig = spla.eigsh(hessian_matrix(g, u)[1:, 1:], k=1, which="SA",
                              tol=1e-10, maxiter=50000,
                              return_eigenvectors=False)[0]
-    except spla.ArpackError as exc:
-        if n > DENSE_EIG_LIMIT:
+        except spla.ArpackError as exc:
             raise EigensolverError(n, exc) from exc
     if eig is None:
         eig = np.linalg.eigvalsh(hessian_matrix(g, u)[1:, 1:].toarray())[0]

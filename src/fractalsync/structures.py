@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import linalg as spla
 
 from . import covering as cov
 from . import kuramoto as km
@@ -123,12 +122,16 @@ def extension_by_minimization(struct: HarmonicStructure, level: int, u_coarse):
     n = g_fine.n_vertices
     L = weighted_laplacian(g_fine.edges, np.full(g_fine.n_edges, c), n)
     fixed = inj
-    free = np.setdiff1d(np.arange(n), fixed)
+    free = np.ones(n, dtype=bool)
+    free[fixed] = False
     vals = np.zeros(n)
     vals[fixed] = u_coarse
-    if free.size:
-        A = L[free][:, free].tocsc()
-        rhs = -L[free][:, fixed] @ vals[fixed]
+    if free.any():
+        from scipy.sparse import linalg as spla
+
+        rows = L[free]
+        A = rows[:, free].tocsc()
+        rhs = -rows[:, fixed] @ vals[fixed]
         vals[free] = spla.spsolve(A, rhs)
     energy = energy_value(struct, level, vals)
     return vals, energy
@@ -162,6 +165,8 @@ def generic_harmonic_map(struct: HarmonicStructure, level: int,
 
 def _extend_lift_by_solve(cur: cov.LiftField) -> cov.LiftField:
     """One extension step on the cut graph via constrained minimisation."""
+    from scipy.sparse import linalg as spla
+
     dom_m = cur.domain
     dom_next = cov.covering_domain(
         build_graph(dom_m.kind, dom_m.level + 1), dom_m.omega)

@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -689,3 +693,35 @@ def test_build_graph_cmd_artifacts_match_oracles(tmp_path, fractal):
             build_graph(fractal, 3).to_json_dict()),
         "structure.json": reference_dumps_json(structure.to_json_dict()),
     }, tmp_path)
+
+
+def _loads_scipy(tmp_path, commands):
+    """Whether ``main`` loads scipy while it runs ``commands``, one after
+    another in a fresh interpreter."""
+    script = ("import sys\n"
+              "from fractalsync.cli import main\n"
+              f"for i, args in enumerate({commands!r}):\n"
+              "    assert main(args + ['--out', f'o{i}']) == 0, args\n"
+              "print('scipy' in sys.modules)\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.split()[-1] == "True"
+
+
+def test_equilibrium_pipeline_runs_without_scipy(tmp_path):
+    # the certified classification is a numpy Lanczos on the cell factor,
+    # so only the independent routes load scipy
+    assert not _loads_scipy(tmp_path, [
+        ["verify", "--levels", "3:5"],
+        ["sweep", "--perturb", "0.1"],
+        ["flow", "--fractal", "ring", "--init", "random"],
+        ["twist"],
+        ["covering", "--degree", "1"],
+        ["harmonic", "--boundary", "0,0,1", "--svg"],
+        ["build-graph"],
+    ])
+    assert _loads_scipy(tmp_path, [
+        ["harmonic", "--boundary", "0,0,1", "--method", "linear-solve"]])

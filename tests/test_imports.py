@@ -77,7 +77,8 @@ def test_no_dead_private_names():
 LAYERS = (("graphs", "errors"), ("dirichlet", "winding"),
           ("covering", "kuramoto"), ("structures",), ("serialize", "svg"),
           ("cli",))
-# the modules that solve with scipy; the rest stay on numpy
+# the modules that solve with scipy, inside the functions that need it;
+# the rest stay on numpy
 SCIPY_USERS = {"dirichlet", "kuramoto", "structures"}
 
 
@@ -111,3 +112,24 @@ def test_only_the_solvers_import_scipy():
     users = {m for m, tree in _modules().items()
              if any(imp.split(".")[0] == "scipy" for imp, _ in _imports(tree))}
     assert users <= SCIPY_USERS, sorted(users - SCIPY_USERS)
+
+
+def _module_level_imports(node):
+    # the imports that run when the module loads: everything outside a
+    # function body (class bodies run at load too)
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield from _imports(child)
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.Lambda)):
+            yield from _module_level_imports(child)
+
+
+def test_scipy_loads_only_inside_functions():
+    # importing the package must not import scipy; the static twin of
+    # test_cli's fresh-interpreter check
+    found = [f"{p.relative_to(ROOT)}:{line}: {imp}"
+             for p in sorted((ROOT / "src").rglob("*.py"))
+             for imp, line in _module_level_imports(ast.parse(p.read_text()))
+             if imp.split(".")[0] == "scipy"]
+    assert found == []

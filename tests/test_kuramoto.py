@@ -995,19 +995,25 @@ def test_hessian_min_eig_bitwise_reproducible_level7():
 
 
 def test_small_eigensolver_failure_falls_back_to_dense(monkeypatch):
-    # a certified Hessian below DENSE_EIG_LIMIT: ARPACK failure densifies
+    # a certified Hessian below DENSE_EIG_LIMIT whose Lanczos basis runs
+    # out unresolved is classified densely
     g = build_sg_graph(4)
     phases, _ = circle_harmonic_map(g, DegreeVector({(): 1}))
     field = solve_equilibrium(g, phases).field
     H = hessian_matrix(g, field).toarray()[1:, 1:]
-
-    def no_convergence(*args, **kwargs):
-        raise spla.ArpackNoConvergence("forced", np.zeros(0), np.zeros((0, 0)))
-
-    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    monkeypatch.setattr(km, "LANCZOS_BASIS", 1)
     eig, verdict = hessian_stability(g, field)
     assert verdict == "stable"
     assert eig == float(np.linalg.eigvalsh(H)[0])
+
+
+def test_large_unresolved_lanczos_is_typed(monkeypatch):
+    # the same above DENSE_EIG_LIMIT must not densify: a certified stable
+    # ring twist whose basis runs out raises
+    g = build_ring_graph(12)
+    monkeypatch.setattr(km, "LANCZOS_BASIS", 1)
+    with pytest.raises(EigensolverError, match="4095-vertex"):
+        hessian_stability(g, twisted_state(g, 1))
 
 
 def test_large_eigensolver_failure_is_typed(monkeypatch):
