@@ -193,24 +193,28 @@ class _CellFactor:
         return t[1:]
 
 
-def _pinned_factor(g: FractalGraph, w) -> _CellFactor | None:
+def _pinned_factor(g: FractalGraph, w, shift=0.0) -> _CellFactor | None:
     """The Laplacian of ``g`` at edge weights ``w`` (one per row of
-    ``g.edges``) with vertex 0 held fixed, factored cell by cell, if that
-    certifies it positive definite; None otherwise.
+    ``g.edges``) less ``shift`` times the identity, with vertex 0 held
+    fixed, factored cell by cell, if that certifies it positive definite;
+    None otherwise.
 
     Each level-m midpoint lies inside exactly one level-(m-1) cell, and the
     edges run cell by cell, so the weights group into parent cells.  From
-    level n down to 1, each parent's Laplacian on its corners and midpoints
+    level n down to 1, each parent's block on its corners and midpoints
     (numbered as ``_CHILD_CORNERS``) is [[C, B^T], [B, M]] with M on the
-    midpoints; eliminating them leaves the Schur complement
-    C - B^T M^-1 B, again a Laplacian on the parent's corners: Kigami's
-    trace of the energy onto V_(m-1).  Its side weights, read off the
-    off-diagonal, go up a level, so no diagonal is ever formed by
-    cancellation.  Level 0 ends with its corners' block, vertex 0 dropped
-    (2 x 2 on the gasket, empty on the ring).  By Haynsworth's inertia
-    additivity the pinned Laplacian is positive definite exactly when every
-    midpoint block M and that last block are, which a batched Cholesky
-    checks per level.  The factor keeps M^-1 and M^-1 B for
+    midpoints, less ``shift`` on M's diagonal; eliminating them leaves the
+    Schur complement C - B^T M^-1 B on the parent's corners: Kigami's trace
+    of the energy onto V_(m-1).  Its side weights, read off the
+    off-diagonal, go up a level, and so do its row sums, as a mass per
+    (cell, corner): m_C - x^T (m_M - shift), with x = M^-1 B and m the
+    masses carried up so far, so no diagonal is ever formed by
+    cancellation.  Unshifted, every mass is 0 and none is formed.  Level 0
+    ends with its corners' block, vertex 0 dropped (2 x 2 on the gasket,
+    empty on the ring).  By Haynsworth's inertia additivity the whole is
+    positive definite, so ``shift`` is below its least eigenvalue, exactly
+    when every midpoint block M and that last block are, which a batched
+    Cholesky checks per level.  The factor keeps M^-1 and M^-1 B for
     :meth:`_CellFactor.solve`.
     """
     k = g.cell_corners.shape[1]
@@ -219,37 +223,49 @@ def _pinned_factor(g: FractalGraph, w) -> _CellFactor | None:
     sides = cell_edges(np.arange(k)[None])
     parent = _laplacian_map(cell_edges(local), size)
     corners = g.cell_corners
+    mass = np.zeros(corners.shape) if shift else None
+    gather = np.eye(size)[local.ravel()]
     levels = []
     try:
         for _ in range(g.level):
             nodes = np.empty((len(corners) // k, size), dtype=corners.dtype)
             nodes[:, local] = corners.reshape(-1, k, k)
             a = (w.reshape(len(nodes), -1) @ parent).reshape(-1, size, size)
+            if shift:
+                # each child's corner masses, summed on the parent's nodes
+                m = mass.reshape(len(nodes), -1) @ gather
+                m[:, k:] -= shift
+                a[:, range(size), range(size)] += m
             b = a[:, k:, :k]
             np.linalg.cholesky(a[:, k:, k:])   # LinAlgError unless definite
             inv = np.linalg.inv(a[:, k:, k:])
             x = inv @ b
             schur = a[:, :k, :k] - np.swapaxes(b, 1, 2) @ x
             w = -schur[:, sides[:, 0], sides[:, 1]].ravel()
+            if shift:
+                mass = m[:, :k] - np.einsum("pmc,pm->pc", x, m[:, k:])
             corners = nodes[:, :k]
             levels.append((nodes, np.concatenate((-x, inv), axis=2)))
         free = corners[0] != 0
-        last = (w @ _laplacian_map(sides, k)).reshape(k, k)[np.ix_(free, free)]
+        last = (w @ _laplacian_map(sides, k)).reshape(k, k)
+        if shift:
+            last += np.diag(mass[0] - shift)
+        last = last[np.ix_(free, free)]
         np.linalg.cholesky(last)
+        last = np.linalg.inv(last)   # may fail where Cholesky passed
     except np.linalg.LinAlgError:
         return None
-    return _CellFactor(k, levels, corners[0][free], np.linalg.inv(last))
+    return _CellFactor(k, levels, corners[0][free], last)
 
 
 def solve_dirichlet(g: FractalGraph, phi, method="extension") -> np.ndarray:
     """Solve the discrete Dirichlet problem: harmonic with f|V0 = phi.
 
     ``method="extension"`` extends the level-0 cell's corner values level
-    by level; ``method="linear-solve"`` pins the boundary and solves
-    the interior Laplace system with one sparse LU factor (minimum-degree
-    ordering of A + A^T) and one step of iterative refinement with the
-    same factor, at every level.  Both agree to 1e-10 in the sup norm;
-    without the refinement step the solve is 1.6e-10 off at level 12.
+    by level; ``method="linear-solve"`` pins the boundary and solves the
+    interior Laplace system with :func:`_solve_free`, at every level.
+    Both agree to 1e-10 in the sup norm; without :func:`_solve_free`'s
+    refinement step the solve is 1.6e-10 off at level 12.
     """
     bd = as_boundary_data(g, phi)
     if method == "extension":
@@ -265,23 +281,30 @@ def solve_dirichlet(g: FractalGraph, phi, method="extension") -> np.ndarray:
     if method != "linear-solve":
         raise ValueError(f"unknown method {method!r}")
 
-    from scipy.sparse import linalg as spla
-
-    L = laplacian_matrix(g)
     boundary = np.array(sorted(bd), dtype=np.int64)
     interior = np.ones(g.n_vertices, dtype=bool)
     interior[boundary] = False
     f = np.zeros(g.n_vertices)
     f[boundary] = [bd[int(b)] for b in boundary]
-    if not interior.any():
-        return f
-    rows = L[interior]
-    A = rows[:, interior].tocsc()
-    rhs = -rows[:, boundary] @ f[boundary]
+    _solve_free(laplacian_matrix(g), interior, f)
+    return f
+
+
+def _solve_free(L, free, f):
+    """Fill ``f[free]`` so that ``(L f)[free] = 0``, the rest of ``f``
+    held: one sparse LU factor of ``L[free][:, free]`` (minimum-degree
+    ordering of A + A^T) and one step of iterative refinement with it.
+    ``free`` is a boolean mask; scipy loads at the first call."""
+    if not free.any():
+        return
+    from scipy.sparse import linalg as spla
+
+    rows = L[free]
+    A = rows[:, free].tocsc()
+    rhs = -rows[:, ~free] @ f[~free]
     lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
     sol = lu.solve(rhs)
-    f[interior] = sol + lu.solve(rhs - A @ sol)
-    return f
+    f[free] = sol + lu.solve(rhs - A @ sol)
 
 
 def normal_derivative(g: FractalGraph, f, v) -> float:

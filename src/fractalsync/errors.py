@@ -45,16 +45,16 @@ class NotAnEquilibriumError(ValueError):
 
 
 class EigensolverError(RuntimeError):
-    """An eigensolver did not resolve a large pinned Hessian's smallest
-    eigenvalue: the Lanczos on a certified cell factor ran out of vectors,
-    or ARPACK failed on an uncertified Hessian.
+    """An eigensolver did not resolve a pinned Hessian's smallest
+    eigenvalue: the Lanczos on its cell factor ran out of vectors, or the
+    factor shifted to Gershgorin's bound did not certify.
 
-    Raised instead of falling back to a dense solve, which would allocate
-    an N x N matrix at large levels.
+    Raised at every size instead of falling back to a dense solve, which
+    would allocate an N x N matrix at large levels.
     """
 
     def __init__(self, size, cause):
         self.size = int(size)
         super().__init__(
-            f"sparse eigensolver did not converge on the {self.size}-vertex "
-            f"pinned Hessian: {cause}")
+            f"eigensolver did not resolve the {self.size}-vertex pinned "
+            f"Hessian's least eigenvalue: {cause}")

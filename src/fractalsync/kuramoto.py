@@ -14,15 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import _pinned_factor, weighted_laplacian
+from .dirichlet import _pinned_factor
 from .errors import (EigensolverError, NotAnEquilibriumError,
                      UnresolvedWindingError)
 from .graphs import FractalGraph
 from .winding import DegreeVector, _wrapped_diff, degree, wrap_phases
 
 TWO_PI = 2.0 * math.pi
-DENSE_EIG_LIMIT = 3000
-LANCZOS_BASIS = 20   # most Lanczos vectors before giving up, see _classify
+LANCZOS_BASIS = 20   # most Lanczos vectors before giving up, see _lanczos_min_eig
 STABILITY_BAND = 1e-9
 CHECK_EVERY = 25     # RK4 steps per block of the flow's energy monitor
 RK4_REACH = 2.5      # h times the flow's stiffest rate, inside a cell
@@ -489,22 +488,15 @@ def _hessian_weights(g, u):
                                                          g.edges[:, 1]))
 
 
-def hessian_matrix(g: FractalGraph, u):
-    """Hessian of the energy: weighted Laplacian with cosine edge weights,
-    as a scipy sparse CSR matrix."""
-    u = g.check_field(u)
-    return weighted_laplacian(g.edges, _hessian_weights(g, u), g.n_vertices)
-
-
 def hessian_stability(g: FractalGraph, u):
     """Smallest Hessian eigenvalue with vertex 0 held fixed, with verdict.
 
     For a field that no Newton run has factored (a flow-only end, or any
     given equilibrium): the residual must be below ``EQUILIBRIUM_TOL``,
     and the pinned Hessian is factored cell by cell as in
-    :func:`solve_equilibrium` and classified the same way.  A Newton-ended
-    report already carries this eigenvalue, bit for bit, from Newton's
-    last factor.
+    :func:`solve_equilibrium` and classified by :func:`_classify`.  A
+    Newton-ended report already carries this eigenvalue, bit for bit, from
+    Newton's last factor.
     """
     u = g.check_field(u)
     res = float(np.abs(km_rhs(g, u)).max())
@@ -516,15 +508,15 @@ def hessian_stability(g: FractalGraph, u):
 
 
 def _lanczos_min_eig(solve, n):
-    """Smallest eigenvalue of a positive definite H from ``solve`` (H^-1),
-    or None if ``LANCZOS_BASIS`` vectors do not resolve it.
+    """Smallest eigenvalue of a positive definite H from ``solve`` (H^-1).
 
     Lanczos on H^-1 (Paige, J. Inst. Math. Appl. 10, 1972), from the
     normalised ones vector, each new vector orthogonalised twice against
     the whole basis (classical Gram-Schmidt).  The top Ritz value theta of
     the tridiagonal T_k has the residual bound beta_k |s_k|, with s its
     eigenvector; once that is within a few ulps of theta, or the basis
-    spans all n dimensions, 1 / theta is the eigenvalue.
+    spans all n dimensions, 1 / theta is the eigenvalue.  If
+    ``LANCZOS_BASIS`` vectors do not resolve it, :class:`EigensolverError`.
     """
     basis = [np.full(n, 1.0 / math.sqrt(n))]
     alpha, beta = [], []
@@ -544,46 +536,42 @@ def _lanczos_min_eig(solve, n):
         if k == n or beta[-1] * abs(s[-1, -1]) <= 4e-16 * theta[-1]:
             return 1.0 / theta[-1]
         basis.append(w / beta[-1])
-    return None
+    raise EigensolverError(
+        n, f"no Ritz value resolved in {LANCZOS_BASIS} Lanczos vectors")
 
 
 def _classify(g, u, factor):
-    """Smallest eigenvalue of the pinned Hessian at ``u``, with verdict.
+    """Smallest eigenvalue of the pinned Hessian H at ``u``, with verdict.
 
-    ``factor`` is :func:`dirichlet._pinned_factor` of the Hessian at ``u``,
-    which certifies it positive definite, or None.  With a certificate,
-    :func:`_lanczos_min_eig` runs on that factor's solve, from a fixed
-    start vector, so the eigenvalue is bitwise reproducible.  The pinned
-    gasket Hessian has lambda_2 / lambda_1 of about 8 and the ring's
-    about 4, so it stops after at most 9 solves; ARPACK's shift-invert
-    ``eigsh``, which the tests keep as the independent check, takes 10.
-    Without a certificate, or when the Lanczos basis reaches
-    ``LANCZOS_BASIS`` vectors unresolved, the solve is dense on
-    ``hessian_matrix(g, u)[1:, 1:]``, up to ``DENSE_EIG_LIMIT`` free
-    vertices.  Above that an uncertified Hessian goes to scipy's plain
-    Lanczos (``which="SA"``), and an unresolved certified one, or an ARPACK
-    failure, raises :class:`EigensolverError` instead of densifying.
-    Only these two fallbacks import scipy.  Verdict is ``"stable"``
-    above the band of half-width ``STABILITY_BAND`` about 0, ``"saddle"``
-    below it, and ``"degenerate"`` inside it.
+    ``factor`` is :func:`dirichlet._pinned_factor` of H, which certifies it
+    positive definite, or None.  With a certificate,
+    :func:`_lanczos_min_eig` runs on that factor's solve from a fixed start
+    vector, so the eigenvalue is bitwise reproducible; lambda_2 / lambda_1
+    is about 8 on the gasket and 4 on the ring, so it takes at most 9
+    solves (ARPACK's shift-invert ``eigsh``, the tests' check, takes 10).
+    Without one, each certified factor of H - sigma I proves sigma below
+    lambda_min.  Gershgorin's sigma = -2 max_i sum_j |w_ij| must certify
+    (else :class:`EigensolverError`; no route densifies), and 52 halvings
+    of [sigma, 0] leave a bracket within 2^-52 of it, whose upper end is
+    the eigenvalue: 53 factorisations.  Verdict is ``"stable"`` above the
+    band of half-width ``STABILITY_BAND`` about 0, ``"saddle"`` below it,
+    and ``"degenerate"`` inside it.
     """
-    n = g.n_vertices - 1
-    eig = None
     if factor is not None:
-        eig = _lanczos_min_eig(factor.solve, n)
-        if eig is None and n > DENSE_EIG_LIMIT:
+        eig = _lanczos_min_eig(factor.solve, g.n_vertices - 1)
+    else:
+        w = _hessian_weights(g, u)
+        lo = -2.0 * np.bincount(g.edges.ravel(), np.repeat(np.abs(w), 2)).max()
+        if _pinned_factor(g, w, lo) is None:
             raise EigensolverError(
-                n, f"no Ritz value resolved in {LANCZOS_BASIS} Lanczos vectors")
-    elif n > DENSE_EIG_LIMIT:
-        from scipy.sparse import linalg as spla
-        try:
-            eig = spla.eigsh(hessian_matrix(g, u)[1:, 1:], k=1, which="SA",
-                             tol=1e-10, maxiter=50000,
-                             return_eigenvectors=False)[0]
-        except spla.ArpackError as exc:
-            raise EigensolverError(n, exc) from exc
-    if eig is None:
-        eig = np.linalg.eigvalsh(hessian_matrix(g, u)[1:, 1:].toarray())[0]
+                g.n_vertices - 1, f"Gershgorin's bound {lo:.6g} did not certify")
+        eig = 0.0   # [lo, eig] brackets lambda_min
+        for _ in range(52):
+            mid = 0.5 * (lo + eig)
+            if _pinned_factor(g, w, mid) is None:
+                eig = mid
+            else:
+                lo = mid
     eig = float(eig)
     if eig > STABILITY_BAND:
         verdict = "stable"

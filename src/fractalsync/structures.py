@@ -24,7 +24,7 @@ import numpy as np
 
 from . import covering as cov
 from . import kuramoto as km
-from .dirichlet import laplacian_matrix, weighted_laplacian
+from .dirichlet import _solve_free, laplacian_matrix, weighted_laplacian
 from .graphs import FractalGraph, build_graph, cell_edges, child_tables
 from .winding import DegreeVector
 
@@ -121,18 +121,11 @@ def extension_by_minimization(struct: HarmonicStructure, level: int, u_coarse):
     c = struct.conductance(level)
     n = g_fine.n_vertices
     L = weighted_laplacian(g_fine.edges, np.full(g_fine.n_edges, c), n)
-    fixed = inj
     free = np.ones(n, dtype=bool)
-    free[fixed] = False
+    free[inj] = False
     vals = np.zeros(n)
-    vals[fixed] = u_coarse
-    if free.any():
-        from scipy.sparse import linalg as spla
-
-        rows = L[free]
-        A = rows[:, free].tocsc()
-        rhs = -rows[:, fixed] @ vals[fixed]
-        vals[free] = spla.spsolve(A, rhs)
+    vals[inj] = u_coarse
+    _solve_free(L, free, vals)
     energy = energy_value(struct, level, vals)
     return vals, energy
 
@@ -165,19 +158,15 @@ def generic_harmonic_map(struct: HarmonicStructure, level: int,
 
 def _extend_lift_by_solve(cur: cov.LiftField) -> cov.LiftField:
     """One extension step on the cut graph via constrained minimisation."""
-    from scipy.sparse import linalg as spla
-
     dom_m = cur.domain
     dom_next = cov.covering_domain(
         build_graph(dom_m.kind, dom_m.level + 1), dom_m.omega)
     corners, mids = child_tables(dom_next.cell_corners)
     vals = np.zeros(dom_next.n_vertices)
     vals[corners] = cur.values[dom_m.cell_corners]
-    fixed, free = np.unique(corners), np.unique(mids)
-    L = laplacian_matrix(dom_next)
-    A = L[free][:, free].tocsc()
-    rhs = -L[free][:, fixed] @ vals[fixed]
-    vals[free] = spla.spsolve(A, rhs)
+    free = np.zeros(dom_next.n_vertices, dtype=bool)
+    free[mids] = True
+    _solve_free(laplacian_matrix(dom_next), free, vals)
     return cov.LiftField(domain=dom_next, values=vals)
 
 

@@ -108,6 +108,17 @@ def positive_definite_factor(H):
     return None
 
 
+def hessian_matrix(g, u):
+    """Hessian of the energy at ``u``, the Laplacian with cosine edge
+    weights, as a scipy sparse CSR matrix: the assembled oracle for the
+    package's cell factor, dense through ``.toarray()``."""
+    from fractalsync.dirichlet import weighted_laplacian
+    from fractalsync.kuramoto import _hessian_weights
+
+    u = g.check_field(u)
+    return weighted_laplacian(g.edges, _hessian_weights(g, u), g.n_vertices)
+
+
 def spy_handoff(mp):
     """Record the flow's Newton runs and wall energies, in call order.
 

@@ -712,12 +712,13 @@ def _loads_scipy(tmp_path, commands):
 
 
 def test_equilibrium_pipeline_runs_without_scipy(tmp_path):
-    # the certified classification is a numpy Lanczos on the cell factor,
-    # so only the independent routes load scipy
+    # every classification runs on the cell factor, a saddle's by
+    # bisection, so only the independent routes load scipy
     assert not _loads_scipy(tmp_path, [
         ["verify", "--levels", "3:5"],
         ["sweep", "--perturb", "0.1"],
         ["flow", "--fractal", "ring", "--init", "random"],
+        ["flow", "--fractal", "ring", "--level", "6", "--init", "twist:17"],
         ["twist"],
         ["covering", "--degree", "1"],
         ["harmonic", "--boundary", "0,0,1", "--svg"],

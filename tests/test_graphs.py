@@ -9,10 +9,10 @@ from fractalsync import (build_graph, build_ring_graph, build_sg_graph,
                          km_rhs, laplacian, normal_derivative, restrict)
 from fractalsync.dirichlet import laplacian_matrix
 from fractalsync.graphs import cell_edges, child_tables
-from fractalsync.kuramoto import hessian_matrix
 from conftest import (Itinerary, apply_word, canonical_itinerary,
-                      enumerate_gasket, reference_cells, reference_id_of,
-                      reference_itinerary, ring1_one_edge, trace_loop)
+                      enumerate_gasket, hessian_matrix, reference_cells,
+                      reference_id_of, reference_itinerary, ring1_one_edge,
+                      trace_loop)
 
 
 def test_level0_is_complete_triangle():

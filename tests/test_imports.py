@@ -77,9 +77,10 @@ def test_no_dead_private_names():
 LAYERS = (("graphs", "errors"), ("dirichlet", "winding"),
           ("covering", "kuramoto"), ("structures",), ("serialize", "svg"),
           ("cli",))
-# the modules that solve with scipy, inside the functions that need it;
-# the rest stay on numpy
-SCIPY_USERS = {"dirichlet", "kuramoto", "structures"}
+# the module that solves with scipy, inside the functions that need it
+# (the independent routes' sparse LU and assembled Laplacian); the rest
+# stay on numpy
+SCIPY_USERS = {"dirichlet"}
 
 
 def _modules():

@@ -16,9 +16,8 @@ from fractalsync import (DegreeVector, EigensolverError, FlowConfig,
 from fractalsync import kuramoto as km
 from fractalsync.dirichlet import _pinned_factor, extend_corners, laplacian_matrix
 from fractalsync.graphs import child_tables
-from fractalsync.kuramoto import hessian_matrix
-from conftest import (check_energy_handoff, positive_definite_factor,
-                      rk4_reference, spy_handoff)
+from conftest import (check_energy_handoff, hessian_matrix,
+                      positive_definite_factor, rk4_reference, spy_handoff)
 
 
 # -- rhs and energy -----------------------------------------------------------
@@ -908,11 +907,51 @@ def test_ring_stability_boundary():
                 assert verdict == "degenerate", (n, q)
 
 
+class _CountedFactors:
+    """``_pinned_factor``, counting its calls."""
+
+    def __init__(self):
+        self.factor, self.calls = km._pinned_factor, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.factor(*args)
+
+
+def _check_bisection(g, u):
+    # the uncertified route's eigenvalue against dense eigvalsh, in at most
+    # 53 factorisations
+    H = hessian_matrix(g, u).toarray()[1:, 1:]
+    eigs = np.linalg.eigvalsh(H)
+    counted = _CountedFactors()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km, "_pinned_factor", counted)
+        eig, verdict = km._classify(g, u, None)
+    assert counted.calls <= 53
+    assert abs(eig - eigs[0]) <= 1e-14 * np.abs(eigs).max(), (eig, eigs[0])
+    return verdict
+
+
 def test_half_twisted_saddles():
-    for n in (3, 4, 5, 6):
+    for n in range(3, 11):
         g = build_ring_graph(n)
-        eig, verdict = hessian_stability(g, half_twisted_state(g, 0.5))
-        assert verdict == "saddle", n
+        u = half_twisted_state(g, 0.5)
+        assert hessian_stability(g, u)[1] == "saddle", n
+        assert _check_bisection(g, u) == "saddle", n
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=st.one_of(st.tuples(st.just("sg"), st.integers(0, 5)),
+                       st.tuples(st.just("ring"), st.integers(1, 8))),
+       seed=st.integers(0, 2 ** 32 - 1))
+# a shifted last block passes Cholesky there, and np.linalg.inv finds it
+# singular
+@example(graph=("sg", 0), seed=80)
+def test_uncertified_min_eig_matches_eigvalsh(graph, seed):
+    g = build_graph(*graph)
+    u = np.random.default_rng(seed).uniform(0.0, 1.0, g.n_vertices)
+    assume(_pinned_factor(g, km._hessian_weights(g, u)) is None)
+    _check_bisection(g, u)
 
 
 def test_hessian_requires_equilibrium():
@@ -994,38 +1033,18 @@ def test_hessian_min_eig_bitwise_reproducible_level7():
                                                    rep.stability)
 
 
-def test_small_eigensolver_failure_falls_back_to_dense(monkeypatch):
-    # a certified Hessian below DENSE_EIG_LIMIT whose Lanczos basis runs
-    # out unresolved is classified densely
+def test_unresolved_lanczos_is_typed(monkeypatch):
+    # a certified stable end whose Lanczos basis runs out unresolved raises
+    # at every size, with no dense fallback
     g = build_sg_graph(4)
     phases, _ = circle_harmonic_map(g, DegreeVector({(): 1}))
     field = solve_equilibrium(g, phases).field
-    H = hessian_matrix(g, field).toarray()[1:, 1:]
+    ring = build_ring_graph(12)
     monkeypatch.setattr(km, "LANCZOS_BASIS", 1)
-    eig, verdict = hessian_stability(g, field)
-    assert verdict == "stable"
-    assert eig == float(np.linalg.eigvalsh(H)[0])
-
-
-def test_large_unresolved_lanczos_is_typed(monkeypatch):
-    # the same above DENSE_EIG_LIMIT must not densify: a certified stable
-    # ring twist whose basis runs out raises
-    g = build_ring_graph(12)
-    monkeypatch.setattr(km, "LANCZOS_BASIS", 1)
+    with pytest.raises(EigensolverError, match="122-vertex"):
+        hessian_stability(g, field)
     with pytest.raises(EigensolverError, match="4095-vertex"):
-        hessian_stability(g, twisted_state(g, 1))
-
-
-def test_large_eigensolver_failure_is_typed(monkeypatch):
-    # a saddle above DENSE_EIG_LIMIT: ARPACK failure must not densify
-    g = build_ring_graph(12)
-
-    def no_convergence(*args, **kwargs):
-        raise spla.ArpackNoConvergence("forced", np.zeros(0), np.zeros((0, 0)))
-
-    monkeypatch.setattr(spla, "eigsh", no_convergence)
-    with pytest.raises(EigensolverError, match="4095-vertex"):
-        hessian_stability(g, half_twisted_state(g, 0.5))
+        hessian_stability(ring, twisted_state(ring, 1))
 
 
 # -- the pinned Hessian's cell factor and Lanczos basis ----------------------------
@@ -1063,19 +1082,25 @@ _FACTOR_GRAPHS = st.one_of(st.tuples(st.just("sg"), st.integers(0, 7)),
 @settings(max_examples=40, deadline=None)
 @given(graph=_FACTOR_GRAPHS, quarter=st.booleans(),
        eps=st.sampled_from((0.0, 1e-17, 1e-12, 1e-6, 0.02, 0.1, 0.5)),
-       seed=st.integers(0, 2 ** 32 - 1))
-@example(graph=("ring", 1), quarter=False, eps=0.5, seed=3)   # parallel edges
-@example(graph=("ring", 1), quarter=True, eps=1e-12, seed=0)
-@example(graph=("sg", 0), quarter=True, eps=0.0, seed=1)
-@example(graph=("sg", 7), quarter=False, eps=0.02, seed=0)
-@example(graph=("ring", 10), quarter=False, eps=0.02, seed=0)
-@example(graph=("sg", 4), quarter=False, eps=0.5, seed=2)     # indefinite
-def test_cell_factor_certifies_as_eigvalsh_and_solves_as_superlu(graph, quarter, eps, seed):
-    # the factor exists exactly when the least eigenvalue of the pinned
-    # Hessian is positive, outside a band of rounding about 0, and then
-    # solves as SuperLU does, to within the conditioning; with quarter,
-    # every edge difference is a multiple of a quarter turn plus at most
-    # eps, so weights c cos 2 pi d nearly vanish or are -c
+       seed=st.integers(0, 2 ** 32 - 1),
+       shift=st.sampled_from((None, -1.0, -1e-3, -1e-6, 1e-6, 1e-3, 1.0)))
+@example(graph=("ring", 1), quarter=False, eps=0.5, seed=3, shift=None)   # parallel edges
+@example(graph=("ring", 1), quarter=True, eps=1e-12, seed=0, shift=None)
+@example(graph=("sg", 0), quarter=True, eps=0.0, seed=1, shift=None)
+@example(graph=("sg", 7), quarter=False, eps=0.02, seed=0, shift=None)
+@example(graph=("ring", 10), quarter=False, eps=0.02, seed=0, shift=None)
+@example(graph=("sg", 4), quarter=False, eps=0.5, seed=2, shift=None)     # indefinite
+@example(graph=("sg", 4), quarter=False, eps=0.5, seed=2, shift=-1e-6)
+@example(graph=("ring", 10), quarter=False, eps=0.02, seed=0, shift=1e-6)
+def test_cell_factor_certifies_as_eigvalsh_and_solves_as_superlu(graph, quarter, eps, seed,
+                                                                 shift):
+    # the factor of H - sigma I exists exactly when sigma is below the
+    # least eigenvalue of the pinned Hessian H, outside a band of rounding
+    # about it, and then solves as SuperLU does, to within the
+    # conditioning; sigma is 0 (shift None) or lambda_min plus shift times
+    # the spectral radius.  With quarter, every edge difference is a
+    # multiple of a quarter turn plus at most eps, so weights c cos 2 pi d
+    # nearly vanish or are -c
     g = build_graph(*graph)
     rng = np.random.default_rng(seed)
     u = rng.uniform(-eps, eps, g.n_vertices)
@@ -1083,12 +1108,15 @@ def test_cell_factor_certifies_as_eigvalsh_and_solves_as_superlu(graph, quarter,
         u += rng.integers(0, 4, g.n_vertices) / 4
     H = hessian_matrix(g, u)[1:, 1:]
     eigs = np.linalg.eigvalsh(H.toarray())
-    factor = _pinned_factor(g, km._hessian_weights(g, u))
     band = 1e-9 * np.abs(eigs).max()
+    sigma = 0.0 if shift is None else eigs[0] + shift * np.abs(eigs).max()
+    factor = _pinned_factor(g, km._hessian_weights(g, u), sigma)
+    eigs = eigs - sigma
     if abs(eigs[0]) > band:
         assert (factor is not None) == (eigs[0] > 0), eigs[0]
     if factor is not None and eigs[0] > band:
-        lu = positive_definite_factor(H.tocsc())
+        lu = positive_definite_factor(
+            (H - sigma * sparse.identity(len(eigs))).tocsc())
         assert lu is not None
         b = rng.standard_normal(len(eigs))
         want = lu.solve(b)
@@ -1098,7 +1126,9 @@ def test_cell_factor_certifies_as_eigvalsh_and_solves_as_superlu(graph, quarter,
 
 def test_ring_twist_min_eig_matches_its_closed_form():
     # pinned at vertex 0, the ring is a path held at both ends, with the
-    # one weight w = c cos(2 pi q / N): lambda_min = w 4 sin^2(pi / 2N)
+    # one weight w = c cos(2 pi q / N) and the path's eigenvalues
+    # 4 sin^2(pi j / 2N), j = 1..N-1: lambda_min = w 4 sin^2(pi / 2N) for
+    # w > 0, certified, and w (2 + 2 cos(pi / N)) for w < 0, by bisection
     for n in range(2, 15):
         g = build_ring_graph(n)
         N = g.n_vertices
@@ -1110,6 +1140,14 @@ def test_ring_twist_min_eig_matches_its_closed_form():
                     * 4.0 * math.sin(math.pi / (2 * N)) ** 2)
             assert verdict == "stable"
             assert eig == pytest.approx(want, rel=1e-14, abs=0), (n, q)
+        for q in sorted({N // 4 + 1, 3 * N // 8, N // 2}):
+            if 4 * q <= N:
+                continue
+            eig, verdict = hessian_stability(g, twisted_state(g, q))
+            want = (g.conductance * math.cos(km.TWO_PI * q / N)
+                    * (2.0 + 2.0 * math.cos(math.pi / N)))
+            assert verdict == "saddle"
+            assert eig == pytest.approx(want, rel=1e-12, abs=0), (n, q)
 
 
 def test_cell_factor_stores_at_most_six_floats_per_free_vertex():
@@ -1146,9 +1184,10 @@ def _basis_cases():
 
 
 def test_gap_sized_lanczos_basis_takes_ten_solves():
-    # lambda_2 / lambda_1 is about 8 on the gasket and 4 on the ring, so a
-    # full basis of LANCZOS_BASIS vectors has converged: ARPACK's default
-    # 20 took 21 solves, and the eigenvalue is the same to 1e-12
+    # lambda_2 / lambda_1 is about 8 on the gasket and 4 on the ring, so
+    # the Lanczos resolves lambda_min in at most 9 solves, far inside
+    # LANCZOS_BASIS vectors, and matches ARPACK's shift-invert eigsh with
+    # a 20-vector basis, the independent check, to 1e-12
     for g, u in _basis_cases():
         factor = _pinned_factor(g, km._hessian_weights(g, u))
         counted = _CountedSolves(factor)
@@ -1162,8 +1201,9 @@ def test_gap_sized_lanczos_basis_takes_ten_solves():
 
 
 def test_lanczos_basis_fits_the_smallest_graphs():
-    # ncv = min(n, LANCZOS_BASIS): gasket level 0 has 2 free vertices and
-    # ring level 2 has 3, and both still classify on the certified factor
+    # the basis stops at n vectors, where it spans the space: gasket level 0
+    # has 2 free vertices and ring level 2 has 3, and both still classify
+    # on the certified factor
     for g in (build_sg_graph(0), build_ring_graph(2)):
         u = np.zeros(g.n_vertices)
         counted = _CountedSolves(
