@@ -1033,18 +1033,23 @@ def test_hessian_min_eig_bitwise_reproducible_level7():
                                                    rep.stability)
 
 
-def test_unresolved_lanczos_is_typed(monkeypatch):
+def test_small_unresolved_lanczos_is_typed(monkeypatch):
     # a certified stable end whose Lanczos basis runs out unresolved raises
-    # at every size, with no dense fallback
+    # also below the size the dense fallback once covered
     g = build_sg_graph(4)
     phases, _ = circle_harmonic_map(g, DegreeVector({(): 1}))
     field = solve_equilibrium(g, phases).field
-    ring = build_ring_graph(12)
     monkeypatch.setattr(km, "LANCZOS_BASIS", 1)
     with pytest.raises(EigensolverError, match="122-vertex"):
         hessian_stability(g, field)
+
+
+def test_large_unresolved_lanczos_is_typed(monkeypatch):
+    # the same on a certified stable ring twist with 4,095 free vertices
+    g = build_ring_graph(12)
+    monkeypatch.setattr(km, "LANCZOS_BASIS", 1)
     with pytest.raises(EigensolverError, match="4095-vertex"):
-        hessian_stability(ring, twisted_state(ring, 1))
+        hessian_stability(g, twisted_state(g, 1))
 
 
 # -- the pinned Hessian's cell factor and Lanczos basis ----------------------------
