@@ -2,11 +2,12 @@
 cell-by-cell factor of a pinned Laplacian.
 
 The level-m energy is the weighted half-sum of squared edge differences,
-with the weight (5/3)**m chosen so that the minimal-energy extension of a
-field to the next level keeps the energy constant.  That extension is the
-1/5-2/5 rule: midpoint values of a cell are a fixed affine combination of
-the corner values (on the ring, the mean of the two).  Fields extend as
-corner values, cell by cell, and are written to vertices once.
+with the weight (1/r)**m chosen so that the minimal-energy extension of a
+field to the next level keeps the energy constant.  That extension and r
+are read off the level-1 tables of ``graphs``: each midpoint of a cell is
+its ``EXTENSION`` row of the corner values, the 1/5-2/5 rule on the gasket
+and the mean of the two corners on the ring.  Fields extend as corner
+values, cell by cell, and are written to vertices once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import FractalGraph, build_graph, cell_edges
+from .graphs import (CHILD_CORNERS, EXTENSION, RENORMALISATION, SIDES,
+                     FractalGraph, cell_edges, cell_nodes)
 
 @dataclass
 class EnergyReport:
@@ -91,44 +93,20 @@ def laplacian(g, f) -> np.ndarray:
 
 def harmonic_extend_once(a, b, c):
     """Midpoint values (x, y, z) of a cell from corner values (a, b, c)."""
-    x = 0.4 * a + 0.4 * b + 0.2 * c
-    y = 0.2 * a + 0.4 * b + 0.4 * c
-    z = 0.4 * a + 0.2 * b + 0.4 * c
-    return (x, y, z)
-
-
-# corners of child i (which keeps corner i) among the parent's corners and
-# then midpoints: x (v1-v2), y (v2-v3), z (v3-v1), or the ring's one
-_CHILD_CORNERS = {
-    3: np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2]]),
-    2: np.array([[0, 2], [2, 1]]),
-}
+    return tuple(a * p + b * q + c * t for p, q, t in EXTENSION[3].tolist())
 
 
 def extend_corners(vals) -> np.ndarray:
     """(C, k) corner values of C cells -> (kC, k) corner values of their
-    children in cell order, by :func:`harmonic_extend_once` on the gasket
-    and the mean of the two corners on the ring."""
+    children in cell order: each midpoint is its ``EXTENSION`` row of the
+    corner values, summed corner by corner."""
     k = vals.shape[1]
-    if k == 3:
-        mids = np.stack(harmonic_extend_once(*vals.T), axis=1)
-    else:
-        mids = 0.5 * (vals[:, :1] + vals[:, 1:])
+    rule = EXTENSION[k]
+    mids = vals[:, :1] * rule[:, 0]
+    for i in range(1, k):
+        mids += vals[:, i:i + 1] * rule[:, i]
     nodes = np.concatenate([vals, mids], axis=1)
-    return nodes[:, _CHILD_CORNERS[k]].reshape(-1, k)
-
-
-def extend_harmonic_once(g_m: FractalGraph, f):
-    """Extend a field one level by the 1/5-2/5 (ring: midpoint) rule.
-
-    Returns ``(g_next, f_next)``; existing vertices keep their values, new
-    midpoints get the energy-minimising combination of their cell corners.
-    """
-    f = g_m.check_field(f)
-    g_next = build_graph(g_m.kind, g_m.level + 1)
-    f_next = np.empty(g_next.n_vertices)
-    f_next[g_next.cell_corners] = extend_corners(f[g_m.cell_corners])
-    return g_next, f_next
+    return nodes[:, CHILD_CORNERS[k]].reshape(-1, k)
 
 
 def weighted_laplacian(edges, w, n):
@@ -202,7 +180,7 @@ def _pinned_factor(g: FractalGraph, w, shift=0.0) -> _CellFactor | None:
     Each level-m midpoint lies inside exactly one level-(m-1) cell, and the
     edges run cell by cell, so the weights group into parent cells.  From
     level n down to 1, each parent's block on its corners and midpoints
-    (numbered as ``_CHILD_CORNERS``) is [[C, B^T], [B, M]] with M on the
+    (numbered as ``CHILD_CORNERS``) is [[C, B^T], [B, M]] with M on the
     midpoints, less ``shift`` on M's diagonal; eliminating them leaves the
     Schur complement C - B^T M^-1 B on the parent's corners: Kigami's trace
     of the energy onto V_(m-1).  Its side weights, read off the
@@ -218,9 +196,9 @@ def _pinned_factor(g: FractalGraph, w, shift=0.0) -> _CellFactor | None:
     :meth:`_CellFactor.solve`.
     """
     k = g.cell_corners.shape[1]
-    local = _CHILD_CORNERS[k]
-    size = int(local.max()) + 1
-    sides = cell_edges(np.arange(k)[None])
+    local = CHILD_CORNERS[k]
+    size = k + len(EXTENSION[k])
+    sides = SIDES[k]
     parent = _laplacian_map(cell_edges(local), size)
     corners = g.cell_corners
     mass = np.zeros(corners.shape) if shift else None
@@ -228,8 +206,7 @@ def _pinned_factor(g: FractalGraph, w, shift=0.0) -> _CellFactor | None:
     levels = []
     try:
         for _ in range(g.level):
-            nodes = np.empty((len(corners) // k, size), dtype=corners.dtype)
-            nodes[:, local] = corners.reshape(-1, k, k)
+            nodes = cell_nodes(corners)
             a = (w.reshape(len(nodes), -1) @ parent).reshape(-1, size, size)
             if shift:
                 # each child's corner masses, summed on the parent's nodes
@@ -323,11 +300,11 @@ def holder_ratio(g: FractalGraph, f, beta=None) -> float:
     """Max over vertex pairs of |f(x)-f(y)| / |x-y|**beta.
 
     Used as an empirical check that harmonic fields obey a uniform Holder
-    bound with beta = log(5/3) / (2 log 2).
+    bound with beta = log(1/r) / (2 log 2), r = 3/5 the gasket's.
     """
     f = g.check_field(f)
     if beta is None:
-        beta = math.log(5.0 / 3.0) / (2.0 * math.log(2.0))
+        beta = math.log(1 / RENORMALISATION[3]) / (2.0 * math.log(2.0))
     pts = g.coords
     n = g.n_vertices
     block = 512  # rows of the pairwise distance matrix held at once

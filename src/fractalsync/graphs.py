@@ -38,33 +38,42 @@ MAX_RING_LEVEL = 20
 SG_CORNERS = np.array([[0.0, 0.0], [0.5, math.sqrt(3.0) / 2.0], [1.0, 0.0]])
 
 _CORNER = np.arange(3)
-_NEXT_CORNER = np.array([1, 2, 0])
+
+# The level-1 network of each fractal, keyed by its corner count k (3 for
+# the gasket, 2 for the ring).  A cell's nodes are its k corners, then its
+# midpoints; child i keeps corner i.  SIDES: a cell's sides as corner pairs,
+# clockwise.  CHILD_CORNERS: each child's corners among its parent's nodes,
+# the gasket's midpoints being x (v1-v2), y (v2-v3) and z (v3-v1).
+# EXTENSION: each midpoint's row of -M^-1 B, the harmonic extension.
+# RENORMALISATION: r, the side weight of the network's trace onto the
+# corners at unit weights; level-n edges have conductance (1/r)**n.
+SIDES = {3: np.array([[0, 1], [1, 2], [2, 0]]), 2: np.array([[0, 1]])}
+CHILD_CORNERS = {
+    3: np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2]]),
+    2: np.array([[0, 2], [2, 1]]),
+}
+EXTENSION = {
+    3: np.array([[0.4, 0.4, 0.2], [0.2, 0.4, 0.4], [0.4, 0.2, 0.4]]),
+    2: np.array([[0.5, 0.5]]),
+}
+RENORMALISATION = {3: 3 / 5, 2: 1 / 2}
 
 
 def cell_edges(corners) -> np.ndarray:
-    """Edges of a corner table, cell by cell: (a, b), (b, c), (c, a) for a
-    triangle, (a, b) for an interval."""
-    if corners.shape[1] == 3:
-        return corners[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    return corners.copy()
+    """Edges of a corner table, cell by cell: each cell's ``SIDES``."""
+    return corners[:, SIDES[corners.shape[1]]].reshape(-1, 2)
 
 
-def child_tables(fine_corners):
-    """Corner and midpoint ids of every level-m cell, from the level-(m+1)
-    corner table.
-
-    With k corners per cell, rows k*c, ..., k*c + k - 1 of
-    ``fine_corners`` are the children of cell c, and child i keeps corner
-    i of its parent; its corner i + 1 (mod k) is a midpoint.  On the
-    gasket these are x (v1-v2), y (v2-v3) and z (v3-v1): corner 2 of
-    child 1, corner 3 of child 2 and corner 1 of child 3.  On the ring
-    both children name the one midpoint.  Returns two (C, k) arrays: the
-    corners (v1, v2, v3) and the midpoints (x, y, z).
-    """
+def cell_nodes(fine_corners) -> np.ndarray:
+    """(C, size) nodes of every level-m cell, from the level-(m+1) corner
+    table: its k corners, then its midpoints, numbered as in
+    ``CHILD_CORNERS``; rows k*c, ..., k*c + k - 1 of ``fine_corners`` are
+    the children of cell c."""
     k = fine_corners.shape[1]
-    i = np.arange(k)
-    kids = fine_corners.reshape(-1, k, k)
-    return kids[:, i, i], kids[:, i, (i + 1) % k]
+    nodes = np.empty((len(fine_corners) // k, k + len(EXTENSION[k])),
+                     dtype=fine_corners.dtype)
+    nodes[:, CHILD_CORNERS[k]] = fine_corners.reshape(-1, k, k)
+    return nodes
 
 
 class FractalGraph:
@@ -85,8 +94,8 @@ class FractalGraph:
         level-1 ring's two cells give its two parallel edges (0, 1) and
         (1, 0).
     conductance : float
-        The one weight of every edge at this level: (5/3)**n for the
-        gasket, 2**n for the ring.
+        The one weight of every edge at this level, (1/r)**n with r from
+        ``RENORMALISATION``: (5/3)**n for the gasket, 2**n for the ring.
     boundary_ids : tuple
         Ids of the boundary vertices (the three corners; vertex 0 for the
         ring).
@@ -95,14 +104,14 @@ class FractalGraph:
         canonical name as a fixed-radix integer.
     """
 
-    def __init__(self, kind, level, alphabet, coords, conductance,
-                 cell_corners, boundary_ids, keys):
+    def __init__(self, kind, level, alphabet, coords, cell_corners,
+                 boundary_ids, keys):
         self.kind = kind
         self.level = level
         self.alphabet = alphabet
         self.coords = coords
         self.edges = cell_edges(cell_corners)
-        self.conductance = conductance
+        self.conductance = (1 / RENORMALISATION[cell_corners.shape[1]]) ** level
         self.cell_corners = cell_corners
         self.boundary_ids = boundary_ids
         self.keys = keys
@@ -255,8 +264,7 @@ def build_sg_graph(n: int) -> FractalGraph:
 
     g = FractalGraph(
         kind="sg", level=n, alphabet=SG_ALPHABET, coords=coords,
-        conductance=(5.0 / 3.0) ** n, cell_corners=cell_corners,
-        boundary_ids=boundary_ids, keys=keys)
+        cell_corners=cell_corners, boundary_ids=boundary_ids, keys=keys)
     assert g.n_vertices == (3 ** (n + 1) + 3) // 2
     return g
 
@@ -280,8 +288,7 @@ def build_ring_graph(n: int) -> FractalGraph:
 
     return FractalGraph(
         kind="ring", level=n, alphabet=RING_ALPHABET, coords=coords,
-        conductance=2.0 ** n, cell_corners=cell_corners,
-        boundary_ids=(0,), keys=keys)
+        cell_corners=cell_corners, boundary_ids=(0,), keys=keys)
 
 
 def build_graph(kind, n) -> FractalGraph:

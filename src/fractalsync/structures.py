@@ -1,17 +1,18 @@
 """Generic harmonic-structure abstraction instantiated by gasket and ring.
 
-A harmonic structure consists of the contraction system, per-map
-renormalisation weights r_i in (0, 1), a conductance rule producing the
-per-level edge weights, and the boundary set.  Two identities
-characterise it:
+A harmonic structure consists of the contraction system, the
+renormalisation weight r in (0, 1) that every map shares (3/5 on the
+gasket, 1/2 on the ring, from ``graphs.RENORMALISATION``), a conductance
+rule producing the per-level edge weights, and the boundary set.  Two
+identities characterise it:
 
-* self-similarity: E_n(u) = sum_i r_i**-1 E_{n-1}(u o F_i);
+* self-similarity: E_n(u) = sum_i r**-1 E_{n-1}(u o F_i);
 * compatibility: E_{n-1}(u) equals the minimum of E_n over all
   extensions of u, attained by the harmonic extension.
 
-The generic operations here recompute conductances from the weights and
-perform extension by solving the constrained minimisation, so they form
-an independent route against the specialised gasket/ring code paths.
+The generic operations here recompute conductances from r and perform
+extension by solving the constrained minimisation, so they form an
+independent route against the specialised gasket/ring code paths.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 from . import covering as cov
 from . import kuramoto as km
 from .dirichlet import _solve_free, laplacian_matrix, weighted_laplacian
-from .graphs import FractalGraph, build_graph, cell_edges, child_tables
+from .graphs import (RENORMALISATION, FractalGraph, build_graph, cell_edges,
+                     cell_nodes)
 from .winding import DegreeVector
 
 
@@ -36,18 +38,20 @@ class HarmonicStructure:
     name: str
     num_maps: int
     contraction_ratios: tuple
-    weights: tuple  # r_i, uniform for the instances built here
+    r: float  # every map's renormalisation weight
     boundary_size: int
     build_graph: Callable[[int], FractalGraph]
 
+    @property
+    def weights(self) -> tuple:
+        """The r_i, one per map."""
+        return (self.r,) * self.num_maps
+
     def conductance(self, level: int) -> float:
-        """Per-edge weight at a level, recomputed from the r_i."""
-        r = self.weights[0]
-        assert all(ri == r for ri in self.weights), \
-            "non-uniform weights are instance data this package does not ship"
+        """Per-edge weight at a level, recomputed from r."""
         out = 1.0
         for _ in range(level):
-            out /= r
+            out /= self.r
         return out
 
     def to_json_dict(self):
@@ -65,7 +69,7 @@ def sg_structure() -> HarmonicStructure:
     return HarmonicStructure(
         name="sg", num_maps=3,
         contraction_ratios=(0.5, 0.5, 0.5),
-        weights=(0.6, 0.6, 0.6),
+        r=RENORMALISATION[3],
         boundary_size=3,
         build_graph=lambda n: build_graph("sg", n))
 
@@ -75,7 +79,7 @@ def ring_structure() -> HarmonicStructure:
     return HarmonicStructure(
         name="ring", num_maps=2,
         contraction_ratios=(0.5, 0.5),
-        weights=(0.5, 0.5),
+        r=RENORMALISATION[2],
         boundary_size=1,
         build_graph=lambda n: build_graph("ring", n))
 
@@ -161,11 +165,12 @@ def _extend_lift_by_solve(cur: cov.LiftField) -> cov.LiftField:
     dom_m = cur.domain
     dom_next = cov.covering_domain(
         build_graph(dom_m.kind, dom_m.level + 1), dom_m.omega)
-    corners, mids = child_tables(dom_next.cell_corners)
+    nodes = cell_nodes(dom_next.cell_corners)
+    k = dom_m.cell_corners.shape[1]
     vals = np.zeros(dom_next.n_vertices)
-    vals[corners] = cur.values[dom_m.cell_corners]
+    vals[nodes[:, :k]] = cur.values[dom_m.cell_corners]
     free = np.zeros(dom_next.n_vertices, dtype=bool)
-    free[mids] = True
+    free[nodes[:, k:]] = True
     _solve_free(laplacian_matrix(dom_next), free, vals)
     return cov.LiftField(domain=dom_next, values=vals)
 

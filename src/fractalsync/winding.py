@@ -1,11 +1,12 @@
 """Winding numbers of circle-valued fields along the cell loops.
 
-Every cell boundary is a loop, traced clockwise through the corners v1,
-v2, v3 of its cell; the loops of all orders form the basis along which
-winding numbers are recorded.  A field's step along an edge is the unique
-real increment within a half turn, and the total increment around a loop
-is its winding number.  :func:`degree` reads every loop at once off the
-corner table.
+A cell is a loop when the path along its sides (``graphs.SIDES``)
+closes: every gasket cell, traced clockwise through its corners v1, v2,
+v3, and the ring's level-0 cell, the whole ring.  The loops of all orders
+form the basis along which winding numbers are recorded.  A field's step
+along an edge is the unique real increment within a half turn, and the
+total increment around a loop is its winding number.  :func:`degree`
+reads every loop at once off the corner table.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DegreeClosureError, UnresolvedWindingError
-from .graphs import _CORNER, _NEXT_CORNER, SG_ALPHABET, FractalGraph
+from .graphs import SG_ALPHABET, SIDES, FractalGraph
 
 INTEGRALITY_TOL = 1e-8
 
@@ -148,29 +149,34 @@ def _closed(w, word) -> int:
 def degree(f, g: FractalGraph) -> DegreeVector:
     """Nonzero winding numbers of ``f`` along the loops of every order.
 
-    Each side a -> b of each level-n cell is one wrapped step (see
-    :func:`_steps`).  The loop of cell w runs clockwise along its sides
-    v1 -> v2 -> v3 -> v1, and side a -> b of cell w is side a -> b of
+    Each side a -> b of each level-n cell (its ``SIDES``) is one wrapped
+    step (see :func:`_steps`).  Side a -> b of cell w is side a -> b of
     child wa followed by side a -> b of child wb, so sides are summed one
-    level up at a time; a cell winds by the sum of its three sides, the
-    ring by the sum over its cells.
+    level up at a time, and so are the corners (corner a of cell w is
+    corner a of child wa).  A cell is a loop when its side path closes,
+    its last side ending at the corner its first side starts from, and it
+    winds by the sum of its sides: every gasket cell, and the ring's
+    level-0 cell, whose two corners are its one boundary vertex.
     """
     f = g.check_field(f)
     corners = g.cell_corners
-    if g.kind == "ring":
-        lifts = [_steps(f, corners[:, 0], corners[:, 1]).sum(keepdims=True)]
-    else:
-        sides = _steps(f, corners, corners[:, _NEXT_CORNER])  # (3**n, 3)
-        lifts = [sides.sum(axis=1)]
-        for _ in range(g.level):
-            kids = sides.reshape(-1, 3, 3)
-            sides = kids[:, _CORNER, _CORNER] + kids[:, _NEXT_CORNER, _CORNER]
-            lifts.insert(0, sides.sum(axis=1))
+    k = corners.shape[1]
+    a, b = SIDES[k].T
+    s = np.arange(len(a))
+    sides = _steps(f, corners[:, a], corners[:, b])
+    # the corner each cell's side path starts from and the one it ends at
+    first, last = corners[:, a[0]], corners[:, b[-1]]
+    lifts = [(first == last, sides.sum(axis=1))]
+    for _ in range(g.level):
+        kids = sides.reshape(-1, k, len(a))
+        sides = kids[:, a, s] + kids[:, b, s]
+        first, last = first[a[0]::k], last[b[-1]::k]
+        lifts.insert(0, (first == last, sides.sum(axis=1)))
     entries = {}
-    for m, lift in enumerate(lifts):
+    for m, (closed, lift) in enumerate(lifts):
         wind = np.round(lift)
-        nz = np.flatnonzero((wind != 0)
-                            | ~(np.abs(lift - wind) <= INTEGRALITY_TOL))
+        nz = np.flatnonzero(closed & ((wind != 0) | ~(
+            np.abs(lift - wind) <= INTEGRALITY_TOL)))
         words = map(tuple, g.word_symbols(nz, m).tolist())
         for word, w in zip(words, lift[nz].tolist()):
             entries[word] = _closed(w, word)

@@ -173,18 +173,31 @@ def check_energy_handoff(rep, events):
 # -- the vertex-form extension the corner-value kernel replaced ---------------
 
 
+def extend_harmonic_once(g_m, f):
+    """A field extended one level by the 1/5-2/5 (ring: midpoint) rule, as
+    ``(g_next, f_next)``: ``extend_corners`` of its cells' corner values,
+    written to the next level's vertices."""
+    from fractalsync import build_graph, extend_corners
+
+    f = g_m.check_field(f)
+    g_next = build_graph(g_m.kind, g_m.level + 1)
+    f_next = np.empty(g_next.n_vertices)
+    f_next[g_next.cell_corners] = extend_corners(f[g_m.cell_corners])
+    return g_next, f_next
+
+
 def reference_extend_cells(values, corners, fine_corners, n_fine):
     """The 1/5-2/5 rule in every cell at once, written to the level-(m+1)
     vertices: ``values[corners]`` are the corner values of each level-m
     cell, and each cell's midpoints get ``harmonic_extend_once`` of them."""
     from fractalsync import harmonic_extend_once
-    from fractalsync.graphs import child_tables
+    from fractalsync.graphs import cell_nodes
 
     vals = values[corners]
-    fine, mids = child_tables(fine_corners)
+    nodes = cell_nodes(fine_corners)
     out = np.empty(n_fine)
-    out[fine] = vals
-    out[mids.T] = harmonic_extend_once(*vals.T)
+    out[nodes[:, :3]] = vals
+    out[nodes[:, 3:].T] = harmonic_extend_once(*vals.T)
     return out
 
 

@@ -19,10 +19,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from conftest import extend_harmonic_once
 from fractalsync import (DegreeMismatchError, DegreeVector, build_ring_graph,
                          build_sg_graph, circle_distance, circle_harmonic_map,
-                         covering_domain,
-                         dirichlet_energy, extend_harmonic_once, generic_km,
+                         covering_domain, dirichlet_energy, generic_km,
                          half_twisted_state, harmonic_extend_once,
                          hessian_stability, holder_ratio,
                          integrate_to_equilibrium, km_energy, km_rhs, laplacian,

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (positive_definite_factor, reference_solve_dirichlet,
-                      reference_square)
+from conftest import (extend_harmonic_once, positive_definite_factor,
+                      reference_solve_dirichlet, reference_square)
 from fractalsync import (build_graph, build_ring_graph, build_sg_graph,
-                         dirichlet_energy, extend_harmonic_once,
-                         harmonic_extend_once, holder_ratio, laplacian,
-                         normal_derivative, restrict, solve_dirichlet)
+                         dirichlet_energy, harmonic_extend_once, holder_ratio,
+                         laplacian, normal_derivative, restrict,
+                         solve_dirichlet)
 from fractalsync.dirichlet import _pinned_factor, weighted_laplacian
 
 BETA = math.log(5 / 3) / (2 * math.log(2))

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -5,14 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fractalsync import (build_graph, build_ring_graph, build_sg_graph,
-                         dirichlet_energy, extend_harmonic_once, km_energy,
-                         km_rhs, laplacian, normal_derivative, restrict)
+                         dirichlet_energy, km_energy, km_rhs, laplacian,
+                         normal_derivative, restrict)
 from fractalsync.dirichlet import laplacian_matrix
-from fractalsync.graphs import cell_edges, child_tables
+from fractalsync.graphs import (CHILD_CORNERS, EXTENSION, RENORMALISATION, SIDES,
+                                cell_edges, cell_nodes)
 from conftest import (Itinerary, apply_word, canonical_itinerary,
-                      enumerate_gasket, hessian_matrix, reference_cells,
-                      reference_id_of, reference_itinerary, ring1_one_edge,
-                      trace_loop)
+                      enumerate_gasket, extend_harmonic_once, hessian_matrix,
+                      reference_cells, reference_id_of, reference_itinerary,
+                      ring1_one_edge, trace_loop)
 
 
 def test_level0_is_complete_triangle():
@@ -268,6 +270,61 @@ def test_canonical_names_same_point():
     assert a == b == Itinerary((1,), 3)
 
 
+# -- the level-1 tables ---------------------------------------------------------
+
+
+def _exact_trace(k):
+    """Gauss-Jordan on [M | -B] of the unit-weight level-1 network, built
+    from ``SIDES`` and ``CHILD_CORNERS`` in fractions: returns -M^-1 B (a
+    row per midpoint), the Schur complement C - B^T M^-1 B on the corners,
+    and the unit Laplacian of one cell's ``SIDES``."""
+    def unit_laplacian(pairs, size):
+        lap = [[Fraction(0)] * size for _ in range(size)]
+        for i, j in pairs:
+            lap[i][i] += 1
+            lap[j][j] += 1
+            lap[i][j] -= 1
+            lap[j][i] -= 1
+        return lap
+
+    local = CHILD_CORNERS[k].tolist()
+    size = max(map(max, local)) + 1
+    lap = unit_laplacian([(kid[a], kid[b]) for kid in local
+                          for a, b in SIDES[k].tolist()], size)
+    mids = range(k, size)
+    aug = [[lap[i][j] for j in mids] + [-lap[i][c] for c in range(k)]
+           for i in mids]
+    for p in range(len(aug)):
+        aug[p] = [v / aug[p][p] for v in aug[p]]   # M is positive definite
+        for r in range(len(aug)):
+            if r != p:
+                aug[r] = [v - aug[r][p] * w for v, w in zip(aug[r], aug[p])]
+    x = [row[len(aug):] for row in aug]
+    schur = [[lap[a][b] + sum(lap[a][m] * x[i][b] for i, m in enumerate(mids))
+              for b in range(k)] for a in range(k)]
+    return x, schur, unit_laplacian(SIDES[k].tolist(), k)
+
+
+@pytest.mark.parametrize("k", [3, 2])
+def test_level1_tables_are_the_exact_trace(k):
+    x, schur, cell = _exact_trace(k)
+    assert [[float(v) for v in row] for row in x] == EXTENSION[k].tolist()
+    a, b = SIDES[k][0]
+    r = -schur[a][b]
+    assert float(r) == RENORMALISATION[k]
+    # the trace is r times one cell's own network: every side weighs r
+    assert schur == [[r * v for v in row] for row in cell]
+    if k == 3:
+        assert r == Fraction(3, 5)
+        levels, build = range(0, 13), build_sg_graph.__wrapped__
+    else:
+        assert r == Fraction(1, 2)
+        levels, build = range(1, 21), build_ring_graph.__wrapped__
+    # built unmemoised, so the level-12 gasket is not held for the session
+    for n in levels:
+        assert build(n).conductance == float(1 / r) ** n
+
+
 # -- the array hierarchy against the scalar itinerary oracle ---------------
 
 @pytest.mark.parametrize("n", range(0, 7))
@@ -313,7 +370,8 @@ def test_id_of_rejects_names_that_are_not_vertices():
 @pytest.mark.parametrize("m", range(0, 6))
 def test_child_tables_match_itinerary_lookup(m):
     g_m, g_next = build_sg_graph(m), build_sg_graph(m + 1)
-    corners, mids = child_tables(g_next.cell_corners)
+    nodes = cell_nodes(g_next.cell_corners)
+    corners, mids = nodes[:, :3], nodes[:, 3:]
     assert corners.shape == mids.shape == (len(g_m.cell_corners), 3)
     for k, w in enumerate(sorted(reference_cells(g_m))):
         assert corners[k].tolist() == [

@@ -81,6 +81,9 @@ LAYERS = (("graphs", "errors"), ("dirichlet", "winding"),
 # (the independent routes' sparse LU and assembled Laplacian); the rest
 # stay on numpy
 SCIPY_USERS = {"dirichlet"}
+# the modules that read a graph's kind; every other one reads the level-1
+# tables of graphs, keyed by the corner count
+KIND_READERS = {"graphs", "covering", "kuramoto", "structures", "svg"}
 
 
 def _modules():
@@ -113,6 +116,17 @@ def test_only_the_solvers_import_scipy():
     users = {m for m, tree in _modules().items()
              if any(imp.split(".")[0] == "scipy" for imp, _ in _imports(tree))}
     assert users <= SCIPY_USERS, sorted(users - SCIPY_USERS)
+
+
+def test_only_the_kind_readers_read_kind():
+    # an array's dtype.kind is not a graph's
+    readers = {m for m, tree in _modules().items()
+               if any(isinstance(n, ast.Attribute) and n.attr == "kind"
+                      and isinstance(n.ctx, ast.Load)
+                      and not (isinstance(n.value, ast.Attribute)
+                               and n.value.attr == "dtype")
+                      for n in ast.walk(tree))}
+    assert readers <= KIND_READERS, sorted(readers - KIND_READERS)
 
 
 def _module_level_imports(node):

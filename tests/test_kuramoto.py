@@ -15,7 +15,7 @@ from fractalsync import (DegreeVector, EigensolverError, FlowConfig,
                          wrap_phases)
 from fractalsync import kuramoto as km
 from fractalsync.dirichlet import _pinned_factor, extend_corners, laplacian_matrix
-from fractalsync.graphs import child_tables
+from fractalsync.graphs import cell_nodes
 from conftest import (check_energy_handoff, hessian_matrix,
                       positive_definite_factor, rk4_reference, spy_handoff)
 
@@ -1065,7 +1065,7 @@ def test_cell_elimination_is_the_trace_onto_each_coarser_level():
     for g in ([build_sg_graph(n) for n in range(8)]
               + [build_ring_graph(n) for n in range(1, 11)]):
         k = g.cell_corners.shape[1]
-        rule = child_tables(extend_corners(np.eye(k)))[1].T[:len(unit[k])]
+        rule = cell_nodes(extend_corners(np.eye(k)))[:, k:].T
         factor = _pinned_factor(g, np.full(g.n_edges, g.conductance))
         assert len(factor.levels) == g.level
         for m, (_, step) in zip(range(g.level, 0, -1), factor.levels):

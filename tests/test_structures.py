@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import extend_harmonic_once
 from fractalsync import (DegreeVector, build_ring_graph, build_sg_graph,
                          circle_distance, circle_harmonic_map, dirichlet_energy,
-                         extend_harmonic_once, generic_harmonic_map, generic_km,
+                         generic_harmonic_map, generic_km,
                          integrate_to_equilibrium, ring_structure, sg_structure,
                          solve_dirichlet, twisted_state)
 from fractalsync.structures import (compatibility_residual, energy_value,

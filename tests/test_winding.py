@@ -165,6 +165,15 @@ def test_degree_equals_traced_loops(kind, levels):
     assert finest == (max(levels) if kind == "sg" else 0)
 
 
+@pytest.mark.parametrize("n", [12, 16, 20])
+def test_deep_ring_twist_degree(n):
+    # the ring's winding is reduced side by side, one level up at a time,
+    # to its one loop, the level-0 cell
+    g = build_ring_graph(n)
+    for q in (1, -1, g.n_vertices // 4 - 1):
+        assert degree(twisted_state(g, q), g) == DegreeVector({(): q})
+
+
 _ORDER_2_LOOPS = [w for ell in range(3) for w in product((1, 2, 3), repeat=ell)]
 
 
