@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import (CHILD_CORNERS, EXTENSION, RENORMALISATION, SIDES,
-                     FractalGraph, cell_edges, cell_nodes)
+from .graphs import (BASE_CORNERS, CHILD_CORNERS, EXTENSION, RENORMALISATION,
+                     SIDES, FractalGraph, cell_edges, cell_nodes)
 
 @dataclass
 class EnergyReport:
@@ -246,10 +246,9 @@ def solve_dirichlet(g: FractalGraph, phi, method="extension") -> np.ndarray:
     """
     bd = as_boundary_data(g, phi)
     if method == "extension":
-        # the level-0 cell's corners are V0 in boundary order; the ring's
-        # one cell starts and ends at its one boundary vertex
-        vals = np.resize([bd[b] for b in g.boundary_ids],
-                         (1, g.cell_corners.shape[1]))
+        # the boundary ids are the level-0 vertices, refined, in order
+        vals = np.array([bd[b] for b in g.boundary_ids])[
+            BASE_CORNERS[g.cell_corners.shape[1]]]
         for _ in range(g.level):
             vals = extend_corners(vals)
         f = np.empty(g.n_vertices)
@@ -279,6 +278,7 @@ def _solve_free(L, free, f):
     rows = L[free]
     A = rows[:, free].tocsc()
     rhs = -rows[:, ~free] @ f[~free]
+    del L, rows  # only A is held while splu factors it
     lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
     sol = lu.solve(rhs)
     f[free] = sol + lu.solve(rhs - A @ sol)

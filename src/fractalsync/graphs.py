@@ -16,6 +16,11 @@ canonical name, read as a base-3 integer.  The sorted key array fixes the
 ids, so identity and ordering never depend on floating-point coordinates;
 the graph JSON spells the names out from the keys.
 
+Both hierarchies are built the way they are defined: the level-0 cell
+refined n times with the level-1 tables, at O(N) a level.  A refinement
+keeps each vertex and adds the midpoint of every cell side; each cell's
+corners and midpoints give its children's corners (``CHILD_CORNERS``).
+
 The ring hierarchy uses the alphabet ``{0, 1}`` (two contractions of the
 unit interval with endpoints identified), vertices ``i * 2**-n`` and
 nearest-neighbour edges; its keys are binary in the same way.
@@ -37,8 +42,6 @@ MAX_RING_LEVEL = 20
 # Corners of the base triangle: v1 bottom-left, v2 top, v3 bottom-right.
 SG_CORNERS = np.array([[0.0, 0.0], [0.5, math.sqrt(3.0) / 2.0], [1.0, 0.0]])
 
-_CORNER = np.arange(3)
-
 # The level-1 network of each fractal, keyed by its corner count k (3 for
 # the gasket, 2 for the ring).  A cell's nodes are its k corners, then its
 # midpoints; child i keeps corner i.  SIDES: a cell's sides as corner pairs,
@@ -57,11 +60,16 @@ EXTENSION = {
     2: np.array([[0.5, 0.5]]),
 }
 RENORMALISATION = {3: 3 / 5, 2: 1 / 2}
+# The level-0 cell, keyed the same way.  BASE_POINTS: the point of each
+# tail symbol.  BASE_CORNERS: the vertex id of each corner; the ring's two
+# ends are its one vertex.
+BASE_POINTS = {3: SG_CORNERS, 2: np.array([[0.0, 0.0], [1.0, 0.0]])}
+BASE_CORNERS = {3: np.array([[0, 1, 2]]), 2: np.array([[0, 0]])}
 
 
 def cell_edges(corners) -> np.ndarray:
     """Edges of a corner table, cell by cell: each cell's ``SIDES``."""
-    return corners[:, SIDES[corners.shape[1]]].reshape(-1, 2)
+    return corners.take(SIDES[corners.shape[1]], axis=1).reshape(-1, 2)
 
 
 def cell_nodes(fine_corners) -> np.ndarray:
@@ -78,6 +86,9 @@ def cell_nodes(fine_corners) -> np.ndarray:
 
 class FractalGraph:
     """Immutable level-n approximating graph (gasket or ring).
+
+    Built by refining the level-0 cell n times: a cell's corners and
+    midpoints give its children's corners, and the keys' ranks the ids.
 
     Attributes
     ----------
@@ -224,26 +235,55 @@ class FractalGraph:
                 f"|V|={self.n_vertices}, |E|={self.n_edges})")
 
 
-def _sg_corner_keys(n):
-    """(3**n, 3) keys of the canonical names of every cell corner.
+def _refine(kind, alphabet, n) -> FractalGraph:
+    """Level-n graph of the fractal with k = len(alphabet) corners: its
+    level-0 cell refined n times with the level-1 tables.
 
-    Corner i of cell w is named w~i, whose padded key is 3w + i.  Written
-    as u s i^t with s != i, the same vertex is also u i s^t (the corner of
-    the neighbouring cell); the key is the smaller of the two.
+    Old key K stays a vertex as k K + K % k, its tail once more; side
+    (a, b), a < b, of cell w adds the midpoint w a b~b, key k**2 w +
+    (k a + b).  One list ends in a doubled symbol and the other never
+    does, so an old vertex's id moves up by the midpoints with smaller
+    keys, and the midpoints fill the ids left.  ``table`` holds the point
+    F_w(v_tail) of every key of the current length, as x + iy, applied
+    innermost symbol first: a leading symbol d maps p to (p + v_d) / 2.
     """
-    raw = 3 * np.arange(3 ** n, dtype=np.int64)[:, None] + _CORNER
-    tail = raw % 3
-    run = np.ones_like(raw)  # 3**t for the run of tail digits ending raw
-    rest = raw.copy()
-    in_run = np.ones(raw.shape, dtype=bool)
-    for _ in range(n + 1):
-        in_run &= rest % 3 == tail
-        run[in_run] *= 3
-        rest //= 3
-    head = raw // run  # u s
-    s = head % 3
-    other = (head - s + tail) * run + s * (run - 1) // 2
-    return np.where(s > tail, other, raw)
+    k = len(alphabet)
+    corners = BASE_CORNERS[k]
+    keys = np.arange(corners.max() + 1)  # at level 0 the tail, the id
+    boundary = keys
+    points = BASE_POINTS[k].view(complex).ravel()
+    table = points
+    side = np.sort(SIDES[k], axis=1)
+    code = k * side[:, 0] + side[:, 1]  # a midpoint key's last two symbols
+    order = np.argsort(code)
+    mids = len(code)
+    # old key k K + t is k**2 (K // k) + (k + 1) t: the midpoints of the
+    # cells before K // k are ahead of it, and those of its own cell with
+    # a smaller code
+    ahead = np.searchsorted(code[order], (k + 1) * np.arange(k))
+    for _ in range(n):
+        tail = keys % k
+        at_old = np.arange(len(keys)) + mids * (keys // k) + ahead[tail]
+        is_mid = np.ones(len(keys) + mids * len(corners), dtype=bool)
+        is_mid[at_old] = False
+        at_mid = np.flatnonzero(is_mid)
+        old, keys = k * keys + tail, np.empty(len(is_mid), dtype=np.int64)
+        keys[at_old] = old
+        keys[at_mid] = (k * k * np.arange(len(corners))[:, None]
+                        + code[order]).ravel()
+        nodes = np.empty((len(corners), k + mids), dtype=np.int64)
+        nodes[:, :k] = at_old[corners]
+        nodes[:, k + order] = at_mid.reshape(len(corners), mids)
+        corners = nodes.take(CHILD_CORNERS[k], axis=1).reshape(-1, k)
+        boundary = at_old[boundary]
+        # x and y added and halved apart, as real and imaginary parts
+        table = (table + points[:, None]).ravel()
+        xy = table.view(float)
+        xy /= 2.0
+    return FractalGraph(
+        kind=kind, level=n, alphabet=alphabet,
+        coords=table[keys].view(float).reshape(-1, 2), cell_corners=corners,
+        boundary_ids=tuple(boundary.tolist()), keys=keys)
 
 
 @lru_cache(maxsize=None)
@@ -252,19 +292,7 @@ def build_sg_graph(n: int) -> FractalGraph:
     if not 0 <= n <= MAX_SG_LEVEL:
         raise ValueError(
             f"gasket level must be in [0, {MAX_SG_LEVEL}], got {n}")
-    keys, inverse = np.unique(_sg_corner_keys(n).ravel(), return_inverse=True)
-    cell_corners = inverse.reshape(-1, 3)
-
-    # F_w(v_tail), applied innermost symbol first
-    coords = SG_CORNERS[keys % 3]
-    for p in range(1, n + 1):
-        coords = (coords + SG_CORNERS[keys // 3 ** p % 3]) / 2.0
-    boundary_ids = tuple(int(i) for i in np.searchsorted(
-        keys, _CORNER * ((3 ** (n + 1) - 1) // 2)))
-
-    g = FractalGraph(
-        kind="sg", level=n, alphabet=SG_ALPHABET, coords=coords,
-        cell_corners=cell_corners, boundary_ids=boundary_ids, keys=keys)
+    g = _refine("sg", SG_ALPHABET, n)
     assert g.n_vertices == (3 ** (n + 1) + 3) // 2
     return g
 
@@ -275,20 +303,7 @@ def build_ring_graph(n: int) -> FractalGraph:
     if not 1 <= n <= MAX_RING_LEVEL:
         raise ValueError(
             f"ring level must be in [1, {MAX_RING_LEVEL}], got {n}")
-    nv = 2 ** n
-    coords = np.zeros((nv, 2))
-    coords[:, 0] = np.arange(nv) / nv
-
-    idx = np.arange(nv, dtype=np.int64)
-    cell_corners = np.stack([idx, (idx + 1) % nv], axis=1)
-
-    # canonical = the limit-from-below binary expansion of i * 2**-n: ~0
-    # for vertex 0, the n digits of i - 1 then ~1 otherwise
-    keys = np.maximum(2 * idx - 1, 0)
-
-    return FractalGraph(
-        kind="ring", level=n, alphabet=RING_ALPHABET, coords=coords,
-        cell_corners=cell_corners, boundary_ids=(0,), keys=keys)
+    return _refine("ring", RING_ALPHABET, n)
 
 
 def build_graph(kind, n) -> FractalGraph:

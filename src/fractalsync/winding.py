@@ -174,6 +174,8 @@ def degree(f, g: FractalGraph) -> DegreeVector:
         lifts.insert(0, (first == last, sides.sum(axis=1)))
     entries = {}
     for m, (closed, lift) in enumerate(lifts):
+        if not closed.any():
+            continue
         wind = np.round(lift)
         nz = np.flatnonzero(closed & ((wind != 0) | ~(
             np.abs(lift - wind) <= INTEGRALITY_TOL)))

@@ -170,6 +170,64 @@ def check_energy_handoff(rep, events):
     return anchor
 
 
+# -- the digit-loop graph construction the refinement replaced ---------------
+
+
+def _reference_sg_corner_keys(n):
+    """(3**n, 3) keys of the canonical names of every cell corner.
+
+    Corner i of cell w is named w~i, whose padded key is 3w + i.  Written
+    as u s i^t with s != i, the same vertex is also u i s^t (the corner of
+    the neighbouring cell); the key is the smaller of the two.
+    """
+    raw = 3 * np.arange(3 ** n, dtype=np.int64)[:, None] + np.arange(3)
+    tail = raw % 3
+    run = np.ones_like(raw)  # 3**t for the run of tail digits ending raw
+    rest = raw.copy()
+    in_run = np.ones(raw.shape, dtype=bool)
+    for _ in range(n + 1):
+        in_run &= rest % 3 == tail
+        run[in_run] *= 3
+        rest //= 3
+    head = raw // run  # u s
+    s = head % 3
+    other = (head - s + tail) * run + s * (run - 1) // 2
+    return np.where(s > tail, other, raw)
+
+
+def reference_graph(kind, n):
+    """The level-n graph's arrays built digit by digit, O(n N): every
+    corner key canonicalised over all its symbols and deduplicated by
+    ``np.unique`` (the ring's in closed form), every point folded from
+    all its symbols innermost first.  A dict of ``keys``,
+    ``cell_corners``, ``edges``, ``coords``, ``boundary_ids`` and
+    ``conductance``."""
+    if kind == "sg":
+        keys, inverse = np.unique(_reference_sg_corner_keys(n).ravel(),
+                                  return_inverse=True)
+        corners = inverse.reshape(-1, 3)
+        coords = V0[keys % 3]
+        for p in range(1, n + 1):
+            coords = (coords + V0[keys // 3 ** p % 3]) / 2.0
+        boundary = tuple(int(i) for i in np.searchsorted(
+            keys, np.arange(3) * ((3 ** (n + 1) - 1) // 2)))
+        sides, conductance = [[0, 1], [1, 2], [2, 0]], (5 / 3) ** n
+    else:
+        nv = 2 ** n
+        coords = np.zeros((nv, 2))
+        coords[:, 0] = np.arange(nv) / nv
+        idx = np.arange(nv, dtype=np.int64)
+        corners = np.stack([idx, (idx + 1) % nv], axis=1)
+        # the limit-from-below expansion of i * 2**-n: ~0 for vertex 0,
+        # the n digits of i - 1 then ~1 otherwise
+        keys = np.maximum(2 * idx - 1, 0)
+        boundary = (0,)
+        sides, conductance = [[0, 1]], 2.0 ** n
+    return {"keys": keys, "cell_corners": corners,
+            "edges": corners[:, sides].reshape(-1, 2), "coords": coords,
+            "boundary_ids": boundary, "conductance": conductance}
+
+
 # -- the vertex-form extension the corner-value kernel replaced ---------------
 
 

@@ -13,8 +13,8 @@ from fractalsync.graphs import (CHILD_CORNERS, EXTENSION, RENORMALISATION, SIDES
                                 cell_edges, cell_nodes)
 from conftest import (Itinerary, apply_word, canonical_itinerary,
                       enumerate_gasket, extend_harmonic_once, hessian_matrix,
-                      reference_cells, reference_id_of, reference_itinerary,
-                      ring1_one_edge, trace_loop)
+                      reference_cells, reference_graph, reference_id_of,
+                      reference_itinerary, ring1_one_edge, trace_loop)
 
 
 def test_level0_is_complete_triangle():
@@ -229,6 +229,38 @@ def test_edges_are_cell_sides(kind, levels):
     for n in levels:
         g = build_graph(kind, n)
         np.testing.assert_array_equal(g.edges, cell_edges(g.cell_corners))
+
+
+@pytest.mark.parametrize("kind,n", [("sg", n) for n in range(13)]
+                         + [("ring", n) for n in range(1, 21)])
+def test_refinement_matches_digit_loop_reference(kind, n):
+    # built unmemoised, so the large levels are not held for the session
+    build = {"sg": build_sg_graph, "ring": build_ring_graph}[kind].__wrapped__
+    g, want = build(n), reference_graph(kind, n)
+    for name in ("keys", "cell_corners", "edges", "coords"):
+        value = getattr(g, name)
+        assert value.dtype == want[name].dtype, name
+        assert value.shape == want[name].shape, name
+        assert value.tobytes() == want[name].tobytes(), name
+    assert g.boundary_ids == want["boundary_ids"]
+    assert g.conductance == want["conductance"]
+
+
+@pytest.mark.parametrize("kind,n", [("sg", 1), ("sg", 5), ("ring", 1),
+                                    ("ring", 7)])
+def test_midpoint_keys_spell_their_side(kind, n):
+    # the midpoint of side (a, b), a < b, of level-(n-1) cell w is named
+    # w a b~b: its key's last two symbols are k*min + max of the side
+    g = build_graph(kind, n)
+    k = g.cell_corners.shape[1]
+    a, b = np.sort(SIDES[k], axis=1).T
+    assert (k * a + b).tolist() == {3: [1, 5, 2], 2: [1]}[k]
+    nodes = cell_nodes(g.cell_corners)
+    w = np.arange(len(nodes))[:, None]
+    np.testing.assert_array_equal(g.keys[nodes[:, k:]], k * k * w + k * a + b)
+    # and they are exactly the vertices new at level n
+    new = np.setdiff1d(np.arange(g.n_vertices), g.restriction_to(n - 1))
+    np.testing.assert_array_equal(np.sort(nodes[:, k:], axis=None), new)
 
 
 def test_ring_restrict():
