@@ -124,12 +124,10 @@ def extension_by_minimization(struct: HarmonicStructure, level: int, u_coarse):
     inj = g_fine.restriction_to(level - 1)
     c = struct.conductance(level)
     n = g_fine.n_vertices
-    L = weighted_laplacian(g_fine.edges, np.full(g_fine.n_edges, c), n)
-    free = np.ones(n, dtype=bool)
-    free[inj] = False
     vals = np.zeros(n)
     vals[inj] = u_coarse
-    _solve_free(L, free, vals)
+    _solve_free(weighted_laplacian(g_fine.edges, np.full(g_fine.n_edges, c), n),
+                np.setdiff1d(np.arange(n), inj), vals)
     energy = energy_value(struct, level, vals)
     return vals, energy
 
@@ -169,9 +167,7 @@ def _extend_lift_by_solve(cur: cov.LiftField) -> cov.LiftField:
     k = dom_m.cell_corners.shape[1]
     vals = np.zeros(dom_next.n_vertices)
     vals[nodes[:, :k]] = cur.values[dom_m.cell_corners]
-    free = np.zeros(dom_next.n_vertices, dtype=bool)
-    free[nodes[:, k:]] = True
-    _solve_free(laplacian_matrix(dom_next), free, vals)
+    _solve_free(laplacian_matrix(dom_next), nodes[:, k:].ravel(), vals)
     return cov.LiftField(domain=dom_next, values=vals)
 
 

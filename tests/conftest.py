@@ -108,6 +108,21 @@ def positive_definite_factor(H):
     return None
 
 
+def mmd_solve_free(L, free, f):
+    """Fill ``f[free]`` so that ``(L f)[free] = 0``, the rest of ``f``
+    held, with ``free`` a boolean mask: SuperLU in its own minimum-degree
+    ordering of A + A^T, plus one refinement step, the oracle for the
+    package's solve in the hierarchy's elimination order."""
+    from scipy.sparse import linalg as spla
+
+    rows = L[free]
+    A = rows[:, free].tocsc()
+    rhs = -rows[:, ~free] @ f[~free]
+    lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+    sol = lu.solve(rhs)
+    f[free] = sol + lu.solve(rhs - A @ sol)
+
+
 def hessian_matrix(g, u):
     """Hessian of the energy at ``u``, the Laplacian with cosine edge
     weights, as a scipy sparse CSR matrix: the assembled oracle for the

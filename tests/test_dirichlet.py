@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (extend_harmonic_once, positive_definite_factor,
-                      reference_solve_dirichlet, reference_square)
+from conftest import (extend_harmonic_once, mmd_solve_free,
+                      positive_definite_factor, reference_solve_dirichlet,
+                      reference_square)
 from fractalsync import (build_graph, build_ring_graph, build_sg_graph,
                          dirichlet_energy, harmonic_extend_once, holder_ratio,
                          laplacian, normal_derivative, restrict,
                          solve_dirichlet)
-from fractalsync.dirichlet import _pinned_factor, weighted_laplacian
+from fractalsync.dirichlet import (_elimination_order, _pinned_factor,
+                                   laplacian_matrix, weighted_laplacian)
 
 BETA = math.log(5 / 3) / (2 * math.log(2))
 
@@ -190,8 +192,8 @@ def test_solve_methods_agree():
         fe = solve_dirichlet(g, phi, method="extension")
         fl = solve_dirichlet(g, phi, method="linear-solve")
         assert np.abs(fe - fl).max() < 1e-10
-    # the refinement step: the plain factor is 5.2e-11 off here at level 10
-    # (1.6e-10 at level 12), the refined solve 8.4e-13
+    # the refinement step: the plain factor is 7.4e-11 off here at level 10
+    # (1.9e-9 at level 12, same phi), the refined solve 5.4e-13 (6.6e-12)
     assert np.abs(fe - fl).max() < 1e-11
 
 
@@ -235,6 +237,74 @@ def test_non_finite_boundary_rejected(method, value):
     ring = build_ring_graph(3)
     with pytest.raises(ValueError, match="at vertex 0 is not finite"):
         solve_dirichlet(ring, {0: value}, method=method)
+
+
+# -- the elimination order of the linear solve --------------------------------
+
+def _birth_levels(g):
+    """Each vertex's least m with the vertex in ``restriction_to(m)``."""
+    born = np.full(g.n_vertices, -1)
+    for m in range(g.level, -1, -1):
+        born[g.restriction_to(m)] = m
+    return born
+
+
+@pytest.mark.parametrize("kind, n", [("sg", n) for n in range(9)]
+                         + [("ring", n) for n in (1, 2, 3, 6, 11)])
+def test_elimination_order_is_the_interior_finest_born_first(kind, n):
+    g = build_graph(kind, n)
+    order = _elimination_order(g)
+    interior = g.n_vertices - len(g.boundary_ids)
+    assert np.array_equal(np.sort(order[:interior]), np.setdiff1d(
+        np.arange(g.n_vertices), g.boundary_ids))
+    assert sorted(order[interior:].tolist()) == sorted(g.boundary_ids)
+    born = _birth_levels(g)[order]
+    assert np.all(np.diff(born) <= 0)
+    assert born[-1] == 0 and (interior == 0 or born[interior - 1] > 0)
+
+
+def _spy_splu(monkeypatch):
+    """Record (nnz(L) + nnz(U), order) of every SuperLU factor."""
+    from scipy.sparse import linalg as spla
+
+    fills, splu = [], spla.splu
+
+    def spy(A, **kw):
+        lu = splu(A, **kw)
+        fills.append((lu.L.nnz + lu.U.nnz, A.shape[0]))
+        return lu
+
+    monkeypatch.setattr(spla, "splu", spy)
+    return fills
+
+
+def test_linear_solve_fill_stays_linear(monkeypatch):
+    # 9.33 nonzeros per free vertex at gasket 10 and 12, 6.0 on the ring:
+    # a minimum-degree order takes the gasket to 10.7
+    fills = _spy_splu(monkeypatch)
+    for kind, levels, bound in (("sg", range(2, 10), 10), ("ring", range(4, 15), 7)):
+        for n in levels:
+            g = build_graph(kind, n)
+            solve_dirichlet(g, dict.fromkeys(g.boundary_ids, 1.0),
+                            method="linear-solve")
+            nnz, n_free = fills.pop()
+            assert n_free == g.n_vertices - len(g.boundary_ids)
+            assert nnz <= bound * n_free, (kind, n, nnz / n_free)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 8),
+       phi=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+@example(n=8, phi=[0.0, 0.0, 1.0])
+def test_linear_solve_matches_minimum_degree_oracle(n, phi):
+    g = build_sg_graph(n)
+    free = np.ones(g.n_vertices, dtype=bool)
+    free[list(g.boundary_ids)] = False
+    oracle = np.zeros(g.n_vertices)
+    oracle[list(g.boundary_ids)] = phi
+    mmd_solve_free(laplacian_matrix(g), free, oracle)
+    f = solve_dirichlet(g, phi, method="linear-solve")
+    assert np.abs(f - oracle).max() <= 1e-12
 
 
 # -- the pinned cell factor ---------------------------------------------------
