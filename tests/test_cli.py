@@ -376,6 +376,15 @@ def test_numeric_inputs_checked_where_they_enter(tmp_path, capsys, argv, message
     assert not out.exists()
 
 
+def test_ring_degree_of_positive_order_fails_one_line(tmp_path, capsys):
+    out = tmp_path / "bad"
+    assert run(["covering", "--fractal", "ring", "--level", "4", "--degree",
+                "1:1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip() == (
+        "error: ValueError: ring degrees live on the single full cycle")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_boundary_checked_where_it_enters(tmp_path, capsys, value):
     out = tmp_path / "o"

@@ -387,6 +387,15 @@ def test_ring_covering_reproduces_twist():
     assert degree(phases, g) == DegreeVector({(): 3})
 
 
+def test_ring_degree_of_positive_order_is_refused():
+    # the ring's one loop is its level-0 cell: no finer ring cell closes
+    g = build_ring_graph(4)
+    for spec in ("1:1", "eps:1,0:-2", "10:3"):
+        with pytest.raises(ValueError,
+                           match="ring degrees live on the single full cycle"):
+            select_cut_vertices(g, DegreeVector.parse(spec, (0, 1)))
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_ring_lift_is_exact_twisted_state(n):
     # the midpoint rule from the level-1 minimiser keeps every value dyadic

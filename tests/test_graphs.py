@@ -263,6 +263,11 @@ def test_midpoint_keys_spell_their_side(kind, n):
     np.testing.assert_array_equal(np.sort(nodes[:, k:], axis=None), new)
 
 
+def test_build_graph_refuses_an_unknown_fractal():
+    with pytest.raises(ValueError, match="unknown fractal .*'sg3'"):
+        build_graph("sg3", 2)
+
+
 def test_ring_restrict():
     g4 = build_ring_graph(4)
     f = np.arange(16, dtype=float)
