@@ -15,14 +15,14 @@ from .dirichlet import (EnergyReport, dirichlet_energy, extend_corners,
 from .errors import (ConstraintViolationError, DegreeClosureError,
                      DegreeMismatchError, EigensolverError,
                      NotAnEquilibriumError, UnresolvedWindingError)
-from .graphs import (FractalGraph, build_graph, build_ring_graph,
-                     build_sg_graph, restrict)
+from .graphs import (FRACTALS, Fractal, FractalGraph, build_graph,
+                     build_ring_graph, build_sg_graph, restrict)
 from .kuramoto import (EquilibriumReport, FlowConfig, circle_distance,
                        half_twisted_state, hessian_stability,
                        integrate_to_equilibrium, km_energy, km_rhs,
                        solve_equilibrium, twisted_state)
 from .structures import (HarmonicStructure, generic_harmonic_map, generic_km,
-                         ring_structure, sg_structure)
+                         harmonic_structure, ring_structure, sg_structure)
 from .winding import DegreeVector, degree, wrap_phases
 
 __version__ = "0.1.0"

@@ -22,8 +22,8 @@ from . import kuramoto as km
 from . import serialize as ser
 from . import svg as svgmod
 from .errors import DegreeMismatchError
-from .graphs import RING_ALPHABET, SG_ALPHABET, build_graph
-from .structures import ring_structure, sg_structure
+from .graphs import FRACTALS, build_graph
+from .structures import harmonic_structure
 from .winding import DegreeVector
 
 
@@ -52,7 +52,7 @@ class RunConfig:
     out: str = "out"
 
     def __post_init__(self):
-        if self.fractal not in ("sg", "ring"):
+        if self.fractal not in tuple(FRACTALS):  # a JSON list: no TypeError
             raise ValueError(f"unknown fractal {self.fractal!r}")
         if self.mode == "covering" and not self.degree:
             raise ValueError("mode 'covering' requires a nonzero --degree")
@@ -67,10 +67,6 @@ class RunConfig:
             raise ValueError(f"--perturb must be non-negative, got {self.perturb!r}")
         if self.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {self.jobs!r}")
-
-
-def _alphabet(fractal):
-    return RING_ALPHABET if fractal == "ring" else SG_ALPHABET
 
 
 def _parse_levels(text, flag="--levels") -> tuple:
@@ -107,11 +103,11 @@ def _field_artifacts(cfg: RunConfig, stem, values, **extra):
 
 def cmd_build_graph(cfg: RunConfig):
     g = build_graph(cfg.fractal, cfg.level)
-    structure = ring_structure() if cfg.fractal == "ring" else sg_structure()
     return [
         ser.write_json(_path(cfg, f"graph_{cfg.fractal}_{cfg.level}.json"),
                        g.to_json_dict()),
-        ser.write_json(_path(cfg, "structure.json"), structure.to_json_dict()),
+        ser.write_json(_path(cfg, "structure.json"),
+                       harmonic_structure(g.fractal).to_json_dict()),
     ]
 
 
@@ -168,7 +164,7 @@ def cmd_twist(cfg: RunConfig):
     if report.degree is not None:
         dense = report.degree.to_dense(
             max(cfg.degree.max_order, report.degree.max_order, 0),
-            _alphabet(cfg.fractal))
+            g.fractal.alphabet)
         d["degree_dense"] = dense
         print("degree:", ",".join(str(v) for v in dense))
     paths = [
@@ -284,7 +280,7 @@ def cmd_verify(cfg: RunConfig):
 
 def _sweep_job(args):
     cfg, n, dense, seed = args
-    cfg = replace(cfg, degree=DegreeVector.parse(dense, _alphabet(cfg.fractal)))
+    cfg = replace(cfg, degree=DegreeVector.parse(dense, FRACTALS[cfg.fractal].alphabet))
     _, _, _, report = _twist_report(cfg, level=n, perturb_seed=seed)
     d = report.to_json_dict()
     d.update({"level": n, "degree_requested": cfg.degree.to_json_dict(),
@@ -344,7 +340,7 @@ _FLOWS = ("twist", "flow", "verify", "sweep")
 # defaults to None: defaults live in RunConfig, so that a --config file is
 # only overridden by flags the user actually passed.
 _FLAGS = {
-    "fractal": _flag(_ALL, choices=("sg", "ring")),
+    "fractal": _flag(_ALL, choices=tuple(FRACTALS)),
     "level": _flag(("build-graph", "harmonic", "covering", "twist", "flow"),
                    type=int),
     "config": _flag(_ALL, help="JSON run file; flags override it"),
@@ -437,7 +433,10 @@ def _config_from_args(args) -> RunConfig:
     if "seed" in data and init != "random":
         raise ValueError(f"--seed is read only by --init random, "
                          f"not by --init {init!r}")
-    alphabet = _alphabet(data.get("fractal", "sg"))
+    # an unknown fractal parses as the default, and RunConfig refuses it
+    fractal = data.get("fractal", RunConfig.fractal)
+    alphabet = FRACTALS[fractal if fractal in tuple(FRACTALS)
+                        else RunConfig.fractal].alphabet
     for key, (_, _, parse) in _FLAGS.items():
         if parse and key in data:
             data[key] = parse(data[key], alphabet)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dirichlet import _pinned_factor, dirichlet_energy, extend_corners, laplacian
 from .errors import ConstraintViolationError, DegreeMismatchError
-from .graphs import FractalGraph, build_graph, cell_edges
+from .graphs import FractalGraph
 from .winding import DegreeVector, degree, word_str, wrap_phases
 
 
@@ -62,24 +62,28 @@ def select_cut_vertices(g: FractalGraph, omega: DegreeVector):
     the corner table by the rule in the module docstring."""
     if not omega:
         return []
-    if g.kind == "ring":
-        if omega.max_order != 0:
-            raise ValueError("ring degrees live on the single full cycle")
-        # the cycle closes at vertex 0, which is corner 1 of the last cell
-        return [CutSpec(word=(), cut_vertex=0, minus_id=0,
-                        plus_id=g.n_vertices, jump=omega.entries[()],
-                        plus_cell=len(g.cell_corners) - 1, plus_corner=1)]
+    fractal, sides = g.fractal, g.fractal.sides
+    # a cell whose side path is open is no loop: the level-0 cell closes
+    # only because its two ends are one vertex
+    if omega.max_order > 0 and sides[0, 0] != sides[-1, 1]:
+        raise ValueError(f"{fractal.name} degrees live on the single full cycle")
     if g.level < omega.max_order + 1:
         raise ValueError(
             f"graph level {g.level} too coarse for degree of order "
             f"{omega.max_order}; cuts live one level deeper than their loop")
     cuts = []
     for word, jump in sorted(omega.entries.items(), key=lambda t: (len(t[0]), t[0])):
-        # corner indices: side a -> b is opposite the last symbol's corner
-        a = (g.alphabet.index(word[-1]) + 1) % 3 if word else 2
-        b = (a + 1) % 3
+        # side a -> b is opposite the last symbol's corner; the outer loop
+        # is cut on its last side, and where that side's ends are one
+        # vertex (the ring's), at that vertex: a = b
+        if word:
+            a, b = sides[(fractal.alphabet.index(word[-1]) + 1) % len(sides)]
+        else:
+            a, b = sides[-1]
+            if fractal.base_corners[0, a] == fractal.base_corners[0, b]:
+                a = b
         pad = g.level - len(word) - 1
-        sym_a, sym_b = g.alphabet[a], g.alphabet[b]
+        sym_a, sym_b = fractal.alphabet[a], fractal.alphabet[b]
         plus_cell = g.pack_word(word + (sym_a,) + (sym_b,) * pad)
         minus_cell = g.pack_word(word + (sym_b,) + (sym_a,) * pad)
         vid = int(g.cell_corners[plus_cell, b])
@@ -87,7 +91,7 @@ def select_cut_vertices(g: FractalGraph, omega: DegreeVector):
         cuts.append(CutSpec(
             word=word, cut_vertex=vid, minus_id=vid,
             plus_id=g.n_vertices + len(cuts), jump=jump,
-            plus_cell=plus_cell, plus_corner=b))
+            plus_cell=plus_cell, plus_corner=int(b)))
     return cuts
 
 
@@ -118,7 +122,7 @@ class CoveringDomain:
             corners[cut.plus_cell, cut.plus_corner] = cut.plus_id
         corners.setflags(write=False)
         self.cell_corners = corners
-        self.edges = cell_edges(corners)
+        self.edges = base.fractal.cell_edges(corners)
         minus = np.array([c.minus_id for c in self.cuts], dtype=np.int64)
         self.rep = np.concatenate((np.arange(base.n_vertices), minus))
         self.offset = np.zeros(self.n_vertices)
@@ -127,16 +131,12 @@ class CoveringDomain:
     check_field = FractalGraph.check_field
 
     @property
-    def kind(self):
-        return self.base.kind
-
-    @property
     def n_edges(self):
         return self.edges.shape[0]
 
     def to_json_dict(self):
         return {
-            "kind": self.kind,
+            "kind": self.base.fractal.name,
             "level": self.level,
             "n_vertices": self.n_vertices,
             "pinned": self.pinned,
@@ -155,7 +155,7 @@ def seed_domain(g: FractalGraph, omega: DegreeVector) -> CoveringDomain:
     coarsest that holds its cuts, for a map on ``g``."""
     # a graph coarser than that fails the level check of select_cut_vertices
     m = min(g.level, omega.max_order + 1)
-    return covering_domain(build_graph(g.kind, m), omega)
+    return covering_domain(g.fractal.build(m), omega)
 
 
 @dataclass
@@ -205,8 +205,8 @@ def extend_lift(lift: LiftField, n: int) -> LiftField:
             f"cannot extend a level-{lift.level} lift to level {n}")
     vals = lift.values[lift.domain.cell_corners]
     for _ in range(n - lift.level):
-        vals = extend_corners(vals)
-    dom = covering_domain(build_graph(lift.domain.kind, n), lift.domain.omega)
+        vals = extend_corners(lift.domain.base.fractal, vals)
+    dom = covering_domain(lift.domain.base.fractal.build(n), lift.domain.omega)
     values = np.empty(dom.n_vertices)
     values[dom.cell_corners] = vals
     return LiftField(domain=dom, values=values)
@@ -245,8 +245,8 @@ def neumann_check(lift: LiftField):
     # combine the two copies of each cut vertex
     combined = np.bincount(dom.rep, flux, dom.base.n_vertices)
 
-    if dom.kind == "ring":
-        return {int(dom.base.boundary_ids[0]): float(combined[dom.base.boundary_ids[0]])}
+    if len(dom.base.boundary_ids) == 1:
+        return {int(v): float(combined[v]) for v in dom.base.boundary_ids}
 
     v1, v2, v3 = dom.base.boundary_ids
     dn2 = float(flux[v2])
@@ -276,5 +276,6 @@ def circle_harmonic_map(g: FractalGraph, omega: DegreeVector):
     found = degree(phases, g)
     if found != omega:
         raise DegreeMismatchError(
-            f"the harmonic map on the level-{g.level} {g.kind} graph", omega, found)
+            f"the harmonic map on the level-{g.level} {g.fractal.name} graph",
+            omega, found)
     return phases, lift

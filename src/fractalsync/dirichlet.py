@@ -4,10 +4,10 @@ cell-by-cell factor of a pinned Laplacian.
 The level-m energy is the weighted half-sum of squared edge differences,
 with the weight (1/r)**m chosen so that the minimal-energy extension of a
 field to the next level keeps the energy constant.  That extension and r
-are read off the level-1 tables of ``graphs``: each midpoint of a cell is
-its ``EXTENSION`` row of the corner values, the 1/5-2/5 rule on the gasket
-and the mean of the two corners on the ring.  Fields extend as corner
-values, cell by cell, and are written to vertices once.
+are read off the graph's :class:`graphs.Fractal` record: each midpoint of
+a cell is its ``extension`` row of the corner values, the 1/5-2/5 rule on
+the gasket and the mean of the two corners on the ring.  Fields extend as
+corner values, cell by cell, and are written to vertices once.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import (BASE_CORNERS, CHILD_CORNERS, EXTENSION, RENORMALISATION,
-                     SIDES, FractalGraph, cell_edges, cell_nodes)
+from .graphs import SG, FractalGraph
 
 @dataclass
 class EnergyReport:
@@ -93,20 +92,19 @@ def laplacian(g, f) -> np.ndarray:
 
 def harmonic_extend_once(a, b, c):
     """Midpoint values (x, y, z) of a cell from corner values (a, b, c)."""
-    return tuple(a * p + b * q + c * t for p, q, t in EXTENSION[3].tolist())
+    return tuple(a * p + b * q + c * t for p, q, t in SG.extension.tolist())
 
 
-def extend_corners(vals) -> np.ndarray:
-    """(C, k) corner values of C cells -> (kC, k) corner values of their
-    children in cell order: each midpoint is its ``EXTENSION`` row of the
-    corner values, summed corner by corner."""
-    k = vals.shape[1]
-    rule = EXTENSION[k]
+def extend_corners(fractal, vals) -> np.ndarray:
+    """(C, k) corner values of C cells of ``fractal`` -> the corner values
+    of their children in cell order: each midpoint is its ``extension``
+    row of the corner values, summed corner by corner."""
+    k, rule = vals.shape[1], fractal.extension
     mids = vals[:, :1] * rule[:, 0]
     for i in range(1, k):
         mids += vals[:, i:i + 1] * rule[:, i]
     nodes = np.concatenate([vals, mids], axis=1)
-    return nodes[:, CHILD_CORNERS[k]].reshape(-1, k)
+    return nodes[:, fractal.child_corners].reshape(-1, k)
 
 
 def weighted_laplacian(edges, w, n):
@@ -180,7 +178,7 @@ def _pinned_factor(g: FractalGraph, w, shift=0.0) -> _CellFactor | None:
     Each level-m midpoint lies inside exactly one level-(m-1) cell, and the
     edges run cell by cell, so the weights group into parent cells.  From
     level n down to 1, each parent's block on its corners and midpoints
-    (numbered as ``CHILD_CORNERS``) is [[C, B^T], [B, M]] with M on the
+    (numbered as ``child_corners``) is [[C, B^T], [B, M]] with M on the
     midpoints, less ``shift`` on M's diagonal; eliminating them leaves the
     Schur complement C - B^T M^-1 B on the parent's corners: Kigami's trace
     of the energy onto V_(m-1).  Its side weights, read off the
@@ -195,18 +193,17 @@ def _pinned_factor(g: FractalGraph, w, shift=0.0) -> _CellFactor | None:
     Cholesky checks per level.  The factor keeps M^-1 and M^-1 B for
     :meth:`_CellFactor.solve`.
     """
-    k = g.cell_corners.shape[1]
-    local = CHILD_CORNERS[k]
-    size = k + len(EXTENSION[k])
-    sides = SIDES[k]
-    parent = _laplacian_map(cell_edges(local), size)
+    fractal, k = g.fractal, g.cell_corners.shape[1]
+    local, sides = fractal.child_corners, fractal.sides
+    size = k + len(fractal.extension)
+    parent = _laplacian_map(fractal.cell_edges(local), size)
     corners = g.cell_corners
     mass = np.zeros(corners.shape) if shift else None
     gather = np.eye(size)[local.ravel()]
     levels = []
     try:
         for _ in range(g.level):
-            nodes = cell_nodes(corners)
+            nodes = fractal.cell_nodes(corners)
             a = (w.reshape(len(nodes), -1) @ parent).reshape(-1, size, size)
             if shift:
                 # each child's corner masses, summed on the parent's nodes
@@ -248,7 +245,7 @@ def _elimination_order(g: FractalGraph) -> np.ndarray:
     the rest of all n + 1.  V0's keys give 0, so a run of 2 ``digits``,
     more than any other vertex's.
     """
-    base = len(g.alphabet)
+    base = g.fractal.num_maps
     span = base ** (g.level + 1)
     y = g.keys - g.keys % base * ((span - 1) // (base - 1))
     digits = (g.level + 2) // 2
@@ -278,9 +275,9 @@ def solve_dirichlet(g: FractalGraph, phi, method="extension") -> np.ndarray:
     if method == "extension":
         # the boundary ids are the level-0 vertices, refined, in order
         vals = np.array([bd[b] for b in g.boundary_ids])[
-            BASE_CORNERS[g.cell_corners.shape[1]]]
+            g.fractal.base_corners]
         for _ in range(g.level):
-            vals = extend_corners(vals)
+            vals = extend_corners(g.fractal, vals)
         f = np.empty(g.n_vertices)
         f[g.cell_corners] = vals
         return f
@@ -352,7 +349,7 @@ def holder_ratio(g: FractalGraph, f, beta=None) -> float:
     """
     f = g.check_field(f)
     if beta is None:
-        beta = math.log(1 / RENORMALISATION[3]) / (2.0 * math.log(2.0))
+        beta = math.log(1 / SG.r) / (2.0 * math.log(2.0))
     pts = g.coords
     n = g.n_vertices
     block = 512  # rows of the pairwise distance matrix held at once

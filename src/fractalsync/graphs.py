@@ -1,128 +1,107 @@
-"""Graph hierarchies approximating the Sierpinski gasket and the ring.
+"""Graph hierarchies of p.c.f. fractals: the Sierpinski gasket and the ring.
 
-The level-n gasket graph is the union of the images of the base triangle
-under all length-n compositions of the three corner contractions
-``F_i(x) = (x - v_i)/2 + v_i``.  A vertex is the point of an itinerary: a
-finite word over the alphabet ``{1, 2, 3}`` followed by an infinitely
-repeated tail symbol.  An interior vertex carries exactly two such names
-(it is shared by two cells); the canonical name is the lexicographically
-smaller one.
+A post-critically finite fractal is fixed by its harmonic structure, its
+level-1 network and weight r (Kigami, *Analysis on Fractals*, 2001).  Each
+fractal is one :class:`Fractal` record of those tables, ``FRACTALS`` holds
+the records by name, and every layer reads a graph's ``g.fractal``; the
+name survives only as ``--fractal`` and as the ``kind`` the JSON writes.
+
+The level-n graph is the union of the images of the level-0 cell under all
+length-n compositions of the contractions (on the gasket the corner maps
+``F_i(x) = (x - v_i)/2 + v_i``, on the ring the two halvings of the unit
+interval, its ends identified).  A vertex is the point of an itinerary: a
+finite word over the ``alphabet`` followed by an infinitely repeated tail
+symbol.  An interior vertex carries exactly two such names (it is shared
+by two cells); the canonical name is the lexicographically smaller one.
 
 The hierarchy is held as arrays.  Cell ``k`` of level n is the word whose
-base-3 digits spell ``k``, so the children of cell ``k`` are cells
-``3k, 3k+1, 3k+2`` of level n+1, and ``cell_corners`` is the one cell
+fixed-radix digits spell ``k``, so the children of gasket cell ``k`` are
+cells ``3k, 3k+1, 3k+2`` of level n+1, and ``cell_corners`` is the one cell
 index.  A vertex is stored as its key: the first n+1 symbols of its
-canonical name, read as a base-3 integer.  The sorted key array fixes the
-ids, so identity and ordering never depend on floating-point coordinates;
-the graph JSON spells the names out from the keys.
-
-Both hierarchies are built the way they are defined: the level-0 cell
-refined n times with the level-1 tables, at O(N) a level.  A refinement
-keeps each vertex and adds the midpoint of every cell side; each cell's
-corners and midpoints give its children's corners (``CHILD_CORNERS``).
-
-The ring hierarchy uses the alphabet ``{0, 1}`` (two contractions of the
-unit interval with endpoints identified), vertices ``i * 2**-n`` and
-nearest-neighbour edges; its keys are binary in the same way.
+canonical name, read as a fixed-radix integer.  The sorted key array fixes
+the ids, so identity and ordering never depend on floating-point
+coordinates; the graph JSON spells the names out from the keys.  A graph
+is built as defined: the level-0 cell refined n times with the level-1
+tables, at O(N) a level, each refinement adding the midpoint of every cell
+side, and each cell's corners and midpoints giving its children's corners.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
-SG_ALPHABET = (1, 2, 3)
-RING_ALPHABET = (0, 1)
 
-MAX_SG_LEVEL = 12
-MAX_RING_LEVEL = 20
+@dataclass(frozen=True, eq=False)
+class Fractal:
+    """One p.c.f. fractal's tables.  A cell's nodes are its k corners, then
+    its midpoints (the gasket's x (v1-v2), y (v2-v3), z (v3-v1)); child i
+    keeps corner i."""
 
-# Corners of the base triangle: v1 bottom-left, v2 top, v3 bottom-right.
-SG_CORNERS = np.array([[0.0, 0.0], [0.5, math.sqrt(3.0) / 2.0], [1.0, 0.0]])
+    name: str
+    alphabet: tuple  # a symbol per map, in cell-word order
+    levels: range  # the levels ``build`` builds
+    sides: np.ndarray  # a cell's sides as corner pairs, clockwise
+    child_corners: np.ndarray  # each child's corners among its parent's nodes
+    extension: np.ndarray  # each midpoint's row of -M^-1 B, the extension
+    r: float  # the trace's side weight at unit weights; edges weigh (1/r)**n
+    points: np.ndarray  # the point of each tail symbol
+    base_corners: np.ndarray  # the level-0 cell's corner ids (ring: 0, 0)
+    build: Callable[[int], FractalGraph]  # memoised, at ``levels``
 
-# The level-1 network of each fractal, keyed by its corner count k (3 for
-# the gasket, 2 for the ring).  A cell's nodes are its k corners, then its
-# midpoints; child i keeps corner i.  SIDES: a cell's sides as corner pairs,
-# clockwise.  CHILD_CORNERS: each child's corners among its parent's nodes,
-# the gasket's midpoints being x (v1-v2), y (v2-v3) and z (v3-v1).
-# EXTENSION: each midpoint's row of -M^-1 B, the harmonic extension.
-# RENORMALISATION: r, the side weight of the network's trace onto the
-# corners at unit weights; level-n edges have conductance (1/r)**n.
-SIDES = {3: np.array([[0, 1], [1, 2], [2, 0]]), 2: np.array([[0, 1]])}
-CHILD_CORNERS = {
-    3: np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2]]),
-    2: np.array([[0, 2], [2, 1]]),
-}
-EXTENSION = {
-    3: np.array([[0.4, 0.4, 0.2], [0.2, 0.4, 0.4], [0.4, 0.2, 0.4]]),
-    2: np.array([[0.5, 0.5]]),
-}
-RENORMALISATION = {3: 3 / 5, 2: 1 / 2}
-# The level-0 cell, keyed the same way.  BASE_POINTS: the point of each
-# tail symbol.  BASE_CORNERS: the vertex id of each corner; the ring's two
-# ends are its one vertex.
-BASE_POINTS = {3: SG_CORNERS, 2: np.array([[0.0, 0.0], [1.0, 0.0]])}
-BASE_CORNERS = {3: np.array([[0, 1, 2]]), 2: np.array([[0, 0]])}
+    num_maps = property(lambda self: len(self.child_corners))
+    # the level-0 vertices: the distinct corners of the level-0 cell
+    boundary_size = property(lambda self: int(self.base_corners.max()) + 1)
 
+    def cell_edges(self, corners) -> np.ndarray:
+        """Edges of a corner table, cell by cell: each cell's ``sides``."""
+        return corners.take(self.sides, axis=1).reshape(-1, 2)
 
-def cell_edges(corners) -> np.ndarray:
-    """Edges of a corner table, cell by cell: each cell's ``SIDES``."""
-    return corners.take(SIDES[corners.shape[1]], axis=1).reshape(-1, 2)
-
-
-def cell_nodes(fine_corners) -> np.ndarray:
-    """(C, size) nodes of every level-m cell, from the level-(m+1) corner
-    table: its k corners, then its midpoints, numbered as in
-    ``CHILD_CORNERS``; rows k*c, ..., k*c + k - 1 of ``fine_corners`` are
-    the children of cell c."""
-    k = fine_corners.shape[1]
-    nodes = np.empty((len(fine_corners) // k, k + len(EXTENSION[k])),
-                     dtype=fine_corners.dtype)
-    nodes[:, CHILD_CORNERS[k]] = fine_corners.reshape(-1, k, k)
-    return nodes
+    def cell_nodes(self, fine_corners) -> np.ndarray:
+        """(C, size) nodes of every level-m cell, numbered as in
+        ``child_corners``, from the level-(m+1) corner table, where the
+        children of cell c are rows c * num_maps on."""
+        k = fine_corners.shape[1]
+        nodes = np.empty((len(fine_corners) // self.num_maps,
+                          k + len(self.extension)), dtype=fine_corners.dtype)
+        nodes[:, self.child_corners] = fine_corners.reshape(
+            -1, self.num_maps, k)
+        return nodes
 
 
 class FractalGraph:
-    """Immutable level-n approximating graph (gasket or ring).
-
-    Built by refining the level-0 cell n times: a cell's corners and
-    midpoints give its children's corners, and the keys' ranks the ids.
+    """Immutable level-n approximating graph of a :class:`Fractal`.
 
     Attributes
     ----------
-    kind : str
-        ``"sg"`` or ``"ring"``.
+    fractal : Fractal
     level : int
     coords : (N, 2) ndarray
         Planar coordinates (ring vertices sit on the x axis).
     cell_corners : (C, k) ndarray
-        Vertex ids of each cell, k = 3 (gasket) or 2 (ring); row c is the
-        cell whose word spells c in fixed radix.
+        Each cell's corner ids; row c is the cell whose word spells c.
     edges : (E, 2) ndarray
-        ``cell_edges(cell_corners)``: each cell's sides, cell by cell.  The
-        level-1 ring's two cells give its two parallel edges (0, 1) and
-        (1, 0).
+        ``fractal.cell_edges(cell_corners)``; the level-1 ring's two cells
+        give its parallel edges (0, 1) and (1, 0).
     conductance : float
-        The one weight of every edge at this level, (1/r)**n with r from
-        ``RENORMALISATION``: (5/3)**n for the gasket, 2**n for the ring.
+        Every edge's weight, (1/r)**n: (5/3)**n on the gasket.
     boundary_ids : tuple
-        Ids of the boundary vertices (the three corners; vertex 0 for the
-        ring).
+        Ids of the level-0 vertices (the ring's one is vertex 0).
     keys : (N,) ndarray
-        Strictly increasing vertex keys: the first level+1 symbols of the
+        Strictly increasing: the first level+1 symbols of each vertex's
         canonical name as a fixed-radix integer.
     """
 
-    def __init__(self, kind, level, alphabet, coords, cell_corners,
-                 boundary_ids, keys):
-        self.kind = kind
+    def __init__(self, fractal, level, coords, cell_corners, boundary_ids, keys):
+        self.fractal = fractal
         self.level = level
-        self.alphabet = alphabet
         self.coords = coords
-        self.edges = cell_edges(cell_corners)
-        self.conductance = (1 / RENORMALISATION[cell_corners.shape[1]]) ** level
+        self.edges = fractal.cell_edges(cell_corners)
+        self.conductance = (1 / fractal.r) ** level
         self.cell_corners = cell_corners
         self.boundary_ids = boundary_ids
         self.keys = keys
@@ -160,27 +139,31 @@ class FractalGraph:
     def pack_word(self, word) -> int:
         """Fixed-radix integer value of a word (a cell word, or the first
         level+1 symbols of a vertex's canonical name for its key)."""
-        base = len(self.alphabet)
         val = 0
         for s in word:
-            val = val * base + self.alphabet.index(s)
+            val = val * self.fractal.num_maps + self.fractal.alphabet.index(s)
         return val
 
     def word_symbols(self, k, m=None) -> np.ndarray:
         """(len(k), m) array of the symbols spelling the level-m cells
         numbered ``k`` (m defaults to the graph level)."""
-        base = len(self.alphabet)
+        base = self.fractal.num_maps  # a symbol per map
         m = self.level if m is None else m
         powers = base ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        return np.asarray(self.alphabet)[np.asarray(k)[:, None] // powers % base]
+        return np.asarray(self.fractal.alphabet)[np.asarray(k)[:, None] // powers % base]
 
     def cell_labels(self):
-        """Cell words as strings (``"13"``), in cell order."""
-        if self.level == 0:
+        """Cell words as strings (``"13"``), in cell order, from a uint8
+        table of their characters filled a symbol at a time."""
+        n, base = self.level, self.fractal.num_maps
+        if n == 0:
             return [""]
-        cells = np.arange(len(self.cell_corners))
-        chars = (self.word_symbols(cells) + ord("0")).astype(np.uint8)
-        return chars.view(f"S{self.level}").ravel().astype(str).tolist()
+        glyphs = np.asarray(self.fractal.alphabet, dtype=np.uint8) + ord("0")
+        chars = np.empty((base ** n, n), dtype=np.uint8)
+        for j in range(n):
+            # symbol j of cell c is the digit c // base**(n - 1 - j) % base
+            chars.reshape(base ** j, base, -1, n)[..., j] = glyphs[:, None]
+        return chars.view(f"S{n}").ravel().astype(str).tolist()
 
     # -- level maps --------------------------------------------------------
 
@@ -195,7 +178,7 @@ class FractalGraph:
             raise ValueError(
                 f"cannot restrict level {self.level} to level {m}")
         if m not in self._restrictions:
-            base = len(self.alphabet)
+            base = self.fractal.num_maps
             span = base ** (self.level - m + 1)
             run = (span - 1) // (base - 1)  # the digit 1 repeated
             idx = np.flatnonzero(self.keys % span == self.keys % base * run)
@@ -206,23 +189,28 @@ class FractalGraph:
     # -- export ------------------------------------------------------------
 
     def to_json_dict(self):
-        # each key spelled as its canonical name: the trailing run of the
-        # tail symbol is dropped from the word and written after "~"
-        syms = self.word_symbols(self.keys, self.level + 1)
-        tail = syms[:, -1:]
-        run = np.logical_and.accumulate(syms[:, ::-1] == tail, axis=1)
-        chars = (syms + ord("0")).astype(np.uint8)
-        chars[run[:, ::-1]] = 0
-        words = chars.view(f"S{self.level + 1}").ravel().astype(str)
+        # each key spelled as its canonical name, a symbol at a time from the
+        # last into uint8: the trailing run of the tail symbol is left NUL,
+        # so dropped from the word, and written after "~"
+        alphabet, m = self.fractal.alphabet, self.level + 1
+        glyphs = np.asarray(alphabet, dtype=np.uint8) + ord("0")
+        chars = np.zeros((self.n_vertices, m), dtype=np.uint8)
+        rest, tail = np.divmod(self.keys, self.fractal.num_maps)
+        run = np.ones(self.n_vertices, dtype=bool)
+        for j in range(m - 2, -1, -1):
+            rest, digit = np.divmod(rest, self.fractal.num_maps)
+            run &= digit == tail
+            chars[:, j] = np.where(run, 0, glyphs[digit])
+        words = chars.view(f"S{m}").ravel().astype(str)
         boundary = np.isin(np.arange(self.n_vertices), self.boundary_ids)
         verts = [
             {"id": i, "itinerary": f"{w}~{t}", "x": x, "y": y, "boundary": b}
             for i, (w, t, x, y, b) in enumerate(zip(
-                words.tolist(), tail.ravel().tolist(), *self.coords.T.tolist(),
-                boundary.tolist()))
+                words.tolist(), np.asarray(alphabet)[tail].tolist(),
+                *self.coords.T.tolist(), boundary.tolist()))
         ]
         return {
-            "kind": self.kind,
+            "kind": self.fractal.name,
             "level": self.level,
             "conductance": self.conductance,
             "vertices": verts,
@@ -231,13 +219,13 @@ class FractalGraph:
         }
 
     def __repr__(self):
-        return (f"FractalGraph({self.kind!r}, level={self.level}, "
+        return (f"FractalGraph({self.fractal.name!r}, level={self.level}, "
                 f"|V|={self.n_vertices}, |E|={self.n_edges})")
 
 
-def _refine(kind, alphabet, n) -> FractalGraph:
-    """Level-n graph of the fractal with k = len(alphabet) corners: its
-    level-0 cell refined n times with the level-1 tables.
+def _refine(fractal, n) -> FractalGraph:
+    """Level-n graph of ``fractal``, with k = len(alphabet) corners: its
+    level-0 cell refined n times with the level-1 tables, n in its levels.
 
     Old key K stays a vertex as k K + K % k, its tail once more; side
     (a, b), a < b, of cell w adds the midpoint w a b~b, key k**2 w +
@@ -247,13 +235,16 @@ def _refine(kind, alphabet, n) -> FractalGraph:
     F_w(v_tail) of every key of the current length, as x + iy, applied
     innermost symbol first: a leading symbol d maps p to (p + v_d) / 2.
     """
-    k = len(alphabet)
-    corners = BASE_CORNERS[k]
+    if n not in fractal.levels:
+        raise ValueError(f"{fractal.name} level must be in [{fractal.levels[0]}, "
+                         f"{fractal.levels[-1]}], got {n}")
+    k = len(fractal.alphabet)
+    corners = fractal.base_corners
     keys = np.arange(corners.max() + 1)  # at level 0 the tail, the id
     boundary = keys
-    points = BASE_POINTS[k].view(complex).ravel()
+    points = fractal.points.view(complex).ravel()
     table = points
-    side = np.sort(SIDES[k], axis=1)
+    side = np.sort(fractal.sides, axis=1)
     code = k * side[:, 0] + side[:, 1]  # a midpoint key's last two symbols
     order = np.argsort(code)
     mids = len(code)
@@ -274,14 +265,14 @@ def _refine(kind, alphabet, n) -> FractalGraph:
         nodes = np.empty((len(corners), k + mids), dtype=np.int64)
         nodes[:, :k] = at_old[corners]
         nodes[:, k + order] = at_mid.reshape(len(corners), mids)
-        corners = nodes.take(CHILD_CORNERS[k], axis=1).reshape(-1, k)
+        corners = nodes.take(fractal.child_corners, axis=1).reshape(-1, k)
         boundary = at_old[boundary]
         # x and y added and halved apart, as real and imaginary parts
         table = (table + points[:, None]).ravel()
         xy = table.view(float)
         xy /= 2.0
     return FractalGraph(
-        kind=kind, level=n, alphabet=alphabet,
+        fractal=fractal, level=n,
         coords=table[keys].view(float).reshape(-1, 2), cell_corners=corners,
         boundary_ids=tuple(boundary.tolist()), keys=keys)
 
@@ -289,10 +280,7 @@ def _refine(kind, alphabet, n) -> FractalGraph:
 @lru_cache(maxsize=None)
 def build_sg_graph(n: int) -> FractalGraph:
     """Level-n gasket graph: (3**(n+1) + 3)/2 vertices, 3**(n+1) edges."""
-    if not 0 <= n <= MAX_SG_LEVEL:
-        raise ValueError(
-            f"gasket level must be in [0, {MAX_SG_LEVEL}], got {n}")
-    g = _refine("sg", SG_ALPHABET, n)
+    g = _refine(SG, n)
     assert g.n_vertices == (3 ** (n + 1) + 3) // 2
     return g
 
@@ -300,18 +288,32 @@ def build_sg_graph(n: int) -> FractalGraph:
 @lru_cache(maxsize=None)
 def build_ring_graph(n: int) -> FractalGraph:
     """Level-n ring: 2**n vertices at i * 2**-n, nearest-neighbour edges."""
-    if not 1 <= n <= MAX_RING_LEVEL:
-        raise ValueError(
-            f"ring level must be in [1, {MAX_RING_LEVEL}], got {n}")
-    return _refine("ring", RING_ALPHABET, n)
+    return _refine(RING, n)
 
 
-def build_graph(kind, n) -> FractalGraph:
-    if kind == "sg":
-        return build_sg_graph(n)
-    if kind == "ring":
-        return build_ring_graph(n)
-    raise ValueError(f"unknown fractal kind {kind!r}")
+# The gasket: corners v1 bottom-left, v2 top, v3 bottom-right.
+SG = Fractal(
+    name="sg", alphabet=(1, 2, 3), levels=range(0, 13),
+    r=3 / 5, sides=np.array([[0, 1], [1, 2], [2, 0]]),
+    child_corners=np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2]]),
+    extension=np.array([[0.4, 0.4, 0.2], [0.2, 0.4, 0.4], [0.4, 0.2, 0.4]]),
+    points=np.array([[0.0, 0.0], [0.5, math.sqrt(3.0) / 2.0], [1.0, 0.0]]),
+    base_corners=np.array([[0, 1, 2]]), build=build_sg_graph)
+# The ring: the unit interval's two halvings, its ends one vertex.
+RING = Fractal(
+    name="ring", alphabet=(0, 1), levels=range(1, 21),
+    sides=np.array([[0, 1]]), child_corners=np.array([[0, 2], [2, 1]]),
+    extension=np.array([[0.5, 0.5]]), r=1 / 2,
+    points=np.array([[0.0, 0.0], [1.0, 0.0]]),
+    base_corners=np.array([[0, 0]]), build=build_ring_graph)
+FRACTALS = {fractal.name: fractal for fractal in (SG, RING)}
+
+
+def build_graph(name, n) -> FractalGraph:
+    """Level-n graph of the fractal ``FRACTALS[name]``."""
+    if name not in FRACTALS:
+        raise ValueError(f"unknown fractal {name!r}")
+    return FRACTALS[name].build(n)
 
 
 def restrict(g_fine: FractalGraph, m: int, f):

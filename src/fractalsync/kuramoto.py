@@ -157,7 +157,10 @@ def cell_wall_energy(g: FractalGraph, u) -> float:
     if not np.abs(d).max() < 0.25:
         return -math.inf
     q = _bregman_floor(d)   # > 0 in the open cell
-    inv = 1.0 / q.reshape(-1, 3 if g.kind == "sg" else g.n_edges)
+    # a row is one cell where its side path closes (winding.degree's test),
+    # and the whole edge list, the ring's cycle, where it does not
+    first, last = g.cell_corners[0, g.fractal.sides[[0, -1], [0, 1]]]
+    inv = 1.0 / q.reshape(-1, len(g.fractal.sides) if first == last else g.n_edges)
     # sum of 1/q over the rest of each edge's row, with no cancellation
     rest = np.zeros_like(inv)
     rest[:, 1:] += np.cumsum(inv[:, :-1], axis=1)
@@ -584,7 +587,7 @@ def _classify(g, u, factor):
 
 def twisted_state(g: FractalGraph, q: int) -> np.ndarray:
     """Ring state u(v_i) = q i 2**-n mod 1 of integer winding q."""
-    if g.kind != "ring":
+    if len(g.boundary_ids) != 1:   # the level-0 cell's ends are one vertex
         raise ValueError("twisted states live on the ring")
     if not math.isfinite(q) or q != int(q):
         raise ValueError("q must be an integer")
@@ -597,7 +600,7 @@ def half_twisted_state(g: FractalGraph, r: float) -> np.ndarray:
     Vertex i carries r*i/(2**n - 2) for i = 1..2**n, with index 2**n
     falling on vertex 0, so n is at least 2.
     """
-    if g.kind != "ring":
+    if len(g.boundary_ids) != 1:
         raise ValueError("half-twisted states live on the ring")
     if g.level < 2:
         raise ValueError(

@@ -2,8 +2,9 @@
 
 A harmonic structure consists of the contraction system, the
 renormalisation weight r in (0, 1) that every map shares (3/5 on the
-gasket, 1/2 on the ring, from ``graphs.RENORMALISATION``), a conductance
-rule producing the per-level edge weights, and the boundary set.  Two
+gasket, 1/2 on the ring), a conductance rule producing the per-level edge
+weights, and the boundary set.  Its name, maps, r and boundary size are
+read off a :class:`graphs.Fractal` record; its extension table is not.  Two
 identities characterise it:
 
 * self-similarity: E_n(u) = sum_i r**-1 E_{n-1}(u o F_i);
@@ -26,8 +27,7 @@ import numpy as np
 from . import covering as cov
 from . import kuramoto as km
 from .dirichlet import _solve_free, laplacian_matrix, weighted_laplacian
-from .graphs import (RENORMALISATION, FractalGraph, build_graph, cell_edges,
-                     cell_nodes)
+from .graphs import RING, SG, Fractal, FractalGraph
 from .winding import DegreeVector
 
 
@@ -64,24 +64,22 @@ class HarmonicStructure:
         }
 
 
+def harmonic_structure(fractal: Fractal) -> HarmonicStructure:
+    """The structure of a fractal record, every map of half scale."""
+    return HarmonicStructure(
+        name=fractal.name, num_maps=fractal.num_maps,
+        contraction_ratios=(0.5,) * fractal.num_maps, r=fractal.r,
+        boundary_size=fractal.boundary_size, build_graph=fractal.build)
+
+
 def sg_structure() -> HarmonicStructure:
     """Gasket instance: three half-scale maps, weights 3/5."""
-    return HarmonicStructure(
-        name="sg", num_maps=3,
-        contraction_ratios=(0.5, 0.5, 0.5),
-        r=RENORMALISATION[3],
-        boundary_size=3,
-        build_graph=lambda n: build_graph("sg", n))
+    return harmonic_structure(SG)
 
 
 def ring_structure() -> HarmonicStructure:
     """Ring instance: two half-scale maps of the interval, weights 1/2."""
-    return HarmonicStructure(
-        name="ring", num_maps=2,
-        contraction_ratios=(0.5, 0.5),
-        r=RENORMALISATION[2],
-        boundary_size=1,
-        build_graph=lambda n: build_graph("ring", n))
+    return harmonic_structure(RING)
 
 
 def _edge_energy(c, edges, u) -> float:
@@ -106,7 +104,7 @@ def self_similarity_residual(struct: HarmonicStructure, level: int, u) -> float:
     u = np.asarray(u, dtype=float)
     g = struct.build_graph(level)
     c = struct.conductance(level - 1)
-    parts = [_edge_energy(c, cell_edges(piece), u) / r
+    parts = [_edge_energy(c, g.fractal.cell_edges(piece), u) / r
              for r, piece in zip(struct.weights,
                                  np.split(g.cell_corners, struct.num_maps))]
     return abs(energy_value(struct, level, u) - math.fsum(parts))
@@ -160,10 +158,9 @@ def generic_harmonic_map(struct: HarmonicStructure, level: int,
 
 def _extend_lift_by_solve(cur: cov.LiftField) -> cov.LiftField:
     """One extension step on the cut graph via constrained minimisation."""
-    dom_m = cur.domain
-    dom_next = cov.covering_domain(
-        build_graph(dom_m.kind, dom_m.level + 1), dom_m.omega)
-    nodes = cell_nodes(dom_next.cell_corners)
+    dom_m, fractal = cur.domain, cur.domain.base.fractal
+    dom_next = cov.covering_domain(fractal.build(dom_m.level + 1), dom_m.omega)
+    nodes = fractal.cell_nodes(dom_next.cell_corners)
     k = dom_m.cell_corners.shape[1]
     vals = np.zeros(dom_next.n_vertices)
     vals[nodes[:, :k]] = cur.values[dom_m.cell_corners]

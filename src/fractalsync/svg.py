@@ -1,10 +1,10 @@
 """Minimal SVG rendering of vertex fields, no plotting dependency.
 
 Phase fields map to hue (full-saturation HSV); real fields to a fixed
-blue-to-red gradient.  Ring graphs are laid out on a circle.  Each
-distinct coordinate is formatted once, and the lines and circles are
-written in bounded chunks of ``_CHUNK`` elements, one %-template per
-chunk, so the file is streamed and its whole text is never in memory.
+blue-to-red gradient.  A graph whose level-0 corners are one vertex (the
+ring) is laid out on a circle.  Each distinct coordinate is formatted
+once, and lines and circles are streamed in chunks of ``_CHUNK``, one
+%-template each, so the whole text is never in memory.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ _HEADER = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
 
 
 def _layout(g: FractalGraph) -> np.ndarray:
-    if g.kind == "ring":
+    if len(g.boundary_ids) == 1:
         ang = 2.0 * np.pi * g.coords[:, 0]
         return np.stack([0.5 + 0.45 * np.cos(ang), 0.5 + 0.45 * np.sin(ang)], axis=1)
     pts = g.coords.copy()

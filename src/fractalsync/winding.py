@@ -1,12 +1,12 @@
 """Winding numbers of circle-valued fields along the cell loops.
 
-A cell is a loop when the path along its sides (``graphs.SIDES``)
-closes: every gasket cell, traced clockwise through its corners v1, v2,
-v3, and the ring's level-0 cell, the whole ring.  The loops of all orders
-form the basis along which winding numbers are recorded.  A field's step
-along an edge is the unique real increment within a half turn, and the
-total increment around a loop is its winding number.  :func:`degree`
-reads every loop at once off the corner table.
+A cell is a loop when the path along its fractal's ``sides`` closes:
+every gasket cell, traced clockwise through its corners v1, v2, v3, and
+the ring's level-0 cell, the whole ring.  The loops of all orders form
+the basis along which winding numbers are recorded.  A field's step along an edge is the unique real
+increment within a half turn, and the total increment around a loop is
+its winding number.  :func:`degree` reads every loop at once off the
+corner table.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DegreeClosureError, UnresolvedWindingError
-from .graphs import SG_ALPHABET, SIDES, FractalGraph
+from .graphs import SG, FractalGraph
 
 INTEGRALITY_TOL = 1e-8
 
@@ -25,7 +25,7 @@ def word_str(word) -> str:
     return "eps" if len(word) == 0 else "".join(str(s) for s in word)
 
 
-def parse_word(s: str, alphabet=SG_ALPHABET) -> tuple[int, ...]:
+def parse_word(s: str, alphabet=SG.alphabet) -> tuple[int, ...]:
     s = s.strip()
     if s in ("", "eps"):
         return ()
@@ -48,7 +48,7 @@ class DegreeVector:
         self.entries = ent
 
     @classmethod
-    def from_dense(cls, values, alphabet=SG_ALPHABET):
+    def from_dense(cls, values, alphabet=SG.alphabet):
         """Build from the dense by-order listing eps, (1), (2), (3), (1,1), ..."""
         words = []
         order = 0
@@ -58,7 +58,7 @@ class DegreeVector:
         return cls(dict(zip(words, values)))
 
     @classmethod
-    def parse(cls, text, alphabet=SG_ALPHABET):
+    def parse(cls, text, alphabet=SG.alphabet):
         """Parse CLI form: dense "1,0,0" or sparse "eps:1,13:2"."""
         text = text.strip()
         if not text:
@@ -76,7 +76,7 @@ class DegreeVector:
         """Largest word length carrying a nonzero entry (-1 if none)."""
         return max((len(w) for w in self.entries), default=-1)
 
-    def to_dense(self, order=None, alphabet=SG_ALPHABET):
+    def to_dense(self, order=None, alphabet=SG.alphabet):
         if order is None:
             order = max(self.max_order, 0)
         out = []
@@ -149,7 +149,7 @@ def _closed(w, word) -> int:
 def degree(f, g: FractalGraph) -> DegreeVector:
     """Nonzero winding numbers of ``f`` along the loops of every order.
 
-    Each side a -> b of each level-n cell (its ``SIDES``) is one wrapped
+    Each side a -> b of each level-n cell (its ``sides``) is one wrapped
     step (see :func:`_steps`).  Side a -> b of cell w is side a -> b of
     child wa followed by side a -> b of child wb, so sides are summed one
     level up at a time, and so are the corners (corner a of cell w is
@@ -161,7 +161,7 @@ def degree(f, g: FractalGraph) -> DegreeVector:
     f = g.check_field(f)
     corners = g.cell_corners
     k = corners.shape[1]
-    a, b = SIDES[k].T
+    a, b = g.fractal.sides.T
     s = np.arange(len(a))
     sides = _steps(f, corners[:, a], corners[:, b])
     # the corner each cell's side path starts from and the one it ends at

@@ -250,12 +250,13 @@ def extend_harmonic_once(g_m, f):
     """A field extended one level by the 1/5-2/5 (ring: midpoint) rule, as
     ``(g_next, f_next)``: ``extend_corners`` of its cells' corner values,
     written to the next level's vertices."""
-    from fractalsync import build_graph, extend_corners
+    from fractalsync import extend_corners
 
     f = g_m.check_field(f)
-    g_next = build_graph(g_m.kind, g_m.level + 1)
+    g_next = g_m.fractal.build(g_m.level + 1)
     f_next = np.empty(g_next.n_vertices)
-    f_next[g_next.cell_corners] = extend_corners(f[g_m.cell_corners])
+    f_next[g_next.cell_corners] = extend_corners(g_m.fractal,
+                                                 f[g_m.cell_corners])
     return g_next, f_next
 
 
@@ -264,10 +265,10 @@ def reference_extend_cells(values, corners, fine_corners, n_fine):
     vertices: ``values[corners]`` are the corner values of each level-m
     cell, and each cell's midpoints get ``harmonic_extend_once`` of them."""
     from fractalsync import harmonic_extend_once
-    from fractalsync.graphs import cell_nodes
+    from fractalsync.graphs import SG
 
     vals = values[corners]
-    nodes = cell_nodes(fine_corners)
+    nodes = SG.cell_nodes(fine_corners)
     out = np.empty(n_fine)
     out[nodes[:, :3]] = vals
     out[nodes[:, 3:].T] = harmonic_extend_once(*vals.T)
@@ -277,12 +278,10 @@ def reference_extend_cells(values, corners, fine_corners, n_fine):
 def reference_solve_dirichlet(g, phi):
     """Gasket Dirichlet solution by extension, one vertex field per level
     from the level-0 graph."""
-    from fractalsync import build_graph
-
-    cur_g = build_graph(g.kind, 0)
+    cur_g = g.fractal.build(0)
     cur = np.array(phi, dtype=float)
     for m in range(g.level):
-        nxt = build_graph(g.kind, m + 1)
+        nxt = g.fractal.build(m + 1)
         cur = reference_extend_cells(cur, cur_g.cell_corners,
                                      nxt.cell_corners, nxt.n_vertices)
         cur_g = nxt
@@ -292,11 +291,11 @@ def reference_solve_dirichlet(g, phi):
 def reference_extend_lift(lift, n):
     """A gasket lift extended one level at a time, through the cut domain
     of every level in between."""
-    from fractalsync import LiftField, build_graph, covering_domain
+    from fractalsync import LiftField, covering_domain
 
     while lift.level < n:
         dom = lift.domain
-        nxt = covering_domain(build_graph(dom.kind, dom.level + 1), dom.omega)
+        nxt = covering_domain(dom.base.fractal.build(dom.level + 1), dom.omega)
         lift = LiftField(domain=nxt, values=reference_extend_cells(
             lift.values, dom.cell_corners, nxt.cell_corners, nxt.n_vertices))
     return lift
@@ -340,12 +339,12 @@ def canonical_itinerary(word, tail) -> Itinerary:
 
 def reference_itinerary(g, i) -> Itinerary:
     """Canonical itinerary of vertex ``i``, decoded from its key."""
-    base = len(g.alphabet)
+    alphabet = g.fractal.alphabet
     key = int(g.keys[i])
     syms = []
     for _ in range(g.level + 1):
-        key, r = divmod(key, base)
-        syms.append(g.alphabet[r])
+        key, r = divmod(key, len(alphabet))
+        syms.append(alphabet[r])
     syms.reverse()
     tail = syms[-1]
     while syms and syms[-1] == tail:
@@ -358,7 +357,7 @@ def reference_id_of(g, itinerary) -> int:
     it = itinerary
     padded = it.symbols(g.level + 1)
     if (len(it.word) <= g.level
-            and set(padded) <= set(g.alphabet)
+            and set(padded) <= set(g.fractal.alphabet)
             and canonical_itinerary(it.word, it.tail) == it):
         key = g.pack_word(padded)
         pos = int(np.searchsorted(g.keys, key))
@@ -395,7 +394,7 @@ def trace_loop(g, word) -> Loop:
     the corner table.
     """
     word = tuple(word)
-    if g.kind == "ring":
+    if g.fractal.name == "ring":
         if len(word) != 0:
             raise ValueError("the ring has a single basis loop (the full cycle)")
         cyc = np.concatenate([np.arange(g.n_vertices), [0]])
@@ -416,13 +415,13 @@ def loop_basis(g, max_order: int):
     """Loops for every word of length <= max_order, ordered by (length, word)."""
     if max_order > g.level:
         raise ValueError(f"max_order {max_order} exceeds graph level {g.level}")
-    if g.kind == "ring":
+    if g.fractal.name == "ring":
         if max_order != 0:
             raise ValueError("ring loop basis has only order 0")
         return [trace_loop(g, ())]
     loops = []
     for ell in range(max_order + 1):
-        for w in product(g.alphabet, repeat=ell):
+        for w in product(g.fractal.alphabet, repeat=ell):
             loops.append(trace_loop(g, w))
     return loops
 
@@ -492,7 +491,7 @@ def reference_cut_vertices(g, omega):
         assert reference_id_of(
             g, canonical_itinerary(minus.word, minus.tail)) == vid
         out.append((word, vid, g.pack_word(plus.symbols(g.level)),
-                    g.alphabet.index(plus.tail)))
+                    g.fractal.alphabet.index(plus.tail)))
     return out
 
 

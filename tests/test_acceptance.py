@@ -440,7 +440,7 @@ def test_criterion_12_basin_census():
             worst = max(worst, _rotation_distance(
                 rep.field, solve_equilibrium(g, phases).field))
         ok &= worst < 1e-10
-        lines.append(f"{g.kind} level {g.level}: {starts} starts, "
+        lines.append(f"{g.fractal.name} level {g.level}: {starts} starts, "
                      f"{len(classes)} classes, handoffs {handoffs}, "
                      f"{no_ref} without reference, worst distance {worst:.1e}")
     elapsed = time.perf_counter() - t0

@@ -655,7 +655,7 @@ def test_covering_cmd_artifacts_match_oracles(tmp_path):
     assert run(["covering", "--level", "4", "--degree", "1,1,1,1",
                 "--out", str(out)]) == 0
     g = build_graph("sg", 4)
-    _, lift = circle_harmonic_map(g, DegreeVector.parse("1,1,1,1", g.alphabet))
+    _, lift = circle_harmonic_map(g, DegreeVector.parse("1,1,1,1", g.fractal.alphabet))
     _assert_artifacts(out, "covering", {
         "domain.json": reference_dumps_json(lift.domain.to_json_dict()),
         "lift.csv": lambda p: reference_write_field_csv(p, lift.values),
@@ -673,7 +673,7 @@ def test_twist_cmd_artifacts_match_oracles(tmp_path, fractal, level, degree):
     assert run(["twist", "--fractal", fractal, "--level", str(level),
                 "--degree", degree, "--svg", "--out", str(out)]) == 0
     g = build_graph(fractal, level)
-    omega = DegreeVector.parse(degree, g.alphabet)
+    omega = DegreeVector.parse(degree, g.fractal.alphabet)
     phases, lift = circle_harmonic_map(g, omega)
     report = solve_equilibrium(g, phases, km.FlowConfig())
     assert report.degree == omega
@@ -682,7 +682,7 @@ def test_twist_cmd_artifacts_match_oracles(tmp_path, fractal, level, degree):
         lift_energy=lift.energy(),
         max_circle_distance_to_harmonic_map=float(
             km.circle_distance(report.field, phases).max()),
-        degree_dense=omega.to_dense(omega.max_order, g.alphabet))
+        degree_dense=omega.to_dense(omega.max_order, g.fractal.alphabet))
     _assert_artifacts(out, "twist", {
         "equilibrium.json": reference_dumps_json(equilibrium),
         "equilibrium.csv": lambda p: reference_write_field_csv(p, report.field),

@@ -65,7 +65,7 @@ def test_cut_table_remaps_one_corner_per_cut(g, omega):
         assert [cell, corner] in changed.tolist()
         assert g.cell_corners[cell, corner] == cut.cut_vertex
         assert dom.cell_corners[cell, corner] == cut.plus_id
-    assert dom.n_edges == len(g.cell_corners) * (3 if g.kind == "sg" else 1)
+    assert dom.n_edges == len(g.cell_corners) * (3 if g.fractal.name == "sg" else 1)
 
 
 def _single_loops(n):

@@ -9,8 +9,7 @@ from fractalsync import (build_graph, build_ring_graph, build_sg_graph,
                          dirichlet_energy, km_energy, km_rhs, laplacian,
                          normal_derivative, restrict)
 from fractalsync.dirichlet import laplacian_matrix
-from fractalsync.graphs import (CHILD_CORNERS, EXTENSION, RENORMALISATION, SIDES,
-                                cell_edges, cell_nodes)
+from fractalsync.graphs import FRACTALS
 from conftest import (Itinerary, apply_word, canonical_itinerary,
                       enumerate_gasket, extend_harmonic_once, hessian_matrix,
                       reference_cells, reference_graph, reference_id_of,
@@ -228,7 +227,7 @@ def test_ring_level1_matches_one_edge_oracle(u):
 def test_edges_are_cell_sides(kind, levels):
     for n in levels:
         g = build_graph(kind, n)
-        np.testing.assert_array_equal(g.edges, cell_edges(g.cell_corners))
+        np.testing.assert_array_equal(g.edges, g.fractal.cell_edges(g.cell_corners))
 
 
 @pytest.mark.parametrize("kind,n", [("sg", n) for n in range(13)]
@@ -253,9 +252,9 @@ def test_midpoint_keys_spell_their_side(kind, n):
     # w a b~b: its key's last two symbols are k*min + max of the side
     g = build_graph(kind, n)
     k = g.cell_corners.shape[1]
-    a, b = np.sort(SIDES[k], axis=1).T
+    a, b = np.sort(g.fractal.sides, axis=1).T
     assert (k * a + b).tolist() == {3: [1, 5, 2], 2: [1]}[k]
-    nodes = cell_nodes(g.cell_corners)
+    nodes = g.fractal.cell_nodes(g.cell_corners)
     w = np.arange(len(nodes))[:, None]
     np.testing.assert_array_equal(g.keys[nodes[:, k:]], k * k * w + k * a + b)
     # and they are exactly the vertices new at level n
@@ -310,11 +309,11 @@ def test_canonical_names_same_point():
 # -- the level-1 tables ---------------------------------------------------------
 
 
-def _exact_trace(k):
+def _exact_trace(fractal):
     """Gauss-Jordan on [M | -B] of the unit-weight level-1 network, built
-    from ``SIDES`` and ``CHILD_CORNERS`` in fractions: returns -M^-1 B (a
-    row per midpoint), the Schur complement C - B^T M^-1 B on the corners,
-    and the unit Laplacian of one cell's ``SIDES``."""
+    from the record's ``sides`` and ``child_corners`` in fractions: returns
+    -M^-1 B (a row per midpoint), the Schur complement C - B^T M^-1 B on
+    the corners, and the unit Laplacian of one cell's ``sides``."""
     def unit_laplacian(pairs, size):
         lap = [[Fraction(0)] * size for _ in range(size)]
         for i, j in pairs:
@@ -324,10 +323,11 @@ def _exact_trace(k):
             lap[j][i] -= 1
         return lap
 
-    local = CHILD_CORNERS[k].tolist()
+    k = fractal.child_corners.shape[1]
+    local = fractal.child_corners.tolist()
     size = max(map(max, local)) + 1
     lap = unit_laplacian([(kid[a], kid[b]) for kid in local
-                          for a, b in SIDES[k].tolist()], size)
+                          for a, b in fractal.sides.tolist()], size)
     mids = range(k, size)
     aug = [[lap[i][j] for j in mids] + [-lap[i][c] for c in range(k)]
            for i in mids]
@@ -339,27 +339,24 @@ def _exact_trace(k):
     x = [row[len(aug):] for row in aug]
     schur = [[lap[a][b] + sum(lap[a][m] * x[i][b] for i, m in enumerate(mids))
               for b in range(k)] for a in range(k)]
-    return x, schur, unit_laplacian(SIDES[k].tolist(), k)
+    return x, schur, unit_laplacian(fractal.sides.tolist(), k)
 
 
-@pytest.mark.parametrize("k", [3, 2])
-def test_level1_tables_are_the_exact_trace(k):
-    x, schur, cell = _exact_trace(k)
-    assert [[float(v) for v in row] for row in x] == EXTENSION[k].tolist()
-    a, b = SIDES[k][0]
+@pytest.mark.parametrize("fractal", FRACTALS.values(), ids=lambda f: f.name)
+def test_level1_tables_are_the_exact_trace(fractal):
+    x, schur, cell = _exact_trace(fractal)
+    assert ([[float(v) for v in row] for row in x]
+            == fractal.extension.tolist())
+    a, b = fractal.sides[0]
     r = -schur[a][b]
-    assert float(r) == RENORMALISATION[k]
+    assert float(r) == fractal.r
     # the trace is r times one cell's own network: every side weighs r
     assert schur == [[r * v for v in row] for row in cell]
-    if k == 3:
-        assert r == Fraction(3, 5)
-        levels, build = range(0, 13), build_sg_graph.__wrapped__
-    else:
-        assert r == Fraction(1, 2)
-        levels, build = range(1, 21), build_ring_graph.__wrapped__
+    # a fractal added to the registry adds its exact weight here
+    assert r == {"sg": Fraction(3, 5), "ring": Fraction(1, 2)}[fractal.name]
     # built unmemoised, so the level-12 gasket is not held for the session
-    for n in levels:
-        assert build(n).conductance == float(1 / r) ** n
+    for n in fractal.levels:
+        assert fractal.build.__wrapped__(n).conductance == float(1 / r) ** n
 
 
 # -- the array hierarchy against the scalar itinerary oracle ---------------
@@ -407,7 +404,7 @@ def test_id_of_rejects_names_that_are_not_vertices():
 @pytest.mark.parametrize("m", range(0, 6))
 def test_child_tables_match_itinerary_lookup(m):
     g_m, g_next = build_sg_graph(m), build_sg_graph(m + 1)
-    nodes = cell_nodes(g_next.cell_corners)
+    nodes = g_next.fractal.cell_nodes(g_next.cell_corners)
     corners, mids = nodes[:, :3], nodes[:, 3:]
     assert corners.shape == mids.shape == (len(g_m.cell_corners), 3)
     for k, w in enumerate(sorted(reference_cells(g_m))):
@@ -423,7 +420,7 @@ def test_child_tables_match_itinerary_lookup(m):
                          + [(build_ring_graph, n) for n in range(1, 7)])
 def test_restriction_matches_itinerary_lookup(build, n):
     g = build(n)
-    for m in range(0 if g.kind == "sg" else 1, n + 1):
+    for m in range(g.fractal.levels[0], n + 1):
         g_m = build(m)
         assert g.restriction_to(m).tolist() == [
             reference_id_of(g, reference_itinerary(g_m, v))

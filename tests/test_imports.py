@@ -81,9 +81,9 @@ LAYERS = (("graphs", "errors"), ("dirichlet", "winding"),
 # (the independent routes' sparse LU and assembled Laplacian); the rest
 # stay on numpy
 SCIPY_USERS = {"dirichlet"}
-# the modules that read a graph's kind; every other one reads the level-1
-# tables of graphs, keyed by the corner count
-KIND_READERS = {"graphs", "covering", "kuramoto", "structures", "svg"}
+# the modules that may read a ``kind`` attribute: every layer reads a
+# graph's fractal record, ``g.fractal``, and none asks which fractal it is
+KIND_READERS = {"graphs"}
 
 
 def _modules():

@@ -15,7 +15,6 @@ from fractalsync import (DegreeVector, EigensolverError, FlowConfig,
                          wrap_phases)
 from fractalsync import kuramoto as km
 from fractalsync.dirichlet import _pinned_factor, extend_corners, laplacian_matrix
-from fractalsync.graphs import cell_nodes
 from conftest import (check_energy_handoff, hessian_matrix,
                       positive_definite_factor, rk4_reference, spy_handoff)
 
@@ -628,7 +627,7 @@ _WALL_CLASSES = {"sg": ("0", "1", "-1", "2", "2,0,0", "1,1,1,1"),
 
 def _cell_equilibrium(g, spec):
     """The equilibrium of ``spec``'s class, from its harmonic map."""
-    if g.kind == "ring":
+    if g.fractal.name == "ring":
         return solve_equilibrium(g, twisted_state(g, int(spec))).field
     omega = DegreeVector.parse(spec, (1, 2, 3))
     return solve_equilibrium(g, circle_harmonic_map(g, omega)[0]).field
@@ -1012,7 +1011,7 @@ def test_newton_end_factors_once_per_step(monkeypatch):
         rep = solve()
         assert rep.method == method and rep.fallback is None
         assert rep.stability == "stable"
-        assert len(calls) == rep.newton_steps + 1, (g.kind, g.level)
+        assert len(calls) == rep.newton_steps + 1, (g.fractal.name, g.level)
         assert len([ev for ev in events if ev[0] == "newton"]) == 1
         if method == "flow+newton":
             assert rep.handoff == "energy" and rep.steps == 25
@@ -1065,12 +1064,13 @@ def test_cell_elimination_is_the_trace_onto_each_coarser_level():
     for g in ([build_sg_graph(n) for n in range(8)]
               + [build_ring_graph(n) for n in range(1, 11)]):
         k = g.cell_corners.shape[1]
-        rule = cell_nodes(extend_corners(np.eye(k)))[:, k:].T
+        rule = g.fractal.cell_nodes(
+            extend_corners(g.fractal, np.eye(k)))[:, k:].T
         factor = _pinned_factor(g, np.full(g.n_edges, g.conductance))
         assert len(factor.levels) == g.level
         for m, (_, step) in zip(range(g.level, 0, -1), factor.levels):
             # step is [-M^-1 B | M^-1]
-            c = build_graph(g.kind, m).conductance
+            c = g.fractal.build(m).conductance
             np.testing.assert_allclose(step[:, :, k:] * c, np.broadcast_to(
                 np.linalg.inv(unit[k]), step[:, :, k:].shape), rtol=1e-13, atol=0)
             np.testing.assert_allclose(step[:, :, :k], np.broadcast_to(
@@ -1164,7 +1164,7 @@ def test_cell_factor_stores_at_most_six_floats_per_free_vertex():
         u = rng.uniform(-0.05, 0.05, g.n_vertices)
         factor = _pinned_factor(g, km._hessian_weights(g, u))
         floats = factor.last.size + sum(step.size for _, step in factor.levels)
-        assert floats / (g.n_vertices - 1) <= bound, (g.kind, g.level)
+        assert floats / (g.n_vertices - 1) <= bound, (g.fractal.name, g.level)
 
 
 class _CountedSolves:

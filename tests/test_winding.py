@@ -124,7 +124,7 @@ def test_degree_of_unit_and_mixed_twists():
 
 def _traced_degree(f, g):
     """Full-order degree loop by loop: the trace_loop/loop_winding oracle."""
-    loops = loop_basis(g, g.level if g.kind == "sg" else 0)
+    loops = loop_basis(g, g.level if g.fractal.name == "sg" else 0)
     return DegreeVector({lp.word: loop_winding(f, lp) for lp in loops})
 
 
