@@ -245,11 +245,12 @@ def _verify_row(args):
 
 
 def _map_jobs(fn, jobs, n_jobs):
-    """``[fn(j) for j in jobs]``, in order, on ``n_jobs`` worker processes
-    when that is more than one."""
-    if n_jobs > 1:
+    """``[fn(j) for j in jobs]``, in order, on ``n_jobs`` worker processes,
+    no more than there are jobs, when that is more than one."""
+    workers = min(n_jobs, len(jobs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=n_jobs) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, jobs))
     return [fn(j) for j in jobs]
 

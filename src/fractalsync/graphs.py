@@ -57,6 +57,12 @@ class Fractal:
     # the level-0 vertices: the distinct corners of the level-0 cell
     boundary_size = property(lambda self: int(self.base_corners.max()) + 1)
 
+    def __post_init__(self):
+        # every graph and layer reads these tables: no one writes them
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
     def cell_edges(self, corners) -> np.ndarray:
         """Edges of a corner table, cell by cell: each cell's ``sides``."""
         return corners.take(self.sides, axis=1).reshape(-1, 2)

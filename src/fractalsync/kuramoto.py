@@ -29,7 +29,6 @@ SLIP_REACH = 0.5     # the same while an edge is at a quarter turn or more
 MAX_HALVINGS = 45    # step halvings before the flow gives up
 NEWTON_MAX_ITERS = 50
 NEWTON_MIN_STEP = 1e-8
-NEWTON_HANDOFF = 1e-3
 ARMIJO = 1e-4
 EQUILIBRIUM_TOL = 1e-8  # residual below which a field is classified
 
@@ -175,7 +174,8 @@ def cell_wall_energy(g: FractalGraph, u) -> float:
 
 @dataclass
 class FlowConfig:
-    """Flow and Newton settings; reports always read the full-order degree."""
+    """Flow and Newton settings: the RK4 step (None for
+    :func:`default_step`), the time budget and the residual tolerance."""
 
     step: float | None = None
     max_time: float = 400.0
@@ -214,7 +214,6 @@ class EquilibriumReport:
     halvings: int = 0
     method: str = "flow"            # "flow", "flow+newton" or "newton"
     fallback: str | None = None     # why Newton handed over to the flow
-    handoff: str | None = None      # "energy" or "residual" for "flow+newton"
     newton_steps: int = 0
     degree_error: str | None = None
     trajectory: list | None = None
@@ -234,7 +233,6 @@ class EquilibriumReport:
             "halvings": self.halvings,
             "method": self.method,
             "fallback": self.fallback,
-            "handoff": self.handoff,
             "newton_steps": self.newton_steps,
         }
 
@@ -274,33 +272,26 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
     ``converged`` flag, not raised.
 
     The flow decides where it comes to rest; Newton only finishes the
-    approach.  After an accepted block, the damped Newton iteration of
-    :func:`solve_equilibrium` runs from the block state under either of two
-    rules, and ``handoff`` names the one that accepted its end:
+    approach, by one rule.  At the first accepted block whose state lies in
+    a cell Omega_k = {|u_j - u_i - k_e| < 1/4} of the lift (every wrapped
+    difference under a quarter turn), the damped Newton iteration of
+    :func:`solve_equilibrium` runs once from the block state.  If its end
+    u* lies in the same cell, ``W =`` :func:`cell_wall_energy` of u* is
+    kept, and this block or any later one in the same cell hands off with
+    u* as the end as soon as its energy is below ``W``, whatever its
+    residual, with no further Newton run.  A block in another cell runs
+    Newton once for that cell.  A flow the rule does not finish runs RK4
+    to ``cfg.tol``.
 
-    - ``"energy"``: at the first accepted block whose state lies in a cell
-      Omega_k = {|u_j - u_i - k_e| < 1/4} of the lift (every wrapped
-      difference under a quarter turn), Newton runs once.  If its end u*
-      lies in the same cell, the cell's offsets k and ``W =``
-      :func:`cell_wall_energy` of u* are kept, and this block or any later
-      one in the same cell hands off with u* as the end as soon as its
-      energy is below ``W``, whatever its residual, with no further Newton
-      run.  A block in another cell runs Newton once for that cell.  The
-      block must end inside ``cfg.max_time``.
-    - ``"residual"``: the block's residual is below ``NEWTON_HANDOFF``.  If
-      Newton fails, the flow continues from the block state and tries
-      again only once the residual is below half its value at the failed
-      attempt.
-
-    The energy rule keeps the flow's answer.  ``W`` bounds the energy from
-    below on the walls of Omega_k.  The block state lies in Omega_k with
-    energy below ``W``, and the gradient flow that RK4 follows never raises
-    E, so it never reaches a wall and stays in Omega_k.  There the Hessian
-    is a Laplacian with positive weights c cos 2 pi d, so E is strictly
-    convex modulo rotation, and the flow's limit is the only critical point
-    in Omega_k with the block state's mean phase: u*, which has that mean
+    The rule keeps the flow's answer.  ``W`` bounds the energy from below
+    on the walls of Omega_k.  The block state lies in Omega_k with energy
+    below ``W``, and the gradient flow that RK4 follows never raises E, so
+    it never reaches a wall and stays in Omega_k.  There the Hessian is a
+    Laplacian with positive weights c cos 2 pi d, so E is strictly convex
+    modulo rotation, and the flow's limit is the only critical point in
+    Omega_k with the block state's mean phase: u*, which has that mean
     phase (the flow keeps it) and lies in Omega_k.  The rule stands in for
-    the rest of the flow, so a block past the time budget does not use it.
+    the rest of the flow, so a block past ``cfg.max_time`` does not use it.
 
     Newton's first factor must certify the pinned Hessian positive
     definite, so saddle passages stay on RK4, and its step cap keeps the
@@ -324,7 +315,6 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
     t = 0.0
     steps = 0
     halvings = 0
-    handoff_below = NEWTON_HANDOFF
     cell = None   # (k, W, Newton's end) of the last cell Newton ran in
     res = float(np.abs(rhs(u)).max())
     energy = _km_energy_fast(u, i, j, c)
@@ -355,8 +345,6 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
         rows.append((t, energy, res))
         if res < cfg.tol:
             break
-        out = None
-        handoff = None
         lift = u[j] - u[i]
         k = np.round(lift)
         if t < cfg.max_time and np.abs(lift - k).max() < 0.25:
@@ -368,20 +356,11 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
                     wall = cell_wall_energy(g, out[0])
                 cell = (k, wall, out)
             if energy < cell[1]:
-                out, handoff = cell[2], "energy"
-        if handoff is None and res < handoff_below:
-            if out is None:
-                out = _newton(g, u, cfg)
-            if isinstance(out, str):
-                handoff_below = 0.5 * res
-            else:
-                handoff = "residual"
-        if handoff:
-            u_end, res_end, newton_steps, _, _, factor = out
-            rows.append((t, _km_energy_fast(u_end, i, j, c), res_end))
-            return _finalize(g, u_end, res_end, steps, t, h, True, halvings,
-                             factor, method="flow+newton", handoff=handoff,
-                             newton_steps=newton_steps, trajectory=rows)
+                u_end, res_end, newton_steps, _, _, factor = cell[2]
+                rows.append((t, _km_energy_fast(u_end, i, j, c), res_end))
+                return _finalize(g, u_end, res_end, steps, t, h, True, halvings,
+                                 factor, method="flow+newton",
+                                 newton_steps=newton_steps, trajectory=rows)
     return _finalize(g, u, res, steps, t, h, res < cfg.tol, halvings,
                      trajectory=rows)
 

@@ -166,7 +166,7 @@ def spy_handoff(mp):
 
 
 def check_energy_handoff(rep, events):
-    """An ``"energy"`` handoff ends at the Newton run that set the last
+    """A ``"flow+newton"`` end is the Newton run that set the last
     wall energy W, and its block is the first at or after that run's block
     below W; returns that run's event."""
     from fractalsync import wrap_phases

@@ -426,11 +426,11 @@ def test_criterion_12_basin_census():
     lines = []
     for g, starts, seed in ((build_sg_graph(3), 40, 3), (build_ring_graph(6), 20, 6)):
         rng = np.random.default_rng(seed)
-        classes, worst, no_ref, handoffs = set(), 0.0, 0, {}
+        classes, worst, no_ref, methods = set(), 0.0, 0, {}
         for _ in range(starts):
             rep = integrate_to_equilibrium(g, rng.random(g.n_vertices))
-            ok &= rep.stability == "stable" and rep.handoff is not None
-            handoffs[rep.handoff] = handoffs.get(rep.handoff, 0) + 1
+            ok &= rep.stability == "stable" and rep.method == "flow+newton"
+            methods[rep.method] = methods.get(rep.method, 0) + 1
             classes.add(str(rep.degree))
             try:
                 phases, _ = circle_harmonic_map(g, rep.degree)
@@ -441,7 +441,7 @@ def test_criterion_12_basin_census():
                 rep.field, solve_equilibrium(g, phases).field))
         ok &= worst < 1e-10
         lines.append(f"{g.fractal.name} level {g.level}: {starts} starts, "
-                     f"{len(classes)} classes, handoffs {handoffs}, "
+                     f"{len(classes)} classes, methods {methods}, "
                      f"{no_ref} without reference, worst distance {worst:.1e}")
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 10.0

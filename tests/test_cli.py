@@ -159,7 +159,6 @@ def test_sweep_perturbed_runs_flow_unperturbed_runs_newton(tmp_path):
                     "4:4", "--perturb", perturb, "--out", str(out)]) == 0
         jobs[perturb], = json.loads((out / "sweep.json").read_text())["jobs"]
     assert jobs["0"]["method"] == "newton" and jobs["0"]["fallback"] is None
-    assert jobs["0"]["handoff"] is None
     assert jobs["0"]["steps"] == 0 and jobs["0"]["newton_steps"] > 0
     # a perturbed start is left to the flow, which may leave its class;
     # Newton only polishes the tail once the flow has settled
@@ -171,7 +170,7 @@ def test_sweep_perturbed_runs_flow_unperturbed_runs_newton(tmp_path):
     rep = fs.integrate_to_equilibrium(g, u0, cfg)
     job = jobs["0.1"]
     assert job["method"] == "flow+newton" and job["fallback"] is None
-    assert job["handoff"] == rep.handoff
+    assert job["method"] == rep.method
     assert (job["steps"], job["newton_steps"]) == (rep.steps, rep.newton_steps)
     assert job["energy"] == rep.energy
     assert job["hessian_min_eig"] == rep.hessian_min_eig
@@ -198,15 +197,14 @@ def test_flow_cmd_trajectory_ends_with_newton_finish(tmp_path, monkeypatch):
     assert rows[-1][0] == rows[-2][0] == rep["time"]
     # Newton runs once, at the first block in a cell; the first block below
     # the wall energy of its end hands off, whatever its residual (here
-    # above NEWTON_HANDOFF), and Newton only lowers the energy
-    assert rep["handoff"] == "energy"
+    # above 1e-3), and Newton only lowers the energy
     assert [ev[0] for ev in events] == ["newton", "wall"]
     (_, start, cell, newton_end), (_, wall) = events
     assert cell is not None and newton_end[2] == rep["newton_steps"]
     first = [tuple(r[1:]) for r in rows].index(start)
     assert all(e >= wall for _, e, _ in rows[first:-2])
     assert rows[-1][1] <= rows[-2][1] < wall
-    assert rows[-2][2] >= km.NEWTON_HANDOFF
+    assert rows[-2][2] >= 1e-3
     assert rows[-1][2] == rep["residual"] < 1e-10
 
 
@@ -220,7 +218,7 @@ def test_twist_above_equilibrium_tol_classifies_the_certified_end(tmp_path):
                     "--out", str(out)]) == 0
         reps.append(json.loads((out / "equilibrium.json").read_text()))
     loose, tight = reps
-    assert loose["method"] == "newton" and loose["handoff"] is None
+    assert loose["method"] == "newton"
     assert km.EQUILIBRIUM_TOL <= loose["residual"] < 1e-5
     assert loose["stability"] == tight["stability"] == "stable"
     assert loose["hessian_min_eig"] == pytest.approx(tight["hessian_min_eig"],
@@ -612,6 +610,33 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert run(args + ["--jobs", "1", "--out", str(out1)]) == 0
     assert run(args + ["--jobs", "2", "--out", str(out2)]) == 0
     assert (out1 / "sweep.json").read_bytes() == (out2 / "sweep.json").read_bytes()
+
+
+def test_jobs_start_no_more_workers_than_jobs(tmp_path, monkeypatch):
+    # a pool forks all of its workers at once, so --jobs is capped at the
+    # number of rows; the fake pool runs the rows here and starts nothing
+    import concurrent.futures
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    for levels, expected in (("3:4", [2]), ("3:3", [])):
+        pools.clear()
+        assert run(["verify", "--levels", levels, "--jobs", "5000",
+                    "--out", str(tmp_path / levels.replace(":", "_"))]) == 0
+        assert pools == expected
 
 
 # -- every artifact of a command against the byte oracles ---------------------

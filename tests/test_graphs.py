@@ -267,6 +267,23 @@ def test_build_graph_refuses_an_unknown_fractal():
         build_graph("sg3", 2)
 
 
+@pytest.mark.parametrize("fractal", FRACTALS.values(), ids=lambda f: f.name)
+def test_fractal_tables_are_read_only(fractal):
+    # every graph and layer reads the record's tables: none may write them,
+    # and building a graph (uncached, so it runs) leaves their flags alone
+    tables = {name: v for name, v in vars(fractal).items()
+              if isinstance(v, np.ndarray)}
+    assert set(tables) == {"sides", "child_corners", "extension", "points",
+                           "base_corners"}
+    for arr in tables.values():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+    flags = {name: arr.flags.writeable for name, arr in tables.items()}
+    for n in fractal.levels[:3]:
+        assert fractal.build.__wrapped__(n).fractal is fractal
+    assert {name: arr.flags.writeable for name, arr in tables.items()} == flags
+
+
 def test_ring_restrict():
     g4 = build_ring_graph(4)
     f = np.arange(16, dtype=float)

@@ -73,6 +73,20 @@ def test_no_dead_private_names():
     assert dead == []
 
 
+def test_no_dead_constants():
+    # a module-level UPPER_CASE constant defined in src/ and read nowhere
+    # in src/ is dead, whatever the tests read of it
+    trees = {p: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted((ROOT / "src").rglob("*.py"))}
+    used = set().union(*map(_references, trees.values()))
+    dead = [f"{p.relative_to(ROOT)}:{node.lineno}: {t.id}"
+            for p, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(t, ast.Name) and t.id.isupper() and t.id not in used]
+    assert dead == []
+
+
 # each module imports only from the layers before its own
 LAYERS = (("graphs", "errors"), ("dirichlet", "winding"),
           ("covering", "kuramoto"), ("structures",), ("serialize", "svg"),

@@ -373,18 +373,20 @@ def test_unresolved_degree_is_reported():
 @given(kind=st.sampled_from(("sg", "ring")), n=st.integers(3, 5),
        spec=st.sampled_from(("0", "1", "1,1,1,1", "2,0,0")),
        amp=st.floats(0.0, 0.25), seed=st.integers(0, 2 ** 32 - 1),
-       handoff=st.just(None))
-@example(kind="sg", n=5, spec="2,0,0", amp=0.25, seed=1, handoff="energy")
-@example(kind="sg", n=3, spec="1,1,1,1", amp=0.25, seed=16, handoff="residual")
-@example(kind="ring", n=5, spec="0", amp=0.0, seed=1, handoff="energy")
-@example(kind="ring", n=5, spec="0", amp=0.0, seed=0, handoff="energy")
-@example(kind="sg", n=5, spec="0", amp=0.25, seed=1, handoff="energy")
-def test_finished_flow_matches_rk4_reference(kind, n, spec, amp, seed, handoff):
+       method=st.just(None))
+@example(kind="sg", n=5, spec="2,0,0", amp=0.25, seed=1, method="flow+newton")
+@example(kind="sg", n=3, spec="1,1,1,1", amp=0.25, seed=16, method="flow+newton")
+@example(kind="sg", n=3, spec="1,1,1,1", amp=0.1, seed=0, method="flow+newton")
+@example(kind="sg", n=3, spec="1,1,1,1", amp=0.1, seed=1, method="flow+newton")
+@example(kind="ring", n=5, spec="0", amp=0.0, seed=1, method="flow+newton")
+@example(kind="ring", n=5, spec="0", amp=0.0, seed=0, method="flow+newton")
+@example(kind="sg", n=5, spec="0", amp=0.25, seed=1, method="flow+newton")
+def test_finished_flow_matches_rk4_reference(kind, n, spec, amp, seed, method):
     # perturbed gasket starts and random ring starts: the flow picks the
     # equilibrium, and the Newton finish lands on the one plain RK4 reaches;
-    # ``handoff`` is the rule an example is known to finish under (ring-5
-    # seed 0 ends twisted, q = -2; the gasket-3 ``1,1,1,1`` equilibrium
-    # lies 1.1e-7 below its wall energy, so its flow waits for the residual)
+    # ``method`` is how an example is known to end (ring-5 seed 0 ends
+    # twisted, q = -2; the gasket-3 ``1,1,1,1`` equilibrium lies 1.1e-7
+    # below its wall energy, so its flows hand off late, but by energy)
     rng = np.random.default_rng(seed)
     if kind == "ring":
         g = build_ring_graph(n)
@@ -404,26 +406,22 @@ def test_finished_flow_matches_rk4_reference(kind, n, spec, amp, seed, handoff):
     assert rep.converged == ref.converged
     assert rep.method == ("flow+newton" if rep.newton_steps else "flow")
     assert rep.steps <= ref.steps
-    # each rule's own condition held at the handoff block and its end
-    assert (rep.handoff is None) == (rep.method == "flow")
-    if rep.handoff is not None:
-        if rep.handoff == "energy":
-            # the first block below the wall energy of its cell's Newton
-            # end, which is the reported end, in that cell
-            check_energy_handoff(rep, events)
-            d_end = km._wrapped_diff(rep.field, g.edges[:, 0], g.edges[:, 1])
-            assert np.abs(d_end).max() < 0.25
-        else:
-            assert rep.trajectory[-2][2] < km.NEWTON_HANDOFF
-    if handoff is not None:
-        assert rep.handoff == handoff
+    if rep.method == "flow+newton":
+        # the first block below the wall energy of its cell's Newton end,
+        # which is the reported end, in that cell
+        check_energy_handoff(rep, events)
+        d_end = km._wrapped_diff(rep.field, g.edges[:, 0], g.edges[:, 1])
+        assert np.abs(d_end).max() < 0.25
+    if method is not None:
+        assert rep.method == method
 
 
 def test_flow_does_not_hand_off_at_a_saddle(monkeypatch):
-    # next to the half-twisted saddle the residual is far below the handoff
-    # threshold, but the pinned Hessian is indefinite: the flow stays on RK4.
-    # The step is pinned below the default so that the first block ends
-    # before the saddle's unstable mode grows past the threshold
+    # next to the half-twisted saddle the residual is tiny, but an edge is
+    # at a quarter turn or more, so no block lies in a cell and Newton
+    # never runs: the flow stays on RK4.  The step is pinned below the
+    # default so that the first block ends before the saddle's unstable
+    # mode grows
     attempts = []
     newton = km._newton
 
@@ -442,54 +440,16 @@ def test_flow_does_not_hand_off_at_a_saddle(monkeypatch):
         attempts.clear()
         rep = integrate_to_equilibrium(g, u0, cfg)
         ref = rk4_reference(g, u0, cfg)
-        assert attempts
-        assert all(a == "pinned Hessian not positive definite" for a in attempts)
+        assert attempts == []
         assert rep.method == "flow" and rep.newton_steps == 0
         np.testing.assert_array_equal(rep.field, ref.field)
         assert rep.to_json_dict() == ref.to_json_dict()
 
 
-def test_failed_handoff_keeps_flowing_until_the_residual_halves(monkeypatch):
-    # the first two Newton runs fail: the energy rule's, at the first block
-    # in a cell, and the residual rule's, at the first block below
-    # NEWTON_HANDOFF; the next runs once the residual is below half of that
-    runs = []
-    newton = km._newton
-
-    def two_fail(g, u, cfg):
-        runs.append(u)
-        return "forced" if len(runs) <= 2 else newton(g, u, cfg)
-
-    monkeypatch.setattr(km, "_newton", two_fail)
-    events = spy_handoff(monkeypatch)
-    g = build_sg_graph(4)
-    phases, _ = circle_harmonic_map(g, DegreeVector({(): 1}))
-    u0 = wrap_phases(phases + np.random.default_rng(3).uniform(-0.1, 0.1, g.n_vertices))
-    rep = integrate_to_equilibrium(g, u0)
-    record = rep.trajectory
-    flow_rows = [r for _, _, r in record[:-1]]
-    assert [ev[0] for ev in events] == ["newton"] * 3
-    (_, (_, r0), cell0, _), (_, (_, r1), cell1, _), (_, (_, r2), _, _) = events
-    assert cell0 is not None and r0 >= km.NEWTON_HANDOFF
-    np.testing.assert_array_equal(cell1, cell0)
-    assert r1 == next(r for r in flow_rows if r < km.NEWTON_HANDOFF)
-    assert r2 == next(r for r in flow_rows if r < 0.5 * r1)
-    assert flow_rows[-1] == r2
-    assert rep.method == "flow+newton" and rep.handoff == "residual"
-    assert rep.newton_steps > 0
-    assert rep.steps == 25 * (len(flow_rows) - 1)
-    # the record ends with the polished point, at the handoff time
-    assert record[-1][0] == record[-2][0]
-    assert record[-1][2] == rep.residual < 1e-10
-    ref = rk4_reference(g, u0)
-    assert circle_distance(rep.field, ref.field).max() < 1e-8
-    assert rep.degree == ref.degree == DegreeVector({(): 1})
-
-
 @pytest.mark.parametrize("first", ["fails", "ends outside the cell"])
 def test_energy_handoff_has_one_attempt(monkeypatch, first):
-    # after a spoiled energy-rule run, Newton runs again in that cell only
-    # where the residual rule allows it, not at every later block there
+    # after a spoiled Newton run, Newton never runs again in that cell:
+    # the flow ends on plain RK4
     newton = km._newton
     runs = []
 
@@ -512,18 +472,13 @@ def test_energy_handoff_has_one_attempt(monkeypatch, first):
     events = spy_handoff(monkeypatch)
     u0 = np.random.default_rng(1).random(g.n_vertices)
     rep = integrate_to_equilibrium(g, u0)
-    rows = [(e, r) for _, e, r in rep.trajectory[1:-1]]
-    # the spoiled run sets no wall energy, so the energy rule never fires
-    assert [ev[0] for ev in events] == ["newton", "newton"]
-    (_, start0, cell0, _), (_, start1, cell1, _) = events
-    assert cell0 is not None and start0[1] >= km.NEWTON_HANDOFF
-    np.testing.assert_array_equal(cell1, cell0)
-    assert start1 == next(row for row in rows if row[1] < km.NEWTON_HANDOFF)
-    assert rows[-1] == start1
-    assert rep.method == "flow+newton" and rep.handoff == "residual"
+    # the spoiled run sets no wall energy, so the flow never hands off
+    assert [ev[0] for ev in events] == ["newton"]
+    assert events[0][2] is not None
+    assert rep.method == "flow" and rep.newton_steps == 0 and rep.converged
     ref = rk4_reference(g, u0)
-    assert circle_distance(rep.field, ref.field).max() < 1e-8
-    assert rep.degree == ref.degree and rep.stability == ref.stability
+    np.testing.assert_array_equal(rep.field, ref.field)
+    assert rep.to_json_dict() == ref.to_json_dict()
 
 
 def test_energy_rule_waits_for_the_time_budget(monkeypatch):
@@ -536,14 +491,14 @@ def test_energy_rule_waits_for_the_time_budget(monkeypatch):
     rep = integrate_to_equilibrium(g, u0, FlowConfig(max_time=1e-4))
     (_, e_start, _), (t, e_block, _) = rep.trajectory
     assert not events
-    assert rep.method == "flow" and rep.handoff is None and not rep.converged
+    assert rep.method == "flow" and not rep.converged
     assert np.abs(km._wrapped_diff(u0, g.edges[:, 0], g.edges[:, 1])).max() >= 0.25
     star = solve_equilibrium(g, rep.field).field
     assert t > 1e-4 and e_block < km.cell_wall_energy(g, star)
     # with the default budget the same block hands off, on one Newton run
     events.clear()
     rep = integrate_to_equilibrium(g, u0)
-    assert rep.handoff == "energy" and rep.steps == 25
+    assert rep.method == "flow+newton" and rep.steps == 25
     assert [ev[0] for ev in events] == ["newton", "wall"]
     assert check_energy_handoff(rep, events) is events[0]
 
@@ -563,7 +518,7 @@ def test_every_gasket_class_hands_off_by_energy_at_its_first_cell(monkeypatch, n
         with pytest.MonkeyPatch.context() as mp:
             events = spy_handoff(mp)
             rep = integrate_to_equilibrium(g, u0)
-        assert rep.handoff == "energy" and rep.steps <= 50, (n, spec, seed)
+        assert rep.method == "flow+newton" and rep.steps <= 50, (n, spec, seed)
         assert [ev[0] for ev in events] == ["newton", "wall"]
         check_energy_handoff(rep, events)
         assert rep.degree == omega and rep.stability == "stable"
@@ -1014,7 +969,7 @@ def test_newton_end_factors_once_per_step(monkeypatch):
         assert len(calls) == rep.newton_steps + 1, (g.fractal.name, g.level)
         assert len([ev for ev in events if ev[0] == "newton"]) == 1
         if method == "flow+newton":
-            assert rep.handoff == "energy" and rep.steps == 25
+            assert rep.steps == 25
             check_energy_handoff(rep, events)
 
 
