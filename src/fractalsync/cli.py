@@ -321,6 +321,19 @@ def _degree_value(spec, alphabet) -> DegreeVector:
     return DegreeVector.parse(str(spec), alphabet)
 
 
+def _boundary_value(spec, _) -> list:
+    # the flag's text, or a --config list of numbers (a bool is no number)
+    if isinstance(spec, list) and all(type(v) in (int, float) for v in spec):
+        return [float(v) for v in spec]
+    if isinstance(spec, str):
+        try:
+            return [float(v) for v in spec.split(",")]
+        except ValueError:
+            pass
+    raise ValueError(f"--boundary {spec!r} is neither comma-separated "
+                     f"numbers nor a list of numbers")
+
+
 def _degree_list(spec, _) -> list:
     specs = [s for s in str(spec).split(";") if s]
     if not specs:
@@ -346,9 +359,8 @@ _FLAGS = {
                    type=int),
     "config": _flag(_ALL, help="JSON run file; flags override it"),
     "out": _flag(_ALL),
-    "boundary": _flag(("harmonic",), lambda spec, _: [float(v) for v in (
-        spec.split(",") if isinstance(spec, str) else spec)],
-        help="comma-separated corner values"),
+    "boundary": _flag(("harmonic",), _boundary_value,
+                      help="comma-separated corner values"),
     "method": _flag(("harmonic",), choices=("extension", "linear-solve")),
     "degree": _flag(("covering", "twist", "verify"), _degree_value),
     "degrees": _flag(("sweep",), _degree_list,

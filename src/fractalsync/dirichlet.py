@@ -232,44 +232,18 @@ def _pinned_factor(g: FractalGraph, w, shift=0.0) -> _CellFactor | None:
     return _CellFactor(k, levels, corners[0][free], last)
 
 
-def _elimination_order(g: FractalGraph) -> np.ndarray:
-    """Every vertex id, finest-born first, then by id: the order in which
-    Kigami's trace removes them, each level's midpoints before the corners
-    of their parent cells.  V0, born at level 0, comes last.
-
-    A vertex born at level m keeps its canonical name at every finer
-    level, so its key ends in a run of n - m + 1 copies of its last digit
-    t, and the key less t times the all-ones word ends in as many zeros.
-    ``zeros`` counts the trailing zeros of every residue mod ``half``, up
-    to ``digits``; a second lookup, on the next ``digits`` digits, reads
-    the rest of all n + 1.  V0's keys give 0, so a run of 2 ``digits``,
-    more than any other vertex's.
-    """
-    base = g.fractal.num_maps
-    span = base ** (g.level + 1)
-    y = g.keys - g.keys % base * ((span - 1) // (base - 1))
-    digits = (g.level + 2) // 2
-    half = base ** digits
-    zeros = np.zeros(half, dtype=np.int8)
-    for p in range(1, digits + 1):
-        zeros[::base ** p] += 1
-    run = zeros[y % half]
-    low = run == digits
-    run[low] += zeros[y[low] // half % half]
-    return np.argsort(run, kind="stable")
-
-
 def solve_dirichlet(g: FractalGraph, phi, method="extension") -> np.ndarray:
     """Solve the discrete Dirichlet problem: harmonic with f|V0 = phi.
 
     ``method="extension"`` extends the level-0 cell's corner values level
     by level; ``method="linear-solve"`` pins the boundary and solves the
     interior Laplace system with :func:`_solve_free`, at every level.  The
-    vertices are relabelled in :func:`_elimination_order`, interior first
-    and V0 last, and the Laplacian is assembled in that labelling: the
-    cell hierarchy's nested dissection, where each level's corners
-    separate its cells, so the factor's fill is O(N).  Both routes agree
-    to 1e-10 in the sup norm.
+    vertices are relabelled finest-born first, then by id, and the
+    Laplacian is assembled in that labelling: the order in which Kigami's
+    trace removes them, each level's midpoints before the corners of
+    their parent cells and V0 last.  It is the cell hierarchy's nested
+    dissection, where each level's corners separate its cells, so the
+    factor's fill is O(N).  Both routes agree to 1e-10 in the sup norm.
     """
     bd = as_boundary_data(g, phi)
     if method == "extension":
@@ -284,7 +258,7 @@ def solve_dirichlet(g: FractalGraph, phi, method="extension") -> np.ndarray:
     if method != "linear-solve":
         raise ValueError(f"unknown method {method!r}")
 
-    order = _elimination_order(g)
+    order = np.argsort(-g.birth, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(g.n_vertices)
     interior = g.n_vertices - len(bd)
@@ -306,11 +280,11 @@ def _solve_free(L, free, f):
     SuperLU keeps that order (``NATURAL``, up to its elimination-tree
     postorder) and relaxes no supernodes.  A level's midpoints, the free
     set of the ``structures`` solves, are block diagonal by cell, so any
-    order of them has no fill.  In :func:`_elimination_order` the
-    gasket's fill is 9.3 nonzeros of L + U per free vertex from level 7 on
-    (10.7 with a minimum-degree ordering of A + A^T in id order), and
-    without relaxed supernodes the level-10 factor takes 55 ms against
-    137 ms with SuperLU's default panels, at the same fill.  The
+    order of them has no fill.  In :func:`solve_dirichlet`'s finest-born
+    first order the gasket's fill is 9.3 nonzeros of L + U per free vertex
+    from level 7 on (10.7 with a minimum-degree ordering of A + A^T in id
+    order), and without relaxed supernodes the level-10 factor takes 55 ms
+    against 137 ms with SuperLU's default panels, at the same fill.  The
     refinement step takes the level-12 solve from 1.9e-9 to 6.6e-12 off
     the extension.
     """
@@ -345,11 +319,12 @@ def holder_ratio(g: FractalGraph, f, beta=None) -> float:
     """Max over vertex pairs of |f(x)-f(y)| / |x-y|**beta.
 
     Used as an empirical check that harmonic fields obey a uniform Holder
-    bound with beta = log(1/r) / (2 log 2), r = 3/5 the gasket's.
+    bound with beta = log(1/r) / (2 log 2), r the fractal's: 3/5 on the
+    gasket, 1/2 on the ring.
     """
     f = g.check_field(f)
     if beta is None:
-        beta = math.log(1 / SG.r) / (2.0 * math.log(2.0))
+        beta = math.log(1 / g.fractal.r) / (2.0 * math.log(2.0))
     pts = g.coords
     n = g.n_vertices
     block = 512  # rows of the pairwise distance matrix held at once

@@ -20,7 +20,9 @@ cells ``3k, 3k+1, 3k+2`` of level n+1, and ``cell_corners`` is the one cell
 index.  A vertex is stored as its key: the first n+1 symbols of its
 canonical name, read as a fixed-radix integer.  The sorted key array fixes
 the ids, so identity and ordering never depend on floating-point
-coordinates; the graph JSON spells the names out from the keys.  A graph
+coordinates; the graph JSON spells the names out from the keys.  Beside
+it, ``birth`` holds the level each vertex enters at, which every
+restriction, boundary test and elimination order reads.  A graph
 is built as defined: the level-0 cell refined n times with the level-1
 tables, at O(N) a level, each refinement adding the midpoint of every cell
 side, and each cell's corners and midpoints giving its children's corners.
@@ -95,24 +97,28 @@ class FractalGraph:
         give its parallel edges (0, 1) and (1, 0).
     conductance : float
         Every edge's weight, (1/r)**n: (5/3)**n on the gasket.
-    boundary_ids : tuple
-        Ids of the level-0 vertices (the ring's one is vertex 0).
     keys : (N,) ndarray
         Strictly increasing: the first level+1 symbols of each vertex's
         canonical name as a fixed-radix integer.
+    birth : (N,) int8 ndarray
+        The level m at which each vertex enters, V_m less V_(m-1): 0 on
+        V0, m on the midpoints added by the m-th refinement.
+    boundary_ids : tuple
+        Ids of the level-0 vertices, born at 0 (the ring's one is vertex
+        0).
     """
 
-    def __init__(self, fractal, level, coords, cell_corners, boundary_ids, keys):
+    def __init__(self, fractal, level, coords, cell_corners, keys, birth):
         self.fractal = fractal
         self.level = level
         self.coords = coords
         self.edges = fractal.cell_edges(cell_corners)
         self.conductance = (1 / fractal.r) ** level
         self.cell_corners = cell_corners
-        self.boundary_ids = boundary_ids
         self.keys = keys
-        self._restrictions = {}
-        for arr in (coords, self.edges, cell_corners, keys):
+        self.birth = birth
+        self.boundary_ids = tuple(np.flatnonzero(birth == 0).tolist())
+        for arr in (coords, self.edges, cell_corners, keys, birth):
             arr.setflags(write=False)
 
     # -- basic queries ---------------------------------------------------
@@ -176,44 +182,34 @@ class FractalGraph:
     def restriction_to(self, m):
         """Index array mapping level-m vertex ids into this graph's ids.
 
-        A level-m vertex keeps its canonical name at every finer level, so
-        its key here ends in a run of ``level - m + 1`` equal symbols; key
-        order restricts to the level-m order.
+        The level-m vertices are those born at m or before, and a vertex
+        keeps its canonical name at every finer level, so key order
+        restricts to the level-m order.
         """
         if not 0 <= m <= self.level:
             raise ValueError(
                 f"cannot restrict level {self.level} to level {m}")
-        if m not in self._restrictions:
-            base = self.fractal.num_maps
-            span = base ** (self.level - m + 1)
-            run = (span - 1) // (base - 1)  # the digit 1 repeated
-            idx = np.flatnonzero(self.keys % span == self.keys % base * run)
-            idx.setflags(write=False)
-            self._restrictions[m] = idx
-        return self._restrictions[m]
+        return np.flatnonzero(self.birth <= m)
 
     # -- export ------------------------------------------------------------
 
     def to_json_dict(self):
         # each key spelled as its canonical name, a symbol at a time from the
-        # last into uint8: the trailing run of the tail symbol is left NUL,
-        # so dropped from the word, and written after "~"
+        # last into uint8: a vertex born at level b names itself with its
+        # first b symbols, the rest, left NUL, are its tail, written after "~"
         alphabet, m = self.fractal.alphabet, self.level + 1
         glyphs = np.asarray(alphabet, dtype=np.uint8) + ord("0")
         chars = np.zeros((self.n_vertices, m), dtype=np.uint8)
         rest, tail = np.divmod(self.keys, self.fractal.num_maps)
-        run = np.ones(self.n_vertices, dtype=bool)
         for j in range(m - 2, -1, -1):
             rest, digit = np.divmod(rest, self.fractal.num_maps)
-            run &= digit == tail
-            chars[:, j] = np.where(run, 0, glyphs[digit])
+            chars[:, j] = np.where(j < self.birth, glyphs[digit], 0)
         words = chars.view(f"S{m}").ravel().astype(str)
-        boundary = np.isin(np.arange(self.n_vertices), self.boundary_ids)
         verts = [
             {"id": i, "itinerary": f"{w}~{t}", "x": x, "y": y, "boundary": b}
             for i, (w, t, x, y, b) in enumerate(zip(
                 words.tolist(), np.asarray(alphabet)[tail].tolist(),
-                *self.coords.T.tolist(), boundary.tolist()))
+                *self.coords.T.tolist(), (self.birth == 0).tolist()))
         ]
         return {
             "kind": self.fractal.name,
@@ -237,9 +233,10 @@ def _refine(fractal, n) -> FractalGraph:
     (a, b), a < b, of cell w adds the midpoint w a b~b, key k**2 w +
     (k a + b).  One list ends in a doubled symbol and the other never
     does, so an old vertex's id moves up by the midpoints with smaller
-    keys, and the midpoints fill the ids left.  ``table`` holds the point
-    F_w(v_tail) of every key of the current length, as x + iy, applied
-    innermost symbol first: a leading symbol d maps p to (p + v_d) / 2.
+    keys, and the midpoints, born at this level, fill the ids left.
+    ``table`` holds the point F_w(v_tail) of every key of the current
+    length, as x + iy, applied innermost symbol first: a leading symbol d
+    maps p to (p + v_d) / 2.
     """
     if n not in fractal.levels:
         raise ValueError(f"{fractal.name} level must be in [{fractal.levels[0]}, "
@@ -247,7 +244,7 @@ def _refine(fractal, n) -> FractalGraph:
     k = len(fractal.alphabet)
     corners = fractal.base_corners
     keys = np.arange(corners.max() + 1)  # at level 0 the tail, the id
-    boundary = keys
+    birth = np.zeros(len(keys), dtype=np.int8)
     points = fractal.points.view(complex).ravel()
     table = points
     side = np.sort(fractal.sides, axis=1)
@@ -258,7 +255,7 @@ def _refine(fractal, n) -> FractalGraph:
     # cells before K // k are ahead of it, and those of its own cell with
     # a smaller code
     ahead = np.searchsorted(code[order], (k + 1) * np.arange(k))
-    for _ in range(n):
+    for level in range(1, n + 1):
         tail = keys % k
         at_old = np.arange(len(keys)) + mids * (keys // k) + ahead[tail]
         is_mid = np.ones(len(keys) + mids * len(corners), dtype=bool)
@@ -268,11 +265,12 @@ def _refine(fractal, n) -> FractalGraph:
         keys[at_old] = old
         keys[at_mid] = (k * k * np.arange(len(corners))[:, None]
                         + code[order]).ravel()
+        old, birth = birth, np.full(len(is_mid), level, dtype=np.int8)
+        birth[at_old] = old
         nodes = np.empty((len(corners), k + mids), dtype=np.int64)
         nodes[:, :k] = at_old[corners]
         nodes[:, k + order] = at_mid.reshape(len(corners), mids)
         corners = nodes.take(fractal.child_corners, axis=1).reshape(-1, k)
-        boundary = at_old[boundary]
         # x and y added and halved apart, as real and imaginary parts
         table = (table + points[:, None]).ravel()
         xy = table.view(float)
@@ -280,7 +278,7 @@ def _refine(fractal, n) -> FractalGraph:
     return FractalGraph(
         fractal=fractal, level=n,
         coords=table[keys].view(float).reshape(-1, 2), cell_corners=corners,
-        boundary_ids=tuple(boundary.tolist()), keys=keys)
+        keys=keys, birth=birth)
 
 
 @lru_cache(maxsize=None)

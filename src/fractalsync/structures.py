@@ -119,13 +119,12 @@ def extension_by_minimization(struct: HarmonicStructure, level: int, u_coarse):
     """
     g_fine = struct.build_graph(level)
     u_coarse = np.asarray(u_coarse, dtype=float)
-    inj = g_fine.restriction_to(level - 1)
     c = struct.conductance(level)
     n = g_fine.n_vertices
     vals = np.zeros(n)
-    vals[inj] = u_coarse
+    vals[g_fine.restriction_to(level - 1)] = u_coarse
     _solve_free(weighted_laplacian(g_fine.edges, np.full(g_fine.n_edges, c), n),
-                np.setdiff1d(np.arange(n), inj), vals)
+                np.flatnonzero(g_fine.birth == level), vals)
     energy = energy_value(struct, level, vals)
     return vals, energy
 

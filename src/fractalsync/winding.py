@@ -67,7 +67,11 @@ class DegreeVector:
             entries = {}
             for item in text.split(","):
                 w, _, v = item.partition(":")
-                entries[parse_word(w, alphabet)] = int(v)
+                word = parse_word(w, alphabet)
+                if word in entries:  # the last would silently win
+                    raise ValueError(f"degree {text!r} repeats word "
+                                     f"{word_str(word)}")
+                entries[word] = int(v)
             return cls(entries)
         return cls.from_dense([int(v) for v in text.split(",")], alphabet)
 

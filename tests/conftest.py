@@ -210,13 +210,26 @@ def _reference_sg_corner_keys(n):
     return np.where(s > tail, other, raw)
 
 
+def reference_birth(keys, base, n):
+    """Each vertex's birth level read off its level-n key: a vertex of
+    level m keeps its canonical name at every finer level, so its key ends
+    in a run of n - m + 1 equal symbols, and its birth is the least such
+    m."""
+    birth = np.full(len(keys), n, dtype=np.int8)
+    for m in range(n - 1, -1, -1):
+        span = base ** (n - m + 1)
+        run = (span - 1) // (base - 1)  # the digit 1 repeated
+        birth[keys % span == keys % base * run] = m
+    return birth
+
+
 def reference_graph(kind, n):
     """The level-n graph's arrays built digit by digit, O(n N): every
     corner key canonicalised over all its symbols and deduplicated by
     ``np.unique`` (the ring's in closed form), every point folded from
-    all its symbols innermost first.  A dict of ``keys``,
-    ``cell_corners``, ``edges``, ``coords``, ``boundary_ids`` and
-    ``conductance``."""
+    all its symbols innermost first, every birth read off its key.  A
+    dict of ``keys``, ``birth``, ``cell_corners``, ``edges``, ``coords``,
+    ``boundary_ids`` and ``conductance``."""
     if kind == "sg":
         keys, inverse = np.unique(_reference_sg_corner_keys(n).ravel(),
                                   return_inverse=True)
@@ -238,7 +251,8 @@ def reference_graph(kind, n):
         keys = np.maximum(2 * idx - 1, 0)
         boundary = (0,)
         sides, conductance = [[0, 1]], 2.0 ** n
-    return {"keys": keys, "cell_corners": corners,
+    birth = reference_birth(keys, {"sg": 3, "ring": 2}[kind], n)
+    return {"keys": keys, "birth": birth, "cell_corners": corners,
             "edges": corners[:, sides].reshape(-1, 2), "coords": coords,
             "boundary_ids": boundary, "conductance": conductance}
 

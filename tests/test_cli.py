@@ -364,6 +364,10 @@ def test_cli_error_single_line(tmp_path, capsys):
     (["flow", "--fractal", "ring", "--level", "3", "--init", "twist:1",
       "--seed", "5"], "--seed is read only by --init random, not by "
                       "--init 'twist:1'"),
+    (["covering", "--level", "4", "--degree", "eps:1,eps:2"],
+     "degree 'eps:1,eps:2' repeats word eps"),
+    (["covering", "--level", "4", "--degree", "eps:1,:2"],
+     "degree 'eps:1,:2' repeats word eps"),
 ])
 def test_numeric_inputs_checked_where_they_enter(tmp_path, capsys, argv, message):
     out = tmp_path / "bad"
@@ -442,6 +446,22 @@ def test_config_value_checked_as_its_flag(tmp_path, capsys, given, problem):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("boundary", [
+    {"5": 0, "6": 0, "7": 1},  # read as its keys, the boundary (5, 6, 7)
+    [False, False, True],      # read as 0, 0, 1
+    [0, 0, "1"], [0, 0, None], 1])
+def test_config_boundary_is_text_or_a_list_of_numbers(tmp_path, capsys,
+                                                      boundary):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"boundary": boundary, "level": 2}))
+    out = tmp_path / "o"
+    assert run(["harmonic", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == (f"error: ValueError: --boundary {boundary!r} is neither "
+                   f"comma-separated numbers nor a list of numbers")
+    assert not out.exists()
+
+
 def test_config_value_converted_as_its_flag(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"level": "3", "tol": "1e-5", "step": 0.01,
@@ -480,6 +500,8 @@ def test_config_null_means_the_default(tmp_path, mode):
      ["1", "2,0,0"], ["1,1,1,1"]),
     ("sweep", "degrees", "1;2,0,0", ["--degrees", "1;"], ["1", "2,0,0"],
      ["1"]),
+    ("harmonic", "boundary", "0,0.5,1", ["--boundary", "2"],
+     [0.0, 0.5, 1.0], [2.0]),
 ])
 def test_config_flag_beats_file(tmp_path, mode, key, in_file, flag,
                                 from_file, from_flag):

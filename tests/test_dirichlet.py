@@ -5,14 +5,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (extend_harmonic_once, mmd_solve_free,
-                      positive_definite_factor, reference_solve_dirichlet,
-                      reference_square)
+                      positive_definite_factor, reference_birth,
+                      reference_solve_dirichlet, reference_square)
 from fractalsync import (build_graph, build_ring_graph, build_sg_graph,
                          dirichlet_energy, harmonic_extend_once, holder_ratio,
                          laplacian, normal_derivative, restrict,
                          solve_dirichlet)
-from fractalsync.dirichlet import (_elimination_order, _pinned_factor,
-                                   laplacian_matrix, weighted_laplacian)
+from fractalsync import dirichlet
+from fractalsync.dirichlet import (_pinned_factor, laplacian_matrix,
+                                   weighted_laplacian)
 
 BETA = math.log(5 / 3) / (2 * math.log(2))
 
@@ -241,26 +242,39 @@ def test_non_finite_boundary_rejected(method, value):
 
 # -- the elimination order of the linear solve --------------------------------
 
-def _birth_levels(g):
-    """Each vertex's least m with the vertex in ``restriction_to(m)``."""
-    born = np.full(g.n_vertices, -1)
-    for m in range(g.level, -1, -1):
-        born[g.restriction_to(m)] = m
-    return born
+def _solve_order(monkeypatch, g):
+    """The vertex ids in the order the linear solve labels them, read off
+    the relabelled edges it assembles its Laplacian from."""
+    seen = []
+
+    def spy(edges, w, n):
+        seen.append(edges)
+        return weighted_laplacian(edges, w, n)
+
+    monkeypatch.setattr(dirichlet, "weighted_laplacian", spy)
+    solve_dirichlet(g, dict.fromkeys(g.boundary_ids, 1.0),
+                    method="linear-solve")
+    rank = np.empty(g.n_vertices, dtype=np.int64)
+    rank[g.edges] = seen.pop()  # every vertex is on an edge
+    return np.argsort(rank)
 
 
 @pytest.mark.parametrize("kind, n", [("sg", n) for n in range(9)]
                          + [("ring", n) for n in (1, 2, 3, 6, 11)])
-def test_elimination_order_is_the_interior_finest_born_first(kind, n):
+def test_elimination_order_is_the_interior_finest_born_first(monkeypatch,
+                                                             kind, n):
     g = build_graph(kind, n)
-    order = _elimination_order(g)
+    order = _solve_order(monkeypatch, g)
     interior = g.n_vertices - len(g.boundary_ids)
     assert np.array_equal(np.sort(order[:interior]), np.setdiff1d(
         np.arange(g.n_vertices), g.boundary_ids))
     assert sorted(order[interior:].tolist()) == sorted(g.boundary_ids)
-    born = _birth_levels(g)[order]
+    # births from the keys, the order's own source being g.birth
+    born = reference_birth(g.keys, g.fractal.num_maps, g.level)[order]
     assert np.all(np.diff(born) <= 0)
     assert born[-1] == 0 and (interior == 0 or born[interior - 1] > 0)
+    # then by id, within a level
+    assert np.all((np.diff(born) < 0) | (np.diff(order) > 0))
 
 
 def _spy_splu(monkeypatch):
@@ -408,6 +422,17 @@ def test_energy_monotone_for_restrictions():
         e = dirichlet_energy(build_sg_graph(m), restrict(g8, m, f)).energy
         assert e >= prev - 1e-12
         prev = e
+
+
+def test_holder_ratio_default_beta_is_the_fractals():
+    # beta = log(1/r) / (2 log 2): 1/2 on the ring, where r = 1/2
+    ring = build_ring_graph(6)
+    f = solve_dirichlet(ring, [0.0]) + np.sin(2 * np.pi * ring.coords[:, 0])
+    assert holder_ratio(ring, f) == holder_ratio(ring, f, 0.5)
+    assert holder_ratio(ring, f) != holder_ratio(ring, f, BETA)
+    g = build_sg_graph(4)
+    f = solve_dirichlet(g, [0, 0, 1])
+    assert holder_ratio(g, f) == holder_ratio(g, f, BETA)
 
 
 def test_holder_ratio_bounded_across_levels():

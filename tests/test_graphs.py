@@ -236,7 +236,7 @@ def test_refinement_matches_digit_loop_reference(kind, n):
     # built unmemoised, so the large levels are not held for the session
     build = {"sg": build_sg_graph, "ring": build_ring_graph}[kind].__wrapped__
     g, want = build(n), reference_graph(kind, n)
-    for name in ("keys", "cell_corners", "edges", "coords"):
+    for name in ("keys", "birth", "cell_corners", "edges", "coords"):
         value = getattr(g, name)
         assert value.dtype == want[name].dtype, name
         assert value.shape == want[name].shape, name

@@ -98,6 +98,9 @@ SCIPY_USERS = {"dirichlet"}
 # the modules that may read a ``kind`` attribute: every layer reads a
 # graph's fractal record, ``g.fractal``, and none asks which fractal it is
 KIND_READERS = {"graphs"}
+# the modules that may read a graph's ``keys``: the key format is the graph
+# build's own, and every other layer reads ``birth``, ids and cell tables
+KEY_READERS = {"graphs"}
 
 
 def _modules():
@@ -141,6 +144,18 @@ def test_only_the_kind_readers_read_kind():
                                and n.value.attr == "dtype")
                       for n in ast.walk(tree))}
     assert readers <= KIND_READERS, sorted(readers - KIND_READERS)
+
+
+def test_only_the_key_readers_read_keys():
+    # a called ``.keys()`` is a mapping's, not a graph's
+    def reads_keys(tree):
+        called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        return any(isinstance(n, ast.Attribute) and n.attr == "keys"
+                   and isinstance(n.ctx, ast.Load) and id(n) not in called
+                   for n in ast.walk(tree))
+
+    found = {m for m, tree in _modules().items() if reads_keys(tree)}
+    assert found <= KEY_READERS, sorted(found - KEY_READERS)
 
 
 def _module_level_imports(node):

@@ -237,6 +237,12 @@ def test_degree_vector_dense_and_sparse_parse():
     assert DegreeVector.parse("eps:1,13:2") == DegreeVector(
         {(): 1, (1, 3): 2})
     assert DegreeVector.parse("") == DegreeVector()
+    # a repeated word is refused, not read as its last value; "" is eps
+    for text, word in (("eps:1,eps:2", "eps"), ("eps:1,:2", "eps"),
+                       ("13:1,2:0,13:1", "13")):
+        with pytest.raises(ValueError,
+                           match=f"degree '{text}' repeats word {word}$"):
+            DegreeVector.parse(text)
 
 
 def test_degree_vector_dense_roundtrip():
