@@ -2,7 +2,7 @@
 
 A harmonic function minimises the renormalised edge energy subject to its
 corner values.  The 1/5-2/5 rule computes it level by level, keeps the
-energy exactly constant, and agrees with a pinned sparse linear solve.
+energy exactly constant, and agrees with a solve on the factored Laplacian.
 """
 
 import numpy as np

@@ -14,7 +14,8 @@ from .dirichlet import (EnergyReport, dirichlet_energy, extend_corners,
                         normal_derivative, solve_dirichlet)
 from .errors import (ConstraintViolationError, DegreeClosureError,
                      DegreeMismatchError, EigensolverError,
-                     NotAnEquilibriumError, UnresolvedWindingError)
+                     NotAnEquilibriumError, UncertifiedFactorError,
+                     UnresolvedWindingError)
 from .graphs import (FRACTALS, Fractal, FractalGraph, build_graph,
                      build_ring_graph, build_sg_graph, restrict)
 from .kuramoto import (EquilibriumReport, FlowConfig, circle_distance,

@@ -69,16 +69,6 @@ class RunConfig:
             raise ValueError(f"--jobs must be at least 1, got {self.jobs!r}")
 
 
-def _parse_levels(text, flag="--levels") -> tuple:
-    lo, _, hi = text.partition(":")
-    if not hi:
-        return (int(lo),)
-    lo, hi = int(lo), int(hi)
-    if hi < lo:
-        raise ValueError(f"{flag} {text!r} is an empty range: {hi} < {lo}")
-    return tuple(range(lo, hi + 1))
-
-
 def _flow_cfg(cfg: RunConfig) -> km.FlowConfig:
     return km.FlowConfig(step=cfg.step, max_time=cfg.max_time, tol=cfg.tol)
 
@@ -335,10 +325,35 @@ def _boundary_value(spec, _) -> list:
 
 
 def _degree_list(spec, _) -> list:
-    specs = [s for s in str(spec).split(";") if s]
+    # the flag's text, or a --config list of degree specs
+    if isinstance(spec, str):
+        specs = [s for s in spec.split(";") if s]
+    elif isinstance(spec, list) and all(isinstance(s, str) for s in spec):
+        specs = spec
+    else:
+        raise ValueError(f"--degrees {spec!r} is neither semicolon-separated "
+                         f"degree specs nor a list of them")
     if not specs:
         raise ValueError(f"--degrees {spec!r} names no degree")
     return specs
+
+
+def _range_value(spec, flag) -> tuple:
+    # the flag's text, lo:hi or one int, or a --config int (a bool is no int)
+    if type(spec) is int:
+        return (spec,)
+    if isinstance(spec, str):
+        lo, _, hi = spec.partition(":")
+        try:
+            lo, hi = int(lo), int(hi or lo)
+        except ValueError:
+            pass
+        else:
+            if hi < lo:
+                raise ValueError(
+                    f"{flag} {spec!r} is an empty range: {hi} < {lo}")
+            return tuple(range(lo, hi + 1))
+    raise ValueError(f"{flag} {spec!r} is neither a range lo:hi nor an int")
 
 
 def _flag(commands, parse=None, **argparse_kw):
@@ -368,10 +383,9 @@ _FLAGS = {
     "init": _flag(("flow",), help="csv path | twist:q | constant:c | random"),
     "seed": _flag(("flow",), type=int, help="seed of --init random"),
     "levels": _flag(("verify", "sweep"),
-                    lambda spec, _: _parse_levels(str(spec)),
+                    lambda spec, _: _range_value(spec, "--levels"),
                     help="range lo:hi"),
-    "seeds": _flag(("sweep",),
-                   lambda spec, _: _parse_levels(str(spec), "--seeds"),
+    "seeds": _flag(("sweep",), lambda spec, _: _range_value(spec, "--seeds"),
                    help="range lo:hi or single (default 0)"),
     "perturb": _flag(("sweep",), type=float),
     "jobs": _flag(("verify", "sweep"), type=int),

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import _pinned_factor, dirichlet_energy, extend_corners, laplacian
+from .dirichlet import (_laplacian_factor, dirichlet_energy, extend_corners,
+                        laplacian)
 from .errors import ConstraintViolationError, DegreeMismatchError
 from .graphs import FractalGraph
 from .winding import DegreeVector, degree, word_str, wrap_phases
@@ -181,14 +182,14 @@ def minimize_constrained(dom: CoveringDomain) -> LiftField:
     with each plus copy's jump as an offset on the differences along its
     cell's edges.  With ``x`` pinned at vertex 0, the minimiser solves
     L x = r: L is the base graph's Laplacian, factored cell by cell by
-    :func:`dirichlet._pinned_factor`, and r, minus the offset term's
+    :func:`dirichlet._pinned_factor` (else
+    :class:`UncertifiedFactorError`), and r, minus the offset term's
     gradient, is ``laplacian(dom, dom.offset)`` with each copy's entry
     summed onto its base vertex.
     """
     base = dom.base
     rhs = np.bincount(dom.rep, laplacian(dom, dom.offset), base.n_vertices)
-    factor = _pinned_factor(base, np.full(base.n_edges, dom.conductance))
-    x = np.concatenate(([0.0], factor.solve(rhs[1:])))
+    x = np.concatenate(([0.0], _laplacian_factor(base).solve(rhs[1:])))
     return LiftField(domain=dom, values=x[dom.rep] + dom.offset)
 
 

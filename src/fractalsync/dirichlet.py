@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import UncertifiedFactorError
 from .graphs import SG, FractalGraph
 
 @dataclass
@@ -191,7 +192,7 @@ def _pinned_factor(g: FractalGraph, w, shift=0.0) -> _CellFactor | None:
     positive definite, so ``shift`` is below its least eigenvalue, exactly
     when every midpoint block M and that last block are, which a batched
     Cholesky checks per level.  The factor keeps M^-1 and M^-1 B for
-    :meth:`_CellFactor.solve`.
+    :meth:`_CellFactor.solve` and :func:`solve_dirichlet`.
     """
     fractal, k = g.fractal, g.cell_corners.shape[1]
     local, sides = fractal.child_corners, fractal.sides
@@ -232,18 +233,25 @@ def _pinned_factor(g: FractalGraph, w, shift=0.0) -> _CellFactor | None:
     return _CellFactor(k, levels, corners[0][free], last)
 
 
+def _laplacian_factor(g: FractalGraph) -> _CellFactor:
+    """:func:`_pinned_factor` of ``g``'s Laplacian at its conductance, or
+    :class:`UncertifiedFactorError` naming ``g``."""
+    factor = _pinned_factor(g, np.full(g.n_edges, g.conductance))
+    if factor is None:
+        raise UncertifiedFactorError(g)
+    return factor
+
+
 def solve_dirichlet(g: FractalGraph, phi, method="extension") -> np.ndarray:
     """Solve the discrete Dirichlet problem: harmonic with f|V0 = phi.
 
     ``method="extension"`` extends the level-0 cell's corner values level
-    by level; ``method="linear-solve"`` pins the boundary and solves the
-    interior Laplace system with :func:`_solve_free`, at every level.  The
-    vertices are relabelled finest-born first, then by id, and the
-    Laplacian is assembled in that labelling: the order in which Kigami's
-    trace removes them, each level's midpoints before the corners of
-    their parent cells and V0 last.  It is the cell hierarchy's nested
-    dissection, where each level's corners separate its cells, so the
-    factor's fill is O(N).  Both routes agree to 1e-10 in the sup norm.
+    by level with the fractal's closed-form rule.  ``method="linear-solve"``
+    factors the Laplacian cell by cell (:func:`_pinned_factor`, Kigami's
+    trace) and back-substitutes from V0, coarsest level first: with no
+    interior load, each level's midpoints are the factor's -M^-1 B of
+    their parent cell's corners.  Both routes agree to 1e-13 in the sup
+    norm.
     """
     bd = as_boundary_data(g, phi)
     if method == "extension":
@@ -258,35 +266,26 @@ def solve_dirichlet(g: FractalGraph, phi, method="extension") -> np.ndarray:
     if method != "linear-solve":
         raise ValueError(f"unknown method {method!r}")
 
-    order = np.argsort(-g.birth, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(g.n_vertices)
-    interior = g.n_vertices - len(bd)
-    f = np.zeros(g.n_vertices)
-    f[interior:] = [bd[v] for v in order[interior:].tolist()]
-    # the Laplacian is passed as a temporary, so _solve_free can drop it
-    _solve_free(weighted_laplacian(
-        rank[g.edges], np.full(g.n_edges, g.conductance), g.n_vertices),
-        np.arange(interior), f)
-    return f[rank]
+    factor = _laplacian_factor(g)
+    k = factor.k
+    f = np.empty(g.n_vertices)
+    f[list(bd)] = list(bd.values())
+    for nodes, step in reversed(factor.levels):
+        f[nodes[:, k:]] = np.einsum("pmk,pk->pm", step[:, :, :k],
+                                    f[nodes[:, :k]])
+    return f
 
 
 def _solve_free(L, free, f):
     """Fill ``f[free]`` so that ``(L f)[free] = 0``, the rest of ``f``
     held: one sparse LU factor of ``A = L[free][:, free]`` and one step of
-    iterative refinement with it.  ``free`` holds the free ids in
-    elimination order; scipy loads at the first call.
+    iterative refinement with it.  scipy loads at the first call, and
+    only the generic ``structures`` solves call it, the independent
+    cross-check of the cell factor.
 
-    SuperLU keeps that order (``NATURAL``, up to its elimination-tree
-    postorder) and relaxes no supernodes.  A level's midpoints, the free
-    set of the ``structures`` solves, are block diagonal by cell, so any
-    order of them has no fill.  In :func:`solve_dirichlet`'s finest-born
-    first order the gasket's fill is 9.3 nonzeros of L + U per free vertex
-    from level 7 on (10.7 with a minimum-degree ordering of A + A^T in id
-    order), and without relaxed supernodes the level-10 factor takes 55 ms
-    against 137 ms with SuperLU's default panels, at the same fill.  The
-    refinement step takes the level-12 solve from 1.9e-9 to 6.6e-12 off
-    the extension.
+    Their free set is one level's midpoints, block diagonal by cell, so
+    any order of it has no fill; SuperLU keeps the order given
+    (``NATURAL``) and relaxes no supernodes.
     """
     if not len(free):
         return

@@ -58,3 +58,19 @@ class EigensolverError(RuntimeError):
         super().__init__(
             f"eigensolver did not resolve the {self.size}-vertex pinned "
             f"Hessian's least eigenvalue: {cause}")
+
+
+class UncertifiedFactorError(RuntimeError):
+    """The cell factor of a graph's Laplacian, vertex 0 held, did not
+    certify it positive definite.
+
+    A connected graph's Laplacian at its positive conductance always is,
+    so this names a broken graph or factor; no solve falls back to
+    another route.
+    """
+
+    def __init__(self, graph):
+        self.graph = graph
+        super().__init__(
+            f"the cell factor of {graph!r}'s Laplacian did not certify it "
+            f"positive definite")

@@ -165,8 +165,9 @@ class FractalGraph:
         return np.asarray(self.fractal.alphabet)[np.asarray(k)[:, None] // powers % base]
 
     def cell_labels(self):
-        """Cell words as strings (``"13"``), in cell order, from a uint8
-        table of their characters filled a symbol at a time."""
+        """Cell words as strings (``"13"``), in cell order, sliced from
+        one string of a uint8 table of their characters filled a symbol at
+        a time (no array of the strings is formed beside the list)."""
         n, base = self.level, self.fractal.num_maps
         if n == 0:
             return [""]
@@ -175,7 +176,9 @@ class FractalGraph:
         for j in range(n):
             # symbol j of cell c is the digit c // base**(n - 1 - j) % base
             chars.reshape(base ** j, base, -1, n)[..., j] = glyphs[:, None]
-        return chars.view(f"S{n}").ravel().astype(str).tolist()
+        text = chars.tobytes().decode("ascii")
+        del chars  # only the text is held while the list is built
+        return [text[i:i + n] for i in range(0, len(text), n)]
 
     # -- level maps --------------------------------------------------------
 

@@ -462,6 +462,50 @@ def test_config_boundary_is_text_or_a_list_of_numbers(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, given, problem", [
+    # read through str(), these failed on int() of "['1'" and "[3, 4]"
+    ("verify", {"levels": [3, 4]},
+     "--levels [3, 4] is neither a range lo:hi nor an int"),
+    ("verify", {"levels": True}, "--levels True is neither a range lo:hi "
+                                 "nor an int"),
+    ("verify", {"levels": 3.0}, "--levels 3.0 is neither a range lo:hi "
+                                "nor an int"),
+    ("verify", {"levels": "3:x"}, "--levels '3:x' is neither a range lo:hi "
+                                  "nor an int"),
+    ("sweep", {"seeds": [0, 1]}, "--seeds [0, 1] is neither a range lo:hi "
+                                 "nor an int"),
+    ("sweep", {"degrees": [1, 2]}, "--degrees [1, 2] is neither "
+     "semicolon-separated degree specs nor a list of them"),
+    ("sweep", {"degrees": ["1", {"eps": 2}]}, "--degrees ['1', {'eps': 2}] "
+     "is neither semicolon-separated degree specs nor a list of them"),
+    ("sweep", {"degrees": {"eps": 1}}, "--degrees {'eps': 1} is neither "
+     "semicolon-separated degree specs nor a list of them"),
+    ("sweep", {"degrees": []}, "--degrees [] names no degree"),
+])
+def test_config_ranges_and_degree_lists_name_their_flag(tmp_path, capsys, mode,
+                                                       given, problem):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(given))
+    out = tmp_path / "o"
+    assert run([mode, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip() == f"error: ValueError: {problem}"
+    assert not out.exists()
+
+
+def test_config_degree_list_runs_as_its_text(tmp_path):
+    # the sweep that used to fail on int() of "['1'"
+    outs = []
+    for i, degrees in enumerate((["1", "2,0,0"], "1;2,0,0")):
+        path = tmp_path / f"run{i}.json"
+        path.write_text(json.dumps({"degrees": degrees, "levels": "3:3",
+                                    "seeds": 0}))
+        outs.append(tmp_path / f"o{i}")
+        assert run(["sweep", "--config", str(path), "--out",
+                    str(outs[-1])]) == 0
+    sweeps = [(out / "sweep.json").read_text() for out in outs]
+    assert sweeps[0] == sweeps[1]
+
+
 def test_config_value_converted_as_its_flag(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"level": "3", "tol": "1e-5", "step": 0.01,
@@ -780,5 +824,8 @@ def test_equilibrium_pipeline_runs_without_scipy(tmp_path):
         ["harmonic", "--boundary", "0,0,1", "--svg"],
         ["build-graph"],
     ])
-    assert _loads_scipy(tmp_path, [
-        ["harmonic", "--boundary", "0,0,1", "--method", "linear-solve"]])
+    # and the linear solve back-substitutes on the same factor
+    assert not _loads_scipy(tmp_path, [
+        ["harmonic", "--boundary", "0,0,1", "--method", "linear-solve"],
+        ["harmonic", "--fractal", "ring", "--boundary", "0.25",
+         "--method", "linear-solve"]])

@@ -7,10 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (extend_harmonic_once, mmd_solve_free,
                       positive_definite_factor, reference_birth,
                       reference_solve_dirichlet, reference_square)
-from fractalsync import (build_graph, build_ring_graph, build_sg_graph,
+from fractalsync import (DegreeVector, UncertifiedFactorError, build_graph,
+                         build_ring_graph, build_sg_graph, covering_domain,
                          dirichlet_energy, harmonic_extend_once, holder_ratio,
-                         laplacian, normal_derivative, restrict,
-                         solve_dirichlet)
+                         laplacian, minimize_constrained, normal_derivative,
+                         restrict, solve_dirichlet)
 from fractalsync import dirichlet
 from fractalsync.dirichlet import (_pinned_factor, laplacian_matrix,
                                    weighted_laplacian)
@@ -187,15 +188,13 @@ def test_solve_constant_boundary():
 
 def test_solve_methods_agree():
     rng = np.random.default_rng(11)
-    for n in (1, 3, 5, 10):
-        g = build_sg_graph(n)
-        phi = rng.standard_normal(3)
+    for kind, n in [("sg", n) for n in (0, 1, 3, 5, 10)] + [
+            ("ring", n) for n in (1, 2, 5, 12)]:
+        g = build_graph(kind, n)
+        phi = rng.standard_normal(len(g.boundary_ids))
         fe = solve_dirichlet(g, phi, method="extension")
         fl = solve_dirichlet(g, phi, method="linear-solve")
-        assert np.abs(fe - fl).max() < 1e-10
-    # the refinement step: the plain factor is 7.4e-11 off here at level 10
-    # (1.9e-9 at level 12, same phi), the refined solve 5.4e-13 (6.6e-12)
-    assert np.abs(fe - fl).max() < 1e-11
+        assert np.abs(fe - fl).max() < 1e-13, (kind, n)
 
 
 def test_solve_energy_equals_level0():
@@ -240,70 +239,43 @@ def test_non_finite_boundary_rejected(method, value):
         solve_dirichlet(ring, {0: value}, method=method)
 
 
-# -- the elimination order of the linear solve --------------------------------
+# -- the linear solve on the cell factor ---------------------------------------
 
-def _solve_order(monkeypatch, g):
-    """The vertex ids in the order the linear solve labels them, read off
-    the relabelled edges it assembles its Laplacian from."""
-    seen = []
-
-    def spy(edges, w, n):
-        seen.append(edges)
-        return weighted_laplacian(edges, w, n)
-
-    monkeypatch.setattr(dirichlet, "weighted_laplacian", spy)
-    solve_dirichlet(g, dict.fromkeys(g.boundary_ids, 1.0),
-                    method="linear-solve")
-    rank = np.empty(g.n_vertices, dtype=np.int64)
-    rank[g.edges] = seen.pop()  # every vertex is on an edge
-    return np.argsort(rank)
+def test_uncertified_factor_raises_naming_the_graph(monkeypatch):
+    # never a fallback to another route, nor an AttributeError on None
+    monkeypatch.setattr(dirichlet, "_pinned_factor", lambda *args: None)
+    g = build_sg_graph(3)
+    with pytest.raises(UncertifiedFactorError,
+                       match=r"FractalGraph\('sg', level=3, "):
+        solve_dirichlet(g, [0, 0, 1], method="linear-solve")
+    ring = build_ring_graph(4)
+    dom = covering_domain(ring, DegreeVector.parse("1", ring.fractal.alphabet))
+    with pytest.raises(UncertifiedFactorError) as err:
+        minimize_constrained(dom)
+    assert err.value.graph is ring and repr(ring) in str(err.value)
 
 
 @pytest.mark.parametrize("kind, n", [("sg", n) for n in range(9)]
                          + [("ring", n) for n in (1, 2, 3, 6, 11)])
-def test_elimination_order_is_the_interior_finest_born_first(monkeypatch,
-                                                             kind, n):
+def test_elimination_order_is_the_interior_finest_born_first(kind, n):
+    # the cell factor's levels, finest first, each eliminate exactly the
+    # midpoints born at their level, once each, below corners born before
+    # them, and the last level's corners are V0: so the linear solve's
+    # back-substitution, coarsest first, writes every interior vertex
+    # once, from values already written
     g = build_graph(kind, n)
-    order = _solve_order(monkeypatch, g)
-    interior = g.n_vertices - len(g.boundary_ids)
-    assert np.array_equal(np.sort(order[:interior]), np.setdiff1d(
-        np.arange(g.n_vertices), g.boundary_ids))
-    assert sorted(order[interior:].tolist()) == sorted(g.boundary_ids)
-    # births from the keys, the order's own source being g.birth
-    born = reference_birth(g.keys, g.fractal.num_maps, g.level)[order]
-    assert np.all(np.diff(born) <= 0)
-    assert born[-1] == 0 and (interior == 0 or born[interior - 1] > 0)
-    # then by id, within a level
-    assert np.all((np.diff(born) < 0) | (np.diff(order) > 0))
-
-
-def _spy_splu(monkeypatch):
-    """Record (nnz(L) + nnz(U), order) of every SuperLU factor."""
-    from scipy.sparse import linalg as spla
-
-    fills, splu = [], spla.splu
-
-    def spy(A, **kw):
-        lu = splu(A, **kw)
-        fills.append((lu.L.nnz + lu.U.nnz, A.shape[0]))
-        return lu
-
-    monkeypatch.setattr(spla, "splu", spy)
-    return fills
-
-
-def test_linear_solve_fill_stays_linear(monkeypatch):
-    # 9.33 nonzeros per free vertex at gasket 10 and 12, 6.0 on the ring:
-    # a minimum-degree order takes the gasket to 10.7
-    fills = _spy_splu(monkeypatch)
-    for kind, levels, bound in (("sg", range(2, 10), 10), ("ring", range(4, 15), 7)):
-        for n in levels:
-            g = build_graph(kind, n)
-            solve_dirichlet(g, dict.fromkeys(g.boundary_ids, 1.0),
-                            method="linear-solve")
-            nnz, n_free = fills.pop()
-            assert n_free == g.n_vertices - len(g.boundary_ids)
-            assert nnz <= bound * n_free, (kind, n, nnz / n_free)
+    factor = dirichlet._laplacian_factor(g)
+    k = factor.k
+    # births from the keys, the factor's own source being the cell table
+    born = reference_birth(g.keys, g.fractal.num_maps, g.level)
+    assert len(factor.levels) == n
+    for m, (nodes, _) in zip(range(n, 0, -1), factor.levels):
+        assert np.array_equal(np.sort(nodes[:, k:], axis=None),
+                              np.flatnonzero(born == m))
+        assert born[nodes[:, :k]].max() < m
+    if n:
+        corners = factor.levels[-1][0][:, :k]
+        assert sorted(set(corners.ravel().tolist())) == sorted(g.boundary_ids)
 
 
 @settings(max_examples=25, deadline=None)

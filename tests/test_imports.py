@@ -91,9 +91,9 @@ def test_no_dead_constants():
 LAYERS = (("graphs", "errors"), ("dirichlet", "winding"),
           ("covering", "kuramoto"), ("structures",), ("serialize", "svg"),
           ("cli",))
-# the module that solves with scipy, inside the functions that need it
-# (the independent routes' sparse LU and assembled Laplacian); the rest
-# stay on numpy
+# the module that solves with scipy, inside the functions that need it:
+# the sparse LU and assembled Laplacian of the generic structures solves,
+# the independent cross-check; every CLI command stays on numpy
 SCIPY_USERS = {"dirichlet"}
 # the modules that may read a ``kind`` attribute: every layer reads a
 # graph's fractal record, ``g.fractal``, and none asks which fractal it is
