@@ -7,12 +7,16 @@ energy exactly constant, and agrees with a solve on the factored Laplacian.
 
 import numpy as np
 
-from fractalsync import (build_sg_graph, dirichlet_energy, harmonic_extend_once,
+from fractalsync import (build_sg_graph, dirichlet_energy, extend_corners,
                          holder_ratio, laplacian, normal_derivative,
                          solve_dirichlet)
+from fractalsync.graphs import SG
 
-print("one extension step from corners (1, 0, 0):",
-      harmonic_extend_once(1.0, 0.0, 0.0))
+# extend_corners takes each cell's corner values to its children's; a
+# cell's nodes are its corners, then its midpoints x, y, z
+children = extend_corners(SG, np.array([[1.0, 0.0, 0.0]]))
+print("one extension step from corners (1, 0, 0): midpoints",
+      tuple(SG.cell_nodes(children)[0, 3:].tolist()))
 
 phi = [0.0, 0.0, 1.0]
 for n in (0, 2, 4, 6):

@@ -10,8 +10,8 @@ from .covering import (CoveringDomain, CutSpec, LiftField, circle_harmonic_map,
                        covering_domain, extend_lift, minimize_constrained,
                        neumann_check, project_to_circle, select_cut_vertices)
 from .dirichlet import (EnergyReport, dirichlet_energy, extend_corners,
-                        harmonic_extend_once, holder_ratio, laplacian,
-                        normal_derivative, solve_dirichlet)
+                        holder_ratio, laplacian, normal_derivative,
+                        solve_dirichlet)
 from .errors import (ConstraintViolationError, DegreeClosureError,
                      DegreeMismatchError, EigensolverError,
                      NotAnEquilibriumError, UncertifiedFactorError,

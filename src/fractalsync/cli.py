@@ -270,8 +270,8 @@ def cmd_verify(cfg: RunConfig):
 
 
 def _sweep_job(args):
-    cfg, n, dense, seed = args
-    cfg = replace(cfg, degree=DegreeVector.parse(dense, FRACTALS[cfg.fractal].alphabet))
+    cfg, n, (spec, degree), seed = args
+    cfg = replace(cfg, degree=degree)
     _, _, _, report = _twist_report(cfg, level=n, perturb_seed=seed)
     d = report.to_json_dict()
     d.update({"level": n, "degree_requested": cfg.degree.to_json_dict(),
@@ -279,12 +279,12 @@ def _sweep_job(args):
     del d["degree"], d["time"]
     d["degree_found"] = (None if report.degree is None
                          else report.degree.to_json_dict())
-    return (n, dense, seed), d
+    return (n, spec, seed), d
 
 
 def cmd_sweep(cfg: RunConfig):
-    jobs = [(cfg, n, dense, seed) for n in cfg.levels
-            for dense in cfg.degrees for seed in cfg.seeds]
+    jobs = [(cfg, n, spec, seed) for n in cfg.levels
+            for spec in cfg.degrees for seed in cfg.seeds]
     results = _map_jobs(_sweep_job, jobs, cfg.jobs)
     results.sort(key=lambda kv: (kv[0][0], kv[0][1], kv[0][2]))
     summary = [d for _, d in results]
@@ -305,13 +305,16 @@ _COMMANDS = {
 }
 
 
-def _degree_value(spec, alphabet) -> DegreeVector:
+def _degree_value(spec, alphabet, flag) -> DegreeVector:
     if isinstance(spec, dict):  # {"eps": 1, "13": 2} from a --config file
         spec = ",".join(f"{word}:{v}" for word, v in spec.items())
-    return DegreeVector.parse(str(spec), alphabet)
+    try:
+        return DegreeVector.parse(str(spec), alphabet)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
-def _boundary_value(spec, _) -> list:
+def _boundary_value(spec, _, flag) -> list:
     # the flag's text, or a --config list of numbers (a bool is no number)
     if isinstance(spec, list) and all(type(v) in (int, float) for v in spec):
         return [float(v) for v in spec]
@@ -320,25 +323,25 @@ def _boundary_value(spec, _) -> list:
             return [float(v) for v in spec.split(",")]
         except ValueError:
             pass
-    raise ValueError(f"--boundary {spec!r} is neither comma-separated "
+    raise ValueError(f"{flag} {spec!r} is neither comma-separated "
                      f"numbers nor a list of numbers")
 
 
-def _degree_list(spec, _) -> list:
-    # the flag's text, or a --config list of degree specs
+def _degree_list(spec, alphabet, flag) -> list:
+    # the flag's text or a --config list of specs, as (spec, degree) pairs
     if isinstance(spec, str):
         specs = [s for s in spec.split(";") if s]
     elif isinstance(spec, list) and all(isinstance(s, str) for s in spec):
         specs = spec
     else:
-        raise ValueError(f"--degrees {spec!r} is neither semicolon-separated "
+        raise ValueError(f"{flag} {spec!r} is neither semicolon-separated "
                          f"degree specs nor a list of them")
     if not specs:
-        raise ValueError(f"--degrees {spec!r} names no degree")
-    return specs
+        raise ValueError(f"{flag} {spec!r} names no degree")
+    return [(s, _degree_value(s, alphabet, flag)) for s in specs]
 
 
-def _range_value(spec, flag) -> tuple:
+def _range_value(spec, _, flag) -> tuple:
     # the flag's text, lo:hi or one int, or a --config int (a bool is no int)
     if type(spec) is int:
         return (spec,)
@@ -364,10 +367,11 @@ _ALL = tuple(_COMMANDS)
 _FLOWS = ("twist", "flow", "verify", "sweep")
 
 # One row per flag, keyed by its RunConfig field (--max-time is max_time):
-# the subcommands that take it, its argparse keywords, and the parser of a
-# value that arrives as flag text or as --config JSON alike.  Every flag
-# defaults to None: defaults live in RunConfig, so that a --config file is
-# only overridden by flags the user actually passed.
+# the subcommands that take it, its argparse keywords, and the parser
+# (given the alphabet and flag name) of a value that arrives as flag text
+# or as --config JSON alike.  Every flag defaults to None: defaults live
+# in RunConfig, so that a --config file is only overridden by flags the
+# user actually passed.
 _FLAGS = {
     "fractal": _flag(_ALL, choices=tuple(FRACTALS)),
     "level": _flag(("build-graph", "harmonic", "covering", "twist", "flow"),
@@ -382,10 +386,8 @@ _FLAGS = {
                      help="semicolon-separated degree specs (default 1)"),
     "init": _flag(("flow",), help="csv path | twist:q | constant:c | random"),
     "seed": _flag(("flow",), type=int, help="seed of --init random"),
-    "levels": _flag(("verify", "sweep"),
-                    lambda spec, _: _range_value(spec, "--levels"),
-                    help="range lo:hi"),
-    "seeds": _flag(("sweep",), lambda spec, _: _range_value(spec, "--seeds"),
+    "levels": _flag(("verify", "sweep"), _range_value, help="range lo:hi"),
+    "seeds": _flag(("sweep",), _range_value,
                    help="range lo:hi or single (default 0)"),
     "perturb": _flag(("sweep",), type=float),
     "jobs": _flag(("verify", "sweep"), type=int),
@@ -466,7 +468,7 @@ def _config_from_args(args) -> RunConfig:
                         else RunConfig.fractal].alphabet
     for key, (_, _, parse) in _FLAGS.items():
         if parse and key in data:
-            data[key] = parse(data[key], alphabet)
+            data[key] = parse(data[key], alphabet, "--" + key.replace("_", "-"))
     return RunConfig(**data)
 
 

@@ -1,5 +1,5 @@
-"""Dirichlet energies, graph Laplacians, harmonic extension, and the
-cell-by-cell factor of a pinned Laplacian.
+"""Dirichlet energies, the graph Laplacian, harmonic extension and the
+cell-by-cell factor of a pinned Laplacian, on numpy alone.
 
 The level-m energy is the weighted half-sum of squared edge differences,
 with the weight (1/r)**m chosen so that the minimal-energy extension of a
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UncertifiedFactorError
-from .graphs import SG, FractalGraph
+from .graphs import FractalGraph
 
 @dataclass
 class EnergyReport:
@@ -91,11 +91,6 @@ def laplacian(g, f) -> np.ndarray:
     return np.bincount(i, d, n) - np.bincount(j, d, n)
 
 
-def harmonic_extend_once(a, b, c):
-    """Midpoint values (x, y, z) of a cell from corner values (a, b, c)."""
-    return tuple(a * p + b * q + c * t for p, q, t in SG.extension.tolist())
-
-
 def extend_corners(fractal, vals) -> np.ndarray:
     """(C, k) corner values of C cells of ``fractal`` -> the corner values
     of their children in cell order: each midpoint is its ``extension``
@@ -106,27 +101,6 @@ def extend_corners(fractal, vals) -> np.ndarray:
         mids += vals[:, i:i + 1] * rule[:, i]
     nodes = np.concatenate([vals, mids], axis=1)
     return nodes[:, fractal.child_corners].reshape(-1, k)
-
-
-def weighted_laplacian(edges, w, n):
-    """Laplacian sum_e w_e (d_e d_e^T) of an edge list, as a scipy sparse
-    (n, n) CSR matrix; scipy loads at the first call, not with the
-    package."""
-    from scipy import sparse
-
-    i, j = edges[:, 0], edges[:, 1]
-    rows = np.concatenate([i, j, i, j])
-    cols = np.concatenate([i, j, j, i])
-    data = np.concatenate([w, w, -w, -w])
-    return sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def laplacian_matrix(g):
-    """Laplacian c*(D - A) as a sparse matrix (positive form), for a graph
-    or a cut domain: anything with ``edges``, ``conductance`` and
-    ``n_vertices``."""
-    return weighted_laplacian(g.edges, np.full(len(g.edges), g.conductance),
-                              g.n_vertices)
 
 
 def _laplacian_map(pairs, size) -> np.ndarray:
@@ -276,34 +250,8 @@ def solve_dirichlet(g: FractalGraph, phi, method="extension") -> np.ndarray:
     return f
 
 
-def _solve_free(L, free, f):
-    """Fill ``f[free]`` so that ``(L f)[free] = 0``, the rest of ``f``
-    held: one sparse LU factor of ``A = L[free][:, free]`` and one step of
-    iterative refinement with it.  scipy loads at the first call, and
-    only the generic ``structures`` solves call it, the independent
-    cross-check of the cell factor.
-
-    Their free set is one level's midpoints, block diagonal by cell, so
-    any order of it has no fill; SuperLU keeps the order given
-    (``NATURAL``) and relaxes no supernodes.
-    """
-    if not len(free):
-        return
-    from scipy.sparse import linalg as spla
-
-    held = np.ones(len(f), dtype=bool)
-    held[free] = False
-    rows = L[free]
-    A = rows[:, free].tocsc()
-    rhs = -rows[:, held] @ f[held]
-    del L, rows  # only A is held while splu factors it
-    lu = spla.splu(A, permc_spec="NATURAL", relax=1, panel_size=1)
-    sol = lu.solve(rhs)
-    f[free] = sol + lu.solve(rhs - A @ sol)
-
-
 def normal_derivative(g: FractalGraph, f, v) -> float:
-    """Renormalised boundary flux (5/3)**m * sum_{y ~ v} (f(y) - f(v))."""
+    """Renormalised boundary flux (1/r)**m * sum_{y ~ v} (f(y) - f(v))."""
     f = g.check_field(f)
     v = int(v)
     if v not in g.boundary_ids:
@@ -319,23 +267,22 @@ def holder_ratio(g: FractalGraph, f, beta=None) -> float:
 
     Used as an empirical check that harmonic fields obey a uniform Holder
     bound with beta = log(1/r) / (2 log 2), r the fractal's: 3/5 on the
-    gasket, 1/2 on the ring.
+    gasket, 1/2 on the ring.  Both |f(x)-f(y)| and |x-y|**2 are bitwise
+    symmetric, so each block of rows from s meets only the columns from s.
     """
     f = g.check_field(f)
     if beta is None:
         beta = math.log(1 / g.fractal.r) / (2.0 * math.log(2.0))
     pts = g.coords
-    n = g.n_vertices
     block = 512  # rows of the pairwise distance matrix held at once
     best = 0.0
-    for s in range(0, n, block):
-        sl = slice(s, min(s + block, n))
-        dx = pts[sl, None, 0] - pts[None, :, 0]
-        dy = pts[sl, None, 1] - pts[None, :, 1]
+    for s in range(0, g.n_vertices, block):
+        sl = slice(s, s + block)
+        dx = pts[sl, None, 0] - pts[None, s:, 0]
+        dy = pts[sl, None, 1] - pts[None, s:, 1]
         d2 = dx * dx + dy * dy
-        df = np.abs(f[sl, None] - f[None, :])
-        mask = d2 > 0.0
+        df = np.abs(f[sl, None] - f[None, s:])
         ratio = np.zeros_like(d2)
-        np.divide(df, d2 ** (beta / 2.0), out=ratio, where=mask)
+        np.divide(df, d2 ** (beta / 2.0), out=ratio, where=d2 > 0.0)
         best = max(best, float(ratio.max()))
     return best

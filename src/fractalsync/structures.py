@@ -13,7 +13,9 @@ identities characterise it:
 
 The generic operations here recompute conductances from r and perform
 extension by solving the constrained minimisation, so they form an
-independent route against the specialised gasket/ring code paths.
+independent route against the specialised gasket/ring code paths.  Its
+scipy parts, the sparse Laplacian assembly and the SuperLU solve, live
+here alone and import scipy at their first call, not with the package.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import numpy as np
 
 from . import covering as cov
 from . import kuramoto as km
-from .dirichlet import _solve_free, laplacian_matrix, weighted_laplacian
 from .graphs import RING, SG, Fractal, FractalGraph
 from .winding import DegreeVector
 
@@ -108,6 +109,50 @@ def self_similarity_residual(struct: HarmonicStructure, level: int, u) -> float:
              for r, piece in zip(struct.weights,
                                  np.split(g.cell_corners, struct.num_maps))]
     return abs(energy_value(struct, level, u) - math.fsum(parts))
+
+
+def weighted_laplacian(edges, w, n):
+    """Laplacian sum_e w_e (d_e d_e^T) of an edge list, as a scipy sparse
+    (n, n) CSR matrix."""
+    from scipy import sparse
+
+    i, j = edges[:, 0], edges[:, 1]
+    rows = np.concatenate([i, j, i, j])
+    cols = np.concatenate([i, j, j, i])
+    data = np.concatenate([w, w, -w, -w])
+    return sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def laplacian_matrix(g):
+    """Laplacian c*(D - A) as a sparse matrix (positive form), for a graph
+    or a cut domain: anything with ``edges``, ``conductance`` and
+    ``n_vertices``."""
+    return weighted_laplacian(g.edges, np.full(len(g.edges), g.conductance),
+                              g.n_vertices)
+
+
+def _solve_free(L, free, f):
+    """Fill ``f[free]`` so that ``(L f)[free] = 0``, the rest of ``f``
+    held: one sparse LU factor of ``A = L[free][:, free]`` and one step of
+    iterative refinement with it.  scipy loads at the first call.
+
+    The two solves below free one level's midpoints, block diagonal by
+    cell, so any order of them has no fill; SuperLU keeps the order given
+    (``NATURAL``) and relaxes no supernodes.
+    """
+    if not len(free):
+        return
+    from scipy.sparse import linalg as spla
+
+    held = np.ones(len(f), dtype=bool)
+    held[free] = False
+    rows = L[free]
+    A = rows[:, free].tocsc()
+    rhs = -rows[:, held] @ f[held]
+    del L, rows  # only A is held while splu factors it
+    lu = spla.splu(A, permc_spec="NATURAL", relax=1, panel_size=1)
+    sol = lu.solve(rhs)
+    f[free] = sol + lu.solve(rhs - A @ sol)
 
 
 def extension_by_minimization(struct: HarmonicStructure, level: int, u_coarse):

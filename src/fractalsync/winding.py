@@ -29,10 +29,10 @@ def parse_word(s: str, alphabet=SG.alphabet) -> tuple[int, ...]:
     s = s.strip()
     if s in ("", "eps"):
         return ()
-    word = tuple(int(ch) for ch in s)
-    if any(sym not in alphabet for sym in word):
+    symbols = {str(sym): sym for sym in alphabet}
+    if any(ch not in symbols for ch in s):
         raise ValueError(f"word {s!r} uses symbols outside {alphabet}")
-    return word
+    return tuple(symbols[ch] for ch in s)
 
 
 class DegreeVector:
@@ -63,6 +63,14 @@ class DegreeVector:
         text = text.strip()
         if not text:
             return cls()
+
+        def value(item, v):
+            try:
+                return int(v)
+            except ValueError:
+                raise ValueError(f"degree {text!r}: entry {item!r} has no "
+                                 f"integer value") from None
+
         if ":" in text:
             entries = {}
             for item in text.split(","):
@@ -71,9 +79,9 @@ class DegreeVector:
                 if word in entries:  # the last would silently win
                     raise ValueError(f"degree {text!r} repeats word "
                                      f"{word_str(word)}")
-                entries[word] = int(v)
+                entries[word] = value(item, v)
             return cls(entries)
-        return cls.from_dense([int(v) for v in text.split(",")], alphabet)
+        return cls.from_dense([value(v, v) for v in text.split(",")], alphabet)
 
     @property
     def max_order(self):

@@ -127,8 +127,8 @@ def hessian_matrix(g, u):
     """Hessian of the energy at ``u``, the Laplacian with cosine edge
     weights, as a scipy sparse CSR matrix: the assembled oracle for the
     package's cell factor, dense through ``.toarray()``."""
-    from fractalsync.dirichlet import weighted_laplacian
     from fractalsync.kuramoto import _hessian_weights
+    from fractalsync.structures import weighted_laplacian
 
     u = g.check_field(u)
     return weighted_laplacian(g.edges, _hessian_weights(g, u), g.n_vertices)
@@ -274,18 +274,30 @@ def extend_harmonic_once(g_m, f):
     return g_next, f_next
 
 
-def reference_extend_cells(values, corners, fine_corners, n_fine):
-    """The 1/5-2/5 rule in every cell at once, written to the level-(m+1)
-    vertices: ``values[corners]`` are the corner values of each level-m
-    cell, and each cell's midpoints get ``harmonic_extend_once`` of them."""
-    from fractalsync import harmonic_extend_once
+def sg_midpoints(a, b, c):
+    """Midpoint values (x, y, z) of a gasket cell with corner values
+    (a, b, c), read off the children that ``extend_corners`` returns."""
+    from fractalsync import extend_corners
     from fractalsync.graphs import SG
 
-    vals = values[corners]
+    children = extend_corners(SG, np.array([[a, b, c]], dtype=float))
+    return tuple(SG.cell_nodes(children)[0, 3:].tolist())
+
+
+def reference_extend_cells(values, corners, fine_corners, n_fine):
+    """The 1/5-2/5 rule in every cell at once, written to the level-(m+1)
+    vertices: ``values[corners]`` are the corner values (a, b, c) of each
+    level-m cell, and each midpoint is 2/5 of the two corners it lies
+    between plus 1/5 of the third, summed corner by corner."""
+    from fractalsync.graphs import SG
+
+    a, b, c = values[corners].T
     nodes = SG.cell_nodes(fine_corners)
     out = np.empty(n_fine)
-    out[nodes[:, :3]] = vals
-    out[nodes[:, 3:].T] = harmonic_extend_once(*vals.T)
+    out[nodes[:, :3]] = values[corners]
+    out[nodes[:, 3]] = a * 0.4 + b * 0.4 + c * 0.2   # x, between a and b
+    out[nodes[:, 4]] = a * 0.2 + b * 0.4 + c * 0.4   # y, between b and c
+    out[nodes[:, 5]] = a * 0.4 + b * 0.2 + c * 0.4   # z, between c and a
     return out
 
 
@@ -300,6 +312,24 @@ def reference_solve_dirichlet(g, phi):
                                      nxt.cell_corners, nxt.n_vertices)
         cur_g = nxt
     return cur
+
+
+def reference_holder_ratio(g, f, beta=None):
+    """``holder_ratio`` by brute force over the full square of vertex
+    pairs, one row at a time: every ordered pair of distinct points."""
+    f = np.asarray(f, dtype=float)
+    if beta is None:
+        beta = math.log(1 / g.fractal.r) / (2.0 * math.log(2.0))
+    pts = g.coords
+    best = 0.0
+    for i in range(g.n_vertices):
+        dx = pts[i, 0] - pts[:, 0]
+        dy = pts[i, 1] - pts[:, 1]
+        d2 = dx * dx + dy * dy
+        far = d2 > 0.0
+        ratio = np.abs(f[i] - f[far]) / d2[far] ** (beta / 2.0)
+        best = max(best, float(ratio.max(initial=0.0)))
+    return best
 
 
 def reference_extend_lift(lift, n):
@@ -542,7 +572,7 @@ def cg_reference(dom):
     from scipy.sparse import linalg as spla
 
     from fractalsync import LiftField
-    from fractalsync.dirichlet import laplacian_matrix
+    from fractalsync.structures import laplacian_matrix
 
     L = laplacian_matrix(dom)
     P, b = _substitution(dom)
@@ -565,8 +595,8 @@ def ring1_one_edge(u, c):
     """The level-1 ring's quantities at ``u`` from its first store, where
     i + 1 and i - 1 mod 2 coincide in the one edge (0, 1) of weight 2c,
     keyed by the package function each must match."""
-    from fractalsync.dirichlet import weighted_laplacian
     from fractalsync.kuramoto import TWO_PI, _edge_energies, _edge_sine_sum
+    from fractalsync.structures import weighted_laplacian
     from fractalsync.winding import _wrapped_diff
 
     u = np.asarray(u, dtype=float)

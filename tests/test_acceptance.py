@@ -19,12 +19,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import extend_harmonic_once
+from conftest import extend_harmonic_once, sg_midpoints
 from fractalsync import (DegreeMismatchError, DegreeVector, build_ring_graph,
                          build_sg_graph, circle_distance, circle_harmonic_map,
                          covering_domain, dirichlet_energy, generic_km,
-                         half_twisted_state, harmonic_extend_once,
-                         hessian_stability, holder_ratio,
+                         half_twisted_state, hessian_stability, holder_ratio,
                          integrate_to_equilibrium, km_energy, km_rhs, laplacian,
                          minimize_constrained, neumann_check, normal_derivative,
                          ring_structure, sg_structure, solve_dirichlet,
@@ -86,9 +85,9 @@ def test_criterion_02_extension_exactness():
 
 
 def test_criterion_03_golden_extension_rule():
-    got = harmonic_extend_once(1.0, 0.0, 0.0)
+    got = sg_midpoints(1.0, 0.0, 0.0)
     ok = got == (2 / 5, 1 / 5, 2 / 5)
-    _report(3, ok, f"harmonic_extend_once(1,0,0) = {got}")
+    _report(3, ok, f"midpoints of extend_corners(SG, (1,0,0)) = {got}")
 
 
 def test_criterion_04_normal_derivative_constancy():

@@ -378,6 +378,36 @@ def test_numeric_inputs_checked_where_they_enter(tmp_path, capsys, argv, message
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--levels", "3:3", "--degrees", "1;1,x"],
+     "--degrees: degree '1,x': entry 'x' has no integer value"),
+    (["sweep", "--levels", "3:3", "--degrees", "1;13:a"],
+     "--degrees: degree '13:a': entry '13:a' has no integer value"),
+    (["covering", "--level", "4", "--degree", "1,x"],
+     "--degree: degree '1,x': entry 'x' has no integer value"),
+    (["covering", "--level", "4", "--degree", "13:a"],
+     "--degree: degree '13:a': entry '13:a' has no integer value"),
+    (["covering", "--level", "4", "--degree", "1:2:3"],
+     "--degree: degree '1:2:3': entry '1:2:3' has no integer value"),
+    (["covering", "--level", "4", "--degree", "a:1"],
+     "--degree: word 'a' uses symbols outside (1, 2, 3)"),
+])
+def test_bad_degree_spec_names_its_flag_before_any_job(tmp_path, capsys,
+                                                       monkeypatch, argv,
+                                                       message):
+    from fractalsync import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "_twist_report",
+                        lambda *a, **kw: calls.append(a))
+    out = tmp_path / "bad"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip() == f"error: ValueError: {message}"
+    # the good "1" of a sweep never runs: every spec is parsed where it enters
+    assert calls == []
+    assert not out.exists()
+
+
 def test_ring_degree_of_positive_order_fails_one_line(tmp_path, capsys):
     out = tmp_path / "bad"
     assert run(["covering", "--fractal", "ring", "--level", "4", "--degree",
@@ -541,9 +571,11 @@ def test_config_null_means_the_default(tmp_path, mode):
     ("verify", "levels", "3:5", ["--levels", "2:3"], (3, 4, 5), (2, 3)),
     ("sweep", "seeds", "0:2", ["--seeds", "7"], (0, 1, 2), (7,)),
     ("sweep", "degrees", "1;2,0,0", ["--degrees", "1,1,1,1"],
-     ["1", "2,0,0"], ["1,1,1,1"]),
-    ("sweep", "degrees", "1;2,0,0", ["--degrees", "1;"], ["1", "2,0,0"],
-     ["1"]),
+     [("1", DegreeVector({(): 1})), ("2,0,0", DegreeVector({(): 2}))],
+     [("1,1,1,1", DegreeVector.parse("1,1,1,1"))]),
+    ("sweep", "degrees", "1;2,0,0", ["--degrees", "1;"],
+     [("1", DegreeVector({(): 1})), ("2,0,0", DegreeVector({(): 2}))],
+     [("1", DegreeVector({(): 1}))]),
     ("harmonic", "boundary", "0,0.5,1", ["--boundary", "2"],
      [0.0, 0.5, 1.0], [2.0]),
 ])

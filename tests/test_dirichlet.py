@@ -6,15 +6,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (extend_harmonic_once, mmd_solve_free,
                       positive_definite_factor, reference_birth,
-                      reference_solve_dirichlet, reference_square)
+                      reference_holder_ratio, reference_solve_dirichlet,
+                      reference_square, sg_midpoints)
 from fractalsync import (DegreeVector, UncertifiedFactorError, build_graph,
                          build_ring_graph, build_sg_graph, covering_domain,
-                         dirichlet_energy, harmonic_extend_once, holder_ratio,
-                         laplacian, minimize_constrained, normal_derivative,
-                         restrict, solve_dirichlet)
+                         dirichlet_energy, holder_ratio, laplacian,
+                         minimize_constrained, normal_derivative, restrict,
+                         solve_dirichlet)
 from fractalsync import dirichlet
-from fractalsync.dirichlet import (_pinned_factor, laplacian_matrix,
-                                   weighted_laplacian)
+from fractalsync.dirichlet import _pinned_factor
+from fractalsync.structures import laplacian_matrix, weighted_laplacian
 
 BETA = math.log(5 / 3) / (2 * math.log(2))
 
@@ -118,9 +119,9 @@ def test_laplacian_linear_on_ring_interior():
 # -- 1/5-2/5 rule ----------------------------------------------------------
 
 def test_extension_golden_columns():
-    assert harmonic_extend_once(1.0, 0.0, 0.0) == (0.4, 0.2, 0.4)
-    assert harmonic_extend_once(0.0, 0.0, 1.0) == (0.2, 0.4, 0.4)
-    assert harmonic_extend_once(1.0, 1.0, 1.0) == (1.0, 1.0, 1.0)
+    assert sg_midpoints(1.0, 0.0, 0.0) == (0.4, 0.2, 0.4)
+    assert sg_midpoints(0.0, 0.0, 1.0) == (0.2, 0.4, 0.4)
+    assert sg_midpoints(1.0, 1.0, 1.0) == (1.0, 1.0, 1.0)
 
 
 def test_extension_preserves_energy_exactly():
@@ -146,7 +147,7 @@ def test_extension_contracts_quartic_edge_sum_by_99_625():
     rng = np.random.default_rng(99)
     for _ in range(10):
         a, b, c = rng.standard_normal(3)
-        x, y, z = harmonic_extend_once(a, b, c)
+        x, y, z = sg_midpoints(a, b, c)
         children = quartic(a, x, z) + quartic(x, b, y) + quartic(z, y, c)
         assert children / quartic(a, b, c) == pytest.approx(99 / 625, rel=1e-12)
 
@@ -405,6 +406,21 @@ def test_holder_ratio_default_beta_is_the_fractals():
     g = build_sg_graph(4)
     f = solve_dirichlet(g, [0, 0, 1])
     assert holder_ratio(g, f) == holder_ratio(g, f, BETA)
+
+
+@pytest.mark.parametrize("graph", [("sg", n) for n in range(7)]
+                         + [("ring", n) for n in range(1, 13)])
+def test_holder_ratio_upper_triangle_matches_full_square(graph):
+    # the blocks meet only the columns from their first row on; the pairs
+    # left out are mirror images, bitwise equal, so the maximum is the
+    # same float as over the full square
+    g = build_graph(*graph)
+    rng = np.random.default_rng(g.n_vertices)
+    fields = [rng.standard_normal(g.n_vertices),
+              solve_dirichlet(g, rng.standard_normal(len(g.boundary_ids)))]
+    for f in fields:
+        assert holder_ratio(g, f) == reference_holder_ratio(g, f)
+        assert holder_ratio(g, f, BETA) == reference_holder_ratio(g, f, BETA)
 
 
 def test_holder_ratio_bounded_across_levels():

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from fractalsync import (build_graph, build_ring_graph, build_sg_graph,
                          dirichlet_energy, km_energy, km_rhs, laplacian,
                          normal_derivative, restrict)
-from fractalsync.dirichlet import laplacian_matrix
 from fractalsync.graphs import FRACTALS
+from fractalsync.structures import laplacian_matrix
 from conftest import (Itinerary, apply_word, canonical_itinerary,
                       enumerate_gasket, extend_harmonic_once, hessian_matrix,
                       reference_cells, reference_graph, reference_id_of,

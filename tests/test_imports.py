@@ -94,7 +94,7 @@ LAYERS = (("graphs", "errors"), ("dirichlet", "winding"),
 # the module that solves with scipy, inside the functions that need it:
 # the sparse LU and assembled Laplacian of the generic structures solves,
 # the independent cross-check; every CLI command stays on numpy
-SCIPY_USERS = {"dirichlet"}
+SCIPY_USERS = {"structures"}
 # the modules that may read a ``kind`` attribute: every layer reads a
 # graph's fractal record, ``g.fractal``, and none asks which fractal it is
 KIND_READERS = {"graphs"}

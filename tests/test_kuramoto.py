@@ -14,7 +14,8 @@ from fractalsync import (DegreeVector, EigensolverError, FlowConfig,
                          km_energy, km_rhs, solve_equilibrium, twisted_state,
                          wrap_phases)
 from fractalsync import kuramoto as km
-from fractalsync.dirichlet import _pinned_factor, extend_corners, laplacian_matrix
+from fractalsync.dirichlet import _pinned_factor, extend_corners
+from fractalsync.structures import laplacian_matrix
 from conftest import (check_energy_handoff, hessian_matrix,
                       positive_definite_factor, rk4_reference, spy_handoff)
 
