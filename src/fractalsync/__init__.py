@@ -22,8 +22,7 @@ from .kuramoto import (EquilibriumReport, FlowConfig, circle_distance,
                        half_twisted_state, hessian_stability,
                        integrate_to_equilibrium, km_energy, km_rhs,
                        solve_equilibrium, twisted_state)
-from .structures import (HarmonicStructure, generic_harmonic_map, generic_km,
-                         harmonic_structure, ring_structure, sg_structure)
+from .structures import generic_harmonic_map
 from .winding import DegreeVector, degree, wrap_phases
 
 __version__ = "0.1.0"

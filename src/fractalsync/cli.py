@@ -23,7 +23,7 @@ from . import serialize as ser
 from . import svg as svgmod
 from .errors import DegreeMismatchError
 from .graphs import FRACTALS, build_graph
-from .structures import harmonic_structure
+from .structures import structure_json
 from .winding import DegreeVector
 
 
@@ -38,7 +38,6 @@ class RunConfig:
     boundary: list | None = None
     method: str = "extension"
     tol: float = 1e-10
-    step: float | None = None
     max_time: float = 400.0
     seed: int = 0
     init: str = "random"
@@ -58,10 +57,9 @@ class RunConfig:
             raise ValueError("mode 'covering' requires a nonzero --degree")
         if self.mode == "harmonic" and self.boundary is None:
             raise ValueError("harmonic mode requires --boundary")
-        # "not x > 0" also rejects NaN; step None means the default step
-        for flag, value in (("--tol", self.tol), ("--step", self.step),
-                            ("--max-time", self.max_time)):
-            if value is not None and not value > 0:
+        # "not x > 0" also rejects NaN
+        for flag, value in (("--tol", self.tol), ("--max-time", self.max_time)):
+            if not value > 0:
                 raise ValueError(f"{flag} must be positive, got {value!r}")
         if not self.perturb >= 0:
             raise ValueError(f"--perturb must be non-negative, got {self.perturb!r}")
@@ -70,7 +68,7 @@ class RunConfig:
 
 
 def _flow_cfg(cfg: RunConfig) -> km.FlowConfig:
-    return km.FlowConfig(step=cfg.step, max_time=cfg.max_time, tol=cfg.tol)
+    return km.FlowConfig(max_time=cfg.max_time, tol=cfg.tol)
 
 
 def _path(cfg: RunConfig, name) -> str:
@@ -97,7 +95,7 @@ def cmd_build_graph(cfg: RunConfig):
         ser.write_json(_path(cfg, f"graph_{cfg.fractal}_{cfg.level}.json"),
                        g.to_json_dict()),
         ser.write_json(_path(cfg, "structure.json"),
-                       harmonic_structure(g.fractal).to_json_dict()),
+                       structure_json(g.fractal)),
     ]
 
 
@@ -175,10 +173,13 @@ def cmd_twist(cfg: RunConfig):
 
 def _initial_field(cfg: RunConfig, g):
     spec = cfg.init
-    if spec.startswith("twist:"):
-        u0 = km.twisted_state(g, int(spec.split(":", 1)[1]))
-    elif spec.startswith("constant:"):
-        u0 = np.full(g.n_vertices, float(spec.split(":", 1)[1]))
+    if spec.startswith(("twist:", "constant:")):
+        kind, value = spec.split(":", 1)
+        try:
+            u0 = (km.twisted_state(g, int(value)) if kind == "twist"
+                  else np.full(g.n_vertices, float(value)))
+        except ValueError as exc:
+            raise ValueError(f"--init {spec!r}: {exc}") from None
     elif spec == "random":
         u0 = np.random.default_rng(cfg.seed).random(g.n_vertices)
     elif os.path.exists(spec):
@@ -392,9 +393,6 @@ _FLAGS = {
     "perturb": _flag(("sweep",), type=float),
     "jobs": _flag(("verify", "sweep"), type=int),
     "tol": _flag(_FLOWS, type=float),
-    "step": _flag(_FLOWS, type=float,
-                  help="RK4 step (default: kuramoto.default_step, read off "
-                       "the cell table and the field each block starts from)"),
     "max_time": _flag(_FLOWS, type=float),
     "svg": _flag(("harmonic", "twist"), action="store_true", default=None),
     "traj": _flag(("flow",), action="store_true", default=None,

@@ -146,10 +146,14 @@ def cell_wall_energy(g: FractalGraph, u) -> float:
 
       W = E(u) + c min_e a_e^2 C_e - ||rhs(u)||_1 2**(level - 1) / (2 pi),
 
-    lowered by 1e-9 relative as a rounding margin: the energy is a sum of
-    nonnegative terms, so its relative rounding error is of order
-    n_edges * 2**-52, under 1e-9 up to ~4M edges (level 12 of the gasket
-    has 1.6M).
+    lowered by 1e-9 relative as a rounding margin.  The energy is a sum of
+    nonnegative terms, so its relative rounding error is at most about
+    m 2**-53, m the most roundings any one term passes through.  ``np.sum``
+    adds pairwise: halves down to blocks of at most 128 terms (one rounding
+    per halving), each block in eight running sums (at most 15 roundings),
+    joined in 3 and followed by at most 7 leftover terms, so m <= log2
+    n_edges + 25.  Level 13 of the gasket (4,782,969 edges) has m <= 48, an
+    error under 6e-15, far inside the margin.
     """
     i, j, c = g.edges[:, 0], g.edges[:, 1], g.conductance
     d = _wrapped_diff(u, i, j)
@@ -174,10 +178,9 @@ def cell_wall_energy(g: FractalGraph, u) -> float:
 
 @dataclass
 class FlowConfig:
-    """Flow and Newton settings: the RK4 step (None for
-    :func:`default_step`), the time budget and the residual tolerance."""
+    """Flow and Newton settings: the time budget and the residual
+    tolerance.  The RK4 step is always :func:`default_step`."""
 
-    step: float | None = None
     max_time: float = 400.0
     tol: float = 1e-10
 
@@ -263,11 +266,11 @@ def _finalize(g, u, residual, steps, t, h, converged, halvings,
 def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None) -> EquilibriumReport:
     """RK4 integration of the flow in fixed-step blocks, finished by Newton.
 
-    The step is ``cfg.step``, or else :func:`default_step` at the state
-    each block starts from: RK4's stability bound inside a cell, a fifth
-    of it while an edge is at a quarter turn or more.  The energy is
-    monitored in blocks; if it ever increases the block is rewound and the
-    step halved, which keeps a given step that is too large safe.
+    The step is :func:`default_step` at the state each block starts from:
+    RK4's stability bound inside a cell, a fifth of it while an edge is at
+    a quarter turn or more.  The energy is monitored in blocks; if it ever
+    increases the block is rewound and the step halved, the safety net
+    should the derived step still be too large.
     Non-convergence within the time budget is reported in the
     ``converged`` flag, not raised.
 
@@ -307,7 +310,7 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
     i, j = g.edges[:, 0], g.edges[:, 1]
     c = g.conductance
     n = g.n_vertices
-    h = cfg.step if cfg.step is not None else default_step(g, u)
+    h = default_step(g, u)
 
     def rhs(x):
         return _edge_sine_sum(x, i, j, c, n)
@@ -321,8 +324,7 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
     rows = [(t, energy, res)]
     while res >= cfg.tol and t < cfg.max_time:
         u_block = u.copy()
-        if cfg.step is None:
-            h = default_step(g, u) * 0.5 ** halvings
+        h = default_step(g, u) * 0.5 ** halvings
         for _ in range(CHECK_EVERY):
             k1 = rhs(u)
             k2 = rhs(u + 0.5 * h * k1)

@@ -1,86 +1,48 @@
-"""Generic harmonic-structure abstraction instantiated by gasket and ring.
+"""Generic harmonic-structure route, as functions over a fractal record.
 
 A harmonic structure consists of the contraction system, the
 renormalisation weight r in (0, 1) that every map shares (3/5 on the
 gasket, 1/2 on the ring), a conductance rule producing the per-level edge
-weights, and the boundary set.  Its name, maps, r and boundary size are
-read off a :class:`graphs.Fractal` record; its extension table is not.  Two
-identities characterise it:
+weights, and the boundary set.  Each function here takes the
+:class:`graphs.Fractal` record and reads its name, maps, r, boundary size
+and builder, never its extension table.  Two identities characterise it:
 
 * self-similarity: E_n(u) = sum_i r**-1 E_{n-1}(u o F_i);
 * compatibility: E_{n-1}(u) equals the minimum of E_n over all
   extensions of u, attained by the harmonic extension.
 
-The generic operations here recompute conductances from r and perform
-extension by solving the constrained minimisation, so they form an
-independent route against the specialised gasket/ring code paths.  Its
-scipy parts, the sparse Laplacian assembly and the SuperLU solve, live
-here alone and import scipy at their first call, not with the package.
+The generic operations here recompute conductances from r by repeated
+division and perform extension by solving the constrained minimisation,
+so they form an independent route against the specialised gasket/ring
+code paths.  Its scipy parts, the sparse Laplacian assembly and the
+SuperLU solve, live here alone and import scipy at their first call, not
+with the package.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import covering as cov
-from . import kuramoto as km
-from .graphs import RING, SG, Fractal, FractalGraph
+from .graphs import Fractal
 from .winding import DegreeVector
 
 
-@dataclass(frozen=True)
-class HarmonicStructure:
-    """Everything the generic theory assumes about one self-similar set."""
-
-    name: str
-    num_maps: int
-    contraction_ratios: tuple
-    r: float  # every map's renormalisation weight
-    boundary_size: int
-    build_graph: Callable[[int], FractalGraph]
-
-    @property
-    def weights(self) -> tuple:
-        """The r_i, one per map."""
-        return (self.r,) * self.num_maps
-
-    def conductance(self, level: int) -> float:
-        """Per-edge weight at a level, recomputed from r."""
-        out = 1.0
-        for _ in range(level):
-            out /= self.r
-        return out
-
-    def to_json_dict(self):
-        return {
-            "name": self.name,
-            "num_maps": self.num_maps,
-            "contraction_ratios": list(self.contraction_ratios),
-            "weights": list(self.weights),
-            "boundary_size": self.boundary_size,
-        }
+def conductance(fractal: Fractal, level: int) -> float:
+    """Per-edge weight at a level, recomputed from r by repeated division."""
+    out = 1.0
+    for _ in range(level):
+        out /= fractal.r
+    return out
 
 
-def harmonic_structure(fractal: Fractal) -> HarmonicStructure:
-    """The structure of a fractal record, every map of half scale."""
-    return HarmonicStructure(
-        name=fractal.name, num_maps=fractal.num_maps,
-        contraction_ratios=(0.5,) * fractal.num_maps, r=fractal.r,
-        boundary_size=fractal.boundary_size, build_graph=fractal.build)
-
-
-def sg_structure() -> HarmonicStructure:
-    """Gasket instance: three half-scale maps, weights 3/5."""
-    return harmonic_structure(SG)
-
-
-def ring_structure() -> HarmonicStructure:
-    """Ring instance: two half-scale maps of the interval, weights 1/2."""
-    return harmonic_structure(RING)
+def structure_json(fractal: Fractal) -> dict:
+    """``build-graph``'s structure.json: every map of half scale, weight r."""
+    m = fractal.num_maps
+    return {"name": fractal.name, "num_maps": m, "contraction_ratios": [0.5] * m,
+            "weights": [fractal.r] * m, "boundary_size": fractal.boundary_size}
 
 
 def _edge_energy(c, edges, u) -> float:
@@ -88,14 +50,14 @@ def _edge_energy(c, edges, u) -> float:
     return math.fsum((c * d * d / 2.0).tolist())
 
 
-def energy_value(struct: HarmonicStructure, level: int, u) -> float:
-    """Quadratic energy with conductances recomputed from the weights."""
-    g = struct.build_graph(level)
-    return _edge_energy(struct.conductance(level), g.edges,
+def energy_value(fractal: Fractal, level: int, u) -> float:
+    """Quadratic energy with conductances recomputed from r."""
+    g = fractal.build(level)
+    return _edge_energy(conductance(fractal, level), g.edges,
                         np.asarray(u, dtype=float))
 
 
-def self_similarity_residual(struct: HarmonicStructure, level: int, u) -> float:
+def self_similarity_residual(fractal: Fractal, level: int, u) -> float:
     """|E_n(u) - sum_i r_i**-1 E_{n-1}(u o F_i)|.
 
     Cell ``i w`` of level n is F_i of cell ``w`` of level n-1, so the
@@ -103,12 +65,11 @@ def self_similarity_residual(struct: HarmonicStructure, level: int, u) -> float:
     the order of the level-(n-1) cells, and each contributes its own edges.
     """
     u = np.asarray(u, dtype=float)
-    g = struct.build_graph(level)
-    c = struct.conductance(level - 1)
-    parts = [_edge_energy(c, g.fractal.cell_edges(piece), u) / r
-             for r, piece in zip(struct.weights,
-                                 np.split(g.cell_corners, struct.num_maps))]
-    return abs(energy_value(struct, level, u) - math.fsum(parts))
+    g = fractal.build(level)
+    c = conductance(fractal, level - 1)
+    parts = [_edge_energy(c, fractal.cell_edges(piece), u) / fractal.r
+             for piece in np.split(g.cell_corners, fractal.num_maps)]
+    return abs(energy_value(fractal, level, u) - math.fsum(parts))
 
 
 def weighted_laplacian(edges, w, n):
@@ -155,41 +116,40 @@ def _solve_free(L, free, f):
     f[free] = sol + lu.solve(rhs - A @ sol)
 
 
-def extension_by_minimization(struct: HarmonicStructure, level: int, u_coarse):
+def extension_by_minimization(fractal: Fractal, level: int, u_coarse):
     """Extend a level-(n-1) field to level n by minimising the energy.
 
     Returns ``(values, energy)``.  The minimum equals the coarse energy;
     on the gasket the minimiser reproduces the 1/5-2/5 rule, on the ring
     the midpoint rule.
     """
-    g_fine = struct.build_graph(level)
+    g_fine = fractal.build(level)
     u_coarse = np.asarray(u_coarse, dtype=float)
-    c = struct.conductance(level)
+    c = conductance(fractal, level)
     n = g_fine.n_vertices
     vals = np.zeros(n)
     vals[g_fine.restriction_to(level - 1)] = u_coarse
     _solve_free(weighted_laplacian(g_fine.edges, np.full(g_fine.n_edges, c), n),
                 np.flatnonzero(g_fine.birth == level), vals)
-    energy = energy_value(struct, level, vals)
+    energy = energy_value(fractal, level, vals)
     return vals, energy
 
 
-def compatibility_residual(struct: HarmonicStructure, level: int, u_coarse) -> float:
+def compatibility_residual(fractal: Fractal, level: int, u_coarse) -> float:
     """|E_{n-1}(u) - min over extensions of E_n|, verified by solving."""
-    _, e_min = extension_by_minimization(struct, level, u_coarse)
-    e_coarse = energy_value(struct, level - 1, u_coarse)
+    _, e_min = extension_by_minimization(fractal, level, u_coarse)
+    e_coarse = energy_value(fractal, level - 1, u_coarse)
     return abs(e_min - e_coarse)
 
 
-def generic_harmonic_map(struct: HarmonicStructure, level: int,
-                         omega: DegreeVector):
+def generic_harmonic_map(fractal: Fractal, level: int, omega: DegreeVector):
     """Covering-space harmonic map built through the generic machinery.
 
     The constrained minimum is solved on :func:`covering.seed_domain` and
     extended by repeated constrained minimisation (not the closed-form
     rule), then projected mod 1.  Returns ``(phases, lift)``.
     """
-    g = struct.build_graph(level)
+    g = fractal.build(level)
     if not omega:
         dom = cov.covering_domain(g, omega)
         lift = cov.LiftField(domain=dom, values=np.zeros(dom.n_vertices))
@@ -211,11 +171,3 @@ def _extend_lift_by_solve(cur: cov.LiftField) -> cov.LiftField:
     _solve_free(laplacian_matrix(dom_next), nodes[:, k:].ravel(), vals)
     return cov.LiftField(domain=dom_next, values=vals)
 
-
-def generic_km(struct: HarmonicStructure, level: int, omega: DegreeVector,
-               cfg: km.FlowConfig | None = None) -> km.EquilibriumReport:
-    """Full pipeline through the generic interface: covering, minimise,
-    extend, project, flow to equilibrium, classify."""
-    g = struct.build_graph(level)
-    phases, _ = generic_harmonic_map(struct, level, omega)
-    return km.integrate_to_equilibrium(g, phases, cfg)

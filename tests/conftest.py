@@ -46,15 +46,25 @@ def enumerate_gasket(n):
     return coords, cells, edges
 
 
+# build-graph's structure.json of each record, written out by hand
+STRUCTURE_JSON = {
+    "sg": {"name": "sg", "num_maps": 3, "contraction_ratios": [0.5, 0.5, 0.5],
+           "weights": [0.6, 0.6, 0.6], "boundary_size": 3},
+    "ring": {"name": "ring", "num_maps": 2, "contraction_ratios": [0.5, 0.5],
+             "weights": [0.5, 0.5], "boundary_size": 1},
+}
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20250810)
 
 
-def rk4_reference(g, u0, cfg=None):
+def rk4_reference(g, u0, cfg=None, step=None):
     """Plain RK4 to ``cfg.tol``: the flow's loop, block steps and block
     energy monitor with no Newton finish, the oracle for every faster
-    solver."""
+    solver.  ``step`` fixes the RK4 step (halved only by the monitor);
+    None reads ``default_step`` at each block's start, as the flow does."""
     from fractalsync import FlowConfig, km_rhs
     from fractalsync.kuramoto import (CHECK_EVERY, MAX_HALVINGS, _finalize,
                                       _km_energy_fast, default_step)
@@ -62,13 +72,13 @@ def rk4_reference(g, u0, cfg=None):
     cfg = cfg or FlowConfig()
     u = np.array(u0, dtype=float)
     i, j, c = g.edges[:, 0], g.edges[:, 1], g.conductance
-    h = cfg.step if cfg.step is not None else default_step(g, u)
+    h = step if step is not None else default_step(g, u)
     t, steps, halvings = 0.0, 0, 0
     res = float(np.abs(km_rhs(g, u)).max())
     energy = _km_energy_fast(u, i, j, c)
     while res >= cfg.tol and t < cfg.max_time:
         block = u.copy()
-        if cfg.step is None:
+        if step is None:
             h = default_step(g, u) * 0.5 ** halvings
         for _ in range(CHECK_EVERY):
             k1 = km_rhs(g, u)

@@ -22,12 +22,12 @@ import numpy as np
 from conftest import extend_harmonic_once, sg_midpoints
 from fractalsync import (DegreeMismatchError, DegreeVector, build_ring_graph,
                          build_sg_graph, circle_distance, circle_harmonic_map,
-                         covering_domain, dirichlet_energy, generic_km,
+                         covering_domain, dirichlet_energy, generic_harmonic_map,
                          half_twisted_state, hessian_stability, holder_ratio,
                          integrate_to_equilibrium, km_energy, km_rhs, laplacian,
                          minimize_constrained, neumann_check, normal_derivative,
-                         ring_structure, sg_structure, solve_dirichlet,
-                         solve_equilibrium, twisted_state)
+                         solve_dirichlet, solve_equilibrium, twisted_state)
+from fractalsync.graphs import RING, SG
 from fractalsync.kuramoto import _edge_energies
 from fractalsync.structures import energy_value, extension_by_minimization
 
@@ -348,42 +348,42 @@ def test_criterion_10_generic_structure_specialisation():
     rng = np.random.default_rng(10)
     worst = 0.0
     cases = 0
-    sg = sg_structure()
-    ring = ring_structure()
     for n in (1, 2, 3, 4):
         g = build_sg_graph(n)
         for _ in range(10):
             u = rng.standard_normal(g.n_vertices)
-            worst = max(worst, abs(energy_value(sg, n, u)
+            worst = max(worst, abs(energy_value(SG, n, u)
                                    - dirichlet_energy(g, u).energy))
             cases += 1
     for n in (2, 3, 4):
         g = build_ring_graph(n)
         for _ in range(10):
             u = rng.standard_normal(g.n_vertices)
-            worst = max(worst, abs(energy_value(ring, n, u)
+            worst = max(worst, abs(energy_value(RING, n, u)
                                    - dirichlet_energy(g, u).energy))
             cases += 1
     for n in (1, 2, 3, 4):
         g_coarse = build_sg_graph(n - 1)
         for _ in range(5):
             u = rng.standard_normal(g_coarse.n_vertices)
-            vals, _ = extension_by_minimization(sg, n, u)
+            vals, _ = extension_by_minimization(SG, n, u)
             _, rule = extend_harmonic_once(g_coarse, u)
             worst = max(worst, float(np.abs(vals - rule).max()))
             cases += 1
     # equilibria: generic pipeline vs specialised pipeline
     for omega, n in ((DegreeVector({(): 1}), 3), (DegreeVector({(): 2}), 3),
                      (DegreeVector({(): -1}), 3), (DegreeVector({(): 1, (2,): 1}), 4)):
-        rep_gen = generic_km(sg, n, omega)
         g = build_sg_graph(n)
+        rep_gen = integrate_to_equilibrium(
+            g, generic_harmonic_map(SG, n, omega)[0])
         phases, _ = circle_harmonic_map(g, omega)
         rep_spec = integrate_to_equilibrium(g, phases)
         worst = max(worst, float(circle_distance(rep_gen.field, rep_spec.field).max()))
         cases += 1
     for q, n in ((1, 4), (2, 4), (3, 5), (-2, 5), (1, 6), (2, 6)):
-        rep_gen = generic_km(ring, n, DegreeVector({(): q}))
         g = build_ring_graph(n)
+        rep_gen = integrate_to_equilibrium(
+            g, generic_harmonic_map(RING, n, DegreeVector({(): q}))[0])
         worst = max(worst, float(circle_distance(rep_gen.field,
                                                  twisted_state(g, q)).max()))
         cases += 1

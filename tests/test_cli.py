@@ -3,19 +3,20 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import (reference_dumps_json, reference_render_field_svg,
-                      reference_write_field_csv)
+from conftest import (STRUCTURE_JSON, reference_dumps_json,
+                      reference_render_field_svg, reference_write_field_csv)
 from fractalsync import (DegreeVector, build_graph, build_sg_graph,
                          circle_harmonic_map, dirichlet_energy, neumann_check,
-                         ring_structure, sg_structure, solve_dirichlet,
-                         solve_equilibrium)
+                         solve_dirichlet, solve_equilibrium)
 from fractalsync import kuramoto as km
-from fractalsync.cli import _build_parser, _config_from_args, main
+from fractalsync.cli import (_FLAGS, RunConfig, _build_parser,
+                             _config_from_args, main)
 from fractalsync.serialize import (dumps_json, read_field_csv, sha256_of,
                                    write_field_csv)
 
@@ -355,7 +356,8 @@ def test_cli_error_single_line(tmp_path, capsys):
     (["sweep", "--seeds", "4:2"], "--seeds '4:2' is an empty range"),
     (["verify", "--levels", "5:3"], "--levels '5:3' is an empty range"),
     (["sweep", "--perturb", "-0.1"], "--perturb must be non-negative"),
-    (["flow", "--step", "-0.01"], "--step must be positive"),
+    (["flow", "--fractal", "ring", "--level", "3", "--init", "twist:1.5"],
+     "--init 'twist:1.5': invalid literal for int() with base 10: '1.5'"),
     (["flow", "--tol", "-1"], "--tol must be positive"),
     (["twist", "--max-time", "0"], "--max-time must be positive"),
     (["verify", "--jobs", "0"], "--jobs must be at least 1"),
@@ -368,6 +370,10 @@ def test_cli_error_single_line(tmp_path, capsys):
      "degree 'eps:1,eps:2' repeats word eps"),
     (["covering", "--level", "4", "--degree", "eps:1,:2"],
      "degree 'eps:1,:2' repeats word eps"),
+    (["flow", "--fractal", "ring", "--level", "3", "--init", "constant:abc"],
+     "--init 'constant:abc': could not convert string to float: 'abc'"),
+    (["flow", "--level", "3", "--init", "twist:1"],
+     "--init 'twist:1': twisted states live on the ring"),
 ])
 def test_numeric_inputs_checked_where_they_enter(tmp_path, capsys, argv, message):
     out = tmp_path / "bad"
@@ -538,12 +544,12 @@ def test_config_degree_list_runs_as_its_text(tmp_path):
 
 def test_config_value_converted_as_its_flag(tmp_path):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"level": "3", "tol": "1e-5", "step": 0.01,
+    path.write_text(json.dumps({"level": "3", "tol": "1e-5",
                                 "max_time": 5, "svg": True}))
     cfg = _config_from_args(_build_parser().parse_args(
         ["twist", "--config", str(path)]))
-    assert (cfg.level, cfg.tol, cfg.step, cfg.max_time, cfg.svg) == (
-        3, 1e-5, 0.01, 5.0, True)
+    assert (cfg.level, cfg.tol, cfg.max_time, cfg.svg) == (
+        3, 1e-5, 5.0, True)
     assert type(cfg.level) is int and type(cfg.max_time) is float
 
 
@@ -552,13 +558,13 @@ def test_config_null_means_the_default(tmp_path, mode):
     # a null value is read as if its key were left out, for a typed flag, a
     # switch and an untyped flag alike
     path = tmp_path / "run.json"
-    keys = {"twist": ("level", "step", "svg", "out"),
-            "verify": ("levels", "step", "out")}[mode]
+    keys = {"twist": ("level", "tol", "svg", "out"),
+            "verify": ("levels", "tol", "out")}[mode]
     path.write_text(json.dumps(dict.fromkeys(keys)))
     parser = _build_parser()
     cfg = _config_from_args(parser.parse_args([mode, "--config", str(path)]))
     assert cfg == _config_from_args(parser.parse_args([mode]))
-    assert cfg.step is None and cfg.out == "out"
+    assert cfg.tol == RunConfig.tol and cfg.out == "out"
 
 
 @pytest.mark.parametrize("mode, key, in_file, flag, from_file, from_flag", [
@@ -632,14 +638,14 @@ CLI_SURFACE = {
     "build-graph": "--config --fractal --level --out",
     "harmonic": "--boundary --config --fractal --level --method --out --svg",
     "covering": "--config --degree --fractal --level --out",
-    "twist": "--config --degree --fractal --level --max-time --out --step "
-             "--svg --tol",
+    "twist": "--config --degree --fractal --level --max-time --out --svg "
+             "--tol",
     "flow": "--config --fractal --init --level --max-time --out --seed "
-            "--step --tol --traj",
+            "--tol --traj",
     "verify": "--config --degree --fractal --jobs --levels --max-time --out "
-              "--step --tol",
+              "--tol",
     "sweep": "--config --degrees --fractal --jobs --levels --max-time --out "
-             "--perturb --seeds --step --tol",
+             "--perturb --seeds --tol",
 }
 
 
@@ -665,6 +671,28 @@ def test_cli_surface_is_pinned(tmp_path, mode):
         args = parser.parse_args([mode, "--config", str(path)])
         with pytest.raises(ValueError, match=f"{mode} does not read {key}$"):
             _config_from_args(args)
+
+
+@pytest.mark.parametrize("mode", ["twist", "flow", "verify", "sweep"])
+def test_step_is_no_setting(tmp_path, capsys, mode):
+    # the RK4 step is always kuramoto.default_step: --step is a usage
+    # error, and a --config file that sets it is refused
+    parser = _build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([mode, "--step", "0.01"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --step 0.01" in capsys.readouterr().err
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"step": 0.01}))
+    with pytest.raises(ValueError, match=f"{mode} does not read step$"):
+        _config_from_args(parser.parse_args([mode, "--config", str(path)]))
+
+
+def test_every_setting_is_a_flag():
+    # a RunConfig field with no flag is a setting no run can change, and a
+    # flag with no field a value no run reads
+    assert ({f.name for f in fields(RunConfig)} - {"mode"}
+            == set(_FLAGS) - {"config"})
 
 
 def test_sweep_without_seeds_runs_seed(tmp_path):
@@ -819,11 +847,10 @@ def test_build_graph_cmd_artifacts_match_oracles(tmp_path, fractal):
     out = tmp_path / "out"
     assert run(["build-graph", "--fractal", fractal, "--level", "3",
                 "--out", str(out)]) == 0
-    structure = ring_structure() if fractal == "ring" else sg_structure()
     _assert_artifacts(out, "build-graph", {
         f"graph_{fractal}_3.json": reference_dumps_json(
             build_graph(fractal, 3).to_json_dict()),
-        "structure.json": reference_dumps_json(structure.to_json_dict()),
+        "structure.json": reference_dumps_json(STRUCTURE_JSON[fractal]),
     }, tmp_path)
 
 

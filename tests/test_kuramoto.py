@@ -201,13 +201,15 @@ def test_flow_energy_decays_along_trajectory():
     assert all(b <= a + 1e-13 for a, b in zip(energies, energies[1:]))
 
 
-def test_flow_halves_unstable_step():
+def test_flow_halves_unstable_step(monkeypatch):
     g = build_sg_graph(3)
     rng = np.random.default_rng(12)
     u0 = wrap_phases(0.05 * rng.standard_normal(g.n_vertices))
-    # deliberately unstable step: the monitor must halve it, not blow up
+    # deliberately unstable derived step: the monitor must halve it, not
+    # blow up
     big = 10.0 * (3.0 / 5.0) ** g.level
-    rep = integrate_to_equilibrium(g, u0, FlowConfig(step=big, max_time=100.0))
+    monkeypatch.setattr(km, "default_step", lambda g, u: big)
+    rep = integrate_to_equilibrium(g, u0, FlowConfig(max_time=100.0))
     assert rep.halvings > 0
     assert rep.converged
 
@@ -306,10 +308,10 @@ def test_default_step_keeps_basin_boundary_starts(n, seed, q):
     u0 = np.random.default_rng(seed).random(g.n_vertices)
     old = 0.2 * 4.0 ** -n
     inside = km.default_step(g, np.zeros(g.n_vertices))
-    inside_only = rk4_reference(g, u0, FlowConfig(step=inside))
+    inside_only = rk4_reference(g, u0, step=inside)
     assert inside_only.degree != DegreeVector({(): q})
     rep = integrate_to_equilibrium(g, u0)
-    ref = integrate_to_equilibrium(g, u0, FlowConfig(step=old))
+    ref = rk4_reference(g, u0, step=old)
     assert rep.degree == ref.degree == DegreeVector({(): q})
     assert rep.stability == ref.stability == "stable"
     assert rep.halvings == 0
@@ -329,7 +331,7 @@ def test_default_step_gasket_flow_matches_old_step_reference():
 
 def _assert_flow_matches_old_step(g, u0, old_step):
     rep = integrate_to_equilibrium(g, u0)
-    ref = rk4_reference(g, u0, FlowConfig(step=old_step))
+    ref = rk4_reference(g, u0, step=old_step)
     inside = km.default_step(g, rep.field)
     assert rep.halvings == 0
     assert rep.step_size in (inside, inside * km.SLIP_REACH / km.RK4_REACH)
@@ -420,9 +422,9 @@ def test_finished_flow_matches_rk4_reference(kind, n, spec, amp, seed, method):
 def test_flow_does_not_hand_off_at_a_saddle(monkeypatch):
     # next to the half-twisted saddle the residual is tiny, but an edge is
     # at a quarter turn or more, so no block lies in a cell and Newton
-    # never runs: the flow stays on RK4.  The step is pinned below the
-    # default so that the first block ends before the saddle's unstable
-    # mode grows
+    # never runs: the flow stays on RK4.  The derived step is pinned below
+    # its default so that the first block ends before the saddle's
+    # unstable mode grows
     attempts = []
     newton = km._newton
 
@@ -437,10 +439,12 @@ def test_flow_does_not_hand_off_at_a_saddle(monkeypatch):
         g = build_ring_graph(n)
         u0 = wrap_phases(half_twisted_state(g, 0.5)
                          + 1e-9 * rng.standard_normal(g.n_vertices))
-        cfg = FlowConfig(step=0.2 * 4.0 ** -n, max_time=0.05)
+        step = 0.2 * 4.0 ** -n
+        monkeypatch.setattr(km, "default_step", lambda g, u: step)
+        cfg = FlowConfig(max_time=0.05)
         attempts.clear()
         rep = integrate_to_equilibrium(g, u0, cfg)
-        ref = rk4_reference(g, u0, cfg)
+        ref = rk4_reference(g, u0, cfg, step=step)
         assert attempts == []
         assert rep.method == "flow" and rep.newton_steps == 0
         np.testing.assert_array_equal(rep.field, ref.field)

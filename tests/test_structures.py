@@ -2,84 +2,81 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import extend_harmonic_once
+from conftest import STRUCTURE_JSON, extend_harmonic_once
 from fractalsync import (DegreeVector, build_ring_graph, build_sg_graph,
                          circle_distance, circle_harmonic_map, dirichlet_energy,
-                         generic_harmonic_map, generic_km,
-                         integrate_to_equilibrium, ring_structure, sg_structure,
+                         generic_harmonic_map, integrate_to_equilibrium,
                          solve_dirichlet, twisted_state)
-from fractalsync.structures import (compatibility_residual, energy_value,
-                                    extension_by_minimization,
-                                    self_similarity_residual)
+from fractalsync.graphs import RING, SG
+from fractalsync.structures import (compatibility_residual, conductance,
+                                    energy_value, extension_by_minimization,
+                                    self_similarity_residual, structure_json)
 
 
 def test_structure_metadata():
-    sg = sg_structure()
-    assert sg.num_maps == 3
-    assert sg.weights == (0.6, 0.6, 0.6)
-    assert sg.contraction_ratios == (0.5, 0.5, 0.5)
-    assert sg.conductance(3) == pytest.approx((5 / 3) ** 3, rel=1e-15)
-    ring = ring_structure()
-    assert ring.num_maps == 2
-    assert ring.conductance(5) == 32.0
+    assert structure_json(SG) == STRUCTURE_JSON["sg"]
+    assert structure_json(RING) == STRUCTURE_JSON["ring"]
+    assert conductance(SG, 3) == pytest.approx((5 / 3) ** 3, rel=1e-15)
+    assert conductance(RING, 5) == 32.0
+
+
+def _generic_flow(fractal, level, omega):
+    # the generic map, then the fast-path flow to equilibrium
+    phases, _ = generic_harmonic_map(fractal, level, omega)
+    return integrate_to_equilibrium(fractal.build(level), phases)
 
 
 def test_generic_energy_matches_specialised():
     rng = np.random.default_rng(0)
-    for struct, builder, levels in ((sg_structure(), build_sg_graph, (1, 3)),
-                                    (ring_structure(), build_ring_graph, (1, 4))):
+    for fractal, builder, levels in ((SG, build_sg_graph, (1, 3)),
+                                     (RING, build_ring_graph, (1, 4))):
         for n in levels:
             g = builder(n)
             for _ in range(50):
                 u = rng.standard_normal(g.n_vertices)
-                assert energy_value(struct, n, u) == pytest.approx(
+                assert energy_value(fractal, n, u) == pytest.approx(
                     dirichlet_energy(g, u).energy, rel=1e-12, abs=1e-12)
 
 
 def test_self_similarity_identity():
     rng = np.random.default_rng(1)
-    sg = sg_structure()
     g3 = build_sg_graph(3)
     # smooth test field: restriction of a quadratic in the coordinates
     x, y = g3.coords[:, 0], g3.coords[:, 1]
     u = x * x - 0.4 * x * y + 0.25 * y
-    assert self_similarity_residual(sg, 3, u) < 1e-12
+    assert self_similarity_residual(SG, 3, u) < 1e-12
     for _ in range(5):
         u = rng.standard_normal(g3.n_vertices)
-        assert self_similarity_residual(sg, 3, u) < 1e-10 * max(
-            1.0, energy_value(sg, 3, u))
-    ring = ring_structure()
+        assert self_similarity_residual(SG, 3, u) < 1e-10 * max(
+            1.0, energy_value(SG, 3, u))
     g4 = build_ring_graph(4)
     lin = g4.coords[:, 0].copy()
-    assert self_similarity_residual(ring, 4, lin) < 1e-12
+    assert self_similarity_residual(RING, 4, lin) < 1e-12
 
 
 def test_compatibility_minimum_equals_coarse_energy():
     rng = np.random.default_rng(2)
-    sg = sg_structure()
     for n in (1, 2, 4):
         g_coarse = build_sg_graph(n - 1)
         u = rng.standard_normal(g_coarse.n_vertices)
-        assert compatibility_residual(sg, n, u) < 1e-12 * max(
-            1.0, energy_value(sg, n - 1, u))
+        assert compatibility_residual(SG, n, u) < 1e-12 * max(
+            1.0, energy_value(SG, n - 1, u))
 
 
 def test_generic_extension_reproduces_15_25_rule():
     rng = np.random.default_rng(3)
-    sg = sg_structure()
     for n in (1, 3):
         g_coarse = build_sg_graph(n - 1)
         u = rng.standard_normal(g_coarse.n_vertices)
-        vals, _ = extension_by_minimization(sg, n, u)
+        vals, _ = extension_by_minimization(SG, n, u)
         _, rule = extend_harmonic_once(g_coarse, u)
         assert np.abs(vals - rule).max() < 1e-12
 
 
 def test_generic_extension_ring_is_midpoint_rule():
-    ring = ring_structure()
     rng = np.random.default_rng(4)
     u = rng.standard_normal(4)
-    vals, _ = extension_by_minimization(ring, 3, u)
+    vals, _ = extension_by_minimization(RING, 3, u)
     g3 = build_ring_graph(3)
     inj = g3.restriction_to(2)
     np.testing.assert_allclose(vals[inj], u, atol=1e-14)
@@ -93,7 +90,7 @@ def test_generic_harmonic_map_matches_covering_pipeline():
     omega = DegreeVector({(): 1})
     g = build_sg_graph(4)
     spec_phases, spec_lift = circle_harmonic_map(g, omega)
-    gen_phases, gen_lift = generic_harmonic_map(sg_structure(), 4, omega)
+    gen_phases, gen_lift = generic_harmonic_map(SG, 4, omega)
     assert np.abs(gen_lift.values - spec_lift.values).max() < 1e-10
     assert circle_distance(gen_phases, spec_phases).max() < 1e-10
 
@@ -105,7 +102,7 @@ def test_generic_and_fast_routes_agree_sg(entries):
     omega = DegreeVector(entries)
     n = omega.max_order + 3
     _, fast = circle_harmonic_map(build_sg_graph(n), omega)
-    _, generic = generic_harmonic_map(sg_structure(), n, omega)
+    _, generic = generic_harmonic_map(SG, n, omega)
     assert generic.domain.n_vertices == fast.domain.n_vertices
     assert np.abs(generic.values - fast.values).max() < 1e-10
 
@@ -119,22 +116,22 @@ def test_generic_and_fast_routes_agree_ring(case):
     n, q = case
     omega = DegreeVector({(): q} if q else {})
     _, fast = circle_harmonic_map(build_ring_graph(n), omega)
-    _, generic = generic_harmonic_map(ring_structure(), n, omega)
+    _, generic = generic_harmonic_map(RING, n, omega)
     assert generic.domain.n_vertices == fast.domain.n_vertices
     assert np.abs(generic.values - fast.values).max() < 1e-10
 
 
-def test_generic_km_ring_recovers_twist():
-    rep = generic_km(ring_structure(), 5, DegreeVector({(): 2}))
+def test_generic_flow_ring_recovers_twist():
+    rep = _generic_flow(RING, 5, DegreeVector({(): 2}))
     assert rep.converged
     assert rep.stability == "stable"
     assert rep.degree == DegreeVector({(): 2})
     assert circle_distance(rep.field, twisted_state(build_ring_graph(5), 2)).max() < 1e-10
 
 
-def test_generic_km_sg_matches_specialised():
+def test_generic_flow_sg_matches_specialised():
     omega = DegreeVector({(): 1})
-    rep_gen = generic_km(sg_structure(), 3, omega)
+    rep_gen = _generic_flow(SG, 3, omega)
     g = build_sg_graph(3)
     phases, _ = circle_harmonic_map(g, omega)
     rep_spec = integrate_to_equilibrium(g, phases)
@@ -143,8 +140,8 @@ def test_generic_km_sg_matches_specialised():
     assert circle_distance(rep_gen.field, rep_spec.field).max() < 1e-10
 
 
-def test_generic_km_zero_degree_constant():
-    rep = generic_km(sg_structure(), 2, DegreeVector())
+def test_generic_flow_zero_degree_constant():
+    rep = _generic_flow(SG, 2, DegreeVector())
     assert rep.converged
     assert rep.energy == 0.0
     assert rep.degree == DegreeVector()
@@ -153,8 +150,7 @@ def test_generic_km_zero_degree_constant():
 def test_holder_exponent_diagnostic_generic():
     import math
     from fractalsync import holder_ratio
-    sg = sg_structure()
-    beta = math.log(1 / sg.weights[0]) / (2 * math.log(2))  # log(5/3)/(2 log 2)
+    beta = math.log(1 / SG.r) / (2 * math.log(2))  # log(5/3)/(2 log 2)
     ratios = []
     for n in (3, 5):
         g = build_sg_graph(n)
