@@ -16,7 +16,7 @@ from .errors import (ConstraintViolationError, DegreeClosureError,
                      DegreeMismatchError, EigensolverError,
                      NotAnEquilibriumError, UncertifiedFactorError,
                      UnresolvedWindingError)
-from .graphs import (FRACTALS, Fractal, FractalGraph, build_graph,
+from .graphs import (FRACTALS, CellMap, Fractal, FractalGraph, build_graph,
                      build_ring_graph, build_sg_graph, restrict)
 from .kuramoto import (EquilibriumReport, FlowConfig, circle_distance,
                        half_twisted_state, hessian_stability,

@@ -162,13 +162,18 @@ def cmd_twist(cfg: RunConfig):
     if cfg.svg:
         paths.append(svgmod.render_field_svg(
             g, report.field, _path(cfg, "equilibrium.svg"), mode="phase"))
-    if report.degree != cfg.degree:
-        # the artifacts show where the solve went; the run still fails
-        ser.write_manifest(cfg.out, cfg.mode, paths)
-        raise DegreeMismatchError(
-            f"the level-{cfg.level} equilibrium ({report.method})",
-            cfg.degree, report.degree)
+    _require_class(cfg, paths, f"the level-{cfg.level} equilibrium "
+                   f"({report.method})", report.degree)
     return paths
+
+
+def _require_class(cfg: RunConfig, paths, what, found):
+    """Fail the run with :class:`DegreeMismatchError` unless ``found`` is
+    the requested degree, after writing the manifest of ``paths``: the
+    artifacts show where the solve went."""
+    if found != cfg.degree:
+        ser.write_manifest(cfg.out, cfg.mode, paths)
+        raise DegreeMismatchError(what, cfg.degree, found)
 
 
 def _initial_field(cfg: RunConfig, g):
@@ -216,6 +221,8 @@ def cmd_flow(cfg: RunConfig):
 
 
 def _verify_row(args):
+    """The ``verify.json`` row of one level, and its equilibrium's
+    degree."""
     cfg, n = args
     g, phases, lift, report = _twist_report(cfg, level=n)
     e_lift = lift.energy()
@@ -232,7 +239,9 @@ def _verify_row(args):
         "converged": report.converged,
         "method": report.method,
         "fallback": report.fallback,
-    }
+        "degree_found": (None if report.degree is None
+                         else report.degree.to_json_dict()),
+    }, report.degree
 
 
 def _map_jobs(fn, jobs, n_jobs):
@@ -247,7 +256,8 @@ def _map_jobs(fn, jobs, n_jobs):
 
 
 def cmd_verify(cfg: RunConfig):
-    rows = _map_jobs(_verify_row, [(cfg, n) for n in cfg.levels], cfg.jobs)
+    results = _map_jobs(_verify_row, [(cfg, n) for n in cfg.levels], cfg.jobs)
+    rows = [row for row, _ in results]
     gaps = [r["gap"] for r in rows]
     exponent = None
     if len(rows) >= 2 and all(gp > 0 for gp in gaps):
@@ -258,7 +268,7 @@ def cmd_verify(cfg: RunConfig):
         "rows": rows,
         "gap_decay_exponent": exponent,
     }
-    return [
+    paths = [
         ser.write_json(_path(cfg, "verify.json"), table),
         ser.write_rows_csv(
             _path(cfg, "verify.csv"),
@@ -268,6 +278,10 @@ def cmd_verify(cfg: RunConfig):
               r["km_energy_equilibrium"], r["gap"], r["max_deviation"])
              for r in rows]),
     ]
+    for row, found in results:
+        _require_class(cfg, paths, f"the level-{row['level']} equilibrium "
+                       f"({row['method']})", found)
+    return paths
 
 
 def _sweep_job(args):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UncertifiedFactorError
-from .graphs import FractalGraph
+from .graphs import CellMap, FractalGraph
 
 @dataclass
 class EnergyReport:
@@ -33,8 +33,7 @@ class EnergyReport:
         return {
             "level": self.level,
             "energy": self.energy,
-            "per_cell": dict(zip(self.graph.cell_labels(),
-                                 self.per_cell.tolist())),
+            "per_cell": CellMap(self.graph, self.per_cell),
         }
 
 
@@ -113,6 +112,49 @@ def _laplacian_map(pairs, size) -> np.ndarray:
     return (d[:, :, None] * d[:, None, :]).reshape(len(pairs), -1)
 
 
+# the rows P, Q, R, S of flat indices with which a 3 x 3 block's row-major
+# entries b give its row-major adjugate, b[P] * b[Q] - b[R] * b[S]: entry
+# (i, j) is cofactor (j, i), the 2 x 2 minor on the rows cyclically after
+# j and the columns cyclically after i
+_CYCLIC = np.array([1, 2, 0]), np.array([2, 0, 1])
+_ADJUGATE_3 = np.array([(3 * _CYCLIC[a][None, :] + _CYCLIC[b][:, None]).ravel()
+                        for a, b in ((0, 0), (1, 1), (0, 1), (1, 0))])
+
+
+def _sylvester_inverse(m) -> np.ndarray | None:
+    """Inverses of ``m``, one s x s block or a stack of them, s at most 3,
+    if Sylvester's criterion certifies every block positive definite;
+    None otherwise.
+
+    A block is certified when each leading principal minor is positive
+    (a NaN is not), and its inverse is then the adjugate over the
+    determinant, the last of those minors, expanded along the first row.
+    A 3 x 3 block's second leading minor is its adjugate's last diagonal
+    entry.  The empty block (the ring's last, vertex 0 held) is its own
+    inverse.  Other sizes have no closed form here and raise ValueError.
+    """
+    s = m.shape[-1]
+    if s == 0:
+        return m.copy()
+    b = m.reshape(-1, s * s)
+    if s == 1:
+        adj = np.ones_like(b)
+    elif s == 2:
+        adj = b[:, [3, 1, 2, 0]] * np.array([1.0, -1.0, -1.0, 1.0])
+    elif s == 3:
+        p, q, r, t = b[:, _ADJUGATE_3].swapaxes(0, 1)
+        adj = p * q - r * t
+    else:
+        raise ValueError(f"no closed-form inverse of {s} x {s} blocks")
+    det = (b[:, :s] * adj[:, ::s]).sum(axis=1)
+    least = np.minimum(b[:, 0], det)
+    if s == 3:
+        least = np.minimum(least, adj[:, 8])
+    if not least.min() > 0.0:
+        return None
+    return (adj / det[:, None]).reshape(m.shape)
+
+
 class _CellFactor:
     """Block LDL^T of a pinned Laplacian, as :func:`_pinned_factor` builds it.
 
@@ -164,8 +206,10 @@ def _pinned_factor(g: FractalGraph, w, shift=0.0) -> _CellFactor | None:
     ends with its corners' block, vertex 0 dropped (2 x 2 on the gasket,
     empty on the ring).  By Haynsworth's inertia additivity the whole is
     positive definite, so ``shift`` is below its least eigenvalue, exactly
-    when every midpoint block M and that last block are, which a batched
-    Cholesky checks per level.  The factor keeps M^-1 and M^-1 B for
+    when every midpoint block M and that last block are.  Sylvester's
+    criterion decides each block, all cells of a level at once, and the
+    same minors invert it in closed form (:func:`_sylvester_inverse`): no
+    LAPACK call is made.  The factor keeps M^-1 and M^-1 B for
     :meth:`_CellFactor.solve` and :func:`solve_dirichlet`.
     """
     fractal, k = g.fractal, g.cell_corners.shape[1]
@@ -176,33 +220,31 @@ def _pinned_factor(g: FractalGraph, w, shift=0.0) -> _CellFactor | None:
     mass = np.zeros(corners.shape) if shift else None
     gather = np.eye(size)[local.ravel()]
     levels = []
-    try:
-        for _ in range(g.level):
-            nodes = fractal.cell_nodes(corners)
-            a = (w.reshape(len(nodes), -1) @ parent).reshape(-1, size, size)
-            if shift:
-                # each child's corner masses, summed on the parent's nodes
-                m = mass.reshape(len(nodes), -1) @ gather
-                m[:, k:] -= shift
-                a[:, range(size), range(size)] += m
-            b = a[:, k:, :k]
-            np.linalg.cholesky(a[:, k:, k:])   # LinAlgError unless definite
-            inv = np.linalg.inv(a[:, k:, k:])
-            x = inv @ b
-            schur = a[:, :k, :k] - np.swapaxes(b, 1, 2) @ x
-            w = -schur[:, sides[:, 0], sides[:, 1]].ravel()
-            if shift:
-                mass = m[:, :k] - np.einsum("pmc,pm->pc", x, m[:, k:])
-            corners = nodes[:, :k]
-            levels.append((nodes, np.concatenate((-x, inv), axis=2)))
-        free = corners[0] != 0
-        last = (w @ _laplacian_map(sides, k)).reshape(k, k)
+    for _ in range(g.level):
+        nodes = fractal.cell_nodes(corners)
+        a = (w.reshape(len(nodes), -1) @ parent).reshape(-1, size, size)
         if shift:
-            last += np.diag(mass[0] - shift)
-        last = last[np.ix_(free, free)]
-        np.linalg.cholesky(last)
-        last = np.linalg.inv(last)   # may fail where Cholesky passed
-    except np.linalg.LinAlgError:
+            # each child's corner masses, summed on the parent's nodes
+            m = mass.reshape(len(nodes), -1) @ gather
+            m[:, k:] -= shift
+            a[:, range(size), range(size)] += m
+        b = a[:, k:, :k]
+        inv = _sylvester_inverse(a[:, k:, k:])
+        if inv is None:
+            return None
+        x = inv @ b
+        schur = a[:, :k, :k] - np.swapaxes(b, 1, 2) @ x
+        w = -schur[:, sides[:, 0], sides[:, 1]].ravel()
+        if shift:
+            mass = m[:, :k] - np.einsum("pmc,pm->pc", x, m[:, k:])
+        corners = nodes[:, :k]
+        levels.append((nodes, np.concatenate((-x, inv), axis=2)))
+    free = corners[0] != 0
+    last = (w @ _laplacian_map(sides, k)).reshape(k, k)
+    if shift:
+        last += np.diag(mass[0] - shift)
+    last = _sylvester_inverse(last[np.ix_(free, free)])
+    if last is None:
         return None
     return _CellFactor(k, levels, corners[0][free], last)
 

@@ -31,6 +31,7 @@ side, and each cell's corners and midpoints giving its children's corners.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -164,22 +165,6 @@ class FractalGraph:
         powers = base ** np.arange(m - 1, -1, -1, dtype=np.int64)
         return np.asarray(self.fractal.alphabet)[np.asarray(k)[:, None] // powers % base]
 
-    def cell_labels(self):
-        """Cell words as strings (``"13"``), in cell order, sliced from
-        one string of a uint8 table of their characters filled a symbol at
-        a time (no array of the strings is formed beside the list)."""
-        n, base = self.level, self.fractal.num_maps
-        if n == 0:
-            return [""]
-        glyphs = np.asarray(self.fractal.alphabet, dtype=np.uint8) + ord("0")
-        chars = np.empty((base ** n, n), dtype=np.uint8)
-        for j in range(n):
-            # symbol j of cell c is the digit c // base**(n - 1 - j) % base
-            chars.reshape(base ** j, base, -1, n)[..., j] = glyphs[:, None]
-        text = chars.tobytes().decode("ascii")
-        del chars  # only the text is held while the list is built
-        return [text[i:i + n] for i in range(0, len(text), n)]
-
     # -- level maps --------------------------------------------------------
 
     def restriction_to(self, m):
@@ -220,12 +205,60 @@ class FractalGraph:
             "conductance": self.conductance,
             "vertices": verts,
             "edges": self.edges.tolist(),
-            "cells": dict(zip(self.cell_labels(), self.cell_corners.tolist())),
+            "cells": CellMap(self, self.cell_corners),
         }
 
     def __repr__(self):
         return (f"FractalGraph({self.fractal.name!r}, level={self.level}, "
                 f"|V|={self.n_vertices}, |E|={self.n_edges})")
+
+
+class CellMap(Mapping):
+    """Read-only ``{cell word: value}`` over a graph's cells: row c of
+    ``array`` (one value, or a row of them) is the value of the cell whose
+    word spells c, as a string of digits (``"13"``; ``""`` at level 0).
+    The words all have the graph's level as length and their digits rise
+    with the symbols, so cell order is also the words' sorted order."""
+
+    __slots__ = ("graph", "array")
+
+    def __init__(self, graph, array):
+        array = np.asarray(array).view()
+        array.setflags(write=False)
+        if len(array) != len(graph.cell_corners):
+            raise ValueError(f"{len(array)} rows for the "
+                             f"{len(graph.cell_corners)} cells of {graph!r}")
+        self.graph, self.array = graph, array
+
+    def word_chars(self) -> np.ndarray:
+        """(C, n) uint8 table of the cell words' ASCII digits, in cell
+        order, filled a symbol at a time."""
+        n, base = self.graph.level, self.graph.fractal.num_maps
+        glyphs = np.asarray(self.graph.fractal.alphabet, dtype=np.uint8) + ord("0")
+        chars = np.empty((base ** n, n), dtype=np.uint8)
+        for j in range(n):
+            # symbol j of cell c is the digit c // base**(n - 1 - j) % base
+            chars.reshape(base ** j, base, -1, n)[..., j] = glyphs[:, None]
+        return chars
+
+    def __len__(self):
+        return len(self.array)
+
+    def __iter__(self):
+        n = self.graph.level
+        text = self.word_chars().tobytes().decode("ascii")
+        return (text[i:i + n] for i in range(0, len(text), n)) if n else iter([""])
+
+    def __getitem__(self, word):
+        glyphs = "".join(map(str, self.graph.fractal.alphabet))
+        # strip leaves "" exactly when every character is a symbol's digit
+        if (not isinstance(word, str) or len(word) != self.graph.level
+                or word.strip(glyphs)):
+            raise KeyError(word)
+        c = 0
+        for s in word:
+            c = c * len(glyphs) + glyphs.index(s)
+        return self.array[c].tolist()
 
 
 def _refine(fractal, n) -> FractalGraph:

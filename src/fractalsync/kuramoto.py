@@ -310,7 +310,7 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
     i, j = g.edges[:, 0], g.edges[:, 1]
     c = g.conductance
     n = g.n_vertices
-    h = default_step(g, u)
+    h = None   # the last block's step, once a block runs
 
     def rhs(x):
         return _edge_sine_sum(x, i, j, c, n)
@@ -363,6 +363,8 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
                 return _finalize(g, u_end, res_end, steps, t, h, True, halvings,
                                  factor, method="flow+newton",
                                  newton_steps=newton_steps, trajectory=rows)
+    if h is None:
+        h = default_step(g, u)
     return _finalize(g, u, res, steps, t, h, res < cfg.tol, halvings,
                      trajectory=rows)
 

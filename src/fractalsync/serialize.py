@@ -7,12 +7,17 @@ produce identical bytes.  The JSON emitter reproduces the text of
 
 Numbers are formatted straight from the array, by dtype: a float or int
 ndarray of one or two dimensions is checked for non-finite values in one
-``np.isfinite`` pass and written with one ``%.17g``/``%d`` %-template
-(the row template for two dimensions) over its flat ``tolist()``.  Lists
-and dicts of plain floats or ints (or of equal-length rows of them) take
-one %-template too; anything else is written value by value.  A field
-that goes into both a CSV and a JSON file is formatted once, by
-:func:`field_text`, and both writers build their text from that one.
+``np.isfinite`` pass and written with a ``%.17g``/``%d`` %-template (the
+row template for two dimensions) over the flat ``tolist()`` of each chunk
+of ``_CHUNK`` rows.  A :class:`graphs.CellMap` (``energy.json``'s
+``per_cell``, the graph JSON's ``cells``) is written the same way, as the
+dict of its cell words: the words are digits, spelled into each row's
+template from the map's uint8 digit table, and its rows are already in
+the words' sorted order.  Lists and dicts of plain floats or ints (or of
+equal-length rows of them) take one %-template too; anything else is
+written value by value.  A field that goes into both a CSV and a JSON
+file is formatted once, by :func:`field_text`, and both writers build
+their text from that one.
 """
 
 from __future__ import annotations
@@ -26,7 +31,10 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .graphs import CellMap
+
 _INDENT = "  "
+_CHUNK = 1024  # rows per %-template: one template for a whole table is slower
 
 
 def _finite(values):
@@ -119,16 +127,52 @@ def _uniform(values, level):
     return None
 
 
-def _array_text(a, level):
-    """A non-empty 1-D or 2-D float or int array, from one %-template."""
+def _row_code(a, level) -> str:
+    """The %-template of one row of a 1-D or 2-D float (finite-checked) or
+    int array at ``level``."""
     if a.dtype.kind == "f":
         _finite_array(a)
         code = "%.17g"
     else:
         code = "%d"
-    if a.ndim == 2:
-        code = _wrap("[", [code] * a.shape[1], "]", level + 1)
-    return _wrap("[", [code] * len(a), "]", level) % tuple(a.ravel().tolist())
+    return code if a.ndim == 1 else _wrap("[", [code] * a.shape[1], "]", level)
+
+
+def _filled(template, a) -> list:
+    """The rows of ``a`` formatted ``_CHUNK`` at a time, each chunk from
+    one %-template and one tuple, as a list of texts: ``template(s, n)``
+    is the template of the n rows from row s on.  Each row ends in a ","
+    that the last row drops."""
+    parts = []
+    for s in range(0, len(a), _CHUNK):
+        rows = a[s:s + _CHUNK]
+        parts.append(template(s, len(rows)) % tuple(rows.ravel().tolist()))
+    parts[-1] = parts[-1][:-1]
+    return parts
+
+
+def _array_text(a, level):
+    """A non-empty 1-D or 2-D float or int array, in chunks of rows."""
+    row = "\n" + _INDENT * (level + 1) + _row_code(a, level + 1) + ","
+    return "".join(["[", *_filled(lambda s, n: row * n, a),
+                    f"\n{_INDENT * level}]"])
+
+
+def _cell_map_text(m, level):
+    """A :class:`CellMap` as the dict of its words, in their sorted order,
+    which is cell order.  Each chunk's row templates are spelled from the
+    words' digit table, so they hold no "%" but the values' codes."""
+    words = m.word_chars()
+    head = np.frombuffer(f'\n{_INDENT * (level + 1)}"'.encode(), dtype=np.uint8)
+    tail = np.frombuffer(f'": {_row_code(m.array, level + 1)},'.encode(),
+                         dtype=np.uint8)
+
+    def template(s, n):
+        return np.hstack((np.broadcast_to(head, (n, len(head))), words[s:s + n],
+                          np.broadcast_to(tail, (n, len(tail))))
+                         ).tobytes().decode("ascii")
+
+    return "".join(["{", *_filled(template, m.array), f"\n{_INDENT * level}}}"])
 
 
 def _encode(o, level=0) -> str:
@@ -175,6 +219,8 @@ def _encode(o, level=0) -> str:
     if (type(o) is np.ndarray and o.ndim in (1, 2) and o.size
             and o.dtype.kind in "fiu"):
         return _array_text(o, level)
+    if isinstance(o, CellMap):
+        return _cell_map_text(o, level)
     return _encode(_default(o), level)
 
 

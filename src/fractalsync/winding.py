@@ -124,7 +124,7 @@ def _wrapped_diff(u, i, j):
     # reduce to the nearest-integer representative before multiplying by
     # 2 pi: exact for dyadic phases and avoids argument-reduction noise
     d = u[j] - u[i]
-    d -= np.round(d)
+    d -= np.rint(d)
     return d
 
 

@@ -121,6 +121,28 @@ def test_twist_that_leaves_its_class_fails(tmp_path, capsys):
     assert [a["path"] for a in listed] == ["equilibrium.csv", "equilibrium.json"]
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_verify_with_rows_of_another_class_fails(tmp_path, capsys, sign):
+    # below the onset of 1:2 (and of its mirror 1:-2) Newton refuses the
+    # map at levels 3 and 4 and the flow ends in another class, which
+    # rounding decides (a symmetric saddle's stable manifold); every row
+    # names the class it reached, and the run fails at the first stray
+    # one after writing its artifacts
+    out = tmp_path / "v"
+    assert run(["verify", "--degree", f"1:{2 * sign}", "--levels", "3:6",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: DegreeMismatchError: the level-3 "
+                          "equilibrium (flow+newton) has degree ")
+    assert err.endswith(f", not the requested 1:{2 * sign}")
+    rows = json.loads((out / "verify.json").read_text())["rows"]
+    found = [r["degree_found"] for r in rows]
+    assert [d == {"1": 2 * sign} for d in found] == [False, False, True, True]
+    assert [r["fallback"] is None for r in rows] == [False, False, True, True]
+    listed = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert [a["path"] for a in listed] == ["verify.csv", "verify.json"]
+
+
 def test_twist_cmd_and_determinism(tmp_path):
     out1, out2 = tmp_path / "t1", tmp_path / "t2"
     args = ["twist", "--level", "3", "--degree", "1", "--svg"]
@@ -718,6 +740,7 @@ def test_verify_cmd_sg_gap_matches_library(tmp_path):
     table = json.loads((out / "verify.json").read_text())
     for row in table["rows"]:
         assert row["method"] == "newton" and row["fallback"] is None
+        assert row["degree_found"] == {"eps": 1}
         g = fs.build_sg_graph(row["level"])
         phases, lift = fs.circle_harmonic_map(g, fs.DegreeVector({(): 1}))
         gap = lift.energy() - km_energy(g, phases)
@@ -793,10 +816,13 @@ def test_harmonic_cmd_artifacts_match_oracles(tmp_path, method):
                 "--method", method, "--svg", "--out", str(out)]) == 0
     g = build_graph("sg", 4)
     f = solve_dirichlet(g, [0.0, 0.25, 1.0], method=method)
+    energy = dirichlet_energy(g, f).to_json_dict()
     _assert_artifacts(out, "harmonic", {
         "solution.csv": lambda p: reference_write_field_csv(p, f),
         "solution.json": reference_dumps_json({"values": f}),
-        "energy.json": reference_dumps_json(dirichlet_energy(g, f).to_json_dict()),
+        # stdlib json writes the per-cell map as a dict
+        "energy.json": reference_dumps_json(dict(
+            energy, per_cell=dict(energy["per_cell"]))),
         "solution.svg": lambda p: reference_render_field_svg(g, f, p, mode="real"),
     }, tmp_path)
 
@@ -847,9 +873,11 @@ def test_build_graph_cmd_artifacts_match_oracles(tmp_path, fractal):
     out = tmp_path / "out"
     assert run(["build-graph", "--fractal", fractal, "--level", "3",
                 "--out", str(out)]) == 0
+    graph = build_graph(fractal, 3).to_json_dict()
     _assert_artifacts(out, "build-graph", {
+        # stdlib json writes the cell map as a dict
         f"graph_{fractal}_3.json": reference_dumps_json(
-            build_graph(fractal, 3).to_json_dict()),
+            dict(graph, cells=dict(graph["cells"]))),
         "structure.json": reference_dumps_json(STRUCTURE_JSON[fractal]),
     }, tmp_path)
 

@@ -324,6 +324,112 @@ def test_pinned_factor_at_positive_weights_solves_as_superlu(graph, spread, seed
     np.testing.assert_allclose(factor.solve(b), want, rtol=0, atol=scale)
 
 
+# Sylvester's criterion and LAPACK's Cholesky may disagree on a block whose
+# least eigenvalue is within BLOCK_BAND of 0, relative to its largest; a
+# certified inverse is within BLOCK_RTOL times its condition number of
+# np.linalg.inv, relative to the largest entry (measured: 1.7 eps)
+BLOCK_BAND = 1e-13
+BLOCK_RTOL = 8 * np.finfo(float).eps
+
+
+def _lapack_inverse(m):
+    """The LAPACK route the closed form replaced: Cholesky certifies the
+    stack of blocks, ``np.linalg.inv`` inverts it."""
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.inv(m)
+
+
+def _assert_block_inverse_as_lapack(m):
+    # one verdict for the stack, as the factor takes it
+    eig = np.linalg.eigvalsh(m)
+    scale = np.abs(eig).max(axis=-1)
+    least = (eig[..., 0] / scale).min()
+    got, want = dirichlet._sylvester_inverse(m), _lapack_inverse(m)
+    if abs(least) > BLOCK_BAND:
+        assert (got is None) == (want is None) == (least < 0)
+    if got is not None and want is not None:
+        cond = scale / eig[..., 0]
+        err = (np.abs(got - want).max(axis=(-2, -1))
+               / np.abs(want).max(axis=(-2, -1)))
+        assert np.all(err <= BLOCK_RTOL * cond)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["definite", "near-singular", "indefinite"])
+def test_block_inverse_matches_lapack_on_random_blocks(size, kind):
+    # each block Q diag(lam) Q^T at a random scale; near-singular blocks
+    # have a least eigenvalue of either sign from 1e-15 to 1e-8 of the
+    # largest, inside the band and outside it
+    rng = np.random.default_rng([size, len(kind)])
+    for _ in range(300):
+        q = np.linalg.qr(rng.standard_normal((size, size)))[0]
+        lam = rng.uniform(0.5, 2.0, size) * 10.0 ** rng.uniform(-5, 5)
+        if kind == "near-singular":
+            lam[0] = (lam.max() * 10.0 ** rng.uniform(-15, -8)
+                      * rng.choice([-1.0, 1.0]))
+        elif kind == "indefinite":
+            lam[0] = -lam[0]
+        _assert_block_inverse_as_lapack(((q * lam) @ q.T)[None])
+
+
+@pytest.mark.parametrize("kind, n", [("sg", n) for n in range(1, 9)]
+                         + [("ring", n) for n in range(1, 13)])
+def test_block_inverse_matches_lapack_on_the_factors_blocks(kind, n,
+                                                             monkeypatch):
+    # every stack the factor inverts, of the Laplacian, of a Hessian at a
+    # random field (indefinite blocks) and of the Laplacian shifted past
+    # its least eigenvalue
+    g = build_graph(kind, n)
+    seen = []
+    inverse = dirichlet._sylvester_inverse
+
+    def recorded(m):
+        seen.append(m.copy())
+        return inverse(m)
+
+    monkeypatch.setattr(dirichlet, "_sylvester_inverse", recorded)
+    rng = np.random.default_rng(n)
+    unit = np.full(g.n_edges, g.conductance)
+    for w, shift in ((unit, 0.0), (unit, g.conductance),
+                     (unit * np.cos(rng.uniform(0.0, 2.0, g.n_edges)), 0.0)):
+        _pinned_factor(g, w, shift)
+    monkeypatch.undo()
+    assert seen
+    for m in seen:
+        if m.size:
+            _assert_block_inverse_as_lapack(m)
+
+
+def test_block_inverse_sizes():
+    # the empty block (the ring's last) is its own inverse; blocks larger
+    # than 3 x 3 have no closed form here, and no LAPACK fallback
+    assert dirichlet._sylvester_inverse(np.zeros((0, 0))).shape == (0, 0)
+    with pytest.raises(ValueError, match="no closed-form inverse of 4 x 4"):
+        dirichlet._sylvester_inverse(np.eye(4)[None])
+    nan = np.eye(3)
+    nan[1, 1] = np.nan
+    assert dirichlet._sylvester_inverse(nan[None]) is None
+
+
+def test_pinned_factor_calls_no_linalg_routine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for name in dir(np.linalg):
+        if not name.startswith("_") and callable(getattr(np.linalg, name)) \
+                and not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    for g in ([build_sg_graph(n) for n in range(5)]
+              + [build_ring_graph(n) for n in range(1, 7)]):
+        unit = np.full(g.n_edges, g.conductance)
+        assert _pinned_factor(g, unit) is not None
+        assert _pinned_factor(g, unit, -g.conductance) is not None
+        assert _pinned_factor(g, -unit) is None
+
+
 def test_minimality_against_random_perturbations():
     g = build_sg_graph(4)
     f = solve_dirichlet(g, [0, 0, 1])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fractalsync import (build_graph, build_ring_graph, build_sg_graph,
                          dirichlet_energy, km_energy, km_rhs, laplacian,
                          normal_derivative, restrict)
-from fractalsync.graphs import FRACTALS
+from fractalsync.graphs import CellMap, FRACTALS
 from fractalsync.structures import laplacian_matrix
 from conftest import (Itinerary, apply_word, canonical_itinerary,
                       enumerate_gasket, extend_harmonic_once, hessian_matrix,
@@ -392,6 +392,31 @@ def test_json_itineraries_match_key_decode_oracle(build, n):
     g = build(n)
     assert [v["itinerary"] for v in g.to_json_dict()["vertices"]] == [
         str(reference_itinerary(g, v)) for v in range(g.n_vertices)]
+
+
+@pytest.mark.parametrize("build,n", [(build_sg_graph, n) for n in range(0, 6)]
+                         + [(build_ring_graph, n) for n in range(1, 8)])
+def test_cell_map_reads_back_every_word(build, n):
+    g = build(n)
+    cells = g.to_json_dict()["cells"]
+    ref = {"".join(map(str, w)): list(c) for w, c in reference_cells(g).items()}
+    assert list(cells) == list(ref) == sorted(ref)
+    assert len(cells) == len(ref) and dict(cells) == ref
+    for word, corners in ref.items():
+        assert word in cells and cells[word] == corners
+    digits = "".join(map(str, g.fractal.alphabet))
+    stray = next(d for d in "0123456789" if d not in digits)
+    for bad in (digits[0] * (n + 1), (stray + digits[0] * n)[:max(n, 1)],
+                0, (g.fractal.alphabet[0],) * n, None):
+        assert bad not in cells
+        with pytest.raises(KeyError):
+            cells[bad]
+    with pytest.raises(TypeError):
+        cells[digits[0] * n] = [0] * len(ref[digits[0] * n])
+    with pytest.raises(ValueError, match="read-only"):
+        cells.array[0] = 0
+    with pytest.raises(ValueError, match="rows for the"):
+        CellMap(g, g.cell_corners[1:])
 
 
 @pytest.mark.parametrize("build,n", [(build_sg_graph, n) for n in range(0, 7)]

@@ -11,9 +11,10 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import (_phase_color, _real_color, reference_dumps_json,
                       reference_render_field_svg, reference_write_field_csv)
-from fractalsync import build_graph, circle_harmonic_map, solve_dirichlet
-from fractalsync.serialize import (dumps_json, field_text, write_field_csv,
-                                   write_json)
+from fractalsync import (CellMap, build_graph, circle_harmonic_map,
+                         dirichlet_energy, solve_dirichlet)
+from fractalsync.serialize import (_CHUNK as _TABLE_CHUNK, dumps_json,
+                                   field_text, write_field_csv, write_json)
 from fractalsync.svg import (_CHUNK, _phase_colors, _real_colors,
                              render_field_svg)
 from fractalsync.winding import DegreeVector
@@ -64,15 +65,49 @@ def test_dumps_json_matches_reference_encoder(obj):
     assert dumps_json(obj) == reference_dumps_json(obj)
 
 
+def _as_dicts(obj):
+    """``obj`` with its :class:`CellMap` values as dicts, which stdlib
+    ``json`` writes (it writes no other mapping)."""
+    return {k: dict(v) if isinstance(v, CellMap) else v for k, v in obj.items()}
+
+
 def test_dumps_json_matches_reference_on_artifact_shapes():
     g = build_graph("sg", 4)
     f = solve_dirichlet(g, [0.0, 0.3, 1.0])
     for obj in (g.to_json_dict(), {"values": f}, {"edges": g.edges},
-                {"cells": dict(zip(g.cell_labels(), g.cell_corners.tolist()))},
-                {"per_cell": dict(zip(g.cell_labels(), (f[:81] / 3).tolist()))},
+                {"cells": CellMap(g, g.cell_corners)},
+                {"per_cell": CellMap(g, f[:81] / 3)},
                 {"mixed": [1, 2.5, "x", None, True, np.int64(3)]},
                 {"ragged": [[1, 2], [3]], "empty": [[], []], "nested": [[[1.0]]]}):
-        assert dumps_json(obj) == reference_dumps_json(obj)
+        assert dumps_json(obj) == reference_dumps_json(_as_dicts(obj))
+
+
+@pytest.mark.parametrize("fractal, level", [("sg", n) for n in range(8)]
+                         + [("ring", n) for n in range(1, 11)])
+def test_cell_maps_match_reference(fractal, level):
+    # energy.json and the graph JSON's cells, level 0's one word "" too:
+    # their templates are spelled from the words' digit table
+    g = build_graph(fractal, level)
+    f = np.random.default_rng(level).standard_normal(g.n_vertices)
+    for obj in (dirichlet_energy(g, f).to_json_dict(),
+                {"cells": g.to_json_dict()["cells"]}):
+        assert dumps_json(obj) == reference_dumps_json(_as_dicts(obj))
+
+
+def test_cell_map_rejects_non_finite():
+    g = build_graph("sg", 2)
+    per_cell = np.ones(9)
+    per_cell[4] = np.nan
+    with pytest.raises(ValueError, match="non-finite value nan"):
+        dumps_json({"per_cell": CellMap(g, per_cell)})
+
+
+def test_tables_longer_than_a_chunk_match_reference():
+    # a table is formatted in chunks of rows, never as one template
+    rng = np.random.default_rng(3)
+    for rows in (_TABLE_CHUNK - 1, _TABLE_CHUNK, 2 * _TABLE_CHUNK + 1):
+        for a in (rng.integers(-9, 9, (rows, 3)), rng.standard_normal(rows)):
+            assert dumps_json({"a": a}) == reference_dumps_json({"a": a})
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
