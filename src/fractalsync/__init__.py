@@ -12,10 +12,10 @@ from .covering import (CoveringDomain, CutSpec, LiftField, circle_harmonic_map,
 from .dirichlet import (EnergyReport, dirichlet_energy, extend_corners,
                         holder_ratio, laplacian, normal_derivative,
                         solve_dirichlet)
-from .errors import (ConstraintViolationError, DegreeClosureError,
-                     DegreeMismatchError, EigensolverError,
-                     NotAnEquilibriumError, UncertifiedFactorError,
-                     UnresolvedWindingError)
+from .errors import (ConjugateGradientError, ConstraintViolationError,
+                     DegreeClosureError, DegreeMismatchError,
+                     EigensolverError, NotAnEquilibriumError,
+                     UncertifiedFactorError, UnresolvedWindingError)
 from .graphs import (FRACTALS, CellMap, Fractal, FractalGraph, build_graph,
                      build_ring_graph, build_sg_graph, restrict)
 from .kuramoto import (EquilibriumReport, FlowConfig, circle_distance,

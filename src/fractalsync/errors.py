@@ -74,3 +74,17 @@ class UncertifiedFactorError(RuntimeError):
         super().__init__(
             f"the cell factor of {graph!r}'s Laplacian did not certify it "
             f"positive definite")
+
+
+class ConjugateGradientError(RuntimeError):
+    """Conjugate gradients did not reach its residual in its step cap.
+
+    No field that has not converged is returned in its place.
+    """
+
+    def __init__(self, steps, residual):
+        self.steps = int(steps)
+        self.residual = float(residual)
+        super().__init__(
+            f"conjugate gradients left a relative residual of "
+            f"{self.residual:.3g} after {self.steps} steps")

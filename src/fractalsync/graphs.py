@@ -204,7 +204,7 @@ class FractalGraph:
             "level": self.level,
             "conductance": self.conductance,
             "vertices": verts,
-            "edges": self.edges.tolist(),
+            "edges": self.edges,
             "cells": CellMap(self, self.cell_corners),
         }
 

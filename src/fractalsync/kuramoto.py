@@ -34,8 +34,10 @@ EQUILIBRIUM_TOL = 1e-8  # residual below which a field is classified
 
 
 def circle_distance(a, b) -> np.ndarray:
-    d = np.abs(np.mod(np.asarray(a) - np.asarray(b), 1.0))
-    return np.minimum(d, 1.0 - d)
+    # the nearest-integer representative, as _wrapped_diff reduces, is
+    # exact; 1 - (d mod 1) would round
+    d = np.asarray(a) - np.asarray(b)
+    return np.abs(d - np.rint(d))
 
 
 def _edge_sine_sum(u, i, j, c, n):

@@ -13,11 +13,9 @@ of ``_CHUNK`` rows.  A :class:`graphs.CellMap` (``energy.json``'s
 ``per_cell``, the graph JSON's ``cells``) is written the same way, as the
 dict of its cell words: the words are digits, spelled into each row's
 template from the map's uint8 digit table, and its rows are already in
-the words' sorted order.  Lists and dicts of plain floats or ints (or of
-equal-length rows of them) take one %-template too; anything else is
-written value by value.  A field that goes into both a CSV and a JSON
-file is formatted once, by :func:`field_text`, and both writers build
-their text from that one.
+the words' sorted order.  Anything else is written value by value.  A
+field that goes into both a CSV and a JSON file is formatted once, by
+:func:`field_text`, and both writers build their text from that one.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import csv
 import hashlib
 import math
 import os
-from itertools import chain, filterfalse
+from itertools import filterfalse
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -102,31 +100,6 @@ def _wrap(open_, texts, close, level):
     return f"{open_}{inner}{(',' + inner).join(texts)}\n{_INDENT * level}{close}"
 
 
-def _scalar_code(values):
-    """The %-code for a sequence of plain floats or of plain ints, else None."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        _finite(values)
-        return "%.17g"
-    return "%d" if kinds == {int} else None
-
-
-def _uniform(values, level):
-    """``(template, flat, width)`` when one %-template at ``level`` formats
-    every element of ``values`` from ``width`` consecutive entries of
-    ``flat``: plain scalars (width 1) or equal-length rows of them."""
-    code = _scalar_code(values)
-    if code:
-        return code, values, 1
-    if set(map(type, values)) <= {list, tuple} and len(set(map(len, values))) == 1:
-        width = len(values[0])
-        flat = list(chain.from_iterable(values))
-        code = width and _scalar_code(flat)
-        if code:
-            return _wrap("[", [code] * width, "]", level), flat, width
-    return None
-
-
 def _row_code(a, level) -> str:
     """The %-template of one row of a 1-D or 2-D float (finite-checked) or
     int array at ``level``."""
@@ -191,25 +164,12 @@ def _encode(o, level=0) -> str:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        uniform = _uniform(o, level + 1)
-        if uniform:
-            template, flat, _ = uniform
-            return _wrap("[", [template] * len(o), "]", level) % tuple(flat)
         return _wrap("[", [_encode(v, level + 1) for v in o], "]", level)
     if isinstance(o, dict):
         if not o:
             return "{}"
-        keys = sorted(o)
-        values = list(map(o.__getitem__, keys))
-        if set(map(type, keys)) != {str}:
-            keys = map(_key, keys)
-        keys = list(map(encode_basestring_ascii, keys))
-        uniform = _uniform(values, level + 1)
-        if uniform:
-            template, flat, width = uniform
-            args = chain.from_iterable(zip(keys, *[iter(flat)] * width))
-            return _wrap("{", ["%s: " + template] * len(o), "}", level) % tuple(args)
-        texts = [f"{k}: {_encode(v, level + 1)}" for k, v in zip(keys, values)]
+        texts = [f"{encode_basestring_ascii(_key(k))}: {_encode(o[k], level + 1)}"
+                 for k in sorted(o)]
         return _wrap("{", texts, "}", level)
     if isinstance(o, FieldText):
         if not o.text:

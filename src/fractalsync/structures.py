@@ -14,9 +14,10 @@ and builder, never its extension table.  Two identities characterise it:
 The generic operations here recompute conductances from r by repeated
 division and perform extension by solving the constrained minimisation,
 so they form an independent route against the specialised gasket/ring
-code paths.  Its scipy parts, the sparse Laplacian assembly and the
-SuperLU solve, live here alone and import scipy at their first call, not
-with the package.
+code paths.  Its solves run conjugate gradients on the package's one
+Laplacian kernel, :func:`dirichlet.laplacian`, and read no corner table
+and no extension row.  Every field is checked against the graph of its
+level (:meth:`graphs.FractalGraph.check_field`).
 """
 
 from __future__ import annotations
@@ -26,8 +27,15 @@ import math
 import numpy as np
 
 from . import covering as cov
+from .dirichlet import laplacian
+from .errors import ConjugateGradientError
 from .graphs import Fractal
 from .winding import DegreeVector
+
+# _solve_free stops at this residual relative to its first; its solves are
+# exact in at most two steps, so the cap leaves room for rounding only
+CG_TOLERANCE = 1e-16
+CG_MAX_STEPS = 8
 
 
 def conductance(fractal: Fractal, level: int) -> float:
@@ -53,8 +61,7 @@ def _edge_energy(c, edges, u) -> float:
 def energy_value(fractal: Fractal, level: int, u) -> float:
     """Quadratic energy with conductances recomputed from r."""
     g = fractal.build(level)
-    return _edge_energy(conductance(fractal, level), g.edges,
-                        np.asarray(u, dtype=float))
+    return _edge_energy(conductance(fractal, level), g.edges, g.check_field(u))
 
 
 def self_similarity_residual(fractal: Fractal, level: int, u) -> float:
@@ -64,56 +71,47 @@ def self_similarity_residual(fractal: Fractal, level: int, u) -> float:
     level-n cells of piece F_i are the i-th block of the corner table, in
     the order of the level-(n-1) cells, and each contributes its own edges.
     """
-    u = np.asarray(u, dtype=float)
     g = fractal.build(level)
+    u = g.check_field(u)
     c = conductance(fractal, level - 1)
     parts = [_edge_energy(c, fractal.cell_edges(piece), u) / fractal.r
              for piece in np.split(g.cell_corners, fractal.num_maps)]
     return abs(energy_value(fractal, level, u) - math.fsum(parts))
 
 
-def weighted_laplacian(edges, w, n):
-    """Laplacian sum_e w_e (d_e d_e^T) of an edge list, as a scipy sparse
-    (n, n) CSR matrix."""
-    from scipy import sparse
-
-    i, j = edges[:, 0], edges[:, 1]
-    rows = np.concatenate([i, j, i, j])
-    cols = np.concatenate([i, j, j, i])
-    data = np.concatenate([w, w, -w, -w])
-    return sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def laplacian_matrix(g):
-    """Laplacian c*(D - A) as a sparse matrix (positive form), for a graph
-    or a cut domain: anything with ``edges``, ``conductance`` and
-    ``n_vertices``."""
-    return weighted_laplacian(g.edges, np.full(len(g.edges), g.conductance),
-                              g.n_vertices)
-
-
-def _solve_free(L, free, f):
+def _solve_free(g, free, f):
     """Fill ``f[free]`` so that ``(L f)[free] = 0``, the rest of ``f``
-    held: one sparse LU factor of ``A = L[free][:, free]`` and one step of
-    iterative refinement with it.  scipy loads at the first call.
+    held, by conjugate gradients on ``A = L[free][:, free]`` from the
+    ``f[free]`` given, with :func:`dirichlet.laplacian` as the product:
+    ``g`` is a graph or a cut domain, and the minimiser does not depend on
+    its scalar conductance.
 
-    The two solves below free one level's midpoints, block diagonal by
-    cell, so any order of them has no fill; SuperLU keeps the order given
-    (``NATURAL``) and relaxes no supernodes.
+    Both solves here free one level's midpoints, each inside one parent
+    cell, so A is block diagonal by cell with one block repeated: c(5I - J)
+    on the gasket's three midpoints (J all ones), eigenvalues 2c and 5c,
+    and 2c on the ring's one.  CG is exact in at most as many steps as A
+    has distinct eigenvalues (Hestenes & Stiefel, 1952): two on the
+    gasket, one on the ring; a step or two more take up rounding.  It
+    stops at a residual of ``CG_TOLERANCE`` times the first, or raises
+    :class:`ConjugateGradientError` after ``CG_MAX_STEPS`` steps: no field
+    that has not converged is returned.
     """
-    if not len(free):
-        return
-    from scipy.sparse import linalg as spla
-
-    held = np.ones(len(f), dtype=bool)
-    held[free] = False
-    rows = L[free]
-    A = rows[:, free].tocsc()
-    rhs = -rows[:, held] @ f[held]
-    del L, rows  # only A is held while splu factors it
-    lu = spla.splu(A, permc_spec="NATURAL", relax=1, panel_size=1)
-    sol = lu.solve(rhs)
-    f[free] = sol + lu.solve(rhs - A @ sol)
+    direction = np.zeros(g.n_vertices)
+    r = laplacian(g, f)[free]
+    p = r.copy()
+    rr = first = float(r @ r)
+    for steps in range(CG_MAX_STEPS + 1):
+        if rr <= first * CG_TOLERANCE ** 2:
+            return
+        if steps == CG_MAX_STEPS:
+            raise ConjugateGradientError(steps, math.sqrt(rr / first))
+        direction[free] = p
+        ap = -laplacian(g, direction)[free]
+        alpha = rr / float(p @ ap)
+        f[free] += alpha * p
+        r -= alpha * ap
+        rr, last = float(r @ r), rr
+        p = r + (rr / last) * p
 
 
 def extension_by_minimization(fractal: Fractal, level: int, u_coarse):
@@ -124,13 +122,10 @@ def extension_by_minimization(fractal: Fractal, level: int, u_coarse):
     the midpoint rule.
     """
     g_fine = fractal.build(level)
-    u_coarse = np.asarray(u_coarse, dtype=float)
-    c = conductance(fractal, level)
-    n = g_fine.n_vertices
-    vals = np.zeros(n)
-    vals[g_fine.restriction_to(level - 1)] = u_coarse
-    _solve_free(weighted_laplacian(g_fine.edges, np.full(g_fine.n_edges, c), n),
-                np.flatnonzero(g_fine.birth == level), vals)
+    vals = np.zeros(g_fine.n_vertices)
+    vals[g_fine.restriction_to(level - 1)] = fractal.build(
+        level - 1).check_field(u_coarse)
+    _solve_free(g_fine, np.flatnonzero(g_fine.birth == level), vals)
     energy = energy_value(fractal, level, vals)
     return vals, energy
 
@@ -168,6 +163,6 @@ def _extend_lift_by_solve(cur: cov.LiftField) -> cov.LiftField:
     k = dom_m.cell_corners.shape[1]
     vals = np.zeros(dom_next.n_vertices)
     vals[nodes[:, :k]] = cur.values[dom_m.cell_corners]
-    _solve_free(laplacian_matrix(dom_next), nodes[:, k:].ravel(), vals)
+    _solve_free(dom_next, nodes[:, k:].ravel(), vals)
     return cov.LiftField(domain=dom_next, values=vals)
 

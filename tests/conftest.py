@@ -118,6 +118,27 @@ def positive_definite_factor(H):
     return None
 
 
+def weighted_laplacian(edges, w, n):
+    """Laplacian sum_e w_e (d_e d_e^T) of an edge list, as a scipy sparse
+    (n, n) CSR matrix: the assembled oracle for the package's matrix-free
+    Laplacian."""
+    from scipy import sparse
+
+    i, j = edges[:, 0], edges[:, 1]
+    rows = np.concatenate([i, j, i, j])
+    cols = np.concatenate([i, j, j, i])
+    data = np.concatenate([w, w, -w, -w])
+    return sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def laplacian_matrix(g):
+    """Laplacian c*(D - A) as a sparse matrix (positive form), for a graph
+    or a cut domain: anything with ``edges``, ``conductance`` and
+    ``n_vertices``."""
+    return weighted_laplacian(g.edges, np.full(len(g.edges), g.conductance),
+                              g.n_vertices)
+
+
 def mmd_solve_free(L, free, f):
     """Fill ``f[free]`` so that ``(L f)[free] = 0``, the rest of ``f``
     held, with ``free`` a boolean mask: SuperLU in its own minimum-degree
@@ -138,7 +159,6 @@ def hessian_matrix(g, u):
     weights, as a scipy sparse CSR matrix: the assembled oracle for the
     package's cell factor, dense through ``.toarray()``."""
     from fractalsync.kuramoto import _hessian_weights
-    from fractalsync.structures import weighted_laplacian
 
     u = g.check_field(u)
     return weighted_laplacian(g.edges, _hessian_weights(g, u), g.n_vertices)
@@ -582,7 +602,6 @@ def cg_reference(dom):
     from scipy.sparse import linalg as spla
 
     from fractalsync import LiftField
-    from fractalsync.structures import laplacian_matrix
 
     L = laplacian_matrix(dom)
     P, b = _substitution(dom)
@@ -606,7 +625,6 @@ def ring1_one_edge(u, c):
     i + 1 and i - 1 mod 2 coincide in the one edge (0, 1) of weight 2c,
     keyed by the package function each must match."""
     from fractalsync.kuramoto import TWO_PI, _edge_energies, _edge_sine_sum
-    from fractalsync.structures import weighted_laplacian
     from fractalsync.winding import _wrapped_diff
 
     u = np.asarray(u, dtype=float)

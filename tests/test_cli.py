@@ -882,26 +882,48 @@ def test_build_graph_cmd_artifacts_match_oracles(tmp_path, fractal):
     }, tmp_path)
 
 
-def _loads_scipy(tmp_path, commands):
-    """Whether ``main`` loads scipy while it runs ``commands``, one after
-    another in a fresh interpreter."""
+# every function of the generic structures route, on both fractals
+_STRUCTURES_CALLS = """
+import numpy as np
+from fractalsync import DegreeVector
+from fractalsync.graphs import RING, SG
+from fractalsync.structures import (
+    compatibility_residual, conductance, energy_value,
+    extension_by_minimization, generic_harmonic_map,
+    self_similarity_residual, structure_json)
+for fractal, degree in ((SG, {(): 1, (2,): -1}), (RING, {(): 2})):
+    u2 = np.linspace(0.0, 1.0, fractal.build(2).n_vertices)
+    u3, _ = extension_by_minimization(fractal, 3, u2)
+    assert compatibility_residual(fractal, 3, u2) < 1e-12
+    assert self_similarity_residual(fractal, 3, u3) < 1e-12
+    assert energy_value(fractal, 3, u3) > 0.0
+    assert conductance(fractal, 3) == 1.0 / fractal.r / fractal.r / fractal.r
+    assert structure_json(fractal)["name"] == fractal.name
+    generic_harmonic_map(fractal, 4, DegreeVector(degree))
+"""
+
+
+def _run_without_scipy(tmp_path, commands, calls):
+    """Run ``commands`` through ``main``, one after another, and then the
+    Python ``calls``, in a fresh interpreter in which every scipy import
+    fails."""
     script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
               "from fractalsync.cli import main\n"
               f"for i, args in enumerate({commands!r}):\n"
               "    assert main(args + ['--out', f'o{i}']) == 0, args\n"
-              "print('scipy' in sys.modules)\n")
+              + calls)
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    return proc.stdout.split()[-1] == "True"
 
 
 def test_equilibrium_pipeline_runs_without_scipy(tmp_path):
-    # every classification runs on the cell factor, a saddle's by
-    # bisection, so only the independent routes load scipy
-    assert not _loads_scipy(tmp_path, [
+    # every subcommand, both harmonic methods and every function of the
+    # generic structures route run with scipy blocked: numpy alone
+    _run_without_scipy(tmp_path, [
         ["verify", "--levels", "3:5"],
         ["sweep", "--perturb", "0.1"],
         ["flow", "--fractal", "ring", "--init", "random"],
@@ -909,10 +931,9 @@ def test_equilibrium_pipeline_runs_without_scipy(tmp_path):
         ["twist"],
         ["covering", "--degree", "1"],
         ["harmonic", "--boundary", "0,0,1", "--svg"],
-        ["build-graph"],
-    ])
-    # and the linear solve back-substitutes on the same factor
-    assert not _loads_scipy(tmp_path, [
         ["harmonic", "--boundary", "0,0,1", "--method", "linear-solve"],
         ["harmonic", "--fractal", "ring", "--boundary", "0.25",
-         "--method", "linear-solve"]])
+         "--method", "linear-solve"],
+        ["build-graph"],
+        ["build-graph", "--fractal", "ring"],
+    ], _STRUCTURES_CALLS)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (extend_harmonic_once, mmd_solve_free,
+from conftest import (extend_harmonic_once, laplacian_matrix, mmd_solve_free,
                       positive_definite_factor, reference_birth,
                       reference_holder_ratio, reference_solve_dirichlet,
-                      reference_square, sg_midpoints)
+                      reference_square, sg_midpoints, weighted_laplacian)
 from fractalsync import (DegreeVector, UncertifiedFactorError, build_graph,
                          build_ring_graph, build_sg_graph, covering_domain,
                          dirichlet_energy, holder_ratio, laplacian,
@@ -15,7 +15,6 @@ from fractalsync import (DegreeVector, UncertifiedFactorError, build_graph,
                          solve_dirichlet)
 from fractalsync import dirichlet
 from fractalsync.dirichlet import _pinned_factor
-from fractalsync.structures import laplacian_matrix, weighted_laplacian
 
 BETA = math.log(5 / 3) / (2 * math.log(2))
 

@@ -9,11 +9,11 @@ from fractalsync import (build_graph, build_ring_graph, build_sg_graph,
                          dirichlet_energy, km_energy, km_rhs, laplacian,
                          normal_derivative, restrict)
 from fractalsync.graphs import CellMap, FRACTALS
-from fractalsync.structures import laplacian_matrix
 from conftest import (Itinerary, apply_word, canonical_itinerary,
                       enumerate_gasket, extend_harmonic_once, hessian_matrix,
-                      reference_cells, reference_graph, reference_id_of,
-                      reference_itinerary, ring1_one_edge, trace_loop)
+                      laplacian_matrix, reference_cells, reference_graph,
+                      reference_id_of, reference_itinerary, ring1_one_edge,
+                      trace_loop)
 
 
 def test_level0_is_complete_triangle():

@@ -91,10 +91,9 @@ def test_no_dead_constants():
 LAYERS = (("graphs", "errors"), ("dirichlet", "winding"),
           ("covering", "kuramoto"), ("structures",), ("serialize", "svg"),
           ("cli",))
-# the module that solves with scipy, inside the functions that need it:
-# the sparse LU and assembled Laplacian of the generic structures solves,
-# the independent cross-check; every CLI command stays on numpy
-SCIPY_USERS = {"structures"}
+# the modules that may import scipy, at load or inside a function: none,
+# since every command and the generic structures solves run on numpy alone
+SCIPY_USERS = set()
 # the modules that may read a ``kind`` attribute: every layer reads a
 # graph's fractal record, ``g.fractal``, and none asks which fractal it is
 KIND_READERS = {"graphs"}
@@ -130,8 +129,12 @@ def test_package_imports_follow_the_layers():
 
 
 def test_only_the_solvers_import_scipy():
-    users = {m for m, tree in _modules().items()
-             if any(imp.split(".")[0] == "scipy" for imp, _ in _imports(tree))}
+    # every file under src/, __init__.py included, and every import in it,
+    # inside a function or not: the static twin of test_cli's
+    # scipy-blocked interpreter
+    users = {p.stem for p in sorted((ROOT / "src").rglob("*.py"))
+             if any(imp.split(".")[0] == "scipy"
+                    for imp, _ in _imports(ast.parse(p.read_text())))}
     assert users <= SCIPY_USERS, sorted(users - SCIPY_USERS)
 
 
@@ -156,24 +159,3 @@ def test_only_the_key_readers_read_keys():
 
     found = {m for m, tree in _modules().items() if reads_keys(tree)}
     assert found <= KEY_READERS, sorted(found - KEY_READERS)
-
-
-def _module_level_imports(node):
-    # the imports that run when the module loads: everything outside a
-    # function body (class bodies run at load too)
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.Import, ast.ImportFrom)):
-            yield from _imports(child)
-        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                    ast.Lambda)):
-            yield from _module_level_imports(child)
-
-
-def test_scipy_loads_only_inside_functions():
-    # importing the package must not import scipy; the static twin of
-    # test_cli's fresh-interpreter check
-    found = [f"{p.relative_to(ROOT)}:{line}: {imp}"
-             for p in sorted((ROOT / "src").rglob("*.py"))
-             for imp, line in _module_level_imports(ast.parse(p.read_text()))
-             if imp.split(".")[0] == "scipy"]
-    assert found == []

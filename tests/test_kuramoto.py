@@ -15,8 +15,7 @@ from fractalsync import (DegreeVector, EigensolverError, FlowConfig,
                          wrap_phases)
 from fractalsync import kuramoto as km
 from fractalsync.dirichlet import _pinned_factor, extend_corners
-from fractalsync.structures import laplacian_matrix
-from conftest import (check_energy_handoff, hessian_matrix,
+from conftest import (check_energy_handoff, hessian_matrix, laplacian_matrix,
                       positive_definite_factor, rk4_reference, spy_handoff)
 
 
@@ -1177,3 +1176,15 @@ def test_lanczos_basis_fits_the_smallest_graphs():
         assert counted.calls > 0 and verdict == "stable"
         L = laplacian_matrix(g).toarray()[1:, 1:]
         assert eig == pytest.approx(np.linalg.eigvalsh(L)[0], rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+@example(0.7, 0.0)
+@example(-0.3, 0.0)
+def test_circle_distance_is_the_exact_distance_of_the_difference(a, b):
+    # the distance of the rounded difference d = a - b to the nearest
+    # integer, in exact arithmetic, is a float, and circle_distance gives it
+    from fractions import Fraction
+    d = Fraction(a - b)
+    assert Fraction(float(circle_distance(a, b))) == abs(d - round(d))

@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import STRUCTURE_JSON, extend_harmonic_once
-from fractalsync import (DegreeVector, build_ring_graph, build_sg_graph,
-                         circle_distance, circle_harmonic_map, dirichlet_energy,
-                         generic_harmonic_map, integrate_to_equilibrium,
-                         solve_dirichlet, twisted_state)
+from conftest import (STRUCTURE_JSON, extend_harmonic_once, laplacian_matrix,
+                      mmd_solve_free)
+from fractalsync import (ConjugateGradientError, DegreeVector,
+                         build_ring_graph, build_sg_graph, circle_distance,
+                         circle_harmonic_map, covering_domain,
+                         dirichlet_energy, generic_harmonic_map,
+                         integrate_to_equilibrium, solve_dirichlet,
+                         twisted_state)
+from fractalsync import structures
 from fractalsync.graphs import RING, SG
-from fractalsync.structures import (compatibility_residual, conductance,
-                                    energy_value, extension_by_minimization,
+from fractalsync.structures import (_solve_free, compatibility_residual,
+                                    conductance, energy_value,
+                                    extension_by_minimization,
                                     self_similarity_residual, structure_json)
 
 
@@ -178,3 +183,79 @@ def test_ring_lift_holder_half_exponent_bounded():
         worst.append(ratio)
     assert max(worst) <= q + 1e-12
     assert worst[2] <= 1.05 * worst[0]
+
+
+def _solve_free_against_oracle(g, free, rng):
+    # random held values, the free ones zero; the CG answer against
+    # SuperLU's, relative to the largest held value
+    f = rng.uniform(-1.0, 1.0, g.n_vertices)
+    f[free] = 0.0
+    mask = np.zeros(g.n_vertices, dtype=bool)
+    mask[free] = True
+    oracle = f.copy()
+    mmd_solve_free(laplacian_matrix(g), mask, oracle)
+    _solve_free(g, free, f)
+    return np.abs(f - oracle).max()
+
+
+# each midpoint is a fixed convex combination of its cell's corners, and
+# both solves reach it to a few rounding errors (measured worst 3.3e-16)
+SOLVE_FREE_BOUND = 2e-15
+
+
+def test_cg_solve_free_matches_superlu_on_midpoints():
+    rng = np.random.default_rng(43)
+    for fractal, levels in ((SG, range(1, 11)), (RING, range(2, 15))):
+        for n in levels:
+            g = fractal.build(n)
+            free = np.flatnonzero(g.birth == n)
+            assert _solve_free_against_oracle(g, free, rng) < SOLVE_FREE_BOUND
+
+
+@pytest.mark.parametrize("spec", ["eps:1,1:2", "1,1,1,1", "2,0,0"])
+def test_cg_solve_free_matches_superlu_on_cut_domains(spec):
+    # the free set of each extension step of generic_harmonic_map
+    rng = np.random.default_rng(44)
+    omega = DegreeVector.parse(spec)
+    for n in range(omega.max_order + 2, 9):
+        dom = covering_domain(SG.build(n), omega)
+        free = SG.cell_nodes(dom.cell_corners)[:, 3:].ravel()
+        assert _solve_free_against_oracle(dom, free, rng) < SOLVE_FREE_BOUND
+
+
+def test_cg_solve_free_with_nothing_free_holds_the_field():
+    g = SG.build(3)
+    f = np.linspace(0.0, 1.0, g.n_vertices)
+    held = f.copy()
+    _solve_free(g, np.array([], dtype=np.int64), f)
+    assert np.array_equal(f, held)
+
+
+def test_cg_solve_free_raises_at_its_step_cap(monkeypatch):
+    # a gasket solve takes two steps at least; one is not enough
+    monkeypatch.setattr(structures, "CG_MAX_STEPS", 1)
+    u = np.random.default_rng(45).standard_normal(SG.build(2).n_vertices)
+    with pytest.raises(ConjugateGradientError) as info:
+        extension_by_minimization(SG, 3, u)
+    assert info.value.steps == 1
+    assert info.value.residual > structures.CG_TOLERANCE
+
+
+# (function, level, field) with a field of the wrong length or with a
+# non-finite value; the coarse level-2 gasket graph has 15 vertices
+_BAD_FIELDS = [
+    (energy_value, 2, np.arange(100.0)),
+    (self_similarity_residual, 2, np.arange(50.0)),
+    (extension_by_minimization, 3, [0.5]),
+    (compatibility_residual, 3, np.arange(16.0)),
+    (energy_value, 2, np.full(15, np.nan)),
+    (self_similarity_residual, 2, np.r_[np.zeros(14), np.inf]),
+    (extension_by_minimization, 3, np.r_[np.nan, np.zeros(14)]),
+    (compatibility_residual, 3, np.r_[np.zeros(14), -np.inf]),
+]
+
+
+@pytest.mark.parametrize("function, level, u", _BAD_FIELDS)
+def test_structures_check_fields_against_their_level(function, level, u):
+    with pytest.raises(ValueError, match="field"):
+        function(SG, level, u)
