@@ -194,14 +194,10 @@ def _initial_field(cfg: RunConfig, g):
             raise ValueError(f"--init {exc}") from exc
     else:
         raise ValueError(f"cannot interpret --init {spec!r}")
-    if u0.shape != (g.n_vertices,):
-        raise ValueError(f"--init {spec!r} gives {u0.size} values for a "
-                         f"graph with {g.n_vertices} vertices")
-    if not np.isfinite(u0).all():
-        bad = int(np.flatnonzero(~np.isfinite(u0))[0])
-        raise ValueError(f"--init {spec!r} has the non-finite value "
-                         f"{float(u0[bad])!r} at vertex {bad}")
-    return u0
+    try:
+        return g.check_field(u0)
+    except ValueError as exc:
+        raise ValueError(f"--init {spec!r}: {exc}") from None
 
 
 def cmd_flow(cfg: RunConfig):
@@ -268,15 +264,12 @@ def cmd_verify(cfg: RunConfig):
         "rows": rows,
         "gap_decay_exponent": exponent,
     }
+    columns = ("level", "lift_energy", "km_energy_harmonic_map",
+               "km_energy_equilibrium", "gap", "max_deviation")
     paths = [
         ser.write_json(_path(cfg, "verify.json"), table),
-        ser.write_rows_csv(
-            _path(cfg, "verify.csv"),
-            ("level", "lift_energy", "km_energy_harmonic_map",
-             "km_energy_equilibrium", "gap", "max_deviation"),
-            [(r["level"], r["lift_energy"], r["km_energy_harmonic_map"],
-              r["km_energy_equilibrium"], r["gap"], r["max_deviation"])
-             for r in rows]),
+        ser.write_rows_csv(_path(cfg, "verify.csv"), columns,
+                           [[r[c] for c in columns] for r in rows]),
     ]
     for row, found in results:
         _require_class(cfg, paths, f"the level-{row['level']} equilibrium "
@@ -455,7 +448,7 @@ def _config_value(path, key, value):
 
 
 def _config_from_args(args) -> RunConfig:
-    data = dict(_MODE_DEFAULTS.get(args.mode, {}))
+    data = {}
     if args.config:
         with open(args.config) as fh:
             given = json.load(fh)
@@ -474,6 +467,8 @@ def _config_from_args(args) -> RunConfig:
     if "seed" in data and init != "random":
         raise ValueError(f"--seed is read only by --init random, "
                          f"not by --init {init!r}")
+    user_keys = set(data)
+    data = {**_MODE_DEFAULTS.get(args.mode, {}), **data}
     # an unknown fractal parses as the default, and RunConfig refuses it
     fractal = data.get("fractal", RunConfig.fractal)
     alphabet = FRACTALS[fractal if fractal in tuple(FRACTALS)
@@ -481,6 +476,10 @@ def _config_from_args(args) -> RunConfig:
     for key, (_, _, parse) in _FLAGS.items():
         if parse and key in data:
             data[key] = parse(data[key], alphabet, "--" + key.replace("_", "-"))
+    perturb = data.get("perturb", RunConfig.perturb)
+    if "seeds" in user_keys and perturb == 0:  # every job from the harmonic map
+        raise ValueError(f"--seeds is read only by a positive --perturb, "
+                         f"not by --perturb {perturb!r}")
     return RunConfig(**data)
 
 

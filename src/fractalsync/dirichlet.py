@@ -20,6 +20,9 @@ import numpy as np
 from .errors import UncertifiedFactorError
 from .graphs import CellMap, FractalGraph
 
+HOLDER_BLOCK_ENTRIES = 1 << 20  # pairs in one block of holder_ratio's scan
+
+
 @dataclass
 class EnergyReport:
     """Energy of a field with its per-cell breakdown, in cell-word order."""
@@ -293,15 +296,12 @@ def solve_dirichlet(g: FractalGraph, phi, method="extension") -> np.ndarray:
 
 
 def normal_derivative(g: FractalGraph, f, v) -> float:
-    """Renormalised boundary flux (1/r)**m * sum_{y ~ v} (f(y) - f(v))."""
-    f = g.check_field(f)
+    """Renormalised boundary flux (1/r)**m * sum_{y ~ v} (f(y) - f(v)): the
+    :func:`laplacian` at a vertex v of V0."""
     v = int(v)
     if v not in g.boundary_ids:
         raise ValueError(f"vertex {v} is not a boundary vertex")
-    i, j = g.edges[:, 0], g.edges[:, 1]
-    c = g.conductance
-    return math.fsum(((f[j[i == v]] - f[v]) * c).tolist()
-                     + ((f[i[j == v]] - f[v]) * c).tolist())
+    return float(laplacian(g, f)[v])
 
 
 def holder_ratio(g: FractalGraph, f, beta=None) -> float:
@@ -311,12 +311,14 @@ def holder_ratio(g: FractalGraph, f, beta=None) -> float:
     bound with beta = log(1/r) / (2 log 2), r the fractal's: 3/5 on the
     gasket, 1/2 on the ring.  Both |f(x)-f(y)| and |x-y|**2 are bitwise
     symmetric, so each block of rows from s meets only the columns from s.
+    A block has ``HOLDER_BLOCK_ENTRIES // N`` rows, so each of its
+    temporaries holds at most that many floats, whatever the level.
     """
     f = g.check_field(f)
     if beta is None:
         beta = math.log(1 / g.fractal.r) / (2.0 * math.log(2.0))
     pts = g.coords
-    block = 512  # rows of the pairwise distance matrix held at once
+    block = max(1, HOLDER_BLOCK_ENTRIES // g.n_vertices)
     best = 0.0
     for s in range(0, g.n_vertices, block):
         sl = slice(s, s + block)

@@ -5,6 +5,8 @@ level-1 network and weight r (Kigami, *Analysis on Fractals*, 2001).  Each
 fractal is one :class:`Fractal` record of those tables, ``FRACTALS`` holds
 the records by name, and every layer reads a graph's ``g.fractal``; the
 name survives only as ``--fractal`` and as the ``kind`` the JSON writes.
+A record is data: :meth:`Fractal.build` builds any record's graphs, so a
+new fractal is one ``Fractal(...)`` literal in ``FRACTALS``.
 
 The level-n graph is the union of the images of the level-0 cell under all
 length-n compositions of the contractions (on the gasket the corner maps
@@ -34,7 +36,6 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -47,14 +48,13 @@ class Fractal:
 
     name: str
     alphabet: tuple  # a symbol per map, in cell-word order
-    levels: range  # the levels ``build`` builds
+    levels: range  # the levels :meth:`build` builds
     sides: np.ndarray  # a cell's sides as corner pairs, clockwise
     child_corners: np.ndarray  # each child's corners among its parent's nodes
     extension: np.ndarray  # each midpoint's row of -M^-1 B, the extension
     r: float  # the trace's side weight at unit weights; edges weigh (1/r)**n
     points: np.ndarray  # the point of each tail symbol
     base_corners: np.ndarray  # the level-0 cell's corner ids (ring: 0, 0)
-    build: Callable[[int], FractalGraph]  # memoised, at ``levels``
 
     num_maps = property(lambda self: len(self.child_corners))
     # the level-0 vertices: the distinct corners of the level-0 cell
@@ -65,6 +65,10 @@ class Fractal:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
+
+    def build(self, n) -> FractalGraph:
+        """The level-n graph: one object per process, however reached."""
+        return _refine(self, n)
 
     def cell_edges(self, corners) -> np.ndarray:
         """Edges of a corner table, cell by cell: each cell's ``sides``."""
@@ -261,6 +265,7 @@ class CellMap(Mapping):
         return self.array[c].tolist()
 
 
+@lru_cache(maxsize=None)
 def _refine(fractal, n) -> FractalGraph:
     """Level-n graph of ``fractal``, with k = len(alphabet) corners: its
     level-0 cell refined n times with the level-1 tables, n in its levels.
@@ -317,20 +322,6 @@ def _refine(fractal, n) -> FractalGraph:
         keys=keys, birth=birth)
 
 
-@lru_cache(maxsize=None)
-def build_sg_graph(n: int) -> FractalGraph:
-    """Level-n gasket graph: (3**(n+1) + 3)/2 vertices, 3**(n+1) edges."""
-    g = _refine(SG, n)
-    assert g.n_vertices == (3 ** (n + 1) + 3) // 2
-    return g
-
-
-@lru_cache(maxsize=None)
-def build_ring_graph(n: int) -> FractalGraph:
-    """Level-n ring: 2**n vertices at i * 2**-n, nearest-neighbour edges."""
-    return _refine(RING, n)
-
-
 # The gasket: corners v1 bottom-left, v2 top, v3 bottom-right.
 SG = Fractal(
     name="sg", alphabet=(1, 2, 3), levels=range(0, 13),
@@ -338,15 +329,16 @@ SG = Fractal(
     child_corners=np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2]]),
     extension=np.array([[0.4, 0.4, 0.2], [0.2, 0.4, 0.4], [0.4, 0.2, 0.4]]),
     points=np.array([[0.0, 0.0], [0.5, math.sqrt(3.0) / 2.0], [1.0, 0.0]]),
-    base_corners=np.array([[0, 1, 2]]), build=build_sg_graph)
+    base_corners=np.array([[0, 1, 2]]))
 # The ring: the unit interval's two halvings, its ends one vertex.
 RING = Fractal(
     name="ring", alphabet=(0, 1), levels=range(1, 21),
     sides=np.array([[0, 1]]), child_corners=np.array([[0, 2], [2, 1]]),
     extension=np.array([[0.5, 0.5]]), r=1 / 2,
     points=np.array([[0.0, 0.0], [1.0, 0.0]]),
-    base_corners=np.array([[0, 0]]), build=build_ring_graph)
+    base_corners=np.array([[0, 0]]))
 FRACTALS = {fractal.name: fractal for fractal in (SG, RING)}
+build_sg_graph, build_ring_graph = SG.build, RING.build
 
 
 def build_graph(name, n) -> FractalGraph:

@@ -88,6 +88,8 @@ def render_field_svg(g: FractalGraph, values, path, mode="phase") -> str:
     circles are streamed to the file in chunks, so the whole text is
     never held in memory.
     """
+    if mode not in ("phase", "real"):
+        raise ValueError(f"unknown mode {mode!r}")
     values = g.check_field(values)
     pts = _layout(g) * SVG_SIZE
     radius = max(1.5, 0.35 * SVG_SIZE / (2 ** g.level + 1))

@@ -176,10 +176,10 @@ def test_sweep_perturbed_runs_flow_unperturbed_runs_newton(tmp_path):
     import fractalsync as fs
     from conftest import rk4_reference
     jobs = {}
-    for perturb in ("0", "0.1"):
+    for perturb, seeds in (("0", []), ("0.1", ["--seeds", "4:4"])):
         out = tmp_path / f"s{perturb}"
-        assert run(["sweep", "--levels", "3:3", "--degrees", "1", "--seeds",
-                    "4:4", "--perturb", perturb, "--out", str(out)]) == 0
+        assert run(["sweep", "--levels", "3:3", "--degrees", "1", "--perturb",
+                    perturb, "--out", str(out)] + seeds) == 0
         jobs[perturb], = json.loads((out / "sweep.json").read_text())["jobs"]
     assert jobs["0"]["method"] == "newton" and jobs["0"]["fallback"] is None
     assert jobs["0"]["steps"] == 0 and jobs["0"]["newton_steps"] > 0
@@ -310,13 +310,13 @@ def _raw_csv(tmp_path, text):
 
 
 @pytest.mark.parametrize("init,message", [
-    ("constant:nan", "--init 'constant:nan' has the non-finite value nan "
-                     "at vertex 0"),
-    ("constant:-inf", "has the non-finite value -inf at vertex 0"),
+    ("constant:nan", "--init 'constant:nan': field value nan at vertex 0 "
+                     "is not finite"),
+    ("constant:-inf", "field value -inf at vertex 0 is not finite"),
     (lambda p: _init_csv(p, [0.1, 0.2, "nan", 0.4] * 2),
      "init.csv: id 2 has the non-finite value nan"),
     (lambda p: _init_csv(p, [0.0] * 7),
-     "gives 7 values for a graph with 8 vertices"),
+     "field shape (7,) does not match graph with 8 vertices"),
     (lambda p: _raw_csv(p, ""),
      "init.csv: line 1: empty file, expected a header"),
     (lambda p: _raw_csv(p, "id,value\n0\n"),
@@ -555,8 +555,7 @@ def test_config_degree_list_runs_as_its_text(tmp_path):
     outs = []
     for i, degrees in enumerate((["1", "2,0,0"], "1;2,0,0")):
         path = tmp_path / f"run{i}.json"
-        path.write_text(json.dumps({"degrees": degrees, "levels": "3:3",
-                                    "seeds": 0}))
+        path.write_text(json.dumps({"degrees": degrees, "levels": "3:3"}))
         outs.append(tmp_path / f"o{i}")
         assert run(["sweep", "--config", str(path), "--out",
                     str(outs[-1])]) == 0
@@ -610,7 +609,9 @@ def test_config_null_means_the_default(tmp_path, mode):
 def test_config_flag_beats_file(tmp_path, mode, key, in_file, flag,
                                 from_file, from_flag):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({key: in_file}))
+    # --seeds is read only by a perturbed sweep
+    extra = {"perturb": 0.1} if key == "seeds" else {}
+    path.write_text(json.dumps({key: in_file, **extra}))
     parser = _build_parser()
     base = [mode, "--config", str(path)]
     assert getattr(_config_from_args(parser.parse_args(base)), key) == from_file
@@ -718,11 +719,33 @@ def test_every_setting_is_a_flag():
 
 
 def test_sweep_without_seeds_runs_seed(tmp_path):
-    for seeds, expected in (([], [0]), (["--seeds", "3"], [3])):
+    for seeds, expected in (([], [0]),
+                            (["--seeds", "3", "--perturb", "0.01"], [3])):
         out = tmp_path / str(expected[0])
         assert run(["sweep", "--levels", "3:3", "--out", str(out)] + seeds) == 0
         jobs = json.loads((out / "sweep.json").read_text())["jobs"]
         assert [job["seed"] for job in jobs] == expected
+
+
+@pytest.mark.parametrize("in_file, flags", [
+    ({}, ["--seeds", "0:2"]),
+    ({}, ["--seeds", "0:2", "--perturb", "0"]),
+    ({"seeds": "0:2"}, []),
+    ({"seeds": 1, "perturb": 0}, []),
+    ({"perturb": 0.0}, ["--seeds", "1"]),
+])
+def test_seeds_without_perturb_rejected(tmp_path, capsys, in_file, flags):
+    # an unperturbed sweep starts every job at the harmonic map, so --seeds
+    # would be parsed and then ignored, wherever it comes from
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(in_file))
+    out = tmp_path / "o"
+    assert run(["sweep", "--levels", "3:3", "--config", str(path),
+                "--out", str(out)] + flags) == 1
+    assert capsys.readouterr().err.strip() == (
+        "error: ValueError: --seeds is read only by a positive --perturb, "
+        "not by --perturb 0.0")
+    assert not out.exists()
 
 
 def test_cli_unresolved_winding_errors(tmp_path):

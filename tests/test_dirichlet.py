@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -515,7 +516,7 @@ def test_holder_ratio_default_beta_is_the_fractals():
 
 @pytest.mark.parametrize("graph", [("sg", n) for n in range(7)]
                          + [("ring", n) for n in range(1, 13)])
-def test_holder_ratio_upper_triangle_matches_full_square(graph):
+def test_holder_ratio_upper_triangle_matches_full_square(graph, monkeypatch):
     # the blocks meet only the columns from their first row on; the pairs
     # left out are mirror images, bitwise equal, so the maximum is the
     # same float as over the full square
@@ -523,9 +524,28 @@ def test_holder_ratio_upper_triangle_matches_full_square(graph):
     rng = np.random.default_rng(g.n_vertices)
     fields = [rng.standard_normal(g.n_vertices),
               solve_dirichlet(g, rng.standard_normal(len(g.boundary_ids)))]
-    for f in fields:
-        assert holder_ratio(g, f) == reference_holder_ratio(g, f)
-        assert holder_ratio(g, f, BETA) == reference_holder_ratio(g, f, BETA)
+    want = [(reference_holder_ratio(g, f), reference_holder_ratio(g, f, BETA))
+            for f in fields]
+    # the default budget, then blocks of 7 rows: many blocks at every level
+    for entries in (dirichlet.HOLDER_BLOCK_ENTRIES, 7 * g.n_vertices):
+        monkeypatch.setattr(dirichlet, "HOLDER_BLOCK_ENTRIES", entries)
+        for f, (plain, beta) in zip(fields, want):
+            assert holder_ratio(g, f) == plain
+            assert holder_ratio(g, f, BETA) == beta
+
+
+def test_holder_ratio_memory_is_bounded_by_its_block_budget():
+    # each block's temporaries hold about HOLDER_BLOCK_ENTRIES floats (8
+    # MiB), seven of them at once; 512-row blocks peaked at 261 MiB here
+    g = build_sg_graph(8)
+    f = solve_dirichlet(g, [0.0, 0.0, 1.0])
+    tracemalloc.start()
+    try:
+        holder_ratio(g, f, BETA)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * dirichlet.HOLDER_BLOCK_ENTRIES
 
 
 def test_holder_ratio_bounded_across_levels():

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractalsync import (build_graph, build_ring_graph, build_sg_graph,
-                         dirichlet_energy, km_energy, km_rhs, laplacian,
-                         normal_derivative, restrict)
-from fractalsync.graphs import CellMap, FRACTALS
+from fractalsync import (DegreeVector, build_graph, build_ring_graph,
+                         build_sg_graph, dirichlet_energy, km_energy, km_rhs,
+                         laplacian, normal_derivative, restrict)
+from fractalsync.covering import seed_domain
+from fractalsync.graphs import CellMap, FRACTALS, _refine
 from conftest import (Itinerary, apply_word, canonical_itinerary,
                       enumerate_gasket, extend_harmonic_once, hessian_matrix,
                       laplacian_matrix, reference_cells, reference_graph,
@@ -41,6 +42,29 @@ def test_vertex_count_matches_independent_enumeration(n):
     assert g.n_vertices == len(coords)
     assert g.n_vertices == (3 ** (n + 1) + 3) // 2
     assert g.n_edges == len(edges) == 3 ** (n + 1)
+
+
+@pytest.mark.parametrize("fractal", FRACTALS.values(), ids=lambda f: f.name)
+def test_vertex_and_edge_counts_at_every_level(fractal):
+    # (3**(n+1) + 3)/2 vertices and 3**(n+1) edges on the gasket, 2**n of
+    # each on the ring; built unmemoised, so no large level is held
+    counts = {"sg": lambda n: ((3 ** (n + 1) + 3) // 2, 3 ** (n + 1)),
+              "ring": lambda n: (2 ** n, 2 ** n)}[fractal.name]
+    for n in fractal.levels:
+        g = _refine.__wrapped__(fractal, n)
+        assert (g.n_vertices, g.n_edges) == counts(n), n
+
+
+def test_every_route_to_a_graph_shares_one_object():
+    # the CLI, covering and structures all reach Fractal.build: one graph
+    # per (fractal, level) in a process
+    omega = DegreeVector.parse("1,1,1,1")
+    for n in (1, 2, 3):
+        assert (build_graph("sg", n) is FRACTALS["sg"].build(n)
+                is build_sg_graph(n))
+        assert build_graph("ring", n) is build_ring_graph(n)
+    seed = seed_domain(build_sg_graph(4), omega)
+    assert seed.base is build_graph("sg", omega.max_order + 1)
 
 
 def test_vertex_order_level1():
@@ -234,8 +258,7 @@ def test_edges_are_cell_sides(kind, levels):
                          + [("ring", n) for n in range(1, 21)])
 def test_refinement_matches_digit_loop_reference(kind, n):
     # built unmemoised, so the large levels are not held for the session
-    build = {"sg": build_sg_graph, "ring": build_ring_graph}[kind].__wrapped__
-    g, want = build(n), reference_graph(kind, n)
+    g, want = _refine.__wrapped__(FRACTALS[kind], n), reference_graph(kind, n)
     for name in ("keys", "birth", "cell_corners", "edges", "coords"):
         value = getattr(g, name)
         assert value.dtype == want[name].dtype, name
@@ -280,7 +303,7 @@ def test_fractal_tables_are_read_only(fractal):
             arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
     flags = {name: arr.flags.writeable for name, arr in tables.items()}
     for n in fractal.levels[:3]:
-        assert fractal.build.__wrapped__(n).fractal is fractal
+        assert _refine.__wrapped__(fractal, n).fractal is fractal
     assert {name: arr.flags.writeable for name, arr in tables.items()} == flags
 
 
@@ -373,10 +396,17 @@ def test_level1_tables_are_the_exact_trace(fractal):
     assert r == {"sg": Fraction(3, 5), "ring": Fraction(1, 2)}[fractal.name]
     # built unmemoised, so the level-12 gasket is not held for the session
     for n in fractal.levels:
-        assert fractal.build.__wrapped__(n).conductance == float(1 / r) ** n
+        assert _refine.__wrapped__(fractal, n).conductance == float(1 / r) ** n
 
 
 # -- the array hierarchy against the scalar itinerary oracle ---------------
+
+def _builder_id(value):
+    # both builders are bound methods named "build": name each as the
+    # package exports it
+    return {build_sg_graph: "build_sg_graph",
+            build_ring_graph: "build_ring_graph"}.get(value)
+
 
 @pytest.mark.parametrize("n", range(0, 7))
 def test_cell_corner_itineraries_match_oracle(n):
@@ -387,7 +417,8 @@ def test_cell_corner_itineraries_match_oracle(n):
 
 
 @pytest.mark.parametrize("build,n", [(build_sg_graph, n) for n in range(0, 10)]
-                         + [(build_ring_graph, n) for n in range(1, 13)])
+                         + [(build_ring_graph, n) for n in range(1, 13)],
+                         ids=_builder_id)
 def test_json_itineraries_match_key_decode_oracle(build, n):
     g = build(n)
     assert [v["itinerary"] for v in g.to_json_dict()["vertices"]] == [
@@ -395,7 +426,8 @@ def test_json_itineraries_match_key_decode_oracle(build, n):
 
 
 @pytest.mark.parametrize("build,n", [(build_sg_graph, n) for n in range(0, 6)]
-                         + [(build_ring_graph, n) for n in range(1, 8)])
+                         + [(build_ring_graph, n) for n in range(1, 8)],
+                         ids=_builder_id)
 def test_cell_map_reads_back_every_word(build, n):
     g = build(n)
     cells = g.to_json_dict()["cells"]
@@ -420,7 +452,8 @@ def test_cell_map_reads_back_every_word(build, n):
 
 
 @pytest.mark.parametrize("build,n", [(build_sg_graph, n) for n in range(0, 7)]
-                         + [(build_ring_graph, n) for n in range(1, 7)])
+                         + [(build_ring_graph, n) for n in range(1, 7)],
+                         ids=_builder_id)
 def test_keys_increase_and_ids_round_trip(build, n):
     g = build(n)
     assert g.keys.shape == (g.n_vertices,)
@@ -459,7 +492,8 @@ def test_child_tables_match_itinerary_lookup(m):
 
 
 @pytest.mark.parametrize("build,n", [(build_sg_graph, n) for n in range(0, 7)]
-                         + [(build_ring_graph, n) for n in range(1, 7)])
+                         + [(build_ring_graph, n) for n in range(1, 7)],
+                         ids=_builder_id)
 def test_restriction_matches_itinerary_lookup(build, n):
     g = build(n)
     for m in range(g.fractal.levels[0], n + 1):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from fractalsync import (DegreeVector, EigensolverError, FlowConfig,
                          wrap_phases)
 from fractalsync import kuramoto as km
 from fractalsync.dirichlet import _pinned_factor, extend_corners
+from fractalsync.graphs import RING, SG, _refine
 from conftest import (check_energy_handoff, hessian_matrix, laplacian_matrix,
                       positive_definite_factor, rk4_reference, spy_handoff)
 
@@ -60,8 +62,26 @@ def test_newton_step_energy_difference_matches_mpmath():
     assert want < 0
     fast = km._km_energy_fast(cand, i, j, c) - km._km_energy_fast(u, i, j, c)
     assert fast == pytest.approx(want, rel=1e-5, abs=0)
-    fsum = km_energy(g, cand) - km_energy(g, u)
-    assert fsum == pytest.approx(want, rel=1e-5, abs=0)
+    public = km_energy(g, cand) - km_energy(g, u)
+    assert public == pytest.approx(want, rel=1e-5, abs=0)
+
+
+@pytest.mark.parametrize("fractal,levels", [(SG, range(3, 13)),
+                                            (RING, range(2, 15))],
+                         ids=["sg", "ring"])
+def test_km_energy_within_its_rounding_bound_of_fsum(fractal, levels):
+    # the pairwise sum of nonnegative terms errs by at most (log2 E + 25)
+    # roundings relative (see _km_energy_fast), 15 to 39 ulps here; it
+    # measured at most one ulp.  Built unmemoised: no large level is held
+    rng = np.random.default_rng(7)
+    for n in levels:
+        g = _refine.__wrapped__(fractal, n)
+        u = rng.random(g.n_vertices)
+        terms = km._edge_energies(u, g.edges[:, 0], g.edges[:, 1],
+                                  g.conductance)
+        exact = math.fsum(terms.tolist())
+        bound = (math.log2(g.n_edges) + 25) * 2.0 ** -53 * exact
+        assert abs(km_energy(g, u) - exact) <= bound, n
 
 
 def test_rhs_is_minus_2pi_grad_energy():
@@ -367,6 +387,20 @@ def test_unresolved_degree_is_reported():
     rep = integrate_to_equilibrium(g, twisted_state(g, 1))
     assert rep.degree == DegreeVector({(): 1})
     assert rep.to_json_dict()["degree_error"] is None
+
+
+def test_report_json_is_every_field_but_the_arrays():
+    g = build_ring_graph(4)
+    rep = integrate_to_equilibrium(g, twisted_state(g, 1))
+    d = rep.to_json_dict()
+    assert set(d) == ({f.name for f in dataclasses.fields(rep)}
+                      - {"field", "trajectory"})
+    # the keys equilibrium.json and sweep.json have always written
+    assert set(d) == {"residual", "energy", "hessian_min_eig", "stability",
+                      "degree", "degree_error", "steps", "time", "step_size",
+                      "converged", "halvings", "method", "fallback",
+                      "newton_steps"}
+    assert d["degree"] == {"eps": 1}
 
 
 # -- Newton finish of the flow (plain RK4 is the oracle) ---------------------------

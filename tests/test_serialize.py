@@ -184,6 +184,14 @@ def test_render_field_svg_matches_reference(tmp_path, rng, fractal, mode):
         assert open(new, "rb").read() == open(old, "rb").read()
 
 
+def test_render_field_svg_refuses_an_unknown_mode(tmp_path):
+    g = build_graph("sg", 2)
+    path = tmp_path / "f.svg"
+    with pytest.raises(ValueError, match="unknown mode 'phases'"):
+        render_field_svg(g, np.zeros(g.n_vertices), path, mode="phases")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("fractal, level", [("sg", 8), ("ring", 13)])
 def test_render_field_svg_matches_reference_across_chunks(tmp_path, rng,
                                                            fractal, level):
