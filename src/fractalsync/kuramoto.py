@@ -74,7 +74,9 @@ def _km_energy_fast(u, i, j, c):
     ``np.sum`` halves down to blocks of at most 128 terms (a rounding per
     halving), each summed in eight running sums (at most 15), joined in 3
     and followed by at most 7 leftovers: m <= log2 n_edges + 25, and under
-    6e-15 at gasket level 13 (4,782,969 edges, m <= 48)."""
+    6e-15 at gasket level 13 (4,782,969 edges, m <= 48).  The same bound
+    holds for :func:`cell_wall_energy`'s ``np.sum`` of |rhs(u)|, one
+    nonnegative term a vertex (2,391,486 at gasket level 13, m <= 47)."""
     return float(np.sum(_edge_energies(u, i, j, c)))
 
 
@@ -156,8 +158,9 @@ def cell_wall_energy(g: FractalGraph, u) -> float:
 
       W = E(u) + c min_e a_e^2 C_e - ||rhs(u)||_1 2**(level - 1) / (2 pi),
 
-    lowered by 1e-9 relative as a rounding margin, far above the energy's
-    own rounding error (under 6e-15 relative up to gasket level 13, see
+    lowered by 1e-9 relative as a rounding margin, far above the rounding
+    error of E(u) and of ||rhs(u)||_1: both are pairwise ``np.sum`` of
+    nonnegative terms, under 6e-15 relative up to gasket level 13 (see
     :func:`_km_energy_fast`).
     """
     i, j, c = g.edges[:, 0], g.edges[:, 1], g.conductance
@@ -175,7 +178,7 @@ def cell_wall_energy(g: FractalGraph, u) -> float:
     rest[:, :-1] += np.cumsum(inv[:, :0:-1], axis=1)[:, ::-1]
     a = 0.25 - np.abs(d)
     rise = float(np.min(a * a * (q + 1.0 / rest.ravel())))
-    slack = math.fsum(np.abs(_edge_sine_sum(u, i, j, c, g.n_vertices)).tolist())
+    slack = float(np.sum(np.abs(_edge_sine_sum(u, i, j, c, g.n_vertices))))
     bound = (_km_energy_fast(u, i, j, c) + c * rise
              - slack * 2.0 ** (g.level - 1) / TWO_PI)
     return (1.0 - 1e-9) * bound

@@ -4,6 +4,8 @@ The oracles in ``conftest`` are the previous implementations; every
 artifact must stay byte-identical to what they write.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +15,9 @@ from conftest import (_phase_color, _real_color, reference_dumps_json,
                       reference_render_field_svg, reference_write_field_csv)
 from fractalsync import (CellMap, build_graph, circle_harmonic_map,
                          dirichlet_energy, solve_dirichlet)
-from fractalsync.serialize import (_CHUNK as _TABLE_CHUNK, dumps_json,
-                                   field_text, write_field_csv, write_json)
+from fractalsync.serialize import (_BLOCK, _CHUNK as _TABLE_CHUNK, _digits17,
+                                   dumps_json, field_text, write_field_csv,
+                                   write_json)
 from fractalsync.svg import (_CHUNK, _phase_colors, _real_colors,
                              render_field_svg)
 from fractalsync.winding import DegreeVector
@@ -77,6 +80,7 @@ def test_dumps_json_matches_reference_on_artifact_shapes():
     for obj in (g.to_json_dict(), {"values": f}, {"edges": g.edges},
                 {"cells": CellMap(g, g.cell_corners)},
                 {"per_cell": CellMap(g, f[:81] / 3)},
+                {"pairs": CellMap(g, np.stack([f[:81], -f[42:]], axis=1))},
                 {"mixed": [1, 2.5, "x", None, True, np.int64(3)]},
                 {"ragged": [[1, 2], [3]], "empty": [[], []], "nested": [[[1.0]]]}):
         assert dumps_json(obj) == reference_dumps_json(_as_dicts(obj))
@@ -215,3 +219,93 @@ def test_colors_match_reference(rng):
     lo, hi = float(t.min()), float(t.max())
     assert _real_colors(t) == [int(_real_color((v - lo) / (hi - lo))[1:], 16)
                                for v in t]
+
+
+# -- the %.17g kernel --------------------------------------------------------
+
+
+def _percent17(values):
+    return "\n".join("%.17g" % v for v in np.asarray(values, dtype=float).tolist())
+
+
+def _assert_kernel_matches(values):
+    values = np.asarray(values, dtype=float)
+    got, want = field_text(values).text.split("\n"), _percent17(values).split("\n")
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not bad and len(got) == len(want), bad[:5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                          allow_subnormal=True), max_size=40))
+def test_kernel_matches_percent17_on_any_floats(values):
+    _assert_kernel_matches(values)
+
+
+def test_kernel_matches_percent17_on_random_bit_patterns():
+    bits = np.random.default_rng(17).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    assert field_text(values).text == _percent17(values)
+
+
+def test_kernel_matches_percent17_at_powers_of_ten_and_neighbours():
+    powers = np.array([float(f"1e{m}") for m in range(-99, 17)])
+    near = [powers]
+    for toward in (0.0, np.inf):
+        step = powers
+        for _ in range(4):
+            step = np.nextafter(step, toward)
+            near.append(step)
+    values = np.concatenate(near)
+    _assert_kernel_matches(np.concatenate([values, -values]))
+
+
+def test_kernel_matches_percent17_on_exact_ties():
+    # j / 2**(k + 1) with j odd is a tie at the 17th digit when it lies in
+    # [10**(16 - k), 10**(17 - k)): k = 21, 20 at the 1e-5 and 1e-4
+    # switches, k = 23 where 10**k is no double, k = 1 up to 2**51 (ten
+    # times a double of 2**51 or more is an integer, so no tie is nearer
+    # the 1e16 switch)
+    ties = np.concatenate([np.arange(43, 420, 2) / 2.0 ** 22,
+                           np.arange(211, 2098, 2) / 2.0 ** 21,
+                           np.arange(3, 17, 2) / 2.0 ** 24,
+                           (4 * 10 ** 15 + np.arange(1, 2001, 2)) / 4.0,
+                           (2 ** 53 - np.arange(1, 2001, 2)) / 4.0])
+    below = np.nextafter(1e16, 0.0) - 2.0 * np.arange(1000)
+    values = np.concatenate([ties, below, [1e16, 1e17, 2.0 ** 54, 2.0 ** 57,
+                                           99999999999999984.0]])
+    _assert_kernel_matches(np.concatenate([values, -values]))
+    # the fast path certifies no tie: they are written by '%.17g' itself
+    assert not _digits17(ties)[2].any()
+
+
+def test_kernel_matches_percent17_at_the_extremes():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")     # no numpy RuntimeWarning either
+        _assert_kernel_matches([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                1.7976931348623157e308, -1.7976931348623157e308,
+                                1e-99, 9.9999999999999997e-100, 1e-100, 1e-5, 1e-4])
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_kernel_matches_percent17_across_blocks(rng, n):
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    assert field_text(values).text == _percent17(values)
+    if n:
+        # as a JSON table: 1-D rows from the kernel, 2-D rows filled with its texts
+        assert dumps_json({"a": values}) == reference_dumps_json({"a": values})
+    if n % 3 == 0 and n:
+        rows = values.reshape(-1, 3)
+        assert dumps_json({"a": rows}) == reference_dumps_json({"a": rows})
+
+
+def test_kernel_certifies_nearly_every_uniform_value():
+    # the fast path, not the '%.17g' fallback, formats the values: a kernel
+    # that certified nothing would still write the right text
+    values = np.random.default_rng(5).uniform(0.0, 1.0, 10 ** 5)
+    d, k, ok = _digits17(values)
+    assert ok.mean() >= 0.999
+    assert [f"{v:.16e}" for v in values[ok][:1000].tolist()] == [
+        f"{int(str(w)[0])}.{str(w)[1:]}e{16 - j:+03d}"
+        for w, j in zip(d[ok][:1000].tolist(), k[ok][:1000].tolist())]
