@@ -21,7 +21,7 @@ from . import dirichlet as dr
 from . import kuramoto as km
 from . import serialize as ser
 from . import svg as svgmod
-from .errors import DegreeMismatchError
+from .errors import DegreeMismatchError, NotAnEquilibriumError
 from .graphs import FRACTALS, build_graph
 from .structures import structure_json
 from .winding import DegreeVector
@@ -65,10 +65,6 @@ class RunConfig:
             raise ValueError(f"--perturb must be non-negative, got {self.perturb!r}")
         if self.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {self.jobs!r}")
-
-
-def _flow_cfg(cfg: RunConfig) -> km.FlowConfig:
-    return km.FlowConfig(max_time=cfg.max_time, tol=cfg.tol)
 
 
 def _path(cfg: RunConfig, name) -> str:
@@ -138,7 +134,7 @@ def _twist_report(cfg: RunConfig, level=None, perturb_seed=None):
         # whether a perturbed start returns to its class is a question
         # about the flow; Newton keeps the start's degree by construction
         solve = km.integrate_to_equilibrium
-    report = solve(g, phases, _flow_cfg(cfg))
+    report = solve(g, phases, km.FlowConfig(cfg.max_time, cfg.tol))
     return g, phases, lift, report
 
 
@@ -162,18 +158,22 @@ def cmd_twist(cfg: RunConfig):
     if cfg.svg:
         paths.append(svgmod.render_field_svg(
             g, report.field, _path(cfg, "equilibrium.svg"), mode="phase"))
-    _require_class(cfg, paths, f"the level-{cfg.level} equilibrium "
-                   f"({report.method})", report.degree)
+    _require_equilibrium(cfg, paths, cfg.level, report.fallback,
+                         report.degree)
     return paths
 
 
-def _require_class(cfg: RunConfig, paths, what, found):
-    """Fail the run with :class:`DegreeMismatchError` unless ``found`` is
-    the requested degree, after writing the manifest of ``paths``: the
-    artifacts show where the solve went."""
-    if found != cfg.degree:
-        ser.write_manifest(cfg.out, cfg.mode, paths)
-        raise DegreeMismatchError(what, cfg.degree, found)
+def _require_equilibrium(cfg: RunConfig, paths, level, refused, found):
+    """Fail the run, after writing the manifest of ``paths``, unless
+    Newton certified the level's equilibrium in the requested class."""
+    if refused is None and found == cfg.degree:
+        return
+    ser.write_manifest(cfg.out, cfg.mode, paths)
+    if refused is not None:
+        raise NotAnEquilibriumError(
+            f"Newton refused the level-{level} harmonic map: {refused}")
+    raise DegreeMismatchError(f"the level-{level} equilibrium", cfg.degree,
+                              found)
 
 
 def _initial_field(cfg: RunConfig, g):
@@ -203,7 +203,8 @@ def _initial_field(cfg: RunConfig, g):
 def cmd_flow(cfg: RunConfig):
     g = build_graph(cfg.fractal, cfg.level)
     u0 = _initial_field(cfg, g)
-    report = km.integrate_to_equilibrium(g, u0, _flow_cfg(cfg))
+    report = km.integrate_to_equilibrium(
+        g, u0, km.FlowConfig(cfg.max_time, cfg.tol))
     paths = [
         ser.write_json(_path(cfg, "equilibrium.json"),
                        report.to_json_dict()),
@@ -224,13 +225,14 @@ def _verify_row(args):
     e_lift = lift.energy()
     j_harm = km.km_energy(g, phases)
     d_n = float(km.circle_distance(report.field, phases).max())
+    solved = report.fallback is None
     return {
         "level": n,
         "lift_energy": e_lift,
         "km_energy_harmonic_map": j_harm,
-        "km_energy_equilibrium": report.energy,
+        "km_energy_equilibrium": report.energy if solved else None,
         "gap": abs(j_harm - e_lift),
-        "max_deviation": d_n,
+        "max_deviation": d_n if solved else None,
         "hessian_min_eig": report.hessian_min_eig,
         "converged": report.converged,
         "method": report.method,
@@ -272,8 +274,7 @@ def cmd_verify(cfg: RunConfig):
                            [[r[c] for c in columns] for r in rows]),
     ]
     for row, found in results:
-        _require_class(cfg, paths, f"the level-{row['level']} equilibrium "
-                       f"({row['method']})", found)
+        _require_equilibrium(cfg, paths, row["level"], row["fallback"], found)
     return paths
 
 
@@ -284,9 +285,8 @@ def _sweep_job(args):
     d = report.to_json_dict()
     d.update({"level": n, "degree_requested": cfg.degree.to_json_dict(),
               "seed": seed})
-    del d["degree"], d["time"]
-    d["degree_found"] = (None if report.degree is None
-                         else report.degree.to_json_dict())
+    d["degree_found"] = d.pop("degree")
+    del d["time"]
     return (n, spec, seed), d
 
 
@@ -372,7 +372,6 @@ def _flag(commands, parse=None, **argparse_kw):
 
 
 _ALL = tuple(_COMMANDS)
-_FLOWS = ("twist", "flow", "verify", "sweep")
 
 # One row per flag, keyed by its RunConfig field (--max-time is max_time):
 # the subcommands that take it, its argparse keywords, and the parser
@@ -399,8 +398,8 @@ _FLAGS = {
                    help="range lo:hi or single (default 0)"),
     "perturb": _flag(("sweep",), type=float),
     "jobs": _flag(("verify", "sweep"), type=int),
-    "tol": _flag(_FLOWS, type=float),
-    "max_time": _flag(_FLOWS, type=float),
+    "tol": _flag(("twist", "flow", "verify", "sweep"), type=float),
+    "max_time": _flag(("flow", "sweep"), type=float),
     "svg": _flag(("harmonic", "twist"), action="store_true", default=None),
     "traj": _flag(("flow",), action="store_true", default=None,
                   help="append time, energy, residual snapshots to CSV"),
@@ -477,9 +476,10 @@ def _config_from_args(args) -> RunConfig:
         if parse and key in data:
             data[key] = parse(data[key], alphabet, "--" + key.replace("_", "-"))
     perturb = data.get("perturb", RunConfig.perturb)
-    if "seeds" in user_keys and perturb == 0:  # every job from the harmonic map
-        raise ValueError(f"--seeds is read only by a positive --perturb, "
-                         f"not by --perturb {perturb!r}")
+    for key in ("seeds", "max_time"):  # unperturbed sweep jobs run Newton
+        if args.mode == "sweep" and key in user_keys and perturb == 0:
+            raise ValueError(f"--{key.replace('_', '-')} is read only by a "
+                             f"positive --perturb, not by --perturb {perturb!r}")
     return RunConfig(**data)
 
 

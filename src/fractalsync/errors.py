@@ -41,7 +41,7 @@ class ConstraintViolationError(ValueError):
 
 
 class NotAnEquilibriumError(ValueError):
-    """Stability was requested for a field that is not an equilibrium."""
+    """A field is not the certified equilibrium that a result needs."""
 
 
 class EigensolverError(RuntimeError):

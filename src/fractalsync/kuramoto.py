@@ -186,8 +186,8 @@ def cell_wall_energy(g: FractalGraph, u) -> float:
 
 @dataclass
 class FlowConfig:
-    """Flow and Newton settings: the time budget and the residual
-    tolerance.  The RK4 step is always :func:`default_step`."""
+    """The flow's time budget and the residual tolerance, Newton's only
+    setting.  The RK4 step is always :func:`default_step`."""
 
     max_time: float = 400.0
     tol: float = 1e-10
@@ -202,7 +202,8 @@ class EquilibriumReport:
     ``steps``, ``time``, ``halvings`` and ``step_size`` describe the RK4
     part, and ``newton_steps`` counts Newton steps.  For ``"newton"`` no
     flow ran: ``steps`` and ``time`` are 0, and ``halvings`` and
-    ``step_size`` are the line search's.  ``degree`` is the full-order
+    ``step_size`` are the line search's, or 0 for the wrapped start that
+    Newton refused (``fallback`` says why).  ``degree`` is the full-order
     degree vector of ``field``, or None with ``degree_error`` saying why.
     ``hessian_min_eig`` and ``stability`` are set for every Newton end,
     from the factor that certified the reported field (also when
@@ -224,7 +225,7 @@ class EquilibriumReport:
     converged: bool
     halvings: int = 0
     method: str = "flow"            # "flow", "flow+newton" or "newton"
-    fallback: str | None = None     # why Newton handed over to the flow
+    fallback: str | None = None     # why Newton refused its start
     newton_steps: int = 0
     degree_error: str | None = None
     trajectory: list | None = None
@@ -444,22 +445,20 @@ def solve_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None) -> Equ
     counts the iterations in ``newton_steps``.
 
     If a factor is not certified, the line search falls below
-    ``NEWTON_MIN_STEP`` or ``NEWTON_MAX_ITERS`` steps pass, the result is
-    ``integrate_to_equilibrium(g, u0, cfg)`` from the original start, with
-    ``fallback`` naming the reason; that flow may itself end with the
-    same Newton iteration once it has settled (``"flow+newton"``).
-
-    The step cap means Newton cannot leave the start's homotopy class, so
-    it does not answer whether the flow from ``u0`` stays in that class;
-    that question needs :func:`integrate_to_equilibrium`.
+    ``NEWTON_MIN_STEP`` or ``NEWTON_MAX_ITERS`` steps pass, Newton refuses
+    the start: the report is of the wrapped start, with ``fallback``
+    naming the reason and ``converged`` whether its residual is below
+    ``cfg.tol``.  No flow stands in: the step cap keeps Newton in the
+    start's homotopy class, so it does not answer whether the flow from
+    ``u0`` stays there, a question for :func:`integrate_to_equilibrium`.
     """
     cfg = cfg or FlowConfig()
     u0 = g.check_field(u0)
     out = _newton(g, u0, cfg)
-    if isinstance(out, str):
-        rep = integrate_to_equilibrium(g, u0, cfg)
-        rep.fallback = out
-        return rep
+    if isinstance(out, str):   # refused: the report of the wrapped start
+        res = float(np.abs(km_rhs(g, wrap_phases(u0))).max())
+        return _finalize(g, u0, res, 0, 0.0, 0.0, res < cfg.tol, 0,
+                         method="newton", fallback=out)
     u, res, newton_steps, t, halvings, factor = out
     return _finalize(g, u, res, 0, 0.0, t, True, halvings, factor,
                      method="newton", newton_steps=newton_steps)

@@ -105,18 +105,22 @@ def test_covering_of_another_class_fails(tmp_path, capsys):
 
 
 def test_twist_that_leaves_its_class_fails(tmp_path, capsys):
-    # Newton refuses the level-4 map (of the right class) and the flow
-    # settles in the class 1:-1; the artifacts are written, the run fails
+    # Newton refuses the level-4 map (of the right class), and no flow
+    # stands in, whose end would leave the class (1:-1): the artifacts,
+    # of the map itself, are written and the run fails
     out = tmp_path / "t"
     assert run(["twist", "--level", "4", "--degree", "eps:1,13:2",
                 "--out", str(out)]) == 1
     err = capsys.readouterr().err.strip()
-    assert err == ("error: DegreeMismatchError: the level-4 equilibrium "
-                   "(flow+newton) has degree 1:-1, not the requested eps:1,13:2")
+    assert err == ("error: NotAnEquilibriumError: Newton refused the level-4 "
+                   "harmonic map: pinned Hessian not positive definite")
     rep = json.loads((out / "equilibrium.json").read_text())
-    assert rep["degree_requested"] == {"eps": 1, "13": 2}
-    assert rep["degree"] == {"1": -1}
-    assert rep["stability"] == "stable"
+    assert rep["degree_requested"] == rep["degree"] == {"eps": 1, "13": 2}
+    assert rep["method"] == "newton" and rep["converged"] is False
+    assert rep["fallback"] == "pinned Hessian not positive definite"
+    assert rep["steps"] == rep["newton_steps"] == 0
+    assert rep["stability"] is None
+    assert rep["max_circle_distance_to_harmonic_map"] == 0.0
     listed = json.loads((out / "manifest.json").read_text())["artifacts"]
     assert [a["path"] for a in listed] == ["equilibrium.csv", "equilibrium.json"]
 
@@ -124,21 +128,39 @@ def test_twist_that_leaves_its_class_fails(tmp_path, capsys):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_verify_with_rows_of_another_class_fails(tmp_path, capsys, sign):
     # below the onset of 1:2 (and of its mirror 1:-2) Newton refuses the
-    # map at levels 3 and 4 and the flow ends in another class, which
-    # rounding decides (a symmetric saddle's stable manifold); every row
-    # names the class it reached, and the run fails at the first stray
-    # one after writing its artifacts
+    # map at levels 3 and 4; no flow stands in, whose end class rounding
+    # would decide (a symmetric saddle's stable manifold), so a refused
+    # row has no equilibrium to measure, and the run fails at the first
+    # one after writing its artifacts.  Both signs are refused alike
     out = tmp_path / "v"
     assert run(["verify", "--degree", f"1:{2 * sign}", "--levels", "3:6",
                 "--out", str(out)]) == 1
     err = capsys.readouterr().err.strip()
-    assert err.startswith("error: DegreeMismatchError: the level-3 "
-                          "equilibrium (flow+newton) has degree ")
-    assert err.endswith(f", not the requested 1:{2 * sign}")
+    assert err == ("error: NotAnEquilibriumError: Newton refused the level-3 "
+                   "harmonic map: pinned Hessian not positive definite")
     rows = json.loads((out / "verify.json").read_text())["rows"]
-    found = [r["degree_found"] for r in rows]
-    assert [d == {"1": 2 * sign} for d in found] == [False, False, True, True]
-    assert [r["fallback"] is None for r in rows] == [False, False, True, True]
+    assert [r["degree_found"] for r in rows] == [{"1": 2 * sign}] * 4
+    assert [r["method"] for r in rows] == ["newton"] * 4
+    assert [r["converged"] for r in rows] == [False, False, True, True]
+    assert [r["fallback"] for r in rows] == (
+        ["pinned Hessian not positive definite"] * 2 + [None] * 2)
+    for r in rows:
+        measured = r["fallback"] is None
+        assert (r["km_energy_equilibrium"] is not None) == measured
+        assert (r["max_deviation"] is not None) == measured
+        assert (r["hessian_min_eig"] is not None) == measured
+    csv_rows = (out / "verify.csv").read_text().splitlines()[1:]
+    assert [line.endswith(",") for line in csv_rows] == [True, True, False, False]
+    if sign == -1:   # the mirror pair is refused at the same levels alike
+        mirror = tmp_path / "mirror"
+        assert run(["verify", "--degree", "1:2", "--levels", "3:6",
+                    "--out", str(mirror)]) == 1
+        mirrored = json.loads((mirror / "verify.json").read_text())["rows"]
+        keys = ("level", "method", "fallback", "converged")
+        assert ([[r[k] for k in keys] for r in rows]
+                == [[m[k] for k in keys] for m in mirrored])
+        for r, m in zip(rows, mirrored):
+            assert r["gap"] == pytest.approx(m["gap"], rel=1e-12)
     listed = json.loads((out / "manifest.json").read_text())["artifacts"]
     assert [a["path"] for a in listed] == ["verify.csv", "verify.json"]
 
@@ -381,7 +403,7 @@ def test_cli_error_single_line(tmp_path, capsys):
     (["flow", "--fractal", "ring", "--level", "3", "--init", "twist:1.5"],
      "--init 'twist:1.5': invalid literal for int() with base 10: '1.5'"),
     (["flow", "--tol", "-1"], "--tol must be positive"),
-    (["twist", "--max-time", "0"], "--max-time must be positive"),
+    (["flow", "--max-time", "0"], "--max-time must be positive"),
     (["verify", "--jobs", "0"], "--jobs must be at least 1"),
     (["sweep", "--degrees", ";"], "--degrees ';' names no degree"),
     (["sweep", "--degrees", ""], "--degrees '' names no degree"),
@@ -396,6 +418,8 @@ def test_cli_error_single_line(tmp_path, capsys):
      "--init 'constant:abc': could not convert string to float: 'abc'"),
     (["flow", "--level", "3", "--init", "twist:1"],
      "--init 'twist:1': twisted states live on the ring"),
+    (["sweep", "--levels", "3:3", "--max-time", "5"],
+     "--max-time is read only by a positive --perturb, not by --perturb 0.0"),
 ])
 def test_numeric_inputs_checked_where_they_enter(tmp_path, capsys, argv, message):
     out = tmp_path / "bad"
@@ -566,10 +590,10 @@ def test_config_degree_list_runs_as_its_text(tmp_path):
 def test_config_value_converted_as_its_flag(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"level": "3", "tol": "1e-5",
-                                "max_time": 5, "svg": True}))
+                                "max_time": 5, "traj": True}))
     cfg = _config_from_args(_build_parser().parse_args(
-        ["twist", "--config", str(path)]))
-    assert (cfg.level, cfg.tol, cfg.max_time, cfg.svg) == (
+        ["flow", "--config", str(path)]))
+    assert (cfg.level, cfg.tol, cfg.max_time, cfg.traj) == (
         3, 1e-5, 5.0, True)
     assert type(cfg.level) is int and type(cfg.max_time) is float
 
@@ -661,12 +685,10 @@ CLI_SURFACE = {
     "build-graph": "--config --fractal --level --out",
     "harmonic": "--boundary --config --fractal --level --method --out --svg",
     "covering": "--config --degree --fractal --level --out",
-    "twist": "--config --degree --fractal --level --max-time --out --svg "
-             "--tol",
+    "twist": "--config --degree --fractal --level --out --svg --tol",
     "flow": "--config --fractal --init --level --max-time --out --seed "
             "--tol --traj",
-    "verify": "--config --degree --fractal --jobs --levels --max-time --out "
-              "--tol",
+    "verify": "--config --degree --fractal --jobs --levels --out --tol",
     "sweep": "--config --degrees --fractal --jobs --levels --max-time --out "
              "--perturb --seeds --tol",
 }

@@ -619,11 +619,17 @@ _WALL_CLASSES = {"sg": ("0", "1", "-1", "2", "2,0,0", "1,1,1,1"),
 
 
 def _cell_equilibrium(g, spec):
-    """The equilibrium of ``spec``'s class, from its harmonic map."""
+    """The equilibrium of ``spec``'s class, Newton's from its harmonic
+    map, or the flow's end from that map where Newton refuses it (a ring
+    twist at or past a quarter turn, a gasket class below its onset)."""
     if g.fractal.name == "ring":
-        return solve_equilibrium(g, twisted_state(g, int(spec))).field
-    omega = DegreeVector.parse(spec, (1, 2, 3))
-    return solve_equilibrium(g, circle_harmonic_map(g, omega)[0]).field
+        start = twisted_state(g, int(spec))
+    else:
+        start = circle_harmonic_map(g, DegreeVector.parse(spec, (1, 2, 3)))[0]
+    rep = solve_equilibrium(g, start)
+    if rep.fallback is not None:
+        rep = integrate_to_equilibrium(g, start)
+    return rep.field
 
 
 @settings(max_examples=30, deadline=None)
@@ -784,12 +790,6 @@ def test_ring_wall_energy_certifies_every_quarter_turn_twist_not_saddles():
 
 # -- Newton solve (plain RK4 is the oracle) ----------------------------------------
 
-def _report_without_method(rep):
-    d = rep.to_json_dict()
-    del d["method"], d["fallback"]
-    return d
-
-
 @pytest.mark.parametrize("omega", [DegreeVector({(): 1}),
                                    DegreeVector({(): 1, (1,): 1, (2,): 1, (3,): 1})])
 def test_newton_matches_flow_pointwise(omega):
@@ -810,6 +810,8 @@ def test_newton_matches_flow_pointwise(omega):
        spec=st.sampled_from(("0", "1", "1,1,1,1", "2,0,0")),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(n=4, spec="2,0,0", seed=52)   # unguarded steps change this degree
+@example(n=4, spec="1,1,1,1", seed=2)  # Newton refuses these two starts
+@example(n=4, spec="2,0,0", seed=2)
 def test_newton_from_perturbed_start_keeps_degree_and_matches_flow(n, spec, seed):
     g = build_sg_graph(n)
     omega = DegreeVector.parse(spec, (1, 2, 3))
@@ -818,26 +820,50 @@ def test_newton_from_perturbed_start_keeps_degree_and_matches_flow(n, spec, seed
     u0 = wrap_phases(phases + rng.uniform(-0.1, 0.1, g.n_vertices))
     cfg = FlowConfig()
     rep = solve_equilibrium(g, u0, cfg)
+    if rep.fallback is not None:
+        # Newton refused the start (at n = 4, for an indefinite Hessian in
+        # 49 of 800 seeds): the report is of the start itself
+        assert rep.fallback in ("pinned Hessian not positive definite",
+                                f"line search step below {km.NEWTON_MIN_STEP:g}",
+                                f"no convergence in {km.NEWTON_MAX_ITERS} Newton steps")
+        assert rep.method == "newton" and not rep.converged
+        assert rep.steps == rep.newton_steps == rep.halvings == 0
+        np.testing.assert_array_equal(rep.field, u0)
+        assert rep.residual == np.abs(km_rhs(g, u0)).max() >= cfg.tol
+        assert rep.energy == km_energy(g, u0)
+        assert rep.stability is None and rep.hessian_min_eig is None
+        assert rep.degree == degree(u0, g)
+        return
     ref = rk4_reference(g, u0, cfg)
     assert rep.converged and rep.stability == "stable"
     assert rep.degree == degree(u0, g)
     assert circle_distance(rep.field, ref.field).max() < 1e-8
 
 
-def test_uncertified_start_falls_back_to_flow():
+def test_uncertified_start_is_reported_without_a_flow(monkeypatch):
+    def no_flow(*args):
+        raise AssertionError("solve_equilibrium ran the flow")
+
+    monkeypatch.setattr(km, "integrate_to_equilibrium", no_flow)
     ring = build_ring_graph(5)
     g = build_sg_graph(3)
     rng = np.random.default_rng(2)
-    # saddles (Hessian indefinite) and a random start far from equilibrium
-    for graph, u0 in ((ring, half_twisted_state(ring, 0.5)),
-                      (ring, twisted_state(ring, 9)),
-                      (g, rng.random(g.n_vertices))):
+    # saddles (Hessian indefinite) and a random start far from equilibrium;
+    # the report is of the wrapped start, classified as any other end
+    for graph, u0, stability in (
+            (ring, half_twisted_state(ring, 0.5), "saddle"),
+            (ring, twisted_state(ring, 9), "saddle"),
+            (g, rng.random(g.n_vertices), None)):
         rep = solve_equilibrium(graph, u0)
-        ref = integrate_to_equilibrium(graph, u0)
-        assert rep.method == ref.method
+        assert rep.method == "newton"
         assert rep.fallback == "pinned Hessian not positive definite"
-        np.testing.assert_array_equal(rep.field, ref.field)
-        assert _report_without_method(rep) == _report_without_method(ref)
+        np.testing.assert_array_equal(rep.field, wrap_phases(u0))
+        assert rep.residual == np.abs(km_rhs(graph, rep.field)).max()
+        assert rep.converged == (rep.residual < FlowConfig().tol)
+        assert (rep.steps, rep.time, rep.step_size, rep.halvings,
+                rep.newton_steps) == (0, 0.0, 0.0, 0, 0)
+        assert rep.stability == stability and rep.trajectory is None
+        assert rep.degree == degree(rep.field, graph)
 
 
 def test_newton_keeps_stable_ring_twists():
