@@ -53,6 +53,8 @@ class RunConfig:
     def __post_init__(self):
         if self.fractal not in tuple(FRACTALS):  # a JSON list: no TypeError
             raise ValueError(f"unknown fractal {self.fractal!r}")
+        for n in (self.level, *(self.levels or ())):  # before any level runs
+            FRACTALS[self.fractal].check_level(n)
         if self.mode == "covering" and not self.degree:
             raise ValueError("mode 'covering' requires a nonzero --degree")
         if self.mode == "harmonic" and self.boundary is None:

@@ -36,26 +36,19 @@ from .winding import DegreeVector, degree, word_str, wrap_phases
 class CutSpec:
     """One cut: the loop it serves, the vertex split, and the jump.
 
-    The plus copy replaces the cut vertex as corner ``plus_corner`` of
-    the graph-level cell ``plus_cell``.
+    The minus copy keeps the cut vertex's id; the plus copy replaces it
+    as corner ``plus_corner`` of the graph-level cell ``plus_cell``.
     """
 
     word: tuple[int, ...]
     cut_vertex: int
-    minus_id: int
     plus_id: int
     jump: int
     plus_cell: int
     plus_corner: int
 
     def to_json_dict(self):
-        return {
-            "word": word_str(self.word),
-            "cut_vertex": self.cut_vertex,
-            "minus_id": self.minus_id,
-            "plus_id": self.plus_id,
-            "jump": self.jump,
-        }
+        return {**vars(self), "word": word_str(self.word)}
 
 
 def select_cut_vertices(g: FractalGraph, omega: DegreeVector):
@@ -90,9 +83,8 @@ def select_cut_vertices(g: FractalGraph, omega: DegreeVector):
         vid = int(g.cell_corners[plus_cell, b])
         assert g.cell_corners[minus_cell, a] == vid
         cuts.append(CutSpec(
-            word=word, cut_vertex=vid, minus_id=vid,
-            plus_id=g.n_vertices + len(cuts), jump=jump,
-            plus_cell=plus_cell, plus_corner=int(b)))
+            word=word, cut_vertex=vid, plus_id=g.n_vertices + len(cuts),
+            jump=jump, plus_cell=plus_cell, plus_corner=int(b)))
     return cuts
 
 
@@ -124,7 +116,7 @@ class CoveringDomain:
         corners.setflags(write=False)
         self.cell_corners = corners
         self.edges = base.fractal.cell_edges(corners)
-        minus = np.array([c.minus_id for c in self.cuts], dtype=np.int64)
+        minus = np.array([c.cut_vertex for c in self.cuts], dtype=np.int64)
         self.rep = np.concatenate((np.arange(base.n_vertices), minus))
         self.offset = np.zeros(self.n_vertices)
         self.offset[base.n_vertices:] = [c.jump for c in self.cuts]
@@ -143,7 +135,6 @@ class CoveringDomain:
             "pinned": self.pinned,
             "degree": self.omega.to_json_dict(),
             "cuts": [c.to_json_dict() for c in self.cuts],
-            "edges": self.edges,
         }
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UncertifiedFactorError
+from .errors import UncertifiedFactorError, as_integer
 from .graphs import CellMap, FractalGraph
 
 HOLDER_BLOCK_ENTRIES = 1 << 20  # pairs in one block of holder_ratio's scan
@@ -44,7 +44,7 @@ def as_boundary_data(g: FractalGraph, phi) -> dict:
     """Boundary values ``{id: value}`` on V0, from a sequence or mapping
     checked against ``g``."""
     if isinstance(phi, dict):
-        values = {int(k): float(v) for k, v in phi.items()}
+        values = {as_integer(k, "boundary key"): float(v) for k, v in phi.items()}
     else:
         seq = [float(v) for v in phi]
         if len(seq) != len(g.boundary_ids):
@@ -298,7 +298,7 @@ def solve_dirichlet(g: FractalGraph, phi, method="extension") -> np.ndarray:
 def normal_derivative(g: FractalGraph, f, v) -> float:
     """Renormalised boundary flux (1/r)**m * sum_{y ~ v} (f(y) - f(v)): the
     :func:`laplacian` at a vertex v of V0."""
-    v = int(v)
+    v = as_integer(v, "vertex")
     if v not in g.boundary_ids:
         raise ValueError(f"vertex {v} is not a boundary vertex")
     return float(laplacian(g, f)[v])

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer check of ids and degrees."""
+
+
+def as_integer(value, what) -> int:
+    """``value`` as an int; ValueError naming it unless it is whole."""
+    if not float(value).is_integer():  # 22.5 is refused, not truncated
+        raise ValueError(f"{what} is {value!r}, not an integer")
+    return int(value)
 
 
 class UnresolvedWindingError(ValueError):

@@ -70,6 +70,12 @@ class Fractal:
         """The level-n graph: one object per process, however reached."""
         return _refine(self, n)
 
+    def check_level(self, n):
+        """ValueError unless :meth:`build` builds level ``n``."""
+        if n not in self.levels:
+            raise ValueError(f"{self.name} level must be in [{self.levels[0]}, "
+                             f"{self.levels[-1]}], got {n}")
+
     def cell_edges(self, corners) -> np.ndarray:
         """Edges of a corner table, cell by cell: each cell's ``sides``."""
         return corners.take(self.sides, axis=1).reshape(-1, 2)
@@ -186,28 +192,22 @@ class FractalGraph:
     # -- export ------------------------------------------------------------
 
     def to_json_dict(self):
-        # each key spelled as its canonical name, a symbol at a time from the
-        # last into uint8: a vertex born at level b names itself with its
-        # first b symbols, the rest, left NUL, are its tail, written after "~"
-        alphabet, m = self.fractal.alphabet, self.level + 1
-        glyphs = np.asarray(alphabet, dtype=np.uint8) + ord("0")
-        chars = np.zeros((self.n_vertices, m), dtype=np.uint8)
-        rest, tail = np.divmod(self.keys, self.fractal.num_maps)
-        for j in range(m - 2, -1, -1):
-            rest, digit = np.divmod(rest, self.fractal.num_maps)
-            chars[:, j] = np.where(j < self.birth, glyphs[digit], 0)
-        words = chars.view(f"S{m}").ravel().astype(str)
-        verts = [
-            {"id": i, "itinerary": f"{w}~{t}", "x": x, "y": y, "boundary": b}
-            for i, (w, t, x, y, b) in enumerate(zip(
-                words.tolist(), np.asarray(alphabet)[tail].tolist(),
-                *self.coords.T.tolist(), (self.birth == 0).tolist()))
-        ]
+        # each key spelled as its canonical name into uint8 rows that NUL
+        # pads: its first ``birth`` symbols, "~", and its last, the tail
+        m, b = self.level + 1, self.birth[:, None]
+        digits = self.word_symbols(self.keys, m) + ord("0")
+        col = np.arange(m + 1)
+        chars = np.select([col < b, col == b, col == b + 1], [
+            np.pad(digits, ((0, 0), (0, 1))), ord("~"), digits[:, -1:]]
+        ).astype(np.uint8)
         return {
             "kind": self.fractal.name,
             "level": self.level,
             "conductance": self.conductance,
-            "vertices": verts,
+            "itinerary": chars.view(f"S{m + 1}").ravel().astype(str).tolist(),
+            "x": self.coords[:, 0],
+            "y": self.coords[:, 1],
+            "boundary": list(self.boundary_ids),
             "edges": self.edges,
             "cells": CellMap(self, self.cell_corners),
         }
@@ -279,9 +279,7 @@ def _refine(fractal, n) -> FractalGraph:
     length, as x + iy, applied innermost symbol first: a leading symbol d
     maps p to (p + v_d) / 2.
     """
-    if n not in fractal.levels:
-        raise ValueError(f"{fractal.name} level must be in [{fractal.levels[0]}, "
-                         f"{fractal.levels[-1]}], got {n}")
+    fractal.check_level(n)
     k = len(fractal.alphabet)
     corners = fractal.base_corners
     keys = np.arange(corners.max() + 1)  # at level 0 the tail, the id

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dirichlet import _pinned_factor
 from .errors import (EigensolverError, NotAnEquilibriumError,
-                     UnresolvedWindingError)
+                     UnresolvedWindingError, as_integer)
 from .graphs import FractalGraph
 from .winding import DegreeVector, _wrapped_diff, degree, wrap_phases
 
@@ -567,8 +567,7 @@ def twisted_state(g: FractalGraph, q: int) -> np.ndarray:
     """Ring state u(v_i) = q i 2**-n mod 1 of integer winding q."""
     if len(g.boundary_ids) != 1:   # the level-0 cell's ends are one vertex
         raise ValueError("twisted states live on the ring")
-    if not math.isfinite(q) or q != int(q):
-        raise ValueError("q must be an integer")
+    q = as_integer(q, "q")
     return wrap_phases(q * np.arange(g.n_vertices) / g.n_vertices)
 
 

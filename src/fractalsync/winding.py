@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DegreeClosureError, UnresolvedWindingError
+from .errors import DegreeClosureError, UnresolvedWindingError, as_integer
 from .graphs import SG, FractalGraph
 
 INTEGRALITY_TOL = 1e-8
@@ -42,7 +42,7 @@ class DegreeVector:
         ent = {}
         for w, v in (entries or {}).items():
             w = tuple(w)
-            v = int(v)
+            v = as_integer(v, f"degree of loop {word_str(w)}")
             if v != 0:
                 ent[w] = v
         self.entries = ent

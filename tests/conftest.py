@@ -584,7 +584,7 @@ def _substitution(dom):
     col[free] = np.arange(n_free)
     # each vertex takes the value of its free representative, if it has one
     rep = np.arange(n)
-    rep[plus] = [c.minus_id for c in dom.cuts]
+    rep[plus] = [c.cut_vertex for c in dom.cuts]
     rows = np.flatnonzero(col[rep] >= 0)
     P = sparse.csr_matrix((np.ones(len(rows)), (rows, col[rep[rows]])),
                           shape=(n, n_free))

@@ -3,7 +3,8 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +49,7 @@ def test_build_graph_cmd(tmp_path):
                 "--out", str(out)]) == 0
     data = json.loads((out / "graph_sg_2.json").read_text())
     assert data["level"] == 2
-    assert len(data["vertices"]) == 15
+    assert len(data["itinerary"]) == len(data["x"]) == len(data["y"]) == 15
     manifest = json.loads((out / "manifest.json").read_text())
     assert {e["path"] for e in manifest["artifacts"]} == {
         "graph_sg_2.json", "structure.json"}
@@ -163,6 +164,64 @@ def test_verify_with_rows_of_another_class_fails(tmp_path, capsys, sign):
             assert r["gap"] == pytest.approx(m["gap"], rel=1e-12)
     listed = json.loads((out / "manifest.json").read_text())["artifacts"]
     assert [a["path"] for a in listed] == ["verify.csv", "verify.json"]
+
+
+@pytest.mark.parametrize("found", [DegreeVector({(): 2}), None],
+                         ids=["eps:2", "unresolved"])
+@pytest.mark.parametrize("mode", ["twist", "verify"])
+def test_equilibrium_of_another_class_fails_after_its_artifacts(
+        tmp_path, capsys, monkeypatch, mode, found):
+    # Newton keeps its start's class, so only a report whose degree is
+    # replaced, by another class or by an unread one, reaches the guard
+    solve = km.solve_equilibrium
+    monkeypatch.setattr(km, "solve_equilibrium",
+                        lambda *a: replace(solve(*a), degree=found))
+    out = tmp_path / "o"
+    argv = ["twist", "--level", "3"] if mode == "twist" else [
+        "verify", "--levels", "3:4"]
+    assert run(argv + ["--degree", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == (
+        f"error: DegreeMismatchError: the level-3 equilibrium has degree "
+        f"{'unresolved' if found is None else found}, not the requested eps:1")
+    listed = json.loads((out / "manifest.json").read_text())["artifacts"]
+    stem = "equilibrium" if mode == "twist" else "verify"
+    assert [a["path"] for a in listed] == [f"{stem}.csv", f"{stem}.json"]
+    assert all(sha256_of(out / a["path"]) == a["sha256"] for a in listed)
+    written = json.loads((out / f"{stem}.json").read_text())
+    found_json = None if found is None else found.to_json_dict()
+    if mode == "twist":
+        assert written["degree"] == found_json
+        # no dense listing of a degree that was not read
+        assert written.get("degree_dense") == (None if found is None else [2])
+        assert ("degree:" in captured.out) == (found is not None)
+    else:
+        assert [r["degree_found"] for r in written["rows"]] == [found_json] * 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--degree", "1", "--levels", "10:13"],
+     "sg level must be in [0, 12], got 13"),
+    (["sweep", "--levels", "3:13"], "sg level must be in [0, 12], got 13"),
+    (["twist", "--level", "13"], "sg level must be in [0, 12], got 13"),
+    (["verify", "--fractal", "ring", "--levels", "0:3"],
+     "ring level must be in [1, 20], got 0"),
+])
+def test_levels_out_of_range_fail_before_any_level_runs(tmp_path, capsys,
+                                                        monkeypatch, argv,
+                                                        message):
+    from fractalsync import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "_twist_report",
+                        lambda *a, **kw: calls.append(a))
+    out = tmp_path / "bad"
+    start = time.perf_counter()
+    assert run(argv + ["--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.strip() == f"error: ValueError: {message}"
+    assert calls == []
+    assert not out.exists()
 
 
 def test_twist_cmd_and_determinism(tmp_path):

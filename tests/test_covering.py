@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +14,8 @@ from fractalsync import (ConstraintViolationError, DegreeMismatchError,
                          minimize_constrained, neumann_check, project_to_circle,
                          restrict, select_cut_vertices, solve_equilibrium)
 from fractalsync.covering import seed_domain
+from fractalsync.serialize import dumps_json
+from fractalsync.winding import word_str
 
 OMEGA1 = DegreeVector({(): 1})
 
@@ -107,8 +110,32 @@ def test_cut_graph_shape():
     assert dom.n_edges == g.n_edges
     # the split vertex keeps two edges on each side
     counts = np.bincount(dom.edges.ravel(), minlength=dom.n_vertices)
-    assert counts[dom.cuts[0].minus_id] == 2
+    assert counts[dom.cuts[0].cut_vertex] == 2
     assert counts[dom.cuts[0].plus_id] == 2
+
+
+@pytest.mark.parametrize("fractal,n,spec", [
+    ("sg", n, spec) for n in range(2, 9) for spec in ("1", "1,1,1,1", "2,0,0")
+] + [("ring", n, spec) for n in range(3, 11) for spec in ("1", "3")])
+def test_domain_json_rebuilds_the_domain_from_the_graph(fractal, n, spec):
+    # domain.json holds the cuts and no edges: the graph's corner table
+    # with each plus copy written in, and the graph's jumps, are the domain
+    g = build_graph(fractal, n)
+    dom = covering_domain(g, DegreeVector.parse(spec, g.fractal.alphabet))
+    d = json.loads(dumps_json(dom.to_json_dict()))
+    assert set(d) == {"kind", "level", "n_vertices", "pinned", "degree", "cuts"}
+    corners = g.cell_corners.copy()
+    rep = np.arange(d["n_vertices"])
+    offset = np.zeros(d["n_vertices"])
+    for cut in d["cuts"]:
+        assert corners[cut["plus_cell"], cut["plus_corner"]] == cut["cut_vertex"]
+        corners[cut["plus_cell"], cut["plus_corner"]] = cut["plus_id"]
+        rep[cut["plus_id"]], offset[cut["plus_id"]] = cut["cut_vertex"], cut["jump"]
+    np.testing.assert_array_equal(corners, dom.cell_corners)
+    np.testing.assert_array_equal(g.fractal.cell_edges(corners), dom.edges)
+    np.testing.assert_array_equal(rep, dom.rep)
+    np.testing.assert_array_equal(offset, dom.offset)
+    assert [c["word"] for c in d["cuts"]] == [word_str(c.word) for c in dom.cuts]
 
 
 # -- constrained minimisation -----------------------------------------------
@@ -187,7 +214,7 @@ def _exact_minimizer(dom):
     rep = list(range(dom.n_vertices))
     jump = [Fraction(0)] * dom.n_vertices
     for c in dom.cuts:
-        rep[c.plus_id], jump[c.plus_id] = c.minus_id, Fraction(c.jump)
+        rep[c.plus_id], jump[c.plus_id] = c.cut_vertex, Fraction(c.jump)
     A = [[Fraction(0)] * (n + 1) for _ in range(n)]   # [L | r]
     for a, b in dom.edges.tolist():
         i, j, d = rep[a], rep[b], jump[b] - jump[a]
@@ -239,11 +266,11 @@ def test_minimizer_interior_laplace_equation():
     i, j = dom.edges[:, 0], dom.edges[:, 1]
     d = (lift.values[j] - lift.values[i]) * dom.conductance
     flux = np.bincount(i, d, dom.n_vertices) - np.bincount(j, d, dom.n_vertices)
-    skip = {dom.pinned, dom.cuts[0].minus_id, dom.cuts[0].plus_id}
+    skip = {dom.pinned, dom.cuts[0].cut_vertex, dom.cuts[0].plus_id}
     interior = [v for v in range(dom.n_vertices) if v not in skip]
     assert np.abs(flux[interior]).max() < 1e-10
     # combined stationarity across the cut pair
-    assert abs(flux[dom.cuts[0].minus_id] + flux[dom.cuts[0].plus_id]) < 1e-10
+    assert abs(flux[dom.cuts[0].cut_vertex] + flux[dom.cuts[0].plus_id]) < 1e-10
 
 
 def test_jump_and_pin_exact():
@@ -253,7 +280,7 @@ def test_jump_and_pin_exact():
     lift = minimize_constrained(dom)
     assert lift.values[dom.pinned] == 0.0
     for c in dom.cuts:
-        assert lift.values[c.plus_id] - lift.values[c.minus_id] == c.jump
+        assert lift.values[c.plus_id] - lift.values[c.cut_vertex] == c.jump
 
 
 # -- extension ----------------------------------------------------------------

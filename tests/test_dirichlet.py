@@ -476,6 +476,21 @@ def test_normal_derivative_interior_rejected():
         normal_derivative(g, np.zeros(6), 1)
 
 
+def test_non_integral_ids_refused_not_truncated():
+    # V0 of the level-3 gasket is 0, 22, 41: truncation would read 22.5
+    # and 22.7 as vertex 22
+    g = build_sg_graph(3)
+    with pytest.raises(ValueError, match=r"^boundary key is 22\.5, not an integer$"):
+        dirichlet.as_boundary_data(g, {0: 0, 22.5: 1, 41: 2})
+    with pytest.raises(ValueError, match=r"^vertex is 22\.7, not an integer$"):
+        normal_derivative(g, np.zeros(g.n_vertices), 22.7)
+    # a whole number of another type is that id
+    assert dirichlet.as_boundary_data(g, {0.0: 0, np.int64(22): 1, 41: 2}) == {
+        0: 0.0, 22: 1.0, 41: 2.0}
+    f = solve_dirichlet(g, [0, 1, 2])
+    assert normal_derivative(g, f, 22.0) == normal_derivative(g, f, 22)
+
+
 def test_normal_derivative_constancy_across_levels():
     rng = np.random.default_rng(2)
     phi = rng.standard_normal(3)

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +11,7 @@ from fractalsync import (DegreeVector, build_graph, build_ring_graph,
                          laplacian, normal_derivative, restrict)
 from fractalsync.covering import seed_domain
 from fractalsync.graphs import CellMap, FRACTALS, _refine
+from fractalsync.serialize import dumps_json
 from conftest import (Itinerary, apply_word, canonical_itinerary,
                       enumerate_gasket, extend_harmonic_once, hessian_matrix,
                       laplacian_matrix, reference_cells, reference_graph,
@@ -316,9 +318,11 @@ def test_ring_restrict():
 def test_graph_json_schema():
     g = build_sg_graph(1)
     d = g.to_json_dict()
-    assert {"level", "vertices", "edges", "cells"} <= set(d)
-    assert d["vertices"][0] == {"id": 0, "itinerary": "~1", "x": 0.0,
-                                "y": 0.0, "boundary": True}
+    assert set(d) == {"kind", "level", "conductance", "itinerary", "x", "y",
+                      "boundary", "edges", "cells"}
+    assert d["itinerary"] == ["~1", "1~2", "1~3", "~2", "2~3", "~3"]
+    assert (d["x"][0], d["y"][0], d["x"][3]) == (0.0, 0.0, 0.5)
+    assert d["boundary"] == [0, 3, 5]
     assert d["cells"]["1"] == [0, 1, 2]
 
 
@@ -420,9 +424,14 @@ def test_cell_corner_itineraries_match_oracle(n):
                          + [(build_ring_graph, n) for n in range(1, 13)],
                          ids=_builder_id)
 def test_json_itineraries_match_key_decode_oracle(build, n):
+    # the written columns, read back: names as the oracle spells them, the
+    # coordinates bit for bit, and V0 as the names with an empty word
     g = build(n)
-    assert [v["itinerary"] for v in g.to_json_dict()["vertices"]] == [
-        str(reference_itinerary(g, v)) for v in range(g.n_vertices)]
+    d = json.loads(dumps_json(g.to_json_dict()))
+    names = [str(reference_itinerary(g, v)) for v in range(g.n_vertices)]
+    assert d["itinerary"] == names
+    np.testing.assert_array_equal(np.column_stack((d["x"], d["y"])), g.coords)
+    assert d["boundary"] == [v for v, s in enumerate(names) if s[0] == "~"]
 
 
 @pytest.mark.parametrize("build,n", [(build_sg_graph, n) for n in range(0, 6)]

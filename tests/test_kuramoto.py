@@ -180,7 +180,7 @@ def test_half_twisted_state_needs_a_half_integer():
 def test_twisted_state_needs_an_integer():
     g = build_ring_graph(3)
     for q in (2.5, 0.5, -1e-9, math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="q must be an integer"):
+        with pytest.raises(ValueError, match=f"^q is {q!r}, not an integer$"):
             twisted_state(g, q)
     assert twisted_state(g, np.int64(3)).tobytes() == twisted_state(g, 3).tobytes()
     with pytest.raises(ValueError, match="live on the ring"):

@@ -245,6 +245,17 @@ def test_degree_vector_dense_and_sparse_parse():
             DegreeVector.parse(text)
 
 
+def test_degree_vector_refuses_non_integral_entries():
+    # truncation would read {(): 1.7} as eps:1
+    for value in (1.7, -0.5, float("nan"), float("inf"), "2.5"):
+        with pytest.raises(ValueError,
+                           match=f"^degree of loop eps is {value!r}, not an integer$"):
+            DegreeVector({(): value})
+    with pytest.raises(ValueError, match=r"^degree of loop 13 is 2\.5,"):
+        DegreeVector({(): 1, (1, 3): 2.5})
+    assert DegreeVector({(): 2.0, (1,): np.int64(-1)}) == DegreeVector.parse("eps:2,1:-1")
+
+
 def test_degree_vector_dense_roundtrip():
     d = DegreeVector({(): 1, (2,): -3})
     assert d.to_dense() == [1, 0, -3, 0]
