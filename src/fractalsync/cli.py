@@ -113,21 +113,29 @@ def cmd_harmonic(cfg: RunConfig):
 
 def cmd_covering(cfg: RunConfig):
     g = build_graph(cfg.fractal, cfg.level)
-    _, lift = cov.circle_harmonic_map(g, cfg.degree)
-    neumann = cov.neumann_check(lift)
+    lift = cov.circle_harmonic_map(g, cfg.degree)[1]
+    # read all but the values off the lift, then drop it and its cut
+    # domain before anything is formatted
+    domain, energy = lift.domain.to_json_dict(), lift.energy()
+    neumann = {str(k): v for k, v in cov.neumann_check(lift).items()}
+    values = lift.values
+    del lift
     return [
-        ser.write_json(_path(cfg, "domain.json"), lift.domain.to_json_dict()),
-        *_field_artifacts(cfg, "lift", lift.values,
-                          level=lift.level, energy=lift.energy()),
-        ser.write_json(_path(cfg, "neumann.json"),
-                       {str(k): v for k, v in neumann.items()}),
+        ser.write_json(_path(cfg, "domain.json"), domain),
+        *_field_artifacts(cfg, "lift", values, level=cfg.level, energy=energy),
+        ser.write_json(_path(cfg, "neumann.json"), neumann),
     ]
 
 
 def _twist_report(cfg: RunConfig, level=None, perturb_seed=None):
+    """``(g, phases, lift_energy, report)`` of one level: the harmonic map,
+    its lift's energy, and the equilibrium solved from it.  The lift is
+    dropped before the solve."""
     level = cfg.level if level is None else level
     g = build_graph(cfg.fractal, level)
     phases, lift = cov.circle_harmonic_map(g, cfg.degree)
+    lift_energy = lift.energy()
+    del lift
     solve = km.solve_equilibrium
     if perturb_seed is not None and cfg.perturb > 0:
         rng = np.random.default_rng(perturb_seed)
@@ -137,14 +145,14 @@ def _twist_report(cfg: RunConfig, level=None, perturb_seed=None):
         # about the flow; Newton keeps the start's degree by construction
         solve = km.integrate_to_equilibrium
     report = solve(g, phases, km.FlowConfig(cfg.max_time, cfg.tol))
-    return g, phases, lift, report
+    return g, phases, lift_energy, report
 
 
 def cmd_twist(cfg: RunConfig):
-    g, phases, lift, report = _twist_report(cfg)
+    g, phases, lift_energy, report = _twist_report(cfg)
     d = report.to_json_dict()
     d["degree_requested"] = cfg.degree.to_json_dict()
-    d["lift_energy"] = lift.energy()
+    d["lift_energy"] = lift_energy
     d["max_circle_distance_to_harmonic_map"] = float(
         km.circle_distance(report.field, phases).max())
     if report.degree is not None:
@@ -223,8 +231,7 @@ def _verify_row(args):
     """The ``verify.json`` row of one level, and its equilibrium's
     degree."""
     cfg, n = args
-    g, phases, lift, report = _twist_report(cfg, level=n)
-    e_lift = lift.energy()
+    g, phases, e_lift, report = _twist_report(cfg, level=n)
     j_harm = km.km_energy(g, phases)
     d_n = float(km.circle_distance(report.field, phases).max())
     solved = report.fallback is None

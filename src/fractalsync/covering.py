@@ -94,14 +94,15 @@ class CoveringDomain:
     The plus copy of the k-th cut vertex gets id ``base.n_vertices + k``;
     the minus copy keeps the base id.  ``cell_corners`` is the base table
     with the cut vertex replaced by its plus copy in the one cell on the
-    plus side of each cut; the edges are read off that table.  ``rep``
-    maps each vertex to its base vertex and ``offset`` is each vertex's
-    jump (0 but at the plus copies), so a field that meets the jumps is
-    ``x[rep] + offset`` for ``x`` on the base graph.
+    plus side of each cut; the edges are read off that table on use.
+    ``rep`` maps each vertex to its base vertex and ``offset`` is each
+    vertex's jump (0 but at the plus copies), so a field that meets the
+    jumps is ``x[rep] + offset`` for ``x`` on the base graph.
     """
 
     def __init__(self, base: FractalGraph, omega: DegreeVector):
         self.base = base
+        self.fractal = base.fractal
         self.omega = omega
         self.level = base.level
         self.cuts = select_cut_vertices(base, omega)
@@ -115,21 +116,18 @@ class CoveringDomain:
             corners[cut.plus_cell, cut.plus_corner] = cut.plus_id
         corners.setflags(write=False)
         self.cell_corners = corners
-        self.edges = base.fractal.cell_edges(corners)
         minus = np.array([c.cut_vertex for c in self.cuts], dtype=np.int64)
         self.rep = np.concatenate((np.arange(base.n_vertices), minus))
         self.offset = np.zeros(self.n_vertices)
         self.offset[base.n_vertices:] = [c.jump for c in self.cuts]
 
     check_field = FractalGraph.check_field
-
-    @property
-    def n_edges(self):
-        return self.edges.shape[0]
+    edges = FractalGraph.edges
+    n_edges = FractalGraph.n_edges
 
     def to_json_dict(self):
         return {
-            "kind": self.base.fractal.name,
+            "kind": self.fractal.name,
             "level": self.level,
             "n_vertices": self.n_vertices,
             "pinned": self.pinned,
@@ -197,8 +195,8 @@ def extend_lift(lift: LiftField, n: int) -> LiftField:
             f"cannot extend a level-{lift.level} lift to level {n}")
     vals = lift.values[lift.domain.cell_corners]
     for _ in range(n - lift.level):
-        vals = extend_corners(lift.domain.base.fractal, vals)
-    dom = covering_domain(lift.domain.base.fractal.build(n), lift.domain.omega)
+        vals = extend_corners(lift.domain.fractal, vals)
+    dom = covering_domain(lift.domain.fractal.build(n), lift.domain.omega)
     values = np.empty(dom.n_vertices)
     values[dom.cell_corners] = vals
     return LiftField(domain=dom, values=values)

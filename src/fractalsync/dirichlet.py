@@ -21,6 +21,7 @@ from .errors import UncertifiedFactorError, as_integer
 from .graphs import CellMap, FractalGraph
 
 HOLDER_BLOCK_ENTRIES = 1 << 20  # pairs in one block of holder_ratio's scan
+FACTOR_BLOCK_CELLS = 1 << 12  # parent cells in one row block of _pinned_factor
 
 
 @dataclass
@@ -75,7 +76,8 @@ def dirichlet_energy(g: FractalGraph, f) -> EnergyReport:
     Each cell contributes its own sides, at the level's one conductance.
     """
     f = g.check_field(f)
-    d = f[g.edges[:, 1]] - f[g.edges[:, 0]]
+    i, j = g.edges.T
+    d = f[j] - f[i]
     sides = _square(d).reshape(len(g.cell_corners), -1)  # a row per cell
     per_cell = g.conductance * sides.sum(axis=1) / 2.0
     energy = math.fsum(per_cell.tolist())
@@ -87,7 +89,7 @@ def laplacian(g, f) -> np.ndarray:
     """Graph Laplacian c * sum_j (f_j - f_i), at every vertex of a graph or
     a cut domain."""
     f = g.check_field(f)
-    i, j = g.edges[:, 0], g.edges[:, 1]
+    i, j = g.edges.T
     d = (f[j] - f[i]) * g.conductance
     n = g.n_vertices
     return np.bincount(i, d, n) - np.bincount(j, d, n)
@@ -145,8 +147,8 @@ def _sylvester_inverse(m) -> np.ndarray | None:
     elif s == 2:
         adj = b[:, [3, 1, 2, 0]] * np.array([1.0, -1.0, -1.0, 1.0])
     elif s == 3:
-        p, q, r, t = b[:, _ADJUGATE_3].swapaxes(0, 1)
-        adj = p * q - r * t
+        p, q, r, t = _ADJUGATE_3
+        adj = b[:, p] * b[:, q] - b[:, r] * b[:, t]
     else:
         raise ValueError(f"no closed-form inverse of {s} x {s} blocks")
     det = (b[:, :s] * adj[:, ::s]).sum(axis=1)
@@ -214,34 +216,51 @@ def _pinned_factor(g: FractalGraph, w, shift=0.0) -> _CellFactor | None:
     same minors invert it in closed form (:func:`_sylvester_inverse`): no
     LAPACK call is made.  The factor keeps M^-1 and M^-1 B for
     :meth:`_CellFactor.solve` and :func:`solve_dirichlet`.
+
+    A level's parent cells are eliminated in row blocks of
+    ``FACTOR_BLOCK_CELLS``, each written into the level's step, next
+    weights and masses, so beyond what the factor keeps and the next
+    level's weights and masses the transients hold one block at any
+    level.  A block's products are the same rows of the same kernels as a
+    whole level's, so no bit depends on the block.
     """
     fractal, k = g.fractal, g.cell_corners.shape[1]
     local, sides = fractal.child_corners, fractal.sides
     size = k + len(fractal.extension)
     parent = _laplacian_map(fractal.cell_edges(local), size)
     corners = g.cell_corners
-    mass = np.zeros(corners.shape) if shift else None
+    # the finest cells carry no mass yet: zeros that take no memory
+    mass = np.broadcast_to(0.0, corners.shape) if shift else None
     gather = np.eye(size)[local.ravel()]
     levels = []
     for _ in range(g.level):
         nodes = fractal.cell_nodes(corners)
-        a = (w.reshape(len(nodes), -1) @ parent).reshape(-1, size, size)
+        n = len(nodes)
+        fine_w, w = w.reshape(n, -1), np.empty((n, len(sides)))
         if shift:
-            # each child's corner masses, summed on the parent's nodes
-            m = mass.reshape(len(nodes), -1) @ gather
-            m[:, k:] -= shift
-            a[:, range(size), range(size)] += m
-        b = a[:, k:, :k]
-        inv = _sylvester_inverse(a[:, k:, k:])
-        if inv is None:
-            return None
-        x = inv @ b
-        schur = a[:, :k, :k] - np.swapaxes(b, 1, 2) @ x
-        w = -schur[:, sides[:, 0], sides[:, 1]].ravel()
-        if shift:
-            mass = m[:, :k] - np.einsum("pmc,pm->pc", x, m[:, k:])
+            fine_mass, mass = mass.reshape(n, -1), np.empty((n, k))
+        step = np.empty((n, size - k, size))
+        for start in range(0, n, FACTOR_BLOCK_CELLS):
+            rows = slice(start, start + FACTOR_BLOCK_CELLS)
+            a = (fine_w[rows] @ parent).reshape(-1, size, size)
+            if shift:
+                # each child's corner masses, summed on the parent's nodes
+                m = fine_mass[rows] @ gather
+                m[:, k:] -= shift
+                a[:, range(size), range(size)] += m
+            b = a[:, k:, :k]
+            inv = _sylvester_inverse(a[:, k:, k:])
+            if inv is None:
+                return None
+            x = inv @ b
+            schur = a[:, :k, :k] - np.swapaxes(b, 1, 2) @ x
+            w[rows] = -schur[:, sides[:, 0], sides[:, 1]]
+            if shift:
+                mass[rows] = m[:, :k] - np.einsum("pmc,pm->pc", x, m[:, k:])
+            step[rows, :, :k] = -x
+            step[rows, :, k:] = inv
         corners = nodes[:, :k]
-        levels.append((nodes, np.concatenate((-x, inv), axis=2)))
+        levels.append((nodes, step))
     free = corners[0] != 0
     last = (w @ _laplacian_map(sides, k)).reshape(k, k)
     if shift:

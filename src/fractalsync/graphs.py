@@ -104,8 +104,9 @@ class FractalGraph:
     cell_corners : (C, k) ndarray
         Each cell's corner ids; row c is the cell whose word spells c.
     edges : (E, 2) ndarray
-        ``fractal.cell_edges(cell_corners)``; the level-1 ring's two cells
-        give its parallel edges (0, 1) and (1, 0).
+        ``fractal.cell_edges(cell_corners)``, read on use, so the graph
+        keeps one copy of its sides; the level-1 ring's two cells give its
+        parallel edges (0, 1) and (1, 0).
     conductance : float
         Every edge's weight, (1/r)**n: (5/3)**n on the gasket.
     keys : (N,) ndarray
@@ -123,13 +124,12 @@ class FractalGraph:
         self.fractal = fractal
         self.level = level
         self.coords = coords
-        self.edges = fractal.cell_edges(cell_corners)
         self.conductance = (1 / fractal.r) ** level
         self.cell_corners = cell_corners
         self.keys = keys
         self.birth = birth
         self.boundary_ids = tuple(np.flatnonzero(birth == 0).tolist())
-        for arr in (coords, self.edges, cell_corners, keys, birth):
+        for arr in (coords, cell_corners, keys, birth):
             arr.setflags(write=False)
 
     # -- basic queries ---------------------------------------------------
@@ -139,8 +139,13 @@ class FractalGraph:
         return self.coords.shape[0]
 
     @property
+    def edges(self):
+        # a new array at each read: callers take it once per call
+        return self.fractal.cell_edges(self.cell_corners)
+
+    @property
     def n_edges(self):
-        return self.edges.shape[0]
+        return self.cell_corners.shape[0] * len(self.fractal.sides)
 
     def check_field(self, f) -> np.ndarray:
         """``f`` as a float array of one finite value per vertex, or

@@ -49,8 +49,8 @@ def _edge_sine_sum(u, i, j, c, n):
 def km_rhs(g: FractalGraph, u) -> np.ndarray:
     """Right-hand side: c_n * sum_j sin(2 pi (u_j - u_i)) per vertex."""
     u = g.check_field(u)
-    return _edge_sine_sum(u, g.edges[:, 0], g.edges[:, 1], g.conductance,
-                          g.n_vertices)
+    i, j = g.edges.T
+    return _edge_sine_sum(u, i, j, g.conductance, g.n_vertices)
 
 
 def km_energy(g: FractalGraph, u) -> float:
@@ -58,7 +58,8 @@ def km_energy(g: FractalGraph, u) -> float:
     rounding error at most (log2 n_edges + 25) 2**-53, see
     :func:`_km_energy_fast`."""
     u = g.check_field(u)
-    return _km_energy_fast(u, g.edges[:, 0], g.edges[:, 1], g.conductance)
+    i, j = g.edges.T
+    return _km_energy_fast(u, i, j, g.conductance)
 
 
 def _edge_energies(u, i, j, c):
@@ -106,7 +107,7 @@ def default_step(g: FractalGraph, u) -> float:
     is within 2.4e-4 of e^z on every mode.
     """
     reach = RK4_REACH
-    if not np.abs(_wrapped_diff(u, g.edges[:, 0], g.edges[:, 1])).max() < 0.25:
+    if not np.abs(_wrapped_diff(u, *g.edges.T)).max() < 0.25:
         reach = SLIP_REACH
     return reach / (TWO_PI * g.conductance * laplacian_bound(g))
 
@@ -163,7 +164,8 @@ def cell_wall_energy(g: FractalGraph, u) -> float:
     nonnegative terms, under 6e-15 relative up to gasket level 13 (see
     :func:`_km_energy_fast`).
     """
-    i, j, c = g.edges[:, 0], g.edges[:, 1], g.conductance
+    i, j = g.edges.T
+    c = g.conductance
     d = _wrapped_diff(u, i, j)
     if not np.abs(d).max() < 0.25:
         return -math.inf
@@ -304,7 +306,7 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
     """
     cfg = cfg or FlowConfig()
     u = g.check_field(u0).copy()
-    i, j = g.edges[:, 0], g.edges[:, 1]
+    i, j = g.edges.T
     c = g.conductance
     n = g.n_vertices
     h = None   # the last block's step, once a block runs
@@ -348,6 +350,7 @@ def integrate_to_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None)
         k = np.round(lift)
         if t < cfg.max_time and np.abs(lift - k).max() < 0.25:
             if cell is None or not np.array_equal(k, cell[0]):
+                cell = None   # its factor is not kept while Newton factors
                 out = _newton(g, u, cfg)
                 wall = -math.inf
                 if (not isinstance(out, str)
@@ -374,28 +377,31 @@ def _newton(g: FractalGraph, u, cfg: FlowConfig):
     ``factor``: the pinned Hessian at that field, wrapped, factored by
     :func:`dirichlet._pinned_factor`, which certifies it positive definite
     and is exactly what the report classifies.  Or a string naming why the
-    iteration failed.  See :func:`solve_equilibrium`.
+    iteration failed.  See :func:`solve_equilibrium`.  One factor is alive
+    at a time: each is dropped once its step is solved.
     """
     u_start = u
     u = u.copy()
-    i, j = g.edges[:, 0], g.edges[:, 1]
+    i, j = g.edges.T
     c = g.conductance
+    n = g.n_vertices
     energy = _km_energy_fast(u, i, j, c)
     t = 0.0
     halvings = 0
     for iters in range(NEWTON_MAX_ITERS + 1):
-        rhs = km_rhs(g, u)
+        rhs = _edge_sine_sum(u, i, j, c, n)
         res = float(np.abs(rhs).max())
         if res < cfg.tol:
             break
         if iters == NEWTON_MAX_ITERS:
             return f"no convergence in {NEWTON_MAX_ITERS} Newton steps"
-        factor = _pinned_factor(g, _hessian_weights(g, u))
+        factor = _pinned_factor(g, _hessian_weights(u, i, j, c))
         if factor is None:
             return "pinned Hessian not positive definite"
         # rhs = -2 pi grad E and H is the Hessian of E
         step = np.zeros_like(u)
         step[1:] = factor.solve(rhs[1:]) / TWO_PI
+        del factor
         slope = -float(np.dot(rhs, step)) / TWO_PI
         d = _wrapped_diff(u, i, j)
         dd = step[j] - step[i]
@@ -418,7 +424,7 @@ def _newton(g: FractalGraph, u, cfg: FlowConfig):
                 return f"line search step below {NEWTON_MIN_STEP:g}"
         u, energy = cand, e_cand
     u += np.mean(u_start) - np.mean(u)
-    factor = _pinned_factor(g, _hessian_weights(g, wrap_phases(u)))
+    factor = _pinned_factor(g, _hessian_weights(wrap_phases(u), i, j, c))
     if factor is None:
         return "pinned Hessian not positive definite"
     return u, res, iters, t, halvings, factor
@@ -464,9 +470,8 @@ def solve_equilibrium(g: FractalGraph, u0, cfg: FlowConfig | None = None) -> Equ
                      method="newton", newton_steps=newton_steps)
 
 
-def _hessian_weights(g, u):
-    return g.conductance * np.cos(TWO_PI * _wrapped_diff(u, g.edges[:, 0],
-                                                         g.edges[:, 1]))
+def _hessian_weights(u, i, j, c):
+    return c * np.cos(TWO_PI * _wrapped_diff(u, i, j))
 
 
 def hessian_stability(g: FractalGraph, u):
@@ -485,7 +490,8 @@ def hessian_stability(g: FractalGraph, u):
         raise NotAnEquilibriumError(
             f"residual {res:.3e} >= {EQUILIBRIUM_TOL:g}; stability is "
             f"defined at equilibria")
-    return _classify(g, u, _pinned_factor(g, _hessian_weights(g, u)))
+    w = _hessian_weights(u, *g.edges.T, g.conductance)
+    return _classify(g, u, _pinned_factor(g, w))
 
 
 def _lanczos_min_eig(solve, n):
@@ -541,8 +547,9 @@ def _classify(g, u, factor):
     if factor is not None:
         eig = _lanczos_min_eig(factor.solve, g.n_vertices - 1)
     else:
-        w = _hessian_weights(g, u)
-        lo = -2.0 * np.bincount(g.edges.ravel(), np.repeat(np.abs(w), 2)).max()
+        edges = g.edges
+        w = _hessian_weights(u, *edges.T, g.conductance)
+        lo = -2.0 * np.bincount(edges.ravel(), np.repeat(np.abs(w), 2)).max()
         if _pinned_factor(g, w, lo) is None:
             raise EigensolverError(
                 g.n_vertices - 1, f"Gershgorin's bound {lo:.6g} did not certify")

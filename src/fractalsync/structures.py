@@ -157,7 +157,7 @@ def generic_harmonic_map(fractal: Fractal, level: int, omega: DegreeVector):
 
 def _extend_lift_by_solve(cur: cov.LiftField) -> cov.LiftField:
     """One extension step on the cut graph via constrained minimisation."""
-    dom_m, fractal = cur.domain, cur.domain.base.fractal
+    dom_m, fractal = cur.domain, cur.domain.fractal
     dom_next = cov.covering_domain(fractal.build(dom_m.level + 1), dom_m.omega)
     nodes = fractal.cell_nodes(dom_next.cell_corners)
     k = dom_m.cell_corners.shape[1]

@@ -3,11 +3,14 @@
 Phase fields map to hue (full-saturation HSV); real fields to a fixed
 blue-to-red gradient.  A graph whose level-0 corners are one vertex (the
 ring) is laid out on a circle.  Each distinct coordinate is formatted
-once, and lines and circles are streamed in chunks of ``_CHUNK``, one
-%-template each, so the whole text is never in memory.
+once, and lines and circles, colours included, are made and streamed in
+chunks of ``_CHUNK``, one %-template each, so neither the whole text nor
+a colour per vertex is ever in memory.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -54,9 +57,8 @@ def _phase_colors(values):
     return _packed_rgb((rgb * 255).astype(int))
 
 
-def _real_colors(values):
-    """Blue-to-red gradient over the range of ``values``."""
-    lo, hi = float(values.min()), float(values.max())
+def _real_colors(values, lo, hi):
+    """Blue-to-red gradient over [lo, hi], a range of the field's values."""
     scale = hi - lo if hi > lo else 1.0
     t = np.clip((values - lo) / scale, 0.0, 1.0)
     return _packed_rgb((_BLUE + (_RED - _BLUE) * t[:, None]).astype(int))
@@ -72,12 +74,12 @@ def _texts(values):
     return np.array(texts, dtype=object)[index]
 
 
-def _write_rows(fh, template, table, index):
-    """``template`` filled from each row of ``table[index]``, written one
-    chunk of ``_CHUNK`` rows (one %-template) at a time.  Only a chunk's
-    rows are gathered, so no edge-sized array is built."""
-    for i in range(0, len(index), _CHUNK):
-        chunk = table[index[i:i + _CHUNK]]
+def _write_rows(fh, template, rows, n):
+    """``template`` filled from each row of ``rows(chunk)``, for chunks of
+    ``_CHUNK`` of ``range(n)``, written one chunk (one %-template) at a
+    time, so only a chunk's rows are ever built."""
+    for i in range(0, n, _CHUNK):
+        chunk = rows(slice(i, i + _CHUNK))
         fh.write(template * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
@@ -94,14 +96,16 @@ def render_field_svg(g: FractalGraph, values, path, mode="phase") -> str:
     pts = _layout(g) * SVG_SIZE
     radius = max(1.5, 0.35 * SVG_SIZE / (2 ** g.level + 1))
     xy = np.stack([_texts(pts[:, 0]), _texts(pts[:, 1])], axis=1)
-    colors = _phase_colors(values) if mode == "phase" else _real_colors(values)
+    colors = _phase_colors if mode == "phase" else partial(
+        _real_colors, lo=float(values.min()), hi=float(values.max()))
+    edges = g.edges
     line = ('<line x1="%s" y1="%s" x2="%s" y2="%s" '
             'stroke="#cccccc" stroke-width="0.6"/>\n')
     circle = f'<circle cx="%s" cy="%s" r="{radius:.2f}" fill="#%06x"/>\n'
     with open(path, "w") as fh:
         fh.write(_HEADER)
-        _write_rows(fh, line, xy, g.edges)
-        _write_rows(fh, circle, np.column_stack([xy, colors]),
-                    np.arange(g.n_vertices))
+        _write_rows(fh, line, lambda c: xy[edges[c]], len(edges))
+        _write_rows(fh, circle, lambda c: np.column_stack(
+            [xy[c], colors(values[c])]), g.n_vertices)
         fh.write("</svg>\n")
     return path

@@ -154,14 +154,20 @@ def mmd_solve_free(L, free, f):
     f[free] = sol + lu.solve(rhs - A @ sol)
 
 
+def hessian_weights(g, u):
+    """The package's cosine edge weights of the Hessian at ``u``, one per
+    row of ``g.edges``."""
+    from fractalsync.kuramoto import _hessian_weights
+
+    return _hessian_weights(u, *g.edges.T, g.conductance)
+
+
 def hessian_matrix(g, u):
     """Hessian of the energy at ``u``, the Laplacian with cosine edge
     weights, as a scipy sparse CSR matrix: the assembled oracle for the
     package's cell factor, dense through ``.toarray()``."""
-    from fractalsync.kuramoto import _hessian_weights
-
     u = g.check_field(u)
-    return weighted_laplacian(g.edges, _hessian_weights(g, u), g.n_vertices)
+    return weighted_laplacian(g.edges, hessian_weights(g, u), g.n_vertices)
 
 
 def spy_handoff(mp):

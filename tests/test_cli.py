@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -244,6 +245,37 @@ def test_twist_cmd_and_determinism(tmp_path):
     assert [a["path"] for a in listed] == ["equilibrium.csv", "equilibrium.json"]
     for name in ("equilibrium.json", "equilibrium.csv"):
         assert sha256_of(out1 / name) == sha256_of(out3 / name)
+
+
+def test_no_lift_is_alive_while_twist_and_verify_solve(tmp_path, monkeypatch):
+    # twist and verify read the lift's energy and drop the lift, with its
+    # cut domain, before the solve; covering drops it before it formats
+    # the lift's values
+    from fractalsync import covering, serialize
+
+    lifts, alive = [], []
+    harmonic_map, solve = covering.circle_harmonic_map, km.solve_equilibrium
+    field_text = serialize.field_text
+
+    def spy_map(g, omega):
+        phases, lift = harmonic_map(g, omega)
+        lifts.append(weakref.ref(lift))
+        return phases, lift
+
+    def count_alive(fn):
+        def spy(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in lifts))
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(covering, "circle_harmonic_map", spy_map)
+    monkeypatch.setattr(km, "solve_equilibrium", count_alive(solve))
+    monkeypatch.setattr(serialize, "field_text", count_alive(field_text))
+    for argv in (["twist", "--level", "4", "--degree", "1,1,1,1"],
+                 ["verify", "--degree", "1", "--levels", "3:5"],
+                 ["covering", "--level", "4", "--degree", "1,1,1,1"]):
+        assert run(argv + ["--out", str(tmp_path / argv[0])]) == 0
+    assert len(lifts) == 5 and len(alive) >= 5 and not any(alive)
 
 
 def test_twist_has_no_pin_option(tmp_path):

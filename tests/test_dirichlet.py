@@ -430,6 +430,62 @@ def test_pinned_factor_calls_no_linalg_routine(monkeypatch):
         assert _pinned_factor(g, -unit) is None
 
 
+def _factor_bytes(factor):
+    """Every array of a factor as bytes, or None for no factor."""
+    if factor is None:
+        return None
+    return ([(nodes.tobytes(), step.tobytes()) for nodes, step in factor.levels],
+            factor.free.tobytes(), factor.last.tobytes())
+
+
+@pytest.mark.parametrize("kind, n", [("sg", n) for n in range(1, 9)]
+                         + [("ring", n) for n in range(3, 13)])
+def test_row_blocks_change_no_bit_of_the_factor(kind, n, monkeypatch):
+    # row blocks of 1, 2 and 7 parent cells against one block per level:
+    # the Laplacian and a Hessian, unshifted and shifted (the mass path),
+    # and a Hessian whose one uncertified parent cell is the finest
+    # level's last, past the first row block whenever the level has more
+    # parents than a block
+    g = build_graph(kind, n)
+    parents = len(g.cell_corners) // g.fractal.num_maps
+    c = g.conductance
+    d = np.random.default_rng(n).uniform(-0.2, 0.2, g.n_edges)
+    hessian = c * np.cos(2.0 * np.pi * d)
+    d[-g.n_edges // parents:] = 0.45   # that cell's weights below 0
+    spoiled = c * np.cos(2.0 * np.pi * d)
+    unit = np.full(g.n_edges, c)
+    cases = [(unit, 0.0), (unit, -c), (hessian, 0.0), (hessian, -0.5 * c),
+             (spoiled, 0.0), (spoiled, -c)]
+    monkeypatch.setattr(dirichlet, "FACTOR_BLOCK_CELLS", parents + 1)
+    want = [_factor_bytes(_pinned_factor(g, w, shift)) for w, shift in cases]
+    assert None not in want[:4] and want[4:] == [None, None]
+    for block in (1, 2, 7):
+        monkeypatch.setattr(dirichlet, "FACTOR_BLOCK_CELLS", block)
+        assert [_factor_bytes(_pinned_factor(g, w, shift))
+                for w, shift in cases] == want, block
+
+
+def test_pinned_factor_memory_is_what_it_keeps_plus_a_few_blocks(monkeypatch):
+    # 81 blocks at gasket 9's finest level.  Beside what the factor keeps
+    # and a block's transients, a level holds the next level's weights and
+    # masses, a sixth of its step each; whole levels at once peaked at 3.0
+    # (unshifted) and 3.4 (shifted) times the kept bytes here
+    monkeypatch.setattr(dirichlet, "FACTOR_BLOCK_CELLS", 81)
+    block = 81 * 6 * 6 * 8   # one block's 6 x 6 parent-cell matrices
+    g = build_sg_graph(9)
+    unit = np.full(g.n_edges, g.conductance)
+    for shift in (0.0, -g.conductance):
+        tracemalloc.start()
+        try:
+            factor = _pinned_factor(g, unit, shift)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = (sum(nodes.nbytes + step.nbytes for nodes, step in factor.levels)
+                + factor.free.nbytes + factor.last.nbytes)
+        assert peak <= kept + kept // 4 + 4 * block, (shift, peak, kept)
+
+
 def test_minimality_against_random_perturbations():
     g = build_sg_graph(4)
     f = solve_dirichlet(g, [0, 0, 1])

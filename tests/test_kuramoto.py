@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from fractalsync import (DegreeVector, EigensolverError, FlowConfig,
 from fractalsync import kuramoto as km
 from fractalsync.dirichlet import _pinned_factor, extend_corners
 from fractalsync.graphs import RING, SG, _refine
-from conftest import (check_energy_handoff, hessian_matrix, laplacian_matrix,
-                      positive_definite_factor, rk4_reference, spy_handoff)
+from conftest import (check_energy_handoff, hessian_matrix, hessian_weights,
+                      laplacian_matrix, positive_definite_factor,
+                      rk4_reference, spy_handoff)
 
 
 # -- rhs and energy -----------------------------------------------------------
@@ -45,7 +47,7 @@ def test_newton_step_energy_difference_matches_mpmath():
     u, _ = circle_harmonic_map(g, DegreeVector({(): 1}))
     i, j, c = g.edges[:, 0], g.edges[:, 1], g.conductance
     step = np.zeros_like(u)
-    factor = _pinned_factor(g, km._hessian_weights(g, u))
+    factor = _pinned_factor(g, hessian_weights(g, u))
     step[1:] = factor.solve(km_rhs(g, u)[1:]) / km.TWO_PI
     cand = u + step
 
@@ -484,6 +486,28 @@ def test_flow_does_not_hand_off_at_a_saddle(monkeypatch):
         assert rep.to_json_dict() == ref.to_json_dict()
 
 
+def test_newton_holds_one_factor_at_a_time(monkeypatch):
+    # each iterate's factor is dropped once its step is solved, so no
+    # earlier factor of the run is alive while Newton factors the next
+    # iterate, nor while it factors the end it classifies
+    made = []
+
+    def factor(g, w, shift=0.0):
+        assert [ref for ref in made if ref() is not None] == []
+        out = _pinned_factor(g, w, shift)
+        made.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(km, "_pinned_factor", factor)
+    g = build_sg_graph(5)
+    phases, _ = circle_harmonic_map(g, DegreeVector({(): 1}))
+    u0 = wrap_phases(phases + np.random.default_rng(3).uniform(
+        -0.02, 0.02, g.n_vertices))
+    rep = solve_equilibrium(g, u0)
+    assert rep.fallback is None and rep.newton_steps >= 2
+    assert len(made) == rep.newton_steps + 1
+
+
 @pytest.mark.parametrize("first", ["fails", "ends outside the cell"])
 def test_energy_handoff_has_one_attempt(monkeypatch, first):
     # after a spoiled Newton run, Newton never runs again in that cell:
@@ -673,7 +697,7 @@ def test_cell_wall_energy_bounds_the_energy_on_the_walls(kind, n, pick, amp, anc
     assert km._km_energy_fast(u + s * v, i, j, c) >= wall
     # inside the quarter-turn cell the pinned Hessian is a Laplacian with
     # positive weights, and the factor certifies it
-    assert _pinned_factor(g, km._hessian_weights(g, u)) is not None
+    assert _pinned_factor(g, hessian_weights(g, u)) is not None
 
 
 @settings(max_examples=20, deadline=None)
@@ -968,7 +992,7 @@ def test_half_twisted_saddles():
 def test_uncertified_min_eig_matches_eigvalsh(graph, seed):
     g = build_graph(*graph)
     u = np.random.default_rng(seed).uniform(0.0, 1.0, g.n_vertices)
-    assume(_pinned_factor(g, km._hessian_weights(g, u)) is None)
+    assume(_pinned_factor(g, hessian_weights(g, u)) is None)
     _check_bisection(g, u)
 
 
@@ -1134,7 +1158,7 @@ def test_cell_factor_certifies_as_eigvalsh_and_solves_as_superlu(graph, quarter,
     eigs = np.linalg.eigvalsh(H.toarray())
     band = 1e-9 * np.abs(eigs).max()
     sigma = 0.0 if shift is None else eigs[0] + shift * np.abs(eigs).max()
-    factor = _pinned_factor(g, km._hessian_weights(g, u), sigma)
+    factor = _pinned_factor(g, hessian_weights(g, u), sigma)
     eigs = eigs - sigma
     if abs(eigs[0]) > band:
         assert (factor is not None) == (eigs[0] > 0), eigs[0]
@@ -1181,7 +1205,7 @@ def test_cell_factor_stores_at_most_six_floats_per_free_vertex():
     for g, bound in ([(build_sg_graph(n), 6.0) for n in range(10)]
                      + [(build_ring_graph(n), 3.0) for n in range(1, 13)]):
         u = rng.uniform(-0.05, 0.05, g.n_vertices)
-        factor = _pinned_factor(g, km._hessian_weights(g, u))
+        factor = _pinned_factor(g, hessian_weights(g, u))
         floats = factor.last.size + sum(step.size for _, step in factor.levels)
         assert floats / (g.n_vertices - 1) <= bound, (g.fractal.name, g.level)
 
@@ -1213,7 +1237,7 @@ def test_gap_sized_lanczos_basis_takes_ten_solves():
     # LANCZOS_BASIS vectors, and matches ARPACK's shift-invert eigsh with
     # a 20-vector basis, the independent check, to 1e-12
     for g, u in _basis_cases():
-        factor = _pinned_factor(g, km._hessian_weights(g, u))
+        factor = _pinned_factor(g, hessian_weights(g, u))
         counted = _CountedSolves(factor)
         eig, verdict = km._classify(g, u, counted)
         assert verdict == "stable" and counted.calls <= 10, (g, counted.calls)
@@ -1231,7 +1255,7 @@ def test_lanczos_basis_fits_the_smallest_graphs():
     for g in (build_sg_graph(0), build_ring_graph(2)):
         u = np.zeros(g.n_vertices)
         counted = _CountedSolves(
-            _pinned_factor(g, km._hessian_weights(g, u)))
+            _pinned_factor(g, hessian_weights(g, u)))
         eig, verdict = km._classify(g, u, counted)
         assert counted.calls > 0 and verdict == "stable"
         L = laplacian_matrix(g).toarray()[1:, 1:]

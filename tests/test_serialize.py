@@ -217,8 +217,8 @@ def test_colors_match_reference(rng):
                         rng.uniform(-4.0, 4.0, 2000), [-0.0, -2.0 ** -60, 1 - 2.0 ** -53]])
     assert _phase_colors(t) == [int(_phase_color(v)[1:], 16) for v in t]
     lo, hi = float(t.min()), float(t.max())
-    assert _real_colors(t) == [int(_real_color((v - lo) / (hi - lo))[1:], 16)
-                               for v in t]
+    assert _real_colors(t, lo, hi) == [
+        int(_real_color((v - lo) / (hi - lo))[1:], 16) for v in t]
 
 
 # -- the %.17g kernel --------------------------------------------------------
