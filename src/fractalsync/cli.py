@@ -76,14 +76,6 @@ def _path(cfg: RunConfig, name) -> str:
     return os.path.join(cfg.out, name)
 
 
-def _field_artifacts(cfg: RunConfig, stem, values, **extra):
-    """``stem``.csv and ``stem``.json (``extra`` plus the values) of a
-    field, both written from one %.17g pass over it."""
-    text = ser.field_text(values)
-    return [ser.write_field_csv(_path(cfg, f"{stem}.csv"), text),
-            ser.write_json(_path(cfg, f"{stem}.json"), {**extra, "values": text})]
-
-
 # -- subcommand bodies ----------------------------------------------------
 
 
@@ -102,7 +94,7 @@ def cmd_harmonic(cfg: RunConfig):
     f = dr.solve_dirichlet(g, cfg.boundary, method=cfg.method)
     report = dr.dirichlet_energy(g, f)
     paths = [
-        *_field_artifacts(cfg, "solution", f),
+        ser.write_field_csv(_path(cfg, "solution.csv"), f),
         ser.write_json(_path(cfg, "energy.json"), report.to_json_dict()),
     ]
     if cfg.svg:
@@ -122,7 +114,8 @@ def cmd_covering(cfg: RunConfig):
     del lift
     return [
         ser.write_json(_path(cfg, "domain.json"), domain),
-        *_field_artifacts(cfg, "lift", values, level=cfg.level, energy=energy),
+        ser.write_field_csv(_path(cfg, "lift.csv"), values),
+        ser.write_json(_path(cfg, "lift.json"), {"level": cfg.level, "energy": energy}),
         ser.write_json(_path(cfg, "neumann.json"), neumann),
     ]
 

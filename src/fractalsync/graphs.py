@@ -213,7 +213,6 @@ class FractalGraph:
             "x": self.coords[:, 0],
             "y": self.coords[:, 1],
             "boundary": list(self.boundary_ids),
-            "edges": self.edges,
             "cells": CellMap(self, self.cell_corners),
         }
 
@@ -264,10 +263,7 @@ class CellMap(Mapping):
         if (not isinstance(word, str) or len(word) != self.graph.level
                 or word.strip(glyphs)):
             raise KeyError(word)
-        c = 0
-        for s in word:
-            c = c * len(glyphs) + glyphs.index(s)
-        return self.array[c].tolist()
+        return self.array[self.graph.pack_word(map(int, word))].tolist()
 
 
 @lru_cache(maxsize=None)

@@ -5,18 +5,14 @@ round-trip exactly through float64; keys are sorted so identical runs
 produce identical bytes.  The JSON emitter reproduces the text of
 ``json.dumps(obj, sort_keys=True, indent=2)`` with that float format.
 
-Numbers are formatted straight from the array, by dtype.  A float or int
-ndarray of one or two dimensions is checked for non-finite values in one
-``np.isfinite`` pass.  An int table is written with a ``%d`` %-template
-(the row template for two dimensions) over the flat ``tolist()`` of each
-chunk of ``_CHUNK`` rows.  Every float array -- a field, a 1-D or 2-D
-table, the values of a :class:`graphs.CellMap` -- is formatted by one
-kernel, :func:`_float_texts`, which writes the bytes of ``'%.17g' % v``
-without CPython's formatter (a 1-D array as the kernel's rows, a 2-D one
-through a ``%s`` row template filled with its texts).  That formatter takes Gay's bignum route
-(1990) for every 17-digit conversion (its float fast path stops at 14
-digits), about 0.4 us a value.  The kernel, a block of ``_BLOCK`` values
-at a time:
+Numbers are formatted straight from the array, by dtype.  A non-empty
+1-D float array -- a field, a column, the values of a
+:class:`graphs.CellMap` -- is checked for non-finite values in one
+``np.isfinite`` pass and formatted by one kernel, :func:`_float_texts`,
+which writes the bytes of ``'%.17g' % v`` without CPython's formatter.
+That formatter takes Gay's bignum route (1990) for every 17-digit
+conversion (its float fast path stops at 14 digits), about 0.4 us a
+value.  The kernel, a block of ``_BLOCK`` values at a time:
 
 * takes X = floor(log10 |v|) and 10**(16 - X) as a double-double built
   from Python ints (``hi`` and ``lo``, each correctly rounded);
@@ -40,10 +36,11 @@ at a time:
 The words of a :class:`graphs.CellMap` (``energy.json``'s ``per_cell``,
 the graph JSON's ``cells``) are digits, spelled into the rows from the
 map's uint8 digit table; its rows are already in the words' sorted
-order.  Anything else is written value by value, a float scalar with
-``format(x, ".17g")``.  A field that goes into both a CSV and a JSON
-file is formatted once, by :func:`field_text`, and both writers build
-their text from that one.
+order.  An int map is written with a ``%d`` row template over the flat
+``tolist()`` of each chunk of ``_CHUNK`` rows.  Anything else is written
+value by value, an array as its ``tolist()`` and a float scalar with
+``format(x, ".17g")``.  A field's CSV is written ``_BLOCK`` rows at a
+time, each block's kernel rows the ``%d`` template of its ids.
 """
 
 from __future__ import annotations
@@ -87,24 +84,11 @@ def _float17(x: float) -> str:
     return format(x, ".17g")
 
 
-class FieldText:
-    """A float field formatted once, as one string: value ``i`` in
-    ``%.17g`` on line ``i``.  :func:`write_field_csv` and
-    :func:`write_json` both take it in place of the values."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text):
-        self.text = text
-
-
-def field_text(values) -> FieldText:
-    """``values`` as float64, finite-checked and formatted in one pass; a
-    :class:`FieldText` is returned as it is."""
-    if isinstance(values, FieldText):
-        return values
+def field_text(values) -> str:
+    """``values`` as float64, finite-checked and formatted in one pass:
+    value ``i`` in ``%.17g`` on line ``i``."""
     values = _finite_array(np.asarray(values, dtype=float))
-    return FieldText(_float_texts(values, _ascii(""), _ascii("\n"))[:-1])
+    return _float_texts(values, _ascii(""), _ascii("\n"))[:-1]
 
 
 def _ascii(text) -> np.ndarray:
@@ -255,30 +239,6 @@ def _wrap(open_, texts, close, level):
     return f"{open_}{inner}{(',' + inner).join(texts)}\n{_INDENT * level}{close}"
 
 
-def _row_code(a, level) -> str:
-    """The %-template of one row of a 1-D or 2-D int array, or of the
-    texts of a 2-D float array's row, at ``level``."""
-    code = "%s" if a.dtype.kind == "f" else "%d"
-    return code if a.ndim == 1 else _wrap("[", [code] * a.shape[1], "]", level)
-
-
-def _filled(template, a) -> list:
-    """The rows of ``a`` formatted ``_CHUNK`` at a time, each chunk from
-    one %-template and one tuple, as a list of texts: ``template(s, n)``
-    is the template of the n rows from row s on, and float values are
-    filled in as the kernel's texts.  Each row ends in a "," that the last
-    row drops."""
-    parts = []
-    for s in range(0, len(a), _CHUNK):
-        rows = a[s:s + _CHUNK]
-        values = rows.ravel()
-        values = (field_text(values).text.split("\n") if a.dtype.kind == "f"
-                  else values.tolist())
-        parts.append(template(s, len(rows)) % tuple(values))
-    parts[-1] = parts[-1][:-1]
-    return parts
-
-
 def _float_rows(a, lead) -> str:
     """A 1-D float array as one row a value: ``lead`` (a uint8 row for all,
     or one row each), the value's text and a "," that the last row drops."""
@@ -286,37 +246,33 @@ def _float_rows(a, lead) -> str:
     return _float_texts(a, lead, _ascii(","))[:-1]
 
 
-def _array_text(a, level):
-    """A non-empty 1-D or 2-D float or int array: a 1-D float array as
-    the kernel's rows, any other in chunks of rows."""
-    inner = "\n" + _INDENT * (level + 1)
-    if a.dtype.kind == "f" and a.ndim == 1:
-        body = _float_rows(a, _ascii(inner))
-    else:
-        row = inner + _row_code(a, level + 1) + ","
-        body = "".join(_filled(lambda s, n: row * n, a))
-    return f"[{body}\n{_INDENT * level}]"
-
-
 def _cell_map_text(m, level):
     """A :class:`CellMap` as the dict of its words, in their sorted order,
     which is cell order.  Each row's lead is spelled from the words' digit
-    table, so a row template holds no "%" but the values' codes."""
+    table, so a row template holds no "%" but the values' codes.  A map of
+    1-D floats goes through the kernel, a 1-D or 2-D int map through
+    ``%d`` templates ``_CHUNK`` rows at a time, and any other as a dict."""
+    a = m.array
+    floats = a.dtype.kind == "f" and a.ndim == 1
+    if not (floats or (a.dtype.kind in "iu" and a.ndim <= 2 and a.size)):
+        return _encode(dict(m), level)
     words = m.word_chars()
     n = len(words)
     head = _ascii(f'\n{_INDENT * (level + 1)}"')
     lead = np.hstack((np.broadcast_to(head, (n, len(head))), words,
                       np.broadcast_to(_ascii('": '), (n, 3))))
-    if m.array.dtype.kind == "f" and m.array.ndim == 1:
-        body = _float_rows(m.array, lead)
+    if floats:
+        body = _float_rows(a, lead)
     else:
-        tail = _ascii(f"{_row_code(m.array, level + 1)},")
-
-        def template(s, k):
-            return np.hstack((lead[s:s + k], np.broadcast_to(tail, (k, len(tail))))
-                             ).tobytes().decode("ascii")
-
-        body = "".join(_filled(template, m.array))
+        code = "%d" if a.ndim == 1 else _wrap("[", ["%d"] * a.shape[1], "]", level + 1)
+        tail = _ascii(code + ",")
+        parts = []
+        for s in range(0, n, _CHUNK):
+            k = min(_CHUNK, n - s)
+            template = np.hstack((lead[s:s + k], np.broadcast_to(tail, (k, len(tail)))))
+            parts.append(template.tobytes().decode("ascii")
+                         % tuple(a[s:s + k].ravel().tolist()))
+        body = "".join(parts)[:-1]
     return f"{{{body}\n{_INDENT * level}}}"
 
 
@@ -343,14 +299,9 @@ def _encode(o, level=0) -> str:
         texts = [f"{encode_basestring_ascii(_key(k))}: {_encode(o[k], level + 1)}"
                  for k in sorted(o)]
         return _wrap("{", texts, "}", level)
-    if isinstance(o, FieldText):
-        if not o.text:
-            return "[]"
-        return _wrap("[", [o.text.replace("\n", ",\n" + _INDENT * (level + 1))],
-                     "]", level)
-    if (type(o) is np.ndarray and o.ndim in (1, 2) and o.size
-            and o.dtype.kind in "fiu"):
-        return _array_text(o, level)
+    if type(o) is np.ndarray and o.ndim == 1 and o.size and o.dtype.kind == "f":
+        inner = "\n" + _INDENT * (level + 1)
+        return f"[{_float_rows(o, _ascii(inner))}\n{_INDENT * level}]"
     if isinstance(o, CellMap):
         return _cell_map_text(o, level)
     return _encode(_default(o), level)
@@ -358,8 +309,8 @@ def _encode(o, level=0) -> str:
 
 def dumps_json(obj) -> str:
     """Numpy scalars and arrays are written as their Python values, and a
-    :class:`FieldText` as the list of its values; a non-finite float
-    raises ValueError."""
+    :class:`CellMap` as the dict it reads as; a non-finite float raises
+    ValueError."""
     return _encode(obj) + "\n"
 
 
@@ -371,16 +322,18 @@ def write_json(path, obj) -> str:
 
 
 def write_field_csv(path, values) -> str:
-    """One ``id,value`` row per vertex under that header, CRLF line ends.
-    ``values`` may be a :class:`FieldText` already formatted."""
-    text = field_text(values).text
-    with open(path, "w", newline="") as fh:
-        fh.write("id,value\r\n")
-        if text:
-            # the %.17g texts hold no "%": the field's text is the template
-            # of its rows, and only the ids are formatted here
-            fh.write(("%d," + text.replace("\n", "\r\n%d,") + "\r\n")
-                     % tuple(range(text.count("\n") + 1)))
+    """One ``id,value`` row per vertex under that header, CRLF line ends,
+    written ``_BLOCK`` rows at a time.  A non-finite value raises
+    ValueError before the file is opened."""
+    values = _finite_array(np.asarray(values, dtype=float))
+    lead, tail = _ascii("%d,"), _ascii("\r\n")
+    with open(path, "wb") as fh:
+        fh.write(b"id,value\r\n")
+        for s in range(0, len(values), _BLOCK):
+            # the %.17g texts hold no "%": a block's rows are the
+            # %-template of its ids
+            block = values[s:s + _BLOCK]
+            fh.write(_float_block(block, lead, tail) % tuple(range(s, s + len(block))))
     return path
 
 

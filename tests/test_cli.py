@@ -249,13 +249,13 @@ def test_twist_cmd_and_determinism(tmp_path):
 
 def test_no_lift_is_alive_while_twist_and_verify_solve(tmp_path, monkeypatch):
     # twist and verify read the lift's energy and drop the lift, with its
-    # cut domain, before the solve; covering drops it before it formats
+    # cut domain, before the solve; covering drops it before it writes
     # the lift's values
     from fractalsync import covering, serialize
 
     lifts, alive = [], []
     harmonic_map, solve = covering.circle_harmonic_map, km.solve_equilibrium
-    field_text = serialize.field_text
+    write_field_csv = serialize.write_field_csv
 
     def spy_map(g, omega):
         phases, lift = harmonic_map(g, omega)
@@ -270,7 +270,7 @@ def test_no_lift_is_alive_while_twist_and_verify_solve(tmp_path, monkeypatch):
 
     monkeypatch.setattr(covering, "circle_harmonic_map", spy_map)
     monkeypatch.setattr(km, "solve_equilibrium", count_alive(solve))
-    monkeypatch.setattr(serialize, "field_text", count_alive(field_text))
+    monkeypatch.setattr(serialize, "write_field_csv", count_alive(write_field_csv))
     for argv in (["twist", "--level", "4", "--degree", "1,1,1,1"],
                  ["verify", "--degree", "1", "--levels", "3:5"],
                  ["covering", "--level", "4", "--degree", "1,1,1,1"]):
@@ -955,7 +955,6 @@ def test_harmonic_cmd_artifacts_match_oracles(tmp_path, method):
     energy = dirichlet_energy(g, f).to_json_dict()
     _assert_artifacts(out, "harmonic", {
         "solution.csv": lambda p: reference_write_field_csv(p, f),
-        "solution.json": reference_dumps_json({"values": f}),
         # stdlib json writes the per-cell map as a dict
         "energy.json": reference_dumps_json(dict(
             energy, per_cell=dict(energy["per_cell"]))),
@@ -972,8 +971,7 @@ def test_covering_cmd_artifacts_match_oracles(tmp_path):
     _assert_artifacts(out, "covering", {
         "domain.json": reference_dumps_json(lift.domain.to_json_dict()),
         "lift.csv": lambda p: reference_write_field_csv(p, lift.values),
-        "lift.json": reference_dumps_json({"level": 4, "energy": lift.energy(),
-                                           "values": lift.values}),
+        "lift.json": reference_dumps_json({"level": 4, "energy": lift.energy()}),
         "neumann.json": reference_dumps_json(
             {str(k): v for k, v in neumann_check(lift).items()}),
     }, tmp_path)

@@ -319,7 +319,7 @@ def test_graph_json_schema():
     g = build_sg_graph(1)
     d = g.to_json_dict()
     assert set(d) == {"kind", "level", "conductance", "itinerary", "x", "y",
-                      "boundary", "edges", "cells"}
+                      "boundary", "cells"}
     assert d["itinerary"] == ["~1", "1~2", "1~3", "~2", "2~3", "~3"]
     assert (d["x"][0], d["y"][0], d["x"][3]) == (0.0, 0.0, 0.5)
     assert d["boundary"] == [0, 3, 5]
@@ -432,6 +432,11 @@ def test_json_itineraries_match_key_decode_oracle(build, n):
     assert d["itinerary"] == names
     np.testing.assert_array_equal(np.column_stack((d["x"], d["y"])), g.coords)
     assert d["boundary"] == [v for v, s in enumerate(names) if s[0] == "~"]
+    # the cells, stacked in word order, are the corner table, and their
+    # sides are the edges the JSON does not repeat
+    corners = np.array([d["cells"][w] for w in sorted(d["cells"])])
+    np.testing.assert_array_equal(corners, g.cell_corners)
+    np.testing.assert_array_equal(g.fractal.cell_edges(corners), g.edges)
 
 
 @pytest.mark.parametrize("build,n", [(build_sg_graph, n) for n in range(0, 6)]

@@ -4,6 +4,8 @@ The oracles in ``conftest`` are the previous implementations; every
 artifact must stay byte-identical to what they write.
 """
 
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -107,7 +109,7 @@ def test_cell_map_rejects_non_finite():
 
 
 def test_tables_longer_than_a_chunk_match_reference():
-    # a table is formatted in chunks of rows, never as one template
+    # a float column through the kernel, an int table as its tolist()
     rng = np.random.default_rng(3)
     for rows in (_TABLE_CHUNK - 1, _TABLE_CHUNK, 2 * _TABLE_CHUNK + 1):
         for a in (rng.integers(-9, 9, (rows, 3)), rng.standard_normal(rows)):
@@ -136,7 +138,7 @@ def test_write_field_csv_rejects_non_finite(tmp_path, bad):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_field_text_names_first_non_finite_before_writing(tmp_path, bad, dtype):
-    # the one %.17g pass the CSV and the JSON of a field share
+    # every writer names the first non-finite value and writes nothing
     other = float("inf") if bad != bad else float("nan")
     values = np.array([0.25, bad, other, 1.0], dtype=dtype)
     message = f"non-finite value {bad!r} in output"
@@ -153,18 +155,6 @@ def test_field_text_names_first_non_finite_before_writing(tmp_path, bad, dtype):
         assert not path.exists()
 
 
-def test_field_text_feeds_csv_and_json_alike(tmp_path, rng):
-    values = rng.normal(size=50) * 10.0 ** rng.integers(-300, 300, 50)
-    text = field_text(values)
-    assert field_text(text) is text
-    new = write_field_csv(tmp_path / "new.csv", text)
-    old = reference_write_field_csv(tmp_path / "old.csv", values)
-    assert open(new, "rb").read() == open(old, "rb").read()
-    assert dumps_json({"values": text}) == reference_dumps_json({"values": values})
-    assert dumps_json({"a": [text, field_text([])]}) == reference_dumps_json(
-        {"a": [values, []]})
-
-
 def test_write_field_csv_matches_reference(tmp_path, rng):
     values = np.concatenate([rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, 200),
                              [0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3]])
@@ -172,6 +162,23 @@ def test_write_field_csv_matches_reference(tmp_path, rng):
         new = write_field_csv(tmp_path / "new.csv", vals)
         old = reference_write_field_csv(tmp_path / "old.csv", vals)
         assert open(new, "rb").read() == open(old, "rb").read()
+
+
+def test_write_field_csv_memory_is_bounded_by_its_block(tmp_path):
+    # a field is formatted and written _BLOCK rows at a time: at gasket 9
+    # (seven blocks) the peak was 11 times one block's text, and 32 times
+    # when the whole field's text was the %-template of its ids
+    g = build_graph("sg", 9)
+    f = solve_dirichlet(g, [0.0, 0.3, 1.0])
+    write_field_csv(tmp_path / "warm.csv", f[:1])   # builds the kernel's tables
+    tracemalloc.start()
+    try:
+        path = write_field_csv(tmp_path / "f.csv", f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = os.path.getsize(path) * _BLOCK // g.n_vertices
+    assert peak <= 16 * block, (peak, block)
 
 
 @pytest.mark.parametrize("fractal", ["sg", "ring"])
@@ -230,7 +237,7 @@ def _percent17(values):
 
 def _assert_kernel_matches(values):
     values = np.asarray(values, dtype=float)
-    got, want = field_text(values).text.split("\n"), _percent17(values).split("\n")
+    got, want = field_text(values).split("\n"), _percent17(values).split("\n")
     bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
     assert not bad and len(got) == len(want), bad[:5]
 
@@ -246,7 +253,7 @@ def test_kernel_matches_percent17_on_random_bit_patterns():
     bits = np.random.default_rng(17).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
     values = bits.view(np.float64)
     values = values[np.isfinite(values)]
-    assert field_text(values).text == _percent17(values)
+    assert field_text(values) == _percent17(values)
 
 
 def test_kernel_matches_percent17_at_powers_of_ten_and_neighbours():
@@ -289,15 +296,14 @@ def test_kernel_matches_percent17_at_the_extremes():
 
 
 @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
-def test_kernel_matches_percent17_across_blocks(rng, n):
+def test_kernel_matches_percent17_across_blocks(tmp_path, rng, n):
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
-    assert field_text(values).text == _percent17(values)
-    if n:
-        # as a JSON table: 1-D rows from the kernel, 2-D rows filled with its texts
-        assert dumps_json({"a": values}) == reference_dumps_json({"a": values})
-    if n % 3 == 0 and n:
-        rows = values.reshape(-1, 3)
-        assert dumps_json({"a": rows}) == reference_dumps_json({"a": rows})
+    assert field_text(values) == _percent17(values)
+    # as a JSON column, and as a CSV written a block of rows at a time
+    assert dumps_json({"a": values}) == reference_dumps_json({"a": values})
+    new = write_field_csv(tmp_path / "new.csv", values)
+    old = reference_write_field_csv(tmp_path / "old.csv", values)
+    assert open(new, "rb").read() == open(old, "rb").read()
 
 
 def test_kernel_certifies_nearly_every_uniform_value():
