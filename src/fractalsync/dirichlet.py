@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UncertifiedFactorError, as_integer
-from .graphs import CellMap, FractalGraph
+from .graphs import FractalGraph
 
 HOLDER_BLOCK_ENTRIES = 1 << 20  # pairs in one block of holder_ratio's scan
 FACTOR_BLOCK_CELLS = 1 << 12  # parent cells in one row block of _pinned_factor
@@ -26,18 +26,18 @@ FACTOR_BLOCK_CELLS = 1 << 12  # parent cells in one row block of _pinned_factor
 
 @dataclass
 class EnergyReport:
-    """Energy of a field with its per-cell breakdown, in cell-word order."""
+    """Energy of a field with its per-cell breakdown in cell order: row c
+    is the cell whose word spells c."""
 
     level: int
     energy: float
     per_cell: np.ndarray = field(repr=False)
-    graph: FractalGraph = field(repr=False)
 
     def to_json_dict(self):
         return {
             "level": self.level,
             "energy": self.energy,
-            "per_cell": CellMap(self.graph, self.per_cell),
+            "per_cell": self.per_cell,
         }
 
 
@@ -81,8 +81,7 @@ def dirichlet_energy(g: FractalGraph, f) -> EnergyReport:
     sides = _square(d).reshape(len(g.cell_corners), -1)  # a row per cell
     per_cell = g.conductance * sides.sum(axis=1) / 2.0
     energy = math.fsum(per_cell.tolist())
-    return EnergyReport(level=g.level, energy=energy, per_cell=per_cell,
-                        graph=g)
+    return EnergyReport(level=g.level, energy=energy, per_cell=per_cell)
 
 
 def laplacian(g, f) -> np.ndarray:

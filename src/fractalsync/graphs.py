@@ -33,7 +33,6 @@ side, and each cell's corners and midpoints giving its children's corners.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -213,57 +212,12 @@ class FractalGraph:
             "x": self.coords[:, 0],
             "y": self.coords[:, 1],
             "boundary": list(self.boundary_ids),
-            "cells": CellMap(self, self.cell_corners),
+            "cells": self.cell_corners,
         }
 
     def __repr__(self):
         return (f"FractalGraph({self.fractal.name!r}, level={self.level}, "
                 f"|V|={self.n_vertices}, |E|={self.n_edges})")
-
-
-class CellMap(Mapping):
-    """Read-only ``{cell word: value}`` over a graph's cells: row c of
-    ``array`` (one value, or a row of them) is the value of the cell whose
-    word spells c, as a string of digits (``"13"``; ``""`` at level 0).
-    The words all have the graph's level as length and their digits rise
-    with the symbols, so cell order is also the words' sorted order."""
-
-    __slots__ = ("graph", "array")
-
-    def __init__(self, graph, array):
-        array = np.asarray(array).view()
-        array.setflags(write=False)
-        if len(array) != len(graph.cell_corners):
-            raise ValueError(f"{len(array)} rows for the "
-                             f"{len(graph.cell_corners)} cells of {graph!r}")
-        self.graph, self.array = graph, array
-
-    def word_chars(self) -> np.ndarray:
-        """(C, n) uint8 table of the cell words' ASCII digits, in cell
-        order, filled a symbol at a time."""
-        n, base = self.graph.level, self.graph.fractal.num_maps
-        glyphs = np.asarray(self.graph.fractal.alphabet, dtype=np.uint8) + ord("0")
-        chars = np.empty((base ** n, n), dtype=np.uint8)
-        for j in range(n):
-            # symbol j of cell c is the digit c // base**(n - 1 - j) % base
-            chars.reshape(base ** j, base, -1, n)[..., j] = glyphs[:, None]
-        return chars
-
-    def __len__(self):
-        return len(self.array)
-
-    def __iter__(self):
-        n = self.graph.level
-        text = self.word_chars().tobytes().decode("ascii")
-        return (text[i:i + n] for i in range(0, len(text), n)) if n else iter([""])
-
-    def __getitem__(self, word):
-        glyphs = "".join(map(str, self.graph.fractal.alphabet))
-        # strip leaves "" exactly when every character is a symbol's digit
-        if (not isinstance(word, str) or len(word) != self.graph.level
-                or word.strip(glyphs)):
-            raise KeyError(word)
-        return self.array[self.graph.pack_word(map(int, word))].tolist()
 
 
 @lru_cache(maxsize=None)

@@ -5,14 +5,13 @@ round-trip exactly through float64; keys are sorted so identical runs
 produce identical bytes.  The JSON emitter reproduces the text of
 ``json.dumps(obj, sort_keys=True, indent=2)`` with that float format.
 
-Numbers are formatted straight from the array, by dtype.  A non-empty
-1-D float array -- a field, a column, the values of a
-:class:`graphs.CellMap` -- is checked for non-finite values in one
-``np.isfinite`` pass and formatted by one kernel, :func:`_float_texts`,
-which writes the bytes of ``'%.17g' % v`` without CPython's formatter.
-That formatter takes Gay's bignum route (1990) for every 17-digit
-conversion (its float fast path stops at 14 digits), about 0.4 us a
-value.  The kernel, a block of ``_BLOCK`` values at a time:
+Arrays are routed by dtype.  A non-empty 1-D float array -- a field, a
+column, ``energy.json``'s ``per_cell`` -- is checked for non-finite
+values in one ``np.isfinite`` pass and formatted by one kernel,
+:func:`_float_texts`, which writes the bytes of ``'%.17g' % v`` without
+CPython's formatter.  That formatter takes Gay's bignum route (1990)
+for every 17-digit conversion (its float fast path stops at 14 digits),
+about 0.4 us a value.  The kernel, a block of ``_BLOCK`` values at a time:
 
 * takes X = floor(log10 |v|) and 10**(16 - X) as a double-double built
   from Python ints (``hi`` and ``lo``, each correctly rounded);
@@ -33,11 +32,9 @@ value.  The kernel, a block of ``_BLOCK`` values at a time:
   exponent; every byte that does not show is NUL, and the rows are
   joined by deleting every NUL.
 
-The words of a :class:`graphs.CellMap` (``energy.json``'s ``per_cell``,
-the graph JSON's ``cells``) are digits, spelled into the rows from the
-map's uint8 digit table; its rows are already in the words' sorted
-order.  An int map is written with a ``%d`` row template over the flat
-``tolist()`` of each chunk of ``_CHUNK`` rows.  Anything else is written
+A non-empty 1-D or 2-D int array -- the graph JSON's ``cells``, its
+corner table -- is written with a ``%d`` row template over the flat
+``tolist()`` of each block of ``_BLOCK`` rows.  Anything else is written
 value by value, an array as its ``tolist()`` and a float scalar with
 ``format(x, ".17g")``.  A field's CSV is written ``_BLOCK`` rows at a
 time, each block's kernel rows the ``%d`` template of its ids.
@@ -55,11 +52,8 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .graphs import CellMap
-
 _INDENT = "  "
-_CHUNK = 1024  # rows per %-template: one template for a whole table is slower
-_BLOCK = 4096  # values per pass of the float kernel: one pass over a whole field is slower
+_BLOCK = 4096  # values or rows per pass of a writer: one pass over a whole field is slower
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for doubles
 _TAIL = np.array([[10 ** 12], [10 ** 8], [10 ** 4]])  # 10**(digits after groups 1-3)
 
@@ -82,13 +76,6 @@ def _finite_array(a):
 def _float17(x: float) -> str:
     _finite((x,))
     return format(x, ".17g")
-
-
-def field_text(values) -> str:
-    """``values`` as float64, finite-checked and formatted in one pass:
-    value ``i`` in ``%.17g`` on line ``i``."""
-    values = _finite_array(np.asarray(values, dtype=float))
-    return _float_texts(values, _ascii(""), _ascii("\n"))[:-1]
 
 
 def _ascii(text) -> np.ndarray:
@@ -141,14 +128,11 @@ def _tables():
 
 
 def _float_texts(a, head, tail) -> str:
-    """``head[i] + '%.17g' % a[i] + tail`` for every value of the finite
-    float64 array ``a``, as one string.  ``tail`` is a uint8 row, and
-    ``head`` one row for all values or one row each, its NUL dropped."""
-    parts = []
-    for s in range(0, len(a), _BLOCK):
-        parts.append(_float_block(a[s:s + _BLOCK],
-                                  head[s:s + _BLOCK] if head.ndim == 2 else head, tail))
-    return b"".join(parts).decode("ascii")
+    """``head + '%.17g' % a[i] + tail`` for every value of the finite
+    float64 array ``a``, as one string; ``head`` and ``tail`` are uint8
+    rows."""
+    return b"".join(_float_block(a[s:s + _BLOCK], head, tail)
+                    for s in range(0, len(a), _BLOCK)).decode("ascii")
 
 
 def _digits17(x):
@@ -239,41 +223,13 @@ def _wrap(open_, texts, close, level):
     return f"{open_}{inner}{(',' + inner).join(texts)}\n{_INDENT * level}{close}"
 
 
-def _float_rows(a, lead) -> str:
-    """A 1-D float array as one row a value: ``lead`` (a uint8 row for all,
-    or one row each), the value's text and a "," that the last row drops."""
-    a = np.asarray(_finite_array(a), dtype=float)
-    return _float_texts(a, lead, _ascii(","))[:-1]
-
-
-def _cell_map_text(m, level):
-    """A :class:`CellMap` as the dict of its words, in their sorted order,
-    which is cell order.  Each row's lead is spelled from the words' digit
-    table, so a row template holds no "%" but the values' codes.  A map of
-    1-D floats goes through the kernel, a 1-D or 2-D int map through
-    ``%d`` templates ``_CHUNK`` rows at a time, and any other as a dict."""
-    a = m.array
-    floats = a.dtype.kind == "f" and a.ndim == 1
-    if not (floats or (a.dtype.kind in "iu" and a.ndim <= 2 and a.size)):
-        return _encode(dict(m), level)
-    words = m.word_chars()
-    n = len(words)
-    head = _ascii(f'\n{_INDENT * (level + 1)}"')
-    lead = np.hstack((np.broadcast_to(head, (n, len(head))), words,
-                      np.broadcast_to(_ascii('": '), (n, 3))))
-    if floats:
-        body = _float_rows(a, lead)
-    else:
-        code = "%d" if a.ndim == 1 else _wrap("[", ["%d"] * a.shape[1], "]", level + 1)
-        tail = _ascii(code + ",")
-        parts = []
-        for s in range(0, n, _CHUNK):
-            k = min(_CHUNK, n - s)
-            template = np.hstack((lead[s:s + k], np.broadcast_to(tail, (k, len(tail)))))
-            parts.append(template.tobytes().decode("ascii")
-                         % tuple(a[s:s + k].ravel().tolist()))
-        body = "".join(parts)[:-1]
-    return f"{{{body}\n{_INDENT * level}}}"
+def _int_rows(a, inner, level) -> str:
+    """``inner``, the row's text and "," for every row of a non-empty 1-D
+    or 2-D int array, by a ``%d`` row template ``_BLOCK`` rows at a time."""
+    code = "%d" if a.ndim == 1 else _wrap("[", ["%d"] * a.shape[1], "]", level + 1)
+    row = f"{inner}{code},"
+    return "".join(row * len(b) % tuple(b.ravel().tolist())
+                   for b in (a[s:s + _BLOCK] for s in range(0, len(a), _BLOCK)))
 
 
 def _encode(o, level=0) -> str:
@@ -299,18 +255,19 @@ def _encode(o, level=0) -> str:
         texts = [f"{encode_basestring_ascii(_key(k))}: {_encode(o[k], level + 1)}"
                  for k in sorted(o)]
         return _wrap("{", texts, "}", level)
-    if type(o) is np.ndarray and o.ndim == 1 and o.size and o.dtype.kind == "f":
+    if type(o) is np.ndarray and o.size:
         inner = "\n" + _INDENT * (level + 1)
-        return f"[{_float_rows(o, _ascii(inner))}\n{_INDENT * level}]"
-    if isinstance(o, CellMap):
-        return _cell_map_text(o, level)
+        if o.ndim == 1 and o.dtype.kind == "f":
+            a = np.asarray(_finite_array(o), dtype=float)
+            return f"[{_float_texts(a, _ascii(inner), _ascii(','))[:-1]}\n{_INDENT * level}]"
+        if o.ndim <= 2 and o.dtype.kind in "iu":
+            return f"[{_int_rows(o, inner, level)[:-1]}\n{_INDENT * level}]"
     return _encode(_default(o), level)
 
 
 def dumps_json(obj) -> str:
-    """Numpy scalars and arrays are written as their Python values, and a
-    :class:`CellMap` as the dict it reads as; a non-finite float raises
-    ValueError."""
+    """Numpy scalars and arrays are written as their Python values; a
+    non-finite float raises ValueError."""
     return _encode(obj) + "\n"
 
 

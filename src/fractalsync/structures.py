@@ -142,13 +142,12 @@ def generic_harmonic_map(fractal: Fractal, level: int, omega: DegreeVector):
 
     The constrained minimum is solved on :func:`covering.seed_domain` and
     extended by repeated constrained minimisation (not the closed-form
-    rule), then projected mod 1.  Returns ``(phases, lift)``.
+    rule), then projected mod 1.  Returns ``(phases, lift)``; a zero
+    ``omega`` gives :func:`covering.circle_harmonic_map`'s constant map.
     """
     g = fractal.build(level)
     if not omega:
-        dom = cov.covering_domain(g, omega)
-        lift = cov.LiftField(domain=dom, values=np.zeros(dom.n_vertices))
-        return np.zeros(g.n_vertices), lift
+        return cov.circle_harmonic_map(g, omega)
     cur = cov.minimize_constrained(cov.seed_domain(g, omega))
     while cur.level < level:
         cur = _extend_lift_by_solve(cur)

@@ -40,14 +40,15 @@ def test_energy_per_cell_sums_to_total():
     rep = dirichlet_energy(g, f)
     assert rep.energy >= 0.0
     assert rep.energy == pytest.approx(math.fsum(rep.per_cell), rel=1e-12)
-    # per_cell is an array in cell-word order, bit-equal to the scalar sum
-    # over each cell's edges; the JSON form keys it by word
+    # per_cell is an array in cell order, bit-equal to the scalar sum over
+    # each cell's edges; row c of the JSON column is the cell whose word
+    # spells c
     expected = [g.conductance * ((f[b] - f[a]) ** 2 + (f[c] - f[b]) ** 2
                                  + (f[a] - f[c]) ** 2) / 2.0
                 for a, b, c in g.cell_corners]
     assert rep.per_cell.tolist() == expected
     k = g.pack_word((3, 1, 2, 2, 1, 1, 3))
-    assert rep.to_json_dict()["per_cell"]["3122113"] == expected[k]
+    assert rep.to_json_dict()["per_cell"][k] == expected[k]
 
 
 # squared differences stay finite below 1e150; the subnormal band and

@@ -10,7 +10,7 @@ from fractalsync import (DegreeVector, build_graph, build_ring_graph,
                          build_sg_graph, dirichlet_energy, km_energy, km_rhs,
                          laplacian, normal_derivative, restrict)
 from fractalsync.covering import seed_domain
-from fractalsync.graphs import CellMap, FRACTALS, _refine
+from fractalsync.graphs import FRACTALS, _refine
 from fractalsync.serialize import dumps_json
 from conftest import (Itinerary, apply_word, canonical_itinerary,
                       enumerate_gasket, extend_harmonic_once, hessian_matrix,
@@ -323,7 +323,7 @@ def test_graph_json_schema():
     assert d["itinerary"] == ["~1", "1~2", "1~3", "~2", "2~3", "~3"]
     assert (d["x"][0], d["y"][0], d["x"][3]) == (0.0, 0.0, 0.5)
     assert d["boundary"] == [0, 3, 5]
-    assert d["cells"]["1"] == [0, 1, 2]
+    assert d["cells"][0].tolist() == [0, 1, 2]
 
 
 @given(word=st.lists(st.sampled_from((1, 2, 3)), max_size=6),
@@ -432,10 +432,12 @@ def test_json_itineraries_match_key_decode_oracle(build, n):
     assert d["itinerary"] == names
     np.testing.assert_array_equal(np.column_stack((d["x"], d["y"])), g.coords)
     assert d["boundary"] == [v for v, s in enumerate(names) if s[0] == "~"]
-    # the cells, stacked in word order, are the corner table, and their
-    # sides are the edges the JSON does not repeat
-    corners = np.array([d["cells"][w] for w in sorted(d["cells"])])
+    # the cells are the corner table: row c the corners of the cell whose
+    # word spells c, and their sides the edges the JSON does not repeat
+    corners = np.array(d["cells"])
     np.testing.assert_array_equal(corners, g.cell_corners)
+    for c, (word, ref) in enumerate(reference_cells(g).items()):
+        assert g.pack_word(word) == c and d["cells"][c] == list(ref)
     np.testing.assert_array_equal(g.fractal.cell_edges(corners), g.edges)
 
 
@@ -443,26 +445,17 @@ def test_json_itineraries_match_key_decode_oracle(build, n):
                          + [(build_ring_graph, n) for n in range(1, 8)],
                          ids=_builder_id)
 def test_cell_map_reads_back_every_word(build, n):
+    # energy.json's per_cell, written and read back, addressed by cell word
+    # as the graph JSON's cells are: row pack_word(w) is the energy of the
+    # sides of w's corners
     g = build(n)
-    cells = g.to_json_dict()["cells"]
-    ref = {"".join(map(str, w)): list(c) for w, c in reference_cells(g).items()}
-    assert list(cells) == list(ref) == sorted(ref)
-    assert len(cells) == len(ref) and dict(cells) == ref
-    for word, corners in ref.items():
-        assert word in cells and cells[word] == corners
-    digits = "".join(map(str, g.fractal.alphabet))
-    stray = next(d for d in "0123456789" if d not in digits)
-    for bad in (digits[0] * (n + 1), (stray + digits[0] * n)[:max(n, 1)],
-                0, (g.fractal.alphabet[0],) * n, None):
-        assert bad not in cells
-        with pytest.raises(KeyError):
-            cells[bad]
-    with pytest.raises(TypeError):
-        cells[digits[0] * n] = [0] * len(ref[digits[0] * n])
-    with pytest.raises(ValueError, match="read-only"):
-        cells.array[0] = 0
-    with pytest.raises(ValueError, match="rows for the"):
-        CellMap(g, g.cell_corners[1:])
+    f = np.random.default_rng(n).standard_normal(g.n_vertices)
+    per_cell = json.loads(dumps_json(dirichlet_energy(g, f).to_json_dict()))["per_cell"]
+    assert len(per_cell) == g.fractal.num_maps ** n
+    for word, corners in reference_cells(g).items():
+        d = f[g.fractal.cell_edges(np.array([corners]))] @ [-1.0, 1.0]
+        assert per_cell[g.pack_word(word)] == pytest.approx(
+            g.conductance * (d @ d) / 2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("build,n", [(build_sg_graph, n) for n in range(0, 7)]

@@ -15,11 +15,10 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import (_phase_color, _real_color, reference_dumps_json,
                       reference_render_field_svg, reference_write_field_csv)
-from fractalsync import (CellMap, build_graph, circle_harmonic_map,
-                         dirichlet_energy, solve_dirichlet)
-from fractalsync.serialize import (_BLOCK, _CHUNK as _TABLE_CHUNK, _digits17,
-                                   dumps_json, field_text, write_field_csv,
-                                   write_json)
+from fractalsync import (build_graph, circle_harmonic_map, dirichlet_energy,
+                         solve_dirichlet)
+from fractalsync.serialize import (_BLOCK, _ascii, _digits17, _float_texts,
+                                   dumps_json, write_field_csv, write_json)
 from fractalsync.svg import (_CHUNK, _phase_colors, _real_colors,
                              render_field_svg)
 from fractalsync.winding import DegreeVector
@@ -33,8 +32,8 @@ numpy_scalars = st.one_of(
     finite.map(np.float64),
     st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
 )
-# 1-D and 2-D float and int arrays take the by-dtype path; 3-D, empty and
-# 0-column shapes and bool arrays take the value-by-value one
+# 1-D float and 1-D or 2-D int arrays take the by-dtype path; 2-D float,
+# 3-D, empty and 0-column shapes and bool arrays take the value-by-value one
 shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
 arrays = st.one_of(
     hnp.arrays(np.float64, shapes, elements=finite),
@@ -70,49 +69,36 @@ def test_dumps_json_matches_reference_encoder(obj):
     assert dumps_json(obj) == reference_dumps_json(obj)
 
 
-def _as_dicts(obj):
-    """``obj`` with its :class:`CellMap` values as dicts, which stdlib
-    ``json`` writes (it writes no other mapping)."""
-    return {k: dict(v) if isinstance(v, CellMap) else v for k, v in obj.items()}
-
-
 def test_dumps_json_matches_reference_on_artifact_shapes():
     g = build_graph("sg", 4)
     f = solve_dirichlet(g, [0.0, 0.3, 1.0])
     for obj in (g.to_json_dict(), {"values": f}, {"edges": g.edges},
-                {"cells": CellMap(g, g.cell_corners)},
-                {"per_cell": CellMap(g, f[:81] / 3)},
-                {"pairs": CellMap(g, np.stack([f[:81], -f[42:]], axis=1))},
+                {"cells": g.cell_corners}, {"per_cell": f[:81] / 3},
+                {"pairs": np.stack([f[:81], -f[42:]], axis=1)},
                 {"mixed": [1, 2.5, "x", None, True, np.int64(3)]},
                 {"ragged": [[1, 2], [3]], "empty": [[], []], "nested": [[[1.0]]]}):
-        assert dumps_json(obj) == reference_dumps_json(_as_dicts(obj))
+        assert dumps_json(obj) == reference_dumps_json(obj)
 
 
 @pytest.mark.parametrize("fractal, level", [("sg", n) for n in range(8)]
                          + [("ring", n) for n in range(1, 11)])
 def test_cell_maps_match_reference(fractal, level):
-    # energy.json and the graph JSON's cells, level 0's one word "" too:
-    # their templates are spelled from the words' digit table
+    # energy.json's per_cell and the graph JSON's cells, level 0's one
+    # cell too: a float column and an int table in cell order
     g = build_graph(fractal, level)
     f = np.random.default_rng(level).standard_normal(g.n_vertices)
     for obj in (dirichlet_energy(g, f).to_json_dict(),
                 {"cells": g.to_json_dict()["cells"]}):
-        assert dumps_json(obj) == reference_dumps_json(_as_dicts(obj))
-
-
-def test_cell_map_rejects_non_finite():
-    g = build_graph("sg", 2)
-    per_cell = np.ones(9)
-    per_cell[4] = np.nan
-    with pytest.raises(ValueError, match="non-finite value nan"):
-        dumps_json({"per_cell": CellMap(g, per_cell)})
+        assert dumps_json(obj) == reference_dumps_json(obj)
 
 
 def test_tables_longer_than_a_chunk_match_reference():
-    # a float column through the kernel, an int table as its tolist()
+    # a float column through the kernel, int columns and tables through
+    # %d row templates a block of _BLOCK rows at a time
     rng = np.random.default_rng(3)
-    for rows in (_TABLE_CHUNK - 1, _TABLE_CHUNK, 2 * _TABLE_CHUNK + 1):
-        for a in (rng.integers(-9, 9, (rows, 3)), rng.standard_normal(rows)):
+    for rows in (_BLOCK - 1, _BLOCK, 2 * _BLOCK + 1):
+        for a in (rng.integers(-9, 9, (rows, 3)), rng.integers(-2 ** 63, 2 ** 63 - 1, rows),
+                  rng.integers(0, 256, (rows, 2), dtype=np.uint8), rng.standard_normal(rows)):
             assert dumps_json({"a": a}) == reference_dumps_json({"a": a})
 
 
@@ -142,9 +128,6 @@ def test_field_text_names_first_non_finite_before_writing(tmp_path, bad, dtype):
     other = float("inf") if bad != bad else float("nan")
     values = np.array([0.25, bad, other, 1.0], dtype=dtype)
     message = f"non-finite value {bad!r} in output"
-    with pytest.raises(ValueError) as exc:
-        field_text(values)
-    assert str(exc.value) == message
     csv_path, json_path = tmp_path / "x.csv", tmp_path / "x.json"
     for write, path, obj in ((write_field_csv, csv_path, values),
                              (write_json, json_path, {"values": values}),
@@ -235,9 +218,14 @@ def _percent17(values):
     return "\n".join("%.17g" % v for v in np.asarray(values, dtype=float).tolist())
 
 
+def _kernel_text(values):
+    """The kernel's text of finite ``values``, value ``i`` on line ``i``."""
+    return _float_texts(np.asarray(values, dtype=float), _ascii(""), _ascii("\n"))[:-1]
+
+
 def _assert_kernel_matches(values):
     values = np.asarray(values, dtype=float)
-    got, want = field_text(values).split("\n"), _percent17(values).split("\n")
+    got, want = _kernel_text(values).split("\n"), _percent17(values).split("\n")
     bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
     assert not bad and len(got) == len(want), bad[:5]
 
@@ -253,7 +241,7 @@ def test_kernel_matches_percent17_on_random_bit_patterns():
     bits = np.random.default_rng(17).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
     values = bits.view(np.float64)
     values = values[np.isfinite(values)]
-    assert field_text(values) == _percent17(values)
+    assert _kernel_text(values) == _percent17(values)
 
 
 def test_kernel_matches_percent17_at_powers_of_ten_and_neighbours():
@@ -298,7 +286,7 @@ def test_kernel_matches_percent17_at_the_extremes():
 @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
 def test_kernel_matches_percent17_across_blocks(tmp_path, rng, n):
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
-    assert field_text(values) == _percent17(values)
+    assert _kernel_text(values) == _percent17(values)
     # as a JSON column, and as a CSV written a block of rows at a time
     assert dumps_json({"a": values}) == reference_dumps_json({"a": values})
     new = write_field_csv(tmp_path / "new.csv", values)

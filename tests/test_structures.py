@@ -98,6 +98,13 @@ def test_generic_harmonic_map_matches_covering_pipeline():
     gen_phases, gen_lift = generic_harmonic_map(SG, 4, omega)
     assert np.abs(gen_lift.values - spec_lift.values).max() < 1e-10
     assert circle_distance(gen_phases, spec_phases).max() < 1e-10
+    # a zero degree: zero phases, and a zero lift on an uncut domain
+    for fractal, level in ((SG, 3), (RING, 4)):
+        phases, lift = generic_harmonic_map(fractal, level, DegreeVector({}))
+        g = fractal.build(level)
+        assert phases.tolist() == [0.0] * g.n_vertices
+        assert not lift.domain.cuts and lift.domain.n_vertices == g.n_vertices
+        assert lift.values.tolist() == [0.0] * g.n_vertices
 
 
 @settings(max_examples=40, deadline=None)
