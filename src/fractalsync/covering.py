@@ -57,9 +57,7 @@ def select_cut_vertices(g: FractalGraph, omega: DegreeVector):
     if not omega:
         return []
     fractal, sides = g.fractal, g.fractal.sides
-    # a cell whose side path is open is no loop: the level-0 cell closes
-    # only because its two ends are one vertex
-    if omega.max_order > 0 and sides[0, 0] != sides[-1, 1]:
+    if not fractal.loops_at(omega.max_order):
         raise ValueError(f"{fractal.name} degrees live on the single full cycle")
     if g.level < omega.max_order + 1:
         raise ValueError(

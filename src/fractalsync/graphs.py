@@ -64,6 +64,16 @@ class Fractal:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
+        if not (self.sides[1:, 0] == self.sides[:-1, 1]).all():
+            raise ValueError(f"{self.name} sides are not one path: each side "
+                             f"must start where the one before it ends")
+
+    def loops_at(self, m) -> bool:
+        """Whether the level-m cells are loops: their side path closes, or,
+        on the level-0 cell only, its two ends are one vertex (the ring's)."""
+        a, b = self.sides[0, 0], self.sides[-1, 1]
+        return bool(a == b or m == 0
+                    and self.base_corners[0, a] == self.base_corners[0, b])
 
     def build(self, n) -> FractalGraph:
         """The level-n graph: one object per process, however reached."""

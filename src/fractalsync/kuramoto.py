@@ -170,10 +170,10 @@ def cell_wall_energy(g: FractalGraph, u) -> float:
     if not np.abs(d).max() < 0.25:
         return -math.inf
     q = _bregman_floor(d)   # > 0 in the open cell
-    # a row is one cell where its side path closes (winding.degree's test),
-    # and the whole edge list, the ring's cycle, where it does not
-    first, last = g.cell_corners[0, g.fractal.sides[[0, -1], [0, 1]]]
-    inv = 1.0 / q.reshape(-1, len(g.fractal.sides) if first == last else g.n_edges)
+    # a row is one cell where the record says the level's cells are loops
+    # (Fractal.loops_at), and the whole edge list, the ring's cycle, if not
+    loops = g.fractal.loops_at(g.level)
+    inv = 1.0 / q.reshape(-1, len(g.fractal.sides) if loops else g.n_edges)
     # sum of 1/q over the rest of each edge's row, with no cancellation
     rest = np.zeros_like(inv)
     rest[:, 1:] += np.cumsum(inv[:, :-1], axis=1)

@@ -1,17 +1,18 @@
 """Winding numbers of circle-valued fields along the cell loops.
 
-A cell is a loop when the path along its fractal's ``sides`` closes:
-every gasket cell, traced clockwise through its corners v1, v2, v3, and
-the ring's level-0 cell, the whole ring.  The loops of all orders form
-the basis along which winding numbers are recorded.  A field's step along an edge is the unique real
-increment within a half turn, and the total increment around a loop is
-its winding number.  :func:`degree` reads every loop at once off the
-corner table.
+Which cells are loops is the fractal record's one rule,
+:meth:`~fractalsync.graphs.Fractal.loops_at`: every gasket cell, traced
+clockwise through its corners v1, v2, v3, and the ring's level-0 cell,
+the whole ring.  The loops of all orders form the basis along which
+winding numbers are recorded.  A field's step along an edge is the
+unique real increment within a half turn, and the total increment
+around a loop is its winding number.  :func:`degree` reads every loop
+at once off the corner table.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import count, product, takewhile
 
 import numpy as np
 
@@ -35,6 +36,12 @@ def parse_word(s: str, alphabet=SG.alphabet) -> tuple[int, ...]:
     return tuple(symbols[ch] for ch in s)
 
 
+def _dense_words(alphabet):
+    """Every word over ``alphabet`` in the dense order eps, 1, 2, 3, 11, ..."""
+    for order in count():
+        yield from product(alphabet, repeat=order)
+
+
 class DegreeVector:
     """Finitely supported integer vector indexed by loop words."""
 
@@ -50,12 +57,7 @@ class DegreeVector:
     @classmethod
     def from_dense(cls, values, alphabet=SG.alphabet):
         """Build from the dense by-order listing eps, (1), (2), (3), (1,1), ..."""
-        words = []
-        order = 0
-        while len(words) < len(values):
-            words.extend(product(alphabet, repeat=order))
-            order += 1
-        return cls(dict(zip(words, values)))
+        return cls(dict(zip(_dense_words(alphabet), values)))
 
     @classmethod
     def parse(cls, text, alphabet=SG.alphabet):
@@ -91,11 +93,8 @@ class DegreeVector:
     def to_dense(self, order=None, alphabet=SG.alphabet):
         if order is None:
             order = max(self.max_order, 0)
-        out = []
-        for ell in range(order + 1):
-            for w in product(alphabet, repeat=ell):
-                out.append(self.entries.get(w, 0))
-        return out
+        words = takewhile(lambda w: len(w) <= order, _dense_words(alphabet))
+        return [self.entries.get(w, 0) for w in words]
 
     def to_json_dict(self):
         return {word_str(w): v for w, v in sorted(self.entries.items())}
@@ -164,33 +163,26 @@ def degree(f, g: FractalGraph) -> DegreeVector:
     Each side a -> b of each level-n cell (its ``sides``) is one wrapped
     step (see :func:`_steps`).  Side a -> b of cell w is side a -> b of
     child wa followed by side a -> b of child wb, so sides are summed one
-    level up at a time, and so are the corners (corner a of cell w is
-    corner a of child wa).  A cell is a loop when its side path closes,
-    its last side ending at the corner its first side starts from, and it
-    winds by the sum of its sides: every gasket cell, and the ring's
-    level-0 cell, whose two corners are its one boundary vertex.
+    level up at a time.  The cells of each level that the record's
+    ``loops_at`` calls loops wind by the sums of their sides.
     """
     f = g.check_field(f)
     corners = g.cell_corners
-    k = corners.shape[1]
     a, b = g.fractal.sides.T
     s = np.arange(len(a))
     sides = _steps(f, corners[:, a], corners[:, b])
-    # the corner each cell's side path starts from and the one it ends at
-    first, last = corners[:, a[0]], corners[:, b[-1]]
-    lifts = [(first == last, sides.sum(axis=1))]
+    lifts = [sides.sum(axis=1)]
     for _ in range(g.level):
-        kids = sides.reshape(-1, k, len(a))
+        kids = sides.reshape(-1, corners.shape[1], len(a))
         sides = kids[:, a, s] + kids[:, b, s]
-        first, last = first[a[0]::k], last[b[-1]::k]
-        lifts.insert(0, (first == last, sides.sum(axis=1)))
+        lifts.insert(0, sides.sum(axis=1))
     entries = {}
-    for m, (closed, lift) in enumerate(lifts):
-        if not closed.any():
+    for m, lift in enumerate(lifts):
+        if not g.fractal.loops_at(m):
             continue
         wind = np.round(lift)
-        nz = np.flatnonzero(closed & ((wind != 0) | ~(
-            np.abs(lift - wind) <= INTEGRALITY_TOL)))
+        nz = np.flatnonzero((wind != 0) | ~(
+            np.abs(lift - wind) <= INTEGRALITY_TOL))
         words = map(tuple, g.word_symbols(nz, m).tolist())
         for word, w in zip(words, lift[nz].tolist()):
             entries[word] = _closed(w, word)

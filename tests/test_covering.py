@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from conftest import cg_reference, reference_cut_vertices, reference_extend_lift
 from fractalsync import (ConstraintViolationError, DegreeMismatchError,
                          DegreeVector, LiftField, build_graph,
                          build_ring_graph, build_sg_graph, circle_harmonic_map,
-                         covering_domain, degree, extend_lift,
+                         covering_domain, degree, extend_lift, km_energy,
                          minimize_constrained, neumann_check, project_to_circle,
                          restrict, select_cut_vertices, solve_equilibrium)
 from fractalsync.covering import seed_domain
@@ -452,3 +452,41 @@ def test_harmonic_map_of_another_class_raises(fractal, level, spec, found):
     assert info.value.found == DegreeVector.parse(found)
     assert f"degree {found}, not the requested {omega}" in str(info.value)
 
+
+def _permutation_sign(sigma):
+    return (-1) ** sum(a > b for i, a in enumerate(sigma) for b in sigma[i + 1:])
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+@pytest.mark.parametrize("spec", ["1", "1,1,1,1", "eps:1,1:1", "2,0,0",
+                                  "eps:1,12:-1,3:1"])
+def test_gasket_symmetries_carry_each_class_to_its_image(n, spec):
+    # corner permutation sigma is the affine map taking v_i to v_sigma(i):
+    # it takes cell w to the cell of w's symbols permuted, keeps each
+    # loop's clockwise orientation as a rotation and reverses it as a
+    # reflection, so the transported map of omega is the map of
+    # sigma omega = {sigma(w): sign(sigma) omega_w}, up to a global rotation
+    g = build_sg_graph(n)
+    omega = DegreeVector.parse(spec)
+    phases, _ = circle_harmonic_map(g, omega)
+    corners = np.hstack([g.fractal.points, np.ones((3, 1))])
+    at = {xy: v for v, xy in enumerate(map(tuple, np.round(g.coords, 9).tolist()))}
+    symbols = g.fractal.alphabet
+    for sigma in permutations(range(3)):
+        affine = np.linalg.solve(corners, g.fractal.points[list(sigma)])
+        moved = np.round(np.hstack([g.coords, np.ones((g.n_vertices, 1))]) @ affine, 9)
+        image = np.array([at[xy] for xy in map(tuple, moved.tolist())])
+        assert np.array_equal(np.sort(image), np.arange(g.n_vertices))
+        transported = np.empty_like(phases)
+        transported[image] = phases
+        want = DegreeVector({
+            tuple(symbols[sigma[symbols.index(s)]] for s in w):
+                _permutation_sign(sigma) * v
+            for w, v in omega.entries.items()})
+        assert degree(transported, g) == want
+        h, _ = circle_harmonic_map(g, want)
+        shift = transported - h
+        shift -= shift[0]
+        assert np.abs(shift - np.rint(shift)).max() <= 1e-13
+        assert km_energy(g, transported) == pytest.approx(km_energy(g, h),
+                                                          rel=0, abs=1e-13)

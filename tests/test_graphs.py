@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 from itertools import product
@@ -10,7 +11,7 @@ from fractalsync import (DegreeVector, build_graph, build_ring_graph,
                          build_sg_graph, dirichlet_energy, km_energy, km_rhs,
                          laplacian, normal_derivative, restrict)
 from fractalsync.covering import seed_domain
-from fractalsync.graphs import FRACTALS, _refine
+from fractalsync.graphs import FRACTALS, RING, SG, _refine
 from fractalsync.serialize import dumps_json
 from conftest import (Itinerary, apply_word, canonical_itinerary,
                       enumerate_gasket, extend_harmonic_once, hessian_matrix,
@@ -307,6 +308,43 @@ def test_fractal_tables_are_read_only(fractal):
     for n in fractal.levels[:3]:
         assert _refine.__wrapped__(fractal, n).fractal is fractal
     assert {name: arr.flags.writeable for name, arr in tables.items()} == flags
+
+
+def test_a_record_whose_sides_are_not_one_path_is_refused():
+    # the K4 cell (the tetrahedral gasket's) has every corner of odd
+    # degree, so no ordering of its sides is one path
+    k4 = np.array([[0, 1], [1, 2], [2, 0], [0, 3], [1, 3], [2, 3]])
+    for name, sides in (("sg", SG.sides[[0, 2, 1]]), ("k4", k4)):
+        with pytest.raises(ValueError, match=f"^{name} sides are not one path"):
+            dataclasses.replace(SG, name=name, sides=sides)
+    for fractal in (SG, RING):
+        assert dataclasses.replace(fractal).build(2).n_edges == fractal.build(2).n_edges
+
+
+def _closed_cells(g):
+    """Per level m, whether each level-m cell's side path starts and ends
+    at one vertex id: the corner-id test ``degree`` made per cell before
+    the record held the loop rule.  Corner a of cell w is corner a of
+    child wa, row k w + a one level down."""
+    k = g.cell_corners.shape[1]
+    a, b = g.fractal.sides[0, 0], g.fractal.sides[-1, 1]
+    first, last = g.cell_corners[:, a], g.cell_corners[:, b]
+    closed = [first == last]
+    for _ in range(g.level):
+        first, last = first[a::k], last[b::k]
+        closed.insert(0, first == last)
+    return closed
+
+
+@pytest.mark.parametrize("fractal, levels", [(SG, range(0, 11)),
+                                             (RING, range(1, 15))],
+                         ids=["sg", "ring"])
+def test_loops_at_matches_the_per_cell_corner_closure(fractal, levels):
+    for n in levels:
+        closed = _closed_cells(fractal.build(n))
+        assert len(closed) == n + 1
+        for m, cells in enumerate(closed):
+            assert (cells == fractal.loops_at(m)).all(), (n, m)
 
 
 def test_ring_restrict():
